@@ -37,7 +37,13 @@ def _parse_tols(items):
     return out
 
 
+def _check_samples(args, minimum):
+    if args.samples < minimum:
+        raise UsageError(f"--samples must be at least {minimum}, got {args.samples}")
+
+
 def cmd_verify(args):
+    _check_samples(args, 1)
     tols = _parse_tols(args.tol)
     report = verify.run_suite(args.case, n_samples=args.samples,
                               seed=args.seed, tolerances=tols or None)
@@ -102,6 +108,7 @@ def cmd_spectrum(args):
 
 
 def cmd_polytope(args):
+    _check_samples(args, 1)
     case = hermsym.parse_case(args.case)
     out_path = args.output or f"polytope_{case.tag}.csv"
     slack = 1e-9
@@ -150,6 +157,7 @@ def cmd_polytope(args):
 
 
 def cmd_calibrate(args):
+    _check_samples(args, 0)         # 0 selects the default sample count
     cal = verify.calibrate()
     print("sign calibration on Gr(1,2) (4 candidates):")
     for pair_, res in sorted(cal.residuals.items()):

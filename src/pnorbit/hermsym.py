@@ -154,16 +154,29 @@ def build_case(tag, **params):
     raise ConventionError(f"unknown case tag {tag!r}")
 
 
+_CASE_PARAMS = {"aiii": ("k", "n"), "ci": ("n",), "diii": ("n",), "bdi": ("m",)}
+
+
 def parse_case(text):
-    """Parse a case descriptor string such as 'aiii:k=2,n=4'."""
+    """Parse a case descriptor string such as 'aiii:k=2,n=4'.
+
+    Repeated parameters, and parameters the tag does not take, are rejected.
+    """
     try:
         tag, _, rest = text.strip().partition(":")
+        tag = tag.strip().lower()
         params = {}
         if rest:
             for item in rest.split(","):
                 key, _, val = item.partition("=")
-                params[key.strip()] = int(val)
-        return build_case(tag.strip().lower(), **params)
+                key = key.strip()
+                if key in params:
+                    raise ConventionError(f"repeated parameter {key!r}")
+                params[key] = int(val)
+        unknown = sorted(set(params) - set(_CASE_PARAMS.get(tag, params)))
+        if unknown:
+            raise ConventionError(f"{tag} takes no parameter {', '.join(unknown)}")
+        return build_case(tag, **params)
     except (ConventionError, KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"bad case descriptor {text!r}: {exc}") from exc
 

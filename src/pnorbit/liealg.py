@@ -109,7 +109,16 @@ def _so_cartan_pairs(m, style):
 
 @dataclass
 class LieAlgebra:
-    """A classical matrix Lie algebra with fixed Cartan conventions."""
+    """A classical matrix Lie algebra with fixed Cartan conventions.
+
+    `_finish` precomputes, next to `jmat`, three maps that turn every
+    contraction against the basis into one matrix product:
+
+    * `flat`   (dim, N^2) - the basis, one flattened matrix per row;
+    * `flat_t` (N^2, dim) - the transposed matrices as columns, so that
+      A.ravel() @ flat_t = [Tr(A X_b)]_b;
+    * `jflat`  (dim, N^2) - row a is J(X_a) flattened (jmat^T @ flat).
+    """
 
     family: str
     n: int                      # family parameter (su(n), sp(n), so(n))
@@ -119,18 +128,30 @@ class LieAlgebra:
     h0: np.ndarray              # regular Cartan element fixing Phi+
     cartan_style: str = ""      # so-families only
     jmat: np.ndarray = field(default=None, repr=False)   # J on coefficients
+    flat: np.ndarray = field(default=None, repr=False)
+    flat_t: np.ndarray = field(default=None, repr=False)
+    jflat: np.ndarray = field(default=None, repr=False)
 
     @property
     def dim(self):
         return len(self.basis)
 
     # -- coefficient space -------------------------------------------------
+    def _unflatten(self, rows):
+        return rows.reshape(rows.shape[:-1] + (self.size, self.size))
+
     def coefficients(self, x):
-        """Expansion coefficients of x in the orthonormal basis (complex)."""
-        return -np.einsum("aij,ji->a", self.basis, np.asarray(x, complex))
+        """Expansion coefficients of x in the orthonormal basis (complex).
+
+        x may be one matrix or a stack (..., N, N); the coefficients are
+        -Tr(x X_a), one GEMM against the transposed-flattened basis.
+        """
+        x = np.asarray(x, complex)
+        return -(x.reshape(x.shape[:-2] + (-1,)) @ self.flat_t)
 
     def from_coefficients(self, c):
-        return np.einsum("a,aij->ij", np.asarray(c), self.basis)
+        """sum_a c_a X_a for one coefficient vector or a stack (..., dim)."""
+        return self._unflatten(np.asarray(c) @ self.flat)
 
     def membership_residual(self, x, complex_span=False):
         """Distance of x from g (or g_C when complex_span) via reconstruction."""
@@ -152,7 +173,7 @@ class LieAlgebra:
 
     def j_apply_stack(self, coefs):
         """J on a stack of coefficient vectors, returning matrices."""
-        return np.einsum("...a,aij->...ij", coefs @ self.jmat.T, self.basis)
+        return self._unflatten(coefs @ self.jflat)
 
     def cartan_element(self, values):
         z = np.zeros((self.size, self.size), complex)
@@ -178,6 +199,11 @@ def _finish(alg):
     if np.abs(jmat.imag).max() > 1e-12:
         raise ConventionError("J matrix failed to be real")
     alg.jmat = jmat.real
+    dim, size = len(alg.basis), alg.size
+    alg.flat = alg.basis.reshape(dim, size * size)
+    alg.flat_t = np.ascontiguousarray(
+        np.swapaxes(alg.basis, 1, 2).reshape(dim, size * size).T)
+    alg.jflat = alg.jmat.T @ alg.flat
     return alg
 
 

@@ -11,6 +11,13 @@ calibrated global convention is (+1, -1).
 
 The Nijenhuis operator acts on tangent coefficient vectors as P0 . PK^+,
 and independently in closed form as N v = [-J(v), m] + v.
+
+Both matrices are assembled from BLAS products only: stacked `@` for
+m X_a, [m, X_a] and g^dag C_+(xi_a) g, and one GEMM per trace pairing
+against the algebra's precomputed maps (`LieAlgebra.flat`, `flat_t`,
+`jflat`).  `build_pair` takes one SVD of K: it gives the rank test, the
+tangent basis and K^+ = V_r diag(1/s_r) U_r^T, with the cut s > 1e-9 s_0
+that pinv(K, rcond=1e-9) would apply.
 """
 
 from dataclasses import dataclass, field
@@ -26,9 +33,8 @@ CALIBRATED_SIGNS = (1, -1)      # (s_K, s_0); see verify.calibrate
 
 def kks_raw(case, m):
     """K_ab = <m, [X_a, X_b]>, the unsigned Lie-Poisson matrix."""
-    basis = case.alg.basis
-    mx = np.einsum("ij,ajk->aik", m, basis)
-    p = np.einsum("aij,bji->ab", mx, basis)
+    alg = case.alg
+    p = -alg.coefficients(m @ alg.basis)      # p[a, b] = Tr(m X_a X_b)
     return (p.T - p).real
 
 
@@ -37,21 +43,21 @@ def kks_matrix(case, m, s_k=CALIBRATED_SIGNS[0]):
 
 
 def bruhat_matrix(case, g, s_0=CALIBRATED_SIGNS[1]):
-    """The Bruhat-Poisson matrix at the coset of g (vectorized build)."""
+    """The Bruhat-Poisson matrix at the coset of g (stacked GEMM build)."""
     alg = case.alg
-    basis = alg.basis
+    dim = alg.dim
     m = g @ case.rho @ g.conj().T
-    xi = (np.einsum("ij,ajk->aik", m, basis)
-          - np.einsum("aij,jk->aik", basis, m))
-    coef = -np.einsum("aij,bji->ab", xi, basis).real
-    c_xi = 1j * xi + alg.j_apply_stack(coef)
-    z = np.einsum("ji,ajk,kl->ail", g.conj(), c_xi, g)
-    anti = (z - np.conj(np.swapaxes(z, 1, 2))) / 2
-    herm = (z + np.conj(np.swapaxes(z, 1, 2))) / 2j
-    coef_b = -np.einsum("aij,bji->ab", herm, basis).real
-    g_part = anti - alg.j_apply_stack(coef_b)
+    xi = m @ alg.basis - alg.basis @ m
+    c_xi = 1j * xi + alg.j_apply_stack(alg.coefficients(xi).real)
+    z = g.conj().T @ c_xi @ g
+    z_dag = np.conj(np.swapaxes(z, 1, 2))
+    anti = (z - z_dag) / 2
+    herm = (z + z_dag) / 2j
+    g_part = anti - alg.j_apply_stack(alg.coefficients(herm).real)
     b_part = z - g_part
-    return -s_0 * np.einsum("aij,bji->ab", g_part, b_part).imag
+    # Tr(g_part_a b_part_b) as one GEMM over the flattened matrices
+    b_rows_t = np.swapaxes(b_part, 1, 2).reshape(dim, -1)
+    return -s_0 * (g_part.reshape(dim, -1) @ b_rows_t.T).imag
 
 
 @dataclass
@@ -63,16 +69,12 @@ class BracketPair:
     pk: np.ndarray
     k_raw: np.ndarray = field(repr=False)
     tangent: np.ndarray = field(repr=False)   # (dim, 2 n_eig) orthonormal
+    k_pinv: np.ndarray = field(repr=False)    # K^+ from the rank-cut SVD
     signs: tuple = CALIBRATED_SIGNS
-    k_pinv: np.ndarray = field(default=None, repr=False)
 
     @property
     def case(self):
         return self.point.case
-
-    def __post_init__(self):
-        if self.k_pinv is None:
-            self.k_pinv = np.linalg.pinv(self.k_raw, rcond=1e-9)
 
     def pk_pinv(self):
         return self.signs[0] * self.k_pinv
@@ -86,12 +88,15 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS, validate=True):
     m = g @ case.rho @ g.conj().T
     k = kks_raw(case, m)
     p0 = bruhat_matrix(case, g, signs[1])
-    u, s, _ = np.linalg.svd(k)
+    u, s, vt = np.linalg.svd(k)
     rank = int((s > 1e-9 * s[0]).sum())
     if rank != case.dim_m:
         raise NumericalError(f"KKS rank {rank} != dim M = {case.dim_m}")
     tangent = u[:, :rank]
-    pair = BracketPair(OrbitPoint(case, g, m), p0, signs[0] * k, k, tangent, signs)
+    # the pseudo-inverse pinv(k, rcond=1e-9) would take, from the same SVD
+    k_pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+    pair = BracketPair(OrbitPoint(case, g, m), p0, signs[0] * k, k, tangent,
+                       k_pinv, signs)
     if validate:
         asym = np.abs(p0 + p0.T).max()
         if asym > 1e-11 * max(1.0, np.abs(p0).max()):
@@ -163,7 +168,7 @@ def flow_points(case, g, h=DEFAULT_FD_STEP):
     """Perturbed group elements exp(+-h X_a) g for every basis direction."""
     steps = expm_antihermitian(h * case.alg.basis)
     back = np.conj(np.swapaxes(steps, 1, 2))
-    return np.einsum("aij,jk->aik", steps, g), np.einsum("aij,jk->aik", back, g)
+    return steps @ g, back @ g
 
 
 def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP):

@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from pnorbit.cli import main
 
@@ -90,3 +91,19 @@ def test_calibrate_command_deterministic(capsys):
 
 def test_calibrate_rejects_non_diii_case(capsys):
     assert main(["calibrate", "--case", "ci:n=2", "--samples", "50"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "ci:n=1", "--samples", "0"],
+    ["verify", "--case", "ci:n=1", "--samples", "-3"],
+    ["polytope", "--case", "ci:n=1", "--samples", "0"],
+    ["calibrate", "--samples", "-1"],
+    ["spectrum", "--case", "ci:n=2,foo=3"],
+    ["spectrum", "--case", "ci:n=2,n=3"],
+], ids=["verify-samples-0", "verify-samples-neg", "polytope-samples-0",
+        "calibrate-samples-neg", "case-unknown-param", "case-repeated-param"])
+def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -28,6 +28,27 @@ def test_dimension_and_orthonormality(family, n):
     assert np.abs(gram - np.eye(alg.dim)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("family,n", ALGEBRAS)
+def test_basis_maps_match_einsum(family, n, rng):
+    alg = build_algebra(family, n)
+    basis = alg.basis
+    coefs = rng.standard_normal((4, alg.dim))
+    imag = rng.standard_normal((4, alg.dim))
+    xs = (np.einsum("sa,aij->sij", coefs, basis)
+          + 1j * np.einsum("sa,aij->sij", imag, basis))
+    pairs = [
+        (alg.coefficients(xs[0]), -np.einsum("aij,ji->a", basis, xs[0])),
+        (alg.coefficients(xs), -np.einsum("aij,sji->sa", basis, xs)),
+        (alg.from_coefficients(coefs[0]), np.einsum("a,aij->ij", coefs[0], basis)),
+        (alg.from_coefficients(coefs), np.einsum("sa,aij->sij", coefs, basis)),
+        (alg.j_apply_stack(coefs),
+         np.einsum("...a,aij->...ij", coefs @ alg.jmat.T, basis)),
+    ]
+    for new, ref in pairs:
+        assert new.shape == ref.shape
+        assert np.abs(new - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
 def test_su2_dimension():
     assert build_algebra("A", 2).dim == 3
 

@@ -6,7 +6,8 @@ import pytest
 from pnorbit import (ConventionError, build_case, build_pair, bruhat_matrix,
                      chain_spectrum, lenard_check, nijenhuis_apply,
                      nijenhuis_formula, pencil_spectrum)
-from pnorbit.hermsym import random_point, sample_rng, stabilizer_element
+from pnorbit.hermsym import (batch_points, random_point, sample_rng,
+                             stabilizer_element)
 from pnorbit.poisson import (bracket_of_functions, connection_check,
                              jacobi_residual, kks_raw, nstar_eigen_residual,
                              pencil_eigenvalues)
@@ -33,6 +34,66 @@ def test_kks_antisymmetry_rank_and_kernel(all_cases):
         k0 = kks_raw(case, case.rho)
         s0 = np.linalg.svd(k0, compute_uv=False)
         assert int((s0 > 1e-9 * s0[0]).sum()) == case.dim_m
+
+
+# The einsum formulas the GEMM kernels replaced, kept as an oracle.
+def einsum_kks_raw(case, m):
+    basis = case.alg.basis
+    mx = np.einsum("ij,ajk->aik", m, basis)
+    p = np.einsum("aij,bji->ab", mx, basis)
+    return (p.T - p).real
+
+
+def einsum_bruhat_matrix(case, g, s_0=SIGNS[1]):
+    alg = case.alg
+    basis = alg.basis
+
+    def j_stack(coefs):
+        return np.einsum("...a,aij->...ij", coefs @ alg.jmat.T, basis)
+
+    m = g @ case.rho @ g.conj().T
+    xi = (np.einsum("ij,ajk->aik", m, basis)
+          - np.einsum("aij,jk->aik", basis, m))
+    coef = -np.einsum("aij,bji->ab", xi, basis).real
+    c_xi = 1j * xi + j_stack(coef)
+    z = np.einsum("ji,ajk,kl->ail", g.conj(), c_xi, g)
+    anti = (z - np.conj(np.swapaxes(z, 1, 2))) / 2
+    herm = (z + np.conj(np.swapaxes(z, 1, 2))) / 2j
+    coef_b = -np.einsum("aij,bji->ab", herm, basis).real
+    g_part = anti - j_stack(coef_b)
+    b_part = z - g_part
+    return -s_0 * np.einsum("aij,bji->ab", g_part, b_part).imag
+
+
+def test_kernels_match_einsum_oracle(all_cases):
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, _ = batch_points(case, 89, 0, 5)
+        for g in [np.eye(case.alg.size, dtype=complex), *gs]:
+            m = g @ case.rho @ g.conj().T
+            for new, ref in ((kks_raw(case, m), einsum_kks_raw(case, m)),
+                             (bruhat_matrix(case, g),
+                              einsum_bruhat_matrix(case, g))):
+                scale = max(1.0, np.abs(ref).max())
+                assert np.abs(new - ref).max() <= 1e-13 * scale, case.name
+
+
+def test_build_pair_takes_one_svd(gr24, monkeypatch):
+    calls = {"svd": 0, "pinv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    p = random_point(gr24, 97)
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        mp.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
+        pair = build_pair(gr24, p.g, SIGNS)
+    assert calls == {"svd": 1, "pinv": 0}
+    ref = np.linalg.pinv(pair.k_raw, rcond=1e-9)
+    assert np.abs(pair.k_pinv - ref).max() <= 1e-12
 
 
 def test_bruhat_zero_at_identity(all_cases):
