@@ -17,10 +17,9 @@ from .poisson import (BracketPair, bruhat_matrix, build_pair, kks_matrix,
                       lenard_check, nijenhuis_apply, nijenhuis_formula,
                       pencil_spectrum)
 from .spectrum import (ChainSpectrum, chain_spectrum,
-                       eigenvalue_map_constants, free_coordinates,
-                       gt_interlace_check, polytope_membership)
-from .spinrep import (SpinRepresentation, gamma_matrices, spin_basis,
-                      spin_rep)
+                       eigenvalue_map_constants, gt_interlace_check,
+                       polytope_membership)
+from .spinrep import SpinRepresentation, gamma_matrices, spin_basis
 from .verify import (VerificationReport, calibrate,
                      measure_diii_normalization, run_suite, vertex_probe)
 
@@ -32,11 +31,11 @@ __all__ = [
     "SpinRepresentation", "UsageError", "VerificationReport",
     "build_algebra", "build_case", "build_pair", "bruhat_matrix",
     "c_minus", "c_plus", "calibrate", "chain_spectrum",
-    "eigenvalue_map_constants", "free_coordinates", "gamma_matrices",
+    "eigenvalue_map_constants", "gamma_matrices",
     "gt_interlace_check", "idempotents", "im_tr_pairing",
     "iwasawa_project", "j_operator", "kks_matrix", "lenard_check",
     "measure_diii_normalization", "moment", "nijenhuis_apply",
     "nijenhuis_formula", "parse_case", "pencil_spectrum",
     "polytope_membership", "random_point", "run_suite", "spin_basis",
-    "spin_rep", "vertex_probe",
+    "vertex_probe",
 ]

@@ -64,14 +64,10 @@ def cmd_verify(args):
 def cmd_spectrum(args):
     case = hermsym.parse_case(args.case)
     signs = verify.calibrate().signs
-    if args.identity:
-        g = np.eye(case.alg.size, dtype=complex)
-    else:
-        g, _ = hermsym.batch_points(case, args.seed, 0, 1)
-        g = g[0]
-    m = g @ case.rho @ g.conj().T
-    cs = spectrum.chain_spectrum(case, m)
-    pair = poisson.build_pair(case, g, signs)
+    point = (hermsym.identity_point(case) if args.identity
+             else hermsym.random_point(case, args.seed))
+    cs = spectrum.chain_spectrum(case, point.m)
+    pair = poisson.build_pair(case, point.g, signs)
     pencil = poisson.pencil_spectrum(pair)
     chain = cs.free_values()
     disc = float(np.abs(np.sort(chain) - pencil).max())
@@ -113,34 +109,27 @@ def cmd_polytope(args):
     out_path = args.output or f"polytope_{case.tag}.csv"
     slack = 1e-9
     chunk = 20000
-    labels = None
-    mins = maxs = None
+    labels = (spectrum.raw_labels(case) if case.tag == "bdi"
+              else spectrum.free_labels(case))
+    mins = np.full(len(labels), np.inf)
+    maxs = -mins
     violations = 0
-    done = 0
     with open(out_path, "w", newline="") as fh:
-        while done < args.samples:
+        fh.write("sample," + ",".join(labels) + "\n")
+        for done in range(0, args.samples, chunk):
             cnt = min(chunk, args.samples - done)
             _, ms = hermsym.batch_points(case, args.seed, done, cnt)
             batch = spectrum.chain_batch(case, ms)
             if case.tag == "bdi":
-                cols = ([f"a{k+1}" for k in range(batch["a"].shape[1])]
-                        + [f"b{k+1}" for k in range(batch["b"].shape[1])])
                 data = np.concatenate([batch["a"], batch["b"]], axis=1)
             else:
-                cols, data, _ = spectrum.batch_free_values(case, batch)
-            if labels is None:
-                labels = cols
-                fh.write("sample," + ",".join(labels) + "\n")
-                mins = data.min(axis=0)
-                maxs = data.max(axis=0)
-            else:
-                mins = np.minimum(mins, data.min(axis=0))
-                maxs = np.maximum(maxs, data.max(axis=0))
+                _, data, _ = spectrum.batch_free_values(case, batch)
+            mins = np.minimum(mins, data.min(axis=0))
+            maxs = np.maximum(maxs, data.max(axis=0))
             violations += spectrum.batch_violations(case, batch, slack)
             for i in range(cnt):
                 fh.write(str(done + i) + ","
                          + ",".join(_fmt(v) for v in data[i]) + "\n")
-            done += cnt
     summary = {
         "case": case.descriptor(), "samples": int(args.samples),
         "seed": int(args.seed), "slack": slack,
@@ -188,11 +177,12 @@ def build_parser():
                     "classical adjoint orbits")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, samples):
+    def common(sp, samples=None):
         sp.add_argument("--case", required=sp.prog.endswith(("verify", "spectrum", "polytope")),
                         help="case descriptor, e.g. aiii:k=2,n=4 | ci:n=3 | "
                              "diii:n=4 | bdi:m=7")
-        sp.add_argument("--samples", type=int, default=samples)
+        if samples is not None:
+            sp.add_argument("--samples", type=int, default=samples)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", default=None)
 
@@ -200,18 +190,16 @@ def build_parser():
     common(sp, 100)
     sp.add_argument("--tol", action="append", metavar="NAME=VALUE",
                     help="override a named tolerance (repeatable)")
-    sp.add_argument("--format", choices=("json",), default="json")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("spectrum", help="chain vs pencil eigenvalues at one point")
-    common(sp, 1)
+    common(sp)
     sp.add_argument("--identity", action="store_true",
                     help="evaluate at the identity coset")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("polytope", help="sample eigenvalue tuples to CSV")
     common(sp, 100000)
-    sp.add_argument("--format", choices=("csv",), default="csv")
     sp.set_defaults(func=cmd_polytope)
 
     sp = sub.add_parser("calibrate", help="sign calibration and range finding")

@@ -57,18 +57,16 @@ class OrbitPoint:
     m: np.ndarray
 
 
-def _stabilizer_basis(alg, rho, tol=1e-8):
+def _stabilizer_basis(alg, rho):
     """Orthonormal basis of h = ker ad_rho, as matrices."""
-    comm = (np.einsum("ij,ajk->aik", rho, alg.basis)
-            - np.einsum("aij,jk->aik", alg.basis, rho))
-    ad = -np.einsum("bij,aji->ba", alg.basis, comm).real
+    ad = alg.ad_matrix(rho)
     # ad_rho has spectrum {0, +-i}; a 0.5 gap separates the kernel cleanly
     w, u = np.linalg.eigh(ad.T @ ad)
     kernel = u[:, w < 0.25]
     return np.einsum("ak,aij->kij", kernel, alg.basis)
 
 
-def _validate_j_convention(alg, rho, tol=1e-10):
+def _validate_j_convention(alg, rho):
     """Residual of J|_{h_perp} = ad_rho, using ad_rho^2 = -1 on h_perp."""
     def ad(x):
         return rho @ x - x @ rho
@@ -185,44 +183,47 @@ def parse_case(text):
 # orbit points
 # ---------------------------------------------------------------------------
 
-def group_inverse(g):
-    return np.conj(g.T)
-
-
 def moment(case, g, tol=1e-10):
     """mu(g) = g rho g^{-1}; g must satisfy the group constraints."""
     g = np.asarray(g, complex)
     check_group_element(case, g, tol=max(tol, 1e-10))
-    return g @ case.rho @ group_inverse(g)
+    return g @ case.rho @ g.conj().T
 
 
-def check_group_element(case, g, tol=1e-10):
+def group_residual(case, g):
+    """Worst group-constraint residual of g or a stack of them: unitarity,
+    plus det g = 1 (A), realness (B, D) or g J g^T = J (C)."""
     n = case.alg.size
-    if g.shape != (n, n):
-        raise ConventionError(f"group element has shape {g.shape}, expected ({n},{n})")
-    res = np.abs(g.conj().T @ g - np.eye(n)).max()
-    if res > tol:
-        raise ConventionError(f"unitarity residual {res:.3e}")
+    g = np.asarray(g, complex)
+    g_t = np.swapaxes(g, -1, -2)
+    res = np.abs(g_t.conj() @ g - np.eye(n)).max()
     fam = case.alg.family
     if fam == "A":
-        res = abs(np.linalg.det(g) - 1.0)
+        fam_res = np.abs(np.linalg.det(g) - 1.0).max()
     elif fam in ("B", "D"):
-        res = np.abs(g.imag).max()
-    else:  # C: g J g^T = J for the symplectic form
+        fam_res = np.abs(g.imag).max()
+    else:  # C: the symplectic form
         jmat = np.zeros((n, n))
         jmat[: n // 2, n // 2:] = np.eye(n // 2)
         jmat[n // 2:, : n // 2] = -np.eye(n // 2)
-        res = np.abs(g @ jmat @ g.T - jmat).max()
+        fam_res = np.abs(g @ jmat @ g_t - jmat).max()
+    return float(max(res, fam_res))
+
+
+def check_group_element(case, g, tol=1e-10):
+    """Raise unless g (or every element of a stack) lies in the group."""
+    n = case.alg.size
+    if np.shape(g)[-2:] != (n, n):
+        raise ConventionError(f"group element has shape {np.shape(g)}, expected ({n},{n})")
+    res = group_residual(case, g)
     if res > tol:
-        raise ConventionError(f"family constraint residual {res:.3e}")
+        raise ConventionError(f"group constraint residual {res:.3e}")
 
 
 def random_point(case, seed):
-    """Deterministic random orbit point: g = exp(sum c_a X_a), c ~ N(0,1)."""
-    rng = seed if isinstance(seed, np.random.Generator) else sample_rng(seed, 0)
-    c = rng.standard_normal(case.alg.dim)
-    g = expm_antihermitian(case.alg.from_coefficients(c))
-    return OrbitPoint(case, g, g @ case.rho @ group_inverse(g))
+    """Deterministic random orbit point: sample 0 of batch_points(case, seed)."""
+    g, m = batch_points(case, seed, 0, 1)
+    return OrbitPoint(case, g[0], m[0])
 
 
 def batch_points(case, seed, start, count):

@@ -175,6 +175,29 @@ class LieAlgebra:
         """J on a stack of coefficient vectors, returning matrices."""
         return self._unflatten(coefs @ self.jflat)
 
+    def ad_matrix(self, x):
+        """ad_x in the orthonormal basis: column a = coefficients of [x, X_a]."""
+        comm = (np.einsum("ij,ajk->aik", x, self.basis)
+                - np.einsum("aij,jk->aik", self.basis, x))
+        return -np.einsum("bij,aji->ba", self.basis, comm).real
+
+    def c_plus(self, x):
+        """C_+(x) = i x + J(x) for x in g, one matrix or a stack (unchecked)."""
+        return 1j * x + self.j_apply_stack(self.coefficients(x).real)
+
+    def iwasawa_split(self, z, side="+"):
+        """Split z in g_C as z = x + C_pm(y), x, y in g; returns (x, y).
+
+        One matrix or a stack (unchecked).  Closed form: write z = a + i b
+        with a, b in g (anti-Hermitian and i-Hermitian parts); then y = b
+        and x = a -/+ J(b).
+        """
+        z_dag = np.conj(np.swapaxes(z, -1, -2))
+        a = (z - z_dag) / 2
+        b = (z + z_dag) / 2j
+        jb = self.j_apply_stack(self.coefficients(b).real)
+        return (a - jb if side == "+" else a + jb), b
+
     def cartan_element(self, values):
         z = np.zeros((self.size, self.size), complex)
         for idx, v in zip(self.cartan_indices, values):
@@ -189,11 +212,7 @@ def _negate_h0(alg):
 
 
 def _finish(alg):
-    comm = (np.einsum("ij,ajk->aik", alg.h0, alg.basis)
-            - np.einsum("aij,jk->aik", alg.basis, alg.h0))
-    # ad_{H0} in the orthonormal basis: column a = image of X_a.
-    ad = -np.einsum("bij,aji->ba", alg.basis, comm).real
-    w, u = np.linalg.eigh(1j * ad)
+    w, u = np.linalg.eigh(1j * alg.ad_matrix(alg.h0))
     sign = np.sign(np.where(np.abs(w) < 0.4, 0.0, w))
     jmat = (u @ np.diag(-1j * sign) @ u.conj().T)
     if np.abs(jmat.imag).max() > 1e-12:
@@ -273,7 +292,7 @@ def j_operator(alg, x, tol=1e-10):
 def c_plus(alg, x, tol=1e-10):
     """C_+(x) = i x + J(x), the b_+ realization of x in g^*."""
     alg.check_member(x, tol)
-    return 1j * x + alg.j_apply(x)
+    return alg.c_plus(x)
 
 
 def c_minus(alg, x, tol=1e-10):
@@ -283,18 +302,9 @@ def c_minus(alg, x, tol=1e-10):
 
 
 def iwasawa_project(alg, z, side="+", tol=1e-10):
-    """Split z in g_C as z = x + C_pm(y) with x, y in g.
-
-    Closed form: write z = a + i b with a, b in g (anti-Hermitian and
-    i-Hermitian parts); then y = b and x = a -/+ J(b).
-    """
+    """Split z in g_C as z = x + C_pm(y) with x, y in g (LieAlgebra.iwasawa_split)."""
     z = np.asarray(z, complex)
     alg.check_member(z, tol, complex_span=True)
-    a = (z - z.conj().T) / 2
-    b = (z + z.conj().T) / 2j
-    jb = alg.j_apply(b)
-    if side == "+":
-        return a - jb, b
-    if side == "-":
-        return a + jb, b
-    raise ConventionError(f"side must be '+' or '-', got {side!r}")
+    if side not in ("+", "-"):
+        raise ConventionError(f"side must be '+' or '-', got {side!r}")
+    return alg.iwasawa_split(z, side)

@@ -1,58 +1,13 @@
 """Dense linear-algebra kernel for small matrices.
 
-Thin, contract-checked wrappers around LAPACK (via numpy/scipy) plus a
-central-difference gradient.  Everything here is sized for matrices of
-dimension <= ~64; all operations are pure.
+The exponential of anti-Hermitian matrices (one or a stack) through a
+Hermitian eigensolve, and the finite-difference step shared by every fd
+identity.  numpy is the only dependency.
 """
 
 import numpy as np
-import scipy.linalg
-
-from .errors import ConventionError, NumericalError
 
 DEFAULT_FD_STEP = 1e-5
-
-
-def _as_square(a):
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConventionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ConventionError("matrix has non-finite entries")
-    return a
-
-
-def hermitian_eigen(a, tol=1e-10):
-    """Eigen-decompose a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary eigenvector matrix) with
-    a @ V = V @ diag(w).  Raises ConventionError if the Hermiticity
-    residual max|a - a^dagger| exceeds `tol`.
-    """
-    a = _as_square(a)
-    herm = np.abs(a - a.conj().T).max()
-    if herm > tol:
-        raise ConventionError(f"Hermiticity residual {herm:.3e} exceeds tol {tol:.3e}")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    return w, v
-
-
-def real_eigenvalues(a, tol=1e-10):
-    """Eigenvalues (complex, unordered multiset) of a real square matrix."""
-    a = _as_square(a)
-    if np.abs(a.imag).max() > tol:
-        raise ConventionError("matrix entries are not real")
-    try:
-        vals = np.linalg.eigvals(a.real)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigenvalue iteration failed for\n{a.real!r}") from exc
-    return vals
-
-
-def matrix_exp(x):
-    """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
-    x = _as_square(x)
-    return scipy.linalg.expm(x)
 
 
 def expm_antihermitian(x):
@@ -64,20 +19,3 @@ def expm_antihermitian(x):
     w, u = np.linalg.eigh(1j * x)
     phase = np.exp(-1j * w)
     return np.einsum("...ik,...k,...jk->...ij", u, phase, u.conj())
-
-
-def fd_gradient(f, base, directions, h=DEFAULT_FD_STEP):
-    """Central-difference directional derivatives of a scalar function.
-
-    f(base + h*dir) must be evaluable for every direction; the i-th entry
-    approximates the derivative along directions[i] with O(h^2) error.
-    """
-    base = np.asarray(base)
-    out = np.empty(len(directions))
-    for i, d in enumerate(directions):
-        fp = f(base + h * np.asarray(d))
-        fm = f(base - h * np.asarray(d))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericalError("non-finite function value in fd_gradient")
-        out[i] = (fp - fm) / (2 * h)
-    return out

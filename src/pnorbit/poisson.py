@@ -48,12 +48,8 @@ def bruhat_matrix(case, g, s_0=CALIBRATED_SIGNS[1]):
     dim = alg.dim
     m = g @ case.rho @ g.conj().T
     xi = m @ alg.basis - alg.basis @ m
-    c_xi = 1j * xi + alg.j_apply_stack(alg.coefficients(xi).real)
-    z = g.conj().T @ c_xi @ g
-    z_dag = np.conj(np.swapaxes(z, 1, 2))
-    anti = (z - z_dag) / 2
-    herm = (z + z_dag) / 2j
-    g_part = anti - alg.j_apply_stack(alg.coefficients(herm).real)
+    z = g.conj().T @ alg.c_plus(xi) @ g
+    g_part, _ = alg.iwasawa_split(z)
     b_part = z - g_part
     # Tr(g_part_a b_part_b) as one GEMM over the flattened matrices
     b_rows_t = np.swapaxes(b_part, 1, 2).reshape(dim, -1)
@@ -78,9 +74,6 @@ class BracketPair:
 
     def pk_pinv(self):
         return self.signs[0] * self.k_pinv
-
-    def coefficient_vector(self, v):
-        return self.case.alg.coefficients(v).real
 
 
 def build_pair(case, g, signs=CALIBRATED_SIGNS, validate=True):
@@ -111,14 +104,9 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS, validate=True):
 # Nijenhuis operator, two routes
 # ---------------------------------------------------------------------------
 
-def tangent_residual(pair, v):
-    t = pair.coefficient_vector(v)
-    return np.linalg.norm(t - pair.tangent @ (pair.tangent.T @ t))
-
-
 def nijenhuis_apply(pair, v, check=True, tol=1e-9):
     """Pencil route: N v with t(Nv) = P0 PK^+ t(v); v must be tangent."""
-    t = pair.coefficient_vector(v)
+    t = pair.case.alg.coefficients(v).real
     if check:
         res = np.linalg.norm(t - pair.tangent @ (pair.tangent.T @ t))
         if res > tol * max(1.0, np.linalg.norm(t)):
@@ -208,21 +196,10 @@ def bracket_matrix(pair, which):
     raise ConventionError(f"unknown bracket selector {which!r}")
 
 
-def bracket_of_functions(pair, f1, f2, which="kks", h=DEFAULT_FD_STEP):
-    """{f1, f2} under the chosen bracket, via fd gradients."""
-    case = pair.case
-    d = directional_derivatives(case, pair.point.g,
-                                lambda g, m: np.array([f1(g, m), f2(g, m)]), h)
-    c1 = coefficients_of_differential(pair, d[:, 0])
-    c2 = coefficients_of_differential(pair, d[:, 1])
-    return float(c1 @ bracket_matrix(pair, which) @ c2)
-
-
 def gradient_bracket(pair, dvecs, which):
     """Pairwise brackets of functions given their flow-derivative vectors."""
-    c = -pair.k_pinv @ np.asarray(dvecs).T          # (dim, nfuncs)
-    p = bracket_matrix(pair, which)
-    return c.T @ p @ c
+    c = coefficients_of_differential(pair, np.asarray(dvecs).T)   # (dim, nfuncs)
+    return c.T @ bracket_matrix(pair, which) @ c
 
 
 def jacobi_residual(case, g, t, triples, signs=CALIBRATED_SIGNS,

@@ -1,5 +1,9 @@
 """Chain-of-subalgebras eigenvalues, interlacing and polytope membership.
 
+Batched first: `chain_batch` extracts the chain data of a stack of orbit
+points, and every other function here reads such a batch.  A single point
+is a batch of one; `chain_spectrum` returns a per-point view of it.
+
 For the su/sp/so-unitary cases the chain data is the Gelfand-Tsetlin
 pattern: ascending spectra lt^(r) of nested upper-left minors of the
 level-0 block (m itself for Grassmannians, the V+ compression W^dag m W
@@ -11,20 +15,15 @@ off-diagonal entry of the split-off so(2), and
 lam^(k)_pm = +-a_k - sum_{j<=k} b_j + 1.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConventionError
 
 GT_TAGS = ("aiii", "ci", "diii")
-
-
-def level0_block(case, m):
-    """The level-0 chain block: m itself (aiii) or the V+ compression."""
-    if case.tag == "aiii":
-        return m
-    return case.w_plus.conj().T @ np.asarray(m) @ case.w_plus
 
 
 def eigenvalue_map_constants(case):
@@ -46,210 +45,80 @@ def free_masks(case):
     pairing plus the odd-size constant (diii).  bdi coordinates are all
     free and handled separately.
     """
-    if case.tag == "aiii":
-        n = case.params["n"]
-        top = top_row_constants(case)
-        masks = [np.zeros(n, dtype=bool)]
-        for r in range(1, n):
-            masks.append(np.array([top[i] != top[i + r] for i in range(n - r)]))
-        return masks
-    if case.tag == "ci":
-        n = case.params["n"]
-        return [np.ones(n - r, dtype=bool) for r in range(n)]
-    if case.tag == "diii":
-        n = case.params["n"]
-        masks = []
-        m0 = np.zeros(n, dtype=bool)
-        m0[0:2 * (n // 2):2] = True          # one representative per pair
-        masks.append(m0)
-        if n >= 2:
-            m1 = np.zeros(n - 1, dtype=bool)
-            m1[1::2] = True                  # entries between the pairs
-            masks.append(m1)
-        for r in range(2, n):
-            masks.append(np.ones(n - r, dtype=bool))
-        return masks
-    raise ConventionError(f"free_masks: not a GT-chain case: {case.tag}")
+    if case.tag not in GT_TAGS:
+        raise ConventionError(f"free_masks: not a GT-chain case: {case.tag}")
+    return _layout(case).masks
 
 
-def free_coordinates(case, top_row=None):
-    """Flattened free mask; for aiii an explicit top row may be supplied."""
-    if case.tag == "bdi":
-        return np.ones(case.n_eig, dtype=bool)
-    masks = free_masks(case)
-    if top_row is not None and case.tag == "aiii":
-        n = len(top_row)
-        masks = [np.zeros(n, dtype=bool)] + [
-            np.array([top_row[i] != top_row[i + r] for i in range(n - r)])
-            for r in range(1, n)
-        ]
-    return np.concatenate(masks)
+# Per-case chain bookkeeping: free masks, row levels and the positions of
+# the free entries in the concatenated rows (GT cases, None for bdi), then
+# the free-eigenvalue labels and the raw-coordinate labels.
+_Layout = namedtuple("_Layout", "masks levels free_index free_labels raw_labels")
 
 
-@dataclass
-class ChainSpectrum:
-    """Labeled chain eigenvalue data at one orbit point."""
+def _layout(case):
+    return _build_layout(case.tag, tuple(case.params.items()))
 
-    case: object
-    kind: str                       # 'gt' or 'ab'
-    rows: list = None               # ascending lt per level (gt)
-    levels: list = None             # level label per row
-    masks: list = None
-    a: np.ndarray = None            # bdi: nonneg block values (last signed if even)
-    b: np.ndarray = None            # bdi: so(2) entries
-    mapped: list = field(default=None, repr=False)
 
-    def __post_init__(self):
-        slope, offset = eigenvalue_map_constants(self.case)
-        if self.kind == "gt":
-            self.mapped = [slope * r + offset for r in self.rows]
+@lru_cache(maxsize=None)
+def _build_layout(tag, params):
+    """The cached layout, shared by every caller: tuples and read-only arrays."""
+    p = dict(params)
+    if tag in GT_TAGS:
+        n = p["n"]
+        if tag == "aiii":
+            # free where the interlacing bounds differ: top[i] < top[i + r]
+            split = n - p["k"]
+            masks = [np.zeros(n, dtype=bool)] + [
+                np.array([i < split <= i + r for i in range(n - r)])
+                for r in range(1, n)]
+        elif tag == "ci":
+            masks = [np.ones(n - r, dtype=bool) for r in range(n)]
         else:
-            s = np.cumsum(self.b)
-            lam, labels = [], []
-            n_pair = len(self.a)
-            for k in range(1, n_pair + 1):
-                lam += [self.a[k - 1] - s[k - 1] + 1.0,
-                        -self.a[k - 1] - s[k - 1] + 1.0]
-                labels += [f"l{k}+", f"l{k}-"]
-            if len(self.b) == n_pair + 1:       # odd ambient size
-                lam.append(1.0 - s[-1])
-                labels.append(f"l{n_pair + 1}")
-            self.mapped = np.array(lam)
-            self._ab_labels = labels
-
-    def free_values(self):
-        """Sorted mapped free eigenvalues (length n_eig)."""
-        if self.kind == "ab":
-            return np.sort(self.mapped)
-        vals = np.concatenate([mr[mk] for mr, mk in zip(self.mapped, self.masks)])
-        return np.sort(vals)
-
-    def labeled_entries(self, free_only=True):
-        """(label, mapped value) pairs; gt labels are l<level>_<index>."""
-        out = []
-        if self.kind == "ab":
-            return list(zip(self._ab_labels, self.mapped))
-        for lv, mr, mk in zip(self.levels, self.mapped, self.masks):
-            for i, val in enumerate(mr):
-                if mk[i] or not free_only:
-                    out.append((f"l{lv}_{i + 1}", val))
-        return out
-
-    def raw_labeled(self):
-        if self.kind == "ab":
-            return ([(f"a{k+1}", v) for k, v in enumerate(self.a)]
-                    + [(f"b{k+1}", v) for k, v in enumerate(self.b)])
-        return [(f"l{lv}_{i + 1}", val)
-                for lv, row in zip(self.levels, self.rows)
-                for i, val in enumerate(row)]
+            m0 = np.zeros(n, dtype=bool)
+            m0[0:2 * (n // 2):2] = True          # one representative per pair
+            m1 = np.zeros(n - 1, dtype=bool)
+            m1[1::2] = True                      # entries between the pairs
+            masks = [m0, m1] + [np.ones(n - r, dtype=bool) for r in range(2, n)]
+        levels = list(range(n)) if tag == "aiii" else list(range(1, n + 1))
+        raw = [f"l{lv}_{i + 1}" for lv, mk in zip(levels, masks)
+               for i in range(len(mk))]
+        free_index = np.flatnonzero(np.concatenate(masks))
+        for arr in masks + [free_index]:
+            arr.flags.writeable = False
+        return _Layout(tuple(masks), tuple(levels), free_index,
+                       tuple(raw[i] for i in free_index), tuple(raw))
+    amb = p["m"]
+    n_pair = amb // 2 - 1
+    free = [f"l{k}{s}" for k in range(1, n_pair + 1) for s in "+-"]
+    if amb % 2:
+        free.append(f"l{n_pair + 1}")
+    raw = ([f"a{k + 1}" for k in range(n_pair)]
+           + [f"b{k + 1}" for k in range(n_pair + amb % 2)])
+    return _Layout(None, None, None, tuple(free), tuple(raw))
 
 
-def chain_spectrum(case, m, validate=True, slack=1e-9):
-    """Extract the chain data at the orbit point m."""
-    if case.tag in GT_TAGS:
-        b0 = level0_block(case, m)
-        nb = b0.shape[0]
-        rows = [np.linalg.eigvalsh(-1j * b0[: nb - r, : nb - r]) for r in range(nb)]
-        levels = list(range(nb)) if case.tag == "aiii" else list(range(1, nb + 1))
-        cs = ChainSpectrum(case, "gt", rows=rows, levels=levels,
-                           masks=free_masks(case))
-    else:
-        a, b = _chain_ab(case, m)
-        cs = ChainSpectrum(case, "ab", a=a, b=b)
-    if validate:
-        viol = interlace_violation(cs)
-        if viol > slack:
-            raise ConventionError(
-                f"interlacing violated by {viol:.3e} at a point of {case.name}")
-    return cs
+def free_labels(case):
+    """Labels of the free eigenvalues, in the column order of the free map."""
+    return _layout(case).free_labels
 
 
-def _chain_ab(case, m):
-    amb = case.alg.size
-    nhalf = amb // 2
-    m = np.asarray(m)
-    if np.abs(m.imag).max() > 1e-9:
-        raise ConventionError("bdi moment matrix must be real")
-    mr = m.real
-    a, b = [], []
-    for k in range(1, nhalf + (amb % 2)):
-        size = amb - 2 * k
-        if size >= 3:
-            w = np.linalg.eigvalsh(-1j * mr[:size, :size].astype(complex))
-            a.append(max(w[-1], 0.0))
-        elif size == 2:
-            # final even step: keep the sign (smooth global coordinate)
-            a.append(mr[0, 1])
-        b.append(mr[amb - 2 * k, amb - 2 * k + 1])
-    return np.array(a), np.array(b)
+def raw_labels(case):
+    """Labels of the raw chain coordinates: l<level>_<index>, or a<k>, b<k>."""
+    return _layout(case).raw_labels
 
 
 # ---------------------------------------------------------------------------
-# inequalities
-# ---------------------------------------------------------------------------
-
-def gt_interlace_check(parent, child, slack=0.0):
-    """child interlaces parent: parent_i <= child_i <= parent_{i+1} (+slack).
-
-    Returns (ok, margin) where margin is the worst violation (<= 0 if ok
-    with room to spare).
-    """
-    parent = np.asarray(parent, float)
-    child = np.asarray(child, float)
-    if len(child) != len(parent) - 1:
-        raise ConventionError("child row must be one shorter than parent")
-    lo = (parent[:-1] - child).max() if len(child) else -np.inf
-    hi = (child - parent[1:]).max() if len(child) else -np.inf
-    margin = max(lo, hi)
-    return margin <= slack, margin
-
-
-def interlace_violation(cs):
-    """Worst interlacing/cone violation of a ChainSpectrum (<=0 means ok)."""
-    if cs.kind == "gt":
-        worst = -np.inf
-        rows = cs.rows
-        if cs.case.tag == "aiii":
-            rows = [top_row_constants(cs.case)] + rows[1:]
-        for parent, child in zip(rows[:-1], rows[1:]):
-            _, margin = gt_interlace_check(parent, child)
-            worst = max(worst, margin)
-        return worst
-    # bdi cone with a_0 = 1
-    aa = np.abs(np.concatenate([[1.0], cs.a, [0.0] if len(cs.b) > len(cs.a) else []]))
-    worst = -np.inf
-    for k in range(len(cs.b)):
-        worst = max(worst, aa[k + 1] - aa[k])
-        worst = max(worst, abs(cs.b[k]) - (aa[k] - aa[k + 1]))
-    return worst
-
-
-def polytope_membership(case, cs, slack=1e-9):
-    """Case polytope test; returns (ok, margins dict)."""
-    margins = {}
-    margins["interlacing"] = interlace_violation(cs)
-    if case.tag == "ci":
-        lt0 = cs.rows[0]
-        margins["lower_bound"] = float((-0.5 - lt0).max())
-        margins["upper_bound"] = float((lt0 - 0.5).max())
-    if case.tag == "diii":
-        lt0 = cs.rows[0]
-        n = case.params["n"]
-        pair_gap = np.abs(lt0[0:2 * (n // 2):2] - lt0[1:2 * (n // 2):2])
-        margins["pairing"] = float(pair_gap.max())
-    ok = all(v <= slack for v in margins.values())
-    return ok, margins
-
-
-# ---------------------------------------------------------------------------
-# batched evaluation (mass sampling)
+# extraction
 # ---------------------------------------------------------------------------
 
 def chain_batch(case, ms):
-    """Chain rows for a stack of orbit points; returns a list of dicts
-    mirroring chain_spectrum but vectorized over the first axis."""
+    """Chain data of a stack of orbit points (S, N, N).
+
+    GT cases give {"kind": "gt", "rows": [(S, nb - r) ascending spectra]};
+    bdi gives {"kind": "ab", "a": (S, n_a), "b": (S, n_b)}.
+    """
     ms = np.asarray(ms)
-    out = []
     if case.tag in GT_TAGS:
         if case.tag == "aiii":
             b0 = ms
@@ -258,6 +127,8 @@ def chain_batch(case, ms):
         nb = b0.shape[1]
         rows = [np.linalg.eigvalsh(-1j * b0[:, : nb - r, : nb - r]) for r in range(nb)]
         return {"kind": "gt", "rows": rows}
+    if np.abs(ms.imag).max(initial=0.0) > 1e-9:
+        raise ConventionError("bdi moment matrix must be real")
     amb = case.alg.size
     mr = ms.real
     a, b = [], []
@@ -267,130 +138,181 @@ def chain_batch(case, ms):
             w = np.linalg.eigvalsh(-1j * mr[:, :size, :size].astype(complex))
             a.append(np.maximum(w[:, -1], 0.0))
         elif size == 2:
+            # final even step: keep the sign (smooth global coordinate)
             a.append(mr[:, 0, 1])
         b.append(mr[:, amb - 2 * k, amb - 2 * k + 1])
     return {"kind": "ab", "a": np.stack(a, axis=1), "b": np.stack(b, axis=1)}
 
 
-def batch_free_values(case, batch):
-    """Sorted mapped free eigenvalues per sample, plus per-label columns."""
+@dataclass
+class ChainSpectrum:
+    """Labeled chain data at one orbit point: a view of a batch of one.
+
+    gt: `rows` (ascending lt per level), `levels`, `masks`; bdi: `a`
+    (nonneg block values, the last signed if even) and `b` (so(2) entries).
+    """
+
+    case: object
+    batch: dict
+
+    def __post_init__(self):
+        self.kind = self.batch["kind"]
+        self.masks, self.levels = _layout(self.case)[:2]
+        self.rows = ([row[0] for row in self.batch["rows"]]
+                     if self.kind == "gt" else None)
+        self.a, self.b = ((self.batch["a"][0], self.batch["b"][0])
+                          if self.kind == "ab" else (None, None))
+
+    def free_values(self):
+        """Sorted mapped free eigenvalues (length n_eig)."""
+        return np.sort(free_value_map(self.case, self.batch)[0])
+
+    def labeled_entries(self):
+        """(label, mapped free eigenvalue) pairs in label order."""
+        return list(zip(free_labels(self.case),
+                        free_value_map(self.case, self.batch)[0]))
+
+    def raw_labeled(self):
+        """(label, raw chain coordinate) pairs: GT rows, or a then b."""
+        vals = np.concatenate([self.a, self.b] if self.kind == "ab" else self.rows)
+        return list(zip(raw_labels(self.case), vals))
+
+
+def chain_spectrum(case, m, validate=True, slack=1e-9):
+    """Chain data at the orbit point m (a batch of one of chain_batch)."""
+    batch = chain_batch(case, np.asarray(m)[None])
+    if validate:
+        viol = batch_margins(case, batch)["interlacing"][0]
+        if viol > slack:
+            raise ConventionError(
+                f"interlacing violated by {viol:.3e} at a point of {case.name}")
+    return ChainSpectrum(case, batch)
+
+
+# ---------------------------------------------------------------------------
+# free eigenvalues
+# ---------------------------------------------------------------------------
+
+def free_value_map(case, batch):
+    """Mapped free eigenvalues per sample, (S, n_eig) in free_labels order."""
     slope, offset = eigenvalue_map_constants(case)
     if batch["kind"] == "gt":
-        masks = free_masks(case)
-        levels = (list(range(len(batch["rows"]))) if case.tag == "aiii"
-                  else list(range(1, len(batch["rows"]) + 1)))
-        cols, labels = [], []
-        for lv, row, mk in zip(levels, batch["rows"], masks):
-            for i in range(row.shape[1]):
-                if mk[i]:
-                    cols.append(slope * row[:, i] + offset)
-                    labels.append(f"l{lv}_{i + 1}")
-        data = np.stack(cols, axis=1)
-        return labels, data, np.sort(data, axis=1)
+        free = np.concatenate(batch["rows"], axis=1)[:, _layout(case).free_index]
+        return slope * free + offset
     a, b = batch["a"], batch["b"]
     s = np.cumsum(b, axis=1)
-    cols, labels = [], []
-    for k in range(a.shape[1]):
-        cols.append(a[:, k] - s[:, k] + 1.0)
-        labels.append(f"l{k+1}+")
-        cols.append(-a[:, k] - s[:, k] + 1.0)
-        labels.append(f"l{k+1}-")
-    if b.shape[1] == a.shape[1] + 1:
-        cols.append(1.0 - s[:, -1])
-        labels.append(f"l{a.shape[1]+1}")
-    data = np.stack(cols, axis=1)
-    return labels, data, np.sort(data, axis=1)
+    n_pair = a.shape[1]
+    out = np.empty((len(a), case.n_eig))
+    out[:, 0:2 * n_pair:2] = a - s[:, :n_pair] + 1.0          # l<k>+
+    out[:, 1:2 * n_pair:2] = -a - s[:, :n_pair] + 1.0         # l<k>-
+    if b.shape[1] == n_pair + 1:            # odd ambient size
+        out[:, -1] = 1.0 - s[:, -1]
+    return out
 
 
-def batch_violations(case, batch, slack=1e-9):
-    """Count polytope/interlacing violations over a batch (should be 0)."""
-    if batch["kind"] == "gt":
-        rows = batch["rows"]
-        if case.tag == "aiii":
-            top = top_row_constants(case)
-            rows = [np.broadcast_to(top, rows[0].shape)] + rows[1:]
-        bad = np.zeros(rows[0].shape[0], dtype=bool)
-        for parent, child in zip(rows[:-1], rows[1:]):
-            bad |= (parent[:, :-1] - child > slack).any(axis=1)
-            bad |= (child - parent[:, 1:] > slack).any(axis=1)
-        if case.tag == "ci":
-            bad |= ((-0.5 - rows[0]) > slack).any(axis=1)
-            bad |= ((rows[0] - 0.5) > slack).any(axis=1)
-        if case.tag == "diii":
-            n = case.params["n"]
-            lt0 = rows[0]
-            bad |= (np.abs(lt0[:, 0:2 * (n // 2):2] - lt0[:, 1:2 * (n // 2):2])
-                    > slack).any(axis=1)
-        return int(bad.sum())
-    a, b = batch["a"], batch["b"]
-    aa = np.abs(np.concatenate([np.ones((a.shape[0], 1)), np.abs(a),
-                                np.zeros((a.shape[0], 1)) if b.shape[1] > a.shape[1]
-                                else np.zeros((a.shape[0], 0))], axis=1))
-    bad = np.zeros(a.shape[0], dtype=bool)
-    for k in range(b.shape[1]):
-        bad |= (aa[:, k + 1] - aa[:, k]) > slack
-        bad |= (np.abs(b[:, k]) - (aa[:, k] - aa[:, k + 1])) > slack
-    return int(bad.sum())
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue functions and regularity
-# ---------------------------------------------------------------------------
-
-def free_labels(case):
-    if case.tag in GT_TAGS:
-        masks = free_masks(case)
-        lv0 = 0 if case.tag == "aiii" else 1
-        return [f"l{r + lv0}_{i + 1}"
-                for r, mk in enumerate(masks) for i in range(len(mk)) if mk[i]]
-    amb = case.alg.size
-    n_pair = amb // 2 - 1
-    labels = []
-    for k in range(1, n_pair + 1):
-        labels += [f"l{k}+", f"l{k}-"]
-    if amb % 2:
-        labels.append(f"l{n_pair + 1}")
-    return labels
+def batch_free_values(case, batch):
+    """(labels, mapped free eigenvalues (S, n_eig), the same sorted per row)."""
+    data = free_value_map(case, batch)
+    return free_labels(case), data, np.sort(data, axis=1)
 
 
 def chain_free_vector(case, m):
     """All free mapped eigenvalues in fixed label order (for fd gradients)."""
-    cs = chain_spectrum(case, m, validate=False)
-    if cs.kind == "ab":
-        return np.asarray(cs.mapped, float)
-    slope, offset = eigenvalue_map_constants(case)
-    vals = []
-    for row, mk in zip(cs.rows, cs.masks):
-        vals.extend(slope * row[mk] + offset)
-    return np.array(vals)
+    return free_value_map(case, chain_batch(case, np.asarray(m)[None]))[0]
 
 
-def gap_regularity(case, cs, gap=1e-3):
-    """Smallest separation controlling smoothness of the labeled eigenvalue
-    functions; points below `gap` sit near a Weyl-chamber wall."""
-    if cs.kind == "ab":
+# ---------------------------------------------------------------------------
+# inequalities
+# ---------------------------------------------------------------------------
+
+def gt_interlace_check(parent, child, slack=0.0):
+    """child interlaces parent: parent_i <= child_i <= parent_{i+1} (+slack).
+
+    Rows run along the last axis; leading axes are samples.  Returns
+    (ok, margin) where margin is the worst violation per sample (<= 0 if
+    ok with room to spare).
+    """
+    parent = np.asarray(parent, float)
+    child = np.asarray(child, float)
+    if child.shape[-1] != parent.shape[-1] - 1:
+        raise ConventionError("child row must be one shorter than parent")
+    lo = np.max(parent[..., :-1] - child, axis=-1, initial=-np.inf)
+    hi = np.max(child - parent[..., 1:], axis=-1, initial=-np.inf)
+    margin = np.maximum(lo, hi)
+    return margin <= slack, margin
+
+
+def batch_margins(case, batch):
+    """Worst margin per sample and constraint (<= 0 means satisfied).
+
+    Keys: 'interlacing' (GT interlacing, or the bdi cone with a_0 = 1),
+    plus 'lower_bound'/'upper_bound' (ci) and 'pairing' (diii).
+    """
+    if batch["kind"] == "gt":
+        rows = batch["rows"]
+        if case.tag == "aiii":
+            rows = [np.broadcast_to(top_row_constants(case), rows[0].shape)] + rows[1:]
+        worst = np.full(rows[0].shape[0], -np.inf)
+        for parent, child in zip(rows[:-1], rows[1:]):
+            worst = np.maximum(worst, gt_interlace_check(parent, child)[1])
+        margins = {"interlacing": worst}
+        lt0 = rows[0]
+        if case.tag == "ci":
+            margins["lower_bound"] = (-0.5 - lt0).max(axis=1)
+            margins["upper_bound"] = (lt0 - 0.5).max(axis=1)
+        if case.tag == "diii":
+            n = case.params["n"]
+            margins["pairing"] = np.abs(lt0[:, 0:2 * (n // 2):2]
+                                        - lt0[:, 1:2 * (n // 2):2]).max(axis=1)
+        return margins
+    a, b = batch["a"], batch["b"]
+    # a_0 = 1, and a trailing 0 for odd ambient size (one more b than a)
+    aa = np.abs(np.concatenate([np.ones((len(a), 1)), a,
+                                np.zeros((len(a), b.shape[1] - a.shape[1]))], axis=1))
+    drop = aa[:, :-1] - aa[:, 1:]
+    cone = np.maximum(-drop, np.abs(b) - drop)
+    return {"interlacing": cone.max(axis=1)}
+
+
+def batch_violations(case, batch, slack=1e-9):
+    """Count samples violating any polytope/interlacing margin (should be 0)."""
+    worst = np.max(np.stack(list(batch_margins(case, batch).values())), axis=0)
+    return int((worst > slack).sum())
+
+
+def polytope_membership(case, cs, slack=1e-9):
+    """Case polytope test at one point; returns (ok, margins dict)."""
+    margins = {k: float(v[0]) for k, v in batch_margins(case, cs.batch).items()}
+    return all(v <= slack for v in margins.values()), margins
+
+
+# ---------------------------------------------------------------------------
+# regularity
+# ---------------------------------------------------------------------------
+
+def gap_regularity(case, batch):
+    """Smallest separation per sample controlling smoothness of the labeled
+    eigenvalue functions; small values sit near a Weyl-chamber wall.
+
+    diii rows first collapse theorem-exact duplicates (values within 1e-7
+    of the last kept one) to single values.
+    """
+    if batch["kind"] == "ab":
         # |.|-extraction kinks at a_k = 0; the signed final even value is a
         # plain matrix entry and stays smooth.
-        amb = case.alg.size
-        n_abs = len(cs.a) if amb % 2 else len(cs.a) - 1
-        vals = np.abs(cs.a[:n_abs]) if n_abs else np.array([np.inf])
-        return float(vals.min()) if len(vals) else np.inf
-    sep = np.inf
-    for row, mk in zip(cs.rows, cs.masks):
-        if case.tag == "diii":
-            vals = _collapsed(row)
-        else:
-            vals = np.sort(row[mk])
-        if len(vals) >= 2:
-            sep = min(sep, float(np.diff(np.sort(vals)).min()))
+        a = batch["a"]
+        n_abs = a.shape[1] if case.alg.size % 2 else a.shape[1] - 1
+        return np.abs(a[:, :n_abs]).min(axis=1, initial=np.inf)
+    floor = 1e-7 if case.tag == "diii" else -np.inf
+    sep = np.full(batch["rows"][0].shape[0], np.inf)
+    for row, mk in zip(batch["rows"], _layout(case).masks):
+        vals = np.sort(row if case.tag == "diii" else row[:, mk], axis=1)
+        if vals.shape[1] == 0:
+            continue
+        last = vals[:, 0]
+        for j in range(1, vals.shape[1]):
+            step = vals[:, j] - last
+            keep = step > floor
+            sep = np.where(keep, np.minimum(sep, step), sep)
+            last = np.where(keep, vals[:, j], last)
     return sep
-
-
-def _collapsed(row, tol=1e-7):
-    """Collapse theorem-exact duplicates (diii pairs) to single values."""
-    vals = np.sort(row)
-    out = [vals[0]]
-    for v in vals[1:]:
-        if v - out[-1] > tol:
-            out.append(v)
-    return np.array(out)

@@ -30,10 +30,6 @@ class SpinBasis:
     def dim(self):
         return 2 ** self.n_letters
 
-    @property
-    def ambient_size(self):
-        return 2 * self.n_letters + (1 if self.odd else 0)
-
     def index(self, w):
         return self._index[tuple(sorted(w))]
 
@@ -136,13 +132,3 @@ def letter_index(rep, letter, component):
     off = 1 if rep.odd else 0
     return off + 2 * (letter - 1) + component
 
-
-_REP_CACHE = {}
-
-
-def spin_rep(alg, x, tol=1e-10):
-    """Spin image of x in so(m), for an so-algebra built with block Cartan."""
-    rep = _REP_CACHE.get(alg.size)
-    if rep is None:
-        rep = _REP_CACHE[alg.size] = SpinRepresentation(alg.size)
-    return rep(x, tol)

@@ -104,6 +104,15 @@ class VerificationReport:
         return json.dumps(payload, indent=2)
 
 
+def _master_residual(case, pair, m, x):
+    """The tangent vector v = [x, m] (scaled to at most unit coefficient
+    norm) and max |N_pencil v - N_formula v|."""
+    v = x @ m - m @ x
+    v /= max(1.0, np.linalg.norm(case.alg.coefficients(v).real))
+    n_pencil = poisson.nijenhuis_apply(pair, v, check=False)
+    return v, np.abs(n_pencil - poisson.nijenhuis_formula(case, m, v)).max()
+
+
 def _calibration_residual(case, signs, points):
     """Worst of (hamiltonian-convention fd gap, formula-vs-pencil gap)."""
     s_k, s_0 = signs
@@ -120,11 +129,7 @@ def _calibration_residual(case, signs, points):
         rng = np.random.default_rng(17)
         for _ in range(3):
             x = case.alg.from_coefficients(rng.standard_normal(case.alg.dim))
-            v = x @ m - m @ x
-            v /= max(1.0, np.linalg.norm(case.alg.coefficients(v).real))
-            n_pencil = poisson.nijenhuis_apply(pair, v, check=False)
-            n_formula = poisson.nijenhuis_formula(case, m, v)
-            worst = max(worst, np.abs(n_pencil - n_formula).max())
+            worst = max(worst, _master_residual(case, pair, m, x)[1])
     return worst
 
 
@@ -155,37 +160,28 @@ def _check(checks, tols, name, residual, skipped=0):
                               bool(residual <= tol), int(skipped)))
 
 
-def _orbit_residual(case, g_batch):
-    n = case.alg.size
-    eye = np.eye(n)
-    res = np.abs(np.einsum("sji,sjk->sik", g_batch.conj(), g_batch) - eye).max()
-    fam = case.alg.family
-    if fam == "A":
-        res = max(res, np.abs(np.linalg.det(g_batch) - 1.0).max())
-    elif fam in ("B", "D"):
-        res = max(res, np.abs(g_batch.imag).max())
-    else:
-        jm = np.zeros((n, n))
-        jm[: n // 2, n // 2:] = np.eye(n // 2)
-        jm[n // 2:, : n // 2] = -np.eye(n // 2)
-        res = max(res, np.abs(np.einsum("sij,jk,slk->sil", g_batch, jm, g_batch)
-                              - jm).max())
-    return res
+def _gap_regular_points(case, seed, g_batch, chain, n_needed, max_index):
+    """Deterministic scan, in sample-index order, for gap-regular points.
 
-
-def _gap_regular_indices(case, seed, n_needed, max_index):
-    """Deterministic scan for gap-regular sample indices; returns
-    (indices, skipped_count)."""
+    The drawn batch (g_batch and its chain data) is the first chunk; later
+    chunks draw only as many samples as are still missing.  Returns
+    (group elements, skipped_count).
+    """
     found, skipped, idx = [], 0, 0
-    while len(found) < n_needed and idx < max_index:
-        _, m = hermsym.batch_points(case, seed, idx, 1)
-        cs = spectrum.chain_spectrum(case, m[0], validate=False)
-        if spectrum.gap_regularity(case, cs) > GAP_THRESHOLD:
-            found.append(idx)
-        else:
-            skipped += 1
-        idx += 1
-    return found, skipped
+    while True:
+        for g, gap in zip(g_batch, spectrum.gap_regularity(case, chain)):
+            if len(found) == n_needed:
+                return found, skipped
+            if gap > GAP_THRESHOLD:
+                found.append(g)
+            else:
+                skipped += 1
+            idx += 1
+        if len(found) == n_needed or idx >= max_index:
+            return found, skipped
+        g_batch, ms = hermsym.batch_points(
+            case, seed, idx, min(n_needed - len(found), max_index - idx))
+        chain = spectrum.chain_batch(case, ms)
 
 
 def _involution_residuals(case, g, pair):
@@ -199,7 +195,7 @@ def _involution_residuals(case, g, pair):
     return res
 
 
-def _spin_checks(case, checks, tols, m_batch, seed):
+def _spin_checks(case, checks, tols, m_batch, chain, seed):
     rep = spinrep.SpinRepresentation(case.alg.size)
     amb = case.alg.size
     nl = rep.basis.n_letters
@@ -239,19 +235,18 @@ def _spin_checks(case, checks, tols, m_batch, seed):
     res = 0.0
     for _ in range(20):
         x = case.alg.from_coefficients(rng.standard_normal(d))
-        cp = 1j * x + case.alg.j_apply(x)
-        s = _spin_complex(rep, cp)
+        cp = case.alg.c_plus(x)
+        s = rep(cp.real) + 1j * rep(cp.imag)     # complex-linear extension
         res = max(res, np.abs(np.tril(s, -1)).max())
     _check(checks, tols, "spin_triangular", res)
 
     res = 0.0
-    for m in m_batch[: min(len(m_batch), 20)]:
-        cs = spectrum.chain_spectrum(case, m, validate=False)
+    for m, a, b in zip(m_batch[:20], chain["a"], chain["b"]):
         s_m = rep(m.real)
-        ssum = np.cumsum(cs.b)
-        for k in range(1, len(cs.b) + 1):
+        ssum = np.cumsum(b)
+        for k in range(1, len(b) + 1):
             size = 2 ** (nl - k)
-            a_k = cs.a[k - 1] if k <= len(cs.a) else 0.0
+            a_k = a[k - 1] if k <= len(a) else 0.0
             if size == 1:
                 want = np.array([ssum[k - 1] / 2])
             else:
@@ -263,31 +258,22 @@ def _spin_checks(case, checks, tols, m_batch, seed):
     _check(checks, tols, "spin_minor", res)
 
 
-def _spin_complex(rep, z):
-    """Spin image of a complex so-matrix (complex-linear extension)."""
-    z = np.asarray(z, complex)
-    return rep(z.real) + 1j * rep(z.imag)
-
-
 def vertex_probe(case):
     """Chain spectrum at the torus-fixed points: every free eigenvalue must
     sit on a polytope vertex value (0 or 2), membership included."""
-    worst = 0.0
-    identity_seen = False
-    for g in hermsym.torus_fixed_points(case):
-        hermsym.check_group_element(case, g, tol=1e-12)
-        m = g @ case.rho @ g.conj().T
-        cs = spectrum.chain_spectrum(case, m, validate=False)
-        vals = cs.free_values()
-        worst = max(worst, float(np.minimum(np.abs(vals), np.abs(vals - 2)).max()))
-        ok, margins = spectrum.polytope_membership(case, cs, slack=1e-9)
-        worst = max(worst, max(0.0, max(margins.values())))
-        if np.abs(vals).max() <= 1e-10:
-            identity_seen = True
-    # identity coset: the all-zeros vertex
-    cs0 = spectrum.chain_spectrum(case, case.rho, validate=False)
-    worst = max(worst, float(np.abs(cs0.free_values()).max()))
-    if not identity_seen:
+    gs = np.stack(hermsym.torus_fixed_points(case))
+    hermsym.check_group_element(case, gs, tol=1e-12)
+    # the fixed points, then the identity coset (the all-zeros vertex)
+    ms = np.concatenate([gs @ case.rho @ np.conj(np.swapaxes(gs, 1, 2)),
+                         case.rho[None]])
+    chain = spectrum.chain_batch(case, ms)
+    _, _, vals = spectrum.batch_free_values(case, chain)
+    fixed, identity = vals[:-1], vals[-1]
+    worst = float(np.minimum(np.abs(fixed), np.abs(fixed - 2)).max())
+    margins = spectrum.batch_margins(case, chain)
+    worst = max(worst, 0.0, *(float(v[:-1].max()) for v in margins.values()))
+    worst = max(worst, float(np.abs(identity).max()))
+    if not (np.abs(fixed).max(axis=1) <= 1e-10).any():
         worst = max(worst, 1.0)
     return worst
 
@@ -309,7 +295,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
 
     g_batch, m_batch = hermsym.batch_points(case, seed, 0, n_samples)
 
-    _check(checks, tols, "orbit_constraints", _orbit_residual(case, g_batch))
+    _check(checks, tols, "orbit_constraints", hermsym.group_residual(case, g_batch))
 
     rho_spec = np.linalg.eigvalsh(-1j * case.rho)
     spec_res = np.abs(np.linalg.eigvalsh(-1j * m_batch) - rho_spec).max()
@@ -342,26 +328,22 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
 
     # per-sample pencil machinery
     res_master, res_blocks = 0.0, 0.0
-    res_match, res_pair, res_imag = 0.0, 0.0, 0.0
-    res_inter, res_poly = -np.inf, -np.inf
+    res_pair, res_imag = 0.0, 0.0
     blocks_skipped = 0
     dir_idx = [(j * case.alg.dim) // 5 for j in range(5)]
-    ranges = {}
-    labels, data, _ = spectrum.batch_free_values(
-        case, spectrum.chain_batch(case, m_batch))
-    for lbl, col in zip(labels, data.T):
-        ranges[lbl] = {"min": float(col.min()), "max": float(col.max())}
+    chain = spectrum.chain_batch(case, m_batch)
+    labels, data, chain_sorted = spectrum.batch_free_values(case, chain)
+    ranges = {lbl: {"min": float(col.min()), "max": float(col.max())}
+              for lbl, col in zip(labels, data.T)}
+    margins = spectrum.batch_margins(case, chain)
+    pencil = np.empty_like(chain_sorted)
 
     for i in range(n_samples):
         g, m = g_batch[i], m_batch[i]
         pair = poisson.build_pair(case, g, signs)
         for a in dir_idx:
-            x = case.alg.basis[a]
-            v = x @ m - m @ x
-            v /= max(1.0, np.linalg.norm(case.alg.coefficients(v).real))
-            n_p = poisson.nijenhuis_apply(pair, v, check=False)
-            n_f = poisson.nijenhuis_formula(case, m, v)
-            res_master = max(res_master, np.abs(n_p - n_f).max())
+            v, res = _master_residual(case, pair, m, case.alg.basis[a])
+            res_master = max(res_master, res)
             rb, has_blocks = poisson.connection_check(case, g, v)
             if has_blocks:
                 res_blocks = max(res_blocks, rb)
@@ -370,32 +352,29 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
         ev, im = poisson.pencil_eigenvalues(pair)
         res_imag = max(res_imag, im)
         res_pair = max(res_pair, np.abs(ev[0::2] - ev[1::2]).max())
-        pencil = (ev[0::2] + ev[1::2]) / 2
-        cs = spectrum.chain_spectrum(case, m, validate=False)
-        res_match = max(res_match, np.abs(pencil - cs.free_values()).max())
-        res_inter = max(res_inter, spectrum.interlace_violation(cs))
-        _, margins = spectrum.polytope_membership(case, cs, tols["polytope"])
-        res_poly = max(res_poly, max(margins.values()))
+        pencil[i] = (ev[0::2] + ev[1::2]) / 2
 
     _check(checks, tols, "connection_master", res_master)
     _check(checks, tols, "connection_blocks", res_blocks, skipped=blocks_skipped)
-    _check(checks, tols, "pencil_chain_match", res_match)
+    _check(checks, tols, "pencil_chain_match",
+           np.abs(pencil - chain_sorted).max(initial=0.0))
     _check(checks, tols, "doubling", res_pair)
     _check(checks, tols, "pencil_reality", res_imag)
-    _check(checks, tols, "interlacing", max(res_inter, 0.0))
-    _check(checks, tols, "polytope", max(res_poly, 0.0))
+    _check(checks, tols, "interlacing", margins["interlacing"].max(initial=0.0))
+    _check(checks, tols, "polytope",
+           max(v.max(initial=0.0) for v in margins.values()))
 
     # involution at gap-regular points, both brackets
     target = min(50, n_samples)
-    reg_idx, skipped = _gap_regular_indices(case, seed, target, 4 * n_samples)
+    reg_gs, skipped = _gap_regular_points(case, seed, g_batch, chain, target,
+                                          4 * n_samples)
     res_kks, res_bruhat = 0.0, 0.0
-    for idx in reg_idx:
-        gb, _ = hermsym.batch_points(case, seed, idx, 1)
-        pair = poisson.build_pair(case, gb[0], signs, validate=False)
-        r = _involution_residuals(case, gb[0], pair)
+    for g in reg_gs:
+        pair = poisson.build_pair(case, g, signs, validate=False)
+        r = _involution_residuals(case, g, pair)
         res_kks = max(res_kks, r["kks"])
         res_bruhat = max(res_bruhat, r["bruhat"])
-    if len(reg_idx) < target:        # not enough gap-regular points found
+    if len(reg_gs) < target:        # not enough gap-regular points found
         res_kks = res_bruhat = np.inf
     _check(checks, tols, "involution_kks", res_kks, skipped=skipped)
     _check(checks, tols, "involution_bruhat", res_bruhat, skipped=skipped)
@@ -409,16 +388,14 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
                poisson.jacobi_residual(case, g_batch[0], t, triples, signs))
 
     # Lenard recursion and the eigenvalue equation at gap-regular points
-    len_idx = reg_idx[:3]
     res_len, res_tr, res_nstar = 0.0, 0.0, 0.0
-    if not len_idx:           # nothing regular found: cannot certify
+    if not reg_gs:            # nothing regular found: cannot certify
         res_len = res_tr = res_nstar = np.inf
-    for idx in len_idx:
-        gb, _ = hermsym.batch_points(case, seed, idx, 1)
-        out = poisson.lenard_check(case, gb[0], case.n_eig, signs)
+    for g in reg_gs[:3]:
+        out = poisson.lenard_check(case, g, case.n_eig, signs)
         res_len = max(res_len, out["max"])
         res_tr = max(res_tr, out["trace_gap"])
-        res_nstar = max(res_nstar, poisson.nstar_eigen_residual(case, gb[0], signs))
+        res_nstar = max(res_nstar, poisson.nstar_eigen_residual(case, g, signs))
     _check(checks, tols, "lenard", res_len)
     _check(checks, tols, "trace_identity", res_tr)
     _check(checks, tols, "nstar_dlambda", res_nstar)
@@ -426,7 +403,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
     _check(checks, tols, "vertex_polytope", vertex_probe(case))
 
     if case.tag == "bdi":
-        _spin_checks(case, checks, tols, m_batch, seed)
+        _spin_checks(case, checks, tols, m_batch, chain, seed)
 
     report = VerificationReport(
         case=case.descriptor(), name=case.name, params=case.params,

@@ -107,3 +107,15 @@ def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--case", "ci:n=2", "--samples", "3"],
+    ["verify", "--case", "ci:n=1", "--format", "json"],
+    ["polytope", "--case", "ci:n=1", "--format", "csv"],
+], ids=["spectrum-samples", "verify-format", "polytope-format"])
+def test_removed_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from pnorbit import UsageError, build_case, idempotents, moment, parse_case
+from pnorbit import (ConventionError, UsageError, build_case, idempotents,
+                     moment, parse_case)
 from pnorbit.hermsym import (batch_points, check_group_element,
-                             identity_point, random_point, sample_rng,
-                             stabilizer_element, torus_fixed_points)
+                             group_residual, identity_point, random_point,
+                             sample_rng, stabilizer_element,
+                             torus_fixed_points)
+from pnorbit.numkernel import expm_antihermitian
 
 
 def test_rho_matches_case_matrices(gr24, sp2, bdi5):
@@ -36,9 +40,8 @@ def test_kphi_closed_forms(gr24, sp2, so6u3, bdi5):
 
 
 def test_kphi_is_exp_pi_rho_and_involution(all_cases):
-    from pnorbit.numkernel import matrix_exp
     for case in all_cases:
-        assert np.abs(case.kphi - matrix_exp(np.pi * case.rho)).max() <= 1e-12
+        assert np.abs(case.kphi - scipy.linalg.expm(np.pi * case.rho)).max() <= 1e-12
         # Ad_K^2 = id on the algebra basis
         k2 = case.kphi @ case.kphi
         for x in case.alg.basis[::5]:
@@ -99,7 +102,29 @@ def test_batch_points_chunk_independent(so6u3):
     ga, _ = batch_points(so6u3, 5, 0, 3)
     gb, _ = batch_points(so6u3, 5, 3, 5)
     assert np.array_equal(g, np.concatenate([ga, gb]))
-    assert np.array_equal(g[2], random_point(so6u3, sample_rng(5, 2)).g)
+    # sample i is exp of a Gaussian algebra element drawn from stream (seed, i)
+    coefs = sample_rng(5, 2).standard_normal(so6u3.alg.dim)
+    x = np.einsum("sa,aij->sij", coefs[None], so6u3.alg.basis)
+    assert np.array_equal(g[2], expm_antihermitian(x)[0])
+
+
+def test_random_point_is_batch_of_one(all_cases):
+    for case in all_cases:
+        p = random_point(case, 6)
+        g, m = batch_points(case, 6, 0, 3)
+        assert np.array_equal(p.g, g[0]) and np.array_equal(p.m, m[0])
+
+
+def test_group_residual_stacks_and_rejects(all_cases, rng):
+    for case in all_cases:
+        g, _ = batch_points(case, 4, 0, 6)
+        assert group_residual(case, g) <= 1e-12
+        assert group_residual(case, g) == max(group_residual(case, x) for x in g)
+        check_group_element(case, g)
+        bad = g[0] * np.exp(0.1j) if case.alg.family != "A" else 2 * g[0]
+        assert group_residual(case, bad) > 1e-3
+        with pytest.raises(ConventionError):
+            check_group_element(case, bad)
 
 
 def test_moment_identity_and_examples(gr24, bdi5):

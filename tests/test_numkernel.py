@@ -1,11 +1,19 @@
-"""Contract tests for the dense linear-algebra kernel."""
+"""Contract tests for the dense linear-algebra kernel.
+
+The library's matrix exponential is expm_antihermitian; scipy's expm is
+the independent oracle.
+"""
+
+import subprocess
+import sys
 
 import numpy as np
-import pytest
+import scipy.linalg
 
-from pnorbit import ConventionError
-from pnorbit.numkernel import (expm_antihermitian, fd_gradient,
-                               hermitian_eigen, matrix_exp, real_eigenvalues)
+from pnorbit.hermsym import random_point
+from pnorbit.numkernel import expm_antihermitian
+from pnorbit.poisson import directional_derivatives
+from pnorbit.spectrum import chain_free_vector
 
 
 def random_hermitian(rng, n):
@@ -13,125 +21,62 @@ def random_hermitian(rng, n):
     return (a + a.conj().T) / 2
 
 
-def test_hermitian_eigen_zero_matrix():
-    w, v = hermitian_eigen(np.zeros((3, 3)))
-    assert np.abs(w).max() == 0.0
-    assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
-
-
-def test_hermitian_eigen_diagonal():
-    w, _ = hermitian_eigen(np.diag([2.0, -1.0]))
-    assert np.allclose(w, [-1.0, 2.0], atol=0)
-
-
-def test_hermitian_eigen_reconstruction(rng):
-    a = random_hermitian(rng, 8)
-    w, v = hermitian_eigen(a)
-    scale = np.abs(a).max()
-    assert np.abs(v @ np.diag(w) @ v.conj().T - a).max() <= 1e-12 * scale
-    assert np.abs(v.conj().T @ v - np.eye(8)).max() <= 1e-12
-    assert np.all(np.diff(w) >= 0)
-
-
-def test_hermitian_eigen_rejects_non_hermitian():
-    with pytest.raises(ConventionError):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ConventionError):
-        hermitian_eigen(np.zeros((2, 3)))
-
-
-def test_real_eigenvalues_rotation_generator():
-    vals = real_eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert np.allclose(sorted(vals.imag), [-1.0, 1.0], atol=1e-12)
-    assert np.abs(vals.real).max() < 1e-12
-
-
-def test_real_eigenvalues_triangular():
-    a = np.triu(np.ones((3, 3)))
-    a[0, 0], a[1, 1], a[2, 2] = 1.0, 4.0, 9.0
-    vals = np.sort(real_eigenvalues(a).real)
-    assert np.allclose(vals, [1.0, 4.0, 9.0], atol=1e-12)
-
-
-def test_real_eigenvalues_companion_matrix():
-    # companion of (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-    comp = np.array([[0.0, 0.0, 6.0],
-                     [1.0, 0.0, -11.0],
-                     [0.0, 1.0, 6.0]])
-    vals = np.sort(real_eigenvalues(comp).real)
-    assert np.allclose(vals, [1.0, 2.0, 3.0], atol=1e-10)
-
-
-def test_real_eigenvalues_residual_and_real_spectrum(rng):
-    # matrices built with known real spectrum: similarity of a diagonal
-    d = np.diag(rng.standard_normal(6))
-    s = rng.standard_normal((6, 6)) + np.eye(6) * 3
-    a = s @ d @ np.linalg.inv(s)
-    vals = real_eigenvalues(a)
-    scale = np.abs(a).max()
-    assert np.abs(vals.imag).max() <= 1e-8 * scale
-    for lam in vals:
-        sv = np.linalg.svd(a - lam * np.eye(6), compute_uv=False)
-        assert sv[-1] <= 1e-8 * scale
+def random_antihermitian(rng, n):
+    return 1j * random_hermitian(rng, n)
 
 
 def test_matrix_exp_identity_and_rotation():
-    assert np.abs(matrix_exp(np.zeros((4, 4))) - np.eye(4)).max() < 1e-15
+    assert np.abs(expm_antihermitian(np.zeros((4, 4))) - np.eye(4)).max() < 1e-15
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.abs(matrix_exp(np.pi / 2 * j2) - j2).max() < 1e-14
+    assert np.abs(expm_antihermitian(np.pi / 2 * j2) - j2).max() < 1e-14
 
 
 def test_matrix_exp_inverse_and_unitarity(rng):
-    x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    e = matrix_exp(x) @ matrix_exp(-x)
+    x = random_antihermitian(rng, 5)
+    e = expm_antihermitian(x) @ expm_antihermitian(-x)
     assert np.abs(e - np.eye(5)).max() <= 1e-12
-    a = x - x.conj().T
-    u = matrix_exp(a)
+    u = expm_antihermitian(x)
     assert np.abs(u.conj().T @ u - np.eye(5)).max() <= 1e-12
 
 
 def test_matrix_exp_determinant_trace(rng):
-    x = 0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    assert abs(np.linalg.det(matrix_exp(x)) - np.exp(np.trace(x))) <= 1e-10
+    x = 0.5 * random_antihermitian(rng, 4)
+    assert abs(np.linalg.det(expm_antihermitian(x)) - np.exp(np.trace(x))) <= 1e-10
 
 
 def test_matrix_exp_commuting_sum(rng):
-    a = random_hermitian(rng, 4) * 1j
-    x, y = 0.3 * a, a @ a * 0.1  # polynomials in a commute
-    lhs = matrix_exp(x) @ matrix_exp(y)
-    assert np.abs(lhs - matrix_exp(x + y)).max() <= 1e-11
+    a = random_antihermitian(rng, 4)
+    x, y = 0.3 * a, a @ a @ a * 0.1  # odd polynomials in a commute with a
+    lhs = expm_antihermitian(x) @ expm_antihermitian(y)
+    assert np.abs(lhs - expm_antihermitian(x + y)).max() <= 1e-11
 
 
 def test_expm_antihermitian_matches_matrix_exp(rng):
     x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     x = x - x.conj().T
-    assert np.abs(expm_antihermitian(x) - matrix_exp(x)).max() < 1e-12
+    assert np.abs(expm_antihermitian(x) - scipy.linalg.expm(x)).max() < 1e-12
+    # a stack is exponentiated matrix by matrix
+    stack = np.stack([x, 0.5 * x, random_antihermitian(rng, 6)])
+    for got, xi in zip(expm_antihermitian(stack), stack):
+        assert np.abs(got - scipy.linalg.expm(xi)).max() < 1e-12
 
 
-def test_fd_gradient_linear_exact():
-    f = lambda p: 2.0 * p[0] - 3.0 * p[1]
-    g = fd_gradient(f, np.array([1.0, 1.0]),
-                    [np.array([1.0, 0.0]), np.array([0.0, 1.0])], h=1e-3)
-    assert np.abs(g - [2.0, -3.0]).max() <= 1e-12
+def test_fd_gradient_eigenvalue_family_richardson(sp2):
+    # fd flow derivatives of the chain eigenvalues at a gap-regular point;
+    # the oracle is h-refinement (Richardson) extrapolation of the same stencil
+    p = random_point(sp2, 23)
+
+    def grad(h):
+        return directional_derivatives(
+            sp2, p.g, lambda g, m: chain_free_vector(sp2, m), h)
+
+    richardson = (4 * grad(5e-4) - grad(1e-3)) / 3
+    assert np.abs(grad(1e-5) - richardson).max() <= 1e-6
 
 
-def test_fd_gradient_quadratic():
-    g = fd_gradient(lambda p: p[0] ** 2, np.array([3.0]), [np.array([1.0])])
-    assert abs(g[0] - 6.0) <= 1e-9
-
-
-def test_fd_gradient_eigenvalue_family_richardson(rng):
-    # largest eigenvalue of a Hermitian family with a spectral gap; the
-    # oracle is h-refinement (Richardson) extrapolation of the same stencil
-    a0 = np.diag([3.0, 0.0, -1.0]).astype(complex)
-    b = random_hermitian(rng, 3) * 0.2
-
-    def f(t):
-        return np.linalg.eigvalsh(a0 + t[0] * b)[-1]
-
-    base, direction = np.array([0.0]), np.array([1.0])
-    g_h = fd_gradient(f, base, [direction], h=1e-3)[0]
-    g_h2 = fd_gradient(f, base, [direction], h=5e-4)[0]
-    richardson = (4 * g_h2 - g_h) / 3
-    g = fd_gradient(f, base, [direction])[0]
-    assert abs(g - richardson) <= 1e-6
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: the package must not load it
+    code = "import sys, pnorbit, pnorbit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -8,9 +8,9 @@ from pnorbit import (ConventionError, build_case, build_pair, bruhat_matrix,
                      nijenhuis_formula, pencil_spectrum)
 from pnorbit.hermsym import (batch_points, random_point, sample_rng,
                              stabilizer_element)
-from pnorbit.poisson import (bracket_of_functions, connection_check,
-                             jacobi_residual, kks_raw, nstar_eigen_residual,
-                             pencil_eigenvalues)
+from pnorbit.poisson import (connection_check, directional_derivatives,
+                             gradient_bracket, jacobi_residual, kks_raw,
+                             nstar_eigen_residual, pencil_eigenvalues)
 
 SIGNS = (1, -1)
 
@@ -171,39 +171,33 @@ def test_pencil_matches_chain(all_cases):
 
 
 def test_bracket_of_coordinates_closed_form(sp2):
+    # the fd-gradient bracket route of run_suite, on the coordinates F_a
     p = random_point(sp2, 59)
     pair = build_pair(sp2, p.g, SIGNS)
     k = kks_raw(sp2, p.m)
-    for (a, b) in ((0, 3), (2, 7), (1, 4)):
-        def fa(g, m, a=a):
-            return float(-np.einsum("ij,ji->", m, sp2.alg.basis[a]).real)
-
-        def fb(g, m, b=b):
-            return float(-np.einsum("ij,ji->", m, sp2.alg.basis[b]).real)
-
-        val = bracket_of_functions(pair, fa, fb, "kks")
-        assert abs(val - SIGNS[0] * k[a, b]) <= 1e-9
-        assert abs(bracket_of_functions(pair, fa, fa, "kks")) <= 1e-12
+    coords = [0, 3, 2, 7, 1, 4]
+    dvec = directional_derivatives(
+        sp2, p.g, lambda g, m: sp2.alg.coefficients(m).real[coords])
+    br = gradient_bracket(pair, dvec.T, "kks")
+    for i in range(0, len(coords), 2):
+        a, b = coords[i], coords[i + 1]
+        assert abs(br[i, i + 1] - SIGNS[0] * k[a, b]) <= 1e-9
+        assert abs(br[i, i]) <= 1e-12
 
 
 def test_bracket_leibniz(gr24):
     p = random_point(gr24, 61)
     pair = build_pair(gr24, p.g, SIGNS)
-    basis = gr24.alg.basis
 
-    def coord(i):
-        return lambda g, m: float(-np.einsum("ij,ji->", m, basis[i]).real)
+    def funcs(g, m):
+        f1, f2, f3 = gr24.alg.coefficients(m).real[[0, 4, 9]]
+        return np.array([f1, f2, f3, f1 * f2])
 
-    f1, f2, f3 = coord(0), coord(4), coord(9)
-
-    def f12(g, m):
-        return f1(g, m) * f2(g, m)
-
+    f1, f2, _, _ = funcs(p.g, p.m)
+    dvec = directional_derivatives(gr24, p.g, funcs)
     for which in ("kks", "bruhat"):
-        lhs = bracket_of_functions(pair, f12, f3, which)
-        rhs = (f1(p.g, p.m) * bracket_of_functions(pair, f2, f3, which)
-               + f2(p.g, p.m) * bracket_of_functions(pair, f1, f3, which))
-        assert abs(lhs - rhs) <= 1e-6
+        br = gradient_bracket(pair, dvec.T, which)
+        assert abs(br[3, 2] - (f1 * br[1, 2] + f2 * br[0, 2])) <= 1e-6
 
 
 def test_jacobi_residuals(sp2, so6u3):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnorbit import (ConventionError, build_case, chain_spectrum,
-                     gt_interlace_check, polytope_membership)
+                     gt_interlace_check, parse_case, polytope_membership)
 from pnorbit.hermsym import batch_points, random_point
-from pnorbit.spectrum import (batch_free_values, batch_violations,
-                              chain_batch, chain_free_vector, free_labels,
-                              free_masks, gap_regularity, eigenvalue_map_constants,
-                              top_row_constants)
+from pnorbit.spectrum import (batch_free_values, batch_margins,
+                              batch_violations, chain_batch, chain_free_vector,
+                              free_labels, free_masks, gap_regularity,
+                              eigenvalue_map_constants, top_row_constants)
 
 
 def test_map_constants(gr24, sp2, so6u3, bdi5):
@@ -87,6 +87,10 @@ def test_gt_interlace_check_examples():
     assert ok and abs(margin) <= 1e-15
     with pytest.raises(ConventionError):
         gt_interlace_check([1.0, 2.0], [1.0, 2.0])
+    # leading axes are samples
+    ok, margin = gt_interlace_check([[-0.5, 0.5], [-0.5, 0.5]], [[0.0], [0.7]])
+    assert ok.tolist() == [True, False]
+    assert margin[0] == -0.5 and abs(margin[1] - 0.2) <= 1e-15
 
 
 def test_chain_rows_interlace(all_cases):
@@ -117,32 +121,64 @@ def test_sp1_range():
 def test_sp2_simplex_inequalities(sp2):
     p = random_point(sp2, 17)
     cs = chain_spectrum(sp2, p.m)
-    lam1 = np.sort(cs.mapped[0])
-    lam2 = np.sort(cs.mapped[1])
+    slope, offset = eigenvalue_map_constants(sp2)
+    lam1 = np.sort(slope * cs.rows[0] + offset)
+    lam2 = np.sort(slope * cs.rows[1] + offset)
     assert -1e-9 <= lam1[0] and lam1[-1] <= 2 + 1e-9
     assert lam1[0] - 1e-9 <= lam2[0] <= lam1[1] + 1e-9
 
 
-def test_batch_matches_pointwise(sp2, bdi6):
-    for case in (sp2, bdi6):
+def test_batch_matches_pointwise(all_cases):
+    # a point is a batch of one: every per-point read is bitwise the batch row
+    for case in all_cases:
         _, ms = batch_points(case, 8, 0, 5)
         batch = chain_batch(case, ms)
         labels, data, srt = batch_free_values(case, batch)
+        margins = batch_margins(case, batch)
         assert labels == free_labels(case)
         for i in range(5):
             cs = chain_spectrum(case, ms[i])
-            assert np.abs(srt[i] - cs.free_values()).max() <= 1e-12
-            assert np.abs(np.sort(chain_free_vector(case, ms[i]))
-                          - cs.free_values()).max() <= 1e-12
+            if cs.kind == "gt":
+                for row, batch_row in zip(cs.rows, batch["rows"]):
+                    assert np.array_equal(row, batch_row[i])
+            else:
+                assert np.array_equal(cs.a, batch["a"][i])
+                assert np.array_equal(cs.b, batch["b"][i])
+            assert np.array_equal(cs.free_values(), srt[i])
+            assert np.array_equal(chain_free_vector(case, ms[i]), data[i])
+            _, point_margins = polytope_membership(case, cs)
+            assert point_margins == {k: v[i] for k, v in margins.items()}, case.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["aiii:k=1,n=3", "aiii:k=2,n=4", "ci:n=2", "ci:n=3",
+                        "diii:n=3", "diii:n=4", "bdi:m=5", "bdi:m=6"]),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=2, max_value=12), st.data())
+def test_chain_reads_independent_of_chunking(desc, seed, count, data):
+    case = parse_case(desc)
+    split = data.draw(st.integers(min_value=1, max_value=count - 1))
+    _, ms = batch_points(case, seed, 0, count)
+    whole = chain_batch(case, ms)
+    parts = [chain_batch(case, ms[:split]), chain_batch(case, ms[split:])]
+    free = [batch_free_values(case, b)[1:] for b in parts]
+    for got, want in zip(zip(*free), batch_free_values(case, whole)[1:]):
+        assert np.array_equal(np.concatenate(got), want)
+    margins = [batch_margins(case, b) for b in parts]
+    for key, want in batch_margins(case, whole).items():
+        assert np.array_equal(np.concatenate([m[key] for m in margins]), want)
+    for slack in (1e-9, -1e-3):
+        assert (batch_violations(case, whole, slack)
+                == sum(batch_violations(case, b, slack) for b in parts))
 
 
 def test_gap_regularity_flags_identity(sp2):
     # the identity coset is maximally degenerate
     cs = chain_spectrum(sp2, sp2.rho)
-    assert gap_regularity(sp2, cs) <= 1e-12
+    assert gap_regularity(sp2, cs.batch)[0] <= 1e-12
     p = random_point(sp2, 23)
     cs = chain_spectrum(sp2, p.m)
-    assert gap_regularity(sp2, cs) > 1e-3
+    assert gap_regularity(sp2, cs.batch)[0] > 1e-3
 
 
 @settings(max_examples=60, deadline=None)

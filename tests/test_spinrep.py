@@ -103,10 +103,3 @@ def test_spin_rejects_bad_input():
     with pytest.raises(ConventionError):
         rep(np.zeros((4, 4)))
 
-
-def test_spin_rep_function_matches_class(rng):
-    from pnorbit import spin_rep
-    case = build_case("bdi", m=6)
-    rep = SpinRepresentation(6)
-    x = case.alg.from_coefficients(rng.standard_normal(case.alg.dim)).real
-    assert np.array_equal(spin_rep(case.alg, x), rep(x))
