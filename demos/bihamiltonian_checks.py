@@ -38,8 +38,9 @@ res = jacobi_residual(case, point.g, "kks", triples, signs)
 print(f"fd Jacobi residual of the pure KKS bracket: {res:.2e}")
 
 print("\ninvolution of the eigenvalue functions:")
+# funcs take stacks of flow points (gs, ms) and return one row per point
 dvec = directional_derivatives(case, point.g,
-                               lambda g, m: chain_free_vector(case, m))
+                               lambda gs, ms: chain_free_vector(case, ms))
 for which in ("kks", "bruhat"):
     br = gradient_bracket(pair, dvec.T, which)
     off = np.abs(br - np.diag(np.diag(br))).max()

@@ -117,7 +117,9 @@ class LieAlgebra:
     * `flat`   (dim, N^2) - the basis, one flattened matrix per row;
     * `flat_t` (N^2, dim) - the transposed matrices as columns, so that
       A.ravel() @ flat_t = [Tr(A X_b)]_b;
-    * `jflat`  (dim, N^2) - row a is J(X_a) flattened (jmat^T @ flat).
+    * `jflat`  (dim, N^2) - row a is J(X_a) flattened (jmat^T @ flat);
+    * `flat_re` (2 N^2, dim) - flat_t for the interleaved (re, im) float
+      view of a complex matrix, so that real_coefficients is a real GEMM.
     """
 
     family: str
@@ -131,6 +133,7 @@ class LieAlgebra:
     flat: np.ndarray = field(default=None, repr=False)
     flat_t: np.ndarray = field(default=None, repr=False)
     jflat: np.ndarray = field(default=None, repr=False)
+    flat_re: np.ndarray = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -148,6 +151,11 @@ class LieAlgebra:
         """
         x = np.asarray(x, complex)
         return -(x.reshape(x.shape[:-2] + (-1,)) @ self.flat_t)
+
+    def real_coefficients(self, x):
+        """coefficients(x).real, as one real GEMM on the float view of x."""
+        x = np.ascontiguousarray(x, complex)
+        return x.view(float).reshape(x.shape[:-2] + (-1,)) @ self.flat_re
 
     def from_coefficients(self, c):
         """sum_a c_a X_a for one coefficient vector or a stack (..., dim)."""
@@ -183,7 +191,7 @@ class LieAlgebra:
 
     def c_plus(self, x):
         """C_+(x) = i x + J(x) for x in g, one matrix or a stack (unchecked)."""
-        return 1j * x + self.j_apply_stack(self.coefficients(x).real)
+        return 1j * x + self.j_apply_stack(self.real_coefficients(x))
 
     def iwasawa_split(self, z, side="+"):
         """Split z in g_C as z = x + C_pm(y), x, y in g; returns (x, y).
@@ -195,7 +203,7 @@ class LieAlgebra:
         z_dag = np.conj(np.swapaxes(z, -1, -2))
         a = (z - z_dag) / 2
         b = (z + z_dag) / 2j
-        jb = self.j_apply_stack(self.coefficients(b).real)
+        jb = self.j_apply_stack(self.real_coefficients(b))
         return (a - jb if side == "+" else a + jb), b
 
     def cartan_element(self, values):
@@ -223,6 +231,10 @@ def _finish(alg):
     alg.flat_t = np.ascontiguousarray(
         np.swapaxes(alg.basis, 1, 2).reshape(dim, size * size).T)
     alg.jflat = alg.jmat.T @ alg.flat
+    # Re(-(x_re + i x_im) . f) = x_re . (-f_re) + x_im . f_im, interleaved
+    alg.flat_re = np.empty((2 * size * size, dim))
+    alg.flat_re[0::2] = -alg.flat_t.real
+    alg.flat_re[1::2] = alg.flat_t.imag
     return alg
 
 

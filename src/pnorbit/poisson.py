@@ -9,15 +9,27 @@ with xi_a = [m, X_a] (the right-translated differential of F_a).  The signs
 (s_K, s_0) are fixed once by the discrete calibration in `verify`; the
 calibrated global convention is (+1, -1).
 
-The Nijenhuis operator acts on tangent coefficient vectors as P0 . PK^+,
-and independently in closed form as N v = [-J(v), m] + v.
+`bruhat_matrix` evaluates the same tensor in coefficient space, as the
+r-matrix form Ad_g J Ad_g^-1 - J pulled back through K (Lu-Weinstein):
 
-Both matrices are assembled from BLAS products only: stacked `@` for
-m X_a, [m, X_a] and g^dag C_+(xi_a) g, and one GEMM per trace pairing
-against the algebra's precomputed maps (`LieAlgebra.flat`, `flat_t`,
-`jflat`).  `build_pair` takes one SVD of K: it gives the rank test, the
-tangent basis and K^+ = V_r diag(1/s_r) U_r^T, with the cut s > 1e-9 s_0
-that pinv(K, rcond=1e-9) would apply.
+    P0 = -s_0 K (A J A^T - J) K,    A[a,b] = -Re Tr(g^-1 X_a g X_b).
+
+Derivation: xi_a has coefficient row K[a], and A is Ad_{g^-1} on
+coefficient rows (orthogonal, as g is unitary).  Ad_{g^-1} is complex
+linear, so z_a = Ad_{g^-1} C_+(xi_a) = i u_a + w_a with u_a = Ad_{g^-1} xi_a
+(row K[a] A) and w_a = Ad_{g^-1} J xi_a (row K[a] J^T A).  The Iwasawa
+split of z = i u + w has g-part x = w - J u and b_+-part C_+(u); since x,
+u and J u are in g, Im Tr(x C_+(u)) = Tr(x u) = -<x, u>.  Hence
+P0[a,b] = s_0 <x_a, u_b> = s_0 K[a] (J^T A - A J^T) A^T K[b]^T, which with
+A A^T = 1, J^T = -J and K^T = -K is the form above.  The einsum form of the
+Iwasawa expression is kept as the oracle in the tests.
+
+`kks_raw` and `bruhat_matrix` take leading stack axes; callers that hold K
+pass it as `k=`.  The Nijenhuis operator acts on tangent coefficient
+vectors as P0 . PK^+, and independently in closed form as
+N v = [-J(v), m] + v.  One SVD of K gives the rank test, the tangent basis
+and K^+ = V_r diag(1/s_r) U_r^T, with the cut s > 1e-9 s_0 that
+pinv(K, rcond=1e-9) would apply.
 """
 
 from dataclasses import dataclass, field
@@ -31,29 +43,65 @@ from .numkernel import DEFAULT_FD_STEP, expm_antihermitian
 CALIBRATED_SIGNS = (1, -1)      # (s_K, s_0); see verify.calibrate
 
 
+def _dagger(x):
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def _moment(case, g):
+    """m = g rho g^dag for one group element or a stack (unchecked; see
+    hermsym.moment for the checked form)."""
+    return g @ case.rho @ _dagger(g)
+
+
 def kks_raw(case, m):
-    """K_ab = <m, [X_a, X_b]>, the unsigned Lie-Poisson matrix."""
+    """K_ab = <m, [X_a, X_b]>, the unsigned Lie-Poisson matrix.
+
+    m may be a stack (..., N, N); K then has shape (..., dim, dim).
+    """
     alg = case.alg
-    p = -alg.coefficients(m @ alg.basis)      # p[a, b] = Tr(m X_a X_b)
-    return (p.T - p).real
+    # p[..., a, b] = Re Tr(m X_a X_b)
+    p = -alg.real_coefficients(np.asarray(m)[..., None, :, :] @ alg.basis)
+    return np.swapaxes(p, -1, -2) - p
 
 
 def kks_matrix(case, m, s_k=CALIBRATED_SIGNS[0]):
     return s_k * kks_raw(case, m)
 
 
-def bruhat_matrix(case, g, s_0=CALIBRATED_SIGNS[1]):
-    """The Bruhat-Poisson matrix at the coset of g (stacked GEMM build)."""
+def bruhat_matrix(case, g, s_0=CALIBRATED_SIGNS[1], k=None, block=None):
+    """The Bruhat-Poisson matrix -s_0 K (A J A^T - J) K at the coset of g.
+
+    g may be a stack (..., N, N).  k is kks_raw at m = g rho g^dag (built
+    here when not given); block, a list of coordinate indices, restricts
+    the result to P0[block][:, block].
+    """
     alg = case.alg
-    dim = alg.dim
-    m = g @ case.rho @ g.conj().T
-    xi = m @ alg.basis - alg.basis @ m
-    z = g.conj().T @ alg.c_plus(xi) @ g
-    g_part, _ = alg.iwasawa_split(z)
-    b_part = z - g_part
-    # Tr(g_part_a b_part_b) as one GEMM over the flattened matrices
-    b_rows_t = np.swapaxes(b_part, 1, 2).reshape(dim, -1)
-    return -s_0 * (g_part.reshape(dim, -1) @ b_rows_t.T).imag
+    g = np.asarray(g)
+    if k is None:
+        k = kks_raw(case, _moment(case, g))
+    # A[..., a, b] = -Re Tr(g^-1 X_a g X_b): Ad_{g^-1} on coefficient rows
+    a = alg.real_coefficients(_dagger(g)[..., None, :, :] @ alg.basis
+                              @ g[..., None, :, :])
+    mid = a @ alg.jmat @ np.swapaxes(a, -1, -2) - alg.jmat
+    left, right = (k, k) if block is None else (k[..., block, :], k[..., :, block])
+    return -s_0 * (left @ mid @ right)
+
+
+def _tangent_svd(case, k):
+    """SVD of K (one or a stack) with the rank cut s > 1e-9 s_0 checked
+    against dim M; returns (u, s, vt, rank)."""
+    u, s, vt = np.linalg.svd(k)
+    ranks = (s > 1e-9 * s[..., :1]).sum(axis=-1)
+    bad = ranks[ranks != case.dim_m]
+    if bad.size:
+        raise NumericalError(f"KKS rank {int(bad.flat[0])} != dim M = {case.dim_m}")
+    return u, s, vt, case.dim_m
+
+
+def _restricted(p0, pk, b):
+    """P0 PK^-1 on the tangent basis b (leading stack axes allowed)."""
+    bt = np.swapaxes(b, -1, -2)
+    return (bt @ p0 @ b) @ np.linalg.inv(bt @ pk @ b)
 
 
 @dataclass
@@ -78,13 +126,10 @@ class BracketPair:
 
 def build_pair(case, g, signs=CALIBRATED_SIGNS, validate=True):
     from .hermsym import OrbitPoint
-    m = g @ case.rho @ g.conj().T
+    m = _moment(case, g)
     k = kks_raw(case, m)
-    p0 = bruhat_matrix(case, g, signs[1])
-    u, s, vt = np.linalg.svd(k)
-    rank = int((s > 1e-9 * s[0]).sum())
-    if rank != case.dim_m:
-        raise NumericalError(f"KKS rank {rank} != dim M = {case.dim_m}")
+    p0 = bruhat_matrix(case, g, signs[1], k=k)
+    u, s, vt, rank = _tangent_svd(case, k)
     tangent = u[:, :rank]
     # the pseudo-inverse pinv(k, rcond=1e-9) would take, from the same SVD
     k_pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
@@ -106,7 +151,7 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS, validate=True):
 
 def nijenhuis_apply(pair, v, check=True, tol=1e-9):
     """Pencil route: N v with t(Nv) = P0 PK^+ t(v); v must be tangent."""
-    t = pair.case.alg.coefficients(v).real
+    t = pair.case.alg.real_coefficients(v)
     if check:
         res = np.linalg.norm(t - pair.tangent @ (pair.tangent.T @ t))
         if res > tol * max(1.0, np.linalg.norm(t)):
@@ -122,10 +167,7 @@ def nijenhuis_formula(case, m, v):
 
 def nijenhuis_restricted(pair):
     """Matrix of N on the tangent basis (2 n_eig square)."""
-    b = pair.tangent
-    pk_t = b.T @ pair.pk @ b
-    p0_t = b.T @ pair.p0 @ b
-    return p0_t @ np.linalg.inv(pk_t)
+    return _restricted(pair.p0, pair.pk, pair.tangent)
 
 
 def pencil_eigenvalues(pair, imag_tol=1e-8):
@@ -153,25 +195,45 @@ def pencil_spectrum(pair, pair_tol=1e-8, imag_tol=1e-8):
 # ---------------------------------------------------------------------------
 
 def flow_points(case, g, h=DEFAULT_FD_STEP):
-    """Perturbed group elements exp(+-h X_a) g for every basis direction."""
+    """Perturbed group elements, (dim, 2, N, N): [a, 0] = exp(+h X_a) g and
+    [a, 1] = exp(-h X_a) g for every basis direction a."""
     steps = expm_antihermitian(h * case.alg.basis)
-    back = np.conj(np.swapaxes(steps, 1, 2))
-    return steps @ g, back @ g
+    return np.stack([steps, _dagger(steps)], axis=1) @ g
+
+
+# Bytes of one (chunk, dim, N, N) complex product; the stacked Bruhat
+# kernel holds two of them at once.
+_FLOW_CHUNK_BYTES = 1 << 18
+
+
+def _flow_chunk(case):
+    """Flow points per funcs call (even, at least 2), from dim N^2 and the
+    byte budget."""
+    alg = case.alg
+    return 2 * max(1, _FLOW_CHUNK_BYTES // (32 * alg.dim * alg.size ** 2))
 
 
 def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP):
     """fd derivatives of point functions along every fundamental flow.
 
-    funcs maps (g, m) -> scalar or vector; returns an array of shape
-    (dim, *value_shape).
+    Stack contract: funcs maps stacks (gs, ms) of flow points, shapes
+    (S, N, N), to values with a leading stack axis, (S, *value_shape); row
+    s must depend on gs[s], ms[s] alone.  The 2 dim flow points go through
+    funcs in chunks of _flow_chunk(case) points (both signs of
+    _flow_chunk(case) / 2 directions), so that the stacked intermediates of
+    one call, about chunk * dim * N^2 complex numbers, stay within a fixed
+    byte budget.  Returns (dim, *value_shape).
     """
-    fwd, bwd = flow_points(case, g, h)
-    rows = []
-    for gp, gm in zip(fwd, bwd):
-        fp = np.asarray(funcs(gp, gp @ case.rho @ gp.conj().T))
-        fm = np.asarray(funcs(gm, gm @ case.rho @ gm.conj().T))
-        rows.append((fp - fm) / (2 * h))
-    out = np.stack(rows)
+    pts = flow_points(case, g, h)
+    size = case.alg.size
+    step = _flow_chunk(case) // 2
+    out = None
+    for a in range(0, len(pts), step):
+        gs = pts[a:a + step].reshape(-1, size, size)
+        vals = np.asarray(funcs(gs, _moment(case, gs)))
+        if out is None:
+            out = np.empty((len(pts),) + vals.shape[1:], vals.dtype)
+        out[a:a + step] = (vals[0::2] - vals[1::2]) / (2 * h)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite fd derivative")
     return out
@@ -210,29 +272,27 @@ def jacobi_residual(case, g, t, triples, signs=CALIBRATED_SIGNS,
     of the pencil).
     """
     pair = build_pair(case, g, signs)
+    cyclic = [xyz for (a, b, c) in triples
+              for xyz in ((a, b, c), (b, c, a), (c, a, b))]
     needed = sorted({i for tr in triples for i in tr})
-
-    def entries(gg, mm):
-        if t == "kks":
-            pt = kks_matrix(case, mm, signs[0])
-        else:
-            pt = (bruhat_matrix(case, gg, signs[1])
-                  + t * kks_matrix(case, mm, signs[0]))
-        return pt[np.ix_(needed, needed)].ravel()
-
-    dvec = directional_derivatives(case, g, entries, h)      # (dim, k*k)
-    k = len(needed)
-    dvec = dvec.reshape(len(dvec), k, k)
     pos = {i: j for j, i in enumerate(needed)}
+    rows = [pos[x] for x, _, _ in cyclic]
+    cols = [pos[y] for _, y, _ in cyclic]
+
+    def entries(gs, ms):
+        # one K per flow point; only the needed block of P0 is formed, and
+        # only the bracketed pairs {F_x, F_y} are differentiated
+        k = kks_raw(case, ms)
+        pt = signs[0] * k[:, needed][:, :, needed]
+        if t != "kks":
+            pt = bruhat_matrix(case, gs, signs[1], k=k, block=needed) + t * pt
+        return pt[:, rows, cols]
+
+    dvec = directional_derivatives(case, g, entries, h)      # (dim, 3 * triples)
+    ch = coefficients_of_differential(pair, dvec)
     pt0 = bracket_matrix(pair, "kks" if t == "kks" else ("pencil", t))
-    worst = 0.0
-    for (a, b, c) in triples:
-        total = 0.0
-        for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-            ch = coefficients_of_differential(pair, dvec[:, pos[x], pos[y]])
-            total += float(ch @ pt0[:, z])
-        worst = max(worst, abs(total))
-    return worst
+    terms = (ch * pt0[:, [z for _, _, z in cyclic]]).sum(axis=0)
+    return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +306,20 @@ def _nstar_coefficient_matrix(pair):
 
 
 def traces_of_powers(case, g, k_max, signs=CALIBRATED_SIGNS):
-    """I_k = (1/k) Tr N^k for k = 1..k_max at the point g."""
-    pair = build_pair(case, g, signs, validate=False)
-    nt = nijenhuis_restricted(pair)
+    """I_k = (1/k) Tr N^k for k = 1..k_max at g, one point or a stack
+    (..., N, N) -> (..., k_max); one stacked SVD of K for the tangent basis."""
+    g = np.asarray(g)
+    k = kks_raw(case, _moment(case, g))
+    p0 = bruhat_matrix(case, g, signs[1], k=k)
+    u, _, _, rank = _tangent_svd(case, k)
+    nt = _restricted(p0, signs[0] * k, u[..., :rank])
     out = []
-    acc = np.eye(nt.shape[0])
-    for k in range(1, k_max + 1):
-        acc = acc @ nt
-        out.append(np.trace(acc).real / k)
-    return np.array(out)
+    acc = nt
+    for j in range(1, k_max + 1):
+        if j > 1:
+            acc = acc @ nt
+        out.append(np.trace(acc, axis1=-2, axis2=-1) / j)
+    return np.stack(out, axis=-1)
 
 
 def lenard_check(case, g, k_max, signs=CALIBRATED_SIGNS, h=DEFAULT_FD_STEP):
@@ -265,7 +330,7 @@ def lenard_check(case, g, k_max, signs=CALIBRATED_SIGNS, h=DEFAULT_FD_STEP):
     """
     pair = build_pair(case, g, signs)
     dvec = directional_derivatives(
-        case, g, lambda gg, mm: traces_of_powers(case, gg, k_max, signs), h)
+        case, g, lambda gs, ms: traces_of_powers(case, gs, k_max, signs), h)
     bmat = _nstar_coefficient_matrix(pair)
     res = []
     for k in range(k_max - 1):
@@ -284,7 +349,7 @@ def nstar_eigen_residual(case, g, signs=CALIBRATED_SIGNS, h=DEFAULT_FD_STEP):
     m = pair.point.m
     lam = _spectrum.chain_free_vector(case, m)
     dvec = directional_derivatives(
-        case, g, lambda gg, mm: _spectrum.chain_free_vector(case, mm), h)
+        case, g, lambda gs, ms: _spectrum.chain_free_vector(case, ms), h)
     bmat = _nstar_coefficient_matrix(pair)
     worst = 0.0
     for i, li in enumerate(lam):
@@ -305,7 +370,7 @@ def connection_check(case, g, v):
     bdi lacks the block form; the check degenerates there and is flagged.
     """
     alg = case.alg
-    m = g @ case.rho @ g.conj().T
+    m = _moment(case, g)
     jv = alg.j_apply(v)
     full = (-jv + (m @ v - v @ m)) @ g
     if case.tag == "bdi":

@@ -217,8 +217,11 @@ def batch_free_values(case, batch):
 
 
 def chain_free_vector(case, m):
-    """All free mapped eigenvalues in fixed label order (for fd gradients)."""
-    return free_value_map(case, chain_batch(case, np.asarray(m)[None]))[0]
+    """All free mapped eigenvalues in fixed label order (for fd gradients):
+    (n_eig,) at one point, (..., n_eig) for a stack (..., N, N)."""
+    m = np.asarray(m)
+    vals = free_value_map(case, chain_batch(case, m.reshape((-1,) + m.shape[-2:])))
+    return vals.reshape(m.shape[:-2] + vals.shape[-1:])
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def _master_residual(case, pair, m, x):
     """The tangent vector v = [x, m] (scaled to at most unit coefficient
     norm) and max |N_pencil v - N_formula v|."""
     v = x @ m - m @ x
-    v /= max(1.0, np.linalg.norm(case.alg.coefficients(v).real))
+    v /= max(1.0, np.linalg.norm(case.alg.real_coefficients(v)))
     n_pencil = poisson.nijenhuis_apply(pair, v, check=False)
     return v, np.abs(n_pencil - poisson.nijenhuis_formula(case, m, v)).max()
 
@@ -118,14 +118,13 @@ def _calibration_residual(case, signs, points):
     s_k, s_0 = signs
     worst = 0.0
     for g in points:
-        m = g @ case.rho @ g.conj().T
-        k = poisson.kks_raw(case, m)
+        pair = poisson.build_pair(case, g, signs, validate=False)
+        m, k = pair.point.m, pair.k_raw
         scale = max(1.0, np.abs(k).max())
         # fd flow derivatives of all coordinates along all flows
         dmat = poisson.directional_derivatives(
-            case, g, lambda gg, mm: case.alg.coefficients(mm).real)
+            case, g, lambda gs, ms: case.alg.real_coefficients(ms))
         worst = max(worst, np.abs(dmat - (-s_k * k)).max() / scale)
-        pair = poisson.build_pair(case, g, signs, validate=False)
         rng = np.random.default_rng(17)
         for _ in range(3):
             x = case.alg.from_coefficients(rng.standard_normal(case.alg.dim))
@@ -186,7 +185,7 @@ def _gap_regular_points(case, seed, g_batch, chain, n_needed, max_index):
 
 def _involution_residuals(case, g, pair):
     dvec = poisson.directional_derivatives(
-        case, g, lambda gg, mm: spectrum.chain_free_vector(case, mm))
+        case, g, lambda gs, ms: spectrum.chain_free_vector(case, ms))
     res = {}
     for which in ("kks", "bruhat"):
         br = poisson.gradient_bracket(pair, dvec.T, which)
@@ -288,6 +287,10 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
         unknown = set(tolerances) - set(tols)
         if unknown:
             raise UsageError(f"unknown tolerance names: {sorted(unknown)}")
+        # zero stays valid: the strictest tolerance, passed only by exact zeros
+        bad = sorted(n for n, v in tolerances.items() if not 0 <= v < np.inf)
+        if bad:
+            raise UsageError(f"tolerances must be finite and >= 0: {bad}")
         tols.update(tolerances)
     if signs is None:
         signs = calibrate().signs

@@ -100,8 +100,12 @@ def test_calibrate_rejects_non_diii_case(capsys):
     ["calibrate", "--samples", "-1"],
     ["spectrum", "--case", "ci:n=2,foo=3"],
     ["spectrum", "--case", "ci:n=2,n=3"],
+    ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol", "lenard=nan"],
+    ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol", "lenard=-1"],
+    ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol", "lenard=inf"],
 ], ids=["verify-samples-0", "verify-samples-neg", "polytope-samples-0",
-        "calibrate-samples-neg", "case-unknown-param", "case-repeated-param"])
+        "calibrate-samples-neg", "case-unknown-param", "case-repeated-param",
+        "tol-nan", "tol-neg", "tol-inf"])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == 2

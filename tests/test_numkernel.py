@@ -68,7 +68,7 @@ def test_fd_gradient_eigenvalue_family_richardson(sp2):
 
     def grad(h):
         return directional_derivatives(
-            sp2, p.g, lambda g, m: chain_free_vector(sp2, m), h)
+            sp2, p.g, lambda gs, ms: chain_free_vector(sp2, ms), h)
 
     richardson = (4 * grad(5e-4) - grad(1e-3)) / 3
     assert np.abs(grad(1e-5) - richardson).max() <= 1e-6

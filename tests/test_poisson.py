@@ -6,11 +6,15 @@ import pytest
 from pnorbit import (ConventionError, build_case, build_pair, bruhat_matrix,
                      chain_spectrum, lenard_check, nijenhuis_apply,
                      nijenhuis_formula, pencil_spectrum)
-from pnorbit.hermsym import (batch_points, random_point, sample_rng,
-                             stabilizer_element)
+from pnorbit.hermsym import (batch_points, parse_case, random_point,
+                             sample_rng, stabilizer_element)
+from pnorbit.numkernel import DEFAULT_FD_STEP
 from pnorbit.poisson import (connection_check, directional_derivatives,
-                             gradient_bracket, jacobi_residual, kks_raw,
-                             nstar_eigen_residual, pencil_eigenvalues)
+                             flow_points, gradient_bracket, jacobi_residual,
+                             kks_raw, nijenhuis_restricted,
+                             nstar_eigen_residual, pencil_eigenvalues,
+                             traces_of_powers)
+from pnorbit.spectrum import chain_free_vector
 
 SIGNS = (1, -1)
 
@@ -70,11 +74,72 @@ def test_kernels_match_einsum_oracle(all_cases):
         gs, _ = batch_points(case, 89, 0, 5)
         for g in [np.eye(case.alg.size, dtype=complex), *gs]:
             m = g @ case.rho @ g.conj().T
-            for new, ref in ((kks_raw(case, m), einsum_kks_raw(case, m)),
-                             (bruhat_matrix(case, g),
-                              einsum_bruhat_matrix(case, g))):
+            k = kks_raw(case, m)
+            p0_ref = einsum_bruhat_matrix(case, g)
+            for new, ref in ((k, einsum_kks_raw(case, m)),
+                             (bruhat_matrix(case, g), p0_ref),
+                             (bruhat_matrix(case, g, k=k), p0_ref)):
                 scale = max(1.0, np.abs(ref).max())
                 assert np.abs(new - ref).max() <= 1e-13 * scale, case.name
+
+
+def test_stacked_kernels_match_per_point(all_cases):
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, ms = batch_points(case, 13, 0, 4)
+        k = kks_raw(case, ms)
+        p0 = bruhat_matrix(case, gs)
+        block = [0, case.alg.dim - 1, 1]
+        p0_block = bruhat_matrix(case, gs, k=k, block=block)
+        for i in range(len(gs)):
+            k_i = kks_raw(case, ms[i])
+            assert np.array_equal(k[i], k_i), case.name
+            assert np.array_equal(p0[i], bruhat_matrix(case, gs[i])), case.name
+            k_g = kks_raw(case, gs[i] @ case.rho @ gs[i].conj().T)
+            assert np.array_equal(p0[i], bruhat_matrix(case, gs[i], k=k_g))
+            assert np.abs(p0_block[i] - p0[i][np.ix_(block, block)]).max() <= (
+                1e-14 * max(1.0, np.abs(p0[i]).max()))
+        # two leading axes
+        assert np.array_equal(bruhat_matrix(case, gs.reshape((2, 2) + gs.shape[1:])),
+                              p0.reshape((2, 2) + p0.shape[1:]))
+
+
+def test_traces_of_powers_stack_matches_pair_route(all_cases):
+    for case in all_cases:
+        gs, _ = batch_points(case, 29, 0, 3)
+        got = traces_of_powers(case, gs, case.n_eig + 1, SIGNS)
+        assert got.shape == (3, case.n_eig + 1)
+        for g, row in zip(gs, got):
+            nt = nijenhuis_restricted(build_pair(case, g, SIGNS))
+            ref = [np.trace(np.linalg.matrix_power(nt, j)) / j
+                   for j in range(1, case.n_eig + 2)]
+            assert np.abs(row - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("descriptor,several", [("aiii:k=2,n=4", False),
+                                                ("diii:n=6", True)])
+def test_directional_derivatives_match_pointwise_loop(descriptor, several):
+    case = parse_case(descriptor)
+    g = random_point(case, 19).g
+    calls = []
+
+    def funcs(gs, ms):
+        calls.append(len(gs))
+        k = kks_raw(case, ms)
+        p0 = bruhat_matrix(case, gs, SIGNS[1], k=k)
+        return np.concatenate([k.reshape(len(k), -1), p0.reshape(len(k), -1),
+                               chain_free_vector(case, ms)], axis=1)
+
+    got = directional_derivatives(case, g, funcs)
+    assert sum(calls) == 2 * case.alg.dim
+    assert (len(calls) > 1) == several
+    # the per-point oracle: one flow point per call, forward minus backward
+    h = DEFAULT_FD_STEP
+    rows = []
+    for gp, gm in flow_points(case, g, h):
+        fp = funcs(gp[None], (gp @ case.rho @ gp.conj().T)[None])[0]
+        fm = funcs(gm[None], (gm @ case.rho @ gm.conj().T)[None])[0]
+        rows.append((fp - fm) / (2 * h))
+    assert np.abs(got - np.stack(rows)).max() <= 1e-12
 
 
 def test_build_pair_takes_one_svd(gr24, monkeypatch):
@@ -177,7 +242,7 @@ def test_bracket_of_coordinates_closed_form(sp2):
     k = kks_raw(sp2, p.m)
     coords = [0, 3, 2, 7, 1, 4]
     dvec = directional_derivatives(
-        sp2, p.g, lambda g, m: sp2.alg.coefficients(m).real[coords])
+        sp2, p.g, lambda gs, ms: sp2.alg.coefficients(ms).real[:, coords])
     br = gradient_bracket(pair, dvec.T, "kks")
     for i in range(0, len(coords), 2):
         a, b = coords[i], coords[i + 1]
@@ -189,11 +254,11 @@ def test_bracket_leibniz(gr24):
     p = random_point(gr24, 61)
     pair = build_pair(gr24, p.g, SIGNS)
 
-    def funcs(g, m):
-        f1, f2, f3 = gr24.alg.coefficients(m).real[[0, 4, 9]]
-        return np.array([f1, f2, f3, f1 * f2])
+    def funcs(gs, ms):
+        f = gr24.alg.coefficients(ms).real[:, [0, 4, 9]]
+        return np.concatenate([f, f[:, :1] * f[:, 1:2]], axis=1)
 
-    f1, f2, _, _ = funcs(p.g, p.m)
+    f1, f2, _, _ = funcs(p.g[None], p.m[None])[0]
     dvec = directional_derivatives(gr24, p.g, funcs)
     for which in ("kks", "bruhat"):
         br = gradient_bracket(pair, dvec.T, which)

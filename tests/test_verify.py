@@ -106,3 +106,19 @@ def test_diii_normalization_measurement():
     assert out["matches"] in ("[0,2]", "[-1,3]")
     lo, hi = eval(out["matches"])      # the literal "[a,b]" candidates
     assert out["min"] >= lo - 1e-6 and out["max"] <= hi + 1e-6
+
+
+@pytest.mark.parametrize("descriptor", ["aiii:k=4,n=8", "ci:n=5", "diii:n=6",
+                                        "bdi:m=11"])
+def test_scale_tier_passes(descriptor):
+    # beyond desk scale, at reduced samples: every check must still hold
+    report = run_suite(descriptor, 10, seed=2024)
+    failed = [(c.name, c.max_residual) for c in report.checks if not c.passed]
+    assert not failed, failed
+
+
+def test_run_suite_accepts_zero_tolerance(gr12):
+    # zero is the strictest valid tolerance (NaN, negative and infinite
+    # values exit 2, see test_cli): the check runs and fails
+    report = run_suite(gr12, n_samples=3, seed=0, tolerances={"doubling": 0.0})
+    assert [c.name for c in report.checks if not c.passed] == ["doubling"]
