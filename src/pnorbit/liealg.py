@@ -176,8 +176,8 @@ class LieAlgebra:
 
     # -- J and friends -----------------------------------------------------
     def j_apply(self, x):
-        """J(x), extended complex-linearly to g_C."""
-        return self.from_coefficients(self.jmat @ self.coefficients(x))
+        """J(x), extended complex-linearly to g_C; x may be a stack."""
+        return self.from_coefficients(self.coefficients(x) @ self.jmat.T)
 
     def j_apply_stack(self, coefs):
         """J on a stack of coefficient vectors, returning matrices."""

@@ -30,6 +30,16 @@ vectors as P0 . PK^+, and independently in closed form as
 N v = [-J(v), m] + v.  One SVD of K gives the rank test, the tangent basis
 and K^+ = V_r diag(1/s_r) U_r^T, with the cut s > 1e-9 s_0 that
 pinv(K, rcond=1e-9) would apply.
+
+Stack contract of the pencil: `build_pair` takes one g (N, N) or a stack
+(S, N, N), and every `BracketPair` field then carries the same leading
+axis.  `nijenhuis_apply`, `nijenhuis_formula`, `connection_check`,
+`pencil_eigenvalues` and `pencil_spectrum` take such pairs (and matching
+stacks of vectors); their checks run per row with the per-point scales and
+tolerances, so a stack raises whenever one of its rows would.  A single
+point is a batch of one through the same code.  `stack_chunk(case)` is the
+one rule for how many points go into a stacked call, shared by the sample
+loops in `verify` and the fd flows (`_flow_chunk`).
 """
 
 from dataclasses import dataclass, field
@@ -98,6 +108,11 @@ def _tangent_svd(case, k):
     return u, s, vt, case.dim_m
 
 
+def _rows_max(x):
+    """max |x| over the last two axes, one value per stack row."""
+    return np.abs(x).max(axis=(-2, -1))
+
+
 def _restricted(p0, pk, b):
     """P0 PK^-1 on the tangent basis b (leading stack axes allowed)."""
     bt = np.swapaxes(b, -1, -2)
@@ -106,13 +121,14 @@ def _restricted(p0, pk, b):
 
 @dataclass
 class BracketPair:
-    """Both Poisson matrices at one orbit point, with tangent data."""
+    """Both Poisson matrices at one orbit point or a stack of them, with
+    tangent data; every array field has the stack's leading axes."""
 
     point: object                   # hermsym.OrbitPoint
     p0: np.ndarray
     pk: np.ndarray
     k_raw: np.ndarray = field(repr=False)
-    tangent: np.ndarray = field(repr=False)   # (dim, 2 n_eig) orthonormal
+    tangent: np.ndarray = field(repr=False)   # (..., dim, 2 n_eig) orthonormal
     k_pinv: np.ndarray = field(repr=False)    # K^+ from the rank-cut SVD
     signs: tuple = CALIBRATED_SIGNS
 
@@ -125,22 +141,32 @@ class BracketPair:
 
 
 def build_pair(case, g, signs=CALIBRATED_SIGNS, validate=True):
+    """Both brackets at g, one group element (N, N) or a stack (S, N, N).
+
+    One stacked SVD of K gives the rank check, the tangent basis and K^+.
+    validate checks, per row and against that row's scale, that P0 is
+    antisymmetric and that range(P0) lies in range(PK); any bad row raises.
+    """
     from .hermsym import OrbitPoint
+    g = np.asarray(g)
     m = _moment(case, g)
     k = kks_raw(case, m)
     p0 = bruhat_matrix(case, g, signs[1], k=k)
     u, s, vt, rank = _tangent_svd(case, k)
-    tangent = u[:, :rank]
+    tangent = u[..., :rank]
     # the pseudo-inverse pinv(k, rcond=1e-9) would take, from the same SVD
-    k_pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+    k_pinv = ((np.swapaxes(vt[..., :rank, :], -1, -2) / s[..., None, :rank])
+              @ np.swapaxes(tangent, -1, -2))
     pair = BracketPair(OrbitPoint(case, g, m), p0, signs[0] * k, k, tangent,
                        k_pinv, signs)
     if validate:
-        asym = np.abs(p0 + p0.T).max()
-        if asym > 1e-11 * max(1.0, np.abs(p0).max()):
-            raise ConventionError(f"Bruhat matrix antisymmetry residual {asym:.3e}")
-        proj = p0 - tangent @ (tangent.T @ p0)
-        if np.abs(proj).max() > 1e-9 * max(1.0, np.abs(p0).max()):
+        scale = np.maximum(1.0, _rows_max(p0))
+        asym = _rows_max(p0 + np.swapaxes(p0, -1, -2))
+        if (asym > 1e-11 * scale).any():
+            raise ConventionError(
+                f"Bruhat matrix antisymmetry residual {asym.max():.3e}")
+        proj = p0 - tangent @ (np.swapaxes(tangent, -1, -2) @ p0)
+        if (_rows_max(proj) > 1e-9 * scale).any():
             raise ConventionError("range(P0) not contained in range(PK)")
     return pair
 
@@ -150,44 +176,50 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS, validate=True):
 # ---------------------------------------------------------------------------
 
 def nijenhuis_apply(pair, v, check=True, tol=1e-9):
-    """Pencil route: N v with t(Nv) = P0 PK^+ t(v); v must be tangent."""
-    t = pair.case.alg.real_coefficients(v)
+    """Pencil route: N v with t(Nv) = P0 PK^+ t(v); v must be tangent.
+
+    v is one matrix per row of the pair, (..., N, N).
+    """
+    t = pair.case.alg.real_coefficients(v)[..., None]      # column vectors
     if check:
-        res = np.linalg.norm(t - pair.tangent @ (pair.tangent.T @ t))
-        if res > tol * max(1.0, np.linalg.norm(t)):
-            raise ConventionError(f"vector is not tangent: residual {res:.3e}")
-    return pair.case.alg.from_coefficients(pair.p0 @ (pair.pk_pinv() @ t))
+        tan = pair.tangent
+        res = np.linalg.norm(t - tan @ (np.swapaxes(tan, -1, -2) @ t),
+                             axis=(-2, -1))
+        if (res > tol * np.maximum(1.0, np.linalg.norm(t, axis=(-2, -1)))).any():
+            raise ConventionError(f"vector is not tangent: residual {res.max():.3e}")
+    return pair.case.alg.from_coefficients((pair.p0 @ (pair.pk_pinv() @ t))[..., 0])
 
 
 def nijenhuis_formula(case, m, v):
-    """Closed-form route: N v = [-J(v), m] + v."""
+    """Closed-form route: N v = [-J(v), m] + v (stacks allowed)."""
     jv = case.alg.j_apply(v)
     return -(jv @ m - m @ jv) + v
 
 
 def nijenhuis_restricted(pair):
-    """Matrix of N on the tangent basis (2 n_eig square)."""
+    """Matrix of N on the tangent basis (..., 2 n_eig, 2 n_eig)."""
     return _restricted(pair.p0, pair.pk, pair.tangent)
 
 
 def pencil_eigenvalues(pair, imag_tol=1e-8):
-    """All 2 n_eig eigenvalues of the tangent-restricted N, sorted real parts."""
-    nt = nijenhuis_restricted(pair)
-    ev = np.linalg.eigvals(nt)
-    scale = max(1.0, np.abs(ev).max())
-    im = np.abs(ev.imag).max()
-    if im > imag_tol * scale:
-        raise NumericalError(f"pencil eigenvalues not real: max imag {im:.3e}")
-    return np.sort(ev.real), im
+    """All 2 n_eig eigenvalues of the tangent-restricted N, sorted real
+    parts (..., 2 n_eig), and the largest imaginary part per row (...)."""
+    ev = np.linalg.eigvals(nijenhuis_restricted(pair))
+    scale = np.maximum(1.0, np.abs(ev).max(axis=-1))
+    im = np.abs(ev.imag).max(axis=-1)
+    if (im > imag_tol * scale).any():
+        raise NumericalError(f"pencil eigenvalues not real: max imag {im.max():.3e}")
+    return np.sort(ev.real, axis=-1), im
 
 
 def pencil_spectrum(pair, pair_tol=1e-8, imag_tol=1e-8):
-    """De-doubled pencil eigenvalues, ascending (length n_eig)."""
+    """De-doubled pencil eigenvalues, ascending (..., n_eig)."""
     ev, _ = pencil_eigenvalues(pair, imag_tol)
-    gap = np.abs(ev[0::2] - ev[1::2]).max()
+    lo, hi = ev[..., 0::2], ev[..., 1::2]
+    gap = np.abs(lo - hi).max()
     if gap > pair_tol:
         raise NumericalError(f"eigenvalue pairing failed: gap {gap:.3e}")
-    return (ev[0::2] + ev[1::2]) / 2
+    return (lo + hi) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +233,23 @@ def flow_points(case, g, h=DEFAULT_FD_STEP):
     return np.stack([steps, _dagger(steps)], axis=1) @ g
 
 
-# Bytes of one (chunk, dim, N, N) complex product; the stacked Bruhat
-# kernel holds two of them at once.
+# Byte budget for the stacked Bruhat kernel's two (chunk, dim, N, N) complex
+# products: both fit in it at stack_chunk points; a flow chunk has twice as
+# many points, so there each product alone fits in it.
 _FLOW_CHUNK_BYTES = 1 << 18
 
 
-def _flow_chunk(case):
-    """Flow points per funcs call (even, at least 2), from dim N^2 and the
+def stack_chunk(case):
+    """Points per stacked bracket call (at least 1), from dim N^2 and the
     byte budget."""
     alg = case.alg
-    return 2 * max(1, _FLOW_CHUNK_BYTES // (32 * alg.dim * alg.size ** 2))
+    return max(1, _FLOW_CHUNK_BYTES // (32 * alg.dim * alg.size ** 2))
+
+
+def _flow_chunk(case):
+    """Flow points per funcs call: both signs of stack_chunk(case)
+    directions."""
+    return 2 * stack_chunk(case)
 
 
 def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP):
@@ -365,7 +404,8 @@ def nstar_eigen_residual(case, g, signs=CALIBRATED_SIGNS, h=DEFAULT_FD_STEP):
 
 def connection_check(case, g, v):
     """Residual between the full connection formula (-J(v) + [m, v]) g and
-    the eigenbundle block form -/+ C_pm(v) sigma_pm.
+    the eigenbundle block form -/+ C_pm(v) sigma_pm; for stacks of g and v,
+    the largest residual over the rows.
 
     bdi lacks the block form; the check degenerates there and is flagged.
     """

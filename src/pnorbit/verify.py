@@ -106,9 +106,10 @@ class VerificationReport:
 
 def _master_residual(case, pair, m, x):
     """The tangent vector v = [x, m] (scaled to at most unit coefficient
-    norm) and max |N_pencil v - N_formula v|."""
+    norm) and max |N_pencil v - N_formula v|, over the rows of a stack."""
     v = x @ m - m @ x
-    v /= max(1.0, np.linalg.norm(case.alg.real_coefficients(v)))
+    norm = np.linalg.norm(case.alg.real_coefficients(v), axis=-1)
+    v /= np.maximum(1.0, norm)[..., None, None]
     n_pencil = poisson.nijenhuis_apply(pair, v, check=False)
     return v, np.abs(n_pencil - poisson.nijenhuis_formula(case, m, v)).max()
 
@@ -281,6 +282,8 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
     """Run every check for one case; returns a VerificationReport."""
     if isinstance(case, str):
         case = hermsym.parse_case(case)
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     t0 = time.monotonic()
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -341,8 +344,9 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
     margins = spectrum.batch_margins(case, chain)
     pencil = np.empty_like(chain_sorted)
 
-    for i in range(n_samples):
-        g, m = g_batch[i], m_batch[i]
+    step = poisson.stack_chunk(case)
+    for i in range(0, n_samples, step):
+        g, m = g_batch[i:i + step], m_batch[i:i + step]
         pair = poisson.build_pair(case, g, signs)
         for a in dir_idx:
             v, res = _master_residual(case, pair, m, case.alg.basis[a])
@@ -351,11 +355,11 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
             if has_blocks:
                 res_blocks = max(res_blocks, rb)
             else:
-                blocks_skipped += 1
+                blocks_skipped += len(g)
         ev, im = poisson.pencil_eigenvalues(pair)
-        res_imag = max(res_imag, im)
-        res_pair = max(res_pair, np.abs(ev[0::2] - ev[1::2]).max())
-        pencil[i] = (ev[0::2] + ev[1::2]) / 2
+        res_imag = max(res_imag, im.max())
+        res_pair = max(res_pair, np.abs(ev[:, 0::2] - ev[:, 1::2]).max())
+        pencil[i:i + step] = (ev[:, 0::2] + ev[:, 1::2]) / 2
 
     _check(checks, tols, "connection_master", res_master)
     _check(checks, tols, "connection_blocks", res_blocks, skipped=blocks_skipped)
@@ -427,18 +431,24 @@ def measure_diii_normalization(n=3, samples=10000, seed=424242, signs=None,
 
     Decides between the two candidate eigenvalue ranges [0,2] and [-1,3]
     without assuming either: the candidates only differ outside [0,2].
+    Each 200-sample draw goes through the pencil in stacks of
+    poisson.stack_chunk(case) points.
     """
+    if samples < 1:
+        raise UsageError(f"samples must be >= 1, got {samples}")
     case = hermsym.build_case("diii", n=n)
     if signs is None:
         signs = calibrate().signs
     lo, hi = np.inf, -np.inf
     chunk = 200
+    step = poisson.stack_chunk(case)
     done = 0
     while done < samples:
         cnt = min(chunk, samples - done)
         g_batch, _ = hermsym.batch_points(case, seed, done, cnt)
-        for g in g_batch:
-            pair = poisson.build_pair(case, g, signs, validate=False)
+        for i in range(0, cnt, step):
+            pair = poisson.build_pair(case, g_batch[i:i + step], signs,
+                                      validate=False)
             lam = poisson.pencil_spectrum(pair)
             lo = min(lo, lam.min())
             hi = max(hi, lam.max())

@@ -103,9 +103,10 @@ def test_calibrate_rejects_non_diii_case(capsys):
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol", "lenard=nan"],
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol", "lenard=-1"],
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol", "lenard=inf"],
+    ["verify", "--case", "aiii:k=1,n=2", "--samples", "2", "--seed", "-1"],
 ], ids=["verify-samples-0", "verify-samples-neg", "polytope-samples-0",
         "calibrate-samples-neg", "case-unknown-param", "case-repeated-param",
-        "tol-nan", "tol-neg", "tol-inf"])
+        "tol-nan", "tol-neg", "tol-inf", "seed-neg"])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == 2

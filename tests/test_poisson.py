@@ -1,13 +1,17 @@
 """Bruhat/KKS matrices, the Nijenhuis pencil and the fd-based identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pnorbit import (ConventionError, build_case, build_pair, bruhat_matrix,
-                     chain_spectrum, lenard_check, nijenhuis_apply,
-                     nijenhuis_formula, pencil_spectrum)
-from pnorbit.hermsym import (batch_points, parse_case, random_point,
-                             sample_rng, stabilizer_element)
+from pnorbit import (ConventionError, NumericalError, build_case, build_pair,
+                     bruhat_matrix, chain_spectrum, lenard_check,
+                     nijenhuis_apply, nijenhuis_formula, pencil_spectrum)
+from pnorbit.hermsym import (OrbitPoint, batch_points, parse_case,
+                             random_point, sample_rng, stabilizer_element)
 from pnorbit.numkernel import DEFAULT_FD_STEP
 from pnorbit.poisson import (connection_check, directional_derivatives,
                              flow_points, gradient_bracket, jacobi_residual,
@@ -152,13 +156,100 @@ def test_build_pair_takes_one_svd(gr24, monkeypatch):
         return wrapper
 
     p = random_point(gr24, 97)
-    with monkeypatch.context() as mp:
-        mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-        mp.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
-        pair = build_pair(gr24, p.g, SIGNS)
-    assert calls == {"svd": 1, "pinv": 0}
-    ref = np.linalg.pinv(pair.k_raw, rcond=1e-9)
-    assert np.abs(pair.k_pinv - ref).max() <= 1e-12
+    gs, _ = batch_points(gr24, 97, 0, 6)
+    for g in (p.g, gs):               # one point, then a stack of six
+        calls.update(svd=0, pinv=0)
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+            mp.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
+            pair = build_pair(gr24, g, SIGNS)
+        assert calls == {"svd": 1, "pinv": 0}
+        ref = np.linalg.pinv(pair.k_raw, rcond=1e-9)
+        assert np.abs(pair.k_pinv - ref).max() <= 1e-12
+
+
+def pair_row(pair, i):
+    """Row i of a stacked BracketPair, as a pair of one point."""
+    pt = pair.point
+    return replace(pair, point=OrbitPoint(pt.case, pt.g[i], pt.m[i]),
+                   p0=pair.p0[i], pk=pair.pk[i], k_raw=pair.k_raw[i],
+                   tangent=pair.tangent[i], k_pinv=pair.k_pinv[i])
+
+
+def test_stacked_pencil_matches_batch_of_one(all_cases):
+    rng = np.random.default_rng(7)
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, ms = batch_points(case, 37, 0, 4)
+        gs = np.concatenate([np.eye(case.alg.size, dtype=complex)[None], gs])
+        ms = np.concatenate([case.rho[None], ms])
+        pair = build_pair(case, gs, SIGNS)
+        assert pair.p0.shape == (5, case.alg.dim, case.alg.dim)
+        ev, im = pencil_eigenvalues(pair)
+        lam = pencil_spectrum(pair)
+        vs = np.stack([tangent_vector(case, m, rng) for m in ms])
+        n_pencil = nijenhuis_apply(pair, vs)
+        n_formula = nijenhuis_formula(case, ms, vs)
+        for i, g in enumerate(gs):
+            one = build_pair(case, g, SIGNS)
+            for name in ("p0", "pk", "k_pinv"):
+                got, want = getattr(pair, name)[i], getattr(one, name)
+                assert np.abs(got - want).max() <= 1e-13, (case.name, name)
+            # singular vectors are fixed up to sign
+            sign = np.sign((pair.tangent[i] * one.tangent).sum(axis=0))
+            assert np.abs(pair.tangent[i] * sign - one.tangent).max() <= 1e-13
+            ev1, im1 = pencil_eigenvalues(one)
+            assert np.abs(ev[i] - ev1).max() <= 1e-13, case.name
+            assert abs(im[i] - im1) <= 1e-13
+            assert np.abs(lam[i] - pencil_spectrum(one)).max() <= 1e-13
+            assert np.abs(n_pencil[i] - nijenhuis_apply(one, vs[i])).max() <= 1e-13
+            assert np.abs(n_formula[i]
+                          - nijenhuis_formula(case, ms[i], vs[i])).max() <= 1e-13
+
+
+def test_stack_raises_when_one_row_breaks_a_check(gr24):
+    gs, ms = batch_points(gr24, 41, 0, 4)
+    # a non-unitary row: g rho g^dag leaves the orbit and K gains rank
+    bad_gs = gs.copy()
+    bad_gs[2] = bad_gs[2] * np.array([1.5, 1.0, 1.0, 1.0])
+    for g in (bad_gs[2], bad_gs):
+        with pytest.raises(NumericalError, match="KKS rank"):
+            build_pair(gr24, g, SIGNS)
+
+    pair = build_pair(gr24, gs, SIGNS)
+    # a non-tangent vector in one row
+    rng = np.random.default_rng(5)
+    vs = np.stack([tangent_vector(gr24, m, rng) for m in ms])
+    vs[1] = gr24.alg.cartan_element([1.0, 0.5, 0.2])
+    for p, v in ((pair_row(pair, 1), vs[1]), (pair, vs)):
+        with pytest.raises(ConventionError, match="not tangent"):
+            nijenhuis_apply(p, v)
+
+    # one row whose restricted N is similar to q: complex, then unpaired
+    t = pair.tangent[3]
+    rot = np.kron(np.eye(t.shape[1] // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    for q, msg in ((rot, "not real"), (np.diag(np.arange(t.shape[1])), "pairing")):
+        p0 = pair.p0.copy()
+        p0[3] = pair.pk[3] @ t @ q @ t.T
+        broken = replace(pair, p0=p0)
+        for p in (pair_row(broken, 3), broken):
+            with pytest.raises(NumericalError, match=msg):
+                pencil_spectrum(p)
+        pencil_spectrum(pair_row(broken, 2))     # the other rows are fine
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["aiii:k=1,n=3", "aiii:k=2,n=4", "ci:n=2", "ci:n=3",
+                        "diii:n=3", "diii:n=4", "bdi:m=5", "bdi:m=6"]),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=2, max_value=10), st.data())
+def test_pencil_spectrum_independent_of_chunking(desc, seed, count, data):
+    case = parse_case(desc)
+    split = data.draw(st.integers(min_value=1, max_value=count - 1))
+    gs, _ = batch_points(case, seed, 0, count)
+    whole = pencil_spectrum(build_pair(case, gs, SIGNS))
+    parts = [pencil_spectrum(build_pair(case, part, SIGNS))
+             for part in (gs[:split], gs[split:])]
+    assert np.abs(np.concatenate(parts) - whole).max() <= 1e-13
 
 
 def test_bruhat_zero_at_identity(all_cases):

@@ -9,7 +9,7 @@ from pnorbit import (build_case, build_pair, calibrate,
                      measure_diii_normalization, pencil_spectrum, run_suite,
                      vertex_probe)
 from pnorbit.errors import UsageError
-from pnorbit.hermsym import random_point
+from pnorbit.hermsym import batch_points, random_point
 from pnorbit.verify import DEFAULT_TOLERANCES, _calibration_residual
 
 
@@ -22,7 +22,6 @@ def test_calibration_unique_pair():
 
 
 def test_calibrated_pair_works_on_sp1():
-    from pnorbit.hermsym import batch_points
     case = build_case("ci", n=1)
     g_batch, _ = batch_points(case, 4, 0, 5)
     assert _calibration_residual(case, (1, -1), g_batch) <= 1e-8
@@ -106,6 +105,23 @@ def test_diii_normalization_measurement():
     assert out["matches"] in ("[0,2]", "[-1,3]")
     lo, hi = eval(out["matches"])      # the literal "[a,b]" candidates
     assert out["min"] >= lo - 1e-6 and out["max"] <= hi + 1e-6
+
+
+def test_diii_normalization_matches_pointwise_loop():
+    # 450 samples cross the 200-sample draws and the stacked sub-chunks
+    case = build_case("diii", n=3)
+    g_batch, _ = batch_points(case, 31, 0, 450)
+    lams = [pencil_spectrum(build_pair(case, g, (1, -1), validate=False))
+            for g in g_batch]
+    out = measure_diii_normalization(n=3, samples=450, seed=31)
+    assert abs(out["min"] - min(lam.min() for lam in lams)) <= 1e-13
+    assert abs(out["max"] - max(lam.max() for lam in lams)) <= 1e-13
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_diii_normalization_rejects_empty_sample(samples):
+    with pytest.raises(UsageError):
+        measure_diii_normalization(n=3, samples=samples)
 
 
 @pytest.mark.parametrize("descriptor", ["aiii:k=4,n=8", "ci:n=5", "diii:n=6",
