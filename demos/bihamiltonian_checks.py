@@ -12,7 +12,6 @@ Run:  python demos/bihamiltonian_checks.py
 import numpy as np
 
 import pnorbit as pn
-from pnorbit import poisson
 from pnorbit.hermsym import random_point
 from pnorbit.poisson import (directional_derivatives, gradient_bracket,
                              jacobi_residual)
@@ -41,8 +40,8 @@ print("\ninvolution of the eigenvalue functions:")
 # funcs take stacks of flow points (gs, ms) and return one row per point
 dvec = directional_derivatives(case, point.g,
                                lambda gs, ms: chain_free_vector(case, ms))
-for which in ("kks", "bruhat"):
-    br = gradient_bracket(pair, dvec.T, which)
+for which, p in (("kks", pair.pk), ("bruhat", pair.p0)):
+    br = gradient_bracket(pair, dvec.T, p)
     off = np.abs(br - np.diag(np.diag(br))).max()
     print(f"  max |{{l_i, l_j}}| under {which:<6}: {off:.2e}")
 

@@ -13,9 +13,8 @@ from .hermsym import (Case, OrbitPoint, build_case, parse_case, moment,
                       idempotents, random_point)
 from .liealg import (LieAlgebra, build_algebra, c_minus, c_plus,
                      im_tr_pairing, iwasawa_project, j_operator)
-from .poisson import (BracketPair, bruhat_matrix, build_pair, kks_matrix,
-                      lenard_check, nijenhuis_apply, nijenhuis_formula,
-                      pencil_spectrum)
+from .poisson import (BracketPair, bruhat_matrix, build_pair, lenard_check,
+                      nijenhuis_apply, nijenhuis_formula, pencil_spectrum)
 from .spectrum import (ChainSpectrum, chain_spectrum,
                        eigenvalue_map_constants, gt_interlace_check,
                        polytope_membership)
@@ -33,7 +32,7 @@ __all__ = [
     "c_minus", "c_plus", "calibrate", "chain_spectrum",
     "eigenvalue_map_constants", "gamma_matrices",
     "gt_interlace_check", "idempotents", "im_tr_pairing",
-    "iwasawa_project", "j_operator", "kks_matrix", "lenard_check",
+    "iwasawa_project", "j_operator", "lenard_check",
     "measure_diii_normalization", "moment", "nijenhuis_apply",
     "nijenhuis_formula", "parse_case", "pencil_spectrum",
     "polytope_membership", "random_point", "run_suite", "spin_basis",

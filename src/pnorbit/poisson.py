@@ -27,9 +27,10 @@ Iwasawa expression is kept as the oracle in the tests.
 `kks_raw` and `bruhat_matrix` take leading stack axes; callers that hold K
 pass it as `k=`.  The Nijenhuis operator acts on tangent coefficient
 vectors as P0 . PK^+, and independently in closed form as
-N v = [-J(v), m] + v.  One SVD of K gives the rank test, the tangent basis
-and K^+ = V_r diag(1/s_r) U_r^T, with the cut s > 1e-9 s_0 that
-pinv(K, rcond=1e-9) would apply.
+N v = [-J(v), m] + v.  `build_pair` takes the module's one SVD: of K, for
+the rank test, the tangent basis and K^+ = V_r diag(1/s_r) U_r^T, with the
+cut s > 1e-9 s_0 that pinv(K, rcond=1e-9) would apply.  `traces_of_powers`
+needs none, as Tr N^k is a trace of powers of K D.
 
 Stack contract of the pencil: `build_pair` takes one g (N, N) or a stack
 (S, N, N), and every `BracketPair` field then carries the same leading
@@ -39,7 +40,8 @@ stacks of vectors); their checks run per row with the per-point scales and
 tolerances, so a stack raises whenever one of its rows would.  A single
 point is a batch of one through the same code.  `stack_chunk(case)` is the
 one rule for how many points go into a stacked call, shared by the sample
-loops in `verify` and the fd flows (`_flow_chunk`).
+loops in `verify` and the fd flows (both signs of `stack_chunk(case)`
+directions per call).
 """
 
 from dataclasses import dataclass, field
@@ -74,8 +76,14 @@ def kks_raw(case, m):
     return np.swapaxes(p, -1, -2) - p
 
 
-def kks_matrix(case, m, s_k=CALIBRATED_SIGNS[0]):
-    return s_k * kks_raw(case, m)
+def _r_matrix(case, g):
+    """D = A J A^T - J, the r-matrix Ad_g J Ad_g^-1 - J in coefficients (g
+    may be a stack)."""
+    alg = case.alg
+    # A[..., a, b] = -Re Tr(g^-1 X_a g X_b): Ad_{g^-1} on coefficient rows
+    a = alg.real_coefficients(_dagger(g)[..., None, :, :] @ alg.basis
+                              @ g[..., None, :, :])
+    return a @ alg.jmat @ np.swapaxes(a, -1, -2) - alg.jmat
 
 
 def bruhat_matrix(case, g, s_0=CALIBRATED_SIGNS[1], k=None, block=None):
@@ -85,38 +93,12 @@ def bruhat_matrix(case, g, s_0=CALIBRATED_SIGNS[1], k=None, block=None):
     here when not given); block, a list of coordinate indices, restricts
     the result to P0[block][:, block].
     """
-    alg = case.alg
     g = np.asarray(g)
     if k is None:
         k = kks_raw(case, _moment(case, g))
-    # A[..., a, b] = -Re Tr(g^-1 X_a g X_b): Ad_{g^-1} on coefficient rows
-    a = alg.real_coefficients(_dagger(g)[..., None, :, :] @ alg.basis
-                              @ g[..., None, :, :])
-    mid = a @ alg.jmat @ np.swapaxes(a, -1, -2) - alg.jmat
+    mid = _r_matrix(case, g)
     left, right = (k, k) if block is None else (k[..., block, :], k[..., :, block])
     return -s_0 * (left @ mid @ right)
-
-
-def _tangent_svd(case, k):
-    """SVD of K (one or a stack) with the rank cut s > 1e-9 s_0 checked
-    against dim M; returns (u, s, vt, rank)."""
-    u, s, vt = np.linalg.svd(k)
-    ranks = (s > 1e-9 * s[..., :1]).sum(axis=-1)
-    bad = ranks[ranks != case.dim_m]
-    if bad.size:
-        raise NumericalError(f"KKS rank {int(bad.flat[0])} != dim M = {case.dim_m}")
-    return u, s, vt, case.dim_m
-
-
-def _rows_max(x):
-    """max |x| over the last two axes, one value per stack row."""
-    return np.abs(x).max(axis=(-2, -1))
-
-
-def _restricted(p0, pk, b):
-    """P0 PK^-1 on the tangent basis b (leading stack axes allowed)."""
-    bt = np.swapaxes(b, -1, -2)
-    return (bt @ p0 @ b) @ np.linalg.inv(bt @ pk @ b)
 
 
 @dataclass
@@ -140,35 +122,30 @@ class BracketPair:
         return self.signs[0] * self.k_pinv
 
 
-def build_pair(case, g, signs=CALIBRATED_SIGNS, validate=True):
+def build_pair(case, g, signs=CALIBRATED_SIGNS):
     """Both brackets at g, one group element (N, N) or a stack (S, N, N).
 
-    One stacked SVD of K gives the rank check, the tangent basis and K^+.
-    validate checks, per row and against that row's scale, that P0 is
-    antisymmetric and that range(P0) lies in range(PK); any bad row raises.
+    One stacked SVD of K gives the rank check (the cut s > 1e-9 s_0 must
+    leave dim M values in every row), the tangent basis and K^+.  P0 needs
+    no check: -s_0 K D K with D antisymmetric is antisymmetric and maps into
+    range(PK) by construction.
     """
     from .hermsym import OrbitPoint
     g = np.asarray(g)
     m = _moment(case, g)
     k = kks_raw(case, m)
     p0 = bruhat_matrix(case, g, signs[1], k=k)
-    u, s, vt, rank = _tangent_svd(case, k)
-    tangent = u[..., :rank]
+    u, s, vt = np.linalg.svd(k)
+    ranks = (s > 1e-9 * s[..., :1]).sum(axis=-1)
+    bad = ranks[ranks != case.dim_m]
+    if bad.size:
+        raise NumericalError(f"KKS rank {int(bad.flat[0])} != dim M = {case.dim_m}")
+    tangent = u[..., :case.dim_m]
     # the pseudo-inverse pinv(k, rcond=1e-9) would take, from the same SVD
-    k_pinv = ((np.swapaxes(vt[..., :rank, :], -1, -2) / s[..., None, :rank])
-              @ np.swapaxes(tangent, -1, -2))
-    pair = BracketPair(OrbitPoint(case, g, m), p0, signs[0] * k, k, tangent,
+    k_pinv = ((np.swapaxes(vt[..., :case.dim_m, :], -1, -2)
+               / s[..., None, :case.dim_m]) @ np.swapaxes(tangent, -1, -2))
+    return BracketPair(OrbitPoint(case, g, m), p0, signs[0] * k, k, tangent,
                        k_pinv, signs)
-    if validate:
-        scale = np.maximum(1.0, _rows_max(p0))
-        asym = _rows_max(p0 + np.swapaxes(p0, -1, -2))
-        if (asym > 1e-11 * scale).any():
-            raise ConventionError(
-                f"Bruhat matrix antisymmetry residual {asym.max():.3e}")
-        proj = p0 - tangent @ (np.swapaxes(tangent, -1, -2) @ p0)
-        if (_rows_max(proj) > 1e-9 * scale).any():
-            raise ConventionError("range(P0) not contained in range(PK)")
-    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +174,10 @@ def nijenhuis_formula(case, m, v):
 
 
 def nijenhuis_restricted(pair):
-    """Matrix of N on the tangent basis (..., 2 n_eig, 2 n_eig)."""
-    return _restricted(pair.p0, pair.pk, pair.tangent)
+    """Matrix of N = P0 PK^-1 on the tangent basis (..., 2 n_eig, 2 n_eig)."""
+    b = pair.tangent
+    bt = np.swapaxes(b, -1, -2)
+    return (bt @ pair.p0 @ b) @ np.linalg.inv(bt @ pair.pk @ b)
 
 
 def pencil_eigenvalues(pair, imag_tol=1e-8):
@@ -234,8 +213,9 @@ def flow_points(case, g, h=DEFAULT_FD_STEP):
 
 
 # Byte budget for the stacked Bruhat kernel's two (chunk, dim, N, N) complex
-# products: both fit in it at stack_chunk points; a flow chunk has twice as
-# many points, so there each product alone fits in it.
+# products: both fit in it at stack_chunk points; an fd flow call has twice
+# as many points (both signs of stack_chunk directions), so there each
+# product alone fits in it.
 _FLOW_CHUNK_BYTES = 1 << 18
 
 
@@ -246,26 +226,19 @@ def stack_chunk(case):
     return max(1, _FLOW_CHUNK_BYTES // (32 * alg.dim * alg.size ** 2))
 
 
-def _flow_chunk(case):
-    """Flow points per funcs call: both signs of stack_chunk(case)
-    directions."""
-    return 2 * stack_chunk(case)
-
-
 def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP):
     """fd derivatives of point functions along every fundamental flow.
 
     Stack contract: funcs maps stacks (gs, ms) of flow points, shapes
     (S, N, N), to values with a leading stack axis, (S, *value_shape); row
     s must depend on gs[s], ms[s] alone.  The 2 dim flow points go through
-    funcs in chunks of _flow_chunk(case) points (both signs of
-    _flow_chunk(case) / 2 directions), so that the stacked intermediates of
-    one call, about chunk * dim * N^2 complex numbers, stay within a fixed
-    byte budget.  Returns (dim, *value_shape).
+    funcs in chunks of both signs of stack_chunk(case) directions, so that
+    the stacked intermediates of one call, about chunk * dim * N^2 complex
+    numbers, stay within a fixed byte budget.  Returns (dim, *value_shape).
     """
     pts = flow_points(case, g, h)
     size = case.alg.size
-    step = _flow_chunk(case) // 2
+    step = stack_chunk(case)
     out = None
     for a in range(0, len(pts), step):
         gs = pts[a:a + step].reshape(-1, size, size)
@@ -287,20 +260,11 @@ def coefficients_of_differential(pair, dvec):
     return -pair.k_pinv @ dvec
 
 
-def bracket_matrix(pair, which):
-    if which == "kks":
-        return pair.pk
-    if which == "bruhat":
-        return pair.p0
-    if isinstance(which, tuple) and which[0] == "pencil":
-        return pair.p0 + which[1] * pair.pk
-    raise ConventionError(f"unknown bracket selector {which!r}")
-
-
-def gradient_bracket(pair, dvecs, which):
-    """Pairwise brackets of functions given their flow-derivative vectors."""
+def gradient_bracket(pair, dvecs, p):
+    """Pairwise brackets of functions given their flow-derivative vectors,
+    under the Poisson matrix p: pair.pk, pair.p0 or pair.p0 + t pair.pk."""
     c = coefficients_of_differential(pair, np.asarray(dvecs).T)   # (dim, nfuncs)
-    return c.T @ bracket_matrix(pair, which) @ c
+    return c.T @ p @ c
 
 
 def jacobi_residual(case, g, t, triples, signs=CALIBRATED_SIGNS,
@@ -329,7 +293,7 @@ def jacobi_residual(case, g, t, triples, signs=CALIBRATED_SIGNS,
 
     dvec = directional_derivatives(case, g, entries, h)      # (dim, 3 * triples)
     ch = coefficients_of_differential(pair, dvec)
-    pt0 = bracket_matrix(pair, "kks" if t == "kks" else ("pencil", t))
+    pt0 = pair.pk if t == "kks" else pair.p0 + t * pair.pk
     terms = (ch * pt0[:, [z for _, _, z in cyclic]]).sum(axis=0)
     return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
 
@@ -346,18 +310,23 @@ def _nstar_coefficient_matrix(pair):
 
 def traces_of_powers(case, g, k_max, signs=CALIBRATED_SIGNS):
     """I_k = (1/k) Tr N^k for k = 1..k_max at g, one point or a stack
-    (..., N, N) -> (..., k_max); one stacked SVD of K for the tangent basis."""
+    (..., N, N) -> (..., k_max), with no SVD.
+
+    N = P0 PK^+ = -s_0 s_K K D (K K^+) with D = A J A^T - J.  K K^+ is the
+    identity on range(K), the tangent space, and Tr is cyclic, so
+    Tr N^k = (-s_0 s_K)^k Tr (K D)^k.  No rank check is needed per point:
+    K has rank dim M all over the orbit, and lenard_check's build_pair
+    checks it at the base point.
+    """
     g = np.asarray(g)
-    k = kks_raw(case, _moment(case, g))
-    p0 = bruhat_matrix(case, g, signs[1], k=k)
-    u, _, _, rank = _tangent_svd(case, k)
-    nt = _restricted(p0, signs[0] * k, u[..., :rank])
+    kd = kks_raw(case, _moment(case, g)) @ _r_matrix(case, g)
+    c = -signs[1] * signs[0]
     out = []
-    acc = nt
+    acc = kd
     for j in range(1, k_max + 1):
         if j > 1:
-            acc = acc @ nt
-        out.append(np.trace(acc, axis1=-2, axis2=-1) / j)
+            acc = acc @ kd
+        out.append(c ** j * np.trace(acc, axis1=-2, axis2=-1) / j)
     return np.stack(out, axis=-1)
 
 

@@ -119,7 +119,7 @@ def _calibration_residual(case, signs, points):
     s_k, s_0 = signs
     worst = 0.0
     for g in points:
-        pair = poisson.build_pair(case, g, signs, validate=False)
+        pair = poisson.build_pair(case, g, signs)
         m, k = pair.point.m, pair.k_raw
         scale = max(1.0, np.abs(k).max())
         # fd flow derivatives of all coordinates along all flows
@@ -188,8 +188,8 @@ def _involution_residuals(case, g, pair):
     dvec = poisson.directional_derivatives(
         case, g, lambda gs, ms: spectrum.chain_free_vector(case, ms))
     res = {}
-    for which in ("kks", "bruhat"):
-        br = poisson.gradient_bracket(pair, dvec.T, which)
+    for which, p in (("kks", pair.pk), ("bruhat", pair.p0)):
+        br = poisson.gradient_bracket(pair, dvec.T, p)
         off = br - np.diag(np.diag(br))
         res[which] = np.abs(off).max()
     return res
@@ -313,7 +313,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
     res = np.abs(p0_id).max()
     cs0 = spectrum.chain_spectrum(case, case.rho, validate=False)
     res = max(res, np.abs(cs0.free_values()).max())
-    pair0 = poisson.build_pair(case, eye, signs, validate=False)
+    pair0 = poisson.build_pair(case, eye, signs)
     res = max(res, np.abs(poisson.pencil_eigenvalues(pair0)[0]).max())
     _check(checks, tols, "identity_coset_zero", res)
 
@@ -377,7 +377,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
                                           4 * n_samples)
     res_kks, res_bruhat = 0.0, 0.0
     for g in reg_gs:
-        pair = poisson.build_pair(case, g, signs, validate=False)
+        pair = poisson.build_pair(case, g, signs)
         r = _involution_residuals(case, g, pair)
         res_kks = max(res_kks, r["kks"])
         res_bruhat = max(res_bruhat, r["bruhat"])
@@ -447,8 +447,7 @@ def measure_diii_normalization(n=3, samples=10000, seed=424242, signs=None,
         cnt = min(chunk, samples - done)
         g_batch, _ = hermsym.batch_points(case, seed, done, cnt)
         for i in range(0, cnt, step):
-            pair = poisson.build_pair(case, g_batch[i:i + step], signs,
-                                      validate=False)
+            pair = poisson.build_pair(case, g_batch[i:i + step], signs)
             lam = poisson.pencil_spectrum(pair)
             lo = min(lo, lam.min())
             hi = max(hi, lam.max())

@@ -124,3 +124,22 @@ def test_removed_options_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_negative_seed_is_masked_to_64_bits(tmp_path, capsys):
+    # spectrum and polytope key their generator with seed & (2**64 - 1), so
+    # -1 draws the same stream as 2**64 - 1
+    seeds = ["-1", str(2**64 - 1)]
+    outs = []
+    for seed in seeds:
+        assert main(["spectrum", "--case", "ci:n=2", "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out.splitlines())
+    assert outs[0][0] == outs[1][0].replace(f"seed={seeds[1]}", "seed=-1")
+    assert outs[0][1:] == outs[1][1:]
+    csvs = []
+    for i, seed in enumerate(seeds):
+        out = tmp_path / f"poly{i}.csv"
+        assert main(["polytope", "--case", "diii:n=3", "--samples", "300",
+                     "--seed", seed, "--output", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]

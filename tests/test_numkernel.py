@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import scipy.linalg
 
+import pnorbit
 from pnorbit.hermsym import random_point
 from pnorbit.numkernel import expm_antihermitian
 from pnorbit.poisson import directional_derivatives
@@ -80,3 +81,8 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    # a stale entry in pnorbit.__all__ only fails on "from pnorbit import *"
+    assert [n for n in pnorbit.__all__ if not hasattr(pnorbit, n)] == []

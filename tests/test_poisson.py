@@ -108,10 +108,14 @@ def test_stacked_kernels_match_per_point(all_cases):
 
 
 def test_traces_of_powers_stack_matches_pair_route(all_cases):
-    for case in all_cases:
+    # the SVD-free Tr (K D)^k route against Tr of N restricted to the
+    # tangent basis of build_pair; at the identity coset every trace is 0
+    for case in all_cases + [build_case("diii", n=6)]:
         gs, _ = batch_points(case, 29, 0, 3)
+        gs = np.concatenate([np.eye(case.alg.size, dtype=complex)[None], gs])
         got = traces_of_powers(case, gs, case.n_eig + 1, SIGNS)
-        assert got.shape == (3, case.n_eig + 1)
+        assert got.shape == (4, case.n_eig + 1)
+        assert np.abs(got[0]).max() <= 1e-12, case.name
         for g, row in zip(gs, got):
             nt = nijenhuis_restricted(build_pair(case, g, SIGNS))
             ref = [np.trace(np.linalg.matrix_power(nt, j)) / j
@@ -147,6 +151,8 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
 
 
 def test_build_pair_takes_one_svd(gr24, monkeypatch):
+    # build_pair takes the one SVD of a bracket build; the Lenard fd flows
+    # (traces_of_powers) take none
     calls = {"svd": 0, "pinv": 0}
 
     def counted(name, fn):
@@ -166,6 +172,12 @@ def test_build_pair_takes_one_svd(gr24, monkeypatch):
         assert calls == {"svd": 1, "pinv": 0}
         ref = np.linalg.pinv(pair.k_raw, rcond=1e-9)
         assert np.abs(pair.k_pinv - ref).max() <= 1e-12
+    calls.update(svd=0, pinv=0)
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        mp.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
+        lenard_check(gr24, p.g, gr24.n_eig, SIGNS)
+    assert calls == {"svd": 1, "pinv": 0}
 
 
 def pair_row(pair, i):
@@ -334,7 +346,7 @@ def test_bracket_of_coordinates_closed_form(sp2):
     coords = [0, 3, 2, 7, 1, 4]
     dvec = directional_derivatives(
         sp2, p.g, lambda gs, ms: sp2.alg.coefficients(ms).real[:, coords])
-    br = gradient_bracket(pair, dvec.T, "kks")
+    br = gradient_bracket(pair, dvec.T, pair.pk)
     for i in range(0, len(coords), 2):
         a, b = coords[i], coords[i + 1]
         assert abs(br[i, i + 1] - SIGNS[0] * k[a, b]) <= 1e-9
@@ -351,8 +363,8 @@ def test_bracket_leibniz(gr24):
 
     f1, f2, _, _ = funcs(p.g[None], p.m[None])[0]
     dvec = directional_derivatives(gr24, p.g, funcs)
-    for which in ("kks", "bruhat"):
-        br = gradient_bracket(pair, dvec.T, which)
+    for pmat in (pair.pk, pair.p0):
+        br = gradient_bracket(pair, dvec.T, pmat)
         assert abs(br[3, 2] - (f1 * br[1, 2] + f2 * br[0, 2])) <= 1e-6
 
 

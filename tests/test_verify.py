@@ -111,7 +111,7 @@ def test_diii_normalization_matches_pointwise_loop():
     # 450 samples cross the 200-sample draws and the stacked sub-chunks
     case = build_case("diii", n=3)
     g_batch, _ = batch_points(case, 31, 0, 450)
-    lams = [pencil_spectrum(build_pair(case, g, (1, -1), validate=False))
+    lams = [pencil_spectrum(build_pair(case, g, (1, -1)))
             for g in g_batch]
     out = measure_diii_normalization(n=3, samples=450, seed=31)
     assert abs(out["min"] - min(lam.min() for lam in lams)) <= 1e-13
