@@ -1,10 +1,10 @@
 """The bihamiltonian structure on Gr(1,3), checked end to end.
 
-Builds both Poisson matrices at a random point, verifies the pencil is
-Poisson (fd Jacobi at t = 0 and t = 1, which together with the symplectic
-member certifies compatibility), shows the eigenvalues are in involution
-under both brackets, and runs the Lenard recursion for the trace
-invariants I_k = (1/k) Tr N^k.
+Builds both Poisson matrices at a random point once, as one BracketPair,
+and runs every check on that pair: the pencil is Poisson (fd Jacobi at
+t = 0 and t = 1, which together with the symplectic member certifies
+compatibility), the eigenvalues are in involution under both brackets, and
+the Lenard recursion holds for the trace invariants I_k = (1/k) Tr N^k.
 
 Run:  python demos/bihamiltonian_checks.py
 """
@@ -31,9 +31,9 @@ print(f"Bruhat matrix antisymmetry: {np.abs(pair.p0 + pair.p0.T).max():.1e}")
 rng = np.random.default_rng(5)
 triples = [tuple(rng.choice(case.alg.dim, 3, replace=False)) for _ in range(10)]
 for t in (0.0, 1.0):
-    res = jacobi_residual(case, point.g, t, triples, signs)
+    res = jacobi_residual(pair, t, triples)
     print(f"fd Jacobi residual of pi_t at t = {t:g}:  {res:.2e}")
-res = jacobi_residual(case, point.g, "kks", triples, signs)
+res = jacobi_residual(pair, "kks", triples)
 print(f"fd Jacobi residual of the pure KKS bracket: {res:.2e}")
 
 print("\ninvolution of the eigenvalue functions:")
@@ -45,7 +45,7 @@ for which, p in (("kks", pair.pk), ("bruhat", pair.p0)):
     off = np.abs(br - np.diag(np.diag(br))).max()
     print(f"  max |{{l_i, l_j}}| under {which:<6}: {off:.2e}")
 
-out = pn.lenard_check(case, point.g, case.n_eig, signs)
+out = pn.lenard_check(pair, case.n_eig)
 print("\nLenard recursion dI_(k+1) = N^* dI_k for I_k = (1/k) Tr N^k:")
 for k, res in enumerate(out["steps"], start=1):
     print(f"  k = {k}: residual {res:.2e}")

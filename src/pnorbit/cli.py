@@ -4,7 +4,8 @@ Subcommands: verify (run the full suite), spectrum (both eigenvalue routes
 at one point), polytope (mass sampling to CSV), calibrate (sign search and
 the eigenvalue-range measurement).
 
-Exit codes: 0 pass, 1 check failure, 2 usage error, 3 numerical failure.
+Exit codes: 0 pass, 1 check failure, 2 usage error (an unwritable --output
+included), 3 numerical failure.
 """
 
 import argparse
@@ -161,7 +162,7 @@ def cmd_calibrate(args):
         n = case.params["n"]
     samples = args.samples if args.samples else 10000
     out = verify.measure_diii_normalization(n=n, samples=samples,
-                                            seed=args.seed, signs=cal.signs)
+                                            seed=args.seed)
     print(f"eigenvalue-range measurement on {out['case']} "
           f"({out['samples']} samples, pencil route):")
     print(f"  empirical range [{out['min']:.6f}, {out['max']:.6f}]")
@@ -177,14 +178,15 @@ def build_parser():
                     "classical adjoint orbits")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, samples=None):
+    def common(sp, samples=None, output=True):
         sp.add_argument("--case", required=sp.prog.endswith(("verify", "spectrum", "polytope")),
                         help="case descriptor, e.g. aiii:k=2,n=4 | ci:n=3 | "
                              "diii:n=4 | bdi:m=7")
         if samples is not None:
             sp.add_argument("--samples", type=int, default=samples)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--output", default=None)
+        if output:
+            sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("verify", help="run the full verification suite")
     common(sp, 100)
@@ -203,7 +205,7 @@ def build_parser():
     sp.set_defaults(func=cmd_polytope)
 
     sp = sub.add_parser("calibrate", help="sign calibration and range finding")
-    common(sp, 0)
+    common(sp, 0, output=False)
     sp.set_defaults(func=cmd_calibrate)
     return p
 
@@ -213,7 +215,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
+        # the output files are the only files a subcommand opens
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CalibrationError, NumericalError, ConventionError) as exc:

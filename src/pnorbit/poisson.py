@@ -36,12 +36,14 @@ Stack contract of the pencil: `build_pair` takes one g (N, N) or a stack
 (S, N, N), and every `BracketPair` field then carries the same leading
 axis.  `nijenhuis_apply`, `nijenhuis_formula`, `connection_check`,
 `pencil_eigenvalues` and `pencil_spectrum` take such pairs (and matching
-stacks of vectors); their checks run per row with the per-point scales and
-tolerances, so a stack raises whenever one of its rows would.  A single
-point is a batch of one through the same code.  `stack_chunk(case)` is the
-one rule for how many points go into a stacked call, shared by the sample
-loops in `verify` and the fd flows (both signs of `stack_chunk(case)`
-directions per call).
+stacks of vectors); their checks run per row with the per-point scales,
+so a stack raises whenever one of its rows would.  A single point is a
+batch of one through the same code.  The fd checks (`jacobi_residual`,
+`lenard_check`, `nstar_eigen_residual`) take the single-point pair they
+certify, read case, g, m and signs from it, and build none of their own.
+`stack_chunk(case)` is the one rule for how many points go into a stacked
+call, shared by the sample loops in `verify` and the fd flows (both signs
+of `stack_chunk(case)` directions per call).
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +55,9 @@ from .errors import ConventionError, NumericalError
 from .numkernel import DEFAULT_FD_STEP, expm_antihermitian
 
 CALIBRATED_SIGNS = (1, -1)      # (s_K, s_0); see verify.calibrate
+TANGENT_TOL = 1e-9              # nijenhuis_apply: relative normal component
+IMAG_TOL = 1e-8                 # pencil eigenvalues: relative imaginary part
+PAIRING_TOL = 1e-8              # pencil_spectrum: gap within a doubled pair
 
 
 def _dagger(x):
@@ -152,7 +157,7 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS):
 # Nijenhuis operator, two routes
 # ---------------------------------------------------------------------------
 
-def nijenhuis_apply(pair, v, check=True, tol=1e-9):
+def nijenhuis_apply(pair, v, check=True):
     """Pencil route: N v with t(Nv) = P0 PK^+ t(v); v must be tangent.
 
     v is one matrix per row of the pair, (..., N, N).
@@ -162,7 +167,7 @@ def nijenhuis_apply(pair, v, check=True, tol=1e-9):
         tan = pair.tangent
         res = np.linalg.norm(t - tan @ (np.swapaxes(tan, -1, -2) @ t),
                              axis=(-2, -1))
-        if (res > tol * np.maximum(1.0, np.linalg.norm(t, axis=(-2, -1)))).any():
+        if (res > TANGENT_TOL * np.maximum(1.0, np.linalg.norm(t, axis=(-2, -1)))).any():
             raise ConventionError(f"vector is not tangent: residual {res.max():.3e}")
     return pair.case.alg.from_coefficients((pair.p0 @ (pair.pk_pinv() @ t))[..., 0])
 
@@ -180,23 +185,23 @@ def nijenhuis_restricted(pair):
     return (bt @ pair.p0 @ b) @ np.linalg.inv(bt @ pair.pk @ b)
 
 
-def pencil_eigenvalues(pair, imag_tol=1e-8):
+def pencil_eigenvalues(pair):
     """All 2 n_eig eigenvalues of the tangent-restricted N, sorted real
     parts (..., 2 n_eig), and the largest imaginary part per row (...)."""
     ev = np.linalg.eigvals(nijenhuis_restricted(pair))
     scale = np.maximum(1.0, np.abs(ev).max(axis=-1))
     im = np.abs(ev.imag).max(axis=-1)
-    if (im > imag_tol * scale).any():
+    if (im > IMAG_TOL * scale).any():
         raise NumericalError(f"pencil eigenvalues not real: max imag {im.max():.3e}")
     return np.sort(ev.real, axis=-1), im
 
 
-def pencil_spectrum(pair, pair_tol=1e-8, imag_tol=1e-8):
+def pencil_spectrum(pair):
     """De-doubled pencil eigenvalues, ascending (..., n_eig)."""
-    ev, _ = pencil_eigenvalues(pair, imag_tol)
+    ev, _ = pencil_eigenvalues(pair)
     lo, hi = ev[..., 0::2], ev[..., 1::2]
     gap = np.abs(lo - hi).max()
-    if gap > pair_tol:
+    if gap > PAIRING_TOL:
         raise NumericalError(f"eigenvalue pairing failed: gap {gap:.3e}")
     return (lo + hi) / 2
 
@@ -267,14 +272,13 @@ def gradient_bracket(pair, dvecs, p):
     return c.T @ p @ c
 
 
-def jacobi_residual(case, g, t, triples, signs=CALIBRATED_SIGNS,
-                    h=DEFAULT_FD_STEP):
+def jacobi_residual(pair, t, triples):
     """max |{{F_a,F_b},F_c} + cyclic| under pi_t over coordinate triples.
 
     t = 'kks' checks the pure Lie-Poisson bracket (the t -> infinity limit
     of the pencil).
     """
-    pair = build_pair(case, g, signs)
+    case, signs = pair.case, pair.signs
     cyclic = [xyz for (a, b, c) in triples
               for xyz in ((a, b, c), (b, c, a), (c, a, b))]
     needed = sorted({i for tr in triples for i in tr})
@@ -291,7 +295,7 @@ def jacobi_residual(case, g, t, triples, signs=CALIBRATED_SIGNS,
             pt = bruhat_matrix(case, gs, signs[1], k=k, block=needed) + t * pt
         return pt[:, rows, cols]
 
-    dvec = directional_derivatives(case, g, entries, h)      # (dim, 3 * triples)
+    dvec = directional_derivatives(case, pair.point.g, entries)  # (dim, 3 * triples)
     ch = coefficients_of_differential(pair, dvec)
     pt0 = pair.pk if t == "kks" else pair.p0 + t * pair.pk
     terms = (ch * pt0[:, [z for _, _, z in cyclic]]).sum(axis=0)
@@ -315,8 +319,8 @@ def traces_of_powers(case, g, k_max, signs=CALIBRATED_SIGNS):
     N = P0 PK^+ = -s_0 s_K K D (K K^+) with D = A J A^T - J.  K K^+ is the
     identity on range(K), the tangent space, and Tr is cyclic, so
     Tr N^k = (-s_0 s_K)^k Tr (K D)^k.  No rank check is needed per point:
-    K has rank dim M all over the orbit, and lenard_check's build_pair
-    checks it at the base point.
+    K has rank dim M all over the orbit, and the build_pair of the pair
+    that lenard_check takes checks it at the base point.
     """
     g = np.asarray(g)
     kd = kks_raw(case, _moment(case, g)) @ _r_matrix(case, g)
@@ -330,15 +334,15 @@ def traces_of_powers(case, g, k_max, signs=CALIBRATED_SIGNS):
     return np.stack(out, axis=-1)
 
 
-def lenard_check(case, g, k_max, signs=CALIBRATED_SIGNS, h=DEFAULT_FD_STEP):
+def lenard_check(pair, k_max):
     """Residuals of dI_{k+1} = N^* dI_k, plus the trace identity gap.
 
     Returns dict with per-step residuals (relative to the gradient scale)
     and |Tr N - 2 sum(lambda)|.
     """
-    pair = build_pair(case, g, signs)
+    case, g = pair.case, pair.point.g
     dvec = directional_derivatives(
-        case, g, lambda gs, ms: traces_of_powers(case, gs, k_max, signs), h)
+        case, g, lambda gs, ms: traces_of_powers(case, gs, k_max, pair.signs))
     bmat = _nstar_coefficient_matrix(pair)
     res = []
     for k in range(k_max - 1):
@@ -351,13 +355,12 @@ def lenard_check(case, g, k_max, signs=CALIBRATED_SIGNS, h=DEFAULT_FD_STEP):
     return {"steps": res, "max": max(res) if res else 0.0, "trace_gap": trace_gap}
 
 
-def nstar_eigen_residual(case, g, signs=CALIBRATED_SIGNS, h=DEFAULT_FD_STEP):
+def nstar_eigen_residual(pair):
     """max_i |N^* d(lambda_i) - lambda_i d(lambda_i)| over free eigenvalues."""
-    pair = build_pair(case, g, signs)
-    m = pair.point.m
-    lam = _spectrum.chain_free_vector(case, m)
+    case = pair.case
+    lam = _spectrum.chain_free_vector(case, pair.point.m)
     dvec = directional_derivatives(
-        case, g, lambda gs, ms: _spectrum.chain_free_vector(case, ms), h)
+        case, pair.point.g, lambda gs, ms: _spectrum.chain_free_vector(case, ms))
     bmat = _nstar_coefficient_matrix(pair)
     worst = 0.0
     for i, li in enumerate(lam):

@@ -48,6 +48,10 @@ DEFAULT_TOLERANCES = {
     "spin_minor": 1e-9,
 }
 GAP_THRESHOLD = 1e-3      # near-degenerate exclusion for fd-based checks
+CALIBRATION_SEED = 2025   # calibrate: sample stream on Gr(1,2)
+CALIBRATION_POINTS = 10
+CALIBRATION_TOL = 1e-8    # the one passing sign pair's residual bound
+RANGE_TOL = 1e-6          # measure_diii_normalization: slack at the ends
 
 
 @dataclass
@@ -104,9 +108,10 @@ class VerificationReport:
         return json.dumps(payload, indent=2)
 
 
-def _master_residual(case, pair, m, x):
+def _master_residual(pair, x):
     """The tangent vector v = [x, m] (scaled to at most unit coefficient
     norm) and max |N_pencil v - N_formula v|, over the rows of a stack."""
+    case, m = pair.case, pair.point.m
     v = x @ m - m @ x
     norm = np.linalg.norm(case.alg.real_coefficients(v), axis=-1)
     v /= np.maximum(1.0, norm)[..., None, None]
@@ -116,11 +121,11 @@ def _master_residual(case, pair, m, x):
 
 def _calibration_residual(case, signs, points):
     """Worst of (hamiltonian-convention fd gap, formula-vs-pencil gap)."""
-    s_k, s_0 = signs
+    s_k = signs[0]
     worst = 0.0
     for g in points:
         pair = poisson.build_pair(case, g, signs)
-        m, k = pair.point.m, pair.k_raw
+        k = pair.k_raw
         scale = max(1.0, np.abs(k).max())
         # fd flow derivatives of all coordinates along all flows
         dmat = poisson.directional_derivatives(
@@ -129,20 +134,20 @@ def _calibration_residual(case, signs, points):
         rng = np.random.default_rng(17)
         for _ in range(3):
             x = case.alg.from_coefficients(rng.standard_normal(case.alg.dim))
-            worst = max(worst, _master_residual(case, pair, m, x)[1])
+            worst = max(worst, _master_residual(pair, x)[1])
     return worst
 
 
 @lru_cache(maxsize=None)
-def calibrate(seed=2025, npoints=10, tol=1e-8):
+def calibrate():
     """Discrete search over the 4 sign pairs on Gr(1,2); must be unique."""
     case = hermsym.build_case("aiii", k=1, n=2)
-    g_batch, _ = hermsym.batch_points(case, seed, 0, npoints)
+    g_batch, _ = hermsym.batch_points(case, CALIBRATION_SEED, 0, CALIBRATION_POINTS)
     residuals = {}
     for s_k in (1, -1):
         for s_0 in (1, -1):
             residuals[(s_k, s_0)] = _calibration_residual(case, (s_k, s_0), g_batch)
-    passing = [p for p, r in residuals.items() if r <= tol]
+    passing = [p for p, r in residuals.items() if r <= CALIBRATION_TOL]
     if len(passing) != 1:
         raise CalibrationError(
             f"calibration must single out one sign pair, got {passing} "
@@ -184,9 +189,10 @@ def _gap_regular_points(case, seed, g_batch, chain, n_needed, max_index):
         chain = spectrum.chain_batch(case, ms)
 
 
-def _involution_residuals(case, g, pair):
+def _involution_residuals(pair):
+    case = pair.case
     dvec = poisson.directional_derivatives(
-        case, g, lambda gs, ms: spectrum.chain_free_vector(case, ms))
+        case, pair.point.g, lambda gs, ms: spectrum.chain_free_vector(case, ms))
     res = {}
     for which, p in (("kks", pair.pk), ("bruhat", pair.p0)):
         br = poisson.gradient_bracket(pair, dvec.T, p)
@@ -278,10 +284,12 @@ def vertex_probe(case):
     return worst
 
 
-def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
+def run_suite(case, n_samples=100, seed=0, tolerances=None):
     """Run every check for one case; returns a VerificationReport."""
     if isinstance(case, str):
         case = hermsym.parse_case(case)
+    if n_samples < 1:
+        raise UsageError(f"n_samples must be >= 1, got {n_samples}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     t0 = time.monotonic()
@@ -295,8 +303,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
         if bad:
             raise UsageError(f"tolerances must be finite and >= 0: {bad}")
         tols.update(tolerances)
-    if signs is None:
-        signs = calibrate().signs
+    signs = calibrate().signs
     checks = []
 
     g_batch, m_batch = hermsym.batch_points(case, seed, 0, n_samples)
@@ -308,12 +315,10 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
     _check(checks, tols, "spectrum_preserved", spec_res)
 
     # identity coset: P0 = 0, chain eigenvalues 0, pencil eigenvalues 0
-    eye = np.eye(case.alg.size, dtype=complex)
-    p0_id = poisson.bruhat_matrix(case, eye, signs[1])
-    res = np.abs(p0_id).max()
+    pair0 = poisson.build_pair(case, np.eye(case.alg.size, dtype=complex), signs)
+    res = np.abs(pair0.p0).max()
     cs0 = spectrum.chain_spectrum(case, case.rho, validate=False)
     res = max(res, np.abs(cs0.free_values()).max())
-    pair0 = poisson.build_pair(case, eye, signs)
     res = max(res, np.abs(poisson.pencil_eigenvalues(pair0)[0]).max())
     _check(checks, tols, "identity_coset_zero", res)
 
@@ -346,10 +351,10 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
 
     step = poisson.stack_chunk(case)
     for i in range(0, n_samples, step):
-        g, m = g_batch[i:i + step], m_batch[i:i + step]
+        g = g_batch[i:i + step]
         pair = poisson.build_pair(case, g, signs)
         for a in dir_idx:
-            v, res = _master_residual(case, pair, m, case.alg.basis[a])
+            v, res = _master_residual(pair, case.alg.basis[a])
             res_master = max(res_master, res)
             rb, has_blocks = poisson.connection_check(case, g, v)
             if has_blocks:
@@ -371,38 +376,38 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
     _check(checks, tols, "polytope",
            max(v.max(initial=0.0) for v in margins.values()))
 
-    # involution at gap-regular points, both brackets
+    # at gap-regular points, one pair each: involution under both brackets,
+    # and at the first three the Lenard recursion and N^* d(lambda)
     target = min(50, n_samples)
     reg_gs, skipped = _gap_regular_points(case, seed, g_batch, chain, target,
                                           4 * n_samples)
     res_kks, res_bruhat = 0.0, 0.0
-    for g in reg_gs:
+    res_len, res_tr, res_nstar = 0.0, 0.0, 0.0
+    for j, g in enumerate(reg_gs):
         pair = poisson.build_pair(case, g, signs)
-        r = _involution_residuals(case, g, pair)
+        r = _involution_residuals(pair)
         res_kks = max(res_kks, r["kks"])
         res_bruhat = max(res_bruhat, r["bruhat"])
+        if j < 3:
+            out = poisson.lenard_check(pair, case.n_eig)
+            res_len = max(res_len, out["max"])
+            res_tr = max(res_tr, out["trace_gap"])
+            res_nstar = max(res_nstar, poisson.nstar_eigen_residual(pair))
     if len(reg_gs) < target:        # not enough gap-regular points found
         res_kks = res_bruhat = np.inf
+    if not reg_gs:            # nothing regular found: cannot certify
+        res_len = res_tr = res_nstar = np.inf
     _check(checks, tols, "involution_kks", res_kks, skipped=skipped)
     _check(checks, tols, "involution_bruhat", res_bruhat, skipped=skipped)
 
-    # Jacobi identity of the pencil at t = 0 and t = 1
+    # Jacobi identity of the pencil at t = 0 and t = 1, on one pair
     rng = np.random.default_rng(seed ^ 0x1ACB)
     triples = [tuple(rng.choice(case.alg.dim, size=3, replace=False))
                for _ in range(20)]
+    pair = poisson.build_pair(case, g_batch[0], signs)
     for t, name in ((0.0, "jacobi_t0"), (1.0, "jacobi_t1")):
-        _check(checks, tols, name,
-               poisson.jacobi_residual(case, g_batch[0], t, triples, signs))
+        _check(checks, tols, name, poisson.jacobi_residual(pair, t, triples))
 
-    # Lenard recursion and the eigenvalue equation at gap-regular points
-    res_len, res_tr, res_nstar = 0.0, 0.0, 0.0
-    if not reg_gs:            # nothing regular found: cannot certify
-        res_len = res_tr = res_nstar = np.inf
-    for g in reg_gs[:3]:
-        out = poisson.lenard_check(case, g, case.n_eig, signs)
-        res_len = max(res_len, out["max"])
-        res_tr = max(res_tr, out["trace_gap"])
-        res_nstar = max(res_nstar, poisson.nstar_eigen_residual(case, g, signs))
     _check(checks, tols, "lenard", res_len)
     _check(checks, tols, "trace_identity", res_tr)
     _check(checks, tols, "nstar_dlambda", res_nstar)
@@ -425,8 +430,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None, signs=None):
 # the DIII normalization finding
 # ---------------------------------------------------------------------------
 
-def measure_diii_normalization(n=3, samples=10000, seed=424242, signs=None,
-                               tol=1e-6):
+def measure_diii_normalization(n=3, samples=10000, seed=424242):
     """Empirical range of the pencil (not chain) eigenvalues on SO(2n)/U(n).
 
     Decides between the two candidate eigenvalue ranges [0,2] and [-1,3]
@@ -437,8 +441,7 @@ def measure_diii_normalization(n=3, samples=10000, seed=424242, signs=None,
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     case = hermsym.build_case("diii", n=n)
-    if signs is None:
-        signs = calibrate().signs
+    signs = calibrate().signs
     lo, hi = np.inf, -np.inf
     chunk = 200
     step = poisson.stack_chunk(case)
@@ -452,9 +455,9 @@ def measure_diii_normalization(n=3, samples=10000, seed=424242, signs=None,
             lo = min(lo, lam.min())
             hi = max(hi, lam.max())
         done += cnt
-    if lo >= -tol and hi <= 2 + tol:
+    if lo >= -RANGE_TOL and hi <= 2 + RANGE_TOL:
         matches = "[0,2]"
-    elif lo >= -1 - tol and hi <= 3 + tol and (lo < -tol or hi > 2 + tol):
+    elif lo >= -1 - RANGE_TOL and hi <= 3 + RANGE_TOL:
         matches = "[-1,3]"
     else:
         matches = "neither"

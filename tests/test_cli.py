@@ -109,7 +109,9 @@ def test_calibrate_rejects_non_diii_case(capsys):
         "tol-nan", "tol-neg", "tol-inf", "seed-neg"])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(argv + ["--output", str(out)]) == 2
+    # calibrate writes no file and takes no --output
+    output = [] if argv[0] == "calibrate" else ["--output", str(out)]
+    assert main(argv + output) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
@@ -118,7 +120,9 @@ def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     ["spectrum", "--case", "ci:n=2", "--samples", "3"],
     ["verify", "--case", "ci:n=1", "--format", "json"],
     ["polytope", "--case", "ci:n=1", "--format", "csv"],
-], ids=["spectrum-samples", "verify-format", "polytope-format"])
+    ["calibrate", "--output", "x"],
+], ids=["spectrum-samples", "verify-format", "polytope-format",
+        "calibrate-output"])
 def test_removed_options_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -126,9 +130,22 @@ def test_removed_options_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "aiii:k=1,n=2", "--samples", "2"],
+    ["spectrum", "--case", "ci:n=1"],
+    ["polytope", "--case", "ci:n=1", "--samples", "10"],
+], ids=["verify", "spectrum", "polytope"])
+def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+    # exit 1 means a check failed; an output that cannot be written is not that
+    out = tmp_path / "missing-dir" / "out"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_negative_seed_is_masked_to_64_bits(tmp_path, capsys):
-    # spectrum and polytope key their generator with seed & (2**64 - 1), so
-    # -1 draws the same stream as 2**64 - 1
+    # spectrum, polytope and calibrate key their generator with
+    # seed & (2**64 - 1), so -1 draws the same stream as 2**64 - 1
     seeds = ["-1", str(2**64 - 1)]
     outs = []
     for seed in seeds:
@@ -143,3 +160,9 @@ def test_negative_seed_is_masked_to_64_bits(tmp_path, capsys):
                      "--seed", seed, "--output", str(out)]) == 0
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
+    capsys.readouterr()
+    cals = []
+    for seed in seeds:
+        assert main(["calibrate", "--samples", "30", "--seed", seed]) == 0
+        cals.append(capsys.readouterr().out)
+    assert cals[0] == cals[1]

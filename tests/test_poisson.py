@@ -151,8 +151,8 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
 
 
 def test_build_pair_takes_one_svd(gr24, monkeypatch):
-    # build_pair takes the one SVD of a bracket build; the Lenard fd flows
-    # (traces_of_powers) take none
+    # build_pair takes the one SVD of a bracket build; lenard_check, on the
+    # pair it is given, and its fd flows (traces_of_powers) take none
     calls = {"svd": 0, "pinv": 0}
 
     def counted(name, fn):
@@ -172,12 +172,13 @@ def test_build_pair_takes_one_svd(gr24, monkeypatch):
         assert calls == {"svd": 1, "pinv": 0}
         ref = np.linalg.pinv(pair.k_raw, rcond=1e-9)
         assert np.abs(pair.k_pinv - ref).max() <= 1e-12
+    pair = build_pair(gr24, p.g, SIGNS)
     calls.update(svd=0, pinv=0)
     with monkeypatch.context() as mp:
         mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         mp.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
-        lenard_check(gr24, p.g, gr24.n_eig, SIGNS)
-    assert calls == {"svd": 1, "pinv": 0}
+        lenard_check(pair, gr24.n_eig)
+    assert calls == {"svd": 0, "pinv": 0}
 
 
 def pair_row(pair, i):
@@ -338,6 +339,30 @@ def test_pencil_matches_chain(all_cases):
         assert np.abs(lam - chain).max() <= 1e-7, case.name
 
 
+# every case with aiii n <= 5, ci n <= 3, diii n <= 4, bdi m <= 8 that the
+# all_cases fixture leaves out
+OUTSIDE_FIXTURES = ([f"aiii:k={k},n={n}" for n in range(2, 6) for k in range(1, n)
+                     if (k, n) not in ((1, 2), (2, 4))]
+                    + ["ci:n=1", "ci:n=3", "diii:n=2", "diii:n=4",
+                       "bdi:m=4", "bdi:m=7", "bdi:m=8"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(OUTSIDE_FIXTURES),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_identity_zero_and_pencil_chain_match_outside_fixtures(desc, seed):
+    case = parse_case(desc)
+    eye = np.eye(case.alg.size, dtype=complex)
+    assert np.abs(bruhat_matrix(case, eye)).max() <= 1e-10
+    chain0 = chain_spectrum(case, case.rho, validate=False).free_values()
+    assert np.abs(chain0).max() <= 1e-10
+    assert np.abs(pencil_eigenvalues(build_pair(case, eye, SIGNS))[0]).max() <= 1e-10
+    p = random_point(case, seed)
+    lam = pencil_spectrum(build_pair(case, p.g, SIGNS))
+    chain = chain_spectrum(case, p.m).free_values()      # sorted
+    assert np.abs(lam - chain).max() <= 1e-7, desc
+
+
 def test_bracket_of_coordinates_closed_form(sp2):
     # the fd-gradient bracket route of run_suite, on the coordinates F_a
     p = random_point(sp2, 59)
@@ -374,18 +399,19 @@ def test_jacobi_residuals(sp2, so6u3):
         p = random_point(case, 67)
         triples = [tuple(rng.choice(case.alg.dim, 3, replace=False))
                    for _ in range(8)]
-        assert jacobi_residual(case, p.g, "kks", triples, SIGNS) <= 1e-6
-        assert jacobi_residual(case, p.g, 0.0, triples, SIGNS) <= 1e-5
-        assert jacobi_residual(case, p.g, 1.0, triples, SIGNS) <= 1e-5
+        pair = build_pair(case, p.g, SIGNS)
+        assert jacobi_residual(pair, "kks", triples) <= 1e-6
+        assert jacobi_residual(pair, 0.0, triples) <= 1e-5
+        assert jacobi_residual(pair, 1.0, triples) <= 1e-5
 
 
 def test_lenard_gr12_and_sp2(sp2):
     gr12 = build_case("aiii", k=1, n=2)
     p = random_point(gr12, 71)
-    out = lenard_check(gr12, p.g, gr12.n_eig, SIGNS)
+    out = lenard_check(build_pair(gr12, p.g, SIGNS), gr12.n_eig)
     assert out["trace_gap"] <= 1e-9
     p = random_point(sp2, 71)
-    out = lenard_check(sp2, p.g, sp2.n_eig, SIGNS)
+    out = lenard_check(build_pair(sp2, p.g, SIGNS), sp2.n_eig)
     assert out["max"] <= 1e-5
     assert out["trace_gap"] <= 1e-9
 
@@ -393,7 +419,7 @@ def test_lenard_gr12_and_sp2(sp2):
 def test_nstar_eigenvalue_equation(gr24, bdi6):
     for case in (gr24, bdi6):
         p = random_point(case, 73)
-        assert nstar_eigen_residual(case, p.g, SIGNS) <= 1e-5
+        assert nstar_eigen_residual(build_pair(case, p.g, SIGNS)) <= 1e-5
 
 
 def test_connection_block_vs_full(all_cases, rng):

@@ -81,6 +81,12 @@ def test_run_suite_monotone_in_tolerance(so6u3):
     assert report2.passed
 
 
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_run_suite_rejects_empty_sample(gr12, n_samples):
+    with pytest.raises(UsageError):
+        run_suite(gr12, n_samples=n_samples)
+
+
 def test_run_suite_rejects_unknown_tolerance(gr12):
     with pytest.raises(UsageError):
         run_suite(gr12, n_samples=5, seed=0, tolerances={"nope": 1.0})
