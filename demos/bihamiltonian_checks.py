@@ -13,9 +13,7 @@ import numpy as np
 
 import pnorbit as pn
 from pnorbit.hermsym import random_point
-from pnorbit.poisson import (directional_derivatives, gradient_bracket,
-                             jacobi_residual)
-from pnorbit.spectrum import chain_free_vector
+from pnorbit.poisson import chain_gradient, gradient_bracket, jacobi_residual
 
 case = pn.build_case("aiii", k=1, n=3)
 signs = pn.calibrate().signs
@@ -37,9 +35,7 @@ res = jacobi_residual(pair, "kks", triples)
 print(f"fd Jacobi residual of the pure KKS bracket: {res:.2e}")
 
 print("\ninvolution of the eigenvalue functions:")
-# funcs take stacks of flow points (gs, ms) and return one row per point
-dvec = directional_derivatives(case, point.g,
-                               lambda gs, ms: chain_free_vector(case, ms))
+dvec = chain_gradient(pair)
 for which, p in (("kks", pair.pk), ("bruhat", pair.p0)):
     br = gradient_bracket(pair, dvec.T, p)
     off = np.abs(br - np.diag(np.diag(br))).max()

@@ -10,6 +10,7 @@ included), 3 numerical failure.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -18,11 +19,6 @@ from . import hermsym, poisson, spectrum, verify
 from .errors import CalibrationError, ConventionError, NumericalError, UsageError
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_NUMERICAL = 0, 1, 2, 3
-
-
-def _fmt(x):
-    """Locale-independent scientific notation, 17 significant digits."""
-    return format(float(x), ".16e")
 
 
 def _parse_tols(items):
@@ -46,11 +42,20 @@ def _check_samples(args, minimum):
 def cmd_verify(args):
     _check_samples(args, 1)
     tols = _parse_tols(args.tol)
-    report = verify.run_suite(args.case, n_samples=args.samples,
-                              seed=args.seed, tolerances=tols or None)
+    # open the report first: an unwritable --output fails before the suite
+    # runs, and a suite that raises leaves no report behind
+    fh = open(args.output, "w") if args.output else None
+    try:
+        report = verify.run_suite(args.case, n_samples=args.samples,
+                                  seed=args.seed, tolerances=tols or None)
+    except BaseException:
+        if fh is not None:
+            fh.close()
+            os.remove(args.output)
+        raise
     text = report.to_json()
-    if args.output:
-        with open(args.output, "w") as fh:
+    if fh is not None:
+        with fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -109,12 +114,14 @@ def cmd_polytope(args):
     case = hermsym.parse_case(args.case)
     out_path = args.output or f"polytope_{case.tag}.csv"
     slack = 1e-9
-    chunk = 20000
+    chunk = 4096        # samples per sampler call: bounds its stacked temporaries
     labels = (spectrum.raw_labels(case) if case.tag == "bdi"
               else spectrum.free_labels(case))
     mins = np.full(len(labels), np.inf)
     maxs = -mins
     violations = 0
+    # locale-independent scientific notation, 17 significant digits
+    row = "%d," + ",".join(["%.16e"] * len(labels)) + "\n"
     with open(out_path, "w", newline="") as fh:
         fh.write("sample," + ",".join(labels) + "\n")
         for done in range(0, args.samples, chunk):
@@ -128,9 +135,8 @@ def cmd_polytope(args):
             mins = np.minimum(mins, data.min(axis=0))
             maxs = np.maximum(maxs, data.max(axis=0))
             violations += spectrum.batch_violations(case, batch, slack)
-            for i in range(cnt):
-                fh.write(str(done + i) + ","
-                         + ",".join(_fmt(v) for v in data[i]) + "\n")
+            fh.writelines(row % (i, *vals)
+                          for i, vals in enumerate(data.tolist(), done))
     summary = {
         "case": case.descriptor(), "samples": int(args.samples),
         "seed": int(args.seed), "slack": slack,

@@ -226,14 +226,14 @@ def random_point(case, seed):
     return OrbitPoint(case, g[0], m[0])
 
 
-def batch_points(case, seed, start, count):
-    """Orbit points for sample indices start..start+count-1 (stacked arrays).
+def sample_coefficients(seed, start, count, dim):
+    """The Gaussian coefficient draws of samples start..start+count-1,
+    (count, dim): row i is sample_rng(seed, start + i).standard_normal(dim).
 
-    Sample i draws from the counter-(start+i) stream of sample_rng, so the
-    result is independent of how a run is chunked or parallelized.
+    One generator is re-pointed at each sample's counter by a state edit,
+    which draws the same numbers as a fresh sample_rng per sample, faster.
     """
-    d = case.alg.dim
-    coefs = np.empty((count, d))
+    coefs = np.empty((count, dim))
     bg = np.random.Philox(key=int(seed) & (2**64 - 1))
     gen = np.random.Generator(bg)
     state = bg.state
@@ -242,10 +242,25 @@ def batch_points(case, seed, start, count):
         state["state"]["counter"][1] = start + i
         state["buffer_pos"] = 4
         bg.state = state
-        coefs[i] = gen.standard_normal(d)
-    x = np.einsum("sa,aij->sij", coefs, case.alg.basis)
+        coefs[i] = gen.standard_normal(dim)
+    return coefs
+
+
+def batch_points(case, seed, start, count):
+    """Orbit points for sample indices start..start+count-1 (stacked arrays).
+
+    Sample i draws from the counter-(start+i) stream of sample_rng, so the
+    result is independent of how a run is chunked or parallelized.  From
+    the draws, x = coefs . basis is a stacked vector-matrix product per
+    sample (a flat GEMM over the whole chunk would round a batch of one
+    differently on some BLAS paths), then g = exp(x) and m = g rho g^dag,
+    all as BLAS products.
+    """
+    coefs = sample_coefficients(seed, start, count, case.alg.dim)
+    n = case.alg.size
+    x = (coefs[:, None, :] @ case.alg.flat).reshape(count, n, n)
     g = expm_antihermitian(x)
-    m = np.einsum("sij,jk,slk->sil", g, case.rho, g.conj())
+    m = g @ case.rho @ np.conj(np.swapaxes(g, 1, 2))
     return g, m
 
 

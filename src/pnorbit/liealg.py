@@ -206,12 +206,6 @@ class LieAlgebra:
         jb = self.j_apply_stack(self.real_coefficients(b))
         return (a - jb if side == "+" else a + jb), b
 
-    def cartan_element(self, values):
-        z = np.zeros((self.size, self.size), complex)
-        for idx, v in zip(self.cartan_indices, values):
-            z += v * self.basis[idx]
-        return z
-
 
 def _negate_h0(alg):
     """The deterministic second calibration branch: flip the Weyl chamber."""

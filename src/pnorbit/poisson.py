@@ -40,7 +40,9 @@ stacks of vectors); their checks run per row with the per-point scales,
 so a stack raises whenever one of its rows would.  A single point is a
 batch of one through the same code.  The fd checks (`jacobi_residual`,
 `lenard_check`, `nstar_eigen_residual`) take the single-point pair they
-certify, read case, g, m and signs from it, and build none of their own.
+certify, read case, g, m and signs from it, and build none of their own;
+`nstar_eigen_residual` also takes the pair's `chain_gradient`, which the
+involution checks share.
 `stack_chunk(case)` is the one rule for how many points go into a stacked
 call, shared by the sample loops in `verify` and the fd flows (both signs
 of `stack_chunk(case)` directions per call).
@@ -355,12 +357,19 @@ def lenard_check(pair, k_max):
     return {"steps": res, "max": max(res) if res else 0.0, "trace_gap": trace_gap}
 
 
-def nstar_eigen_residual(pair):
-    """max_i |N^* d(lambda_i) - lambda_i d(lambda_i)| over free eigenvalues."""
+def chain_gradient(pair):
+    """fd flow derivatives of the free chain eigenvalues at the pair's
+    point, (dim, n_eig): column i is the flow-derivative vector of
+    lambda_i, as gradient_bracket and nstar_eigen_residual take it."""
     case = pair.case
-    lam = _spectrum.chain_free_vector(case, pair.point.m)
-    dvec = directional_derivatives(
+    return directional_derivatives(
         case, pair.point.g, lambda gs, ms: _spectrum.chain_free_vector(case, ms))
+
+
+def nstar_eigen_residual(pair, dvec):
+    """max_i |N^* d(lambda_i) - lambda_i d(lambda_i)| over free eigenvalues,
+    from dvec = chain_gradient(pair)."""
+    lam = _spectrum.chain_free_vector(pair.case, pair.point.m)
     bmat = _nstar_coefficient_matrix(pair)
     worst = 0.0
     for i, li in enumerate(lam):

@@ -115,15 +115,17 @@ def raw_labels(case):
 def chain_batch(case, ms):
     """Chain data of a stack of orbit points (S, N, N).
 
-    GT cases give {"kind": "gt", "rows": [(S, nb - r) ascending spectra]};
-    bdi gives {"kind": "ab", "a": (S, n_a), "b": (S, n_b)}.
+    ci/diii first compress each point to V+ as W+^dag m W+ (stacked
+    matrix products); aiii reads minors of m itself.  GT cases give
+    {"kind": "gt", "rows": [(S, nb - r) ascending spectra]}; bdi gives
+    {"kind": "ab", "a": (S, n_a), "b": (S, n_b)}.
     """
     ms = np.asarray(ms)
     if case.tag in GT_TAGS:
         if case.tag == "aiii":
             b0 = ms
         else:
-            b0 = np.einsum("ij,sjk,kl->sil", case.w_plus.conj().T, ms, case.w_plus)
+            b0 = case.w_plus.conj().T @ ms @ case.w_plus
         nb = b0.shape[1]
         rows = [np.linalg.eigvalsh(-1j * b0[:, : nb - r, : nb - r]) for r in range(nb)]
         return {"kind": "gt", "rows": rows}

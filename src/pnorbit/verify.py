@@ -189,10 +189,9 @@ def _gap_regular_points(case, seed, g_batch, chain, n_needed, max_index):
         chain = spectrum.chain_batch(case, ms)
 
 
-def _involution_residuals(pair):
-    case = pair.case
-    dvec = poisson.directional_derivatives(
-        case, pair.point.g, lambda gs, ms: spectrum.chain_free_vector(case, ms))
+def _involution_residuals(pair, dvec):
+    """Largest off-diagonal bracket of the free chain eigenvalues under
+    each bracket, from dvec = poisson.chain_gradient(pair)."""
     res = {}
     for which, p in (("kks", pair.pk), ("bruhat", pair.p0)):
         br = poisson.gradient_bracket(pair, dvec.T, p)
@@ -385,14 +384,15 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     res_len, res_tr, res_nstar = 0.0, 0.0, 0.0
     for j, g in enumerate(reg_gs):
         pair = poisson.build_pair(case, g, signs)
-        r = _involution_residuals(pair)
+        dvec = poisson.chain_gradient(pair)
+        r = _involution_residuals(pair, dvec)
         res_kks = max(res_kks, r["kks"])
         res_bruhat = max(res_bruhat, r["bruhat"])
         if j < 3:
             out = poisson.lenard_check(pair, case.n_eig)
             res_len = max(res_len, out["max"])
             res_tr = max(res_tr, out["trace_gap"])
-            res_nstar = max(res_nstar, poisson.nstar_eigen_residual(pair))
+            res_nstar = max(res_nstar, poisson.nstar_eigen_residual(pair, dvec))
     if len(reg_gs) < target:        # not enough gap-regular points found
         res_kks = res_bruhat = np.inf
     if not reg_gs:            # nothing regular found: cannot certify

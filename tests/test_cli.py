@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from pnorbit import hermsym, spectrum, verify
 from pnorbit.cli import main
 
 
@@ -68,6 +69,22 @@ def test_polytope_command(tmp_path, capsys):
     summary = json.loads((tmp_path / "poly.csv.summary.json").read_text())
     assert summary["violations"] == 0
     assert set(summary["ranges"]) == {"l1_1"}
+
+
+def test_polytope_rows_cross_chunks_unchanged(tmp_path, capsys):
+    # 4096 + 37 samples: two sampler chunks; every row must equal the row of
+    # one sampler call over all samples, in the per-value format
+    samples = 4096 + 37
+    out = tmp_path / "poly.csv"
+    assert main(["polytope", "--case", "diii:n=2", "--samples", str(samples),
+                 "--seed", "11", "--output", str(out)]) == 0
+    case = hermsym.parse_case("diii:n=2")
+    _, ms = hermsym.batch_points(case, 11, 0, samples)
+    labels, data, _ = spectrum.batch_free_values(case, spectrum.chain_batch(case, ms))
+    want = ["sample," + ",".join(labels)] + [
+        f"{i}," + ",".join(format(float(v), ".16e") for v in row)
+        for i, row in enumerate(data)]
+    assert out.read_text().splitlines() == want
 
 
 def test_polytope_bdi_labels(tmp_path):
@@ -141,6 +158,17 @@ def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_verify_unwritable_output_fails_before_the_suite(tmp_path, monkeypatch,
+                                                       capsys):
+    def suite(*args, **kwargs):
+        pytest.fail("run_suite ran before --output was opened")
+    monkeypatch.setattr(verify, "run_suite", suite)
+    out = tmp_path / "missing-dir" / "out"
+    assert main(["verify", "--case", "aiii:k=1,n=2", "--samples", "2",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_negative_seed_is_masked_to_64_bits(tmp_path, capsys):

@@ -8,9 +8,12 @@ from pnorbit import (ConventionError, UsageError, build_case, idempotents,
                      moment, parse_case)
 from pnorbit.hermsym import (batch_points, check_group_element,
                              group_residual, identity_point, random_point,
-                             sample_rng, stabilizer_element,
-                             torus_fixed_points)
+                             sample_coefficients, sample_rng,
+                             stabilizer_element, torus_fixed_points)
 from pnorbit.numkernel import expm_antihermitian
+from pnorbit.spectrum import batch_violations, chain_batch
+
+from helpers import batch_points_einsum
 
 
 def test_rho_matches_case_matrices(gr24, sp2, bdi5):
@@ -113,6 +116,46 @@ def test_random_point_is_batch_of_one(all_cases):
         p = random_point(case, 6)
         g, m = batch_points(case, 6, 0, 3)
         assert np.array_equal(p.g, g[0]) and np.array_equal(p.m, m[0])
+
+
+# the Philox coefficient stream, recorded bit for bit: (seed, index) -> row
+PINNED_COEFFICIENTS = {
+    (2024, 0): ["0x1.2cfbfe700fc36p-5", "-0x1.2d826426a072dp-1",
+                "-0x1.5c84f34092df9p+0"],
+    (2024, 1): ["-0x1.124c35c3192b0p+0", "0x1.726cc239bb029p-1",
+                "0x1.d1caace21c01ep-1"],
+    (7, 2**40 + 3): ["0x1.c4a40573a33b6p-1", "-0x1.0cf524a25c8dbp-3",
+                     "0x1.247b0d1e59851p+0"],
+    (-1, 5): ["0x1.3f159f746e17ep+0", "0x1.3ef281c631df9p-1",
+              "-0x1.731c408ea3b7bp+0"],
+}
+
+
+def test_coefficient_stream_is_pinned():
+    for (seed, index), row in PINNED_COEFFICIENTS.items():
+        want = np.array([float.fromhex(v) for v in row])
+        assert np.array_equal(sample_coefficients(seed, index, 1, 3)[0], want)
+        assert np.array_equal(sample_rng(seed, index).standard_normal(3), want)
+    # one generator over a range draws what a fresh one per sample draws
+    coefs = sample_coefficients(2024, 0, 6, 10)
+    assert np.array_equal(coefs, np.stack(
+        [sample_rng(2024, i).standard_normal(10) for i in range(6)]))
+
+
+def test_sampler_matches_einsum_oracle(all_cases):
+    for case in all_cases:
+        g, m = batch_points(case, 2024, 0, 400)
+        g_ref, m_ref = batch_points_einsum(case, 2024, 0, 400)
+        assert np.abs(g - g_ref).max() <= 1e-13
+        assert np.abs(m - m_ref).max() <= 1e-13
+        batch, ref = chain_batch(case, m), chain_batch(case, m_ref)
+        if batch["kind"] == "gt":
+            pairs = zip(batch["rows"], ref["rows"])
+        else:
+            pairs = ((batch["a"], ref["a"]), (batch["b"], ref["b"]))
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-13
+        assert batch_violations(case, batch) == batch_violations(case, ref)
 
 
 def test_group_residual_stacks_and_rejects(all_cases, rng):

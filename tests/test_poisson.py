@@ -13,12 +13,14 @@ from pnorbit import (ConventionError, NumericalError, build_case, build_pair,
 from pnorbit.hermsym import (OrbitPoint, batch_points, parse_case,
                              random_point, sample_rng, stabilizer_element)
 from pnorbit.numkernel import DEFAULT_FD_STEP
-from pnorbit.poisson import (connection_check, directional_derivatives,
-                             flow_points, gradient_bracket, jacobi_residual,
-                             kks_raw, nijenhuis_restricted,
-                             nstar_eigen_residual, pencil_eigenvalues,
-                             traces_of_powers)
+from pnorbit.poisson import (chain_gradient, connection_check,
+                             directional_derivatives, flow_points,
+                             gradient_bracket, jacobi_residual, kks_raw,
+                             nijenhuis_restricted, nstar_eigen_residual,
+                             pencil_eigenvalues, traces_of_powers)
 from pnorbit.spectrum import chain_free_vector
+
+from helpers import cartan_element
 
 SIGNS = (1, -1)
 
@@ -232,7 +234,7 @@ def test_stack_raises_when_one_row_breaks_a_check(gr24):
     # a non-tangent vector in one row
     rng = np.random.default_rng(5)
     vs = np.stack([tangent_vector(gr24, m, rng) for m in ms])
-    vs[1] = gr24.alg.cartan_element([1.0, 0.5, 0.2])
+    vs[1] = cartan_element(gr24.alg, [1.0, 0.5, 0.2])
     for p, v in ((pair_row(pair, 1), vs[1]), (pair, vs)):
         with pytest.raises(ConventionError, match="not tangent"):
             nijenhuis_apply(p, v)
@@ -305,7 +307,7 @@ def test_nijenhuis_rejects_non_tangent(gr24):
     pair = build_pair(gr24, p.g, SIGNS)
     # a stabilizer direction translated to m is not tangent in general;
     # use a plain Cartan element instead
-    bad = gr24.alg.cartan_element([1.0, 0.5, 0.2])
+    bad = cartan_element(gr24.alg, [1.0, 0.5, 0.2])
     with pytest.raises(ConventionError):
         nijenhuis_apply(pair, bad)
 
@@ -419,7 +421,8 @@ def test_lenard_gr12_and_sp2(sp2):
 def test_nstar_eigenvalue_equation(gr24, bdi6):
     for case in (gr24, bdi6):
         p = random_point(case, 73)
-        assert nstar_eigen_residual(build_pair(case, p.g, SIGNS)) <= 1e-5
+        pair = build_pair(case, p.g, SIGNS)
+        assert nstar_eigen_residual(pair, chain_gradient(pair)) <= 1e-5
 
 
 def test_connection_block_vs_full(all_cases, rng):

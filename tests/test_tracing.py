@@ -8,7 +8,7 @@ renamed parameters without running the benchmark.
 import importlib.util
 from pathlib import Path
 
-from pnorbit import verify
+from pnorbit import cli, verify
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -22,6 +22,10 @@ VERIFY_LAYERS = [
     "poisson.lenard_check", "poisson.nstar_eigen_residual",
     "poisson.connection_check", "verify.run_suite", "verify.vertex_probe",
 ]
+
+# the polytope path: sampler, exponential and chain extraction under the command
+POLYTOPE_LAYERS = ["hermsym.batch_points", "numkernel.expm_antihermitian",
+                   "spectrum.chain_batch", "cli.polytope"]
 
 
 def load_tracing():
@@ -51,3 +55,14 @@ def test_tracer_covers_the_verify_path():
     left_wrapped = [attr for (owner, attr), fn in originals.items()
                     if owner.__dict__[attr] is not fn]
     assert left_wrapped == []
+
+
+def test_tracer_covers_the_polytope_path(tmp_path, capsys):
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        assert cli.main(["polytope", "--case", "ci:n=2", "--samples", "50",
+                         "--output", str(tmp_path / "poly.csv")]) == 0
+    assert [name for name in POLYTOPE_LAYERS if not tracer.calls[name]] == []
+    assert tracer.counts["hermsym.batch_points.samples"] == 50
+    assert tracer.counts["numkernel.expm_antihermitian.matrices"] >= 50
+    assert tracer.counts["spectrum.chain_batch.samples"] == 50
