@@ -19,6 +19,7 @@ from . import hermsym, poisson, spectrum, verify
 from .errors import CalibrationError, ConventionError, NumericalError, UsageError
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_NUMERICAL = 0, 1, 2, 3
+POLYTOPE_CHUNK = 4096   # samples per sampler call: bounds its stacked temporaries
 
 
 def _parse_tols(items):
@@ -114,7 +115,6 @@ def cmd_polytope(args):
     case = hermsym.parse_case(args.case)
     out_path = args.output or f"polytope_{case.tag}.csv"
     slack = 1e-9
-    chunk = 4096        # samples per sampler call: bounds its stacked temporaries
     labels = (spectrum.raw_labels(case) if case.tag == "bdi"
               else spectrum.free_labels(case))
     mins = np.full(len(labels), np.inf)
@@ -124,8 +124,8 @@ def cmd_polytope(args):
     row = "%d," + ",".join(["%.16e"] * len(labels)) + "\n"
     with open(out_path, "w", newline="") as fh:
         fh.write("sample," + ",".join(labels) + "\n")
-        for done in range(0, args.samples, chunk):
-            cnt = min(chunk, args.samples - done)
+        for done in range(0, args.samples, POLYTOPE_CHUNK):
+            cnt = min(POLYTOPE_CHUNK, args.samples - done)
             _, ms = hermsym.batch_points(case, args.seed, done, cnt)
             batch = spectrum.chain_batch(case, ms)
             if case.tag == "bdi":

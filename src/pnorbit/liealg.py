@@ -111,7 +111,7 @@ def _so_cartan_pairs(m, style):
 class LieAlgebra:
     """A classical matrix Lie algebra with fixed Cartan conventions.
 
-    `_finish` precomputes, next to `jmat`, three maps that turn every
+    `_finish` precomputes, next to `jmat`, the maps that turn every
     contraction against the basis into one matrix product:
 
     * `flat`   (dim, N^2) - the basis, one flattened matrix per row;
@@ -119,7 +119,9 @@ class LieAlgebra:
       A.ravel() @ flat_t = [Tr(A X_b)]_b;
     * `jflat`  (dim, N^2) - row a is J(X_a) flattened (jmat^T @ flat);
     * `flat_re` (2 N^2, dim) - flat_t for the interleaved (re, im) float
-      view of a complex matrix, so that real_coefficients is a real GEMM.
+      view of a complex matrix, so that real_coefficients is a real GEMM;
+    * `side`   (N, dim N) - the basis side by side, [X_0 | X_1 | ...], so
+      that y @ side = [y X_a]_a is one GEMM.
     """
 
     family: str
@@ -134,6 +136,7 @@ class LieAlgebra:
     flat_t: np.ndarray = field(default=None, repr=False)
     jflat: np.ndarray = field(default=None, repr=False)
     flat_re: np.ndarray = field(default=None, repr=False)
+    side: np.ndarray = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -229,6 +232,8 @@ def _finish(alg):
     alg.flat_re = np.empty((2 * size * size, dim))
     alg.flat_re[0::2] = -alg.flat_t.real
     alg.flat_re[1::2] = alg.flat_t.imag
+    alg.side = np.ascontiguousarray(
+        np.swapaxes(alg.basis, 0, 1).reshape(size, dim * size))
     return alg
 
 

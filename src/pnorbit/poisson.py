@@ -9,14 +9,21 @@ with xi_a = [m, X_a] (the right-translated differential of F_a).  The signs
 (s_K, s_0) are fixed once by the discrete calibration in `verify`; the
 calibrated global convention is (+1, -1).
 
-`bruhat_matrix` evaluates the same tensor in coefficient space, as the
+Both matrices are carried over from the base point rho by one matrix per
+point, A = Ad_{g^-1} on coefficient rows, A[a,b] = -Re Tr(g^-1 X_a g X_b)
+(orthogonal, as g is unitary).  With K = kks_raw(case, m) and
+K0 = kks_raw(case, rho), invariance of <,> gives
+
+    K[a,b] = <g rho g^-1, [X_a, X_b]> = <rho, [g^-1 X_a g, g^-1 X_b g]>,
+    so K = A K0 A^T.
+
+`bruhat_matrix` evaluates the Iwasawa tensor in coefficient space, as the
 r-matrix form Ad_g J Ad_g^-1 - J pulled back through K (Lu-Weinstein):
 
-    P0 = -s_0 K (A J A^T - J) K,    A[a,b] = -Re Tr(g^-1 X_a g X_b).
+    P0 = -s_0 K D K,    D = A J A^T - J.
 
-Derivation: xi_a has coefficient row K[a], and A is Ad_{g^-1} on
-coefficient rows (orthogonal, as g is unitary).  Ad_{g^-1} is complex
-linear, so z_a = Ad_{g^-1} C_+(xi_a) = i u_a + w_a with u_a = Ad_{g^-1} xi_a
+Derivation: xi_a has coefficient row K[a].  Ad_{g^-1} is complex linear,
+so z_a = Ad_{g^-1} C_+(xi_a) = i u_a + w_a with u_a = Ad_{g^-1} xi_a
 (row K[a] A) and w_a = Ad_{g^-1} J xi_a (row K[a] J^T A).  The Iwasawa
 split of z = i u + w has g-part x = w - J u and b_+-part C_+(u); since x,
 u and J u are in g, Im Tr(x C_+(u)) = Tr(x u) = -<x, u>.  Hence
@@ -24,13 +31,24 @@ P0[a,b] = s_0 <x_a, u_b> = s_0 K[a] (J^T A - A J^T) A^T K[b]^T, which with
 A A^T = 1, J^T = -J and K^T = -K is the form above.  The einsum form of the
 Iwasawa expression is kept as the oracle in the tests.
 
+Everything per point therefore follows from A and per-case base data: K0,
+its one rank-cut SVD (the cut s > 1e-9 s_0 that pinv(K0, rcond=1e-9) would
+apply), the tangent basis T0 = U0[:, :dim M] and K0^+, computed once per
+case and cached.  `build_pair` forms K = A K0 A^T, P0 = -s_0 K D K,
+tangent = A T0 and K^+ = A K0^+ A^T, with no SVD per point.  The rank
+check of K becomes a certificate on A: A invertible gives
+rank(A K0 A^T) = rank K0 = dim M, and tangent and K^+ need A orthogonal,
+so a point with max|A A^T - 1| > ORTHO_TOL raises.  (The nonzero singular
+values of K0 are all 1 on the cases tried, up to aiii:k=5,n=10 and
+diii:n=8, the next is below 4e-16, so such a defect cannot move a value
+across the cut.)  The KKS rank margin and cond(PK|tangent) are base-SVD
+constants of the case.  `traces_of_powers` reads
+Tr (K D)^k = Tr (K0 (J - A^T J A))^k from A alone.
+
 `kks_raw` and `bruhat_matrix` take leading stack axes; callers that hold K
 pass it as `k=`.  The Nijenhuis operator acts on tangent coefficient
 vectors as P0 . PK^+, and independently in closed form as
-N v = [-J(v), m] + v.  `build_pair` takes the module's one SVD: of K, for
-the rank test, the tangent basis and K^+ = V_r diag(1/s_r) U_r^T, with the
-cut s > 1e-9 s_0 that pinv(K, rcond=1e-9) would apply.  `traces_of_powers`
-needs none, as Tr N^k is a trace of powers of K D.
+N v = [-J(v), m] + v.
 
 Stack contract of the pencil: `build_pair` takes one g (N, N) or a stack
 (S, N, N), and every `BracketPair` field then carries the same leading
@@ -44,10 +62,13 @@ certify, read case, g, m and signs from it, and build none of their own;
 `nstar_eigen_residual` also takes the pair's `chain_gradient`, which the
 involution checks share.
 `stack_chunk(case)` is the one rule for how many points go into a stacked
-call, shared by the sample loops in `verify` and the fd flows (both signs
-of `stack_chunk(case)` directions per call).
+bracket call, shared by the sample loops in `verify` and the bracket fd
+flows (both signs of `stack_chunk(case)` directions per call); the chain
+fd flow of `chain_gradient` builds no brackets and takes all 2 dim points
+in one call.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +81,7 @@ CALIBRATED_SIGNS = (1, -1)      # (s_K, s_0); see verify.calibrate
 TANGENT_TOL = 1e-9              # nijenhuis_apply: relative normal component
 IMAG_TOL = 1e-8                 # pencil eigenvalues: relative imaginary part
 PAIRING_TOL = 1e-8              # pencil_spectrum: gap within a doubled pair
+ORTHO_TOL = 1e-9                # build_pair: max|A A^T - 1|, the rank certificate
 
 
 def _dagger(x):
@@ -83,14 +105,53 @@ def kks_raw(case, m):
     return np.swapaxes(p, -1, -2) - p
 
 
-def _r_matrix(case, g):
-    """D = A J A^T - J, the r-matrix Ad_g J Ad_g^-1 - J in coefficients (g
-    may be a stack)."""
+def _adjoint(case, g):
+    """A = Ad_{g^-1} on coefficient rows, A[..., a, b] = -Re Tr(g^-1 X_a g X_b)
+    (g may be a stack)."""
     alg = case.alg
-    # A[..., a, b] = -Re Tr(g^-1 X_a g X_b): Ad_{g^-1} on coefficient rows
-    a = alg.real_coefficients(_dagger(g)[..., None, :, :] @ alg.basis
-                              @ g[..., None, :, :])
-    return a @ alg.jmat @ np.swapaxes(a, -1, -2) - alg.jmat
+    n, dim, lead = alg.size, alg.dim, g.shape[:-2]
+    # g^dag X_a side by side, read as rows (i, a); then every block times g
+    left = (_dagger(g) @ alg.side).reshape(lead + (n * dim, n))
+    gxg = (left @ g).reshape(lead + (n, dim, n))
+    return alg.real_coefficients(np.swapaxes(gxg, -3, -2))
+
+
+# The per-case base data of the bracket layer: K0 = kks_raw(case, rho), the
+# tangent basis T0 of range(K0) and K0^+, all from one rank-cut SVD of K0.
+# build_case is deterministic in the descriptor, so the descriptor keys the
+# cache and every Case object parsed from it shares one entry.
+_Base = namedtuple("_Base", "k tangent k_pinv")
+_BASES = {}                     # case descriptor -> _Base
+
+
+def _base(case):
+    """The cached base data of case (built on the first call per case)."""
+    key = case.descriptor()
+    if key not in _BASES:
+        _BASES[key] = _build_base(case)
+    return _BASES[key]
+
+
+def _build_base(case):
+    k0 = kks_raw(case, case.rho)
+    u, s, vt = np.linalg.svd(k0)
+    rank = int((s > 1e-9 * s[0]).sum())
+    if rank != case.dim_m:
+        raise NumericalError(f"KKS rank {rank} != dim M = {case.dim_m}")
+    tangent = u[:, :rank]
+    # the pseudo-inverse pinv(k0, rcond=1e-9) would take, from the same SVD
+    k_pinv = (vt[:rank].T / s[:rank]) @ tangent.T
+    for arr in (k0, tangent, k_pinv):
+        arr.flags.writeable = False
+    return _Base(k0, tangent, k_pinv)
+
+
+def _bruhat(case, a, left, right, s_0):
+    """The one Bruhat kernel: -s_0 left (A J A^T - J) right, where left and
+    right are rows and columns of K (both K for the whole of P0)."""
+    jmat = case.alg.jmat
+    mid = a @ jmat @ np.swapaxes(a, -1, -2) - jmat
+    return -s_0 * (left @ mid @ right)
 
 
 def bruhat_matrix(case, g, s_0=CALIBRATED_SIGNS[1], k=None, block=None):
@@ -103,22 +164,23 @@ def bruhat_matrix(case, g, s_0=CALIBRATED_SIGNS[1], k=None, block=None):
     g = np.asarray(g)
     if k is None:
         k = kks_raw(case, _moment(case, g))
-    mid = _r_matrix(case, g)
     left, right = (k, k) if block is None else (k[..., block, :], k[..., :, block])
-    return -s_0 * (left @ mid @ right)
+    return _bruhat(case, _adjoint(case, g), left, right, s_0)
 
 
 @dataclass
 class BracketPair:
     """Both Poisson matrices at one orbit point or a stack of them, with
-    tangent data; every array field has the stack's leading axes."""
+    tangent data; every array field has the stack's leading axes.  With
+    A = Ad_{g^-1} on coefficient rows, each is carried over from the
+    case's base point rho."""
 
     point: object                   # hermsym.OrbitPoint
-    p0: np.ndarray
-    pk: np.ndarray
-    k_raw: np.ndarray = field(repr=False)
-    tangent: np.ndarray = field(repr=False)   # (..., dim, 2 n_eig) orthonormal
-    k_pinv: np.ndarray = field(repr=False)    # K^+ from the rank-cut SVD
+    p0: np.ndarray                  # -s_0 K (A J A^T - J) K
+    pk: np.ndarray                  # s_K K
+    k_raw: np.ndarray = field(repr=False)     # K = A K0 A^T
+    tangent: np.ndarray = field(repr=False)   # (..., dim, 2 n_eig) A T0, orthonormal
+    k_pinv: np.ndarray = field(repr=False)    # K^+ = A K0^+ A^T
     signs: tuple = CALIBRATED_SIGNS
 
     @property
@@ -132,27 +194,26 @@ class BracketPair:
 def build_pair(case, g, signs=CALIBRATED_SIGNS):
     """Both brackets at g, one group element (N, N) or a stack (S, N, N).
 
-    One stacked SVD of K gives the rank check (the cut s > 1e-9 s_0 must
-    leave dim M values in every row), the tangent basis and K^+.  P0 needs
-    no check: -s_0 K D K with D antisymmetric is antisymmetric and maps into
-    range(PK) by construction.
+    Every field is carried over from the case's base data by A = Ad_{g^-1}
+    (see the module docstring); no SVD is taken per point.  The rank of K
+    is certified through A: a row with max|A A^T - 1| > ORTHO_TOL raises.
+    P0 needs no check: -s_0 K D K with D antisymmetric is antisymmetric and
+    maps into range(PK) by construction.
     """
     from .hermsym import OrbitPoint
     g = np.asarray(g)
-    m = _moment(case, g)
-    k = kks_raw(case, m)
-    p0 = bruhat_matrix(case, g, signs[1], k=k)
-    u, s, vt = np.linalg.svd(k)
-    ranks = (s > 1e-9 * s[..., :1]).sum(axis=-1)
-    bad = ranks[ranks != case.dim_m]
-    if bad.size:
-        raise NumericalError(f"KKS rank {int(bad.flat[0])} != dim M = {case.dim_m}")
-    tangent = u[..., :case.dim_m]
-    # the pseudo-inverse pinv(k, rcond=1e-9) would take, from the same SVD
-    k_pinv = ((np.swapaxes(vt[..., :case.dim_m, :], -1, -2)
-               / s[..., None, :case.dim_m]) @ np.swapaxes(tangent, -1, -2))
-    return BracketPair(OrbitPoint(case, g, m), p0, signs[0] * k, k, tangent,
-                       k_pinv, signs)
+    base = _base(case)
+    a = _adjoint(case, g)
+    at = np.swapaxes(a, -1, -2)
+    defect = np.abs(a @ at - np.eye(case.alg.dim)).max(axis=(-2, -1))
+    if (defect > ORTHO_TOL).any():
+        raise NumericalError(
+            f"KKS rank not certified: max|A A^T - 1| = {defect.max():.3e} "
+            f"> {ORTHO_TOL:g}")
+    k = a @ base.k @ at
+    p0 = _bruhat(case, a, k, k, signs[1])
+    return BracketPair(OrbitPoint(case, g, _moment(case, g)), p0, signs[0] * k,
+                       k, a @ base.tangent, a @ base.k_pinv @ at, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +294,20 @@ def stack_chunk(case):
     return max(1, _FLOW_CHUNK_BYTES // (32 * alg.dim * alg.size ** 2))
 
 
-def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP):
+def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     """fd derivatives of point functions along every fundamental flow.
 
     Stack contract: funcs maps stacks (gs, ms) of flow points, shapes
     (S, N, N), to values with a leading stack axis, (S, *value_shape); row
     s must depend on gs[s], ms[s] alone.  The 2 dim flow points go through
-    funcs in chunks of both signs of stack_chunk(case) directions, so that
-    the stacked intermediates of one call, about chunk * dim * N^2 complex
-    numbers, stay within a fixed byte budget.  Returns (dim, *value_shape).
+    funcs in calls of both signs of chunk directions, by default
+    stack_chunk(case), so that the stacked intermediates of one bracket
+    call, about chunk * dim * N^2 complex numbers, stay within a fixed byte
+    budget.  Returns (dim, *value_shape).
     """
     pts = flow_points(case, g, h)
     size = case.alg.size
-    step = stack_chunk(case)
+    step = chunk or stack_chunk(case)
     out = None
     for a in range(0, len(pts), step):
         gs = pts[a:a + step].reshape(-1, size, size)
@@ -288,13 +350,19 @@ def jacobi_residual(pair, t, triples):
     rows = [pos[x] for x, _, _ in cyclic]
     cols = [pos[y] for _, y, _ in cyclic]
 
+    k0 = _base(case).k
+
     def entries(gs, ms):
-        # one K per flow point; only the needed block of P0 is formed, and
-        # only the bracketed pairs {F_x, F_y} are differentiated
-        k = kks_raw(case, ms)
-        pt = signs[0] * k[:, needed][:, :, needed]
+        # the needed rows K[needed] = A[needed] K0 A^T per flow point, so
+        # only that block of P0 is formed, and only the bracketed pairs
+        # {F_x, F_y} are differentiated
+        a = _adjoint(case, gs)
+        k_rows = a[:, needed] @ k0 @ np.swapaxes(a, -1, -2)
+        pt = signs[0] * k_rows[:, :, needed]
         if t != "kks":
-            pt = bruhat_matrix(case, gs, signs[1], k=k, block=needed) + t * pt
+            # K[:, needed] = -K[needed]^T, as K is antisymmetric
+            pt = _bruhat(case, a, k_rows, -np.swapaxes(k_rows, -1, -2),
+                         signs[1]) + t * pt
         return pt[:, rows, cols]
 
     dvec = directional_derivatives(case, pair.point.g, entries)  # (dim, 3 * triples)
@@ -316,16 +384,19 @@ def _nstar_coefficient_matrix(pair):
 
 def traces_of_powers(case, g, k_max, signs=CALIBRATED_SIGNS):
     """I_k = (1/k) Tr N^k for k = 1..k_max at g, one point or a stack
-    (..., N, N) -> (..., k_max), with no SVD.
+    (..., N, N) -> (..., k_max), from A alone.
 
     N = P0 PK^+ = -s_0 s_K K D (K K^+) with D = A J A^T - J.  K K^+ is the
     identity on range(K), the tangent space, and Tr is cyclic, so
-    Tr N^k = (-s_0 s_K)^k Tr (K D)^k.  No rank check is needed per point:
-    K has rank dim M all over the orbit, and the build_pair of the pair
-    that lenard_check takes checks it at the base point.
+    Tr N^k = (-s_0 s_K)^k Tr (K D)^k, and with K = A K0 A^T and A
+    orthogonal, K D = A K0 (J - A^T J A) A^T.  No certificate is needed
+    per point: the flow points are unitary, and the build_pair of the pair
+    that lenard_check takes certifies A at the base point.
     """
     g = np.asarray(g)
-    kd = kks_raw(case, _moment(case, g)) @ _r_matrix(case, g)
+    a = _adjoint(case, g)
+    jmat = case.alg.jmat
+    kd = _base(case).k @ (jmat - np.swapaxes(a, -1, -2) @ jmat @ a)
     c = -signs[1] * signs[0]
     out = []
     acc = kd
@@ -360,10 +431,13 @@ def lenard_check(pair, k_max):
 def chain_gradient(pair):
     """fd flow derivatives of the free chain eigenvalues at the pair's
     point, (dim, n_eig): column i is the flow-derivative vector of
-    lambda_i, as gradient_bracket and nstar_eigen_residual take it."""
+    lambda_i, as gradient_bracket and nstar_eigen_residual take it.  The
+    chain has no (S, dim, N, N) intermediates, so all 2 dim flow points go
+    through one chain_free_vector call."""
     case = pair.case
     return directional_derivatives(
-        case, pair.point.g, lambda gs, ms: _spectrum.chain_free_vector(case, ms))
+        case, pair.point.g, lambda gs, ms: _spectrum.chain_free_vector(case, ms),
+        chunk=case.alg.dim)
 
 
 def nstar_eigen_residual(pair, dvec):

@@ -435,16 +435,17 @@ def measure_diii_normalization(n=3, samples=10000, seed=424242):
 
     Decides between the two candidate eigenvalue ranges [0,2] and [-1,3]
     without assuming either: the candidates only differ outside [0,2].
-    Each 200-sample draw goes through the pencil in stacks of
-    poisson.stack_chunk(case) points.
+    Each draw, the multiple of poisson.stack_chunk(case) nearest 200 from
+    below (at least one stack), goes through the pencil in stacks of
+    stack_chunk points.
     """
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     case = hermsym.build_case("diii", n=n)
     signs = calibrate().signs
     lo, hi = np.inf, -np.inf
-    chunk = 200
     step = poisson.stack_chunk(case)
+    chunk = step * max(1, 200 // step)
     done = 0
     while done < samples:
         cnt = min(chunk, samples - done)

@@ -13,6 +13,7 @@ import pytest
 from pnorbit import (build_algebra, c_plus, calibrate,
                      measure_diii_normalization, parse_case, run_suite,
                      vertex_probe)
+from pnorbit.cli import POLYTOPE_CHUNK
 from pnorbit.hermsym import batch_points
 from pnorbit.spectrum import batch_violations, chain_batch
 
@@ -114,7 +115,7 @@ def test_criterion_5_involution(reports):
 
 def test_criterion_6_interlacing_polytopes():
     total = 100000
-    chunk = 20000
+    chunk = POLYTOPE_CHUNK      # the CLI's chunk: same samples, smaller stacks
     violations = 0
     vertex_worst = 0.0
     for desc in CASES:

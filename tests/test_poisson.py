@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from pnorbit import (ConventionError, NumericalError, build_case, build_pair,
                      bruhat_matrix, chain_spectrum, lenard_check,
-                     nijenhuis_apply, nijenhuis_formula, pencil_spectrum)
+                     nijenhuis_apply, nijenhuis_formula, pencil_spectrum,
+                     poisson)
 from pnorbit.hermsym import (OrbitPoint, batch_points, parse_case,
                              random_point, sample_rng, stabilizer_element)
 from pnorbit.numkernel import DEFAULT_FD_STEP
@@ -153,8 +154,9 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
 
 
 def test_build_pair_takes_one_svd(gr24, monkeypatch):
-    # build_pair takes the one SVD of a bracket build; lenard_check, on the
-    # pair it is given, and its fd flows (traces_of_powers) take none
+    # the one SVD of the bracket layer is of K0, on the first build of a
+    # case; later builds, lenard_check on the pair it is given and its fd
+    # flows (traces_of_powers) take none
     calls = {"svd": 0, "pinv": 0}
 
     def counted(name, fn):
@@ -163,15 +165,17 @@ def test_build_pair_takes_one_svd(gr24, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(poisson, "_BASES", {})     # a fresh case
     p = random_point(gr24, 97)
     gs, _ = batch_points(gr24, 97, 0, 6)
-    for g in (p.g, gs):               # one point, then a stack of six
+    # the first build, then one point and a stack of six
+    for g, svds in ((p.g, 1), (p.g, 0), (gs, 0)):
         calls.update(svd=0, pinv=0)
         with monkeypatch.context() as mp:
             mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
             mp.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
             pair = build_pair(gr24, g, SIGNS)
-        assert calls == {"svd": 1, "pinv": 0}
+        assert calls == {"svd": svds, "pinv": 0}
         ref = np.linalg.pinv(pair.k_raw, rcond=1e-9)
         assert np.abs(pair.k_pinv - ref).max() <= 1e-12
     pair = build_pair(gr24, p.g, SIGNS)
@@ -181,6 +185,47 @@ def test_build_pair_takes_one_svd(gr24, monkeypatch):
         mp.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
         lenard_check(pair, gr24.n_eig)
     assert calls == {"svd": 0, "pinv": 0}
+
+
+def test_bracket_layer_matches_per_point_route(all_cases):
+    # build_pair and traces_of_powers carry K0 and its SVD over from rho by
+    # A = Ad_{g^-1}; the per-point route takes kks_raw(m) and its own SVD
+    for case in all_cases + [build_case("diii", n=6)]:
+        r = case.dim_m
+        s0 = np.linalg.svd(kks_raw(case, case.rho), compute_uv=False)
+        # the rank cut at 1e-9 has all the margin there is
+        assert np.abs(s0[:r] - 1.0).max() <= 1e-13, case.name
+        assert s0[r:].max(initial=0.0) <= 1e-14, case.name
+        gs, ms = batch_points(case, 43, 0, 3)
+        pair = build_pair(case, gs, SIGNS)
+        traces = traces_of_powers(case, gs, case.n_eig + 1, SIGNS)
+        basis, jmat = case.alg.basis, case.alg.jmat
+        for i, (g, m) in enumerate(zip(gs, ms)):
+            k = kks_raw(case, m)
+            assert np.abs(pair.k_raw[i] - k).max() <= 1e-13, case.name
+            ref = np.linalg.pinv(k, rcond=1e-9)
+            assert np.abs(pair.k_pinv[i] - ref).max() <= 1e-12, case.name
+            # an orthonormal basis of range(K(m)), which has dimension r
+            t = pair.tangent[i]
+            assert np.abs(t.T @ t - np.eye(r)).max() <= 1e-13
+            u = np.linalg.svd(k)[0][:, :r]
+            assert np.abs(t @ (t.T @ u) - u).max() <= 1e-12, case.name
+            # Tr N^k = (-s_0 s_K)^k Tr (K(m) D)^k, with D = A J A^T - J
+            a = -np.einsum("ji,ajk,kl,bli->ab", g.conj(), basis, g, basis,
+                           optimize=True).real
+            kd = k @ (a @ jmat @ a.T - jmat)
+            c = -SIGNS[1] * SIGNS[0]
+            want = [c ** j * np.trace(np.linalg.matrix_power(kd, j)) / j
+                    for j in range(1, case.n_eig + 2)]
+            assert np.abs(traces[i] - want).max() <= (
+                1e-12 * max(1.0, np.abs(want).max())), case.name
+        # a row off the group by 1e-6 fails the certificate that replaces
+        # the per-point rank test, alone or in a stack
+        bad = gs.copy()
+        bad[1, 0] *= 1 + 1e-6
+        for g in (bad[1], bad):
+            with pytest.raises(NumericalError, match="KKS rank"):
+                build_pair(case, g, SIGNS)
 
 
 def pair_row(pair, i):

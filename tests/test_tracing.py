@@ -51,7 +51,8 @@ def test_tracer_covers_the_verify_path():
     dim = 3                                     # su(2)
     assert tracer.counts["poisson.flow_evals"] == (
         2 * dim * tracer.calls["poisson.directional_derivatives"])
-    assert tracer.counts["poisson.linalg_svd"] == tracer.calls["poisson.build_pair"]
+    # the one SVD of the bracket layer is per case (of K0), none per point
+    assert tracer.counts["poisson.linalg_svd"] <= 1
     left_wrapped = [attr for (owner, attr), fn in originals.items()
                     if owner.__dict__[attr] is not fn]
     assert left_wrapped == []
