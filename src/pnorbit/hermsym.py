@@ -3,7 +3,9 @@
 A Case bundles the ambient algebra, the orbit generator rho, the symmetry
 K = exp(pi rho), the eigenbundle isometries W_+/W_-, and the subalgebra
 chain data used for the eigenvalue extraction.  Orbit points are sampled
-as m = g rho g^{-1} with g = exp of a Gaussian algebra element.
+as m = g rho g^{-1} with g = exp of a Gaussian algebra element.  The
+so-families (diii, bdi) are real forms: their rho is real, and their
+samples g and m are float64 (LieAlgebra.native).
 
 Case strings: ``aiii:k=2,n=4``  ``ci:n=3``  ``diii:n=4``  ``bdi:m=7``.
 """
@@ -125,7 +127,7 @@ def build_case(tag, **params):
         if n < 2:
             raise ConventionError("diii needs n >= 2")
         alg = liealg.build_algebra("D", n, cartan_style="split")
-        rho = np.zeros((2 * n, 2 * n), complex)
+        rho = np.zeros((2 * n, 2 * n))
         rho[:n, n:] = 0.5 * np.eye(n)
         rho[n:, :n] = -0.5 * np.eye(n)
         w_plus = np.vstack([np.eye(n), 1j * np.eye(n)]) / np.sqrt(2)
@@ -140,7 +142,7 @@ def build_case(tag, **params):
         family = "B" if m % 2 else "D"
         alg = liealg.build_algebra(family, (m - 1) // 2 if m % 2 else m // 2,
                                    cartan_style="blocks")
-        rho = np.zeros((m, m), complex)
+        rho = np.zeros((m, m))
         rho[m - 2, m - 1] = 1.0
         rho[m - 1, m - 2] = -1.0
         w_plus = np.eye(m, m - 2, dtype=complex)
@@ -245,25 +247,28 @@ def sample_coefficients(seed, start, count, dim):
     return coefs
 
 
-def _exp_samples(seed, start, count, generators):
-    """exp(c . generators) per sample, (count, N, N), for generators (K, N, N);
-    sample i draws c from stream (seed, start + i).  One vector-matrix product
-    per sample: a flat GEMM would round a batch of one differently."""
+def _exp_samples(alg, seed, start, count, generators):
+    """exp(c . generators) per sample, (count, N, N), for generators (K, N, N)
+    in alg; sample i draws c from stream (seed, start + i).  The generators
+    enter in alg's own arithmetic (LieAlgebra.native), so the so-families'
+    samples are real.  One vector-matrix product per sample: a flat GEMM
+    would round a batch of one differently."""
     k, n = len(generators), generators.shape[-1]
     coefs = sample_coefficients(seed, start, count, k)
-    x = coefs[:, None, :] @ generators.reshape(k, n * n)
+    x = coefs[:, None, :] @ alg.native(generators).reshape(k, n * n)
     return expm_antihermitian(x.reshape(count, n, n))
 
 
 def batch_points(case, seed, start, count):
     """Orbit points g, m = g rho g^dag for sample indices start..start+count-1:
     g = exp of a Gaussian algebra element, drawn as in _exp_samples."""
-    g = _exp_samples(seed, start, count, case.alg.basis)
+    g = _exp_samples(case.alg, seed, start, count, case.alg.basis)
     return g, g @ case.rho @ np.conj(np.swapaxes(g, 1, 2))
 
 
 def identity_point(case):
-    return OrbitPoint(case, np.eye(case.alg.size, dtype=complex), case.rho.copy())
+    g = case.alg.native(np.eye(case.alg.size, dtype=complex))
+    return OrbitPoint(case, g, case.rho.copy())
 
 
 def idempotents(case, g):
@@ -276,7 +281,7 @@ def idempotents(case, g):
 def stabilizer_elements(case, seed, start, count):
     """Elements of the stabilizer H = exp(h), h = ker ad_rho, for sample
     indices start..start+count-1, (count, N, N), drawn like batch_points."""
-    return _exp_samples(seed, start, count, case.stabilizer)
+    return _exp_samples(case.alg, seed, start, count, case.stabilizer)
 
 
 # ---------------------------------------------------------------------------

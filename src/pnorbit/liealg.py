@@ -121,7 +121,8 @@ class LieAlgebra:
     * `flat_re` (2 N^2, dim) - flat_t for the interleaved (re, im) float
       view of a complex matrix, so that real_coefficients is a real GEMM;
     * `side`   (N, dim N) - the basis side by side, [X_0 | X_1 | ...], so
-      that y @ side = [y X_a]_a is one GEMM.
+      that y @ side = [y X_a]_a is one GEMM; float64 for the so-families,
+      whose basis is real (`native`).
 
     `ad_matrix` is one GEMM through `flat_re`; K = -ad_m (`poisson.kks_raw`).
     """
@@ -158,9 +159,18 @@ class LieAlgebra:
         return -(x.reshape(x.shape[:-2] + (-1,)) @ self.flat_t)
 
     def real_coefficients(self, x):
-        """coefficients(x).real, as one real GEMM on the float view of x."""
+        """coefficients(x).real, as one real GEMM on the float view of x;
+        a real x meets only the real-part rows of flat_re."""
+        if not np.iscomplexobj(x):
+            x = np.asarray(x, float)
+            return x.reshape(x.shape[:-2] + (-1,)) @ self.flat_re[0::2]
         x = np.ascontiguousarray(x, complex)
         return x.view(float).reshape(x.shape[:-2] + (-1,)) @ self.flat_re
+
+    def native(self, x):
+        """Matrices x of the algebra in its own arithmetic: a float64 copy
+        for the so-families (B, D), whose elements are real, else x."""
+        return np.ascontiguousarray(x.real) if self.family in ("B", "D") else x
 
     def from_coefficients(self, c):
         """sum_a c_a X_a for one coefficient vector or a stack (..., dim)."""
@@ -229,7 +239,7 @@ def _finish(alg):
     alg.flat_re[0::2] = -alg.flat_t.real
     alg.flat_re[1::2] = alg.flat_t.imag
     alg.side = np.ascontiguousarray(
-        np.swapaxes(alg.basis, 0, 1).reshape(size, dim * size))
+        alg.native(np.swapaxes(alg.basis, 0, 1).reshape(size, dim * size)))
     # J last: ad_matrix reads flat_re
     w, u = np.linalg.eigh(1j * alg.ad_matrix(alg.h0))
     sign = np.sign(np.where(np.abs(w) < 0.4, 0.0, w))

@@ -45,6 +45,15 @@ across the cut.)  The KKS rank margin and cond(PK|tangent) are base-SVD
 constants of the case.  `traces_of_powers` reads
 Tr (K D)^k = Tr (K0 (J - A^T J A))^k from A alone.
 
+Real forms.  For the so-families (diii, bdi) rho and the sampled g and m
+are real (hermsym), and so are the flow points of a real g.  A real g
+meets the real `side` of the algebra and the real-part rows of its
+coefficient map (LieAlgebra.native, real_coefficients), so A, and with it
+K, P0, the tangent basis, K^+, `traces_of_powers` and the Jacobi flows, is
+formed by real GEMMs alone.  aiii and ci keep complex g, and a complex g
+of an so-family takes the complex route to the same A up to round-off.
+J is formed once per algebra (liealg), the same for either route.
+
 `kks_raw` (K = -ad_m) and `bruhat_matrix` take leading stack axes;
 `bruhat_matrix` is the per-point `kks_raw(m)` route that the coset check
 and the oracle tests compare with the carried-over K.  N acts on tangent
@@ -104,7 +113,8 @@ def kks_raw(case, m):
 
 def _adjoint(case, g):
     """A = Ad_{g^-1} on coefficient rows, A[..., a, b] = -Re Tr(g^-1 X_a g X_b)
-    (g may be a stack)."""
+    (g may be a stack).  A real g of an so-family meets the real `side` and
+    the real coefficient map: two real GEMMs and a real coefficient read."""
     alg = case.alg
     n, dim, lead = alg.size, alg.dim, g.shape[:-2]
     # g^dag X_a side by side, read as rows (i, a); then every block times g
@@ -267,14 +277,15 @@ def pencil_spectrum(pair):
 def flow_points(case, g, h=DEFAULT_FD_STEP):
     """Perturbed group elements, (dim, 2, N, N): [a, 0] = exp(+h X_a) g and
     [a, 1] = exp(-h X_a) g for every basis direction a."""
-    steps = expm_antihermitian(h * case.alg.basis)
+    steps = expm_antihermitian(case.alg.native(h * case.alg.basis))
     return np.stack([steps, _dagger(steps)], axis=1) @ g
 
 
-# Byte budget for the stacked Bruhat kernel's two (chunk, dim, N, N) complex
-# products: both fit in it at stack_chunk points; an fd flow call has twice
-# as many points (both signs of stack_chunk directions), so there each
-# product alone fits in it.
+# Byte budget for the stacked Bruhat kernel's two (chunk, dim, N, N)
+# products, counted as complex (the so-families' real ones take half): both
+# fit in it at stack_chunk points; an fd flow call has twice as many points
+# (both signs of stack_chunk directions), so there each product alone fits
+# in it.
 _FLOW_CHUNK_BYTES = 1 << 18
 
 
@@ -293,8 +304,8 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     s must depend on gs[s], ms[s] alone.  The 2 dim flow points go through
     funcs in calls of both signs of chunk directions, by default
     stack_chunk(case), so that the stacked intermediates of one bracket
-    call, about chunk * dim * N^2 complex numbers, stay within a fixed byte
-    budget.  Returns (dim, *value_shape).
+    call, about chunk * dim * N^2 complex (so-families: real) numbers, stay
+    within a fixed byte budget.  Returns (dim, *value_shape).
     """
     pts = flow_points(case, g, h)
     size = case.alg.size
@@ -383,19 +394,26 @@ def traces_of_powers(case, g, k_max, signs=CALIBRATED_SIGNS):
     orthogonal, K D = A K0 (J - A^T J A) A^T.  No certificate is needed
     per point: the flow points are unitary, and the build_pair of the pair
     that lenard_check takes certifies A at the base point.
+
+    Only the powers M^j, M = K D, up to i = ceil(k_max / 2) are formed,
+    half the dense products; each higher trace Tr M^(i+j) = sum M^j o
+    (M^i)^T is one dot product of M^j with the transposed top power.
     """
     g = np.asarray(g)
     a = _adjoint(case, g)
     jmat = case.alg.jmat
     kd = _base(case).k @ (jmat - np.swapaxes(a, -1, -2) @ jmat @ a)
     c = -signs[1] * signs[0]
-    out = []
-    acc = kd
-    for j in range(1, k_max + 1):
-        if j > 1:
-            acc = acc @ kd
-        out.append(c ** j * np.trace(acc, axis1=-2, axis2=-1) / j)
-    return np.stack(out, axis=-1)
+    pows = [kd]
+    for _ in range(1, (k_max + 1) // 2):
+        pows.append(pows[-1] @ kd)
+    lead, size = kd.shape[:-2], kd.shape[-1] ** 2
+    top_t = np.swapaxes(pows[-1], -1, -2).reshape(lead + (size, 1))
+    tr = [np.trace(p, axis1=-2, axis2=-1) for p in pows]
+    tr += [(p.reshape(lead + (1, size)) @ top_t)[..., 0, 0]
+           for p in pows[:k_max - len(pows)]]
+    k = np.arange(1, k_max + 1)
+    return c ** k * np.stack(tr, axis=-1) / k
 
 
 def lenard_check(pair, k_max):
@@ -455,12 +473,12 @@ def connection_check(case, g, v):
 
     bdi lacks the block form; the check degenerates there and is flagged.
     """
+    if case.tag == "bdi":
+        return 0.0, False
     alg = case.alg
     m = _moment(case, g)
     jv = alg.j_apply(v)
     full = (-jv + (m @ v - v @ m)) @ g
-    if case.tag == "bdi":
-        return 0.0, False
     cp = 1j * v + jv
     cm = 1j * v - jv
     sp = g @ case.w_plus

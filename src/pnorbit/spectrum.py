@@ -10,7 +10,8 @@ level-0 block (m itself for Grassmannians, the V+ compression W^dag m W
 otherwise), mapped affinely to Nijenhuis eigenvalues lam = -2*lt + offset.
 
 For the real-Grassmannian (bdi) cases the data is the (a_k, b_k) family:
-+-i a_k is the rank-2 spectrum of the upper-left so-block, b_k the single
++-i a_k is the rank-2 spectrum of the upper-left so-block (read in real
+arithmetic: a_k is the block's spectral norm), b_k the single
 off-diagonal entry of the split-off so(2), and
 lam^(k)_pm = +-a_k - sum_{j<=k} b_j + 1.
 """
@@ -138,8 +139,11 @@ def chain_batch(case, ms):
     for k in range(1, amb // 2 + (amb % 2)):
         size = amb - 2 * k
         if size >= 3:
-            w = np.linalg.eigvalsh(-1j * mr[:, :size, :size].astype(complex))
-            a.append(np.maximum(w[:, -1], 0.0))
+            # the minor B is real antisymmetric of rank <= 2, so its top
+            # value a is its spectral norm: sqrt of the top of B^T B
+            blk = mr[:, :size, :size]
+            w = np.linalg.eigvalsh(np.swapaxes(blk, 1, 2) @ blk)
+            a.append(np.sqrt(np.maximum(w[:, -1], 0.0)))
         elif size == 2:
             # final even step: keep the sign (smooth global coordinate)
             a.append(mr[:, 0, 1])

@@ -11,6 +11,7 @@ from pnorbit.hermsym import (batch_points, check_group_element,
                              sample_coefficients, sample_rng,
                              stabilizer_elements, torus_fixed_points)
 from pnorbit.numkernel import expm_antihermitian
+from pnorbit.poisson import flow_points
 from pnorbit.spectrum import batch_violations, chain_batch
 
 from helpers import batch_points_einsum
@@ -105,10 +106,24 @@ def test_batch_points_chunk_independent(so6u3):
     ga, _ = batch_points(so6u3, 5, 0, 3)
     gb, _ = batch_points(so6u3, 5, 3, 5)
     assert np.array_equal(g, np.concatenate([ga, gb]))
-    # sample i is exp of a Gaussian algebra element drawn from stream (seed, i)
+    # sample i is exp of a Gaussian algebra element drawn from stream (seed, i);
+    # so(6) samples are real, formed from the real generators
     coefs = sample_rng(5, 2).standard_normal(so6u3.alg.dim)
-    x = np.einsum("sa,aij->sij", coefs[None], so6u3.alg.basis)
+    x = np.einsum("sa,aij->sij", coefs[None], so6u3.alg.basis.real)
     assert np.array_equal(g[2], expm_antihermitian(x)[0])
+
+
+def test_so_cases_sample_in_real_arithmetic(all_cases):
+    # diii and bdi are real forms: their samples, stabilizer moves and fd
+    # flow points are float64, so the real path cannot fall back to
+    # complex arithmetic unnoticed
+    so_cases = [case for case in all_cases if case.tag in ("diii", "bdi")]
+    assert len(so_cases) == 3
+    for case in so_cases:
+        g, m = batch_points(case, 3, 0, 4)
+        hs = stabilizer_elements(case, 3, 0, 4)
+        for arr in (case.rho, g, m, hs, flow_points(case, g[0])):
+            assert arr.dtype == np.float64, case.name
 
 
 def test_random_point_is_batch_of_one(all_cases):

@@ -62,6 +62,28 @@ def test_expm_antihermitian_matches_matrix_exp(rng):
         assert np.abs(got - scipy.linalg.expm(xi)).max() < 1e-12
 
 
+def test_real_branch_matches_matrix_exp_and_complex_branch(rng):
+    # real antisymmetric input stays real: scipy's expm and the complex
+    # branch on the same matrices agree with it, and g^T g = 1.  Entries are
+    # scaled like the sampler's so(n) draws; the last stack has degenerate
+    # rotation angles and a zero one
+    stacks = []
+    for n in (2, 3, 6, 7, 12):
+        a = rng.standard_normal((20, n, n)) / np.sqrt(2)
+        stacks.append(a - np.swapaxes(a, 1, 2))
+    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    blocks = np.kron(np.diag([0.7, 0.7, 0.0]), j2)
+    stacks.append(np.stack([blocks, 2.5 * blocks, np.zeros((6, 6))]))
+    for x in stacks:
+        g = expm_antihermitian(x)
+        assert g.dtype == np.float64
+        assert np.abs(g - expm_antihermitian(x.astype(complex))).max() <= 1e-13
+        for gi, xi in zip(g, x):
+            assert np.abs(gi - scipy.linalg.expm(xi)).max() <= 1e-13
+        eye = np.eye(x.shape[-1])
+        assert np.abs(np.swapaxes(g, -1, -2) @ g - eye).max() <= 1e-13
+
+
 def test_fd_gradient_eigenvalue_family_richardson(sp2):
     # fd flow derivatives of the chain eigenvalues at a gap-regular point;
     # the oracle is h-refinement (Richardson) extrapolation of the same stencil

@@ -106,6 +106,17 @@ def test_stacked_kernels_match_per_point(all_cases):
                               p0.reshape((2, 2) + p0.shape[1:]))
 
 
+def test_real_adjoint_matches_complex_route(all_cases):
+    # real so(n) samples meet the real side and coefficient map; the same
+    # g as complex matrices takes the complex route
+    for case in all_cases + [build_case("diii", n=6)]:
+        if case.tag not in ("diii", "bdi"):
+            continue
+        gs, _ = batch_points(case, 31, 0, 4)
+        a = poisson._adjoint(case, gs)
+        assert np.abs(a - poisson._adjoint(case, gs.astype(complex))).max() <= 1e-14
+
+
 def test_traces_of_powers_stack_matches_pair_route(all_cases):
     # the SVD-free Tr (K D)^k route against Tr of N restricted to the
     # tangent basis of build_pair; at the identity coset every trace is 0

@@ -70,6 +70,15 @@ def test_bdi_identity_chain_values(bdi5, bdi6):
         assert np.abs(cs.b[1:]).max() <= 1e-12
 
 
+def test_bdi_block_values_match_hermitian_spectrum(bdi6):
+    # a_k, read as the spectral norm of the real minor, is the top of the
+    # spectrum of the Hermitian -i B
+    _, ms = batch_points(bdi6, 37, 0, 50)
+    a = chain_batch(bdi6, ms)["a"]
+    ref = np.linalg.eigvalsh(-1j * ms[:, :4, :4].astype(complex))[:, -1]
+    assert np.abs(a[:, 0] - ref).max() <= 1e-14
+
+
 def test_bdi_a0_and_aN(bdi5):
     # a_0 = 1 enters through the cone; a_N = 0 because the last block is 1x1
     p = random_point(bdi5, 21)
