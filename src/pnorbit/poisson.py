@@ -32,18 +32,29 @@ A A^T = 1, J^T = -J and K^T = -K is the form above.  The einsum form of the
 Iwasawa expression is kept as the oracle in the tests.
 
 Everything per point therefore follows from A and per-case base data: K0,
-its one rank-cut SVD (the cut s > 1e-9 s_0 that pinv(K0, rcond=1e-9) would
-apply), the tangent basis T0 = U0[:, :dim M] and K0^+, computed once per
-case and cached.  `build_pair` forms K = A K0 A^T, P0 = -s_0 K D K,
-tangent = A T0 and K^+ = A K0^+ A^T, with no SVD per point.  The rank
-check of K becomes a certificate on A: A invertible gives
-rank(A K0 A^T) = rank K0 = dim M, and tangent and K^+ need A orthogonal,
-so a point with max|A A^T - 1| > ORTHO_TOL raises.  (The nonzero singular
-values of K0 are all 1 on the cases tried, up to aiii:k=5,n=10 and
-diii:n=8, the next is below 4e-16, so such a defect cannot move a value
-across the cut.)  The KKS rank margin and cond(PK|tangent) are base-SVD
-constants of the case.  `traces_of_powers` reads
-Tr (K D)^k = Tr (K0 (J - A^T J A))^k from A alone.
+its one rank-cut SVD (the cut s > 1e-9 s_0 that numpy's pinv with
+rcond=1e-9 would apply), the tangent basis T0 = U0[:, :dim M], K0^+ and
+the restrictions K_T = T0^T K0 T0 and J_T = T0^T J T0, computed once per
+case and cached.  `build_pair` certifies A and forms m; every bracket
+field of the pair is formed on its first read (K = A K0 A^T,
+P0 = -s_0 K D K, tangent T = A T0, K^+ = A K0^+ A^T), with no SVD per
+point.  The rank check of K becomes a certificate on A: A invertible
+gives rank(A K0 A^T) = rank K0 = dim M, and tangent and K^+ need A
+orthogonal, so a point with max|A A^T - 1| > ORTHO_TOL raises.  (The
+nonzero singular values of K0 are all 1 on the cases tried, up to
+aiii:k=5,n=10 and diii:n=8, the next is below 4e-16, so such a defect
+cannot move a value across the cut.)  The KKS rank margin and
+cond(PK|tangent) are base-SVD constants of the case.  `traces_of_powers`
+reads Tr (K D)^k = Tr (K0 (J - A^T J A))^k from A alone.
+
+The restricted Nijenhuis matrix needs neither P0 nor K nor an inverse.
+range(K0) is K0-invariant, so K0 T0 = T0 K_T and T0^T K0 = K_T T0^T; with
+A^T A = 1, T^T K T = K_T and
+
+    T^T P0 T = -s_0 T0^T K0 (J - A^T J A) K0 T0 = -s_0 K_T (J_T - T^T J T) K_T,
+
+hence N_r = (T^T P0 T)(T^T PK T)^-1 = -s_0 s_K K_T (J_T - T^T J T): the
+pencil reads A only through T^T J T (the r-matrix form of Lu-Weinstein).
 
 Real forms.  For the so-families (diii, bdi) rho and the sampled g and m
 are real (hermsym), and so are the flow points of a real g.  A real g
@@ -60,7 +71,7 @@ and the oracle tests compare with the carried-over K.  N acts on tangent
 coefficients as P0 . PK^+, and in closed form as N v = [-J(v), m] + v.
 
 Stack contract of the pencil: `build_pair` takes one g (N, N) or a stack
-(S, N, N), and every `BracketPair` field then carries the same leading
+(S, N, N), and every `BracketPair` array then carries the same leading
 axis.  `nijenhuis_apply`, `nijenhuis_formula`, `connection_check`,
 `pencil_eigenvalues` and `pencil_spectrum` take such pairs (and matching
 stacks of vectors); their checks run per row with the per-point scales,
@@ -79,6 +90,7 @@ in one call.
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,10 +136,11 @@ def _adjoint(case, g):
 
 
 # The per-case base data of the bracket layer: K0 = kks_raw(case, rho), the
-# tangent basis T0 of range(K0) and K0^+, all from one rank-cut SVD of K0.
-# build_case is deterministic in the descriptor, so the descriptor keys the
-# cache and every Case object parsed from it shares one entry.
-_Base = namedtuple("_Base", "k tangent k_pinv")
+# tangent basis T0 of range(K0), K0^+ and the restrictions K_T = T0^T K0 T0
+# and J_T = T0^T J T0, all from one rank-cut SVD of K0.  build_case is
+# deterministic in the descriptor, so the descriptor keys the cache and
+# every Case object parsed from it shares one entry.
+_Base = namedtuple("_Base", "k tangent k_pinv k_t j_t")
 _BASES = {}                     # case descriptor -> _Base
 
 
@@ -146,11 +159,15 @@ def _build_base(case):
     if rank != case.dim_m:
         raise NumericalError(f"KKS rank {rank} != dim M = {case.dim_m}")
     tangent = u[:, :rank]
-    # the pseudo-inverse pinv(k0, rcond=1e-9) would take, from the same SVD
+    # the pseudo-inverse numpy's pinv with rcond=1e-9 would take, from the
+    # same SVD
     k_pinv = (vt[:rank].T / s[:rank]) @ tangent.T
-    for arr in (k0, tangent, k_pinv):
+    k_t = tangent.T @ k0 @ tangent
+    j_t = tangent.T @ case.alg.jmat @ tangent
+    base = _Base(k0, tangent, k_pinv, k_t, j_t)
+    for arr in base:
         arr.flags.writeable = False
-    return _Base(k0, tangent, k_pinv)
+    return base
 
 
 def _bruhat(case, a, left, right, s_0):
@@ -172,21 +189,44 @@ def bruhat_matrix(case, g, s_0=CALIBRATED_SIGNS[1]):
 @dataclass
 class BracketPair:
     """Both Poisson matrices at one orbit point or a stack of them, with
-    tangent data; every array field has the stack's leading axes.  With
-    A = Ad_{g^-1} on coefficient rows, each is carried over from the
-    case's base point rho."""
+    tangent data.  The pair holds the point, A = Ad_{g^-1} on coefficient
+    rows and the signs; each bracket array is carried over from the case's
+    base point rho on its first read and cached, with the stack's leading
+    axes.  A reader pays only for what it reads: the pencil needs the
+    tangent alone (nijenhuis_restricted)."""
 
     point: object                   # hermsym.OrbitPoint
-    p0: np.ndarray                  # -s_0 K (A J A^T - J) K
-    pk: np.ndarray                  # s_K K
-    k_raw: np.ndarray = field(repr=False)     # K = A K0 A^T
-    tangent: np.ndarray = field(repr=False)   # (..., dim, 2 n_eig) A T0, orthonormal
-    k_pinv: np.ndarray = field(repr=False)    # K^+ = A K0^+ A^T
+    a: np.ndarray = field(repr=False)   # (..., dim, dim) A, orthogonal
     signs: tuple = CALIBRATED_SIGNS
 
     @property
     def case(self):
         return self.point.case
+
+    @cached_property
+    def k_raw(self):
+        """K = A K0 A^T."""
+        return self.a @ _base(self.case).k @ np.swapaxes(self.a, -1, -2)
+
+    @cached_property
+    def pk(self):
+        """s_K K."""
+        return self.signs[0] * self.k_raw
+
+    @cached_property
+    def p0(self):
+        """-s_0 K (A J A^T - J) K."""
+        return _bruhat(self.case, self.a, self.k_raw, self.k_raw, self.signs[1])
+
+    @cached_property
+    def tangent(self):
+        """(..., dim, 2 n_eig) A T0, orthonormal."""
+        return self.a @ _base(self.case).tangent
+
+    @cached_property
+    def k_pinv(self):
+        """K^+ = A K0^+ A^T."""
+        return self.a @ _base(self.case).k_pinv @ np.swapaxes(self.a, -1, -2)
 
     def pk_pinv(self):
         return self.signs[0] * self.k_pinv
@@ -195,15 +235,17 @@ class BracketPair:
 def build_pair(case, g, signs=CALIBRATED_SIGNS):
     """Both brackets at g, one group element (N, N) or a stack (S, N, N).
 
-    Every field is carried over from the case's base data by A = Ad_{g^-1}
-    (see the module docstring); no SVD is taken per point.  The rank of K
-    is certified through A: a row with max|A A^T - 1| > ORTHO_TOL raises.
-    P0 needs no check: -s_0 K D K with D antisymmetric is antisymmetric and
-    maps into range(PK) by construction.
+    Takes A = Ad_{g^-1} and the moment m, and builds the case's base data
+    on the first call per case; the bracket arrays are carried over from
+    it when read (see the module docstring), and no SVD is taken per
+    point.  The rank of K is certified through A: a row with
+    max|A A^T - 1| > ORTHO_TOL raises.  P0 needs no check: -s_0 K D K with
+    D antisymmetric is antisymmetric and maps into range(PK) by
+    construction.
     """
     from .hermsym import OrbitPoint
     g = np.asarray(g)
-    base = _base(case)
+    _base(case)             # the case's one SVD, on its first build
     a = _adjoint(case, g)
     at = np.swapaxes(a, -1, -2)
     defect = np.abs(a @ at - np.eye(case.alg.dim)).max(axis=(-2, -1))
@@ -211,10 +253,7 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS):
         raise NumericalError(
             f"KKS rank not certified: max|A A^T - 1| = {defect.max():.3e} "
             f"> {ORTHO_TOL:g}")
-    k = a @ base.k @ at
-    p0 = _bruhat(case, a, k, k, signs[1])
-    return BracketPair(OrbitPoint(case, g, _moment(case, g)), p0, signs[0] * k,
-                       k, a @ base.tangent, a @ base.k_pinv @ at, signs)
+    return BracketPair(OrbitPoint(case, g, _moment(case, g)), a, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +282,13 @@ def nijenhuis_formula(case, m, v):
 
 
 def nijenhuis_restricted(pair):
-    """Matrix of N = P0 PK^-1 on the tangent basis (..., 2 n_eig, 2 n_eig)."""
-    b = pair.tangent
-    bt = np.swapaxes(b, -1, -2)
-    return (bt @ pair.p0 @ b) @ np.linalg.inv(bt @ pair.pk @ b)
+    """Matrix of N = P0 PK^-1 on the tangent basis (..., 2 n_eig, 2 n_eig):
+    -s_0 s_K K_T (J_T - T^T J T), from the tangent T and the case's base
+    data (see the module docstring)."""
+    base = _base(pair.case)
+    t = pair.tangent
+    tjt = np.swapaxes(t, -1, -2) @ (pair.case.alg.jmat @ t)
+    return -pair.signs[1] * pair.signs[0] * (base.k_t @ (base.j_t - tjt))
 
 
 def pencil_eigenvalues(pair):

@@ -8,6 +8,9 @@ For the su/sp/so-unitary cases the chain data is the Gelfand-Tsetlin
 pattern: ascending spectra lt^(r) of nested upper-left minors of the
 level-0 block (m itself for Grassmannians, the V+ compression W^dag m W
 otherwise), mapped affinely to Nijenhuis eigenvalues lam = -2*lt + offset.
+For diii, W = (1; i 1)/sqrt 2 and the compression is read from the real
+N x N blocks of m as (m11 + m22 + i (m12 - m21)) / 2, so the real m stack
+is never copied to complex.
 
 For the real-Grassmannian (bdi) cases the data is the (a_k, b_k) family:
 +-i a_k is the rank-2 spectrum of the upper-left so-block (read in real
@@ -117,17 +120,23 @@ def raw_labels(case):
 def chain_batch(case, ms):
     """Chain data of a stack of orbit points (S, N, N).
 
-    ci/diii first compress each point to V+ as W+^dag m W+ (stacked
-    matrix products); aiii reads minors of m itself.  GT cases give
-    {"kind": "gt", "rows": [(S, nb - r) ascending spectra]}; bdi gives
-    {"kind": "ab", "a": (S, n_a), "b": (S, n_b)}.
+    ci/diii first compress each point to V+ as W+^dag m W+ (ci by stacked
+    matrix products, diii from the blocks of m); aiii reads minors of m
+    itself.  GT cases give {"kind": "gt", "rows": [(S, nb - r) ascending
+    spectra]}; bdi gives {"kind": "ab", "a": (S, n_a), "b": (S, n_b)}.
     """
     ms = np.asarray(ms)
     if case.tag in GT_TAGS:
         if case.tag == "aiii":
             b0 = ms
-        else:
+        elif case.tag == "ci":
             b0 = case.w_plus.conj().T @ ms @ case.w_plus
+        else:
+            # diii: W+ = (1; i 1)/sqrt 2; the block form is linear in m,
+            # so a complex m is read the same way
+            n = ms.shape[-1] // 2
+            b0 = ((ms[:, :n, :n] + ms[:, n:, n:])
+                  + 1j * (ms[:, :n, n:] - ms[:, n:, :n])) / 2
         nb = b0.shape[1]
         rows = [np.linalg.eigvalsh(-1j * b0[:, : nb - r, : nb - r]) for r in range(nb)]
         return {"kind": "gt", "rows": rows}

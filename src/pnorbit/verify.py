@@ -289,8 +289,9 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
         case = hermsym.parse_case(case)
     if n_samples < 1:
         raise UsageError(f"n_samples must be >= 1, got {n_samples}")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    if not 0 <= seed < 2**64:
+        # the Philox key is 64 bits wide: a larger seed would alias seed % 2**64
+        raise UsageError(f"seed must be in [0, 2**64), got {seed}")
     t0 = time.monotonic()
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:

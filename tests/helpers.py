@@ -3,6 +3,10 @@
 `batch_points_einsum` is the orbit sampler as it stood before its products
 became BLAS calls: a fresh sample_rng per sample and einsums for x, exp(x)
 and m.  The BLAS sampler must match it to round-off.
+
+`nijenhuis_restricted_inverse` is the restricted Nijenhuis matrix by its
+definition, (T^T P0 T)(T^T PK T)^-1 on the tangent basis T, which the
+base-frame form in the library must match to round-off.
 """
 
 import numpy as np
@@ -28,3 +32,10 @@ def batch_points_einsum(case, seed, start, count):
     g = np.einsum("...ik,...k,...jk->...ij", u, np.exp(-1j * w), u.conj())
     m = np.einsum("sij,jk,slk->sil", g, case.rho, g.conj())
     return g, m
+
+
+def nijenhuis_restricted_inverse(pair):
+    """(T^T P0 T) inv(T^T PK T) on the pair's tangent basis T (stacks allowed)."""
+    t = pair.tangent
+    tt = np.swapaxes(t, -1, -2)
+    return (tt @ pair.p0 @ t) @ np.linalg.inv(tt @ pair.pk @ t)

@@ -21,7 +21,7 @@ from pnorbit.poisson import (chain_gradient, connection_check,
                              pencil_eigenvalues, traces_of_powers)
 from pnorbit.spectrum import chain_free_vector
 
-from helpers import cartan_element
+from helpers import cartan_element, nijenhuis_restricted_inverse
 
 SIGNS = (1, -1)
 
@@ -239,8 +239,7 @@ def pair_row(pair, i):
     """Row i of a stacked BracketPair, as a pair of one point."""
     pt = pair.point
     return replace(pair, point=OrbitPoint(pt.case, pt.g[i], pt.m[i]),
-                   p0=pair.p0[i], pk=pair.pk[i], k_raw=pair.k_raw[i],
-                   tangent=pair.tangent[i], k_pinv=pair.k_pinv[i])
+                   a=pair.a[i])
 
 
 def test_stacked_pencil_matches_batch_of_one(all_cases):
@@ -273,7 +272,32 @@ def test_stacked_pencil_matches_batch_of_one(all_cases):
                           - nijenhuis_formula(case, ms[i], vs[i])).max() <= 1e-13
 
 
-def test_stack_raises_when_one_row_breaks_a_check(gr24):
+def test_restricted_nijenhuis_matches_inverse_route(all_cases):
+    # N_r = -s_0 s_K K_T (J_T - T^T J T) in the base tangent frame against
+    # its definition (T^T P0 T)(T^T PK T)^-1, for every sign pair
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, _ = batch_points(case, 43, 0, 4)
+        gs = np.concatenate([np.eye(case.alg.size, dtype=gs.dtype)[None], gs])
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            pair = build_pair(case, gs, signs)
+            want = nijenhuis_restricted_inverse(pair)
+            scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
+            err = np.abs(nijenhuis_restricted(pair) - want).max(axis=(-2, -1))
+            assert (err <= 1e-13 * scale).all(), (case.name, signs)
+
+
+def test_pencil_reads_no_bracket_matrix(all_cases):
+    # the pencil reads the tangent alone: P0, K and K^+ stay unformed
+    for case in all_cases:
+        gs, _ = batch_points(case, 47, 0, 3)
+        for g in (gs[0], gs):
+            pair = build_pair(case, g, SIGNS)
+            pencil_spectrum(pair)
+            assert "tangent" in vars(pair)
+            assert not {"p0", "pk", "k_raw", "k_pinv"} & set(vars(pair)), case.name
+
+
+def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
     gs, ms = batch_points(gr24, 41, 0, 4)
     # a non-unitary row: g rho g^dag leaves the orbit and K gains rank
     bad_gs = gs.copy()
@@ -291,17 +315,30 @@ def test_stack_raises_when_one_row_breaks_a_check(gr24):
         with pytest.raises(ConventionError, match="not tangent"):
             nijenhuis_apply(p, v)
 
-    # one row whose restricted N is similar to q: complex, then unpaired
+    # one row whose restricted N is similar to q: complex, then unpaired.
+    # The row's P0 would be PK T q T^T, so N_r = K_r q K_r^-1 with
+    # K_r = T^T PK T; it is injected where the pencil reads N_r.
     t = pair.tangent[3]
+    k_r = t.T @ pair.pk[3] @ t
     rot = np.kron(np.eye(t.shape[1] // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    restricted = poisson.nijenhuis_restricted
     for q, msg in ((rot, "not real"), (np.diag(np.arange(t.shape[1])), "pairing")):
-        p0 = pair.p0.copy()
-        p0[3] = pair.pk[3] @ t @ q @ t.T
-        broken = replace(pair, p0=p0)
-        for p in (pair_row(broken, 3), broken):
-            with pytest.raises(NumericalError, match=msg):
-                pencil_spectrum(p)
-        pencil_spectrum(pair_row(broken, 2))     # the other rows are fine
+        bad = k_r @ q @ np.linalg.inv(k_r)
+
+        def broken(p):
+            n_r = restricted(p)
+            if n_r.ndim == 3:
+                n_r = n_r.copy()
+                n_r[3] = bad
+                return n_r
+            return bad if np.array_equal(p.a, pair.a[3]) else n_r
+
+        with monkeypatch.context() as mp:
+            mp.setattr(poisson, "nijenhuis_restricted", broken)
+            for p in (pair_row(pair, 3), pair):
+                with pytest.raises(NumericalError, match=msg):
+                    pencil_spectrum(p)
+            pencil_spectrum(pair_row(pair, 2))     # the other rows are fine
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,5 +1,6 @@
 """Rules on the library source itself."""
 
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pnorbit"
@@ -11,4 +12,14 @@ def test_no_einsum_in_library():
     hits = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if "np.einsum(" in line]
+    assert hits == []
+
+
+def test_no_matrix_inverse_in_library():
+    # K^+ comes from the one base SVD of a case, and the pencil is read in
+    # the base tangent frame: no inverse, pseudo-inverse or solve is formed
+    call = re.compile(r"\b(inv|pinv|solve)\(")
+    hits = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if call.search(line)]
     assert hits == []

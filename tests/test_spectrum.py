@@ -79,6 +79,23 @@ def test_bdi_block_values_match_hermitian_spectrum(bdi6):
     assert np.abs(a[:, 0] - ref).max() <= 1e-14
 
 
+def test_diii_block_read_matches_v_plus_compression(so6u3):
+    # diii reads W+^dag m W+ from the real N x N blocks of m; the complex
+    # product through W+ is the reference, for real and complex stacks
+    for case in (so6u3, build_case("diii", n=6)):
+        _, ms = batch_points(case, 53, 0, 512)
+        b0 = case.w_plus.conj().T @ ms @ case.w_plus
+        nb = b0.shape[1]
+        ref = {"kind": "gt",
+               "rows": [np.linalg.eigvalsh(-1j * b0[:, :nb - r, :nb - r])
+                        for r in range(nb)]}
+        for stack in (ms, ms.astype(complex)):
+            got = chain_batch(case, stack)
+            for row, want in zip(got["rows"], ref["rows"]):
+                assert np.abs(row - want).max() <= 1e-15, case.name
+            assert batch_violations(case, got) == batch_violations(case, ref)
+
+
 def test_bdi_a0_and_aN(bdi5):
     # a_0 = 1 enters through the cone; a_N = 0 because the last block is 1x1
     p = random_point(bdi5, 21)
