@@ -77,7 +77,7 @@ def cmd_spectrum(args):
     point = (hermsym.identity_point(case) if args.identity
              else hermsym.random_point(case, args.seed))
     cs = spectrum.chain_spectrum(case, point.m)
-    pair = poisson.build_pair(case, point.g, signs)
+    pair = poisson.build_pair(case, point.g, signs, point.m)
     pencil = poisson.pencil_spectrum(pair)
     chain = cs.free_values()
     disc = float(np.abs(np.sort(chain) - pencil).max())

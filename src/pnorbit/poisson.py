@@ -35,7 +35,7 @@ Everything per point therefore follows from A and per-case base data: K0,
 its one rank-cut SVD (the cut s > 1e-9 s_0 that numpy's pinv with
 rcond=1e-9 would apply), the tangent basis T0 = U0[:, :dim M], K0^+ and
 the restrictions K_T = T0^T K0 T0 and J_T = T0^T J T0, computed once per
-case and cached.  `build_pair` certifies A and forms m; every bracket
+case and cached.  `build_pair` certifies A and takes m; every bracket
 field of the pair is formed on its first read (K = A K0 A^T,
 P0 = -s_0 K D K, tangent T = A T0, K^+ = A K0^+ A^T), with no SVD per
 point.  The rank check of K becomes a certificate on A: A invertible
@@ -232,10 +232,12 @@ class BracketPair:
         return self.signs[0] * self.k_pinv
 
 
-def build_pair(case, g, signs=CALIBRATED_SIGNS):
+def build_pair(case, g, signs=CALIBRATED_SIGNS, m=None):
     """Both brackets at g, one group element (N, N) or a stack (S, N, N).
 
-    Takes A = Ad_{g^-1} and the moment m, and builds the case's base data
+    Takes A = Ad_{g^-1} and the moment m = g rho g^dag (the caller's m if
+    given, such as the one hermsym.batch_points returns with g: the same
+    product, so the pair is unchanged), and builds the case's base data
     on the first call per case; the bracket arrays are carried over from
     it when read (see the module docstring), and no SVD is taken per
     point.  The rank of K is certified through A: a row with
@@ -253,7 +255,9 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS):
         raise NumericalError(
             f"KKS rank not certified: max|A A^T - 1| = {defect.max():.3e} "
             f"> {ORTHO_TOL:g}")
-    return BracketPair(OrbitPoint(case, g, _moment(case, g)), a, signs)
+    if m is None:
+        m = _moment(case, g)
+    return BracketPair(OrbitPoint(case, g, m), a, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +320,21 @@ def pencil_spectrum(pair):
 # finite differences along orbit flows
 # ---------------------------------------------------------------------------
 
+# The flow steps exp(+-h X_a) do not depend on the point: one read-only
+# (dim, 2, N, N) stack per case descriptor and step h serves every fd flow.
+_FLOW_STEPS = {}                # (case descriptor, h) -> steps
+
+
 def flow_points(case, g, h=DEFAULT_FD_STEP):
     """Perturbed group elements, (dim, 2, N, N): [a, 0] = exp(+h X_a) g and
     [a, 1] = exp(-h X_a) g for every basis direction a."""
-    steps = expm_antihermitian(case.alg.native(h * case.alg.basis))
-    return np.stack([steps, _dagger(steps)], axis=1) @ g
+    key = (case.descriptor(), h)
+    if key not in _FLOW_STEPS:
+        steps = expm_antihermitian(case.alg.native(h * case.alg.basis))
+        steps = np.stack([steps, _dagger(steps)], axis=1)
+        steps.flags.writeable = False
+        _FLOW_STEPS[key] = steps
+    return _FLOW_STEPS[key] @ g
 
 
 # Byte budget for the stacked Bruhat kernel's two (chunk, dim, N, N)

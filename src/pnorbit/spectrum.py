@@ -13,10 +13,11 @@ N x N blocks of m as (m11 + m22 + i (m12 - m21)) / 2, so the real m stack
 is never copied to complex.
 
 For the real-Grassmannian (bdi) cases the data is the (a_k, b_k) family:
-+-i a_k is the rank-2 spectrum of the upper-left so-block (read in real
-arithmetic: a_k is the block's spectral norm), b_k the single
++-i a_k is the rank-2 spectrum of the upper-left so-block, b_k the single
 off-diagonal entry of the split-off so(2), and
-lam^(k)_pm = +-a_k - sum_{j<=k} b_j + 1.
+lam^(k)_pm = +-a_k - sum_{j<=k} b_j + 1.  m = g rho g^T has rank 2 (rho
+does), so each block B is real antisymmetric of rank <= 2 and
+a_k = ||B||_F / sqrt 2 exactly: a norm, no eigensolve.
 """
 
 from collections import namedtuple
@@ -148,11 +149,10 @@ def chain_batch(case, ms):
     for k in range(1, amb // 2 + (amb % 2)):
         size = amb - 2 * k
         if size >= 3:
-            # the minor B is real antisymmetric of rank <= 2, so its top
-            # value a is its spectral norm: sqrt of the top of B^T B
+            # m = g rho g^T has rank 2, so the minor B is real antisymmetric
+            # of rank <= 2 with spectrum {+-i a, 0, ...}: ||B||_F^2 = 2 a^2
             blk = mr[:, :size, :size]
-            w = np.linalg.eigvalsh(np.swapaxes(blk, 1, 2) @ blk)
-            a.append(np.sqrt(np.maximum(w[:, -1], 0.0)))
+            a.append(np.sqrt(np.vecdot(blk, blk).sum(axis=1) / 2))
         elif size == 2:
             # final even step: keep the sign (smooth global coordinate)
             a.append(mr[:, 0, 1])

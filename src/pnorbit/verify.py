@@ -165,28 +165,30 @@ def _check(checks, tols, name, residual, skipped=0):
                               bool(residual <= tol), int(skipped)))
 
 
-def _gap_regular_points(case, seed, g_batch, chain, n_needed, max_index):
+def _gap_regular_points(case, seed, g_batch, m_batch, chain, n_needed,
+                        max_index):
     """Deterministic scan, in sample-index order, for gap-regular points.
 
-    The drawn batch (g_batch and its chain data) is the first chunk; later
-    chunks draw only as many samples as are still missing.  Returns
-    (group elements, skipped_count).
+    The drawn batch (g_batch, m_batch and its chain data) is the first
+    chunk; later chunks draw only as many samples as are still missing.
+    Returns ([(g, m) per point], skipped_count).
     """
     found, skipped, idx = [], 0, 0
     while True:
-        for g, gap in zip(g_batch, spectrum.gap_regularity(case, chain)):
+        gaps = spectrum.gap_regularity(case, chain)
+        for g, m, gap in zip(g_batch, m_batch, gaps):
             if len(found) == n_needed:
                 return found, skipped
             if gap > GAP_THRESHOLD:
-                found.append(g)
+                found.append((g, m))
             else:
                 skipped += 1
             idx += 1
         if len(found) == n_needed or idx >= max_index:
             return found, skipped
-        g_batch, ms = hermsym.batch_points(
+        g_batch, m_batch = hermsym.batch_points(
             case, seed, idx, min(n_needed - len(found), max_index - idx))
-        chain = spectrum.chain_batch(case, ms)
+        chain = spectrum.chain_batch(case, m_batch)
 
 
 def _involution_residuals(pair, dvec):
@@ -352,7 +354,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
 
     for i in range(0, n_samples, step):
         g = g_batch[i:i + step]
-        pair = poisson.build_pair(case, g, signs)
+        pair = poisson.build_pair(case, g, signs, m_batch[i:i + step])
         for a in dir_idx:
             v, res = _master_residual(pair, case.alg.basis[a])
             res_master = max(res_master, res)
@@ -379,12 +381,12 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     # at gap-regular points, one pair each: involution under both brackets,
     # and at the first three the Lenard recursion and N^* d(lambda)
     target = min(50, n_samples)
-    reg_gs, skipped = _gap_regular_points(case, seed, g_batch, chain, target,
-                                          4 * n_samples)
+    reg_pts, skipped = _gap_regular_points(case, seed, g_batch, m_batch, chain,
+                                           target, 4 * n_samples)
     res_kks, res_bruhat = 0.0, 0.0
     res_len, res_tr, res_nstar = 0.0, 0.0, 0.0
-    for j, g in enumerate(reg_gs):
-        pair = poisson.build_pair(case, g, signs)
+    for j, (g, m) in enumerate(reg_pts):
+        pair = poisson.build_pair(case, g, signs, m)
         dvec = poisson.chain_gradient(pair)
         r = _involution_residuals(pair, dvec)
         res_kks = max(res_kks, r["kks"])
@@ -394,9 +396,9 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
             res_len = max(res_len, out["max"])
             res_tr = max(res_tr, out["trace_gap"])
             res_nstar = max(res_nstar, poisson.nstar_eigen_residual(pair, dvec))
-    if len(reg_gs) < target:        # not enough gap-regular points found
+    if len(reg_pts) < target:        # not enough gap-regular points found
         res_kks = res_bruhat = np.inf
-    if not reg_gs:            # nothing regular found: cannot certify
+    if not reg_pts:            # nothing regular found: cannot certify
         res_len = res_tr = res_nstar = np.inf
     _check(checks, tols, "involution_kks", res_kks, skipped=skipped)
     _check(checks, tols, "involution_bruhat", res_bruhat, skipped=skipped)
@@ -405,7 +407,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     rng = np.random.default_rng(seed ^ 0x1ACB)
     triples = [tuple(rng.choice(case.alg.dim, size=3, replace=False))
                for _ in range(20)]
-    pair = poisson.build_pair(case, g_batch[0], signs)
+    pair = poisson.build_pair(case, g_batch[0], signs, m_batch[0])
     for t, name in ((0.0, "jacobi_t0"), (1.0, "jacobi_t1")):
         _check(checks, tols, name, poisson.jacobi_residual(pair, t, triples))
 
@@ -450,9 +452,10 @@ def measure_diii_normalization(n=3, samples=10000, seed=424242):
     done = 0
     while done < samples:
         cnt = min(chunk, samples - done)
-        g_batch, _ = hermsym.batch_points(case, seed, done, cnt)
+        g_batch, m_batch = hermsym.batch_points(case, seed, done, cnt)
         for i in range(0, cnt, step):
-            pair = poisson.build_pair(case, g_batch[i:i + step], signs)
+            pair = poisson.build_pair(case, g_batch[i:i + step], signs,
+                                      m_batch[i:i + step])
             lam = poisson.pencil_spectrum(pair)
             lo = min(lo, lam.min())
             hi = max(hi, lam.max())

@@ -8,13 +8,16 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 import pnorbit
-from pnorbit.hermsym import random_point
+from pnorbit import NumericalError, numkernel
+from pnorbit.hermsym import (batch_points, parse_case, random_point,
+                             stabilizer_elements)
 from pnorbit.numkernel import expm_antihermitian
-from pnorbit.poisson import directional_derivatives
-from pnorbit.spectrum import chain_free_vector
+from pnorbit.poisson import directional_derivatives, flow_points
+from pnorbit.spectrum import chain_batch, chain_free_vector
 
 
 def random_hermitian(rng, n):
@@ -26,8 +29,18 @@ def random_antihermitian(rng, n):
     return 1j * random_hermitian(rng, n)
 
 
+def antisymmetric_stack(rng, count, n, norms):
+    """count real antisymmetric n x n matrices with the given 1-norms."""
+    a = rng.standard_normal((count, n, n))
+    a = a - np.swapaxes(a, 1, 2)
+    return a * (np.asarray(norms) / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+
+
 def test_matrix_exp_identity_and_rotation():
-    assert np.abs(expm_antihermitian(np.zeros((4, 4))) - np.eye(4)).max() < 1e-15
+    # the zero matrix maps to exactly the identity, alone and in a stack
+    assert np.array_equal(expm_antihermitian(np.zeros((4, 4))), np.eye(4))
+    assert np.array_equal(expm_antihermitian(np.zeros((3, 4, 4))),
+                          np.broadcast_to(np.eye(4), (3, 4, 4)))
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert np.abs(expm_antihermitian(np.pi / 2 * j2) - j2).max() < 1e-14
 
@@ -82,6 +95,81 @@ def test_real_branch_matches_matrix_exp_and_complex_branch(rng):
             assert np.abs(gi - scipy.linalg.expm(xi)).max() <= 1e-13
         eye = np.eye(x.shape[-1])
         assert np.abs(np.swapaxes(g, -1, -2) @ g - eye).max() <= 1e-13
+
+
+def test_real_branch_matches_scipy_up_to_large_norms(rng):
+    # ||X||_1 from 1e-6 to 1e3, where the real branch squares 11 times; the
+    # gap to scipy's expm grows with the norm (the 2x2 rotations show it is
+    # scipy's), so it is bounded relative to max(1, ||X||_1)
+    for n in (2, 3, 6, 8, 12):
+        norms = np.logspace(-6, 3, 28)
+        x = antisymmetric_stack(rng, len(norms), n, norms)
+        g = expm_antihermitian(x)
+        for gi, xi, nrm in zip(g, x, norms):
+            gap = np.abs(gi - scipy.linalg.expm(xi)).max()
+            assert gap <= 1e-14 * max(1.0, nrm), (n, nrm)
+        eye = np.eye(n)
+        assert np.abs(np.swapaxes(g, -1, -2) @ g - eye).max() <= 1e-12
+    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for theta in (0.3, 10.0, 1e3):
+        rot = np.array([[np.cos(theta), np.sin(theta)],
+                        [-np.sin(theta), np.cos(theta)]])
+        assert np.abs(expm_antihermitian(theta * j2) - rot).max() <= 1e-13
+
+
+def test_real_branch_rows_are_batches_of_one(rng):
+    # every row takes its own scaling, so a row of a mixed-norm stack is
+    # bitwise the same matrix alone, in a batch of one or in a sub-stack,
+    # whatever the order of its stack-mates
+    norms = [7.0, 0.0, 1e3, 1e-6, 0.4, 0.5, 1.0, 30.0, 2.0, 1e-6, 7.0]
+    for n in (3, 8):
+        x = antisymmetric_stack(rng, len(norms), n, norms)
+        g = expm_antihermitian(x)
+        for i in range(len(x)):
+            assert np.array_equal(g[i], expm_antihermitian(x[i]))
+            assert np.array_equal(g[i], expm_antihermitian(x[i:i + 1])[0])
+        assert np.array_equal(g[::-1], expm_antihermitian(x[::-1]))
+        assert np.array_equal(g[3:8], expm_antihermitian(x[3:8]))
+        assert np.array_equal(g.reshape(1, 11, n, n),
+                              expm_antihermitian(x.reshape(1, 11, n, n)))
+
+
+def test_real_branch_takes_no_eigensolver(monkeypatch, rng):
+    # the so-families sample (batch_points, stabilizer_elements,
+    # flow_points) and read the bdi chain without np.linalg.eigh/eigvalsh
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    cases = [parse_case(d) for d in ("diii:n=3", "diii:n=4", "bdi:m=5",
+                                     "bdi:m=7")]
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    x = antisymmetric_stack(rng, 4, 6, [0.0, 0.1, 5.0, 1e3])
+    assert expm_antihermitian(x).dtype == np.float64
+    for case in cases:
+        g, m = batch_points(case, 3, 0, 6)
+        stabilizer_elements(case, 3, 0, 6)
+        flow_points(case, g[0])
+        if case.tag == "bdi":
+            chain_batch(case, m)
+
+
+def test_non_finite_input_raises_before_any_work(monkeypatch):
+    # NaN or inf anywhere in a real or complex stack raises NumericalError,
+    # not numpy's LinAlgError, before either branch starts
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work done on non-finite input")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(numkernel, "_expm_real", forbidden)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((3, 4, 4))
+        x[1, 0, 2], x[1, 2, 0] = bad, -bad
+        xc = np.zeros((3, 4, 4), complex)
+        xc[2, 1, 1] = complex(0.0, bad)
+        for arr in (x, x[1], xc, xc[2]):
+            with pytest.raises(NumericalError, match="non-finite"):
+                expm_antihermitian(arr)
 
 
 def test_fd_gradient_eigenvalue_family_richardson(sp2):

@@ -13,7 +13,7 @@ from pnorbit import (ConventionError, NumericalError, build_case, build_pair,
                      poisson)
 from pnorbit.hermsym import (OrbitPoint, batch_points, parse_case,
                              random_point, stabilizer_elements)
-from pnorbit.numkernel import DEFAULT_FD_STEP
+from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
 from pnorbit.poisson import (chain_gradient, connection_check,
                              directional_derivatives, flow_points,
                              gradient_bracket, jacobi_residual, kks_raw,
@@ -106,6 +106,17 @@ def test_stacked_kernels_match_per_point(all_cases):
                               p0.reshape((2, 2) + p0.shape[1:]))
 
 
+def test_pair_moment_is_the_sampled_moment(all_cases):
+    # build_pair forms m = g rho g^dag as batch_points does: bitwise the same
+    # stack, alone or per row, so passing the sampled m changes no pair
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, ms = batch_points(case, 29, 0, 6)
+        assert np.array_equal(build_pair(case, gs, SIGNS).point.m, ms), case.name
+        for i in range(len(gs)):
+            assert np.array_equal(build_pair(case, gs[i], SIGNS).point.m, ms[i])
+        assert build_pair(case, gs, SIGNS, ms).point.m is ms
+
+
 def test_real_adjoint_matches_complex_route(all_cases):
     # real so(n) samples meet the real side and coefficient map; the same
     # g as complex matrices takes the complex route
@@ -158,6 +169,29 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
         fm = funcs(gm[None], (gm @ case.rho @ gm.conj().T)[None])[0]
         rows.append((fp - fm) / (2 * h))
     assert np.abs(got - np.stack(rows)).max() <= 1e-12
+
+
+def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
+    # exp(+-h X_a) does not depend on the point: one exponential per case and
+    # h, and the flow points stay bitwise the steps times g
+    monkeypatch.setattr(poisson, "_FLOW_STEPS", {})
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return expm_antihermitian(x)
+
+    monkeypatch.setattr(poisson, "expm_antihermitian", counted)
+    for case in all_cases:
+        gs, _ = batch_points(case, 53, 0, 2)
+        for h in (DEFAULT_FD_STEP, 1e-3):
+            steps = expm_antihermitian(case.alg.native(h * case.alg.basis))
+            for g in gs:
+                want = np.stack([steps @ g, np.swapaxes(steps.conj(), 1, 2) @ g],
+                                axis=1)
+                assert np.array_equal(flow_points(case, g, h), want), case.name
+    assert calls == [case.alg.dim for case in all_cases for _ in range(2)]
+    assert not any(s.flags.writeable for s in poisson._FLOW_STEPS.values())
 
 
 def test_build_pair_takes_one_svd(gr24, monkeypatch):

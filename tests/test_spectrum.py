@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 
 from pnorbit import (ConventionError, build_case, chain_spectrum,
                      gt_interlace_check, parse_case, polytope_membership)
-from pnorbit.hermsym import batch_points, random_point
+from pnorbit.hermsym import (batch_points, random_point, sample_coefficients,
+                             torus_fixed_points)
+from pnorbit.numkernel import expm_antihermitian
 from pnorbit.spectrum import (batch_free_values, batch_margins,
                               batch_violations, chain_batch, chain_free_vector,
                               free_labels, free_masks, gap_regularity,
                               eigenvalue_map_constants, top_row_constants)
+from pnorbit.verify import GAP_THRESHOLD
+
+from helpers import bdi_chain_eigvalsh
 
 
 def test_map_constants(gr24, sp2, so6u3, bdi5):
@@ -222,3 +227,29 @@ def test_interlacing_of_hermitian_minors(diag):
     child = np.linalg.eigvalsh(a[: n - 1, : n - 1])
     ok, margin = gt_interlace_check(parent, child, slack=1e-9)
     assert ok, margin
+
+
+def test_bdi_block_norm_matches_eigvalsh_oracle():
+    # a_k = ||B||_F / sqrt 2 against the top eigenvalue of B^T B, on sampled
+    # points and on points near a_k = 0: each Weyl image of rho (blocks of m
+    # exactly zero) moved by exp(t X) for small t
+    for amb in range(5, 10):
+        case = build_case("bdi", m=amb)
+        alg = case.alg
+        _, ms = batch_points(case, 17, 0, 400)
+        coefs = sample_coefficients(17, 400, 4, alg.dim)
+        xs = alg.native(np.tensordot(coefs, alg.basis, axes=1))
+        near = []
+        for p in torus_fixed_points(case):
+            p = p.real
+            for t in (0.0, 1e-9, 1e-6, 1e-3, 2e-3, 0.1):
+                g = p @ expm_antihermitian(t * xs)
+                near.append(g @ case.rho @ np.swapaxes(g, 1, 2))
+        ms = np.concatenate([ms] + near)
+        batch, oracle = chain_batch(case, ms), bdi_chain_eigvalsh(case, ms)
+        assert np.abs(batch["a"] - oracle["a"]).max() <= 1e-13, amb
+        assert np.array_equal(batch["b"], oracle["b"])
+        assert batch_violations(case, batch) == batch_violations(case, oracle) == 0
+        skips = [int((gap_regularity(case, b) <= GAP_THRESHOLD).sum())
+                 for b in (batch, oracle)]
+        assert skips[0] == skips[1] > 0, amb
