@@ -11,8 +11,7 @@ from .errors import (CalibrationError, ConventionError, NumericalError,
                      UsageError)
 from .hermsym import (Case, OrbitPoint, build_case, parse_case, moment,
                       idempotents, random_point)
-from .liealg import (LieAlgebra, build_algebra, c_minus, c_plus,
-                     im_tr_pairing, iwasawa_project, j_operator)
+from .liealg import LieAlgebra, build_algebra
 from .poisson import (BracketPair, bruhat_matrix, build_pair, lenard_check,
                       nijenhuis_apply, nijenhuis_formula, pencil_spectrum)
 from .spectrum import (ChainSpectrum, chain_spectrum,
@@ -29,10 +28,8 @@ __all__ = [
     "ConventionError", "LieAlgebra", "NumericalError", "OrbitPoint",
     "SpinRepresentation", "UsageError", "VerificationReport",
     "build_algebra", "build_case", "build_pair", "bruhat_matrix",
-    "c_minus", "c_plus", "calibrate", "chain_spectrum",
-    "eigenvalue_map_constants", "gamma_matrices",
-    "gt_interlace_check", "idempotents", "im_tr_pairing",
-    "iwasawa_project", "j_operator", "lenard_check",
+    "calibrate", "chain_spectrum", "eigenvalue_map_constants",
+    "gamma_matrices", "gt_interlace_check", "idempotents", "lenard_check",
     "measure_diii_normalization", "moment", "nijenhuis_apply",
     "nijenhuis_formula", "parse_case", "pencil_spectrum",
     "polytope_membership", "random_point", "run_suite", "spin_basis",

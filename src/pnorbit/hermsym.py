@@ -1,11 +1,12 @@
 """The four families of compact hermitian symmetric spaces as adjoint orbits.
 
-A Case bundles the ambient algebra, the orbit generator rho, the symmetry
-K = exp(pi rho), the eigenbundle isometries W_+/W_-, and the subalgebra
-chain data used for the eigenvalue extraction.  Orbit points are sampled
-as m = g rho g^{-1} with g = exp of a Gaussian algebra element.  The
-so-families (diii, bdi) are real forms: their rho is real, and their
-samples g and m are float64 (LieAlgebra.native).
+A Case bundles the ambient algebra, the orbit generator rho, the
+eigenbundle isometries W_+/W_-, the stabilizer h = ker ad_rho with the
+tangent basis of its complement, and the subalgebra chain data used for
+the eigenvalue extraction.  Orbit points are sampled as m = g rho g^{-1}
+with g = exp of a Gaussian algebra element.  The so-families (diii, bdi)
+are real forms: their rho is real, and their samples g and m are float64
+(LieAlgebra.native).
 
 Case strings: ``aiii:k=2,n=4``  ``ci:n=3``  ``diii:n=4``  ``bdi:m=7``.
 """
@@ -32,7 +33,6 @@ class Case:
     name: str
     alg: liealg.LieAlgebra
     rho: np.ndarray
-    kphi: np.ndarray
     r_plus: complex
     r_minus: complex
     w_plus: np.ndarray
@@ -40,6 +40,7 @@ class Case:
     dim_m: int
     n_eig: int
     stabilizer: np.ndarray = field(repr=False)   # (dim_h, N, N)
+    tangent: np.ndarray = field(repr=False)      # (dim, dim_m) T0, orthonormal
     chain_plan: str = ""
 
     @property
@@ -60,11 +61,13 @@ class OrbitPoint:
 
 
 def _stabilizer_basis(alg, rho):
-    """Orthonormal basis of h = ker ad_rho, as matrices."""
+    """Orthonormal bases of h = ker ad_rho, as matrices (dim_h, N, N), and
+    of its complement, the tangent space at rho, as coefficient columns
+    (dim, dim M): both from one eigh of ad_rho^T ad_rho."""
     ad = alg.ad_matrix(rho)
     # ad_rho has spectrum {0, +-i}; a 0.5 gap separates the kernel cleanly
     w, u = np.linalg.eigh(ad.T @ ad)
-    return alg.from_coefficients(u[:, w < 0.25].T)
+    return alg.from_coefficients(u[:, w < 0.25].T), u[:, w >= 0.25]
 
 
 def _validate_j_convention(alg, rho):
@@ -86,13 +89,12 @@ def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
         res = _validate_j_convention(alg, rho)
         if res > 1e-10:
             raise ConventionError(f"J convention failed for {name}: {res:.3e}")
-    kphi = expm_antihermitian(np.pi * rho)
-    stab = _stabilizer_basis(alg, rho)
-    dim_m = alg.dim - len(stab)
+    stab, tangent = _stabilizer_basis(alg, rho)
+    dim_m = tangent.shape[1]
     if dim_m % 2:
         raise ConventionError(f"odd orbit dimension {dim_m} for {name}")
-    return Case(tag, params, name, alg, rho, kphi, r_plus, r_plus - 1j,
-                w_plus, w_minus, dim_m, dim_m // 2, stab, plan)
+    return Case(tag, params, name, alg, rho, r_plus, r_plus - 1j,
+                w_plus, w_minus, dim_m, dim_m // 2, stab, tangent, plan)
 
 
 def build_case(tag, **params):

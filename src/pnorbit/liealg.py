@@ -2,8 +2,8 @@
 
 Each algebra carries an orthonormal basis under <A,B> = -Tr(AB), a regular
 Cartan element H0, and the triangular-structure operator J obtained as the
-spectral sign of ad_{H0}.  J induces the maps C_pm = i +/- J, the Iwasawa
-splitting g_C = g (+) b_pm, and the Manin pairing Im Tr.
+spectral sign of ad_{H0}.  J induces the map C_+ = i + J (`c_plus`), the b_+
+realization of g^* that the Bruhat bracket is built from.
 
 so-algebras come in two Cartan embeddings, matching which symmetric space
 they host:
@@ -176,19 +176,6 @@ class LieAlgebra:
         """sum_a c_a X_a for one coefficient vector or a stack (..., dim)."""
         return self._unflatten(np.asarray(c) @ self.flat)
 
-    def membership_residual(self, x, complex_span=False):
-        """Distance of x from g (or g_C when complex_span) via reconstruction."""
-        c = self.coefficients(x)
-        if not complex_span:
-            c = c.real
-        return np.abs(x - self.from_coefficients(c)).max()
-
-    def check_member(self, x, tol=1e-10, complex_span=False):
-        res = self.membership_residual(x, complex_span)
-        if res > tol * max(1.0, np.abs(x).max()):
-            which = "g_C" if complex_span else "g"
-            raise ConventionError(f"matrix is not in {which}: residual {res:.3e}")
-
     # -- J and friends -----------------------------------------------------
     def j_apply(self, x):
         """J(x), extended complex-linearly to g_C; x may be a stack."""
@@ -208,19 +195,6 @@ class LieAlgebra:
     def c_plus(self, x):
         """C_+(x) = i x + J(x) for x in g, one matrix or a stack (unchecked)."""
         return 1j * x + self.j_apply_stack(self.real_coefficients(x))
-
-    def iwasawa_split(self, z, side="+"):
-        """Split z in g_C as z = x + C_pm(y), x, y in g; returns (x, y).
-
-        One matrix or a stack (unchecked).  Closed form: write z = a + i b
-        with a, b in g (anti-Hermitian and i-Hermitian parts); then y = b
-        and x = a -/+ J(b).
-        """
-        z_dag = np.conj(np.swapaxes(z, -1, -2))
-        a = (z - z_dag) / 2
-        b = (z + z_dag) / 2j
-        jb = self.j_apply_stack(self.real_coefficients(b))
-        return (a - jb if side == "+" else a + jb), b
 
 
 def _negate_h0(alg):
@@ -294,42 +268,3 @@ def build_algebra(family, n, cartan_style=None):
         h0[s, r] = -th
     return _finish(LieAlgebra(family, n, size, basis, cartan, h0, style))
 
-
-# ---------------------------------------------------------------------------
-# spec-level operations
-# ---------------------------------------------------------------------------
-
-def im_tr_pairing(a, b):
-    """The Manin-triple pairing Im Tr(AB)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConventionError(f"incompatible shapes {a.shape} / {b.shape}")
-    return float(np.trace(a @ b).imag)
-
-
-def j_operator(alg, x, tol=1e-10):
-    """J(x) for x in g.  Vanishes on t, squares to -1 on the root part."""
-    alg.check_member(x, tol)
-    return alg.j_apply(x)
-
-
-def c_plus(alg, x, tol=1e-10):
-    """C_+(x) = i x + J(x), the b_+ realization of x in g^*."""
-    alg.check_member(x, tol)
-    return alg.c_plus(x)
-
-
-def c_minus(alg, x, tol=1e-10):
-    """C_-(x) = i x - J(x)."""
-    alg.check_member(x, tol)
-    return 1j * x - alg.j_apply(x)
-
-
-def iwasawa_project(alg, z, side="+", tol=1e-10):
-    """Split z in g_C as z = x + C_pm(y) with x, y in g (LieAlgebra.iwasawa_split)."""
-    z = np.asarray(z, complex)
-    alg.check_member(z, tol, complex_span=True)
-    if side not in ("+", "-"):
-        raise ConventionError(f"side must be '+' or '-', got {side!r}")
-    return alg.iwasawa_split(z, side)

@@ -32,20 +32,18 @@ A A^T = 1, J^T = -J and K^T = -K is the form above.  The einsum form of the
 Iwasawa expression is kept as the oracle in the tests.
 
 Everything per point therefore follows from A and per-case base data: K0,
-its one rank-cut SVD (the cut s > 1e-9 s_0 that numpy's pinv with
-rcond=1e-9 would apply), the tangent basis T0 = U0[:, :dim M], K0^+ and
-the restrictions K_T = T0^T K0 T0 and J_T = T0^T J T0, computed once per
-case and cached.  `build_pair` certifies A and takes m; every bracket
-field of the pair is formed on its first read (K = A K0 A^T,
-P0 = -s_0 K D K, tangent T = A T0, K^+ = A K0^+ A^T), with no SVD per
-point.  The rank check of K becomes a certificate on A: A invertible
-gives rank(A K0 A^T) = rank K0 = dim M, and tangent and K^+ need A
-orthogonal, so a point with max|A A^T - 1| > ORTHO_TOL raises.  (The
-nonzero singular values of K0 are all 1 on the cases tried, up to
-aiii:k=5,n=10 and diii:n=8, the next is below 4e-16, so such a defect
-cannot move a value across the cut.)  The KKS rank margin and
-cond(PK|tangent) are base-SVD constants of the case.  `traces_of_powers`
-reads Tr (K D)^k = Tr (K0 (J - A^T J A))^k from A alone.
+the tangent basis T0 (Case.tangent, from the one eigh of ad_rho in
+hermsym) and the restrictions K_T = T0^T K0 T0 and J_T = T0^T J T0,
+computed once per case and cached.  No inverse is needed: ad_rho is the
+invariant complex structure on the tangent space (Helgason, ch. VIII), so
+K0^2 = -T0 T0^T, the tangent projector; with A orthogonal, K = A K0 A^T
+has K^2 = -T T^T (T = A T0), hence K^+ = -K and the KKS inverse in
+N = P0 PK^+ is -PK.  The first build of a case certifies
+max|K0^2 + T0 T0^T| <= CSTRUCT_TOL (measured <= 9e-16 up to aiii:k=5,n=10,
+diii:n=8 and bdi:m=13), and `build_pair` certifies A: a point with
+max|A A^T - 1| > ORTHO_TOL raises.  Every bracket field of the pair is
+formed on its first read (K = A K0 A^T, P0 = -s_0 K D K, T = A T0).
+`traces_of_powers` reads Tr (K D)^k = Tr (K0 (J - A^T J A))^k from A alone.
 
 The restricted Nijenhuis matrix needs neither P0 nor K nor an inverse.
 range(K0) is K0-invariant, so K0 T0 = T0 K_T and T0^T K0 = K_T T0^T; with
@@ -60,7 +58,7 @@ Real forms.  For the so-families (diii, bdi) rho and the sampled g and m
 are real (hermsym), and so are the flow points of a real g.  A real g
 meets the real `side` of the algebra and the real-part rows of its
 coefficient map (LieAlgebra.native, real_coefficients), so A, and with it
-K, P0, the tangent basis, K^+, `traces_of_powers` and the Jacobi flows, is
+K, P0, the tangent basis, `traces_of_powers` and the Jacobi flows, is
 formed by real GEMMs alone.  aiii and ci keep complex g, and a complex g
 of an so-family takes the complex route to the same A up to round-off.
 J is formed once per algebra (liealg), the same for either route.
@@ -68,7 +66,8 @@ J is formed once per algebra (liealg), the same for either route.
 `kks_raw` (K = -ad_m) and `bruhat_matrix` take leading stack axes;
 `bruhat_matrix` is the per-point `kks_raw(m)` route that the coset check
 and the oracle tests compare with the carried-over K.  N acts on tangent
-coefficients as P0 . PK^+, and in closed form as N v = [-J(v), m] + v.
+coefficients as P0 . PK^+ = -P0 . PK, and in closed form as
+N v = [-J(v), m] + v.
 
 Stack contract of the pencil: `build_pair` takes one g (N, N) or a stack
 (S, N, N), and every `BracketPair` array then carries the same leading
@@ -103,6 +102,7 @@ TANGENT_TOL = 1e-9              # nijenhuis_apply: relative normal component
 IMAG_TOL = 1e-8                 # pencil eigenvalues: relative imaginary part
 PAIRING_TOL = 1e-8              # pencil_spectrum: gap within a doubled pair
 ORTHO_TOL = 1e-9                # build_pair: max|A A^T - 1|, the rank certificate
+CSTRUCT_TOL = 1e-12             # base data: max|K0^2 + T0 T0^T|, for K^+ = -K
 
 
 def _dagger(x):
@@ -135,12 +135,11 @@ def _adjoint(case, g):
     return alg.real_coefficients(np.swapaxes(gxg, -3, -2))
 
 
-# The per-case base data of the bracket layer: K0 = kks_raw(case, rho), the
-# tangent basis T0 of range(K0), K0^+ and the restrictions K_T = T0^T K0 T0
-# and J_T = T0^T J T0, all from one rank-cut SVD of K0.  build_case is
+# The per-case base data of the bracket layer: K0 = kks_raw(case, rho) and
+# K_T = T0^T K0 T0, J_T = T0^T J T0 with T0 = case.tangent.  build_case is
 # deterministic in the descriptor, so the descriptor keys the cache and
 # every Case object parsed from it shares one entry.
-_Base = namedtuple("_Base", "k tangent k_pinv k_t j_t")
+_Base = namedtuple("_Base", "k k_t j_t")
 _BASES = {}                     # case descriptor -> _Base
 
 
@@ -154,17 +153,16 @@ def _base(case):
 
 def _build_base(case):
     k0 = kks_raw(case, case.rho)
-    u, s, vt = np.linalg.svd(k0)
-    rank = int((s > 1e-9 * s[0]).sum())
-    if rank != case.dim_m:
-        raise NumericalError(f"KKS rank {rank} != dim M = {case.dim_m}")
-    tangent = u[:, :rank]
-    # the pseudo-inverse numpy's pinv with rcond=1e-9 would take, from the
-    # same SVD
-    k_pinv = (vt[:rank].T / s[:rank]) @ tangent.T
+    tangent = case.tangent
+    # K0 is a complex structure on the tangent space, so K^+ = -K
+    defect = np.abs(k0 @ k0 + tangent @ tangent.T).max()
+    if defect > CSTRUCT_TOL:
+        raise NumericalError(
+            f"KKS matrix is no complex structure: max|K0^2 + T0 T0^T| = "
+            f"{defect:.3e} > {CSTRUCT_TOL:g}")
     k_t = tangent.T @ k0 @ tangent
     j_t = tangent.T @ case.alg.jmat @ tangent
-    base = _Base(k0, tangent, k_pinv, k_t, j_t)
+    base = _Base(k0, k_t, j_t)
     for arr in base:
         arr.flags.writeable = False
     return base
@@ -193,7 +191,7 @@ class BracketPair:
     rows and the signs; each bracket array is carried over from the case's
     base point rho on its first read and cached, with the stack's leading
     axes.  A reader pays only for what it reads: the pencil needs the
-    tangent alone (nijenhuis_restricted)."""
+    tangent alone (nijenhuis_restricted).  Readers of PK^+ use -PK."""
 
     point: object                   # hermsym.OrbitPoint
     a: np.ndarray = field(repr=False)   # (..., dim, dim) A, orthogonal
@@ -221,15 +219,7 @@ class BracketPair:
     @cached_property
     def tangent(self):
         """(..., dim, 2 n_eig) A T0, orthonormal."""
-        return self.a @ _base(self.case).tangent
-
-    @cached_property
-    def k_pinv(self):
-        """K^+ = A K0^+ A^T."""
-        return self.a @ _base(self.case).k_pinv @ np.swapaxes(self.a, -1, -2)
-
-    def pk_pinv(self):
-        return self.signs[0] * self.k_pinv
+        return self.a @ self.case.tangent
 
 
 def build_pair(case, g, signs=CALIBRATED_SIGNS, m=None):
@@ -238,16 +228,16 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS, m=None):
     Takes A = Ad_{g^-1} and the moment m = g rho g^dag (the caller's m if
     given, such as the one hermsym.batch_points returns with g: the same
     product, so the pair is unchanged), and builds the case's base data
-    on the first call per case; the bracket arrays are carried over from
-    it when read (see the module docstring), and no SVD is taken per
-    point.  The rank of K is certified through A: a row with
-    max|A A^T - 1| > ORTHO_TOL raises.  P0 needs no check: -s_0 K D K with
+    on the first call per case, which certifies K^+ = -K; the bracket
+    arrays are carried over from it when read (see the module docstring),
+    and no matrix is decomposed.  The rank of K is certified through A: a
+    row with max|A A^T - 1| > ORTHO_TOL raises.  P0 needs no check: -s_0 K D K with
     D antisymmetric is antisymmetric and maps into range(PK) by
     construction.
     """
     from .hermsym import OrbitPoint
     g = np.asarray(g)
-    _base(case)             # the case's one SVD, on its first build
+    _base(case)             # the case's certificate, on its first build
     a = _adjoint(case, g)
     at = np.swapaxes(a, -1, -2)
     defect = np.abs(a @ at - np.eye(case.alg.dim)).max(axis=(-2, -1))
@@ -265,7 +255,8 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS, m=None):
 # ---------------------------------------------------------------------------
 
 def nijenhuis_apply(pair, v, check=True):
-    """Pencil route: N v with t(Nv) = P0 PK^+ t(v); v must be tangent.
+    """Pencil route: N v with t(Nv) = P0 PK^+ t(v) = -P0 PK t(v); v must be
+    tangent.
 
     v is one matrix per row of the pair, (..., N, N).
     """
@@ -276,7 +267,7 @@ def nijenhuis_apply(pair, v, check=True):
                              axis=(-2, -1))
         if (res > TANGENT_TOL * np.maximum(1.0, np.linalg.norm(t, axis=(-2, -1)))).any():
             raise ConventionError(f"vector is not tangent: residual {res.max():.3e}")
-    return pair.case.alg.from_coefficients((pair.p0 @ (pair.pk_pinv() @ t))[..., 0])
+    return pair.case.alg.from_coefficients(-(pair.p0 @ (pair.pk @ t))[..., 0])
 
 
 def nijenhuis_formula(case, m, v):
@@ -378,19 +369,13 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     return out
 
 
-def coefficients_of_differential(pair, dvec):
-    """Solve df = sum_a c_a dF_a from the flow derivatives dvec.
-
-    Flow derivatives satisfy dvec = K^T c = -K c, so c = -K^+ dvec (any
-    kernel component is annihilated by both brackets).
-    """
-    return -pair.k_pinv @ dvec
-
-
 def gradient_bracket(pair, dvecs, p):
     """Pairwise brackets of functions given their flow-derivative vectors,
-    under the Poisson matrix p: pair.pk, pair.p0 or pair.p0 + t pair.pk."""
-    c = coefficients_of_differential(pair, np.asarray(dvecs).T)   # (dim, nfuncs)
+    under the Poisson matrix p: pair.pk, pair.p0 or pair.p0 + t pair.pk.
+    df = sum_a c_a dF_a has flow derivatives dvec = K^T c = -K c, so
+    c = -K^+ dvec = K dvec (a kernel part is annihilated by both brackets).
+    """
+    c = pair.k_raw @ np.asarray(dvecs).T        # (dim, nfuncs)
     return c.T @ p @ c
 
 
@@ -424,7 +409,7 @@ def jacobi_residual(pair, t, triples):
         return pt[:, rows, cols]
 
     dvec = directional_derivatives(case, pair.point.g, entries)  # (dim, 3 * triples)
-    ch = coefficients_of_differential(pair, dvec)
+    ch = pair.k_raw @ dvec      # c = -K^+ dvec, as in gradient_bracket
     pt0 = pair.pk if t == "kks" else pair.p0 + t * pair.pk
     terms = (ch * pt0[:, [z for _, _, z in cyclic]]).sum(axis=0)
     return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
@@ -435,17 +420,18 @@ def jacobi_residual(pair, t, triples):
 # ---------------------------------------------------------------------------
 
 def _nstar_coefficient_matrix(pair):
-    """B with (N^* df)(flows) = B^T Df for flow-derivative vectors Df."""
-    k = pair.k_raw
-    return pair.k_pinv @ (pair.p0 @ (pair.pk_pinv() @ k))
+    """B with (N^* df)(flows) = B^T Df for flow-derivative vectors Df:
+    K^+ P0 PK^+ K = s_K K P0 K^2 = -PK P0, as K^+ = -K, K^2 = -T T^T and
+    P0 T T^T = P0."""
+    return -(pair.pk @ pair.p0)
 
 
 def traces_of_powers(case, g, k_max, signs=CALIBRATED_SIGNS):
     """I_k = (1/k) Tr N^k for k = 1..k_max at g, one point or a stack
     (..., N, N) -> (..., k_max), from A alone.
 
-    N = P0 PK^+ = -s_0 s_K K D (K K^+) with D = A J A^T - J.  K K^+ is the
-    identity on range(K), the tangent space, and Tr is cyclic, so
+    N = P0 PK^+ = -s_0 s_K K D (K K^+) with D = A J A^T - J.  K K^+ = -K^2
+    is the identity on range(K), the tangent space, and Tr is cyclic, so
     Tr N^k = (-s_0 s_K)^k Tr (K D)^k, and with K = A K0 A^T and A
     orthogonal, K D = A K0 (J - A^T J A) A^T.  No certificate is needed
     per point: the flow points are unitary, and the build_pair of the pair

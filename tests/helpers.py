@@ -10,11 +10,19 @@ Frobenius norm: a_k from the top eigenvalue of B^T B per block B.
 `nijenhuis_restricted_inverse` is the restricted Nijenhuis matrix by its
 definition, (T^T P0 T)(T^T PK T)^-1 on the tangent basis T, which the
 base-frame form in the library must match to round-off.
+
+The checked algebra maps J, C_pm, the Iwasawa split of g_C = g (+) b_pm and
+the Manin pairing Im Tr are the spec-level forms of the conventions that
+the library uses unchecked (LieAlgebra.j_apply, LieAlgebra.c_plus); the
+tests hold the conventions to them.  `kphi` is the symmetry exp(pi rho) of
+a case.
 """
 
 import numpy as np
 
+from pnorbit.errors import ConventionError
 from pnorbit.hermsym import sample_rng
+from pnorbit.numkernel import expm_antihermitian
 
 
 def cartan_element(alg, values):
@@ -58,3 +66,77 @@ def bdi_chain_eigvalsh(case, ms):
             w = np.linalg.eigvalsh(np.swapaxes(blk, 1, 2) @ blk)
             a[:, k - 1] = np.sqrt(np.maximum(w[:, -1], 0.0))
     return {**batch, "a": a}
+
+
+def kphi(case):
+    """The symmetry K = exp(pi rho) of case."""
+    return expm_antihermitian(np.pi * case.rho)
+
+
+# ---------------------------------------------------------------------------
+# checked algebra maps
+# ---------------------------------------------------------------------------
+
+def membership_residual(alg, x, complex_span=False):
+    """Distance of x from g (or g_C when complex_span) via reconstruction."""
+    c = alg.coefficients(x)
+    if not complex_span:
+        c = c.real
+    return np.abs(x - alg.from_coefficients(c)).max()
+
+
+def check_member(alg, x, tol=1e-10, complex_span=False):
+    res = membership_residual(alg, x, complex_span)
+    if res > tol * max(1.0, np.abs(x).max()):
+        which = "g_C" if complex_span else "g"
+        raise ConventionError(f"matrix is not in {which}: residual {res:.3e}")
+
+
+def iwasawa_split(alg, z, side="+"):
+    """Split z in g_C as z = x + C_pm(y), x, y in g; returns (x, y).
+
+    One matrix or a stack (unchecked).  Closed form: write z = a + i b
+    with a, b in g (anti-Hermitian and i-Hermitian parts); then y = b
+    and x = a -/+ J(b).
+    """
+    z_dag = np.conj(np.swapaxes(z, -1, -2))
+    a = (z - z_dag) / 2
+    b = (z + z_dag) / 2j
+    jb = alg.j_apply_stack(alg.real_coefficients(b))
+    return (a - jb if side == "+" else a + jb), b
+
+
+def im_tr_pairing(a, b):
+    """The Manin-triple pairing Im Tr(AB)."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConventionError(f"incompatible shapes {a.shape} / {b.shape}")
+    return float(np.trace(a @ b).imag)
+
+
+def j_operator(alg, x, tol=1e-10):
+    """J(x) for x in g.  Vanishes on t, squares to -1 on the root part."""
+    check_member(alg, x, tol)
+    return alg.j_apply(x)
+
+
+def c_plus(alg, x, tol=1e-10):
+    """C_+(x) = i x + J(x), the b_+ realization of x in g^*."""
+    check_member(alg, x, tol)
+    return alg.c_plus(x)
+
+
+def c_minus(alg, x, tol=1e-10):
+    """C_-(x) = i x - J(x)."""
+    check_member(alg, x, tol)
+    return 1j * x - alg.j_apply(x)
+
+
+def iwasawa_project(alg, z, side="+", tol=1e-10):
+    """Split z in g_C as z = x + C_pm(y) with x, y in g (iwasawa_split)."""
+    z = np.asarray(z, complex)
+    check_member(alg, z, tol, complex_span=True)
+    if side not in ("+", "-"):
+        raise ConventionError(f"side must be '+' or '-', got {side!r}")
+    return iwasawa_split(alg, z, side)

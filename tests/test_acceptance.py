@@ -10,12 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from pnorbit import (build_algebra, c_plus, calibrate,
-                     measure_diii_normalization, parse_case, run_suite,
-                     vertex_probe)
+from pnorbit import (build_algebra, calibrate, measure_diii_normalization,
+                     parse_case, run_suite, vertex_probe)
 from pnorbit.cli import POLYTOPE_CHUNK
 from pnorbit.hermsym import batch_points
 from pnorbit.spectrum import batch_violations, chain_batch
+
+from helpers import c_plus
 
 CASES = [
     "aiii:k=1,n=2",   # Gr(1,2)

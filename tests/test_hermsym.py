@@ -11,10 +11,10 @@ from pnorbit.hermsym import (batch_points, check_group_element,
                              sample_coefficients, sample_rng,
                              stabilizer_elements, torus_fixed_points)
 from pnorbit.numkernel import expm_antihermitian
-from pnorbit.poisson import flow_points
+from pnorbit.poisson import flow_points, kks_raw
 from pnorbit.spectrum import batch_violations, chain_batch
 
-from helpers import batch_points_einsum
+from helpers import batch_points_einsum, kphi
 
 
 def test_rho_matches_case_matrices(gr24, sp2, bdi5):
@@ -34,20 +34,21 @@ def test_rho_matches_case_matrices(gr24, sp2, bdi5):
 def test_kphi_closed_forms(gr24, sp2, so6u3, bdi5):
     n, k = 4, 2
     expect = np.exp(1j * np.pi * (1 - k / n)) * np.diag([1, 1, -1, -1])
-    assert np.abs(gr24.kphi - expect).max() <= 1e-12
-    assert np.abs(sp2.kphi - np.diag([1j, 1j, -1j, -1j])).max() <= 1e-12
+    assert np.abs(kphi(gr24) - expect).max() <= 1e-12
+    assert np.abs(kphi(sp2) - np.diag([1j, 1j, -1j, -1j])).max() <= 1e-12
     nn = so6u3.params["n"]
     kd = np.zeros((2 * nn, 2 * nn))
     kd[:nn, nn:], kd[nn:, :nn] = np.eye(nn), -np.eye(nn)
-    assert np.abs(so6u3.kphi - kd).max() <= 1e-12
-    assert np.abs(bdi5.kphi - np.diag([1, 1, 1, -1, -1])).max() <= 1e-12
+    assert np.abs(kphi(so6u3) - kd).max() <= 1e-12
+    assert np.abs(kphi(bdi5) - np.diag([1, 1, 1, -1, -1])).max() <= 1e-12
 
 
 def test_kphi_is_exp_pi_rho_and_involution(all_cases):
     for case in all_cases:
-        assert np.abs(case.kphi - scipy.linalg.expm(np.pi * case.rho)).max() <= 1e-12
+        k = kphi(case)
+        assert np.abs(k - scipy.linalg.expm(np.pi * case.rho)).max() <= 1e-12
         # Ad_K^2 = id on the algebra basis
-        k2 = case.kphi @ case.kphi
+        k2 = k @ k
         for x in case.alg.basis[::5]:
             ad2 = k2 @ x @ np.linalg.inv(k2)
             assert np.abs(ad2 - x).max() <= 1e-11
@@ -227,11 +228,21 @@ def test_moment_coset_invariance(all_cases):
 
 
 def test_stabilizer_dimension(all_cases):
-    # dim h = dim g - dim M, and every stabilizer basis element commutes with rho
+    # dim h = dim g - dim M, and every stabilizer basis element commutes with
+    # rho; the tangent basis T0 is orthonormal, orthogonal to h and spans
+    # range(K0), K0 = kks_raw(rho)
     for case in all_cases:
         assert len(case.stabilizer) == case.alg.dim - case.dim_m
         for s in case.stabilizer:
             assert np.abs(case.rho @ s - s @ case.rho).max() <= 1e-12
+        t = case.tangent
+        assert t.shape == (case.alg.dim, case.dim_m)
+        assert np.abs(t.T @ t - np.eye(case.dim_m)).max() <= 1e-13, case.name
+        h = case.alg.coefficients(case.stabilizer).real
+        assert np.abs(h @ t).max() <= 1e-13, case.name
+        k0 = kks_raw(case, case.rho)
+        assert np.linalg.matrix_rank(k0) == case.dim_m, case.name
+        assert np.abs(t @ (t.T @ k0) - k0).max() <= 1e-13, case.name
 
 
 def test_stabilizer_elements_stream(all_cases):

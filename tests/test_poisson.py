@@ -195,9 +195,9 @@ def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
 
 
 def test_build_pair_takes_one_svd(gr24, monkeypatch):
-    # the one SVD of the bracket layer is of K0, on the first build of a
-    # case; later builds, lenard_check on the pair it is given and its fd
-    # flows (traces_of_powers) take none
+    # the bracket layer takes no SVD: K^+ = -K, certified on the first build
+    # of a case by K0^2 = -T0 T0^T; no build, nor lenard_check on the pair it
+    # is given and its fd flows (traces_of_powers), takes one
     calls = {"svd": 0, "pinv": 0}
 
     def counted(name, fn):
@@ -210,15 +210,15 @@ def test_build_pair_takes_one_svd(gr24, monkeypatch):
     p = random_point(gr24, 97)
     gs, _ = batch_points(gr24, 97, 0, 6)
     # the first build, then one point and a stack of six
-    for g, svds in ((p.g, 1), (p.g, 0), (gs, 0)):
+    for g in (p.g, p.g, gs):
         calls.update(svd=0, pinv=0)
         with monkeypatch.context() as mp:
             mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
             mp.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
             pair = build_pair(gr24, g, SIGNS)
-        assert calls == {"svd": svds, "pinv": 0}
+        assert calls == {"svd": 0, "pinv": 0}
         ref = np.linalg.pinv(pair.k_raw, rcond=1e-9)
-        assert np.abs(pair.k_pinv - ref).max() <= 1e-12
+        assert np.abs(-pair.k_raw - ref).max() <= 1e-12
     pair = build_pair(gr24, p.g, SIGNS)
     calls.update(svd=0, pinv=0)
     with monkeypatch.context() as mp:
@@ -229,8 +229,10 @@ def test_build_pair_takes_one_svd(gr24, monkeypatch):
 
 
 def test_bracket_layer_matches_per_point_route(all_cases):
-    # build_pair and traces_of_powers carry K0 and its SVD over from rho by
-    # A = Ad_{g^-1}; the per-point route takes kks_raw(m) and its own SVD
+    # build_pair and traces_of_powers carry K0 and T0 over from rho by
+    # A = Ad_{g^-1}; the per-point route takes kks_raw(m) and its own SVD.
+    # K0's singular values, all 1 on the tangent space, are the oracle for
+    # K^+ = -K
     for case in all_cases + [build_case("diii", n=6)]:
         r = case.dim_m
         s0 = np.linalg.svd(kks_raw(case, case.rho), compute_uv=False)
@@ -245,7 +247,7 @@ def test_bracket_layer_matches_per_point_route(all_cases):
             k = kks_raw(case, m)
             assert np.abs(pair.k_raw[i] - k).max() <= 1e-13, case.name
             ref = np.linalg.pinv(k, rcond=1e-9)
-            assert np.abs(pair.k_pinv[i] - ref).max() <= 1e-12, case.name
+            assert np.abs(-pair.k_raw[i] - ref).max() <= 1e-12, case.name
             # an orthonormal basis of range(K(m)), which has dimension r
             t = pair.tangent[i]
             assert np.abs(t.T @ t - np.eye(r)).max() <= 1e-13
@@ -267,6 +269,19 @@ def test_bracket_layer_matches_per_point_route(all_cases):
         for g in (bad[1], bad):
             with pytest.raises(NumericalError, match="KKS rank"):
                 build_pair(case, g, SIGNS)
+
+
+def test_base_certifies_complex_structure(all_cases, monkeypatch):
+    # K^+ = -K rests on K0^2 = -T0 T0^T; with rho scaled by 1.5, K0^2 is
+    # -2.25 T0 T0^T and the first build of the case raises
+    for case in all_cases:
+        monkeypatch.setattr(poisson, "_BASES", {})
+        g = np.eye(case.alg.size, dtype=case.rho.dtype)
+        with pytest.raises(NumericalError, match="complex structure"):
+            build_pair(replace(case, rho=1.5 * case.rho), g, SIGNS)
+        build_pair(case, g, SIGNS)
+        k0, t0 = poisson._base(case).k, case.tangent
+        assert np.abs(k0 @ k0 + t0 @ t0.T).max() <= poisson.CSTRUCT_TOL, case.name
 
 
 def pair_row(pair, i):
@@ -291,10 +306,10 @@ def test_stacked_pencil_matches_batch_of_one(all_cases):
         n_formula = nijenhuis_formula(case, ms, vs)
         for i, g in enumerate(gs):
             one = build_pair(case, g, SIGNS)
-            for name in ("p0", "pk", "k_pinv"):
+            for name in ("p0", "pk"):
                 got, want = getattr(pair, name)[i], getattr(one, name)
                 assert np.abs(got - want).max() <= 1e-13, (case.name, name)
-            # singular vectors are fixed up to sign
+            # tangent bases agree up to sign
             sign = np.sign((pair.tangent[i] * one.tangent).sum(axis=0))
             assert np.abs(pair.tangent[i] * sign - one.tangent).max() <= 1e-13
             ev1, im1 = pencil_eigenvalues(one)
@@ -321,14 +336,14 @@ def test_restricted_nijenhuis_matches_inverse_route(all_cases):
 
 
 def test_pencil_reads_no_bracket_matrix(all_cases):
-    # the pencil reads the tangent alone: P0, K and K^+ stay unformed
+    # the pencil reads the tangent alone: P0 and K stay unformed
     for case in all_cases:
         gs, _ = batch_points(case, 47, 0, 3)
         for g in (gs[0], gs):
             pair = build_pair(case, g, SIGNS)
             pencil_spectrum(pair)
             assert "tangent" in vars(pair)
-            assert not {"p0", "pk", "k_raw", "k_pinv"} & set(vars(pair)), case.name
+            assert not {"p0", "pk", "k_raw"} & set(vars(pair)), case.name
 
 
 def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
