@@ -20,7 +20,7 @@ signs = pn.calibrate().signs
 print(f"case: {case.name}; calibrated signs (s_K, s_0) = {signs}")
 
 point = random_point(case, seed=123)
-pair = pn.build_pair(case, point.g, signs)
+pair = pn.build_pair(case, point.g)
 
 print(f"\nKKS matrix: rank {np.linalg.matrix_rank(pair.pk, tol=1e-9)} "
       f"= dim M = {case.dim_m}")

@@ -10,7 +10,7 @@ identities tying them together.
 from .errors import (CalibrationError, ConventionError, NumericalError,
                      UsageError)
 from .hermsym import (Case, OrbitPoint, build_case, parse_case, moment,
-                      idempotents, random_point)
+                      random_point)
 from .liealg import LieAlgebra, build_algebra
 from .poisson import (BracketPair, bruhat_matrix, build_pair, lenard_check,
                       nijenhuis_apply, nijenhuis_formula, pencil_spectrum)
@@ -29,7 +29,7 @@ __all__ = [
     "SpinRepresentation", "UsageError", "VerificationReport",
     "build_algebra", "build_case", "build_pair", "bruhat_matrix",
     "calibrate", "chain_spectrum", "eigenvalue_map_constants",
-    "gamma_matrices", "gt_interlace_check", "idempotents", "lenard_check",
+    "gamma_matrices", "gt_interlace_check", "lenard_check",
     "measure_diii_normalization", "moment", "nijenhuis_apply",
     "nijenhuis_formula", "parse_case", "pencil_spectrum",
     "polytope_membership", "random_point", "run_suite", "spin_basis",

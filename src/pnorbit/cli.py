@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: verify (run the full suite), spectrum (both eigenvalue routes
-at one point), polytope (mass sampling to CSV), calibrate (sign search and
-the eigenvalue-range measurement).
+at one point), polytope (mass sampling to CSV), calibrate (the sign
+convention certificate and the eigenvalue-range measurement).
 
 Exit codes: 0 pass, 1 check failure, 2 usage error (an unwritable --output
 included), 3 numerical failure.
@@ -73,11 +73,11 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     case = hermsym.parse_case(args.case)
-    signs = verify.calibrate().signs
+    verify.calibrate()
     point = (hermsym.identity_point(case) if args.identity
              else hermsym.random_point(case, args.seed))
     cs = spectrum.chain_spectrum(case, point.m)
-    pair = poisson.build_pair(case, point.g, signs, point.m)
+    pair = poisson.build_pair(case, point.g, m=point.m)
     pencil = poisson.pencil_spectrum(pair)
     chain = cs.free_values()
     disc = float(np.abs(np.sort(chain) - pencil).max())

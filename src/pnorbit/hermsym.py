@@ -20,12 +20,6 @@ from .errors import ConventionError, UsageError
 from .numkernel import expm_antihermitian
 
 
-def sample_rng(seed, index):
-    """Counter-based per-sample generator: reproducible and parallel-safe."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1),
-                                                counter=int(index) << 64))
-
-
 @dataclass
 class Case:
     tag: str
@@ -82,13 +76,10 @@ def _validate_j_convention(alg, rho):
 
 
 def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
-    # deterministic two-branch convention calibration: if J|_{h_perp} fails
-    # to match ad_rho, flip the Weyl chamber once.
-    if _validate_j_convention(alg, rho) > 1e-10:
-        alg = liealg._negate_h0(alg)
-        res = _validate_j_convention(alg, rho)
-        if res > 1e-10:
-            raise ConventionError(f"J convention failed for {name}: {res:.3e}")
+    # the Weyl chambers of liealg are chosen so that J|_{h_perp} = ad_rho
+    res = _validate_j_convention(alg, rho)
+    if res > 1e-10:
+        raise ConventionError(f"J convention failed for {name}: {res:.3e}")
     stab, tangent = _stabilizer_basis(alg, rho)
     dim_m = tangent.shape[1]
     if dim_m % 2:
@@ -186,11 +177,17 @@ def parse_case(text):
 # orbit points
 # ---------------------------------------------------------------------------
 
+def conjugate_rho(case, g):
+    """g rho g^dag for one matrix g or a stack (..., N, N), unchecked."""
+    return g @ case.rho @ np.conj(np.swapaxes(g, -1, -2))
+
+
 def moment(case, g):
-    """mu(g) = g rho g^{-1}; g must pass check_group_element."""
-    g = np.asarray(g, complex)
+    """mu(g) = g rho g^{-1} for one g or a stack; each must pass
+    check_group_element."""
+    g = np.asarray(g)
     check_group_element(case, g)
-    return g @ case.rho @ g.conj().T
+    return conjugate_rho(case, g)
 
 
 def group_residual(case, g):
@@ -231,10 +228,12 @@ def random_point(case, seed):
 
 def sample_coefficients(seed, start, count, dim):
     """The Gaussian coefficient draws of samples start..start+count-1,
-    (count, dim): row i is sample_rng(seed, start + i).standard_normal(dim).
+    (count, dim): row i is standard_normal(dim) from a Philox generator
+    keyed by seed with counter (start + i) << 64, so each sample has its
+    own reproducible stream.
 
     One generator is re-pointed at each sample's counter by a state edit,
-    which draws the same numbers as a fresh sample_rng per sample, faster.
+    which draws the same numbers as a fresh generator per sample, faster.
     """
     coefs = np.empty((count, dim))
     bg = np.random.Philox(key=int(seed) & (2**64 - 1))
@@ -265,19 +264,12 @@ def batch_points(case, seed, start, count):
     """Orbit points g, m = g rho g^dag for sample indices start..start+count-1:
     g = exp of a Gaussian algebra element, drawn as in _exp_samples."""
     g = _exp_samples(case.alg, seed, start, count, case.alg.basis)
-    return g, g @ case.rho @ np.conj(np.swapaxes(g, 1, 2))
+    return g, conjugate_rho(case, g)
 
 
 def identity_point(case):
     g = case.alg.native(np.eye(case.alg.size, dtype=complex))
     return OrbitPoint(case, g, case.rho.copy())
-
-
-def idempotents(case, g):
-    """e_pm = sigma_pm sigma_pm^dagger from the column blocks of g."""
-    sp = g @ case.w_plus
-    sm = g @ case.w_minus
-    return sp @ sp.conj().T, sm @ sm.conj().T
 
 
 def stabilizer_elements(case, seed, start, count):

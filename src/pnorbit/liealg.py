@@ -179,11 +179,7 @@ class LieAlgebra:
     # -- J and friends -----------------------------------------------------
     def j_apply(self, x):
         """J(x), extended complex-linearly to g_C; x may be a stack."""
-        return self.from_coefficients(self.coefficients(x) @ self.jmat.T)
-
-    def j_apply_stack(self, coefs):
-        """J on a stack of coefficient vectors, returning matrices."""
-        return self._unflatten(coefs @ self.jflat)
+        return self._unflatten(self.coefficients(x) @ self.jflat)
 
     def ad_matrix(self, x):
         """ad_x on coefficients: column a holds [x, X_a]; x may be a stack."""
@@ -194,13 +190,7 @@ class LieAlgebra:
 
     def c_plus(self, x):
         """C_+(x) = i x + J(x) for x in g, one matrix or a stack (unchecked)."""
-        return 1j * x + self.j_apply_stack(self.real_coefficients(x))
-
-
-def _negate_h0(alg):
-    """The deterministic second calibration branch: flip the Weyl chamber."""
-    return _finish(LieAlgebra(alg.family, alg.n, alg.size, alg.basis,
-                              alg.cartan_indices, -alg.h0, alg.cartan_style))
+        return 1j * x + self.j_apply(x)
 
 
 def _finish(alg):

@@ -5,9 +5,10 @@ KKS (Lie-Poisson) matrix is PK = s_K <m, [X_a, X_b]>; the Bruhat matrix is
 
     P0[a,b] = -s_0 Im Tr( g-part(Ad_{g^-1} C_+(xi_a)) . b_+-part(Ad_{g^-1} C_+(xi_b)) )
 
-with xi_a = [m, X_a] (the right-translated differential of F_a).  The signs
-(s_K, s_0) are fixed once by the discrete calibration in `verify`; the
-calibrated global convention is (+1, -1).
+with xi_a = [m, X_a] (the right-translated differential of F_a).  The
+convention is (s_K, s_0) = CALIBRATED_SIGNS = (+1, -1), which
+`verify.calibrate` certifies on every run; every formula in the code is
+written at it, so the bracket layer carries no sign.
 
 Both matrices are carried over from the base point rho by one matrix per
 point, A = Ad_{g^-1} on coefficient rows, A[a,b] = -Re Tr(g^-1 X_a g X_b)
@@ -20,7 +21,7 @@ K0 = kks_raw(case, rho), invariance of <,> gives
 `bruhat_matrix` evaluates the Iwasawa tensor in coefficient space, as the
 r-matrix form Ad_g J Ad_g^-1 - J pulled back through K (Lu-Weinstein):
 
-    P0 = -s_0 K D K,    D = A J A^T - J.
+    P0 = -s_0 K D K = K D K,    D = A J A^T - J.
 
 Derivation: xi_a has coefficient row K[a].  Ad_{g^-1} is complex linear,
 so z_a = Ad_{g^-1} C_+(xi_a) = i u_a + w_a with u_a = Ad_{g^-1} xi_a
@@ -42,17 +43,17 @@ N = P0 PK^+ is -PK.  The first build of a case certifies
 max|K0^2 + T0 T0^T| <= CSTRUCT_TOL (measured <= 9e-16 up to aiii:k=5,n=10,
 diii:n=8 and bdi:m=13), and `build_pair` certifies A: a point with
 max|A A^T - 1| > ORTHO_TOL raises.  Every bracket field of the pair is
-formed on its first read (K = A K0 A^T, P0 = -s_0 K D K, T = A T0).
+formed on its first read (PK = K = A K0 A^T, P0 = K D K, T = A T0).
 `traces_of_powers` reads Tr (K D)^k = Tr (K0 (J - A^T J A))^k from A alone.
 
 The restricted Nijenhuis matrix needs neither P0 nor K nor an inverse.
 range(K0) is K0-invariant, so K0 T0 = T0 K_T and T0^T K0 = K_T T0^T; with
 A^T A = 1, T^T K T = K_T and
 
-    T^T P0 T = -s_0 T0^T K0 (J - A^T J A) K0 T0 = -s_0 K_T (J_T - T^T J T) K_T,
+    T^T P0 T = T0^T K0 (J - A^T J A) K0 T0 = K_T (J_T - T^T J T) K_T,
 
-hence N_r = (T^T P0 T)(T^T PK T)^-1 = -s_0 s_K K_T (J_T - T^T J T): the
-pencil reads A only through T^T J T (the r-matrix form of Lu-Weinstein).
+hence N_r = (T^T P0 T)(T^T PK T)^-1 = K_T (J_T - T^T J T): the pencil
+reads A only through T^T J T (the r-matrix form of Lu-Weinstein).
 
 Real forms.  For the so-families (diii, bdi) rho and the sampled g and m
 are real (hermsym), and so are the flow points of a real g.  A real g
@@ -77,7 +78,7 @@ stacks of vectors); their checks run per row with the per-point scales,
 so a stack raises whenever one of its rows would.  A single point is a
 batch of one through the same code.  The fd checks (`jacobi_residual`,
 `lenard_check`, `nstar_eigen_residual`) take the single-point pair they
-certify, read case, g, m and signs from it, and build none of their own;
+certify, read case, g and m from it, and build none of their own;
 `nstar_eigen_residual` also takes the pair's `chain_gradient`, which the
 involution checks share.
 `stack_chunk(case)` is the one rule for how many points go into a stacked
@@ -95,6 +96,7 @@ import numpy as np
 
 from . import spectrum as _spectrum
 from .errors import ConventionError, NumericalError
+from .hermsym import OrbitPoint, conjugate_rho
 from .numkernel import DEFAULT_FD_STEP, expm_antihermitian
 
 CALIBRATED_SIGNS = (1, -1)      # (s_K, s_0); see verify.calibrate
@@ -107,12 +109,6 @@ CSTRUCT_TOL = 1e-12             # base data: max|K0^2 + T0 T0^T|, for K^+ = -K
 
 def _dagger(x):
     return np.conj(np.swapaxes(x, -1, -2))
-
-
-def _moment(case, g):
-    """m = g rho g^dag for one group element or a stack (unchecked; see
-    hermsym.moment for the checked form)."""
-    return g @ case.rho @ _dagger(g)
 
 
 def kks_raw(case, m):
@@ -168,53 +164,47 @@ def _build_base(case):
     return base
 
 
-def _bruhat(case, a, left, right, s_0):
-    """The one Bruhat kernel: -s_0 left (A J A^T - J) right, where left and
+def _bruhat(case, a, left, right):
+    """The one Bruhat kernel: left (A J A^T - J) right, where left and
     right are rows and columns of K (both K for the whole of P0)."""
     jmat = case.alg.jmat
     mid = a @ jmat @ np.swapaxes(a, -1, -2) - jmat
-    return -s_0 * (left @ mid @ right)
+    return left @ mid @ right
 
 
-def bruhat_matrix(case, g, s_0=CALIBRATED_SIGNS[1]):
-    """The Bruhat-Poisson matrix -s_0 K (A J A^T - J) K at the coset of g,
-    with K = kks_raw(case, g rho g^dag); g may be a stack (..., N, N)."""
+def bruhat_matrix(case, g):
+    """The Bruhat-Poisson matrix K (A J A^T - J) K at the coset of g, with
+    K = kks_raw(case, g rho g^dag); g may be a stack (..., N, N)."""
     g = np.asarray(g)
-    k = kks_raw(case, _moment(case, g))
-    return _bruhat(case, _adjoint(case, g), k, k, s_0)
+    k = kks_raw(case, conjugate_rho(case, g))
+    return _bruhat(case, _adjoint(case, g), k, k)
 
 
 @dataclass
 class BracketPair:
     """Both Poisson matrices at one orbit point or a stack of them, with
-    tangent data.  The pair holds the point, A = Ad_{g^-1} on coefficient
-    rows and the signs; each bracket array is carried over from the case's
+    tangent data.  The pair holds the point and A = Ad_{g^-1} on
+    coefficient rows; each bracket array is carried over from the case's
     base point rho on its first read and cached, with the stack's leading
     axes.  A reader pays only for what it reads: the pencil needs the
     tangent alone (nijenhuis_restricted).  Readers of PK^+ use -PK."""
 
     point: object                   # hermsym.OrbitPoint
     a: np.ndarray = field(repr=False)   # (..., dim, dim) A, orthogonal
-    signs: tuple = CALIBRATED_SIGNS
 
     @property
     def case(self):
         return self.point.case
 
     @cached_property
-    def k_raw(self):
-        """K = A K0 A^T."""
+    def pk(self):
+        """PK = K = A K0 A^T."""
         return self.a @ _base(self.case).k @ np.swapaxes(self.a, -1, -2)
 
     @cached_property
-    def pk(self):
-        """s_K K."""
-        return self.signs[0] * self.k_raw
-
-    @cached_property
     def p0(self):
-        """-s_0 K (A J A^T - J) K."""
-        return _bruhat(self.case, self.a, self.k_raw, self.k_raw, self.signs[1])
+        """P0 = K (A J A^T - J) K."""
+        return _bruhat(self.case, self.a, self.pk, self.pk)
 
     @cached_property
     def tangent(self):
@@ -222,7 +212,7 @@ class BracketPair:
         return self.a @ self.case.tangent
 
 
-def build_pair(case, g, signs=CALIBRATED_SIGNS, m=None):
+def build_pair(case, g, *, m=None):
     """Both brackets at g, one group element (N, N) or a stack (S, N, N).
 
     Takes A = Ad_{g^-1} and the moment m = g rho g^dag (the caller's m if
@@ -231,11 +221,10 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS, m=None):
     on the first call per case, which certifies K^+ = -K; the bracket
     arrays are carried over from it when read (see the module docstring),
     and no matrix is decomposed.  The rank of K is certified through A: a
-    row with max|A A^T - 1| > ORTHO_TOL raises.  P0 needs no check: -s_0 K D K with
-    D antisymmetric is antisymmetric and maps into range(PK) by
+    row with max|A A^T - 1| > ORTHO_TOL raises.  P0 needs no check: K D K
+    with D antisymmetric is antisymmetric and maps into range(PK) by
     construction.
     """
-    from .hermsym import OrbitPoint
     g = np.asarray(g)
     _base(case)             # the case's certificate, on its first build
     a = _adjoint(case, g)
@@ -246,8 +235,8 @@ def build_pair(case, g, signs=CALIBRATED_SIGNS, m=None):
             f"KKS rank not certified: max|A A^T - 1| = {defect.max():.3e} "
             f"> {ORTHO_TOL:g}")
     if m is None:
-        m = _moment(case, g)
-    return BracketPair(OrbitPoint(case, g, m), a, signs)
+        m = conjugate_rho(case, g)
+    return BracketPair(OrbitPoint(case, g, m), a)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +267,12 @@ def nijenhuis_formula(case, m, v):
 
 def nijenhuis_restricted(pair):
     """Matrix of N = P0 PK^-1 on the tangent basis (..., 2 n_eig, 2 n_eig):
-    -s_0 s_K K_T (J_T - T^T J T), from the tangent T and the case's base
-    data (see the module docstring)."""
+    K_T (J_T - T^T J T), from the tangent T and the case's base data (see
+    the module docstring)."""
     base = _base(pair.case)
     t = pair.tangent
     tjt = np.swapaxes(t, -1, -2) @ (pair.case.alg.jmat @ t)
-    return -pair.signs[1] * pair.signs[0] * (base.k_t @ (base.j_t - tjt))
+    return base.k_t @ (base.j_t - tjt)
 
 
 def pencil_eigenvalues(pair):
@@ -360,7 +349,7 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     out = None
     for a in range(0, len(pts), step):
         gs = pts[a:a + step].reshape(-1, size, size)
-        vals = np.asarray(funcs(gs, _moment(case, gs)))
+        vals = np.asarray(funcs(gs, conjugate_rho(case, gs)))
         if out is None:
             out = np.empty((len(pts),) + vals.shape[1:], vals.dtype)
         out[a:a + step] = (vals[0::2] - vals[1::2]) / (2 * h)
@@ -375,7 +364,7 @@ def gradient_bracket(pair, dvecs, p):
     df = sum_a c_a dF_a has flow derivatives dvec = K^T c = -K c, so
     c = -K^+ dvec = K dvec (a kernel part is annihilated by both brackets).
     """
-    c = pair.k_raw @ np.asarray(dvecs).T        # (dim, nfuncs)
+    c = pair.pk @ np.asarray(dvecs).T        # (dim, nfuncs)
     return c.T @ p @ c
 
 
@@ -385,7 +374,7 @@ def jacobi_residual(pair, t, triples):
     t = 'kks' checks the pure Lie-Poisson bracket (the t -> infinity limit
     of the pencil).
     """
-    case, signs = pair.case, pair.signs
+    case = pair.case
     cyclic = [xyz for (a, b, c) in triples
               for xyz in ((a, b, c), (b, c, a), (c, a, b))]
     needed = sorted({i for tr in triples for i in tr})
@@ -401,15 +390,14 @@ def jacobi_residual(pair, t, triples):
         # {F_x, F_y} are differentiated
         a = _adjoint(case, gs)
         k_rows = a[:, needed] @ k0 @ np.swapaxes(a, -1, -2)
-        pt = signs[0] * k_rows[:, :, needed]
+        pt = k_rows[:, :, needed]
         if t != "kks":
             # K[:, needed] = -K[needed]^T, as K is antisymmetric
-            pt = _bruhat(case, a, k_rows, -np.swapaxes(k_rows, -1, -2),
-                         signs[1]) + t * pt
+            pt = _bruhat(case, a, k_rows, -np.swapaxes(k_rows, -1, -2)) + t * pt
         return pt[:, rows, cols]
 
     dvec = directional_derivatives(case, pair.point.g, entries)  # (dim, 3 * triples)
-    ch = pair.k_raw @ dvec      # c = -K^+ dvec, as in gradient_bracket
+    ch = pair.pk @ dvec      # c = -K^+ dvec, as in gradient_bracket
     pt0 = pair.pk if t == "kks" else pair.p0 + t * pair.pk
     terms = (ch * pt0[:, [z for _, _, z in cyclic]]).sum(axis=0)
     return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
@@ -421,18 +409,18 @@ def jacobi_residual(pair, t, triples):
 
 def _nstar_coefficient_matrix(pair):
     """B with (N^* df)(flows) = B^T Df for flow-derivative vectors Df:
-    K^+ P0 PK^+ K = s_K K P0 K^2 = -PK P0, as K^+ = -K, K^2 = -T T^T and
+    K^+ P0 PK^+ K = K P0 K^2 = -PK P0, as K^+ = -K, K^2 = -T T^T and
     P0 T T^T = P0."""
     return -(pair.pk @ pair.p0)
 
 
-def traces_of_powers(case, g, k_max, signs=CALIBRATED_SIGNS):
+def traces_of_powers(case, g, k_max):
     """I_k = (1/k) Tr N^k for k = 1..k_max at g, one point or a stack
     (..., N, N) -> (..., k_max), from A alone.
 
-    N = P0 PK^+ = -s_0 s_K K D (K K^+) with D = A J A^T - J.  K K^+ = -K^2
-    is the identity on range(K), the tangent space, and Tr is cyclic, so
-    Tr N^k = (-s_0 s_K)^k Tr (K D)^k, and with K = A K0 A^T and A
+    N = P0 PK^+ = K D (K K^+) with D = A J A^T - J.  K K^+ = -K^2 is the
+    identity on range(K), the tangent space, and Tr is cyclic, so
+    Tr N^k = Tr (K D)^k, and with K = A K0 A^T and A
     orthogonal, K D = A K0 (J - A^T J A) A^T.  No certificate is needed
     per point: the flow points are unitary, and the build_pair of the pair
     that lenard_check takes certifies A at the base point.
@@ -445,7 +433,6 @@ def traces_of_powers(case, g, k_max, signs=CALIBRATED_SIGNS):
     a = _adjoint(case, g)
     jmat = case.alg.jmat
     kd = _base(case).k @ (jmat - np.swapaxes(a, -1, -2) @ jmat @ a)
-    c = -signs[1] * signs[0]
     pows = [kd]
     for _ in range(1, (k_max + 1) // 2):
         pows.append(pows[-1] @ kd)
@@ -455,7 +442,7 @@ def traces_of_powers(case, g, k_max, signs=CALIBRATED_SIGNS):
     tr += [(p.reshape(lead + (1, size)) @ top_t)[..., 0, 0]
            for p in pows[:k_max - len(pows)]]
     k = np.arange(1, k_max + 1)
-    return c ** k * np.stack(tr, axis=-1) / k
+    return np.stack(tr, axis=-1) / k
 
 
 def lenard_check(pair, k_max):
@@ -466,7 +453,7 @@ def lenard_check(pair, k_max):
     """
     case, g = pair.case, pair.point.g
     dvec = directional_derivatives(
-        case, g, lambda gs, ms: traces_of_powers(case, gs, k_max, pair.signs))
+        case, g, lambda gs, ms: traces_of_powers(case, gs, k_max))
     bmat = _nstar_coefficient_matrix(pair)
     res = []
     for k in range(k_max - 1):
@@ -508,18 +495,17 @@ def nstar_eigen_residual(pair, dvec):
 # contravariant connection (both displays)
 # ---------------------------------------------------------------------------
 
-def connection_check(case, g, v):
+def connection_check(pair, v):
     """Residual between the full connection formula (-J(v) + [m, v]) g and
-    the eigenbundle block form -/+ C_pm(v) sigma_pm; for stacks of g and v,
-    the largest residual over the rows.
+    the eigenbundle block form -/+ C_pm(v) sigma_pm at the pair's points;
+    for a stacked pair and v, the largest residual over the rows.
 
     bdi lacks the block form; the check degenerates there and is flagged.
     """
+    case, g, m = pair.case, pair.point.g, pair.point.m
     if case.tag == "bdi":
         return 0.0, False
-    alg = case.alg
-    m = _moment(case, g)
-    jv = alg.j_apply(v)
+    jv = case.alg.j_apply(v)
     full = (-jv + (m @ v - v @ m)) @ g
     cp = 1j * v + jv
     cm = 1j * v - jv

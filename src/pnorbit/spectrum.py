@@ -6,11 +6,11 @@ is a batch of one; `chain_spectrum` returns a per-point view of it.
 
 For the su/sp/so-unitary cases the chain data is the Gelfand-Tsetlin
 pattern: ascending spectra lt^(r) of nested upper-left minors of the
-level-0 block (m itself for Grassmannians, the V+ compression W^dag m W
-otherwise), mapped affinely to Nijenhuis eigenvalues lam = -2*lt + offset.
-For diii, W = (1; i 1)/sqrt 2 and the compression is read from the real
-N x N blocks of m as (m11 + m22 + i (m12 - m21)) / 2, so the real m stack
-is never copied to complex.
+level-0 block W+^dag m W+ (m itself for Grassmannians, its leading n x n
+block for ci, where W+ = (1; 0)), mapped affinely to Nijenhuis eigenvalues
+lam = -2*lt + offset.  For diii, W+ = (1; i 1)/sqrt 2 and the compression
+is read from the real N x N blocks of m as (m11 + m22 + i (m12 - m21)) / 2,
+so the real m stack is never copied to complex.
 
 For the real-Grassmannian (bdi) cases the data is the (a_k, b_k) family:
 +-i a_k is the rank-2 spectrum of the upper-left so-block, b_k the single
@@ -43,22 +43,12 @@ def top_row_constants(case):
     return np.array([-k / n] * (n - k) + [(n - k) / n] * k)
 
 
-def free_masks(case):
-    """Boolean masks (one per chain row) marking the free coordinates.
-
-    Frozen coordinates are pinned by the exact multiplicity structure of
-    the case: coinciding interlacing bounds (aiii), the even-multiplicity
-    pairing plus the odd-size constant (diii).  bdi coordinates are all
-    free and handled separately.
-    """
-    if case.tag not in GT_TAGS:
-        raise ConventionError(f"free_masks: not a GT-chain case: {case.tag}")
-    return _layout(case).masks
-
-
 # Per-case chain bookkeeping: free masks, row levels and the positions of
 # the free entries in the concatenated rows (GT cases, None for bdi), then
-# the free-eigenvalue labels and the raw-coordinate labels.
+# the free-eigenvalue labels and the raw-coordinate labels.  A mask marks
+# the free coordinates of its chain row; frozen ones are pinned by the
+# exact multiplicity structure of the case: coinciding interlacing bounds
+# (aiii), the even-multiplicity pairing plus the odd-size constant (diii).
 _Layout = namedtuple("_Layout", "masks levels free_index free_labels raw_labels")
 
 
@@ -121,23 +111,21 @@ def raw_labels(case):
 def chain_batch(case, ms):
     """Chain data of a stack of orbit points (S, N, N).
 
-    ci/diii first compress each point to V+ as W+^dag m W+ (ci by stacked
-    matrix products, diii from the blocks of m); aiii reads minors of m
-    itself.  GT cases give {"kind": "gt", "rows": [(S, nb - r) ascending
+    aiii and ci read minors of m itself (ci's V+ compression is its leading
+    block); diii first compresses each point to V+ from the blocks of m.
+    GT cases give {"kind": "gt", "rows": [(S, nb - r) ascending
     spectra]}; bdi gives {"kind": "ab", "a": (S, n_a), "b": (S, n_b)}.
     """
     ms = np.asarray(ms)
     if case.tag in GT_TAGS:
-        if case.tag == "aiii":
-            b0 = ms
-        elif case.tag == "ci":
-            b0 = case.w_plus.conj().T @ ms @ case.w_plus
-        else:
-            # diii: W+ = (1; i 1)/sqrt 2; the block form is linear in m,
-            # so a complex m is read the same way
-            n = ms.shape[-1] // 2
+        n = case.params["n"]
+        if case.tag == "diii":
+            # W+ = (1; i 1)/sqrt 2; the block form is linear in m, so a
+            # complex m is read the same way
             b0 = ((ms[:, :n, :n] + ms[:, n:, n:])
                   + 1j * (ms[:, :n, n:] - ms[:, n:, :n])) / 2
+        else:
+            b0 = ms[:, :n, :n]      # aiii: all of m; ci: W+ = (1; 0)
         nb = b0.shape[1]
         rows = [np.linalg.eigvalsh(-1j * b0[:, : nb - r, : nb - r]) for r in range(nb)]
         return {"kind": "gt", "rows": rows}

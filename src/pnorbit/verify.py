@@ -1,10 +1,11 @@
 """Calibration and the per-case verification suite.
 
-`calibrate` fixes the two bracket signs by a discrete search: s_K against
-the hamiltonian convention (the fundamental flow of X is minus the
-PK-hamiltonian flow of F_X, measured by finite differences) and s_0
-against the closed-form Nijenhuis formula.  Exactly one of the four sign
-pairs may pass; anything else aborts.
+`calibrate` certifies the bracket convention that `poisson` is written at
+by a discrete check: s_K against the hamiltonian convention (the
+fundamental flow of X is minus the PK-hamiltonian flow of F_X, measured by
+finite differences) and s_0 s_K against the closed-form Nijenhuis formula.
+Of the four sign pairs exactly poisson.CALIBRATED_SIGNS may pass; anything
+else aborts.
 
 `run_suite` then certifies every checkable identity at a desk-scale
 sample size and emits a structured report.
@@ -108,51 +109,61 @@ class VerificationReport:
         return json.dumps(payload, indent=2)
 
 
-def _master_residual(pair, x):
+def _nijenhuis_routes(pair, x):
     """The tangent vector v = [x, m] (scaled to at most unit coefficient
-    norm) and max |N_pencil v - N_formula v|, over the rows of a stack."""
+    norm) and N v by the pencil and by the closed formula."""
     case, m = pair.case, pair.point.m
     v = x @ m - m @ x
     norm = np.linalg.norm(case.alg.real_coefficients(v), axis=-1)
     v /= np.maximum(1.0, norm)[..., None, None]
-    n_pencil = poisson.nijenhuis_apply(pair, v, check=False)
-    return v, np.abs(n_pencil - poisson.nijenhuis_formula(case, m, v)).max()
+    return (v, poisson.nijenhuis_apply(pair, v, check=False),
+            poisson.nijenhuis_formula(case, m, v))
 
 
-def _calibration_residual(case, signs, points):
-    """Worst of (hamiltonian-convention fd gap, formula-vs-pencil gap)."""
-    s_k = signs[0]
-    worst = 0.0
+def _calibration_residuals(case, points):
+    """{(s_K, s_0): worst of (hamiltonian-convention fd gap, formula-vs-
+    pencil gap)} for the four sign pairs, from one pair per point.
+
+    The fd gap of s_K is |dmat + s_K K|; the pencil -P0 PK at (s_K, s_0)
+    is -s_0 s_K times the pencil at the convention, an exact sign flip.
+    """
+    signs = [(s_k, s_0) for s_k in (1, -1) for s_0 in (1, -1)]
+    worst = dict.fromkeys(signs, 0.0)
     for g in points:
-        pair = poisson.build_pair(case, g, signs)
-        k = pair.k_raw
+        pair = poisson.build_pair(case, g)
+        k = pair.pk
         scale = max(1.0, np.abs(k).max())
         # fd flow derivatives of all coordinates along all flows
         dmat = poisson.directional_derivatives(
             case, g, lambda gs, ms: case.alg.real_coefficients(ms))
-        worst = max(worst, np.abs(dmat - (-s_k * k)).max() / scale)
+        fd_gap = {s_k: np.abs(dmat + s_k * k).max() / scale for s_k in (1, -1)}
+        pencil_gap = dict.fromkeys((1, -1), 0.0)
         rng = np.random.default_rng(17)
         for _ in range(3):
             x = case.alg.from_coefficients(rng.standard_normal(case.alg.dim))
-            worst = max(worst, _master_residual(pair, x)[1])
+            _, n_pencil, n_formula = _nijenhuis_routes(pair, x)
+            for flip in pencil_gap:
+                pencil_gap[flip] = max(pencil_gap[flip],
+                                       np.abs(flip * n_pencil - n_formula).max())
+        for s_k, s_0 in signs:
+            worst[s_k, s_0] = max(worst[s_k, s_0], fd_gap[s_k],
+                                  pencil_gap[-s_0 * s_k])
     return worst
 
 
 @lru_cache(maxsize=None)
 def calibrate():
-    """Discrete search over the 4 sign pairs on Gr(1,2); must be unique."""
+    """Certify poisson.CALIBRATED_SIGNS on Gr(1,2): of the 4 sign pairs it
+    must be the only one that passes."""
     case = hermsym.build_case("aiii", k=1, n=2)
     g_batch, _ = hermsym.batch_points(case, CALIBRATION_SEED, 0, CALIBRATION_POINTS)
-    residuals = {}
-    for s_k in (1, -1):
-        for s_0 in (1, -1):
-            residuals[(s_k, s_0)] = _calibration_residual(case, (s_k, s_0), g_batch)
+    residuals = _calibration_residuals(case, g_batch)
     passing = [p for p, r in residuals.items() if r <= CALIBRATION_TOL]
-    if len(passing) != 1:
+    if passing != [poisson.CALIBRATED_SIGNS]:
         raise CalibrationError(
-            f"calibration must single out one sign pair, got {passing} "
-            f"from residuals {residuals}")
-    return Calibration(passing[0][0], passing[0][1], residuals)
+            f"calibration must single out {poisson.CALIBRATED_SIGNS}, got "
+            f"{passing} from residuals {residuals}")
+    return Calibration(*passing[0], residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +282,7 @@ def vertex_probe(case):
     gs = np.stack(hermsym.torus_fixed_points(case))
     hermsym.check_group_element(case, gs, tol=1e-12)
     # the fixed points, then the identity coset (the all-zeros vertex)
-    ms = np.concatenate([gs @ case.rho @ np.conj(np.swapaxes(gs, 1, 2)),
-                         case.rho[None]])
+    ms = np.concatenate([hermsym.conjugate_rho(case, gs), case.rho[None]])
     chain = spectrum.chain_batch(case, ms)
     _, _, vals = spectrum.batch_free_values(case, chain)
     fixed, identity = vals[:-1], vals[-1]
@@ -305,7 +315,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
         if bad:
             raise UsageError(f"tolerances must be finite and >= 0: {bad}")
         tols.update(tolerances)
-    signs = calibrate().signs
+    cal = calibrate()
     checks = []
 
     g_batch, m_batch = hermsym.batch_points(case, seed, 0, n_samples)
@@ -317,7 +327,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     _check(checks, tols, "spectrum_preserved", spec_res)
 
     # identity coset: P0 = 0, chain eigenvalues 0, pencil eigenvalues 0
-    pair0 = poisson.build_pair(case, np.eye(case.alg.size, dtype=complex), signs)
+    pair0 = poisson.build_pair(case, np.eye(case.alg.size, dtype=complex))
     res = np.abs(pair0.p0).max()
     cs0 = spectrum.chain_spectrum(case, case.rho, validate=False)
     res = max(res, np.abs(cs0.free_values()).max())
@@ -330,11 +340,11 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     n_co = min(5, n_samples)
     hs = hermsym.stabilizer_elements(case, seed ^ 0xC05E7, 0, 4 * n_co)
     gh = g_batch[:n_co, None] @ hs.reshape((n_co, 4) + hs.shape[1:])
-    m_moved = gh @ case.rho @ np.conj(np.swapaxes(gh, -1, -2))
+    m_moved = hermsym.conjugate_rho(case, gh)
     res = np.abs(m_batch[:n_co, None] - m_moved).max()
     gs = np.concatenate([g_batch[:n_co, None], gh], axis=1).reshape(
         (-1,) + case.rho.shape)
-    p0 = np.concatenate([poisson.bruhat_matrix(case, gs[a:a + step], signs[1])
+    p0 = np.concatenate([poisson.bruhat_matrix(case, gs[a:a + step])
                          for a in range(0, len(gs), step)]).reshape(n_co, 5, -1)
     scale = np.maximum(1.0, np.abs(p0[:, :1]).max(axis=-1))
     res = max(res, (np.abs(p0[:, 1:] - p0[:, :1]).max(axis=-1) / scale).max())
@@ -354,11 +364,11 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
 
     for i in range(0, n_samples, step):
         g = g_batch[i:i + step]
-        pair = poisson.build_pair(case, g, signs, m_batch[i:i + step])
+        pair = poisson.build_pair(case, g, m=m_batch[i:i + step])
         for a in dir_idx:
-            v, res = _master_residual(pair, case.alg.basis[a])
-            res_master = max(res_master, res)
-            rb, has_blocks = poisson.connection_check(case, g, v)
+            v, n_pencil, n_formula = _nijenhuis_routes(pair, case.alg.basis[a])
+            res_master = max(res_master, np.abs(n_pencil - n_formula).max())
+            rb, has_blocks = poisson.connection_check(pair, v)
             if has_blocks:
                 res_blocks = max(res_blocks, rb)
             else:
@@ -386,7 +396,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     res_kks, res_bruhat = 0.0, 0.0
     res_len, res_tr, res_nstar = 0.0, 0.0, 0.0
     for j, (g, m) in enumerate(reg_pts):
-        pair = poisson.build_pair(case, g, signs, m)
+        pair = poisson.build_pair(case, g, m=m)
         dvec = poisson.chain_gradient(pair)
         r = _involution_residuals(pair, dvec)
         res_kks = max(res_kks, r["kks"])
@@ -407,7 +417,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     rng = np.random.default_rng(seed ^ 0x1ACB)
     triples = [tuple(rng.choice(case.alg.dim, size=3, replace=False))
                for _ in range(20)]
-    pair = poisson.build_pair(case, g_batch[0], signs, m_batch[0])
+    pair = poisson.build_pair(case, g_batch[0], m=m_batch[0])
     for t, name in ((0.0, "jacobi_t0"), (1.0, "jacobi_t1")):
         _check(checks, tols, name, poisson.jacobi_residual(pair, t, triples))
 
@@ -423,7 +433,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     report = VerificationReport(
         case=case.descriptor(), name=case.name, params=case.params,
         seed=int(seed), samples=int(n_samples),
-        calibration={"s_K": signs[0], "s_0": signs[1]},
+        calibration={"s_K": cal.s_k, "s_0": cal.s_0},
         checks=checks, ranges=ranges,
         elapsed_s=round(time.monotonic() - t0, 3))
     return report
@@ -445,7 +455,7 @@ def measure_diii_normalization(n=3, samples=10000, seed=424242):
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     case = hermsym.build_case("diii", n=n)
-    signs = calibrate().signs
+    calibrate()
     lo, hi = np.inf, -np.inf
     step = poisson.stack_chunk(case)
     chunk = step * max(1, 200 // step)
@@ -454,8 +464,8 @@ def measure_diii_normalization(n=3, samples=10000, seed=424242):
         cnt = min(chunk, samples - done)
         g_batch, m_batch = hermsym.batch_points(case, seed, done, cnt)
         for i in range(0, cnt, step):
-            pair = poisson.build_pair(case, g_batch[i:i + step], signs,
-                                      m_batch[i:i + step])
+            pair = poisson.build_pair(case, g_batch[i:i + step],
+                                      m=m_batch[i:i + step])
             lam = poisson.pencil_spectrum(pair)
             lo = min(lo, lam.min())
             hi = max(hi, lam.max())

@@ -1,5 +1,11 @@
 """Reference code shared by the tests; no test is collected here.
 
+`sample_rng` is the per-sample Philox generator that
+hermsym.sample_coefficients re-points by a state edit; it is the oracle of
+the coefficient stream.  `idempotents` and `free_masks` read the
+eigenbundle projectors and the chain's free-coordinate masks that the
+tests check the library against.
+
 `batch_points_einsum` is the orbit sampler as it stood before its products
 became BLAS calls: a fresh sample_rng per sample and einsums for x, exp(x)
 and m.  The BLAS sampler must match it to round-off.
@@ -21,8 +27,34 @@ a case.
 import numpy as np
 
 from pnorbit.errors import ConventionError
-from pnorbit.hermsym import sample_rng
 from pnorbit.numkernel import expm_antihermitian
+from pnorbit.spectrum import GT_TAGS, _layout
+
+
+def sample_rng(seed, index):
+    """Counter-based per-sample generator: reproducible and parallel-safe."""
+    return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1),
+                                                counter=int(index) << 64))
+
+
+def idempotents(case, g):
+    """e_pm = sigma_pm sigma_pm^dagger from the column blocks of g."""
+    sp = g @ case.w_plus
+    sm = g @ case.w_minus
+    return sp @ sp.conj().T, sm @ sm.conj().T
+
+
+def free_masks(case):
+    """Boolean masks (one per chain row) marking the free coordinates.
+
+    Frozen coordinates are pinned by the exact multiplicity structure of
+    the case: coinciding interlacing bounds (aiii), the even-multiplicity
+    pairing plus the odd-size constant (diii).  bdi coordinates are all
+    free and handled separately.
+    """
+    if case.tag not in GT_TAGS:
+        raise ConventionError(f"free_masks: not a GT-chain case: {case.tag}")
+    return _layout(case).masks
 
 
 def cartan_element(alg, values):
@@ -102,7 +134,7 @@ def iwasawa_split(alg, z, side="+"):
     z_dag = np.conj(np.swapaxes(z, -1, -2))
     a = (z - z_dag) / 2
     b = (z + z_dag) / 2j
-    jb = alg.j_apply_stack(alg.real_coefficients(b))
+    jb = alg.j_apply(b)
     return (a - jb if side == "+" else a + jb), b
 
 

@@ -1,20 +1,23 @@
 """Case construction, orbit sampling, moment map and idempotents."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pnorbit import (ConventionError, UsageError, build_case, idempotents,
-                     moment, parse_case)
-from pnorbit.hermsym import (batch_points, check_group_element,
-                             group_residual, identity_point, random_point,
-                             sample_coefficients, sample_rng,
-                             stabilizer_elements, torus_fixed_points)
+from pnorbit import (ConventionError, UsageError, build_case, liealg, moment,
+                     parse_case)
+from pnorbit.hermsym import (_finish_case, _validate_j_convention, batch_points,
+                             check_group_element, group_residual,
+                             identity_point, random_point,
+                             sample_coefficients, stabilizer_elements,
+                             torus_fixed_points)
 from pnorbit.numkernel import expm_antihermitian
 from pnorbit.poisson import flow_points, kks_raw
 from pnorbit.spectrum import batch_violations, chain_batch
 
-from helpers import batch_points_einsum, kphi
+from helpers import batch_points_einsum, idempotents, kphi, sample_rng
 
 
 def test_rho_matches_case_matrices(gr24, sp2, bdi5):
@@ -90,6 +93,28 @@ def test_j_restricted_to_h_perp_is_ad_rho(all_cases, rng):
             ad = lambda y: case.rho @ y - y @ case.rho
             xp = -ad(ad(x))          # projection onto h_perp
             assert np.abs(case.alg.j_apply(xp) - ad(xp)).max() <= 1e-10
+
+
+def test_j_convention_holds_without_chamber_flip():
+    # the Weyl chambers of liealg give J|_{h_perp} = ad_rho on every case up
+    # to aiii n = 6 (all k), ci n = 4, diii n = 5 and bdi m = 9; build_case
+    # raises ConventionError where they would not
+    sweep = ([f"aiii:k={k},n={n}" for n in range(2, 7) for k in range(1, n)]
+             + [f"ci:n={n}" for n in range(1, 5)]
+             + [f"diii:n={n}" for n in range(2, 6)]
+             + [f"bdi:m={m}" for m in range(4, 10)])
+    for desc in sweep:
+        case = parse_case(desc)
+        assert _validate_j_convention(case.alg, case.rho) <= 1e-10, desc
+
+
+def test_opposite_chamber_raises(gr24):
+    # -H0 gives -J, so J|_{h_perp} = -ad_rho: the case fails its check
+    case = gr24
+    alg = liealg._finish(replace(case.alg, h0=-case.alg.h0))
+    with pytest.raises(ConventionError, match="J convention"):
+        _finish_case(case.tag, case.params, case.name, alg, case.rho,
+                     case.r_plus, case.w_plus, case.w_minus, case.chain_plan)
 
 
 def test_random_point_determinism_and_orbit(sp2):
@@ -216,6 +241,15 @@ def test_idempotents(all_cases, rng):
         rm = case.w_minus.conj().T @ case.rho @ case.w_minus
         rebuilt = sp @ rp @ sp.conj().T + sm @ rm @ sm.conj().T
         assert np.abs(rebuilt - p.m).max() <= 1e-11
+
+
+def test_moment_of_a_stack_is_the_sampled_moment(all_cases):
+    # g rho g^dag per row, for a stack of N points (where reversing all
+    # three axes still broadcasts) and of 3
+    for case in all_cases:
+        for count in (case.alg.size, 3):
+            gs, ms = batch_points(case, 23, 0, count)
+            assert np.array_equal(moment(case, gs), ms), (case.name, count)
 
 
 def test_moment_coset_invariance(all_cases):

@@ -43,7 +43,7 @@ def test_basis_maps_match_einsum(family, n, rng):
         (alg.coefficients(xs), -np.einsum("aij,sji->sa", basis, xs)),
         (alg.from_coefficients(coefs[0]), np.einsum("a,aij->ij", coefs[0], basis)),
         (alg.from_coefficients(coefs), np.einsum("sa,aij->sij", coefs, basis)),
-        (alg.j_apply_stack(coefs),
+        (alg.j_apply(alg.from_coefficients(coefs)),
          np.einsum("...a,aij->...ij", coefs @ alg.jmat.T, basis)),
     ]
     for new, ref in pairs:

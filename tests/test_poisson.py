@@ -23,8 +23,6 @@ from pnorbit.spectrum import chain_free_vector
 
 from helpers import cartan_element, nijenhuis_restricted_inverse
 
-SIGNS = (1, -1)
-
 
 def tangent_vector(case, m, rng, normalize=True):
     x = case.alg.from_coefficients(rng.standard_normal(case.alg.dim))
@@ -55,7 +53,7 @@ def einsum_kks_raw(case, m):
     return (p.T - p).real
 
 
-def einsum_bruhat_matrix(case, g, s_0=SIGNS[1]):
+def einsum_bruhat_matrix(case, g):
     alg = case.alg
     basis = alg.basis
 
@@ -73,7 +71,7 @@ def einsum_bruhat_matrix(case, g, s_0=SIGNS[1]):
     coef_b = -np.einsum("aij,bji->ab", herm, basis).real
     g_part = anti - j_stack(coef_b)
     b_part = z - g_part
-    return -s_0 * np.einsum("aij,bji->ab", g_part, b_part).imag
+    return np.einsum("aij,bji->ab", g_part, b_part).imag      # s_0 = -1
 
 
 def test_kernels_match_einsum_oracle(all_cases):
@@ -85,7 +83,7 @@ def test_kernels_match_einsum_oracle(all_cases):
             p0_ref = einsum_bruhat_matrix(case, g)
             for new, ref in ((k, einsum_kks_raw(case, m)),
                              (bruhat_matrix(case, g), p0_ref),
-                             (build_pair(case, g, SIGNS).p0, p0_ref)):
+                             (build_pair(case, g).p0, p0_ref)):
                 scale = max(1.0, np.abs(ref).max())
                 assert np.abs(new - ref).max() <= 1e-13 * scale, case.name
 
@@ -111,10 +109,10 @@ def test_pair_moment_is_the_sampled_moment(all_cases):
     # stack, alone or per row, so passing the sampled m changes no pair
     for case in all_cases + [build_case("diii", n=6)]:
         gs, ms = batch_points(case, 29, 0, 6)
-        assert np.array_equal(build_pair(case, gs, SIGNS).point.m, ms), case.name
+        assert np.array_equal(build_pair(case, gs).point.m, ms), case.name
         for i in range(len(gs)):
-            assert np.array_equal(build_pair(case, gs[i], SIGNS).point.m, ms[i])
-        assert build_pair(case, gs, SIGNS, ms).point.m is ms
+            assert np.array_equal(build_pair(case, gs[i]).point.m, ms[i])
+        assert build_pair(case, gs, m=ms).point.m is ms
 
 
 def test_real_adjoint_matches_complex_route(all_cases):
@@ -134,11 +132,11 @@ def test_traces_of_powers_stack_matches_pair_route(all_cases):
     for case in all_cases + [build_case("diii", n=6)]:
         gs, _ = batch_points(case, 29, 0, 3)
         gs = np.concatenate([np.eye(case.alg.size, dtype=complex)[None], gs])
-        got = traces_of_powers(case, gs, case.n_eig + 1, SIGNS)
+        got = traces_of_powers(case, gs, case.n_eig + 1)
         assert got.shape == (4, case.n_eig + 1)
         assert np.abs(got[0]).max() <= 1e-12, case.name
         for g, row in zip(gs, got):
-            nt = nijenhuis_restricted(build_pair(case, g, SIGNS))
+            nt = nijenhuis_restricted(build_pair(case, g))
             ref = [np.trace(np.linalg.matrix_power(nt, j)) / j
                    for j in range(1, case.n_eig + 2)]
             assert np.abs(row - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -154,7 +152,7 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
     def funcs(gs, ms):
         calls.append(len(gs))
         k = kks_raw(case, ms)
-        p0 = bruhat_matrix(case, gs, SIGNS[1])
+        p0 = bruhat_matrix(case, gs)
         return np.concatenate([k.reshape(len(k), -1), p0.reshape(len(k), -1),
                                chain_free_vector(case, ms)], axis=1)
 
@@ -215,11 +213,11 @@ def test_build_pair_takes_one_svd(gr24, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
             mp.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
-            pair = build_pair(gr24, g, SIGNS)
+            pair = build_pair(gr24, g)
         assert calls == {"svd": 0, "pinv": 0}
-        ref = np.linalg.pinv(pair.k_raw, rcond=1e-9)
-        assert np.abs(-pair.k_raw - ref).max() <= 1e-12
-    pair = build_pair(gr24, p.g, SIGNS)
+        ref = np.linalg.pinv(pair.pk, rcond=1e-9)
+        assert np.abs(-pair.pk - ref).max() <= 1e-12
+    pair = build_pair(gr24, p.g)
     calls.update(svd=0, pinv=0)
     with monkeypatch.context() as mp:
         mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
@@ -240,25 +238,24 @@ def test_bracket_layer_matches_per_point_route(all_cases):
         assert np.abs(s0[:r] - 1.0).max() <= 1e-13, case.name
         assert s0[r:].max(initial=0.0) <= 1e-14, case.name
         gs, ms = batch_points(case, 43, 0, 3)
-        pair = build_pair(case, gs, SIGNS)
-        traces = traces_of_powers(case, gs, case.n_eig + 1, SIGNS)
+        pair = build_pair(case, gs)
+        traces = traces_of_powers(case, gs, case.n_eig + 1)
         basis, jmat = case.alg.basis, case.alg.jmat
         for i, (g, m) in enumerate(zip(gs, ms)):
             k = kks_raw(case, m)
-            assert np.abs(pair.k_raw[i] - k).max() <= 1e-13, case.name
+            assert np.abs(pair.pk[i] - k).max() <= 1e-13, case.name
             ref = np.linalg.pinv(k, rcond=1e-9)
-            assert np.abs(-pair.k_raw[i] - ref).max() <= 1e-12, case.name
+            assert np.abs(-pair.pk[i] - ref).max() <= 1e-12, case.name
             # an orthonormal basis of range(K(m)), which has dimension r
             t = pair.tangent[i]
             assert np.abs(t.T @ t - np.eye(r)).max() <= 1e-13
             u = np.linalg.svd(k)[0][:, :r]
             assert np.abs(t @ (t.T @ u) - u).max() <= 1e-12, case.name
-            # Tr N^k = (-s_0 s_K)^k Tr (K(m) D)^k, with D = A J A^T - J
+            # Tr N^k = Tr (K(m) D)^k, with D = A J A^T - J
             a = -np.einsum("ji,ajk,kl,bli->ab", g.conj(), basis, g, basis,
                            optimize=True).real
             kd = k @ (a @ jmat @ a.T - jmat)
-            c = -SIGNS[1] * SIGNS[0]
-            want = [c ** j * np.trace(np.linalg.matrix_power(kd, j)) / j
+            want = [np.trace(np.linalg.matrix_power(kd, j)) / j
                     for j in range(1, case.n_eig + 2)]
             assert np.abs(traces[i] - want).max() <= (
                 1e-12 * max(1.0, np.abs(want).max())), case.name
@@ -268,7 +265,7 @@ def test_bracket_layer_matches_per_point_route(all_cases):
         bad[1, 0] *= 1 + 1e-6
         for g in (bad[1], bad):
             with pytest.raises(NumericalError, match="KKS rank"):
-                build_pair(case, g, SIGNS)
+                build_pair(case, g)
 
 
 def test_base_certifies_complex_structure(all_cases, monkeypatch):
@@ -278,8 +275,8 @@ def test_base_certifies_complex_structure(all_cases, monkeypatch):
         monkeypatch.setattr(poisson, "_BASES", {})
         g = np.eye(case.alg.size, dtype=case.rho.dtype)
         with pytest.raises(NumericalError, match="complex structure"):
-            build_pair(replace(case, rho=1.5 * case.rho), g, SIGNS)
-        build_pair(case, g, SIGNS)
+            build_pair(replace(case, rho=1.5 * case.rho), g)
+        build_pair(case, g)
         k0, t0 = poisson._base(case).k, case.tangent
         assert np.abs(k0 @ k0 + t0 @ t0.T).max() <= poisson.CSTRUCT_TOL, case.name
 
@@ -297,7 +294,7 @@ def test_stacked_pencil_matches_batch_of_one(all_cases):
         gs, ms = batch_points(case, 37, 0, 4)
         gs = np.concatenate([np.eye(case.alg.size, dtype=complex)[None], gs])
         ms = np.concatenate([case.rho[None], ms])
-        pair = build_pair(case, gs, SIGNS)
+        pair = build_pair(case, gs)
         assert pair.p0.shape == (5, case.alg.dim, case.alg.dim)
         ev, im = pencil_eigenvalues(pair)
         lam = pencil_spectrum(pair)
@@ -305,7 +302,7 @@ def test_stacked_pencil_matches_batch_of_one(all_cases):
         n_pencil = nijenhuis_apply(pair, vs)
         n_formula = nijenhuis_formula(case, ms, vs)
         for i, g in enumerate(gs):
-            one = build_pair(case, g, SIGNS)
+            one = build_pair(case, g)
             for name in ("p0", "pk"):
                 got, want = getattr(pair, name)[i], getattr(one, name)
                 assert np.abs(got - want).max() <= 1e-13, (case.name, name)
@@ -322,17 +319,16 @@ def test_stacked_pencil_matches_batch_of_one(all_cases):
 
 
 def test_restricted_nijenhuis_matches_inverse_route(all_cases):
-    # N_r = -s_0 s_K K_T (J_T - T^T J T) in the base tangent frame against
-    # its definition (T^T P0 T)(T^T PK T)^-1, for every sign pair
+    # N_r = K_T (J_T - T^T J T) in the base tangent frame against its
+    # definition (T^T P0 T)(T^T PK T)^-1, at the one convention
     for case in all_cases + [build_case("diii", n=6)]:
         gs, _ = batch_points(case, 43, 0, 4)
         gs = np.concatenate([np.eye(case.alg.size, dtype=gs.dtype)[None], gs])
-        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            pair = build_pair(case, gs, signs)
-            want = nijenhuis_restricted_inverse(pair)
-            scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
-            err = np.abs(nijenhuis_restricted(pair) - want).max(axis=(-2, -1))
-            assert (err <= 1e-13 * scale).all(), (case.name, signs)
+        pair = build_pair(case, gs)
+        want = nijenhuis_restricted_inverse(pair)
+        scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
+        err = np.abs(nijenhuis_restricted(pair) - want).max(axis=(-2, -1))
+        assert (err <= 1e-13 * scale).all(), case.name
 
 
 def test_pencil_reads_no_bracket_matrix(all_cases):
@@ -340,10 +336,10 @@ def test_pencil_reads_no_bracket_matrix(all_cases):
     for case in all_cases:
         gs, _ = batch_points(case, 47, 0, 3)
         for g in (gs[0], gs):
-            pair = build_pair(case, g, SIGNS)
+            pair = build_pair(case, g)
             pencil_spectrum(pair)
             assert "tangent" in vars(pair)
-            assert not {"p0", "pk", "k_raw"} & set(vars(pair)), case.name
+            assert not {"p0", "pk"} & set(vars(pair)), case.name
 
 
 def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
@@ -353,9 +349,9 @@ def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
     bad_gs[2] = bad_gs[2] * np.array([1.5, 1.0, 1.0, 1.0])
     for g in (bad_gs[2], bad_gs):
         with pytest.raises(NumericalError, match="KKS rank"):
-            build_pair(gr24, g, SIGNS)
+            build_pair(gr24, g)
 
-    pair = build_pair(gr24, gs, SIGNS)
+    pair = build_pair(gr24, gs)
     # a non-tangent vector in one row
     rng = np.random.default_rng(5)
     vs = np.stack([tangent_vector(gr24, m, rng) for m in ms])
@@ -399,8 +395,8 @@ def test_pencil_spectrum_independent_of_chunking(desc, seed, count, data):
     case = parse_case(desc)
     split = data.draw(st.integers(min_value=1, max_value=count - 1))
     gs, _ = batch_points(case, seed, 0, count)
-    whole = pencil_spectrum(build_pair(case, gs, SIGNS))
-    parts = [pencil_spectrum(build_pair(case, part, SIGNS))
+    whole = pencil_spectrum(build_pair(case, gs))
+    parts = [pencil_spectrum(build_pair(case, part))
              for part in (gs[:split], gs[split:])]
     assert np.abs(np.concatenate(parts) - whole).max() <= 1e-13
 
@@ -424,7 +420,7 @@ def test_bruhat_antisymmetry_and_coset_invariance(all_cases):
 def test_nijenhuis_two_routes_agree(all_cases, rng):
     for case in all_cases:
         p = random_point(case, 41)
-        pair = build_pair(case, p.g, SIGNS)
+        pair = build_pair(case, p.g)
         for _ in range(4):
             v = tangent_vector(case, p.m, rng)
             nv_pencil = nijenhuis_apply(pair, v)
@@ -433,7 +429,7 @@ def test_nijenhuis_two_routes_agree(all_cases, rng):
 
 
 def test_nijenhuis_vanishes_at_identity(gr24, rng):
-    pair = build_pair(gr24, np.eye(4, dtype=complex), SIGNS)
+    pair = build_pair(gr24, np.eye(4, dtype=complex))
     v = tangent_vector(gr24, gr24.rho, rng)
     assert np.abs(nijenhuis_apply(pair, v)).max() <= 1e-12
     assert np.abs(nijenhuis_formula(gr24, gr24.rho, v)).max() <= 1e-12
@@ -441,7 +437,7 @@ def test_nijenhuis_vanishes_at_identity(gr24, rng):
 
 def test_nijenhuis_rejects_non_tangent(gr24):
     p = random_point(gr24, 43)
-    pair = build_pair(gr24, p.g, SIGNS)
+    pair = build_pair(gr24, p.g)
     # a stabilizer direction translated to m is not tangent in general;
     # use a plain Cartan element instead
     bad = cartan_element(gr24.alg, [1.0, 0.5, 0.2])
@@ -451,11 +447,11 @@ def test_nijenhuis_rejects_non_tangent(gr24):
 
 def test_pencil_spectrum_identity_and_doubling(all_cases):
     for case in all_cases:
-        pair = build_pair(case, np.eye(case.alg.size, dtype=complex), SIGNS)
+        pair = build_pair(case, np.eye(case.alg.size, dtype=complex))
         lam = pencil_spectrum(pair)
         assert np.abs(lam).max() <= 1e-10
         p = random_point(case, 47)
-        pair = build_pair(case, p.g, SIGNS)
+        pair = build_pair(case, p.g)
         ev, imax = pencil_eigenvalues(pair)
         assert imax <= 1e-8
         assert np.abs(ev[0::2] - ev[1::2]).max() <= 1e-8
@@ -465,7 +461,7 @@ def test_gr12_pencil_in_simplex():
     case = build_case("aiii", k=1, n=2)
     for seed in range(5):
         p = random_point(case, seed)
-        lam = pencil_spectrum(build_pair(case, p.g, SIGNS))
+        lam = pencil_spectrum(build_pair(case, p.g))
         assert lam.shape == (1,)
         assert -1e-9 <= lam[0] <= 2 + 1e-9
 
@@ -473,7 +469,7 @@ def test_gr12_pencil_in_simplex():
 def test_pencil_matches_chain(all_cases):
     for case in all_cases:
         p = random_point(case, 53)
-        lam = pencil_spectrum(build_pair(case, p.g, SIGNS))
+        lam = pencil_spectrum(build_pair(case, p.g))
         chain = chain_spectrum(case, p.m).free_values()
         assert np.abs(lam - chain).max() <= 1e-7, case.name
 
@@ -495,9 +491,9 @@ def test_identity_zero_and_pencil_chain_match_outside_fixtures(desc, seed):
     assert np.abs(bruhat_matrix(case, eye)).max() <= 1e-10
     chain0 = chain_spectrum(case, case.rho, validate=False).free_values()
     assert np.abs(chain0).max() <= 1e-10
-    assert np.abs(pencil_eigenvalues(build_pair(case, eye, SIGNS))[0]).max() <= 1e-10
+    assert np.abs(pencil_eigenvalues(build_pair(case, eye))[0]).max() <= 1e-10
     p = random_point(case, seed)
-    lam = pencil_spectrum(build_pair(case, p.g, SIGNS))
+    lam = pencil_spectrum(build_pair(case, p.g))
     chain = chain_spectrum(case, p.m).free_values()      # sorted
     assert np.abs(lam - chain).max() <= 1e-7, desc
 
@@ -505,7 +501,7 @@ def test_identity_zero_and_pencil_chain_match_outside_fixtures(desc, seed):
 def test_bracket_of_coordinates_closed_form(sp2):
     # the fd-gradient bracket route of run_suite, on the coordinates F_a
     p = random_point(sp2, 59)
-    pair = build_pair(sp2, p.g, SIGNS)
+    pair = build_pair(sp2, p.g)
     k = kks_raw(sp2, p.m)
     coords = [0, 3, 2, 7, 1, 4]
     dvec = directional_derivatives(
@@ -513,13 +509,13 @@ def test_bracket_of_coordinates_closed_form(sp2):
     br = gradient_bracket(pair, dvec.T, pair.pk)
     for i in range(0, len(coords), 2):
         a, b = coords[i], coords[i + 1]
-        assert abs(br[i, i + 1] - SIGNS[0] * k[a, b]) <= 1e-9
+        assert abs(br[i, i + 1] - k[a, b]) <= 1e-9
         assert abs(br[i, i]) <= 1e-12
 
 
 def test_bracket_leibniz(gr24):
     p = random_point(gr24, 61)
-    pair = build_pair(gr24, p.g, SIGNS)
+    pair = build_pair(gr24, p.g)
 
     def funcs(gs, ms):
         f = gr24.alg.coefficients(ms).real[:, [0, 4, 9]]
@@ -538,7 +534,7 @@ def test_jacobi_residuals(sp2, so6u3):
         p = random_point(case, 67)
         triples = [tuple(rng.choice(case.alg.dim, 3, replace=False))
                    for _ in range(8)]
-        pair = build_pair(case, p.g, SIGNS)
+        pair = build_pair(case, p.g)
         assert jacobi_residual(pair, "kks", triples) <= 1e-6
         assert jacobi_residual(pair, 0.0, triples) <= 1e-5
         assert jacobi_residual(pair, 1.0, triples) <= 1e-5
@@ -547,10 +543,10 @@ def test_jacobi_residuals(sp2, so6u3):
 def test_lenard_gr12_and_sp2(sp2):
     gr12 = build_case("aiii", k=1, n=2)
     p = random_point(gr12, 71)
-    out = lenard_check(build_pair(gr12, p.g, SIGNS), gr12.n_eig)
+    out = lenard_check(build_pair(gr12, p.g), gr12.n_eig)
     assert out["trace_gap"] <= 1e-9
     p = random_point(sp2, 71)
-    out = lenard_check(build_pair(sp2, p.g, SIGNS), sp2.n_eig)
+    out = lenard_check(build_pair(sp2, p.g), sp2.n_eig)
     assert out["max"] <= 1e-5
     assert out["trace_gap"] <= 1e-9
 
@@ -558,7 +554,7 @@ def test_lenard_gr12_and_sp2(sp2):
 def test_nstar_eigenvalue_equation(gr24, bdi6):
     for case in (gr24, bdi6):
         p = random_point(case, 73)
-        pair = build_pair(case, p.g, SIGNS)
+        pair = build_pair(case, p.g)
         assert nstar_eigen_residual(pair, chain_gradient(pair)) <= 1e-5
 
 
@@ -566,12 +562,13 @@ def test_connection_block_vs_full(all_cases, rng):
     for case in all_cases:
         p = random_point(case, 79)
         v = tangent_vector(case, p.m, rng)
-        res, has_blocks = connection_check(case, p.g, v)
+        pair = build_pair(case, p.g)
+        res, has_blocks = connection_check(pair, v)
         if case.tag == "bdi":
             assert not has_blocks and res == 0.0
         else:
             assert has_blocks and res <= 1e-10
-        res0, _ = connection_check(case, p.g, np.zeros_like(v))
+        res0, _ = connection_check(pair, np.zeros_like(v))
         assert res0 == 0.0
 
 

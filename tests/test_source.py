@@ -1,9 +1,11 @@
 """Rules on the library source itself."""
 
+import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pnorbit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pnorbit"
 
 
 def test_no_einsum_in_library():
@@ -24,3 +26,51 @@ def test_no_matrix_inverse_in_library():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if call.search(line)]
     assert hits == []
+
+
+def _definitions(tree):
+    """(name, first line, last line) of every top-level function or class
+    and every non-dunder method of a top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def _references(tree):
+    """(name, line) of every ast.Name, ast.Attribute and import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+
+
+def test_every_library_name_has_a_library_caller():
+    # library code that only the tests use belongs in tests/helpers.py.  A
+    # definition counts as used when its name appears in src/ outside its
+    # own def and __init__.py, in demos/ or in perfbench/.  This is a guard
+    # on names, not a call graph: a name that is reused for something else
+    # elsewhere hides an orphan.
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))
+             + sorted((ROOT / "demos").glob("*.py"))
+             + sorted((ROOT / "perfbench").glob("*.py"))
+             if path.name != "__init__.py" or path.parent != SRC}
+    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    orphans = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for name, first, last in _definitions(tree):
+            if not any(ref == name and (other != path or not first <= line <= last)
+                       for other, found in refs.items() for ref, line in found):
+                orphans.append(f"{path.name}:{first} {name}")
+    assert orphans == []

@@ -12,11 +12,11 @@ from pnorbit.hermsym import (batch_points, random_point, sample_coefficients,
 from pnorbit.numkernel import expm_antihermitian
 from pnorbit.spectrum import (batch_free_values, batch_margins,
                               batch_violations, chain_batch, chain_free_vector,
-                              free_labels, free_masks, gap_regularity,
+                              free_labels, gap_regularity,
                               eigenvalue_map_constants, top_row_constants)
 from pnorbit.verify import GAP_THRESHOLD
 
-from helpers import bdi_chain_eigvalsh
+from helpers import bdi_chain_eigvalsh, free_masks
 
 
 def test_map_constants(gr24, sp2, so6u3, bdi5):

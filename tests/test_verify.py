@@ -1,16 +1,20 @@
 """Calibration, suite reports, vertex probe, normalization measurement."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pnorbit import (build_case, build_pair, calibrate,
-                     measure_diii_normalization, pencil_spectrum, run_suite,
-                     vertex_probe)
-from pnorbit.errors import UsageError
+                     measure_diii_normalization, pencil_spectrum, poisson,
+                     run_suite, vertex_probe)
+from pnorbit.errors import CalibrationError, UsageError
 from pnorbit.hermsym import batch_points, random_point
-from pnorbit.verify import DEFAULT_TOLERANCES, _calibration_residual
+from pnorbit.verify import (CALIBRATION_POINTS, CALIBRATION_SEED,
+                            DEFAULT_TOLERANCES, _calibration_residuals)
+
+from helpers import nijenhuis_restricted_inverse
 
 
 def test_calibration_unique_pair():
@@ -21,16 +25,69 @@ def test_calibration_unique_pair():
     assert all(r > 1e-2 for p, r in cal.residuals.items() if p != (1, -1))
 
 
+def candidate_residual(case, signs, points):
+    """One candidate's calibration residual by its own arithmetic, with
+    PK = s_K K and P0 = -s_0 K D K from the pair at the convention."""
+    s_k, s_0 = signs
+    alg = case.alg
+    worst = 0.0
+    for g in points:
+        pair = build_pair(case, g)
+        pk, p0 = s_k * pair.pk, -s_0 * pair.p0
+        k = pair.pk
+        scale = max(1.0, np.abs(k).max())
+        dmat = poisson.directional_derivatives(
+            case, g, lambda gs, ms: alg.real_coefficients(ms))
+        worst = max(worst, np.abs(dmat - (-s_k * k)).max() / scale)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            x = alg.from_coefficients(rng.standard_normal(alg.dim))
+            m = pair.point.m
+            v = x @ m - m @ x
+            v /= max(1.0, np.linalg.norm(alg.real_coefficients(v)))
+            t = alg.real_coefficients(v)[..., None]
+            n_pencil = alg.from_coefficients(-(p0 @ (pk @ t))[..., 0])
+            n_formula = poisson.nijenhuis_formula(case, m, v)
+            worst = max(worst, np.abs(n_pencil - n_formula).max())
+    return worst
+
+
+def test_calibration_matches_per_candidate_arithmetic():
+    # the one pass reads every candidate off the pair at the convention;
+    # each candidate's own pair gives the same residual, bit for bit
+    case = build_case("aiii", k=1, n=2)
+    g_batch, _ = batch_points(case, CALIBRATION_SEED, 0, CALIBRATION_POINTS)
+    residuals = calibrate().residuals
+    assert list(residuals) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    for signs, got in residuals.items():
+        assert got == candidate_residual(case, signs, g_batch), signs
+
+
+def test_calibration_rejects_an_uncertified_convention(monkeypatch):
+    # the passing pair must be the one the bracket layer is written at
+    calibrate.cache_clear()
+    try:
+        monkeypatch.setattr(poisson, "CALIBRATED_SIGNS", (1, 1))
+        with pytest.raises(CalibrationError, match="single out"):
+            calibrate()
+    finally:
+        calibrate.cache_clear()
+
+
 def test_calibrated_pair_works_on_sp1():
     case = build_case("ci", n=1)
     g_batch, _ = batch_points(case, 4, 0, 5)
-    assert _calibration_residual(case, (1, -1), g_batch) <= 1e-8
+    assert _calibration_residuals(case, g_batch)[(1, -1)] <= 1e-8
 
 
 def test_flipping_s0_negates_pencil_spectrum(gr24):
+    # P0 -> -P0 negates N = P0 PK^-1: its spectrum by the inverse route
     p = random_point(gr24, 2)
-    lam = pencil_spectrum(build_pair(gr24, p.g, (1, -1)))
-    lam_flipped = pencil_spectrum(build_pair(gr24, p.g, (1, 1)))
+    pair = build_pair(gr24, p.g)
+    lam = pencil_spectrum(pair)
+    flipped = SimpleNamespace(tangent=pair.tangent, p0=-pair.p0, pk=pair.pk)
+    ev = np.sort(np.linalg.eigvals(nijenhuis_restricted_inverse(flipped)).real)
+    lam_flipped = (ev[0::2] + ev[1::2]) / 2
     assert np.abs(np.sort(-lam) - lam_flipped).max() <= 1e-12
 
 
@@ -117,8 +174,7 @@ def test_diii_normalization_matches_pointwise_loop():
     # 450 samples cross the 200-sample draws and the stacked sub-chunks
     case = build_case("diii", n=3)
     g_batch, _ = batch_points(case, 31, 0, 450)
-    lams = [pencil_spectrum(build_pair(case, g, (1, -1)))
-            for g in g_batch]
+    lams = [pencil_spectrum(build_pair(case, g)) for g in g_batch]
     out = measure_diii_normalization(n=3, samples=450, seed=31)
     assert abs(out["min"] - min(lam.min() for lam in lams)) <= 1e-13
     assert abs(out["max"] - max(lam.max() for lam in lams)) <= 1e-13
