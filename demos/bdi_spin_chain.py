@@ -22,10 +22,10 @@ print(f"case: {case.name}; spinor space dimension 2^{rep.basis.n_letters} "
       f"= {rep.dim}")
 print("word basis:", rep.basis.words)
 
-amb = 7
-worst = max(np.abs(rep.gammas[a] @ rep.gammas[b] + rep.gammas[b] @ rep.gammas[a]
-                   - 2.0 * (a == b) * np.eye(rep.dim)).max()
-            for a in range(amb) for b in range(amb))
+g = rep.gammas                                   # (7, d, d)
+prod = g[:, None] @ g[None]                      # G_a G_b
+anti = prod + prod.swapaxes(0, 1)
+worst = np.abs(anti - 2.0 * np.eye(7)[:, :, None, None] * np.eye(rep.dim)).max()
 print(f"\nClifford relations {{G_a, G_b}} = 2 delta_ab: residual {worst:.1e}")
 
 nl = rep.basis.n_letters

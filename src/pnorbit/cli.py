@@ -5,7 +5,7 @@ at one point), polytope (mass sampling to CSV), calibrate (the sign
 convention certificate and the eigenvalue-range measurement).
 
 Exit codes: 0 pass, 1 check failure, 2 usage error (an unwritable --output
-included), 3 numerical failure.
+and a case too large for memory included), 3 numerical failure.
 """
 
 import argparse
@@ -227,6 +227,9 @@ def main(argv=None):
     except (UsageError, OSError) as exc:
         # the output files are the only files a subcommand opens
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except (CalibrationError, NumericalError, ConventionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

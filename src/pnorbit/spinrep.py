@@ -1,13 +1,17 @@
 """Gamma matrices and the spin representation of so(m) in a word basis.
 
 Spinor states are exterior-algebra words in N letters (m = 2N or 2N+1).
-Words are ordered by comparing their largest letters first, so the empty
-word comes first and the leading 2^(N-k) block of any represented matrix
-is the spin module of the first m-2k coordinates.
+Word j holds letter i exactly when bit i-1 of j is set (binary counting),
+so the empty word comes first and the leading 2^(N-k) block of any
+represented matrix is the spin module of the first m-2k coordinates.
+
+In this order the creation operator of letter i is the Jordan-Wigner
+product c_i = I_{2^(N-i)} (x) sigma^+ (x) Z^{(x)(i-1)}, Z = diag(1, -1),
+and the parity operator (-1)^deg is Z^{(x)N}.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
 
 import numpy as np
 
@@ -15,9 +19,8 @@ from .errors import ConventionError
 
 ANTISYM_TOL = 1e-10     # SpinRepresentation: relative antisymmetry defect
 
-
-def _word_key(w):
-    return tuple(sorted(w, reverse=True))
+_SIGMA_PLUS = np.array([[0, 0], [1, 0]])    # adds the letter of its slot
+_Z = np.diag([1, -1])                       # (-1)^(letter present)
 
 
 @dataclass
@@ -32,61 +35,43 @@ class SpinBasis:
     def dim(self):
         return 2 ** self.n_letters
 
-    def index(self, w):
-        return self._index[tuple(sorted(w))]
-
-    def __post_init__(self):
-        self._index = {w: i for i, w in enumerate(self.words)}
-
 
 def spin_basis(n_letters, odd=False):
     if n_letters < 1:
         raise ConventionError("need at least one letter")
-    words = [w for p in range(n_letters + 1)
-             for w in combinations(range(1, n_letters + 1), p)]
-    words.sort(key=_word_key)
+    words = [tuple(i + 1 for i in range(n_letters) if j >> i & 1)
+             for j in range(2 ** n_letters)]
     return SpinBasis(n_letters, odd, words)
 
 
-def _ladder_ops(basis):
-    """Creation/annihilation matrices (c_i, a_i) in the word basis."""
-    dim = basis.dim
-    cs, ans = [], []
-    for i in range(1, basis.n_letters + 1):
-        c = np.zeros((dim, dim), complex)
-        a = np.zeros((dim, dim), complex)
-        for w in basis.words:
-            col = basis.index(w)
-            below = sum(1 for j in w if j < i)
-            if i not in w:
-                c[basis.index(tuple(sorted(w + (i,)))), col] = (-1.0) ** below
-            else:
-                a[basis.index(tuple(j for j in w if j != i)), col] = (-1.0) ** below
-        cs.append(c)
-        ans.append(a)
-    return cs, ans
+def _kron(*factors):
+    return reduce(np.kron, factors, np.ones((1, 1), int))
 
 
 def gamma_matrices(n_letters, odd=False):
     """Real-coordinate gamma matrices with {G_a, G_b} = 2 delta_ab.
 
-    Returns (basis, gammas) where gammas are indexed by the ambient matrix
-    coordinate: for odd sizes the parity operator (-1)^deg comes first,
-    then for each letter i the pair c_i + a_i, i(c_i - a_i).
+    Returns (basis, gammas) with gammas one (m, d, d) array indexed by the
+    ambient matrix coordinate: for odd sizes the parity operator comes
+    first, then for each letter i the pair c_i + a_i, i(c_i - a_i), where
+    the annihilator a_i is c_i^T.
     """
     basis = spin_basis(n_letters, odd)
-    cs, ans = _ladder_ops(basis)
-    gammas = []
-    if odd:
-        gammas.append(np.diag([(-1.0) ** len(w) for w in basis.words]).astype(complex))
-    for c, a in zip(cs, ans):
-        gammas.append(c + a)
-        gammas.append(1j * (c - a))
-    return basis, gammas
+    gammas = [_kron(*[_Z] * n_letters)] if odd else []
+    for i in range(1, n_letters + 1):
+        c = _kron(np.eye(2 ** (n_letters - i), dtype=int), _SIGMA_PLUS,
+                  *[_Z] * (i - 1))
+        gammas += [c + c.T, 1j * (c - c.T)]
+    return basis, np.array(gammas, complex)
 
 
 class SpinRepresentation:
-    """S(X) = (1/8) X_ab [G_a, G_b] for X in so(m), m = ambient size."""
+    """S(X) = (1/8) X_ab [G_a, G_b] for X in so(m), m = ambient size.
+
+    X is one matrix (m, m) or a stack (..., m, m); S(X) is (..., d, d),
+    one product of the flattened X with the (m*m, d*d) tensor
+    (1/8)[G_a, G_b].
+    """
 
     def __init__(self, ambient_size):
         if ambient_size < 3:
@@ -94,13 +79,9 @@ class SpinRepresentation:
         self.ambient_size = ambient_size
         self.odd = bool(ambient_size % 2)
         self.basis, self.gammas = gamma_matrices(ambient_size // 2, self.odd)
-        # precompute (1/4)[G_a, G_b] for a < b
-        self._quarter_comm = {}
-        for a in range(ambient_size):
-            for b in range(a + 1, ambient_size):
-                self._quarter_comm[(a, b)] = (
-                    self.gammas[a] @ self.gammas[b] - self.gammas[b] @ self.gammas[a]
-                ) / 4
+        prod = self.gammas[:, None] @ self.gammas[None]     # G_a G_b
+        self._eighth_comm = ((prod - prod.swapaxes(0, 1)) / 8).reshape(
+            ambient_size ** 2, self.dim ** 2)
 
     @property
     def dim(self):
@@ -109,29 +90,20 @@ class SpinRepresentation:
     def __call__(self, x):
         x = np.asarray(x)
         m = self.ambient_size
-        if x.shape != (m, m):
-            raise ConventionError(f"expected shape ({m},{m}), got {x.shape}")
-        tol = ANTISYM_TOL * max(1.0, np.abs(x).max())
-        if np.abs(x + x.T).max() > tol or np.abs(np.imag(x)).max() > ANTISYM_TOL:
+        if x.shape[-2:] != (m, m):
+            raise ConventionError(f"expected shape (..., {m}, {m}), got {x.shape}")
+        tol = ANTISYM_TOL * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))
+        defect = np.abs(x + np.swapaxes(x, -1, -2)).max(axis=(-2, -1))
+        if (defect > tol).any() or (np.abs(np.imag(x)) > ANTISYM_TOL).any():
             raise ConventionError("matrix is not real antisymmetric")
-        xr = np.real(x)
-        s = np.zeros((self.dim, self.dim), complex)
-        for (a, b), q in self._quarter_comm.items():
-            if xr[a, b] != 0.0:
-                s = s + xr[a, b] * q
-        return s
+        stack = x.shape[:-2]
+        s = np.real(x).reshape(stack + (m * m,)) @ self._eighth_comm
+        return s.reshape(stack + (self.dim, self.dim))
 
     def gamma_bar_gamma(self, letter):
         """G_{bar i} G_i in the word basis (= 1 on words missing the letter)."""
-        g1 = self.gammas[letter_index(self, letter, 0)]
-        g2 = self.gammas[letter_index(self, letter, 1)]
+        first = self.odd + 2 * (letter - 1)
+        g1, g2 = self.gammas[first], self.gammas[first + 1]
         c = (g1 - 1j * g2) / 2
         a = (g1 + 1j * g2) / 2
         return a @ c
-
-
-def letter_index(rep, letter, component):
-    """Ambient coordinate index of gamma (2*letter-1) or (2*letter)."""
-    off = 1 if rep.odd else 0
-    return off + 2 * (letter - 1) + component
-

@@ -218,20 +218,17 @@ def _spin_checks(case, checks, tols, m_batch, chain, seed):
     amb = case.alg.size
     nl = rep.basis.n_letters
     eye = np.eye(rep.dim)
-    res = max(np.abs(rep.gammas[a] @ rep.gammas[b] + rep.gammas[b] @ rep.gammas[a]
-                     - 2.0 * (a == b) * eye).max()
-              for a in range(amb) for b in range(amb))
+    prod = rep.gammas[:, None] @ rep.gammas[None]          # G_a G_b
+    anti = prod + prod.swapaxes(0, 1)
+    res = np.abs(anti - 2.0 * np.eye(amb)[:, :, None, None] * eye).max()
     _check(checks, tols, "spin_clifford", res)
 
     rng = np.random.default_rng(seed ^ 0x51)
     d = case.alg.dim
-    res = 0.0
-    for _ in range(20):
-        x = case.alg.from_coefficients(rng.standard_normal(d)).real
-        y = case.alg.from_coefficients(rng.standard_normal(d)).real
-        lhs = rep(x @ y - y @ x)
-        rhs = rep(x) @ rep(y) - rep(y) @ rep(x)
-        res = max(res, np.abs(lhs - rhs).max())
+    xy = case.alg.from_coefficients(rng.standard_normal((20, 2, d))).real
+    x, y = xy[:, 0], xy[:, 1]
+    sx, sy = rep(x), rep(y)
+    res = np.abs(rep(x @ y - y @ x) - (sx @ sy - sy @ sx)).max()
     _check(checks, tols, "spin_homomorphism", res)
 
     s_rho = rep(case.rho.real)
@@ -240,39 +237,31 @@ def _spin_checks(case, checks, tols, m_batch, chain, seed):
 
     thetas = rng.standard_normal(nl)
     h = np.zeros((amb, amb))
-    start = amb % 2
-    for j in range(nl):
-        r0 = start + 2 * j
-        h[r0, r0 + 1] = thetas[j]
-        h[r0 + 1, r0] = -thetas[j]
-    got = np.sort(np.linalg.eigvalsh(-1j * rep(h)))
-    want = np.sort([0.5 * sum((1 if b else -1) * t for b, t in zip(bits, thetas))
-                    for bits in np.ndindex(*([2] * nl))])
+    rows = amb % 2 + 2 * np.arange(nl)
+    h[rows, rows + 1] = thetas
+    h[rows + 1, rows] = -thetas
+    got = np.linalg.eigvalsh(-1j * rep(h))
+    bits = np.arange(2 ** nl)[:, None] >> np.arange(nl) & 1
+    want = np.sort((2 * bits - 1) @ thetas / 2)
     _check(checks, tols, "spin_weights", np.abs(got - want).max())
 
-    res = 0.0
-    for _ in range(20):
-        x = case.alg.from_coefficients(rng.standard_normal(d))
-        cp = case.alg.c_plus(x)
-        s = rep(cp.real) + 1j * rep(cp.imag)     # complex-linear extension
-        res = max(res, np.abs(np.tril(s, -1)).max())
-    _check(checks, tols, "spin_triangular", res)
+    cp = case.alg.c_plus(case.alg.from_coefficients(rng.standard_normal((20, d))))
+    s = rep(cp.real) + 1j * rep(cp.imag)         # complex-linear extension
+    _check(checks, tols, "spin_triangular", np.abs(np.tril(s, -1)).max())
 
+    # the leading 2^(nl-k) block of S(m) has spectrum i(+-a_k + sum_j<=k b_j)/2
+    n = min(20, len(m_batch))
+    s_m = rep(m_batch[:n].real)
+    a, b = chain["a"][:n], chain["b"][:n]
+    ssum = np.cumsum(b, axis=1)
     res = 0.0
-    for m, a, b in zip(m_batch[:20], chain["a"], chain["b"]):
-        s_m = rep(m.real)
-        ssum = np.cumsum(b)
-        for k in range(1, len(b) + 1):
-            size = 2 ** (nl - k)
-            a_k = a[k - 1] if k <= len(a) else 0.0
-            if size == 1:
-                want = np.array([ssum[k - 1] / 2])
-            else:
-                half = size // 2
-                want = np.sort([(a_k + ssum[k - 1]) / 2] * half
-                               + [(-a_k + ssum[k - 1]) / 2] * half)
-            got = np.sort(np.linalg.eigvalsh(-1j * s_m[:size, :size]))
-            res = max(res, np.abs(got - want).max())
+    for k in range(1, b.shape[1] + 1):
+        size = 2 ** (nl - k)
+        a_k = np.abs(a[:, k - 1]) if k <= a.shape[1] else np.zeros(n)
+        signs = np.repeat([-1.0, 1.0], size // 2) if size > 1 else np.zeros(1)
+        want = (ssum[:, k - 1, None] + signs * a_k[:, None]) / 2
+        got = np.linalg.eigvalsh(-1j * s_m[:, :size, :size])
+        res = max(res, np.abs(got - want).max())
     _check(checks, tols, "spin_minor", res)
 
 

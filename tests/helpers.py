@@ -10,6 +10,11 @@ tests check the library against.
 became BLAS calls: a fresh sample_rng per sample and einsums for x, exp(x)
 and m.  The BLAS sampler must match it to round-off.
 
+`ladder_gammas` is the gamma construction as it stood before the Kronecker
+form: words sorted by their largest letters first, and the creation and
+annihilation matrices filled one word at a time through a word index.
+The library's gammas and word list must equal it bit for bit.
+
 `bdi_chain_eigvalsh` is the bdi chain as it stood before a_k became a
 Frobenius norm: a_k from the top eigenvalue of B^T B per block B.
 
@@ -23,6 +28,8 @@ the library uses unchecked (LieAlgebra.j_apply, LieAlgebra.c_plus); the
 tests hold the conventions to them.  `kphi` is the symmetry exp(pi rho) of
 a case.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -82,6 +89,31 @@ def nijenhuis_restricted_inverse(pair):
     t = pair.tangent
     tt = np.swapaxes(t, -1, -2)
     return (tt @ pair.p0 @ t) @ np.linalg.inv(tt @ pair.pk @ t)
+
+
+def ladder_gammas(n_letters, odd=False):
+    """(words, gammas) of n_letters letters by the ladder construction."""
+    words = sorted((w for p in range(n_letters + 1)
+                    for w in combinations(range(1, n_letters + 1), p)),
+                   key=lambda w: tuple(sorted(w, reverse=True)))
+    index = {w: i for i, w in enumerate(words)}
+    dim = len(words)
+    gammas = []
+    if odd:
+        gammas.append(np.diag([(-1.0) ** len(w) for w in words]).astype(complex))
+    for i in range(1, n_letters + 1):
+        c = np.zeros((dim, dim), complex)
+        a = np.zeros((dim, dim), complex)
+        for w in words:
+            col = index[w]
+            below = sum(1 for j in w if j < i)
+            if i not in w:
+                c[index[tuple(sorted(w + (i,)))], col] = (-1.0) ** below
+            else:
+                a[index[tuple(j for j in w if j != i)], col] = (-1.0) ** below
+        gammas.append(c + a)
+        gammas.append(1j * (c - a))
+    return words, gammas
 
 
 def bdi_chain_eigvalsh(case, ms):

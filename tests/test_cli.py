@@ -180,6 +180,25 @@ def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "aiii:k=1,n=2", "--samples", "2"],
+    ["spectrum", "--case", "aiii:k=1,n=2"],
+    ["polytope", "--case", "aiii:k=1,n=2", "--samples", "10"],
+], ids=["verify", "spectrum", "polytope"])
+@pytest.mark.parametrize("message", ["Unable to allocate 596. GiB", ""],
+                         ids=["numpy", "bare"])
+def test_out_of_memory_is_usage_error(argv, message, tmp_path, monkeypatch,
+                                      capsys):
+    # a case too large to build is malformed input: exit 2, no traceback
+    def too_large(descriptor):
+        raise MemoryError(message)
+    monkeypatch.setattr(hermsym, "parse_case", too_large)
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+    assert not out.exists()
+
+
 def test_verify_unwritable_output_fails_before_the_suite(tmp_path, monkeypatch,
                                                        capsys):
     def suite(*args, **kwargs):

@@ -6,6 +6,8 @@ import pytest
 from pnorbit import ConventionError, build_case, gamma_matrices, spin_basis
 from pnorbit.spinrep import SpinRepresentation
 
+from helpers import ladder_gammas
+
 
 def test_word_order():
     basis = spin_basis(3)
@@ -19,6 +21,22 @@ def test_word_order():
     # the first 2^(N-1) words avoid the last letter entirely
     assert all(3 not in w for w in basis.words[:4])
     assert all(3 in w for w in basis.words[4:])
+
+
+def test_word_order_is_binary_counting():
+    basis = spin_basis(4)
+    for j, w in enumerate(basis.words):
+        assert sum(2 ** (i - 1) for i in w) == j
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+@pytest.mark.parametrize("n_letters", range(1, 7))
+def test_kronecker_gammas_equal_the_ladder_construction(n_letters, odd):
+    words, ladder = ladder_gammas(n_letters, odd)
+    basis, gammas = gamma_matrices(n_letters, odd)
+    assert basis.words == words
+    assert gammas.shape == (2 * n_letters + odd, basis.dim, basis.dim)
+    assert gammas.tobytes() == np.array(ladder).tobytes()
 
 
 def test_n1_gamma_product():
@@ -96,10 +114,37 @@ def test_spin_triangularity_of_c_plus(m, rng):
         assert np.abs(np.tril(s, -1)).max() <= 1e-10
 
 
-def test_spin_rejects_bad_input():
+@pytest.mark.parametrize("m", [5, 6, 7, 9])
+def test_stacked_spin_rep_matches_the_pair_sum(m, rng):
+    # S(X) = sum_{a<b} X_ab (1/4)[G_a, G_b], one pair at a time, per row
+    case = build_case("bdi", m=m)
+    rep = SpinRepresentation(m)
+    _, g = ladder_gammas(m // 2, bool(m % 2))
+    xs = case.alg.from_coefficients(rng.standard_normal((20, case.alg.dim))).real
+    got = rep(xs)
+    assert got.shape == (20, rep.dim, rep.dim)
+    for x, s in zip(xs, got):
+        want = sum(x[a, b] * (g[a] @ g[b] - g[b] @ g[a]) / 4
+                   for a in range(m) for b in range(a + 1, m))
+        assert np.abs(s - want).max() <= 1e-14
+        assert np.abs(rep(x) - s).max() <= 1e-14
+
+
+def test_spin_rejects_bad_input(rng):
     rep = SpinRepresentation(5)
     with pytest.raises(ConventionError):
         rep(np.eye(5))
     with pytest.raises(ConventionError):
         rep(np.zeros((4, 4)))
+    with pytest.raises(ConventionError):
+        rep(np.zeros(5))
+    # a stack is checked row by row, each at its own scale: one bad row
+    # fails the call even beside a row large enough to hide it
+    xs = rng.standard_normal((4, 5, 5))
+    xs = xs - np.swapaxes(xs, 1, 2)
+    xs[0] *= 1e8
+    rep(xs)
+    xs[2, 0, 1] += 1e-3
+    with pytest.raises(ConventionError):
+        rep(xs)
 

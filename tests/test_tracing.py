@@ -58,6 +58,13 @@ def test_tracer_covers_the_verify_path():
     assert left_wrapped == []
 
 
+def test_tracer_covers_the_bdi_spin_checks():
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        verify.run_suite("bdi:m=5", 3)
+    assert tracer.calls["spinrep.rep_call"] > 0
+
+
 def test_tracer_covers_the_polytope_path(tmp_path, capsys):
     tracer = load_tracing().Tracer()
     with tracer.installed():

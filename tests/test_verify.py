@@ -8,11 +8,12 @@ import pytest
 
 from pnorbit import (build_case, build_pair, calibrate,
                      measure_diii_normalization, pencil_spectrum, poisson,
-                     run_suite, vertex_probe)
+                     run_suite, spectrum, spinrep, vertex_probe)
 from pnorbit.errors import CalibrationError, UsageError
 from pnorbit.hermsym import batch_points, random_point
 from pnorbit.verify import (CALIBRATION_POINTS, CALIBRATION_SEED,
-                            DEFAULT_TOLERANCES, _calibration_residuals)
+                            DEFAULT_TOLERANCES, _calibration_residuals,
+                            _spin_checks)
 
 from helpers import nijenhuis_restricted_inverse
 
@@ -118,6 +119,37 @@ def test_run_suite_includes_spin_checks_for_bdi(bdi5):
                      "spin_weights", "spin_triangular", "spin_minor"):
         assert required in names
     assert report.passed
+
+
+def spin_check_passes(case, edit_chain=lambda chain: chain):
+    """{name: passed} of the six spin checks at 20 points of case."""
+    _, ms = batch_points(case, 3, 0, 20)
+    checks = []
+    _spin_checks(case, checks, DEFAULT_TOLERANCES, ms,
+                 edit_chain(spectrum.chain_batch(case, ms)), 3)
+    return {c.name: c.passed for c in checks}
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_spin_clifford_fails_on_a_scaled_gamma(m, monkeypatch):
+    case = build_case("bdi", m=m)
+    assert all(spin_check_passes(case).values())
+    exact = spinrep.gamma_matrices
+
+    def scaled(n_letters, odd=False):
+        basis, gammas = exact(n_letters, odd)
+        gammas[m // 2] *= 1 + 1e-6
+        return basis, gammas
+    monkeypatch.setattr(spinrep, "gamma_matrices", scaled)
+    assert not spin_check_passes(case)["spin_clifford"]
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_spin_minor_fails_on_a_negated_b(m):
+    case = build_case("bdi", m=m)
+    passes = spin_check_passes(case, lambda chain: {**chain, "b": -chain["b"]})
+    assert not passes["spin_minor"]
+    assert passes["spin_clifford"] and passes["spin_homomorphism"]
 
 
 def test_run_suite_deterministic(sp2):
