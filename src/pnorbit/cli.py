@@ -223,6 +223,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a seed that would alias fails before any output file is opened
+        hermsym.philox_key(args.seed)
         return args.func(args)
     except (UsageError, OSError) as exc:
         # the output files are the only files a subcommand opens

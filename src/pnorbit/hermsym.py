@@ -2,11 +2,15 @@
 
 A Case bundles the ambient algebra, the orbit generator rho, the
 eigenbundle isometries W_+/W_-, the stabilizer h = ker ad_rho with the
-tangent basis of its complement, and the subalgebra chain data used for
-the eigenvalue extraction.  Orbit points are sampled as m = g rho g^{-1}
-with g = exp of a Gaussian algebra element.  The so-families (diii, bdi)
-are real forms: their rho is real, and their samples g and m are float64
-(LieAlgebra.native).
+tangent basis T0 of its complement, the base data of the bracket layer
+(K0 = -ad_rho and its restrictions K_T, J_T to T0) and the subalgebra
+chain data used for the eigenvalue extraction.  All of it comes from one
+ad_rho, and a case is certified when it is built: the J convention
+J|_{h_perp} = ad_rho and the complex structure K0^2 = -T0 T0^T (see
+_finish_case), so no case that fails either exists.  Orbit points are
+sampled as m = g rho g^{-1} with g = exp of a Gaussian algebra element.
+The so-families (diii, bdi) are real forms: their rho is real, and their
+samples g and m are float64 (LieAlgebra.native).
 
 Case strings: ``aiii:k=2,n=4``  ``ci:n=3``  ``diii:n=4``  ``bdi:m=7``.
 """
@@ -16,8 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import liealg
-from .errors import ConventionError, UsageError
+from .errors import ConventionError, NumericalError, UsageError
 from .numkernel import expm_antihermitian
+
+CSTRUCT_TOL = 1e-12             # max|K0^2 + T0 T0^T|, for K^+ = -K
 
 
 @dataclass
@@ -35,6 +41,9 @@ class Case:
     n_eig: int
     stabilizer: np.ndarray = field(repr=False)   # (dim_h, N, N)
     tangent: np.ndarray = field(repr=False)      # (dim, dim_m) T0, orthonormal
+    k0: np.ndarray = field(repr=False)           # (dim, dim) K0 = -ad_rho
+    k_t: np.ndarray = field(repr=False)          # (dim_m, dim_m) T0^T K0 T0
+    j_t: np.ndarray = field(repr=False)          # (dim_m, dim_m) T0^T J T0
     chain_plan: str = ""
 
     @property
@@ -54,38 +63,40 @@ class OrbitPoint:
     m: np.ndarray
 
 
-def _stabilizer_basis(alg, rho):
-    """Orthonormal bases of h = ker ad_rho, as matrices (dim_h, N, N), and
-    of its complement, the tangent space at rho, as coefficient columns
-    (dim, dim M): both from one eigh of ad_rho^T ad_rho."""
+def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
+    """The Case of rho, with every base datum from one ad_rho.
+
+    One eigh of ad_rho^T ad_rho gives h = ker ad_rho (stabilizer) and its
+    complement, the tangent space at rho, as orthonormal coefficient
+    columns T0.  Two certificates follow on the whole tangent space: the
+    J convention J T0 = ad_rho T0 (the Weyl chambers of liealg are chosen
+    so that J|_{h_perp} = ad_rho; ConventionError above 1e-10), and the
+    complex structure K0^2 = -T0 T0^T of K0 = -ad_rho, which gives the
+    bracket layer K^+ = -K (NumericalError above CSTRUCT_TOL).
+    """
     ad = alg.ad_matrix(rho)
     # ad_rho has spectrum {0, +-i}; a 0.5 gap separates the kernel cleanly
     w, u = np.linalg.eigh(ad.T @ ad)
-    return alg.from_coefficients(u[:, w < 0.25].T), u[:, w >= 0.25]
-
-
-def _validate_j_convention(alg, rho):
-    """Residual of J|_{h_perp} = ad_rho, using ad_rho^2 = -1 on h_perp."""
-    def ad(x):
-        return rho @ x - x @ rho
-    res = 0.0
-    for x in alg.basis[:: max(1, alg.dim // 12)]:
-        xp = -ad(ad(x))
-        res = max(res, np.abs(alg.j_apply(xp) - ad(xp)).max())
-    return res
-
-
-def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
-    # the Weyl chambers of liealg are chosen so that J|_{h_perp} = ad_rho
-    res = _validate_j_convention(alg, rho)
-    if res > 1e-10:
-        raise ConventionError(f"J convention failed for {name}: {res:.3e}")
-    stab, tangent = _stabilizer_basis(alg, rho)
+    stab, tangent = alg.from_coefficients(u[:, w < 0.25].T), u[:, w >= 0.25]
     dim_m = tangent.shape[1]
     if dim_m % 2:
         raise ConventionError(f"odd orbit dimension {dim_m} for {name}")
+    res = np.abs((alg.jmat - ad) @ tangent).max()
+    if res > 1e-10:
+        raise ConventionError(f"J convention failed for {name}: {res:.3e}")
+    k0 = -ad
+    defect = np.abs(k0 @ k0 + tangent @ tangent.T).max()
+    if defect > CSTRUCT_TOL:
+        raise NumericalError(
+            f"KKS matrix is no complex structure: max|K0^2 + T0 T0^T| = "
+            f"{defect:.3e} > {CSTRUCT_TOL:g}")
+    k_t = tangent.T @ k0 @ tangent
+    j_t = tangent.T @ alg.jmat @ tangent
+    for arr in (k0, k_t, j_t):
+        arr.flags.writeable = False
     return Case(tag, params, name, alg, rho, r_plus, r_plus - 1j,
-                w_plus, w_minus, dim_m, dim_m // 2, stab, tangent, plan)
+                w_plus, w_minus, dim_m, dim_m // 2, stab, tangent,
+                k0, k_t, j_t, plan)
 
 
 def build_case(tag, **params):
@@ -226,17 +237,27 @@ def random_point(case, seed):
     return OrbitPoint(case, g[0], m[0])
 
 
+def philox_key(seed):
+    """The 64-bit Philox key of seed: a negative seed is masked to 64 bits
+    (-1 keys the stream of 2**64 - 1); a seed of 2**64 or more, which
+    would alias seed % 2**64, raises UsageError."""
+    seed = int(seed)
+    if seed >= 2**64:
+        raise UsageError(f"seed must be below 2**64, got {seed}")
+    return seed & (2**64 - 1)
+
+
 def sample_coefficients(seed, start, count, dim):
     """The Gaussian coefficient draws of samples start..start+count-1,
     (count, dim): row i is standard_normal(dim) from a Philox generator
-    keyed by seed with counter (start + i) << 64, so each sample has its
-    own reproducible stream.
+    keyed by philox_key(seed) with counter (start + i) << 64, so each
+    sample has its own reproducible stream.
 
     One generator is re-pointed at each sample's counter by a state edit,
     which draws the same numbers as a fresh generator per sample, faster.
     """
     coefs = np.empty((count, dim))
-    bg = np.random.Philox(key=int(seed) & (2**64 - 1))
+    bg = np.random.Philox(key=philox_key(seed))
     gen = np.random.Generator(bg)
     state = bg.state
     for i in range(count):

@@ -32,18 +32,19 @@ P0[a,b] = s_0 <x_a, u_b> = s_0 K[a] (J^T A - A J^T) A^T K[b]^T, which with
 A A^T = 1, J^T = -J and K^T = -K is the form above.  The einsum form of the
 Iwasawa expression is kept as the oracle in the tests.
 
-Everything per point therefore follows from A and per-case base data: K0,
-the tangent basis T0 (Case.tangent, from the one eigh of ad_rho in
-hermsym) and the restrictions K_T = T0^T K0 T0 and J_T = T0^T J T0,
-computed once per case and cached.  No inverse is needed: ad_rho is the
-invariant complex structure on the tangent space (Helgason, ch. VIII), so
-K0^2 = -T0 T0^T, the tangent projector; with A orthogonal, K = A K0 A^T
-has K^2 = -T T^T (T = A T0), hence K^+ = -K and the KKS inverse in
-N = P0 PK^+ is -PK.  The first build of a case certifies
-max|K0^2 + T0 T0^T| <= CSTRUCT_TOL (measured <= 9e-16 up to aiii:k=5,n=10,
-diii:n=8 and bdi:m=13), and `build_pair` certifies A: a point with
-max|A A^T - 1| > ORTHO_TOL raises.  Every bracket field of the pair is
-formed on its first read (PK = K = A K0 A^T, P0 = K D K, T = A T0).
+Everything per point therefore follows from A and the case's base data,
+all from the one ad_rho of hermsym._finish_case: Case.k0 = K0 = -ad_rho,
+the tangent basis Case.tangent = T0 and the restrictions
+Case.k_t = T0^T K0 T0 and Case.j_t = T0^T J T0.  No inverse is needed:
+ad_rho is the invariant complex structure on the tangent space (Helgason,
+ch. VIII), so K0^2 = -T0 T0^T, the tangent projector; with A orthogonal,
+K = A K0 A^T has K^2 = -T T^T (T = A T0), hence K^+ = -K and the KKS
+inverse in N = P0 PK^+ is -PK.  A case is certified when it is built,
+max|K0^2 + T0 T0^T| <= hermsym.CSTRUCT_TOL (measured <= 9e-16 up to
+aiii:k=5,n=10, diii:n=8 and bdi:m=13), and `build_pair` certifies A: a
+point with max|A A^T - 1| > ORTHO_TOL raises.  Every bracket field of
+the pair is formed on its first read (PK = K = A K0 A^T, P0 = K D K,
+T = A T0).
 `traces_of_powers` reads Tr (K D)^k = Tr (K0 (J - A^T J A))^k from A alone.
 
 The restricted Nijenhuis matrix needs neither P0 nor K nor an inverse.
@@ -88,7 +89,6 @@ fd flow of `chain_gradient` builds no brackets and takes all 2 dim points
 in one call.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -104,7 +104,6 @@ TANGENT_TOL = 1e-9              # nijenhuis_apply: relative normal component
 IMAG_TOL = 1e-8                 # pencil eigenvalues: relative imaginary part
 PAIRING_TOL = 1e-8              # pencil_spectrum: gap within a doubled pair
 ORTHO_TOL = 1e-9                # build_pair: max|A A^T - 1|, the rank certificate
-CSTRUCT_TOL = 1e-12             # base data: max|K0^2 + T0 T0^T|, for K^+ = -K
 
 
 def _dagger(x):
@@ -131,39 +130,6 @@ def _adjoint(case, g):
     return alg.real_coefficients(np.swapaxes(gxg, -3, -2))
 
 
-# The per-case base data of the bracket layer: K0 = kks_raw(case, rho) and
-# K_T = T0^T K0 T0, J_T = T0^T J T0 with T0 = case.tangent.  build_case is
-# deterministic in the descriptor, so the descriptor keys the cache and
-# every Case object parsed from it shares one entry.
-_Base = namedtuple("_Base", "k k_t j_t")
-_BASES = {}                     # case descriptor -> _Base
-
-
-def _base(case):
-    """The cached base data of case (built on the first call per case)."""
-    key = case.descriptor()
-    if key not in _BASES:
-        _BASES[key] = _build_base(case)
-    return _BASES[key]
-
-
-def _build_base(case):
-    k0 = kks_raw(case, case.rho)
-    tangent = case.tangent
-    # K0 is a complex structure on the tangent space, so K^+ = -K
-    defect = np.abs(k0 @ k0 + tangent @ tangent.T).max()
-    if defect > CSTRUCT_TOL:
-        raise NumericalError(
-            f"KKS matrix is no complex structure: max|K0^2 + T0 T0^T| = "
-            f"{defect:.3e} > {CSTRUCT_TOL:g}")
-    k_t = tangent.T @ k0 @ tangent
-    j_t = tangent.T @ case.alg.jmat @ tangent
-    base = _Base(k0, k_t, j_t)
-    for arr in base:
-        arr.flags.writeable = False
-    return base
-
-
 def _bruhat(case, a, left, right):
     """The one Bruhat kernel: left (A J A^T - J) right, where left and
     right are rows and columns of K (both K for the whole of P0)."""
@@ -185,8 +151,8 @@ class BracketPair:
     """Both Poisson matrices at one orbit point or a stack of them, with
     tangent data.  The pair holds the point and A = Ad_{g^-1} on
     coefficient rows; each bracket array is carried over from the case's
-    base point rho on its first read and cached, with the stack's leading
-    axes.  A reader pays only for what it reads: the pencil needs the
+    base data at rho on its first read and cached, with the stack's
+    leading axes.  A reader pays only for what it reads: the pencil needs the
     tangent alone (nijenhuis_restricted).  Readers of PK^+ use -PK."""
 
     point: object                   # hermsym.OrbitPoint
@@ -199,7 +165,7 @@ class BracketPair:
     @cached_property
     def pk(self):
         """PK = K = A K0 A^T."""
-        return self.a @ _base(self.case).k @ np.swapaxes(self.a, -1, -2)
+        return self.a @ self.case.k0 @ np.swapaxes(self.a, -1, -2)
 
     @cached_property
     def p0(self):
@@ -217,16 +183,14 @@ def build_pair(case, g, *, m=None):
 
     Takes A = Ad_{g^-1} and the moment m = g rho g^dag (the caller's m if
     given, such as the one hermsym.batch_points returns with g: the same
-    product, so the pair is unchanged), and builds the case's base data
-    on the first call per case, which certifies K^+ = -K; the bracket
-    arrays are carried over from it when read (see the module docstring),
-    and no matrix is decomposed.  The rank of K is certified through A: a
-    row with max|A A^T - 1| > ORTHO_TOL raises.  P0 needs no check: K D K
-    with D antisymmetric is antisymmetric and maps into range(PK) by
-    construction.
+    product, so the pair is unchanged); the bracket arrays are carried
+    over from the case's certified base data when read (see the module
+    docstring), and no matrix is decomposed.  The rank of K is certified
+    through A: a row with max|A A^T - 1| > ORTHO_TOL raises.  P0 needs no
+    check: K D K with D antisymmetric is antisymmetric and maps into
+    range(PK) by construction.
     """
     g = np.asarray(g)
-    _base(case)             # the case's certificate, on its first build
     a = _adjoint(case, g)
     at = np.swapaxes(a, -1, -2)
     defect = np.abs(a @ at - np.eye(case.alg.dim)).max(axis=(-2, -1))
@@ -269,10 +233,9 @@ def nijenhuis_restricted(pair):
     """Matrix of N = P0 PK^-1 on the tangent basis (..., 2 n_eig, 2 n_eig):
     K_T (J_T - T^T J T), from the tangent T and the case's base data (see
     the module docstring)."""
-    base = _base(pair.case)
-    t = pair.tangent
-    tjt = np.swapaxes(t, -1, -2) @ (pair.case.alg.jmat @ t)
-    return base.k_t @ (base.j_t - tjt)
+    case, t = pair.case, pair.tangent
+    tjt = np.swapaxes(t, -1, -2) @ (case.alg.jmat @ t)
+    return case.k_t @ (case.j_t - tjt)
 
 
 def pencil_eigenvalues(pair):
@@ -382,14 +345,12 @@ def jacobi_residual(pair, t, triples):
     rows = [pos[x] for x, _, _ in cyclic]
     cols = [pos[y] for _, y, _ in cyclic]
 
-    k0 = _base(case).k
-
     def entries(gs, ms):
         # the needed rows K[needed] = A[needed] K0 A^T per flow point, so
         # only that block of P0 is formed, and only the bracketed pairs
         # {F_x, F_y} are differentiated
         a = _adjoint(case, gs)
-        k_rows = a[:, needed] @ k0 @ np.swapaxes(a, -1, -2)
+        k_rows = a[:, needed] @ case.k0 @ np.swapaxes(a, -1, -2)
         pt = k_rows[:, :, needed]
         if t != "kks":
             # K[:, needed] = -K[needed]^T, as K is antisymmetric
@@ -432,7 +393,7 @@ def traces_of_powers(case, g, k_max):
     g = np.asarray(g)
     a = _adjoint(case, g)
     jmat = case.alg.jmat
-    kd = _base(case).k @ (jmat - np.swapaxes(a, -1, -2) @ jmat @ a)
+    kd = case.k0 @ (jmat - np.swapaxes(a, -1, -2) @ jmat @ a)
     pows = [kd]
     for _ in range(1, (k_max + 1) // 2):
         pows.append(pows[-1] @ kd)

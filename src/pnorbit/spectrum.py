@@ -182,14 +182,14 @@ class ChainSpectrum:
         return list(zip(raw_labels(self.case), vals))
 
 
-def chain_spectrum(case, m, validate=True):
-    """Chain data at the orbit point m (a batch of one of chain_batch)."""
+def chain_spectrum(case, m):
+    """Chain data at the orbit point m (a batch of one of chain_batch);
+    raises ConventionError if its interlacing is violated."""
     batch = chain_batch(case, np.asarray(m)[None])
-    if validate:
-        viol = batch_margins(case, batch)["interlacing"][0]
-        if viol > SLACK:
-            raise ConventionError(
-                f"interlacing violated by {viol:.3e} at a point of {case.name}")
+    viol = batch_margins(case, batch)["interlacing"][0]
+    if viol > SLACK:
+        raise ConventionError(
+            f"interlacing violated by {viol:.3e} at a point of {case.name}")
     return ChainSpectrum(case, batch)
 
 

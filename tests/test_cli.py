@@ -141,16 +141,21 @@ def test_calibrate_rejects_non_diii_case(capsys):
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol", "lenard=inf"],
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "2", "--seed", "-1"],
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "2", "--seed", str(2**64)],
+    ["polytope", "--case", "ci:n=1", "--samples", "5", "--seed", str(2**64)],
+    ["spectrum", "--case", "ci:n=2", "--seed", str(2**64)],
+    ["calibrate", "--samples", "5", "--seed", str(2**64)],
 ], ids=["verify-samples-0", "verify-samples-neg", "polytope-samples-0",
         "calibrate-samples-neg", "case-unknown-param", "case-repeated-param",
-        "tol-nan", "tol-neg", "tol-inf", "seed-neg", "seed-2**64"])
+        "tol-nan", "tol-neg", "tol-inf", "seed-neg", "seed-2**64",
+        "polytope-seed-2**64", "spectrum-seed-2**64", "calibrate-seed-2**64"])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     # calibrate writes no file and takes no --output
     output = [] if argv[0] == "calibrate" else ["--output", str(out)]
     assert main(argv + output) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+    # neither the output nor a polytope summary beside it
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

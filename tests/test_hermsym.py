@@ -8,7 +8,7 @@ import scipy.linalg
 
 from pnorbit import (ConventionError, UsageError, build_case, liealg, moment,
                      parse_case)
-from pnorbit.hermsym import (_finish_case, _validate_j_convention, batch_points,
+from pnorbit.hermsym import (_finish_case, batch_points,
                              check_group_element, group_residual,
                              identity_point, random_point,
                              sample_coefficients, stabilizer_elements,
@@ -97,15 +97,19 @@ def test_j_restricted_to_h_perp_is_ad_rho(all_cases, rng):
 
 def test_j_convention_holds_without_chamber_flip():
     # the Weyl chambers of liealg give J|_{h_perp} = ad_rho on every case up
-    # to aiii n = 6 (all k), ci n = 4, diii n = 5 and bdi m = 9; build_case
-    # raises ConventionError where they would not
+    # to aiii n = 6 (all k), ci n = 4, diii n = 5 and bdi m = 9, and on
+    # aiii:k=5,n=10, ci:n=6, diii:n=8 and bdi:m=13; build_case raises
+    # ConventionError where they would not.  J T0 = ad_rho T0 = -K0 T0 over
+    # the whole tangent space
     sweep = ([f"aiii:k={k},n={n}" for n in range(2, 7) for k in range(1, n)]
              + [f"ci:n={n}" for n in range(1, 5)]
              + [f"diii:n={n}" for n in range(2, 6)]
-             + [f"bdi:m={m}" for m in range(4, 10)])
+             + [f"bdi:m={m}" for m in range(4, 10)]
+             + ["aiii:k=5,n=10", "ci:n=6", "diii:n=8", "bdi:m=13"])
     for desc in sweep:
         case = parse_case(desc)
-        assert _validate_j_convention(case.alg, case.rho) <= 1e-10, desc
+        t0 = case.tangent
+        assert np.abs(case.alg.jmat @ t0 + case.k0 @ t0).max() <= 1e-10, desc
 
 
 def test_opposite_chamber_raises(gr24):

@@ -11,8 +11,9 @@ from pnorbit import (ConventionError, NumericalError, build_case, build_pair,
                      bruhat_matrix, chain_spectrum, lenard_check,
                      nijenhuis_apply, nijenhuis_formula, pencil_spectrum,
                      poisson)
-from pnorbit.hermsym import (OrbitPoint, batch_points, parse_case,
-                             random_point, stabilizer_elements)
+from pnorbit.hermsym import (CSTRUCT_TOL, OrbitPoint, _finish_case,
+                             batch_points, parse_case, random_point,
+                             stabilizer_elements)
 from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
 from pnorbit.poisson import (chain_gradient, connection_check,
                              directional_derivatives, flow_points,
@@ -192,9 +193,9 @@ def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
     assert not any(s.flags.writeable for s in poisson._FLOW_STEPS.values())
 
 
-def test_build_pair_takes_one_svd(gr24, monkeypatch):
-    # the bracket layer takes no SVD: K^+ = -K, certified on the first build
-    # of a case by K0^2 = -T0 T0^T; no build, nor lenard_check on the pair it
+def test_bracket_layer_takes_no_svd(gr24, monkeypatch):
+    # the bracket layer takes no SVD: K^+ = -K, certified when the case is
+    # built by K0^2 = -T0 T0^T; no build, nor lenard_check on the pair it
     # is given and its fd flows (traces_of_powers), takes one
     calls = {"svd": 0, "pinv": 0}
 
@@ -204,10 +205,9 @@ def test_build_pair_takes_one_svd(gr24, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(poisson, "_BASES", {})     # a fresh case
     p = random_point(gr24, 97)
     gs, _ = batch_points(gr24, 97, 0, 6)
-    # the first build, then one point and a stack of six
+    # one point, twice, and a stack of six
     for g in (p.g, p.g, gs):
         calls.update(svd=0, pinv=0)
         with monkeypatch.context() as mp:
@@ -268,17 +268,23 @@ def test_bracket_layer_matches_per_point_route(all_cases):
                 build_pair(case, g)
 
 
-def test_base_certifies_complex_structure(all_cases, monkeypatch):
-    # K^+ = -K rests on K0^2 = -T0 T0^T; with rho scaled by 1.5, K0^2 is
-    # -2.25 T0 T0^T and the first build of the case raises
+def test_base_certifies_complex_structure(all_cases):
+    # K^+ = -K rests on K0^2 = -T0 T0^T, certified when the case is built;
+    # with rho scaled by 1 + 1e-11 the J convention still holds (residual
+    # about 1e-11 <= 1e-10) but K0^2 + T0 T0^T is about 2e-11, and the
+    # build raises
     for case in all_cases:
-        monkeypatch.setattr(poisson, "_BASES", {})
-        g = np.eye(case.alg.size, dtype=case.rho.dtype)
         with pytest.raises(NumericalError, match="complex structure"):
-            build_pair(replace(case, rho=1.5 * case.rho), g)
-        build_pair(case, g)
-        k0, t0 = poisson._base(case).k, case.tangent
-        assert np.abs(k0 @ k0 + t0 @ t0.T).max() <= poisson.CSTRUCT_TOL, case.name
+            _finish_case(case.tag, case.params, case.name, case.alg,
+                         case.rho * (1 + 1e-11), case.r_plus, case.w_plus,
+                         case.w_minus, case.chain_plan)
+        k0, t0 = case.k0, case.tangent
+        assert np.abs(k0 @ k0 + t0 @ t0.T).max() <= CSTRUCT_TOL, case.name
+        # the base data are shared by every pair of the case: read-only
+        for arr in (case.k0, case.k_t, case.j_t):
+            assert not arr.flags.writeable, case.name
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
 
 
 def pair_row(pair, i):
@@ -489,7 +495,7 @@ def test_identity_zero_and_pencil_chain_match_outside_fixtures(desc, seed):
     case = parse_case(desc)
     eye = np.eye(case.alg.size, dtype=complex)
     assert np.abs(bruhat_matrix(case, eye)).max() <= 1e-10
-    chain0 = chain_spectrum(case, case.rho, validate=False).free_values()
+    chain0 = chain_spectrum(case, case.rho).free_values()
     assert np.abs(chain0).max() <= 1e-10
     assert np.abs(pencil_eigenvalues(build_pair(case, eye))[0]).max() <= 1e-10
     p = random_point(case, seed)

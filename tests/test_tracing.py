@@ -15,7 +15,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # every traced layer that run_suite reaches on an aiii case
 VERIFY_LAYERS = [
     "hermsym.batch_points", "numkernel.expm_antihermitian",
-    "spectrum.chain_spectrum", "spectrum.chain_batch",
+    "spectrum.chain_batch",
     "spectrum.batch_free_values", "poisson.kks_raw", "poisson.bruhat_matrix",
     "poisson.build_pair", "poisson.pencil_eigenvalues",
     "poisson.directional_derivatives", "poisson.jacobi_residual",
@@ -51,8 +51,8 @@ def test_tracer_covers_the_verify_path():
     dim = 3                                     # su(2)
     assert tracer.counts["poisson.flow_evals"] == (
         2 * dim * tracer.calls["poisson.directional_derivatives"])
-    # the one SVD of the bracket layer is per case (of K0), none per point
-    assert tracer.counts["poisson.linalg_svd"] <= 1
+    # the bracket layer takes no SVD, per case or per point
+    assert tracer.counts["poisson.linalg_svd"] == 0
     left_wrapped = [attr for (owner, attr), fn in originals.items()
                     if owner.__dict__[attr] is not fn]
     assert left_wrapped == []
@@ -63,6 +63,16 @@ def test_tracer_covers_the_bdi_spin_checks():
     with tracer.installed():
         verify.run_suite("bdi:m=5", 3)
     assert tracer.calls["spinrep.rep_call"] > 0
+
+
+def test_tracer_covers_the_spectrum_command(capsys):
+    # run_suite reads the chain as chain_free_vector; the per-point view
+    # chain_spectrum is reached by the spectrum command
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        assert cli.main(["spectrum", "--case", "ci:n=2"]) == 0
+    assert tracer.calls["spectrum.chain_spectrum"] == 1
+    assert tracer.counts["spectrum.chain_batch.samples"] == 1
 
 
 def test_tracer_covers_the_polytope_path(tmp_path, capsys):
