@@ -28,11 +28,10 @@ print(f"Bruhat matrix antisymmetry: {np.abs(pair.p0 + pair.p0.T).max():.1e}")
 
 rng = np.random.default_rng(5)
 triples = [tuple(rng.choice(case.alg.dim, 3, replace=False)) for _ in range(10)]
-for t in (0.0, 1.0):
-    res = jacobi_residual(pair, t, triples)
-    print(f"fd Jacobi residual of pi_t at t = {t:g}:  {res:.2e}")
-res = jacobi_residual(pair, "kks", triples)
-print(f"fd Jacobi residual of the pure KKS bracket: {res:.2e}")
+jacobi = jacobi_residual(pair, triples)      # one fd flow for all three
+for t in (0, 1):
+    print(f"fd Jacobi residual of pi_t at t = {t}:  {jacobi[f't{t}']:.2e}")
+print(f"fd Jacobi residual of the pure KKS bracket: {jacobi['kks']:.2e}")
 
 print("\ninvolution of the eigenvalue functions:")
 dvec = chain_gradient(pair)

@@ -13,6 +13,7 @@ import json
 import os
 import stat
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -41,28 +42,37 @@ def _check_samples(args, minimum):
         raise UsageError(f"--samples must be at least {minimum}, got {args.samples}")
 
 
+@contextmanager
+def _output_file(path):
+    """The --output file (None without a path), opened before any work: an
+    unwritable path fails before the command computes or prints, and a
+    command that raises leaves no file behind (a device such as /dev/null
+    is never unlinked)."""
+    if not path:
+        yield None
+        return
+    fh = open(path, "w")
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if regular:
+            os.remove(path)
+        raise
+
+
 def cmd_verify(args):
     _check_samples(args, 1)
     tols = _parse_tols(args.tol)
-    # open the report first: an unwritable --output fails before the suite
-    # runs, and a suite that raises leaves no report behind
-    fh = open(args.output, "w") if args.output else None
-    try:
+    with _output_file(args.output) as fh:
         report = verify.run_suite(args.case, n_samples=args.samples,
                                   seed=args.seed, tolerances=tols or None)
-    except BaseException:
+        text = report.to_json()
         if fh is not None:
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            fh.close()
-            if regular:         # never unlink a device such as /dev/null
-                os.remove(args.output)
-        raise
-    text = report.to_json()
-    if fh is not None:
-        with fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        else:
+            print(text)
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         extra = f" (skipped {c.skipped})" if c.skipped else ""
@@ -73,41 +83,42 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     case = hermsym.parse_case(args.case)
-    verify.calibrate()
-    point = (hermsym.identity_point(case) if args.identity
-             else hermsym.random_point(case, args.seed))
-    cs = spectrum.chain_spectrum(case, point.m)
-    pair = poisson.build_pair(case, point.g, m=point.m)
-    pencil = poisson.pencil_spectrum(pair)
-    chain = cs.free_values()
-    disc = float(np.abs(np.sort(chain) - pencil).max())
-    print(f"# {case.name}  seed={args.seed}  identity={args.identity}")
-    if cs.kind == "gt":
-        print("chain pattern (ascending raw rows, * = free coordinate):")
-        for lv, row, mk in zip(cs.levels, cs.rows, cs.masks):
-            cells = "  ".join(f"{v:+.6f}{'*' if f else ' '}"
-                              for v, f in zip(row, mk))
-            print(f"  level {lv}: {cells}")
-    else:
-        print("chain data (a_k, b_k):")
-        for label, val in cs.raw_labeled():
-            print(f"  {label:<4} {val:+.6f}")
-    print(f"{'label':<10}{'chain eigenvalue':>24}")
-    for label, val in cs.labeled_entries():
-        print(f"{label:<10}{val:>24.16f}")
-    print("pencil (de-doubled, ascending):")
-    for val in pencil:
-        print(f"{'':<10}{val:>24.16f}")
-    print(f"max multiset discrepancy: {disc:.3e}")
-    if args.output:
-        payload = {
-            "case": case.descriptor(), "seed": args.seed,
-            "identity": bool(args.identity),
-            "chain": {k: float(v) for k, v in cs.labeled_entries()},
-            "pencil": [float(v) for v in pencil],
-            "max_discrepancy": disc,
-        }
-        with open(args.output, "w") as fh:
+    # open the JSON first: an unwritable --output fails before any output
+    with _output_file(args.output) as fh:
+        verify.calibrate()
+        point = (hermsym.identity_point(case) if args.identity
+                 else hermsym.random_point(case, args.seed))
+        cs = spectrum.chain_spectrum(case, point.m)
+        pair = poisson.build_pair(case, point.g, m=point.m)
+        pencil = poisson.pencil_spectrum(pair)
+        chain = cs.free_values()
+        disc = float(np.abs(np.sort(chain) - pencil).max())
+        print(f"# {case.name}  seed={args.seed}  identity={args.identity}")
+        if cs.kind == "gt":
+            print("chain pattern (ascending raw rows, * = free coordinate):")
+            for lv, row, mk in zip(cs.levels, cs.rows, cs.masks):
+                cells = "  ".join(f"{v:+.6f}{'*' if f else ' '}"
+                                  for v, f in zip(row, mk))
+                print(f"  level {lv}: {cells}")
+        else:
+            print("chain data (a_k, b_k):")
+            for label, val in cs.raw_labeled():
+                print(f"  {label:<4} {val:+.6f}")
+        print(f"{'label':<10}{'chain eigenvalue':>24}")
+        for label, val in cs.labeled_entries():
+            print(f"{label:<10}{val:>24.16f}")
+        print("pencil (de-doubled, ascending):")
+        for val in pencil:
+            print(f"{'':<10}{val:>24.16f}")
+        print(f"max multiset discrepancy: {disc:.3e}")
+        if fh is not None:
+            payload = {
+                "case": case.descriptor(), "seed": args.seed,
+                "identity": bool(args.identity),
+                "chain": {k: float(v) for k, v in cs.labeled_entries()},
+                "pencil": [float(v) for v in pencil],
+                "max_discrepancy": disc,
+            }
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return EXIT_OK

@@ -44,6 +44,7 @@ class Case:
     k0: np.ndarray = field(repr=False)           # (dim, dim) K0 = -ad_rho
     k_t: np.ndarray = field(repr=False)          # (dim_m, dim_m) T0^T K0 T0
     j_t: np.ndarray = field(repr=False)          # (dim_m, dim_m) T0^T J T0
+    tangent_side: np.ndarray = field(repr=False)  # (N, dim_m N) [Y_0 | Y_1 | ...]
     chain_plan: str = ""
 
     @property
@@ -72,7 +73,9 @@ def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
     J convention J T0 = ad_rho T0 (the Weyl chambers of liealg are chosen
     so that J|_{h_perp} = ad_rho; ConventionError above 1e-10), and the
     complex structure K0^2 = -T0 T0^T of K0 = -ad_rho, which gives the
-    bracket layer K^+ = -K (NumericalError above CSTRUCT_TOL).
+    bracket layer K^+ = -K (NumericalError above CSTRUCT_TOL).  The
+    tangent basis Y_j = sum_b T0[b, j] X_b, side by side, lets the fd
+    flows read T = A T0 from g without A (poisson._adjoint).
     """
     ad = alg.ad_matrix(rho)
     # ad_rho has spectrum {0, +-i}; a 0.5 gap separates the kernel cleanly
@@ -92,11 +95,12 @@ def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
             f"{defect:.3e} > {CSTRUCT_TOL:g}")
     k_t = tangent.T @ k0 @ tangent
     j_t = tangent.T @ alg.jmat @ tangent
-    for arr in (k0, k_t, j_t):
+    tangent_side = alg.side_by_side(alg.from_coefficients(tangent.T))
+    for arr in (k0, k_t, j_t, tangent_side):
         arr.flags.writeable = False
     return Case(tag, params, name, alg, rho, r_plus, r_plus - 1j,
                 w_plus, w_minus, dim_m, dim_m // 2, stab, tangent,
-                k0, k_t, j_t, plan)
+                k0, k_t, j_t, tangent_side, plan)
 
 
 def build_case(tag, **params):

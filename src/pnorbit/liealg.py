@@ -120,9 +120,9 @@ class LieAlgebra:
     * `jflat`  (dim, N^2) - row a is J(X_a) flattened (jmat^T @ flat);
     * `flat_re` (2 N^2, dim) - flat_t for the interleaved (re, im) float
       view of a complex matrix, so that real_coefficients is a real GEMM;
-    * `side`   (N, dim N) - the basis side by side, [X_0 | X_1 | ...], so
-      that y @ side = [y X_a]_a is one GEMM; float64 for the so-families,
-      whose basis is real (`native`).
+    * `side`   (N, dim N) - the basis side by side (`side_by_side`),
+      [X_0 | X_1 | ...], so that y @ side = [y X_a]_a is one GEMM; float64
+      for the so-families, whose basis is real (`native`).
 
     `ad_matrix` is one GEMM through `flat_re`; K = -ad_m (`poisson.kks_raw`).
     """
@@ -172,6 +172,12 @@ class LieAlgebra:
         for the so-families (B, D), whose elements are real, else x."""
         return np.ascontiguousarray(x.real) if self.family in ("B", "D") else x
 
+    def side_by_side(self, x):
+        """Matrices (d, N, N) of the algebra as one (N, d N) block row
+        [x_0 | x_1 | ...], in its own arithmetic (`native`)."""
+        return self.native(np.ascontiguousarray(
+            np.swapaxes(x, 0, 1).reshape(self.size, -1)))
+
     def from_coefficients(self, c):
         """sum_a c_a X_a for one coefficient vector or a stack (..., dim)."""
         return self._unflatten(np.asarray(c) @ self.flat)
@@ -202,8 +208,7 @@ def _finish(alg):
     alg.flat_re = np.empty((2 * size * size, dim))
     alg.flat_re[0::2] = -alg.flat_t.real
     alg.flat_re[1::2] = alg.flat_t.imag
-    alg.side = np.ascontiguousarray(
-        alg.native(np.swapaxes(alg.basis, 0, 1).reshape(size, dim * size)))
+    alg.side = alg.side_by_side(alg.basis)
     # J last: ad_matrix reads flat_re
     w, u = np.linalg.eigh(1j * alg.ad_matrix(alg.h0))
     sign = np.sign(np.where(np.abs(w) < 0.4, 0.0, w))

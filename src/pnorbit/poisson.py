@@ -45,7 +45,6 @@ aiii:k=5,n=10, diii:n=8 and bdi:m=13), and `build_pair` certifies A: a
 point with max|A A^T - 1| > ORTHO_TOL raises.  Every bracket field of
 the pair is formed on its first read (PK = K = A K0 A^T, P0 = K D K,
 T = A T0).
-`traces_of_powers` reads Tr (K D)^k = Tr (K0 (J - A^T J A))^k from A alone.
 
 The restricted Nijenhuis matrix needs neither P0 nor K nor an inverse.
 range(K0) is K0-invariant, so K0 T0 = T0 K_T and T0^T K0 = K_T T0^T; with
@@ -54,7 +53,11 @@ A^T A = 1, T^T K T = K_T and
     T^T P0 T = T0^T K0 (J - A^T J A) K0 T0 = K_T (J_T - T^T J T) K_T,
 
 hence N_r = (T^T P0 T)(T^T PK T)^-1 = K_T (J_T - T^T J T): the pencil
-reads A only through T^T J T (the r-matrix form of Lu-Weinstein).
+reads A only through T^T J T (the r-matrix form of Lu-Weinstein).  T
+itself needs no A: T[a, j] is the coefficient of g Y_j g^-1 on X_a, for
+the tangent basis Y_j = sum_b T0[b, j] X_b of Case.tangent_side, so T^T
+is the adjoint kernel at g^dag with the Y_j as its side, a 2 n_eig x dim
+read in place of the dim x dim A.
 
 Real forms.  For the so-families (diii, bdi) rho and the sampled g and m
 are real (hermsym), and so are the flow points of a real g.  A real g
@@ -81,7 +84,11 @@ batch of one through the same code.  The fd checks (`jacobi_residual`,
 `lenard_check`, `nstar_eigen_residual`) take the single-point pair they
 certify, read case, g and m from it, and build none of their own;
 `nstar_eigen_residual` also takes the pair's `chain_gradient`, which the
-involution checks share.
+involution checks share.  Each fd flow works in the smallest frame it
+needs: the Lenard flow (`traces_of_powers`) reads Tr N_r^k in the tangent
+frame, 2 n_eig square, from T alone; the Jacobi flow forms only the
+needed rows of K and the bracketed entries of P0, and one flow serves the
+KKS bracket and pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.
 `stack_chunk(case)` is the one rule for how many points go into a stacked
 bracket call, shared by the sample loops in `verify` and the bracket fd
 flows (both signs of `stack_chunk(case)` directions per call); the chain
@@ -118,15 +125,20 @@ def kks_raw(case, m):
     return -case.alg.ad_matrix(m)
 
 
-def _adjoint(case, g):
+def _adjoint(case, g, side=None):
     """A = Ad_{g^-1} on coefficient rows, A[..., a, b] = -Re Tr(g^-1 X_a g X_b)
-    (g may be a stack).  A real g of an so-family meets the real `side` and
-    the real coefficient map: two real GEMMs and a real coefficient read."""
+    (g may be a stack).  With the side of other matrices Y_j of the algebra
+    (LieAlgebra.side_by_side) in place of the basis, row j is the
+    coefficient row of g^-1 Y_j g; at g^dag and Case.tangent_side that is
+    T^T = (A T0)^T.  A real g of an so-family meets the real side and the
+    real coefficient map: two real GEMMs and a real coefficient read."""
     alg = case.alg
-    n, dim, lead = alg.size, alg.dim, g.shape[:-2]
-    # g^dag X_a side by side, read as rows (i, a); then every block times g
-    left = (_dagger(g) @ alg.side).reshape(lead + (n * dim, n))
-    gxg = (left @ g).reshape(lead + (n, dim, n))
+    side = alg.side if side is None else side
+    n, lead = alg.size, g.shape[:-2]
+    rows = side.shape[-1] // n
+    # g^dag Y_j side by side, read as rows (i, j); then every block times g
+    left = (_dagger(g) @ side).reshape(lead + (n * rows, n))
+    gxg = (left @ g).reshape(lead + (n, rows, n))
     return alg.real_coefficients(np.swapaxes(gxg, -3, -2))
 
 
@@ -229,13 +241,17 @@ def nijenhuis_formula(case, m, v):
     return -(jv @ m - m @ jv) + v
 
 
+def _restricted(case, t):
+    """N_r = K_T (J_T - T^T J T) on the tangent basis t (..., dim, 2 n_eig)."""
+    tjt = np.swapaxes(t, -1, -2) @ (case.alg.jmat @ t)
+    return case.k_t @ (case.j_t - tjt)
+
+
 def nijenhuis_restricted(pair):
     """Matrix of N = P0 PK^-1 on the tangent basis (..., 2 n_eig, 2 n_eig):
     K_T (J_T - T^T J T), from the tangent T and the case's base data (see
     the module docstring)."""
-    case, t = pair.case, pair.tangent
-    tjt = np.swapaxes(t, -1, -2) @ (case.alg.jmat @ t)
-    return case.k_t @ (case.j_t - tjt)
+    return _restricted(pair.case, pair.tangent)
 
 
 def pencil_eigenvalues(pair):
@@ -331,11 +347,13 @@ def gradient_bracket(pair, dvecs, p):
     return c.T @ p @ c
 
 
-def jacobi_residual(pair, t, triples):
-    """max |{{F_a,F_b},F_c} + cyclic| under pi_t over coordinate triples.
+def jacobi_residual(pair, triples):
+    """max |{{F_a,F_b},F_c} + cyclic| over coordinate triples, under the
+    KKS bracket ("kks", the t -> infinity limit of the pencil) and under
+    pi_t = P0 + t PK at t = 0 ("t0") and t = 1 ("t1"), as a dict.
 
-    t = 'kks' checks the pure Lie-Poisson bracket (the t -> infinity limit
-    of the pencil).
+    One fd flow serves all three: the bracketed entries of the K and P0
+    blocks are differentiated together, and d(P0 + t K) = dP0 + t dK.
     """
     case = pair.case
     cyclic = [xyz for (a, b, c) in triples
@@ -344,6 +362,7 @@ def jacobi_residual(pair, t, triples):
     pos = {i: j for j, i in enumerate(needed)}
     rows = [pos[x] for x, _, _ in cyclic]
     cols = [pos[y] for _, y, _ in cyclic]
+    zs = [z for _, _, z in cyclic]
 
     def entries(gs, ms):
         # the needed rows K[needed] = A[needed] K0 A^T per flow point, so
@@ -351,17 +370,21 @@ def jacobi_residual(pair, t, triples):
         # {F_x, F_y} are differentiated
         a = _adjoint(case, gs)
         k_rows = a[:, needed] @ case.k0 @ np.swapaxes(a, -1, -2)
-        pt = k_rows[:, :, needed]
-        if t != "kks":
-            # K[:, needed] = -K[needed]^T, as K is antisymmetric
-            pt = _bruhat(case, a, k_rows, -np.swapaxes(k_rows, -1, -2)) + t * pt
-        return pt[:, rows, cols]
+        # K[:, needed] = -K[needed]^T, as K is antisymmetric
+        p0 = _bruhat(case, a, k_rows, -np.swapaxes(k_rows, -1, -2))
+        return np.stack([k_rows[:, :, needed][:, rows, cols],
+                         p0[:, rows, cols]], axis=1)
 
-    dvec = directional_derivatives(case, pair.point.g, entries)  # (dim, 3 * triples)
-    ch = pair.pk @ dvec      # c = -K^+ dvec, as in gradient_bracket
-    pt0 = pair.pk if t == "kks" else pair.p0 + t * pair.pk
-    terms = (ch * pt0[:, [z for _, _, z in cyclic]]).sum(axis=0)
-    return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
+    dk, d0 = np.moveaxis(
+        directional_derivatives(case, pair.point.g, entries), 1, 0)
+
+    def residual(dvec, pt):
+        ch = pair.pk @ dvec      # c = -K^+ dvec, as in gradient_bracket
+        terms = (ch * pt[:, zs]).sum(axis=0)
+        return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
+
+    return {"kks": residual(dk, pair.pk), "t0": residual(d0, pair.p0),
+            "t1": residual(d0 + dk, pair.p0 + pair.pk)}
 
 
 # ---------------------------------------------------------------------------
@@ -377,27 +400,25 @@ def _nstar_coefficient_matrix(pair):
 
 def traces_of_powers(case, g, k_max):
     """I_k = (1/k) Tr N^k for k = 1..k_max at g, one point or a stack
-    (..., N, N) -> (..., k_max), from A alone.
+    (..., N, N) -> (..., k_max), in the tangent frame.
 
-    N = P0 PK^+ = K D (K K^+) with D = A J A^T - J.  K K^+ = -K^2 is the
-    identity on range(K), the tangent space, and Tr is cyclic, so
-    Tr N^k = Tr (K D)^k, and with K = A K0 A^T and A
-    orthogonal, K D = A K0 (J - A^T J A) A^T.  No certificate is needed
-    per point: the flow points are unitary, and the build_pair of the pair
-    that lenard_check takes certifies A at the base point.
+    Tr N^k is the trace of the pencil's own N_r = K_T (J_T - T^T J T)
+    (nijenhuis_restricted), 2 n_eig square, with T = A T0 read from g
+    without A: T^T is _adjoint at g^dag with Case.tangent_side as its
+    side.  No certificate is needed per point: the flow points are
+    unitary, and the build_pair of the pair that lenard_check takes
+    certifies A at the base point.
 
-    Only the powers M^j, M = K D, up to i = ceil(k_max / 2) are formed,
+    Only the powers M^j, M = N_r, up to i = ceil(k_max / 2) are formed,
     half the dense products; each higher trace Tr M^(i+j) = sum M^j o
     (M^i)^T is one dot product of M^j with the transposed top power.
     """
-    g = np.asarray(g)
-    a = _adjoint(case, g)
-    jmat = case.alg.jmat
-    kd = case.k0 @ (jmat - np.swapaxes(a, -1, -2) @ jmat @ a)
-    pows = [kd]
+    tt = _adjoint(case, _dagger(np.asarray(g)), case.tangent_side)
+    nr = _restricted(case, np.swapaxes(tt, -1, -2))
+    pows = [nr]
     for _ in range(1, (k_max + 1) // 2):
-        pows.append(pows[-1] @ kd)
-    lead, size = kd.shape[:-2], kd.shape[-1] ** 2
+        pows.append(pows[-1] @ nr)
+    lead, size = nr.shape[:-2], nr.shape[-1] ** 2
     top_t = np.swapaxes(pows[-1], -1, -2).reshape(lead + (size, 1))
     tr = [np.trace(p, axis1=-2, axis2=-1) for p in pows]
     tr += [(p.reshape(lead + (1, size)) @ top_t)[..., 0, 0]
@@ -409,8 +430,10 @@ def traces_of_powers(case, g, k_max):
 def lenard_check(pair, k_max):
     """Residuals of dI_{k+1} = N^* dI_k, plus the trace identity gap.
 
-    Returns dict with per-step residuals (relative to the gradient scale)
-    and |Tr N - 2 sum(lambda)|.
+    dI_k are the fd flow derivatives of traces_of_powers, in the tangent
+    frame at every flow point; N^* acts on them through the pair's K and
+    P0.  Returns dict with per-step residuals (relative to the gradient
+    scale) and |Tr N - 2 sum(lambda)|.
     """
     case, g = pair.case, pair.point.g
     dvec = directional_derivatives(

@@ -406,8 +406,9 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     triples = [tuple(rng.choice(case.alg.dim, size=3, replace=False))
                for _ in range(20)]
     pair = poisson.build_pair(case, g_batch[0], m=m_batch[0])
-    for t, name in ((0.0, "jacobi_t0"), (1.0, "jacobi_t1")):
-        _check(checks, tols, name, poisson.jacobi_residual(pair, t, triples))
+    jacobi = poisson.jacobi_residual(pair, triples)
+    for t in ("t0", "t1"):
+        _check(checks, tols, f"jacobi_{t}", jacobi[t])
 
     _check(checks, tols, "lenard", res_len)
     _check(checks, tols, "trace_identity", res_tr)

@@ -22,6 +22,12 @@ Frobenius norm: a_k from the top eigenvalue of B^T B per block B.
 definition, (T^T P0 T)(T^T PK T)^-1 on the tangent basis T, which the
 base-frame form in the library must match to round-off.
 
+`traces_of_powers_ambient` is the Lenard trace route as it stood before
+the tangent frame: Tr (K D)^k = Tr (K0 (J - A^T J A))^k in the ambient
+dim x dim frame.  `jacobi_residual_per_t` is the fd Jacobi residual as it
+stood before one flow served every t: one flow of the entries of P0 + t K
+(or of K alone at t = 'kks') per call.  The library routes must match both.
+
 The checked algebra maps J, C_pm, the Iwasawa split of g_C = g (+) b_pm and
 the Manin pairing Im Tr are the spec-level forms of the conventions that
 the library uses unchecked (LieAlgebra.j_apply, LieAlgebra.c_plus); the
@@ -35,6 +41,7 @@ import numpy as np
 
 from pnorbit.errors import ConventionError
 from pnorbit.numkernel import expm_antihermitian
+from pnorbit.poisson import _adjoint, _bruhat, directional_derivatives
 from pnorbit.spectrum import GT_TAGS, _layout
 
 
@@ -89,6 +96,44 @@ def nijenhuis_restricted_inverse(pair):
     t = pair.tangent
     tt = np.swapaxes(t, -1, -2)
     return (tt @ pair.p0 @ t) @ np.linalg.inv(tt @ pair.pk @ t)
+
+
+def traces_of_powers_ambient(case, g, k_max):
+    """(1/k) Tr (K0 (J - A^T J A))^k for k = 1..k_max (stacks allowed)."""
+    a = _adjoint(case, np.asarray(g))
+    jmat = case.alg.jmat
+    kd = case.k0 @ (jmat - np.swapaxes(a, -1, -2) @ jmat @ a)
+    pows = [kd]
+    for _ in range(1, k_max):
+        pows.append(pows[-1] @ kd)
+    return np.stack([np.trace(p, axis1=-2, axis2=-1) / k
+                     for k, p in enumerate(pows, 1)], axis=-1)
+
+
+def jacobi_residual_per_t(pair, t, triples):
+    """max |{{F_a,F_b},F_c} + cyclic| under pi_t (t = 'kks': KKS alone),
+    from one fd flow of the bracketed entries of pi_t."""
+    case = pair.case
+    cyclic = [xyz for (a, b, c) in triples
+              for xyz in ((a, b, c), (b, c, a), (c, a, b))]
+    needed = sorted({i for tr in triples for i in tr})
+    pos = {i: j for j, i in enumerate(needed)}
+    rows = [pos[x] for x, _, _ in cyclic]
+    cols = [pos[y] for _, y, _ in cyclic]
+
+    def entries(gs, ms):
+        a = _adjoint(case, gs)
+        k_rows = a[:, needed] @ case.k0 @ np.swapaxes(a, -1, -2)
+        pt = k_rows[:, :, needed]
+        if t != "kks":
+            pt = _bruhat(case, a, k_rows, -np.swapaxes(k_rows, -1, -2)) + t * pt
+        return pt[:, rows, cols]
+
+    dvec = directional_derivatives(case, pair.point.g, entries)
+    ch = pair.pk @ dvec
+    pt0 = pair.pk if t == "kks" else pair.p0 + t * pair.pk
+    terms = (ch * pt0[:, [z for _, _, z in cyclic]]).sum(axis=0)
+    return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
 
 
 def ladder_gammas(n_letters, odd=False):

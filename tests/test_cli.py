@@ -178,10 +178,13 @@ def test_removed_options_are_rejected(argv, capsys):
     ["polytope", "--case", "ci:n=1", "--samples", "10"],
 ], ids=["verify", "spectrum", "polytope"])
 def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
-    # exit 1 means a check failed; an output that cannot be written is not that
+    # exit 1 means a check failed; an output that cannot be written is not
+    # that, and it fails before the command prints its report
     out = tmp_path / "missing-dir" / "out"
     assert main(argv + ["--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
     assert not out.exists()
 
 

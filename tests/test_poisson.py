@@ -22,7 +22,8 @@ from pnorbit.poisson import (chain_gradient, connection_check,
                              pencil_eigenvalues, traces_of_powers)
 from pnorbit.spectrum import chain_free_vector
 
-from helpers import cartan_element, nijenhuis_restricted_inverse
+from helpers import (cartan_element, jacobi_residual_per_t,
+                     nijenhuis_restricted_inverse, traces_of_powers_ambient)
 
 
 def tangent_vector(case, m, rng, normalize=True):
@@ -128,19 +129,32 @@ def test_real_adjoint_matches_complex_route(all_cases):
 
 
 def test_traces_of_powers_stack_matches_pair_route(all_cases):
-    # the SVD-free Tr (K D)^k route against Tr of N restricted to the
-    # tangent basis of build_pair; at the identity coset every trace is 0
+    # the tangent-frame route against the ambient Tr (K D)^k route and Tr
+    # of N restricted to the tangent basis of build_pair; at the identity
+    # coset every trace is 0
     for case in all_cases + [build_case("diii", n=6)]:
         gs, _ = batch_points(case, 29, 0, 3)
         gs = np.concatenate([np.eye(case.alg.size, dtype=complex)[None], gs])
         got = traces_of_powers(case, gs, case.n_eig + 1)
         assert got.shape == (4, case.n_eig + 1)
         assert np.abs(got[0]).max() <= 1e-12, case.name
+        amb = traces_of_powers_ambient(case, gs, case.n_eig + 1)
+        assert np.abs(got - amb).max() <= 1e-12 * max(1.0, np.abs(amb).max())
         for g, row in zip(gs, got):
             nt = nijenhuis_restricted(build_pair(case, g))
             ref = [np.trace(np.linalg.matrix_power(nt, j)) / j
                    for j in range(1, case.n_eig + 2)]
             assert np.abs(row - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_tangent_side_reads_the_pair_tangent(all_cases):
+    # T^T is the adjoint kernel at g^dag with the tangent basis as its
+    # side: the pair's A T0 to round-off, without forming A
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, _ = batch_points(case, 37, 0, 4)
+        tt = poisson._adjoint(case, poisson._dagger(gs), case.tangent_side)
+        want = build_pair(case, gs).tangent
+        assert np.abs(np.swapaxes(tt, -1, -2) - want).max() <= 1e-14, case.name
 
 
 @pytest.mark.parametrize("descriptor,several", [("aiii:k=2,n=4", False),
@@ -281,7 +295,7 @@ def test_base_certifies_complex_structure(all_cases):
         k0, t0 = case.k0, case.tangent
         assert np.abs(k0 @ k0 + t0 @ t0.T).max() <= CSTRUCT_TOL, case.name
         # the base data are shared by every pair of the case: read-only
-        for arr in (case.k0, case.k_t, case.j_t):
+        for arr in (case.k0, case.k_t, case.j_t, case.tangent_side):
             assert not arr.flags.writeable, case.name
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
@@ -540,10 +554,34 @@ def test_jacobi_residuals(sp2, so6u3):
         p = random_point(case, 67)
         triples = [tuple(rng.choice(case.alg.dim, 3, replace=False))
                    for _ in range(8)]
-        pair = build_pair(case, p.g)
-        assert jacobi_residual(pair, "kks", triples) <= 1e-6
-        assert jacobi_residual(pair, 0.0, triples) <= 1e-5
-        assert jacobi_residual(pair, 1.0, triples) <= 1e-5
+        res = jacobi_residual(build_pair(case, p.g), triples)
+        assert res["kks"] <= 1e-6
+        assert res["t0"] <= 1e-5
+        assert res["t1"] <= 1e-5
+
+
+def test_jacobi_residual_takes_one_flow(all_cases, monkeypatch):
+    # d(P0 + t K) = dP0 + t dK: one fd flow per pair serves KKS, t = 0 and
+    # t = 1.  KKS and t = 0 are bitwise the per-t flows; t = 1 sums two fd
+    # derivatives and moves by round-off
+    rng = np.random.default_rng(11)
+    for case in all_cases + [build_case("diii", n=6)]:
+        pair = build_pair(case, random_point(case, 89).g)
+        triples = [tuple(rng.choice(case.alg.dim, 3, replace=False))
+                   for _ in range(6)]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return directional_derivatives(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(poisson, "directional_derivatives", counted)
+            res = jacobi_residual(pair, triples)
+        assert calls == [case], case.name
+        assert res["kks"] == jacobi_residual_per_t(pair, "kks", triples)
+        assert res["t0"] == jacobi_residual_per_t(pair, 0.0, triples)
+        assert abs(res["t1"] - jacobi_residual_per_t(pair, 1.0, triples)) <= 1e-9
 
 
 def test_lenard_gr12_and_sp2(sp2):

@@ -219,7 +219,7 @@ def test_diii_normalization_rejects_empty_sample(samples):
 
 
 @pytest.mark.parametrize("descriptor", ["aiii:k=4,n=8", "ci:n=5", "diii:n=6",
-                                        "bdi:m=11"])
+                                        "diii:n=8", "bdi:m=11"])
 def test_scale_tier_passes(descriptor):
     # beyond desk scale, at reduced samples: every check must still hold
     report = run_suite(descriptor, 10, seed=2024)
