@@ -51,7 +51,7 @@ def _output_file(path):
     if not path:
         yield None
         return
-    fh = open(path, "w")
+    fh = open(path, "w", newline="")
     regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh:
@@ -136,7 +136,7 @@ def cmd_polytope(args):
     violations = 0
     # locale-independent scientific notation, 17 significant digits
     row = "%d," + ",".join(["%.16e"] * len(labels)) + "\n"
-    with open(out_path, "w", newline="") as fh:
+    with _output_file(out_path) as fh:
         fh.write("sample," + ",".join(labels) + "\n")
         for done in range(0, args.samples, POLYTOPE_CHUNK):
             cnt = min(POLYTOPE_CHUNK, args.samples - done)

@@ -72,28 +72,28 @@ J is formed once per algebra (liealg), the same for either route.
 `bruhat_matrix` is the per-point `kks_raw(m)` route that the coset check
 and the oracle tests compare with the carried-over K.  N acts on tangent
 coefficients as P0 . PK^+ = -P0 . PK, and in closed form as
-N v = [-J(v), m] + v.
+N v = [-J(v), m] + v; the same -P0 . PK is N^* on flow derivatives.
 
-Stack contract of the pencil: `build_pair` takes one g (N, N) or a stack
-(S, N, N), and every `BracketPair` array then carries the same leading
-axis.  `nijenhuis_apply`, `nijenhuis_formula`, `connection_check`,
-`pencil_eigenvalues` and `pencil_spectrum` take such pairs (and matching
-stacks of vectors); their checks run per row with the per-point scales,
-so a stack raises whenever one of its rows would.  A single point is a
-batch of one through the same code.  The fd checks (`jacobi_residual`,
-`lenard_check`, `nstar_eigen_residual`) take the single-point pair they
-certify, read case, g and m from it, and build none of their own;
-`nstar_eigen_residual` also takes the pair's `chain_gradient`, which the
-involution checks share.  Each fd flow works in the smallest frame it
-needs: the Lenard flow (`traces_of_powers`) reads Tr N_r^k in the tangent
-frame, 2 n_eig square, from T alone; the Jacobi flow forms only the
-needed rows of K and the bracketed entries of P0, and one flow serves the
-KKS bracket and pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.
-`stack_chunk(case)` is the one rule for how many points go into a stacked
-bracket call, shared by the sample loops in `verify` and the bracket fd
-flows (both signs of `stack_chunk(case)` directions per call); the chain
-fd flow of `chain_gradient` builds no brackets and takes all 2 dim points
-in one call.
+Stack contract, one for the whole module: `build_pair` takes one g
+(N, N) or a stack (..., N, N), every `BracketPair` array then carries the
+same leading axes, and every function that takes a pair takes it stacked,
+with vectors and flow derivatives carrying the same axes (`nijenhuis_apply`
+and `connection_check` broadcast more leading axes of v).  A single point
+is a batch of one through the same code.  Checks run per row with the
+per-point scales and report the largest value over the stack; a stack
+raises whenever one of its rows would.  The fd checks read case, g and m
+from the pair and build none of their own; `nstar_eigen_residual` takes
+the pair's `chain_gradient`, which the involution checks share.  Each fd
+flow works in the smallest frame it needs: the Lenard flow
+(`traces_of_powers`) reads Tr N_r^k in the tangent frame, 2 n_eig square,
+from T alone; one Jacobi flow forms only the needed rows of K and the
+bracketed entries of P0, and serves the KKS bracket and pi_t at t = 0 and
+1, as d(P0 + t K) = dP0 + t dK.  `stack_chunk(case)` is the one rule for
+how many points go into a stacked bracket call: the sample loops in
+`verify` and the bracket fd flows (both signs of `stack_chunk(case)` flow
+directions, over all the pair's points, per call) share it; the chain fd
+flow of `chain_gradient` builds no brackets and takes every flow point in
+one call.
 """
 
 from dataclasses import dataclass, field
@@ -219,6 +219,13 @@ def build_pair(case, g, *, m=None):
 # Nijenhuis operator, two routes
 # ---------------------------------------------------------------------------
 
+def _nijenhuis_cols(pair, cols):
+    """-P0 (PK cols): N = P0 PK^+ on tangent coefficient columns, and N^*
+    on flow-derivative columns, B^T for B = K^+ P0 PK^+ K = -PK P0
+    (K^+ = -K, K^2 = -T T^T, P0 T T^T = P0; PK, P0 antisymmetric)."""
+    return -(pair.p0 @ (pair.pk @ cols))
+
+
 def nijenhuis_apply(pair, v, check=True):
     """Pencil route: N v with t(Nv) = P0 PK^+ t(v) = -P0 PK t(v); v must be
     tangent.
@@ -232,7 +239,7 @@ def nijenhuis_apply(pair, v, check=True):
                              axis=(-2, -1))
         if (res > TANGENT_TOL * np.maximum(1.0, np.linalg.norm(t, axis=(-2, -1)))).any():
             raise ConventionError(f"vector is not tangent: residual {res.max():.3e}")
-    return pair.case.alg.from_coefficients(-(pair.p0 @ (pair.pk @ t))[..., 0])
+    return pair.case.alg.from_coefficients(_nijenhuis_cols(pair, t)[..., 0])
 
 
 def nijenhuis_formula(case, m, v):
@@ -285,15 +292,16 @@ _FLOW_STEPS = {}                # (case descriptor, h) -> steps
 
 
 def flow_points(case, g, h=DEFAULT_FD_STEP):
-    """Perturbed group elements, (dim, 2, N, N): [a, 0] = exp(+h X_a) g and
-    [a, 1] = exp(-h X_a) g for every basis direction a."""
+    """Perturbed group elements of one g (N, N) or a stack (..., N, N),
+    (..., dim, 2, N, N): [..., a, 0] = exp(+h X_a) g and
+    [..., a, 1] = exp(-h X_a) g for every basis direction a."""
     key = (case.descriptor(), h)
     if key not in _FLOW_STEPS:
         steps = expm_antihermitian(case.alg.native(h * case.alg.basis))
         steps = np.stack([steps, _dagger(steps)], axis=1)
         steps.flags.writeable = False
         _FLOW_STEPS[key] = steps
-    return _FLOW_STEPS[key] @ g
+    return _FLOW_STEPS[key] @ np.asarray(g)[..., None, None, :, :]
 
 
 # Byte budget for the stacked Bruhat kernel's two (chunk, dim, N, N)
@@ -312,18 +320,20 @@ def stack_chunk(case):
 
 
 def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
-    """fd derivatives of point functions along every fundamental flow.
+    """fd derivatives of point functions along every fundamental flow, at
+    one g (N, N) or a stack (..., N, N).
 
     Stack contract: funcs maps stacks (gs, ms) of flow points, shapes
     (S, N, N), to values with a leading stack axis, (S, *value_shape); row
-    s must depend on gs[s], ms[s] alone.  The 2 dim flow points go through
-    funcs in calls of both signs of chunk directions, by default
-    stack_chunk(case), so that the stacked intermediates of one bracket
-    call, about chunk * dim * N^2 complex (so-families: real) numbers, stay
-    within a fixed byte budget.  Returns (dim, *value_shape).
+    s must depend on gs[s], ms[s] alone.  The flow directions (a point and
+    a basis element each) go through funcs in calls of both signs of chunk
+    directions, by default stack_chunk(case), so that the intermediates of
+    one bracket call, about chunk * dim * N^2 complex (so-families: real)
+    numbers, stay within a byte budget.  Returns (..., dim, *value_shape).
     """
     pts = flow_points(case, g, h)
-    size = case.alg.size
+    lead, size = pts.shape[:-3], case.alg.size
+    pts = pts.reshape(-1, 2, size, size)
     step = chunk or stack_chunk(case)
     out = None
     for a in range(0, len(pts), step):
@@ -334,7 +344,7 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
         out[a:a + step] = (vals[0::2] - vals[1::2]) / (2 * h)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite fd derivative")
-    return out
+    return out.reshape(lead + out.shape[1:])
 
 
 def gradient_bracket(pair, dvecs, p):
@@ -343,14 +353,15 @@ def gradient_bracket(pair, dvecs, p):
     df = sum_a c_a dF_a has flow derivatives dvec = K^T c = -K c, so
     c = -K^+ dvec = K dvec (a kernel part is annihilated by both brackets).
     """
-    c = pair.pk @ np.asarray(dvecs).T        # (dim, nfuncs)
-    return c.T @ p @ c
+    c = pair.pk @ np.swapaxes(dvecs, -1, -2)       # (..., dim, nfuncs)
+    return np.swapaxes(c, -1, -2) @ p @ c
 
 
 def jacobi_residual(pair, triples):
     """max |{{F_a,F_b},F_c} + cyclic| over coordinate triples, under the
     KKS bracket ("kks", the t -> infinity limit of the pencil) and under
-    pi_t = P0 + t PK at t = 0 ("t0") and t = 1 ("t1"), as a dict.
+    pi_t = P0 + t PK at t = 0 ("t0") and t = 1 ("t1"), as a dict; the
+    largest over a stacked pair's points.
 
     One fd flow serves all three: the bracketed entries of the K and P0
     blocks are differentiated together, and d(P0 + t K) = dP0 + t dK.
@@ -376,12 +387,13 @@ def jacobi_residual(pair, triples):
                          p0[:, rows, cols]], axis=1)
 
     dk, d0 = np.moveaxis(
-        directional_derivatives(case, pair.point.g, entries), 1, 0)
+        directional_derivatives(case, pair.point.g, entries), -2, 0)
 
     def residual(dvec, pt):
         ch = pair.pk @ dvec      # c = -K^+ dvec, as in gradient_bracket
-        terms = (ch * pt[:, zs]).sum(axis=0)
-        return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
+        terms = (ch * pt[..., zs]).sum(axis=-2)
+        cyc = terms.reshape(terms.shape[:-1] + (-1, 3)).sum(axis=-1)
+        return float(np.abs(cyc).max(initial=0.0))
 
     return {"kks": residual(dk, pair.pk), "t0": residual(d0, pair.p0),
             "t1": residual(d0 + dk, pair.p0 + pair.pk)}
@@ -390,13 +402,6 @@ def jacobi_residual(pair, triples):
 # ---------------------------------------------------------------------------
 # Lenard recursion and eigenvalue equation
 # ---------------------------------------------------------------------------
-
-def _nstar_coefficient_matrix(pair):
-    """B with (N^* df)(flows) = B^T Df for flow-derivative vectors Df:
-    K^+ P0 PK^+ K = K P0 K^2 = -PK P0, as K^+ = -K, K^2 = -T T^T and
-    P0 T T^T = P0."""
-    return -(pair.pk @ pair.p0)
-
 
 def traces_of_powers(case, g, k_max):
     """I_k = (1/k) Tr N^k for k = 1..k_max at g, one point or a stack
@@ -433,46 +438,41 @@ def lenard_check(pair, k_max):
     dI_k are the fd flow derivatives of traces_of_powers, in the tangent
     frame at every flow point; N^* acts on them through the pair's K and
     P0.  Returns dict with per-step residuals (relative to the gradient
-    scale) and |Tr N - 2 sum(lambda)|.
+    scale) and |Tr N - 2 sum(lambda)|, each the largest over a stacked
+    pair's points.
     """
-    case, g = pair.case, pair.point.g
+    case = pair.case
     dvec = directional_derivatives(
-        case, g, lambda gs, ms: traces_of_powers(case, gs, k_max))
-    bmat = _nstar_coefficient_matrix(pair)
-    res = []
-    for k in range(k_max - 1):
-        lhs = dvec[:, k + 1]
-        rhs = bmat.T @ dvec[:, k]
-        res.append(float(np.linalg.norm(lhs - rhs)
-                         / max(1.0, np.linalg.norm(lhs))))
+        case, pair.point.g, lambda gs, ms: traces_of_powers(case, gs, k_max))
+    lhs = dvec[..., 1:]
+    res = (np.linalg.norm(lhs - _nijenhuis_cols(pair, dvec[..., :-1]), axis=-2)
+           / np.maximum(1.0, np.linalg.norm(lhs, axis=-2)))
+    steps = res.max(axis=tuple(range(res.ndim - 1)))
     lam = pencil_spectrum(pair)
-    trace_gap = abs(np.trace(nijenhuis_restricted(pair)).real - 2 * lam.sum())
-    return {"steps": res, "max": max(res) if res else 0.0, "trace_gap": trace_gap}
+    trace = np.trace(nijenhuis_restricted(pair), axis1=-2, axis2=-1)
+    return {"steps": steps.tolist(), "max": float(steps.max(initial=0.0)),
+            "trace_gap": float(np.abs(trace - 2 * lam.sum(axis=-1)).max())}
 
 
 def chain_gradient(pair):
     """fd flow derivatives of the free chain eigenvalues at the pair's
-    point, (dim, n_eig): column i is the flow-derivative vector of
+    points, (..., dim, n_eig): column i is the flow-derivative vector of
     lambda_i, as gradient_bracket and nstar_eigen_residual take it.  The
-    chain has no (S, dim, N, N) intermediates, so all 2 dim flow points go
-    through one chain_free_vector call."""
-    case = pair.case
+    chain has no (S, dim, N, N) intermediates, so all 2 dim flow points of
+    every point go through one chain_free_vector call."""
+    case, g = pair.case, pair.point.g
     return directional_derivatives(
-        case, pair.point.g, lambda gs, ms: _spectrum.chain_free_vector(case, ms),
-        chunk=case.alg.dim)
+        case, g, lambda gs, ms: _spectrum.chain_free_vector(case, ms),
+        chunk=case.alg.dim * g[..., 0, 0].size)
 
 
 def nstar_eigen_residual(pair, dvec):
-    """max_i |N^* d(lambda_i) - lambda_i d(lambda_i)| over free eigenvalues,
-    from dvec = chain_gradient(pair)."""
+    """max_i |N^* d(lambda_i) - lambda_i d(lambda_i)| over free eigenvalues
+    and a stacked pair's points, from dvec = chain_gradient(pair)."""
     lam = _spectrum.chain_free_vector(pair.case, pair.point.m)
-    bmat = _nstar_coefficient_matrix(pair)
-    worst = 0.0
-    for i, li in enumerate(lam):
-        resid = bmat.T @ dvec[:, i] - li * dvec[:, i]
-        worst = max(worst, float(np.linalg.norm(resid)
-                                 / max(1.0, np.linalg.norm(dvec[:, i]))))
-    return worst
+    resid = _nijenhuis_cols(pair, dvec) - lam[..., None, :] * dvec
+    return float((np.linalg.norm(resid, axis=-2)
+                  / np.maximum(1.0, np.linalg.norm(dvec, axis=-2))).max())
 
 
 # ---------------------------------------------------------------------------

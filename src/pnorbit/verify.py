@@ -178,38 +178,40 @@ def _check(checks, tols, name, residual, skipped=0):
 
 def _gap_regular_points(case, seed, g_batch, m_batch, chain, n_needed,
                         max_index):
-    """Deterministic scan, in sample-index order, for gap-regular points.
+    """Deterministic scan, in sample-index order, for the first n_needed
+    gap-regular points among the first max_index samples.
 
     The drawn batch (g_batch, m_batch and its chain data) is the first
     chunk; later chunks draw only as many samples as are still missing.
-    Returns ([(g, m) per point], skipped_count).
+    Returns the stacks (gs, ms) of the points found, in index order, and
+    the count of samples skipped before the last of them.
     """
-    found, skipped, idx = [], 0, 0
+    gs, ms, skipped, idx, need = [], [], 0, 0, n_needed
     while True:
-        gaps = spectrum.gap_regularity(case, chain)
-        for g, m, gap in zip(g_batch, m_batch, gaps):
-            if len(found) == n_needed:
-                return found, skipped
-            if gap > GAP_THRESHOLD:
-                found.append((g, m))
-            else:
-                skipped += 1
-            idx += 1
-        if len(found) == n_needed or idx >= max_index:
-            return found, skipped
+        regular = np.flatnonzero(
+            spectrum.gap_regularity(case, chain) > GAP_THRESHOLD)[:need]
+        need -= len(regular)
+        scanned = len(g_batch) if need else int(regular[-1]) + 1
+        skipped += scanned - len(regular)
+        gs.append(g_batch[regular])
+        ms.append(m_batch[regular])
+        idx += len(g_batch)
+        if not need or idx >= max_index:
+            return np.concatenate(gs), np.concatenate(ms), skipped
         g_batch, m_batch = hermsym.batch_points(
-            case, seed, idx, min(n_needed - len(found), max_index - idx))
+            case, seed, idx, min(need, max_index - idx))
         chain = spectrum.chain_batch(case, m_batch)
 
 
 def _involution_residuals(pair, dvec):
     """Largest off-diagonal bracket of the free chain eigenvalues under
-    each bracket, from dvec = poisson.chain_gradient(pair)."""
+    each bracket, over a stacked pair's points, from
+    dvec = poisson.chain_gradient(pair)."""
     res = {}
+    diag = np.eye(dvec.shape[-1], dtype=bool)
     for which, p in (("kks", pair.pk), ("bruhat", pair.p0)):
-        br = poisson.gradient_bracket(pair, dvec.T, p)
-        off = br - np.diag(np.diag(br))
-        res[which] = np.abs(off).max()
+        br = poisson.gradient_bracket(pair, np.swapaxes(dvec, -1, -2), p)
+        res[which] = np.abs(np.where(diag, 0.0, br)).max()
     return res
 
 
@@ -338,11 +340,11 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     res = max(res, (np.abs(p0[:, 1:] - p0[:, :1]).max(axis=-1) / scale).max())
     _check(checks, tols, "coset_invariance", res)
 
-    # per-sample pencil machinery
+    # per-sample pencil machinery, along five basis directions (axis 0)
     res_master, res_blocks = 0.0, 0.0
     res_pair, res_imag = 0.0, 0.0
     blocks_skipped = 0
-    dir_idx = [(j * case.alg.dim) // 5 for j in range(5)]
+    dirs = case.alg.basis[[(j * case.alg.dim) // 5 for j in range(5)], None]
     chain = spectrum.chain_batch(case, m_batch)
     labels, data, chain_sorted = spectrum.batch_free_values(case, chain)
     ranges = {lbl: {"min": float(col.min()), "max": float(col.max())}
@@ -353,14 +355,13 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     for i in range(0, n_samples, step):
         g = g_batch[i:i + step]
         pair = poisson.build_pair(case, g, m=m_batch[i:i + step])
-        for a in dir_idx:
-            v, n_pencil, n_formula = _nijenhuis_routes(pair, case.alg.basis[a])
-            res_master = max(res_master, np.abs(n_pencil - n_formula).max())
-            rb, has_blocks = poisson.connection_check(pair, v)
-            if has_blocks:
-                res_blocks = max(res_blocks, rb)
-            else:
-                blocks_skipped += len(g)
+        v, n_pencil, n_formula = _nijenhuis_routes(pair, dirs)
+        res_master = max(res_master, np.abs(n_pencil - n_formula).max())
+        rb, has_blocks = poisson.connection_check(pair, v)
+        if has_blocks:
+            res_blocks = max(res_blocks, rb)
+        else:
+            blocks_skipped += len(dirs) * len(g)
         ev, im = poisson.pencil_eigenvalues(pair)
         res_imag = max(res_imag, im.max())
         res_pair = max(res_pair, np.abs(ev[:, 0::2] - ev[:, 1::2]).max())
@@ -376,27 +377,26 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     _check(checks, tols, "polytope",
            max(v.max(initial=0.0) for v in margins.values()))
 
-    # at gap-regular points, one pair each: involution under both brackets,
+    # at the gap-regular points, in stacks: involution under both brackets,
     # and at the first three the Lenard recursion and N^* d(lambda)
     target = min(50, n_samples)
-    reg_pts, skipped = _gap_regular_points(case, seed, g_batch, m_batch, chain,
-                                           target, 4 * n_samples)
-    res_kks, res_bruhat = 0.0, 0.0
-    res_len, res_tr, res_nstar = 0.0, 0.0, 0.0
-    for j, (g, m) in enumerate(reg_pts):
-        pair = poisson.build_pair(case, g, m=m)
-        dvec = poisson.chain_gradient(pair)
-        r = _involution_residuals(pair, dvec)
+    reg_gs, reg_ms, skipped = _gap_regular_points(
+        case, seed, g_batch, m_batch, chain, target, 4 * n_samples)
+    res_kks, res_bruhat, dvecs = 0.0, 0.0, []
+    for i in range(0, len(reg_gs), step):
+        pair = poisson.build_pair(case, reg_gs[i:i + step], m=reg_ms[i:i + step])
+        dvecs.append(poisson.chain_gradient(pair))
+        r = _involution_residuals(pair, dvecs[-1])
         res_kks = max(res_kks, r["kks"])
         res_bruhat = max(res_bruhat, r["bruhat"])
-        if j < 3:
-            out = poisson.lenard_check(pair, case.n_eig)
-            res_len = max(res_len, out["max"])
-            res_tr = max(res_tr, out["trace_gap"])
-            res_nstar = max(res_nstar, poisson.nstar_eigen_residual(pair, dvec))
-    if len(reg_pts) < target:        # not enough gap-regular points found
+    if len(reg_gs) < target:        # not enough gap-regular points found
         res_kks = res_bruhat = np.inf
-    if not reg_pts:            # nothing regular found: cannot certify
+    if len(reg_gs):
+        pair = poisson.build_pair(case, reg_gs[:3], m=reg_ms[:3])
+        out = poisson.lenard_check(pair, case.n_eig)
+        res_len, res_tr = out["max"], out["trace_gap"]
+        res_nstar = poisson.nstar_eigen_residual(pair, np.concatenate(dvecs)[:3])
+    else:                      # nothing regular found: cannot certify
         res_len = res_tr = res_nstar = np.inf
     _check(checks, tols, "involution_kks", res_kks, skipped=skipped)
     _check(checks, tols, "involution_bruhat", res_bruhat, skipped=skipped)

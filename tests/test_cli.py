@@ -114,6 +114,27 @@ def test_polytope_bdi_labels(tmp_path):
     assert header == ["sample", "a1", "b1", "b2"]
 
 
+def test_polytope_failure_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    # the first 4096-sample chunk is written before the second one fails:
+    # the command takes its partial CSV back and writes no summary
+    chain_batch = spectrum.chain_batch
+    calls = []
+
+    def failing_second(case, ms):
+        calls.append(len(ms))
+        if len(calls) == 2:
+            raise NumericalError("injected")
+        return chain_batch(case, ms)
+
+    monkeypatch.setattr(spectrum, "chain_batch", failing_second)
+    out = tmp_path / "poly.csv"
+    assert main(["polytope", "--case", "ci:n=2", "--samples", "5000",
+                 "--output", str(out)]) == 3
+    assert calls == [4096, 904]
+    assert "injected" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_calibrate_command_deterministic(capsys):
     assert main(["calibrate", "--samples", "120"]) == 0
     first = capsys.readouterr().out

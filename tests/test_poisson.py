@@ -171,17 +171,29 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
         return np.concatenate([k.reshape(len(k), -1), p0.reshape(len(k), -1),
                                chain_free_vector(case, ms)], axis=1)
 
+    def pointwise(g):
+        # the per-point oracle: one flow point per call, forward minus backward
+        h = DEFAULT_FD_STEP
+        rows = []
+        for gp, gm in flow_points(case, g, h):
+            fp = funcs(gp[None], (gp @ case.rho @ gp.conj().T)[None])[0]
+            fm = funcs(gm[None], (gm @ case.rho @ gm.conj().T)[None])[0]
+            rows.append((fp - fm) / (2 * h))
+        return np.stack(rows)
+
     got = directional_derivatives(case, g, funcs)
     assert sum(calls) == 2 * case.alg.dim
     assert (len(calls) > 1) == several
-    # the per-point oracle: one flow point per call, forward minus backward
-    h = DEFAULT_FD_STEP
-    rows = []
-    for gp, gm in flow_points(case, g, h):
-        fp = funcs(gp[None], (gp @ case.rho @ gp.conj().T)[None])[0]
-        fm = funcs(gm[None], (gm @ case.rho @ gm.conj().T)[None])[0]
-        rows.append((fp - fm) / (2 * h))
-    assert np.abs(got - np.stack(rows)).max() <= 1e-12
+    assert np.abs(got - pointwise(g)).max() <= 1e-12
+    # a stack (2, 1) of points: one block of dim rows per point, with the
+    # flow directions of both points sharing the calls
+    gs = np.stack([g, random_point(case, 23).g])[:, None]
+    calls.clear()
+    stacked = directional_derivatives(case, gs, funcs)
+    assert sum(calls) == 2 * 2 * case.alg.dim
+    assert stacked.shape == (2, 1) + got.shape
+    for row, g_i in zip(stacked, gs):
+        assert np.abs(row[0] - pointwise(g_i[0])).max() <= 1e-12
 
 
 def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
@@ -600,6 +612,35 @@ def test_nstar_eigenvalue_equation(gr24, bdi6):
         p = random_point(case, 73)
         pair = build_pair(case, p.g)
         assert nstar_eigen_residual(pair, chain_gradient(pair)) <= 1e-5
+
+
+def test_fd_checks_take_stacked_pairs(all_cases):
+    # one stack contract: a pair of three points gives the per-point chain
+    # gradients bitwise, and every fd check the largest per-point value
+    rng = np.random.default_rng(13)
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, ms = batch_points(case, 61, 0, 3)
+        pair = build_pair(case, gs, m=ms)
+        ones = [build_pair(case, g, m=m) for g, m in zip(gs, ms)]
+        dvec = chain_gradient(pair)
+        dvecs = [chain_gradient(one) for one in ones]
+        assert np.array_equal(dvec, np.stack(dvecs)), case.name
+        triples = [tuple(rng.choice(case.alg.dim, 3, replace=False))
+                   for _ in range(4)]
+
+        def checks(p, d):
+            lenard = lenard_check(p, case.n_eig)
+            return {"steps": np.array(lenard["steps"]), "max": lenard["max"],
+                    "trace_gap": lenard["trace_gap"],
+                    "nstar": nstar_eigen_residual(p, d),
+                    **jacobi_residual(p, triples)}
+
+        got = checks(pair, dvec)
+        per_point = [checks(one, d) for one, d in zip(ones, dvecs)]
+        for name, value in got.items():
+            want = np.max([r[name] for r in per_point], axis=0)
+            assert np.abs(value - want).max(initial=0.0) <= 1e-14, (
+                case.name, name)
 
 
 def test_connection_block_vs_full(all_cases, rng):

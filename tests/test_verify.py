@@ -8,7 +8,7 @@ import pytest
 
 from pnorbit import (build_case, build_pair, calibrate,
                      measure_diii_normalization, pencil_spectrum, poisson,
-                     run_suite, spectrum, spinrep, vertex_probe)
+                     run_suite, spectrum, spinrep, verify, vertex_probe)
 from pnorbit.errors import CalibrationError, UsageError
 from pnorbit.hermsym import batch_points, random_point
 from pnorbit.verify import (CALIBRATION_POINTS, CALIBRATION_SEED,
@@ -110,6 +110,62 @@ def test_run_suite_passes_and_schema(gr12):
     for c in payload["checks"]:
         assert c["pass"] == (c["max_residual"] <= c["tolerance"])
     assert "l1_1" in payload["ranges"]
+
+
+def test_run_suite_takes_one_pair_per_stack(monkeypatch):
+    # the fd checks take stacked pairs: at aiii:k=2,n=4 (34 points per
+    # stack) one pair at the identity, 3 sample stacks, 2 stacks of the 50
+    # gap-regular points, one Lenard stack of 3 and one Jacobi pair; one
+    # chain flow per involution stack (N^* d(lambda) reuses it), one Lenard
+    # flow and one Jacobi flow
+    calibrate()
+    counts = {"build_pair": 0, "directional_derivatives": 0}
+
+    def counted(name):
+        fn = getattr(poisson, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(poisson, name, counted(name))
+    assert run_suite("aiii:k=2,n=4", 100).passed
+    assert counts["build_pair"] <= 8, counts
+    assert counts["directional_derivatives"] <= 5, counts
+
+
+def test_gap_regular_scan_draws_past_the_first_batch(gr24, monkeypatch):
+    # at a gap threshold of 0.6 about half the samples of aiii:k=2,n=4 are
+    # irregular, so 60 samples hold fewer than the 50 points the
+    # involution checks take and the scan draws on, up to index 240
+    seed, n_samples, threshold = 2024, 60, 0.6
+    gs, ms = batch_points(gr24, seed, 0, 4 * n_samples)
+    gaps = spectrum.gap_regularity(gr24, spectrum.chain_batch(gr24, ms))
+    regular, skipped = [], 0
+    for i, gap in enumerate(gaps):           # the per-index oracle
+        if len(regular) == 50:
+            break
+        if gap > threshold:
+            regular.append(i)
+        else:
+            skipped += 1
+    assert len(regular) == 50 and regular[-1] >= n_samples
+    seen = []
+    involution = verify._involution_residuals
+
+    def recorded(pair, dvec):
+        seen.extend(pair.point.g.reshape((-1,) + gr24.rho.shape))
+        return involution(pair, dvec)
+
+    monkeypatch.setattr(verify, "GAP_THRESHOLD", threshold)
+    monkeypatch.setattr(verify, "_involution_residuals", recorded)
+    report = run_suite(gr24, n_samples, seed=seed)
+    for c in report.checks:
+        if c.name.startswith("involution"):
+            assert c.skipped == skipped, c.name
+    assert np.array_equal(np.stack(seen), gs[regular])
 
 
 def test_run_suite_includes_spin_checks_for_bdi(bdi5):
