@@ -42,6 +42,11 @@ def _check_samples(args, minimum):
         raise UsageError(f"--samples must be at least {minimum}, got {args.samples}")
 
 
+def _regular(fh):
+    """Whether the open file fh is a regular file (not a device or pipe)."""
+    return stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+
+
 @contextmanager
 def _output_file(path):
     """The --output file (None without a path), opened before any work: an
@@ -52,7 +57,7 @@ def _output_file(path):
         yield None
         return
     fh = open(path, "w", newline="")
-    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    regular = _regular(fh)
     try:
         with fh:
             yield fh
@@ -136,7 +141,10 @@ def cmd_polytope(args):
     violations = 0
     # locale-independent scientific notation, 17 significant digits
     row = "%d," + ",".join(["%.16e"] * len(labels)) + "\n"
-    with _output_file(out_path) as fh:
+    # the CSV and its summary are both opened before any sampling, and a
+    # device --output such as /dev/null gets no summary beside it
+    with _output_file(out_path) as fh, _output_file(
+            out_path + ".summary.json" if _regular(fh) else None) as summary_fh:
         fh.write("sample," + ",".join(labels) + "\n")
         for done in range(0, args.samples, POLYTOPE_CHUNK):
             cnt = min(POLYTOPE_CHUNK, args.samples - done)
@@ -151,16 +159,16 @@ def cmd_polytope(args):
             violations += spectrum.batch_violations(case, batch, slack)
             fh.writelines(row % (i, *vals)
                           for i, vals in enumerate(data.tolist(), done))
-    summary = {
-        "case": case.descriptor(), "samples": int(args.samples),
-        "seed": int(args.seed), "slack": slack,
-        "violations": int(violations),
-        "ranges": {lbl: {"min": float(lo), "max": float(hi)}
-                   for lbl, lo, hi in zip(labels, mins, maxs)},
-    }
-    with open(out_path + ".summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        if summary_fh is not None:
+            summary = {
+                "case": case.descriptor(), "samples": int(args.samples),
+                "seed": int(args.seed), "slack": slack,
+                "violations": int(violations),
+                "ranges": {lbl: {"min": float(lo), "max": float(hi)}
+                           for lbl, lo, hi in zip(labels, mins, maxs)},
+            }
+            json.dump(summary, summary_fh, indent=2)
+            summary_fh.write("\n")
     print(f"wrote {args.samples} samples to {out_path} "
           f"(violations: {violations})")
     return EXIT_OK if violations == 0 else EXIT_FAIL

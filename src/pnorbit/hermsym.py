@@ -15,6 +15,8 @@ samples g and m are float64 (LieAlgebra.native).
 Case strings: ``aiii:k=2,n=4``  ``ci:n=3``  ``diii:n=4``  ``bdi:m=7``.
 """
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,25 +253,106 @@ def philox_key(seed):
     return seed & (2**64 - 1)
 
 
+class _PhiloxState(ctypes.Structure):
+    """numpy's C philox_state (numpy/random/src/philox/philox.h).  Only
+    its address, Philox.ctypes.state_address, is public API; the layout
+    is numpy's own, so it is checked once per process (_layout_holds)
+    before the sampler writes through it."""
+    _fields_ = [("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
+                ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+                ("buffer_pos", ctypes.c_int),
+                ("buffer", ctypes.c_uint64 * 4),
+                ("has_uint32", ctypes.c_int),
+                ("uinteger", ctypes.c_uint32)]
+
+
+def _repoint_in_place(bg, layout):
+    """Re-point bg at sample index by writing its C state: counter words
+    (0, index, 0, 0), an empty block buffer and no buffered uint32."""
+    st = layout.from_address(bg.ctypes.state_address)
+    ctr = st.ctr.contents
+
+    def repoint(index, bg=bg):      # bg keeps the state st points into alive
+        ctr[0] = 0
+        ctr[1] = index
+        ctr[2] = 0
+        ctr[3] = 0
+        st.buffer_pos = 4
+        st.has_uint32 = 0
+    return repoint
+
+
+def _repoint_by_state(bg):
+    """Re-point bg at sample index through its state dict."""
+    state = bg.state
+    counter = state["state"]["counter"]
+
+    def repoint(index):
+        counter[:] = 0
+        counter[1] = index
+        state["buffer_pos"] = 4
+        bg.state = state
+    return repoint
+
+
+@functools.cache
+def _layout_holds(layout):
+    """Whether layout is numpy's philox_state, checked on one probe
+    generator.  The probe's counter and key must read back through the
+    layout before anything is written; then the probe is dirtied (a
+    buffered uint32, a part-used block), re-pointed in place, and must
+    draw what a fresh generator at that counter draws and read back the
+    same counter, buffer and flags through bg.state."""
+    key, index, dirty = 2**64 - 3, 2**64 - 2, 2**255 + 2**130 + 2**64 + 1
+    probe = np.random.Philox(key=key, counter=dirty)
+    fresh = np.random.Philox(key=key, counter=index << 64)
+    st = layout.from_address(probe.ctypes.state_address)
+    try:
+        ctr, key_words = list(st.ctr.contents), list(st.key.contents)
+    except ValueError:              # a NULL pointer where ctr or key should be
+        return False
+    if ctr != probe.state["state"]["counter"].tolist() or key_words != [key, 0]:
+        return False
+    np.random.Generator(probe).integers(2**32, dtype=np.uint32)
+    _repoint_in_place(probe, layout)(index)
+    drawn = [np.random.Generator(bg).standard_normal(9) for bg in (probe, fresh)]
+    got, want = probe.state, fresh.state
+    return (np.array_equal(*drawn)
+            and np.array_equal(got["state"]["counter"], want["state"]["counter"])
+            and np.array_equal(got["buffer"], want["buffer"])
+            and (got["buffer_pos"], got["has_uint32"])
+            == (want["buffer_pos"], want["has_uint32"]))
+
+
 def sample_coefficients(seed, start, count, dim):
     """The Gaussian coefficient draws of samples start..start+count-1,
     (count, dim): row i is standard_normal(dim) from a Philox generator
     keyed by philox_key(seed) with counter (start + i) << 64, so each
-    sample has its own reproducible stream.
+    sample has its own reproducible stream.  Sample indices must lie in
+    [0, 2**64): a counter word holds 64 bits, so a larger index would
+    alias another sample (ValueError).
 
-    One generator is re-pointed at each sample's counter by a state edit,
-    which draws the same numbers as a fresh generator per sample, faster.
+    One generator is re-pointed at each sample's counter, which draws the
+    same numbers as a fresh generator per sample, faster.  Philox is
+    counter-based, so re-pointing writes the counter (0, start + i, 0, 0)
+    straight into numpy's C philox_state at Philox.ctypes.state_address,
+    empties the block buffer and clears the buffered uint32.  That layout
+    is numpy's, not public API, so it is checked once per process on the
+    first call (_layout_holds); if it does not hold, the same loop
+    re-points through the bg.state dict instead, with the same draws.
     """
+    start, count = int(start), int(count)
+    if start < 0 or start + count > 2**64:
+        raise ValueError(f"sample indices {start}..{start + count - 1} "
+                         f"must lie in [0, 2**64)")
     coefs = np.empty((count, dim))
     bg = np.random.Philox(key=philox_key(seed))
-    gen = np.random.Generator(bg)
-    state = bg.state
-    for i in range(count):
-        state["state"]["counter"][:] = 0
-        state["state"]["counter"][1] = start + i
-        state["buffer_pos"] = 4
-        bg.state = state
-        coefs[i] = gen.standard_normal(dim)
+    normal = np.random.Generator(bg).standard_normal
+    repoint = (_repoint_in_place(bg, _PhiloxState)
+               if _layout_holds(_PhiloxState) else _repoint_by_state(bg))
+    for index, row in enumerate(coefs, start):
+        repoint(index)
+        normal(out=row)
     return coefs
 
 

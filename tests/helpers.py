@@ -1,10 +1,11 @@
 """Reference code shared by the tests; no test is collected here.
 
-`sample_rng` is the per-sample Philox generator that
-hermsym.sample_coefficients re-points by a state edit; it is the oracle of
-the coefficient stream.  `idempotents` and `free_masks` read the
-eigenbundle projectors and the chain's free-coordinate masks that the
-tests check the library against.
+`sample_rng` is a fresh Philox generator per sample, keyed by the seed
+at counter index << 64: the definition of the coefficient stream, which
+hermsym.sample_coefficients draws from one generator that it re-points at
+each sample's counter.  It is the oracle of that stream.  `idempotents`
+and `free_masks` read the eigenbundle projectors and the chain's
+free-coordinate masks that the tests check the library against.
 
 `batch_points_einsum` is the orbit sampler as it stood before its products
 became BLAS calls: a fresh sample_rng per sample and einsums for x, exp(x)

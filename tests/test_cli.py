@@ -1,13 +1,14 @@
 """CLI surface: subcommands, exit codes, file formats."""
 
 import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
-from pnorbit import NumericalError, hermsym, spectrum, verify
+from pnorbit import NumericalError, cli, hermsym, spectrum, verify
 from pnorbit.cli import main
 
 
@@ -133,6 +134,43 @@ def test_polytope_failure_leaves_no_csv(tmp_path, monkeypatch, capsys):
     assert calls == [4096, 904]
     assert "injected" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_polytope_unwritable_summary_fails_before_sampling(tmp_path,
+                                                         monkeypatch, capsys):
+    # a directory squatting at the summary path: exit 2 before any
+    # sampling, nothing printed, and the CSV opened with it taken back
+    def sampler(*args):
+        pytest.fail("batch_points ran before the summary was opened")
+    monkeypatch.setattr(hermsym, "batch_points", sampler)
+    out = tmp_path / "poly.csv"
+    squat = tmp_path / "poly.csv.summary.json"
+    squat.mkdir()
+    assert main(["polytope", "--case", "ci:n=1", "--samples", "10",
+                 "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [squat]
+
+
+def test_polytope_device_output_opens_no_summary(monkeypatch, capsys):
+    # a device --output gets no summary beside it; every open other than
+    # the device's own is recorded, not performed, so nothing is created
+    # under /dev
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(path)
+        if path == os.devnull:
+            return open(path, *args, **kwargs)
+        return io.StringIO()
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert main(["polytope", "--case", "ci:n=1", "--samples", "10",
+                 "--output", os.devnull]) == 0
+    assert opened == [os.devnull]
+    assert "wrote 10 samples" in capsys.readouterr().out
 
 
 def test_calibrate_command_deterministic(capsys):

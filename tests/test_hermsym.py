@@ -1,13 +1,14 @@
 """Case construction, orbit sampling, moment map and idempotents."""
 
+import ctypes
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pnorbit import (ConventionError, UsageError, build_case, liealg, moment,
-                     parse_case)
+from pnorbit import (ConventionError, UsageError, build_case, hermsym, liealg,
+                     moment, parse_case)
 from pnorbit.hermsym import (_finish_case, batch_points,
                              check_group_element, group_residual,
                              identity_point, random_point,
@@ -185,6 +186,70 @@ def test_coefficient_stream_is_pinned():
     coefs = sample_coefficients(2024, 0, 6, 10)
     assert np.array_equal(coefs, np.stack(
         [sample_rng(2024, i).standard_normal(10) for i in range(6)]))
+
+
+def _oracle_rows(seed, start, count, dim):
+    return np.stack([sample_rng(seed, start + i).standard_normal(dim)
+                     for i in range(count)])
+
+
+def test_sampler_writes_the_philox_state_in_place():
+    # the in-place route is the one taken here; 3000-sample runs at the
+    # desk dimensions reach ziggurat rejections (draws of more than one
+    # uint64 per value), at the 64-bit edges of seed and start
+    assert hermsym._layout_holds(hermsym._PhiloxState)
+    for dim in (15, 21, 28):
+        for start in (2**40, 2**63):
+            want = _oracle_rows(-1, start, 3000, dim)
+            for seed in (-1, 2**64 - 1):
+                assert np.array_equal(
+                    sample_coefficients(seed, start, 3000, dim), want)
+        assert sample_coefficients(2024, 7, 0, dim).shape == (0, dim)
+
+
+def test_sample_indices_stay_in_64_bits():
+    # the last counter draws its stream; a start past it, or below 0,
+    # would alias another sample's counter and raises instead
+    top = 2**64 - 1
+    assert np.array_equal(sample_coefficients(2024, top, 1, 5)[0],
+                          sample_rng(2024, top).standard_normal(5))
+    for start, count in ((2**64, 1), (-1, 1), (top, 2), (2**64 + 5, 1)):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            sample_coefficients(2024, start, count, 5)
+
+
+class _ShiftedState(ctypes.Structure):
+    # numpy's philox_state with buffer_pos four bytes late, in the padding
+    # before the block buffer: a layout the once-per-process check rejects
+    _fields_ = [("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
+                ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+                ("pad", ctypes.c_int),
+                ("buffer_pos", ctypes.c_int),
+                ("buffer", ctypes.c_uint64 * 4),
+                ("has_uint32", ctypes.c_int),
+                ("uinteger", ctypes.c_uint32)]
+
+
+def test_sampler_falls_back_to_the_state_dict(monkeypatch):
+    dims = (15, 21, 28)
+    in_place = {dim: sample_coefficients(2024, 0, 3000, dim) for dim in dims}
+    assert not hermsym._layout_holds(_ShiftedState)
+    by_state = hermsym._repoint_by_state
+    routes = []
+
+    def spy(bg):
+        routes.append(bg)
+        return by_state(bg)
+
+    monkeypatch.setattr(hermsym, "_PhiloxState", _ShiftedState)
+    monkeypatch.setattr(hermsym, "_repoint_by_state", spy)
+    for dim in dims:
+        coefs = sample_coefficients(2024, 0, 3000, dim)
+        assert np.array_equal(coefs, in_place[dim])
+        assert np.array_equal(coefs, _oracle_rows(2024, 0, 3000, dim))
+    assert len(routes) == len(dims)
+    test_coefficient_stream_is_pinned()
+    assert len(routes) == len(dims) + len(PINNED_COEFFICIENTS) + 1
 
 
 def test_sampler_matches_einsum_oracle(all_cases):

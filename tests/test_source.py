@@ -28,6 +28,24 @@ def test_no_matrix_inverse_in_library():
     assert hits == []
 
 
+def test_only_hermsym_imports_ctypes():
+    # the sampler writes numpy's C philox_state through ctypes; that
+    # dependence on numpy's struct layout stays in one module
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if (path.name != "hermsym.py"
+                    and any(n.partition(".")[0] == "ctypes" for n in names)):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+
+
 def _definitions(tree):
     """(name, first line, last line) of every top-level function or class
     and every non-dunder method of a top-level class."""
