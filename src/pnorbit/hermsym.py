@@ -76,8 +76,8 @@ def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
     so that J|_{h_perp} = ad_rho; ConventionError above 1e-10), and the
     complex structure K0^2 = -T0 T0^T of K0 = -ad_rho, which gives the
     bracket layer K^+ = -K (NumericalError above CSTRUCT_TOL).  The
-    tangent basis Y_j = sum_b T0[b, j] X_b, side by side, lets the fd
-    flows read T = A T0 from g without A (poisson._adjoint).
+    tangent basis Y_j = sum_b T0[b, j] X_b, side by side, lets the
+    bracket layer read its tangent frame from g (poisson._tangent).
     """
     ad = alg.ad_matrix(rho)
     # ad_rho has spectrum {0, +-i}; a 0.5 gap separates the kernel cleanly

@@ -10,10 +10,10 @@ convention is (s_K, s_0) = CALIBRATED_SIGNS = (+1, -1), which
 `verify.calibrate` certifies on every run; every formula in the code is
 written at it, so the bracket layer carries no sign.
 
-Both matrices are carried over from the base point rho by one matrix per
-point, A = Ad_{g^-1} on coefficient rows, A[a,b] = -Re Tr(g^-1 X_a g X_b)
-(orthogonal, as g is unitary).  With K = kks_raw(case, m) and
-K0 = kks_raw(case, rho), invariance of <,> gives
+Both matrices are carried over from the base point rho.  A = Ad_{g^-1} on
+coefficient rows, A[a,b] = -Re Tr(g^-1 X_a g X_b), is orthogonal, as g is
+unitary.  With K = kks_raw(case, m) and K0 = kks_raw(case, rho),
+invariance of <,> gives
 
     K[a,b] = <g rho g^-1, [X_a, X_b]> = <rho, [g^-1 X_a g, g^-1 X_b g]>,
     so K = A K0 A^T.
@@ -32,47 +32,49 @@ P0[a,b] = s_0 <x_a, u_b> = s_0 K[a] (J^T A - A J^T) A^T K[b]^T, which with
 A A^T = 1, J^T = -J and K^T = -K is the form above.  The einsum form of the
 Iwasawa expression is kept as the oracle in the tests.
 
-Everything per point therefore follows from A and the case's base data,
+Neither bracket needs A itself, only the tangent frame T = A T0.  K0
+vanishes on h and maps the tangent space range(T0) into itself, so
+K0 = T0 K_T T0^T; with A^T T = T0,
+
+    K = T K_T T^T,    T^T D T = J_T - T^T J T,
+    P0 = K D K = T K_T (J_T - T^T J T) K_T T^T = T N_r K_T T^T,
+
+where N_r = K_T (J_T - T^T J T) is the restricted Nijenhuis matrix: as
+T^T PK T = K_T and T^T P0 T = N_r K_T, N_r = (T^T P0 T)(T^T PK T)^-1, and
+the pencil reads it without P0, K or an inverse (the r-matrix form of
+Lu-Weinstein).  T itself needs no A: T[a, j] is the coefficient of
+g Y_j g^-1 on X_a, for the tangent basis Y_j = sum_b T0[b, j] X_b of
+Case.tangent_side, so T^T is the adjoint kernel at g^dag with the Y_j as
+its side (`_tangent`), a 2 n_eig x dim read in place of the dim x dim A.
+
+Everything per point therefore follows from T and the case's base data,
 all from the one ad_rho of hermsym._finish_case: Case.k0 = K0 = -ad_rho,
 the tangent basis Case.tangent = T0 and the restrictions
-Case.k_t = T0^T K0 T0 and Case.j_t = T0^T J T0.  No inverse is needed:
-ad_rho is the invariant complex structure on the tangent space (Helgason,
-ch. VIII), so K0^2 = -T0 T0^T, the tangent projector; with A orthogonal,
-K = A K0 A^T has K^2 = -T T^T (T = A T0), hence K^+ = -K and the KKS
-inverse in N = P0 PK^+ is -PK.  A case is certified when it is built,
+Case.k_t = K_T = T0^T K0 T0 and Case.j_t = J_T = T0^T J T0.  No inverse
+is needed: ad_rho is the invariant complex structure on the tangent space
+(Helgason, ch. VIII), so K0^2 = -T0 T0^T, the tangent projector, and
+K_T^2 = -1.  A case is certified when it is built,
 max|K0^2 + T0 T0^T| <= hermsym.CSTRUCT_TOL (measured <= 9e-16 up to
-aiii:k=5,n=10, diii:n=8 and bdi:m=13), and `build_pair` certifies A: a
-point with max|A A^T - 1| > ORTHO_TOL raises.  Every bracket field of
-the pair is formed on its first read (PK = K = A K0 A^T, P0 = K D K,
-T = A T0).
-
-The restricted Nijenhuis matrix needs neither P0 nor K nor an inverse.
-range(K0) is K0-invariant, so K0 T0 = T0 K_T and T0^T K0 = K_T T0^T; with
-A^T A = 1, T^T K T = K_T and
-
-    T^T P0 T = T0^T K0 (J - A^T J A) K0 T0 = K_T (J_T - T^T J T) K_T,
-
-hence N_r = (T^T P0 T)(T^T PK T)^-1 = K_T (J_T - T^T J T): the pencil
-reads A only through T^T J T (the r-matrix form of Lu-Weinstein).  T
-itself needs no A: T[a, j] is the coefficient of g Y_j g^-1 on X_a, for
-the tangent basis Y_j = sum_b T0[b, j] X_b of Case.tangent_side, so T^T
-is the adjoint kernel at g^dag with the Y_j as its side, a 2 n_eig x dim
-read in place of the dim x dim A.
+aiii:k=5,n=10, diii:n=8 and bdi:m=13), and `build_pair` certifies T: a
+point with max|T^T T - 1| > ORTHO_TOL raises.  With T^T T = 1,
+K = T K_T T^T has K^2 = -T T^T, hence K^+ = -K and the KKS inverse in
+N = P0 PK^+ is -PK.
 
 Real forms.  For the so-families (diii, bdi) rho and the sampled g and m
 are real (hermsym), and so are the flow points of a real g.  A real g
 meets the real `side` of the algebra and the real-part rows of its
-coefficient map (LieAlgebra.native, real_coefficients), so A, and with it
-K, P0, the tangent basis, `traces_of_powers` and the Jacobi flows, is
-formed by real GEMMs alone.  aiii and ci keep complex g, and a complex g
-of an so-family takes the complex route to the same A up to round-off.
-J is formed once per algebra (liealg), the same for either route.
+coefficient map (LieAlgebra.native, real_coefficients), so T, and with it
+K, P0, `traces_of_powers` and the Jacobi flows, is formed by real GEMMs
+alone.  aiii and ci keep complex g, and a complex g of an so-family takes
+the complex route to the same T up to round-off.  J is formed once per
+algebra (liealg), the same for either route.
 
 `kks_raw` (K = -ad_m) and `bruhat_matrix` take leading stack axes;
-`bruhat_matrix` is the per-point `kks_raw(m)` route that the coset check
-and the oracle tests compare with the carried-over K.  N acts on tangent
-coefficients as P0 . PK^+ = -P0 . PK, and in closed form as
-N v = [-J(v), m] + v; the same -P0 . PK is N^* on flow derivatives.
+`bruhat_matrix` is the independent per-point route, `kks_raw(m)` and the
+full dim x dim A, that the coset check and the oracle tests compare with
+the pair's brackets.  N acts on tangent coefficients as P0 . PK^+ =
+-P0 . PK, and in closed form as N v = [-J(v), m] + v; the same -P0 . PK is
+N^* on flow derivatives.
 
 Stack contract, one for the whole module: `build_pair` takes one g
 (N, N) or a stack (..., N, N), every `BracketPair` array then carries the
@@ -86,14 +88,14 @@ from the pair and build none of their own; `nstar_eigen_residual` takes
 the pair's `chain_gradient`, which the involution checks share.  Each fd
 flow works in the smallest frame it needs: the Lenard flow
 (`traces_of_powers`) reads Tr N_r^k in the tangent frame, 2 n_eig square,
-from T alone; one Jacobi flow forms only the needed rows of K and the
-bracketed entries of P0, and serves the KKS bracket and pi_t at t = 0 and
-1, as d(P0 + t K) = dP0 + t dK.  `stack_chunk(case)` is the one rule for
-how many points go into a stacked bracket call: the sample loops in
-`verify` and the bracket fd flows (both signs of `stack_chunk(case)` flow
-directions, over all the pair's points, per call) share it; the chain fd
-flow of `chain_gradient` builds no brackets and takes every flow point in
-one call.
+from T alone; one Jacobi flow reads T per flow point, forms only the
+bracketed entries of K and P0 from its needed rows, and serves the KKS
+bracket and pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.
+`stack_chunk(case)` is the one rule for how many points go into a stacked
+bracket call: the sample loops in `verify` and the bracket fd flows (both
+signs of `stack_chunk(case)` flow directions, over all the pair's points,
+per call) share it; the chain fd flow of `chain_gradient` builds no
+brackets and takes every flow point in one call.
 """
 
 from dataclasses import dataclass, field
@@ -110,7 +112,7 @@ CALIBRATED_SIGNS = (1, -1)      # (s_K, s_0); see verify.calibrate
 TANGENT_TOL = 1e-9              # nijenhuis_apply: relative normal component
 IMAG_TOL = 1e-8                 # pencil eigenvalues: relative imaginary part
 PAIRING_TOL = 1e-8              # pencil_spectrum: gap within a doubled pair
-ORTHO_TOL = 1e-9                # build_pair: max|A A^T - 1|, the rank certificate
+ORTHO_TOL = 1e-9                # build_pair: max|T^T T - 1|, the rank certificate
 
 
 def _dagger(x):
@@ -142,33 +144,35 @@ def _adjoint(case, g, side=None):
     return alg.real_coefficients(np.swapaxes(gxg, -3, -2))
 
 
-def _bruhat(case, a, left, right):
-    """The one Bruhat kernel: left (A J A^T - J) right, where left and
-    right are rows and columns of K (both K for the whole of P0)."""
-    jmat = case.alg.jmat
-    mid = a @ jmat @ np.swapaxes(a, -1, -2) - jmat
-    return left @ mid @ right
+def _tangent(case, g):
+    """(..., dim, 2 n_eig) tangent frame T = A T0 at g (stacks allowed),
+    read without A: T^T is _adjoint at g^dag with Case.tangent_side."""
+    tt = _adjoint(case, _dagger(np.asarray(g)), case.tangent_side)
+    return np.swapaxes(tt, -1, -2)
 
 
 def bruhat_matrix(case, g):
     """The Bruhat-Poisson matrix K (A J A^T - J) K at the coset of g, with
-    K = kks_raw(case, g rho g^dag); g may be a stack (..., N, N)."""
+    K = kks_raw(case, g rho g^dag) and the full A = Ad_{g^-1}: the
+    per-point route, independent of the pair's tangent frame; g may be a
+    stack (..., N, N)."""
     g = np.asarray(g)
     k = kks_raw(case, conjugate_rho(case, g))
-    return _bruhat(case, _adjoint(case, g), k, k)
+    a, jmat = _adjoint(case, g), case.alg.jmat
+    return k @ (a @ jmat @ np.swapaxes(a, -1, -2) - jmat) @ k
 
 
 @dataclass
 class BracketPair:
-    """Both Poisson matrices at one orbit point or a stack of them, with
-    tangent data.  The pair holds the point and A = Ad_{g^-1} on
-    coefficient rows; each bracket array is carried over from the case's
-    base data at rho on its first read and cached, with the stack's
-    leading axes.  A reader pays only for what it reads: the pencil needs the
-    tangent alone (nijenhuis_restricted).  Readers of PK^+ use -PK."""
+    """Both Poisson matrices at one orbit point or a stack of them.  The
+    pair holds the point and its tangent frame T = A T0; each bracket
+    array is formed from T and the case's base data on its first read
+    and cached, with the stack's leading axes.  A reader pays only for
+    what it reads: the pencil needs T alone (nijenhuis_restricted).
+    Readers of PK^+ use -PK."""
 
-    point: object                   # hermsym.OrbitPoint
-    a: np.ndarray = field(repr=False)   # (..., dim, dim) A, orthogonal
+    point: object                         # hermsym.OrbitPoint
+    tangent: np.ndarray = field(repr=False)   # (..., dim, 2 n_eig), orthonormal
 
     @property
     def case(self):
@@ -176,43 +180,38 @@ class BracketPair:
 
     @cached_property
     def pk(self):
-        """PK = K = A K0 A^T."""
-        return self.a @ self.case.k0 @ np.swapaxes(self.a, -1, -2)
+        """PK = K = T K_T T^T."""
+        return self.tangent @ self.case.k_t @ np.swapaxes(self.tangent, -1, -2)
 
     @cached_property
     def p0(self):
-        """P0 = K (A J A^T - J) K."""
-        return _bruhat(self.case, self.a, self.pk, self.pk)
-
-    @cached_property
-    def tangent(self):
-        """(..., dim, 2 n_eig) A T0, orthonormal."""
-        return self.a @ self.case.tangent
+        """P0 = K D K = T (N_r K_T) T^T."""
+        n_k = _restricted(self.case, self.tangent) @ self.case.k_t
+        return self.tangent @ n_k @ np.swapaxes(self.tangent, -1, -2)
 
 
 def build_pair(case, g, *, m=None):
     """Both brackets at g, one group element (N, N) or a stack (S, N, N).
 
-    Takes A = Ad_{g^-1} and the moment m = g rho g^dag (the caller's m if
-    given, such as the one hermsym.batch_points returns with g: the same
-    product, so the pair is unchanged); the bracket arrays are carried
-    over from the case's certified base data when read (see the module
+    Takes the tangent frame T and the moment m = g rho g^dag (the caller's
+    m if given, such as the one hermsym.batch_points returns with g: the
+    same product, so the pair is unchanged); the bracket arrays follow
+    from T and the case's certified base data when read (see the module
     docstring), and no matrix is decomposed.  The rank of K is certified
-    through A: a row with max|A A^T - 1| > ORTHO_TOL raises.  P0 needs no
-    check: K D K with D antisymmetric is antisymmetric and maps into
-    range(PK) by construction.
+    through T: a row with max|T^T T - 1| > ORTHO_TOL raises.  P0 needs no
+    check: T (N_r K_T) T^T maps into range(PK) by construction.
     """
     g = np.asarray(g)
-    a = _adjoint(case, g)
-    at = np.swapaxes(a, -1, -2)
-    defect = np.abs(a @ at - np.eye(case.alg.dim)).max(axis=(-2, -1))
+    t = _tangent(case, g)
+    defect = np.abs(np.swapaxes(t, -1, -2) @ t
+                    - np.eye(case.dim_m)).max(axis=(-2, -1))
     if (defect > ORTHO_TOL).any():
         raise NumericalError(
-            f"KKS rank not certified: max|A A^T - 1| = {defect.max():.3e} "
+            f"KKS rank not certified: max|T^T T - 1| = {defect.max():.3e} "
             f"> {ORTHO_TOL:g}")
     if m is None:
         m = conjugate_rho(case, g)
-    return BracketPair(OrbitPoint(case, g, m), a)
+    return BracketPair(OrbitPoint(case, g, m), t)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +303,18 @@ def flow_points(case, g, h=DEFAULT_FD_STEP):
     return _FLOW_STEPS[key] @ np.asarray(g)[..., None, None, :, :]
 
 
-# Byte budget for the stacked Bruhat kernel's two (chunk, dim, N, N)
-# products, counted as complex (the so-families' real ones take half): both
-# fit in it at stack_chunk points; an fd flow call has twice as many points
-# (both signs of stack_chunk directions), so there each product alone fits
-# in it.
+# Byte budget for the largest per-point intermediates of a stacked bracket
+# call, the tangent reader's two (chunk, 2 n_eig, N, N) side products,
+# counted as complex (the so-families' real ones take half): both fit in it
+# at stack_chunk points; an fd flow call has twice as many points (both
+# signs of stack_chunk directions), so there each product alone fits in it.
 _FLOW_CHUNK_BYTES = 1 << 18
 
 
 def stack_chunk(case):
-    """Points per stacked bracket call (at least 1), from dim N^2 and the
-    byte budget."""
-    alg = case.alg
-    return max(1, _FLOW_CHUNK_BYTES // (32 * alg.dim * alg.size ** 2))
+    """Points per stacked bracket call (at least 1), from 2 n_eig N^2 and
+    the byte budget."""
+    return max(1, _FLOW_CHUNK_BYTES // (32 * case.dim_m * case.alg.size ** 2))
 
 
 def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
@@ -328,7 +326,7 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     s must depend on gs[s], ms[s] alone.  The flow directions (a point and
     a basis element each) go through funcs in calls of both signs of chunk
     directions, by default stack_chunk(case), so that the intermediates of
-    one bracket call, about chunk * dim * N^2 complex (so-families: real)
+    one bracket call, about chunk * 2 n_eig * N^2 complex (so-families: real)
     numbers, stay within a byte budget.  Returns (..., dim, *value_shape).
     """
     pts = flow_points(case, g, h)
@@ -376,15 +374,15 @@ def jacobi_residual(pair, triples):
     zs = [z for _, _, z in cyclic]
 
     def entries(gs, ms):
-        # the needed rows K[needed] = A[needed] K0 A^T per flow point, so
-        # only that block of P0 is formed, and only the bracketed pairs
-        # {F_x, F_y} are differentiated
-        a = _adjoint(case, gs)
-        k_rows = a[:, needed] @ case.k0 @ np.swapaxes(a, -1, -2)
-        # K[:, needed] = -K[needed]^T, as K is antisymmetric
-        p0 = _bruhat(case, a, k_rows, -np.swapaxes(k_rows, -1, -2))
-        return np.stack([k_rows[:, :, needed][:, rows, cols],
-                         p0[:, rows, cols]], axis=1)
+        # T per flow point gives N_r, and its needed rows T_n the blocks
+        # T_n K_T T_n^T of K and T_n (N_r K_T) T_n^T of P0; only the
+        # bracketed pairs {F_x, F_y} are differentiated
+        t = _tangent(case, gs)
+        t_n = t[:, needed]
+        t_nt = np.swapaxes(t_n, -1, -2)
+        k = t_n @ case.k_t @ t_nt
+        p0 = t_n @ (_restricted(case, t) @ case.k_t) @ t_nt
+        return np.stack([k[:, rows, cols], p0[:, rows, cols]], axis=1)
 
     dk, d0 = np.moveaxis(
         directional_derivatives(case, pair.point.g, entries), -2, 0)
@@ -408,18 +406,16 @@ def traces_of_powers(case, g, k_max):
     (..., N, N) -> (..., k_max), in the tangent frame.
 
     Tr N^k is the trace of the pencil's own N_r = K_T (J_T - T^T J T)
-    (nijenhuis_restricted), 2 n_eig square, with T = A T0 read from g
-    without A: T^T is _adjoint at g^dag with Case.tangent_side as its
-    side.  No certificate is needed per point: the flow points are
+    (nijenhuis_restricted), 2 n_eig square, with T read from g by
+    _tangent.  No certificate is needed per point: the flow points are
     unitary, and the build_pair of the pair that lenard_check takes
-    certifies A at the base point.
+    certifies T at the base point.
 
     Only the powers M^j, M = N_r, up to i = ceil(k_max / 2) are formed,
     half the dense products; each higher trace Tr M^(i+j) = sum M^j o
     (M^i)^T is one dot product of M^j with the transposed top power.
     """
-    tt = _adjoint(case, _dagger(np.asarray(g)), case.tangent_side)
-    nr = _restricted(case, np.swapaxes(tt, -1, -2))
+    nr = _restricted(case, _tangent(case, g))
     pows = [nr]
     for _ in range(1, (k_max + 1) // 2):
         pows.append(pows[-1] @ nr)

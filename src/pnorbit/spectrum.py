@@ -114,7 +114,8 @@ def chain_batch(case, ms):
     aiii and ci read minors of m itself (ci's V+ compression is its leading
     block); diii first compresses each point to V+ from the blocks of m.
     GT cases give {"kind": "gt", "rows": [(S, nb - r) ascending
-    spectra]}; bdi gives {"kind": "ab", "a": (S, n_a), "b": (S, n_b)}.
+    spectra]}, aiii's row 0 (eig m, which no reader takes) the exact top
+    row; bdi gives {"kind": "ab", "a": (S, n_a), "b": (S, n_b)}.
     """
     ms = np.asarray(ms)
     if case.tag in GT_TAGS:
@@ -127,7 +128,11 @@ def chain_batch(case, ms):
         else:
             b0 = ms[:, :n, :n]      # aiii: all of m; ci: W+ = (1; 0)
         nb = b0.shape[1]
-        rows = [np.linalg.eigvalsh(-1j * b0[:, : nb - r, : nb - r]) for r in range(nb)]
+        top = case.tag == "aiii"
+        rows = [np.linalg.eigvalsh(-1j * b0[:, : nb - r, : nb - r])
+                for r in range(top, nb)]
+        if top:
+            rows.insert(0, np.broadcast_to(top_row_constants(case), (len(ms), nb)))
         return {"kind": "gt", "rows": rows}
     if np.abs(ms.imag).max(initial=0.0) > 1e-9:
         raise ConventionError("bdi moment matrix must be real")
@@ -257,8 +262,6 @@ def batch_margins(case, batch):
     """
     if batch["kind"] == "gt":
         rows = batch["rows"]
-        if case.tag == "aiii":
-            rows = [np.broadcast_to(top_row_constants(case), rows[0].shape)] + rows[1:]
         worst = np.full(rows[0].shape[0], -np.inf)
         for parent, child in zip(rows[:-1], rows[1:]):
             worst = np.maximum(worst, gt_interlace_check(parent, child)[1])

@@ -23,11 +23,15 @@ Frobenius norm: a_k from the top eigenvalue of B^T B per block B.
 definition, (T^T P0 T)(T^T PK T)^-1 on the tangent basis T, which the
 base-frame form in the library must match to round-off.
 
-`traces_of_powers_ambient` is the Lenard trace route as it stood before
-the tangent frame: Tr (K D)^k = Tr (K0 (J - A^T J A))^k in the ambient
-dim x dim frame.  `jacobi_residual_per_t` is the fd Jacobi residual as it
-stood before one flow served every t: one flow of the entries of P0 + t K
-(or of K alone at t = 'kks') per call.  The library routes must match both.
+`brackets_by_adjoint` is the bracket pair as it stood before the tangent
+frame: PK = A K0 A^T, P0 = K (A J A^T - J) K and T = A T0 from the dim x dim
+A = Ad_{g^-1}; `jacobi_entries_by_adjoint` reads the Jacobi flow's
+bracketed K and P0 entries the same way.  `traces_of_powers_ambient` is
+the Lenard trace route as it stood before the tangent frame:
+Tr (K D)^k = Tr (K0 (J - A^T J A))^k in the ambient dim x dim frame.
+`jacobi_residual_per_t` is the fd Jacobi residual as it stood before one
+flow served every t: one flow of the tangent-frame entries of P0 + t K (or
+of K alone at t = 'kks') per call.  The library routes must match them.
 
 The checked algebra maps J, C_pm, the Iwasawa split of g_C = g (+) b_pm and
 the Manin pairing Im Tr are the spec-level forms of the conventions that
@@ -42,7 +46,8 @@ import numpy as np
 
 from pnorbit.errors import ConventionError
 from pnorbit.numkernel import expm_antihermitian
-from pnorbit.poisson import _adjoint, _bruhat, directional_derivatives
+from pnorbit.poisson import (_adjoint, _restricted, _tangent,
+                             directional_derivatives)
 from pnorbit.spectrum import GT_TAGS, _layout
 
 
@@ -99,6 +104,39 @@ def nijenhuis_restricted_inverse(pair):
     return (tt @ pair.p0 @ t) @ np.linalg.inv(tt @ pair.pk @ t)
 
 
+def brackets_by_adjoint(case, g):
+    """(PK, P0, T) at g (stacks allowed) from A = Ad_{g^-1}: A K0 A^T,
+    K D K with D = A J A^T - J, and A T0."""
+    a = _adjoint(case, np.asarray(g))
+    at, jmat = np.swapaxes(a, -1, -2), case.alg.jmat
+    k = a @ case.k0 @ at
+    return k, k @ (a @ jmat @ at - jmat) @ k, a @ case.tangent
+
+
+def _cyclic(triples):
+    """The cyclic (x, y, z) of each triple, the sorted coordinates they
+    read, and the block positions (rows, cols) of the brackets {F_x, F_y}."""
+    cyclic = [xyz for (a, b, c) in triples
+              for xyz in ((a, b, c), (b, c, a), (c, a, b))]
+    needed = sorted({i for tr in triples for i in tr})
+    pos = {i: j for j, i in enumerate(needed)}
+    return (cyclic, needed, [pos[x] for x, _, _ in cyclic],
+            [pos[y] for _, y, _ in cyclic])
+
+
+def jacobi_entries_by_adjoint(case, gs, triples):
+    """The bracketed entries (S, 2, 3 len(triples)) of K and P0 that
+    jacobi_residual differentiates, at the points gs (S, N, N), from A."""
+    _, needed, rows, cols = _cyclic(triples)
+    a = _adjoint(case, gs)
+    at, jmat = np.swapaxes(a, -1, -2), case.alg.jmat
+    k_rows = a[:, needed] @ case.k0 @ at
+    # K[:, needed] = -K[needed]^T, as K is antisymmetric
+    p0 = k_rows @ (a @ jmat @ at - jmat) @ -np.swapaxes(k_rows, -1, -2)
+    return np.stack([k_rows[:, :, needed][:, rows, cols],
+                     p0[:, rows, cols]], axis=1)
+
+
 def traces_of_powers_ambient(case, g, k_max):
     """(1/k) Tr (K0 (J - A^T J A))^k for k = 1..k_max (stacks allowed)."""
     a = _adjoint(case, np.asarray(g))
@@ -115,19 +153,15 @@ def jacobi_residual_per_t(pair, t, triples):
     """max |{{F_a,F_b},F_c} + cyclic| under pi_t (t = 'kks': KKS alone),
     from one fd flow of the bracketed entries of pi_t."""
     case = pair.case
-    cyclic = [xyz for (a, b, c) in triples
-              for xyz in ((a, b, c), (b, c, a), (c, a, b))]
-    needed = sorted({i for tr in triples for i in tr})
-    pos = {i: j for j, i in enumerate(needed)}
-    rows = [pos[x] for x, _, _ in cyclic]
-    cols = [pos[y] for _, y, _ in cyclic]
+    cyclic, needed, rows, cols = _cyclic(triples)
 
     def entries(gs, ms):
-        a = _adjoint(case, gs)
-        k_rows = a[:, needed] @ case.k0 @ np.swapaxes(a, -1, -2)
-        pt = k_rows[:, :, needed]
+        frame = _tangent(case, gs)
+        t_n = frame[:, needed]
+        t_nt = np.swapaxes(t_n, -1, -2)
+        pt = t_n @ case.k_t @ t_nt
         if t != "kks":
-            pt = _bruhat(case, a, k_rows, -np.swapaxes(k_rows, -1, -2)) + t * pt
+            pt = t_n @ (_restricted(case, frame) @ case.k_t) @ t_nt + t * pt
         return pt[:, rows, cols]
 
     dvec = directional_derivatives(case, pair.point.g, entries)

@@ -12,8 +12,8 @@ from pnorbit import (ConventionError, NumericalError, build_case, build_pair,
                      nijenhuis_apply, nijenhuis_formula, pencil_spectrum,
                      poisson)
 from pnorbit.hermsym import (CSTRUCT_TOL, OrbitPoint, _finish_case,
-                             batch_points, parse_case, random_point,
-                             stabilizer_elements)
+                             batch_points, conjugate_rho, parse_case,
+                             random_point, stabilizer_elements)
 from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
 from pnorbit.poisson import (chain_gradient, connection_check,
                              directional_derivatives, flow_points,
@@ -22,7 +22,8 @@ from pnorbit.poisson import (chain_gradient, connection_check,
                              pencil_eigenvalues, traces_of_powers)
 from pnorbit.spectrum import chain_free_vector
 
-from helpers import (cartan_element, jacobi_residual_per_t,
+from helpers import (brackets_by_adjoint, cartan_element,
+                     jacobi_entries_by_adjoint, jacobi_residual_per_t,
                      nijenhuis_restricted_inverse, traces_of_powers_ambient)
 
 
@@ -149,12 +150,56 @@ def test_traces_of_powers_stack_matches_pair_route(all_cases):
 
 def test_tangent_side_reads_the_pair_tangent(all_cases):
     # T^T is the adjoint kernel at g^dag with the tangent basis as its
-    # side: the pair's A T0 to round-off, without forming A
+    # side: A T0 to round-off, without forming A
     for case in all_cases + [build_case("diii", n=6)]:
         gs, _ = batch_points(case, 37, 0, 4)
         tt = poisson._adjoint(case, poisson._dagger(gs), case.tangent_side)
-        want = build_pair(case, gs).tangent
+        want = poisson._adjoint(case, gs) @ case.tangent
         assert np.abs(np.swapaxes(tt, -1, -2) - want).max() <= 1e-14, case.name
+        assert np.array_equal(build_pair(case, gs).tangent,
+                              np.swapaxes(tt, -1, -2)), case.name
+
+
+def test_pair_matches_adjoint_route(all_cases):
+    # the pair's brackets from T alone, PK = T K_T T^T and
+    # P0 = T (N_r K_T) T^T, against A K0 A^T, K D K and A T0 from the
+    # dim x dim A, at the identity coset and at samples, alone and stacked
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, _ = batch_points(case, 59, 0, 4)
+        gs = np.concatenate([np.eye(case.alg.size, dtype=gs.dtype)[None], gs])
+        for g in (gs[0], gs[1], gs):
+            pair = build_pair(case, g)
+            for name, want in zip(("pk", "p0", "tangent"),
+                                  brackets_by_adjoint(case, g)):
+                got = getattr(pair, name)
+                scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
+                err = np.abs(got - want).max(axis=(-2, -1))
+                assert (err <= 1e-13 * scale).all(), (case.name, name)
+
+
+def test_bracket_layer_reads_only_the_tangent_side(all_cases, monkeypatch):
+    # the pair, the pencil and the fd flows read the tangent frame alone:
+    # every adjoint kernel they call has Case.tangent_side as its side.
+    # Only bruhat_matrix, the independent per-point route, forms A
+    sides = []
+    adjoint = poisson._adjoint
+
+    def recorded(case, g, side=None):
+        sides.append(side is case.tangent_side)
+        return adjoint(case, g, side)
+
+    monkeypatch.setattr(poisson, "_adjoint", recorded)
+    for case in all_cases:
+        gs, _ = batch_points(case, 61, 0, 2)
+        pair = build_pair(case, gs)
+        pencil_spectrum(pair)
+        lenard_check(pair, case.n_eig)
+        jacobi_residual(pair, [(0, 1, 2), (case.alg.dim - 1, 0, 1)])
+        assert sides and all(sides), case.name
+        sides.clear()
+        bruhat_matrix(case, gs)
+        assert sides == [False], case.name
+        sides.clear()
 
 
 @pytest.mark.parametrize("descriptor,several", [("aiii:k=2,n=4", False),
@@ -254,7 +299,8 @@ def test_bracket_layer_takes_no_svd(gr24, monkeypatch):
 
 def test_bracket_layer_matches_per_point_route(all_cases):
     # build_pair and traces_of_powers carry K0 and T0 over from rho by
-    # A = Ad_{g^-1}; the per-point route takes kks_raw(m) and its own SVD.
+    # the tangent frame T; the per-point route takes kks_raw(m) and its
+    # own SVD.
     # K0's singular values, all 1 on the tangent space, are the oracle for
     # K^+ = -K
     for case in all_cases + [build_case("diii", n=6)]:
@@ -317,7 +363,7 @@ def pair_row(pair, i):
     """Row i of a stacked BracketPair, as a pair of one point."""
     pt = pair.point
     return replace(pair, point=OrbitPoint(pt.case, pt.g[i], pt.m[i]),
-                   a=pair.a[i])
+                   tangent=pair.tangent[i])
 
 
 def test_stacked_pencil_matches_batch_of_one(all_cases):
@@ -408,7 +454,7 @@ def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
                 n_r = n_r.copy()
                 n_r[3] = bad
                 return n_r
-            return bad if np.array_equal(p.a, pair.a[3]) else n_r
+            return bad if np.array_equal(p.tangent, pair.tangent[3]) else n_r
 
         with monkeypatch.context() as mp:
             mp.setattr(poisson, "nijenhuis_restricted", broken)
@@ -594,6 +640,30 @@ def test_jacobi_residual_takes_one_flow(all_cases, monkeypatch):
         assert res["kks"] == jacobi_residual_per_t(pair, "kks", triples)
         assert res["t0"] == jacobi_residual_per_t(pair, 0.0, triples)
         assert abs(res["t1"] - jacobi_residual_per_t(pair, 1.0, triples)) <= 1e-9
+
+
+def test_jacobi_flow_blocks_match_adjoint_route(all_cases, monkeypatch):
+    # at every flow point, the differentiated K and P0 entries from the
+    # tangent frame equal the entries of A K0 A^T and K D K
+    rng = np.random.default_rng(17)
+    for case in all_cases + [build_case("diii", n=6)]:
+        g = random_point(case, 97).g
+        triples = [tuple(rng.choice(case.alg.dim, 3, replace=False))
+                   for _ in range(5)]
+        seen = []
+
+        def captured(case_, g_, funcs, *args, **kwargs):
+            seen.append(funcs)
+            return directional_derivatives(case_, g_, funcs, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(poisson, "directional_derivatives", captured)
+            jacobi_residual(build_pair(case, g), triples)
+        gs = flow_points(case, g).reshape((-1,) + g.shape)
+        got = seen[0](gs, conjugate_rho(case, gs))
+        want = jacobi_entries_by_adjoint(case, gs, triples)
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= 1e-13 * scale, case.name
 
 
 def test_lenard_gr12_and_sp2(sp2):

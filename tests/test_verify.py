@@ -113,8 +113,8 @@ def test_run_suite_passes_and_schema(gr12):
 
 
 def test_run_suite_takes_one_pair_per_stack(monkeypatch):
-    # the fd checks take stacked pairs: at aiii:k=2,n=4 (34 points per
-    # stack) one pair at the identity, 3 sample stacks, 2 stacks of the 50
+    # the fd checks take stacked pairs: at aiii:k=2,n=4 (64 points per
+    # stack) one pair at the identity, 2 sample stacks, 1 stack of the 50
     # gap-regular points, one Lenard stack of 3 and one Jacobi pair; one
     # chain flow per involution stack (N^* d(lambda) reuses it), one Lenard
     # flow and one Jacobi flow
@@ -266,6 +266,15 @@ def test_diii_normalization_matches_pointwise_loop():
     out = measure_diii_normalization(n=3, samples=450, seed=31)
     assert abs(out["min"] - min(lam.min() for lam in lams)) <= 1e-13
     assert abs(out["max"] - max(lam.max() for lam in lams)) <= 1e-13
+
+
+def test_diii_normalization_independent_of_stack_chunk(monkeypatch):
+    # every sample's pencil is its own: one point per stack gives the
+    # same min and max, bit for bit
+    want = measure_diii_normalization(n=3, samples=400, seed=3)
+    monkeypatch.setattr(poisson, "stack_chunk", lambda case: 1)
+    got = measure_diii_normalization(n=3, samples=400, seed=3)
+    assert (got["min"], got["max"]) == (want["min"], want["max"])
 
 
 @pytest.mark.parametrize("samples", [0, -5])
