@@ -36,7 +36,6 @@ class Case:
     alg: liealg.LieAlgebra
     rho: np.ndarray
     r_plus: complex
-    r_minus: complex
     w_plus: np.ndarray
     w_minus: np.ndarray
     dim_m: int
@@ -100,9 +99,8 @@ def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
     tangent_side = alg.side_by_side(alg.from_coefficients(tangent.T))
     for arr in (k0, k_t, j_t, tangent_side):
         arr.flags.writeable = False
-    return Case(tag, params, name, alg, rho, r_plus, r_plus - 1j,
-                w_plus, w_minus, dim_m, dim_m // 2, stab, tangent,
-                k0, k_t, j_t, tangent_side, plan)
+    return Case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, dim_m,
+                dim_m // 2, stab, tangent, k0, k_t, j_t, tangent_side, plan)
 
 
 def build_case(tag, **params):

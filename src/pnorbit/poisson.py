@@ -41,11 +41,11 @@ K0 = T0 K_T T0^T; with A^T T = T0,
 
 where N_r = K_T (J_T - T^T J T) is the restricted Nijenhuis matrix: as
 T^T PK T = K_T and T^T P0 T = N_r K_T, N_r = (T^T P0 T)(T^T PK T)^-1, and
-the pencil reads it without P0, K or an inverse (the r-matrix form of
-Lu-Weinstein).  T itself needs no A: T[a, j] is the coefficient of
-g Y_j g^-1 on X_a, for the tangent basis Y_j = sum_b T0[b, j] X_b of
-Case.tangent_side, so T^T is the adjoint kernel at g^dag with the Y_j as
-its side (`_tangent`), a 2 n_eig x dim read in place of the dim x dim A.
+the pencil reads it without P0, K or an inverse.  T itself needs no A:
+T[a, j] is the coefficient of g Y_j g^-1 on X_a, for the tangent basis
+Y_j = sum_b T0[b, j] X_b of Case.tangent_side, so T^T is the adjoint
+kernel at g^dag with the Y_j as its side (`_tangent`), a 2 n_eig x dim
+read in place of the dim x dim A.
 
 Everything per point therefore follows from T and the case's base data,
 all from the one ad_rho of hermsym._finish_case: Case.k0 = K0 = -ad_rho,
@@ -57,28 +57,35 @@ K_T^2 = -1.  A case is certified when it is built,
 max|K0^2 + T0 T0^T| <= hermsym.CSTRUCT_TOL (measured <= 9e-16 up to
 aiii:k=5,n=10, diii:n=8 and bdi:m=13), and `build_pair` certifies T: a
 point with max|T^T T - 1| > ORTHO_TOL raises.  With T^T T = 1,
-K = T K_T T^T has K^2 = -T T^T, hence K^+ = -K and the KKS inverse in
-N = P0 PK^+ is -PK.
+K = T K_T T^T has K^2 = -T T^T, hence K^+ = -K.
+
+So a `BracketPair` is T and N_r, and no reader forms a dim x dim bracket
+(the r-matrix form of Lu-Weinstein and Kosmann-Schwarzbach-Magri).  A
+function with flow derivatives dvec has gradient coefficients c = K dvec,
+and with w = T^T dvec and K_T^2 = -1 every bracket of P0 + t PK is
+
+    {f, g}_t = c_f^T (P0 + t PK) c_g = w_f^T K_T (N_r + t) w_g.
+
+N = P0 PK^+ = -P0 PK acts on coefficient columns as T N_r T^T (in closed
+form N v = [-J(v), m] + v), and so does N^* on flow derivatives.
 
 Real forms.  For the so-families (diii, bdi) rho and the sampled g and m
 are real (hermsym), and so are the flow points of a real g.  A real g
 meets the real `side` of the algebra and the real-part rows of its
 coefficient map (LieAlgebra.native, real_coefficients), so T, and with it
-K, P0, `traces_of_powers` and the Jacobi flows, is formed by real GEMMs
+N_r, `traces_of_powers` and the Jacobi flows, is formed by real GEMMs
 alone.  aiii and ci keep complex g, and a complex g of an so-family takes
 the complex route to the same T up to round-off.  J is formed once per
 algebra (liealg), the same for either route.
 
-`kks_raw` (K = -ad_m) and `bruhat_matrix` take leading stack axes;
-`bruhat_matrix` is the independent per-point route, `kks_raw(m)` and the
-full dim x dim A, that the coset check and the oracle tests compare with
-the pair's brackets.  N acts on tangent coefficients as P0 . PK^+ =
--P0 . PK, and in closed form as N v = [-J(v), m] + v; the same -P0 . PK is
-N^* on flow derivatives.
+`kks_raw` (K = -ad_m) and `bruhat_matrix` take leading stack axes and are
+the only dense dim x dim brackets: the independent per-point route (with
+the full A) that calibration, the coset check and the oracle tests
+compare with the pair.
 
 Stack contract, one for the whole module: `build_pair` takes one g
-(N, N) or a stack (..., N, N), every `BracketPair` array then carries the
-same leading axes, and every function that takes a pair takes it stacked,
+(N, N) or a stack (..., N, N), the pair's T and N_r then carry the same
+leading axes, and every function that takes a pair takes it stacked,
 with vectors and flow derivatives carrying the same axes (`nijenhuis_apply`
 and `connection_check` broadcast more leading axes of v).  A single point
 is a batch of one through the same code.  Checks run per row with the
@@ -154,22 +161,25 @@ def _tangent(case, g):
 def bruhat_matrix(case, g):
     """The Bruhat-Poisson matrix K (A J A^T - J) K at the coset of g, with
     K = kks_raw(case, g rho g^dag) and the full A = Ad_{g^-1}: the
-    per-point route, independent of the pair's tangent frame; g may be a
-    stack (..., N, N)."""
-    g = np.asarray(g)
-    k = kks_raw(case, conjugate_rho(case, g))
-    a, jmat = _adjoint(case, g), case.alg.jmat
-    return k @ (a @ jmat @ np.swapaxes(a, -1, -2) - jmat) @ k
+    per-point route, independent of the pair's tangent frame.  g may be a
+    stack (..., N, N), taken in chunks of _budget_points(case, dim)."""
+    lead, step = np.shape(g)[:-2], _budget_points(case, case.alg.dim)
+    flat, jmat = np.reshape(g, (-1,) + np.shape(g)[-2:]), case.alg.jmat
+    parts = []
+    for i in range(0, len(flat), step):
+        k = kks_raw(case, conjugate_rho(case, flat[i:i + step]))
+        a = _adjoint(case, flat[i:i + step])
+        parts.append(k @ (a @ jmat @ np.swapaxes(a, -1, -2) - jmat) @ k)
+    return np.concatenate(parts).reshape(lead + jmat.shape)
 
 
 @dataclass
 class BracketPair:
-    """Both Poisson matrices at one orbit point or a stack of them.  The
-    pair holds the point and its tangent frame T = A T0; each bracket
-    array is formed from T and the case's base data on its first read
-    and cached, with the stack's leading axes.  A reader pays only for
-    what it reads: the pencil needs T alone (nijenhuis_restricted).
-    Readers of PK^+ use -PK."""
+    """Both Poisson brackets at one orbit point or a stack of them, in the
+    tangent frame: the point, its frame T = A T0 and, formed on first read
+    and cached, nr = N_r = K_T (J_T - T^T J T), with the stack's leading
+    axes.  Every bracket reads T and N_r: with w = T^T dvec,
+    {f, g}_t = w_f^T K_T (N_r + t) w_g (see the module docstring)."""
 
     point: object                         # hermsym.OrbitPoint
     tangent: np.ndarray = field(repr=False)   # (..., dim, 2 n_eig), orthonormal
@@ -179,15 +189,9 @@ class BracketPair:
         return self.point.case
 
     @cached_property
-    def pk(self):
-        """PK = K = T K_T T^T."""
-        return self.tangent @ self.case.k_t @ np.swapaxes(self.tangent, -1, -2)
-
-    @cached_property
-    def p0(self):
-        """P0 = K D K = T (N_r K_T) T^T."""
-        n_k = _restricted(self.case, self.tangent) @ self.case.k_t
-        return self.tangent @ n_k @ np.swapaxes(self.tangent, -1, -2)
+    def nr(self):
+        """(..., 2 n_eig, 2 n_eig) N_r, the matrix of N = P0 PK^+ on T."""
+        return _restricted(self.case, self.tangent)
 
 
 def build_pair(case, g, *, m=None):
@@ -195,11 +199,10 @@ def build_pair(case, g, *, m=None):
 
     Takes the tangent frame T and the moment m = g rho g^dag (the caller's
     m if given, such as the one hermsym.batch_points returns with g: the
-    same product, so the pair is unchanged); the bracket arrays follow
-    from T and the case's certified base data when read (see the module
-    docstring), and no matrix is decomposed.  The rank of K is certified
-    through T: a row with max|T^T T - 1| > ORTHO_TOL raises.  P0 needs no
-    check: T (N_r K_T) T^T maps into range(PK) by construction.
+    same product, so the pair is unchanged); N_r follows from T and the
+    case's certified base data when read (see the module docstring), and
+    no matrix is decomposed.  The rank of K is certified through T: a row
+    with max|T^T T - 1| > ORTHO_TOL raises.
     """
     g = np.asarray(g)
     t = _tangent(case, g)
@@ -219,15 +222,15 @@ def build_pair(case, g, *, m=None):
 # ---------------------------------------------------------------------------
 
 def _nijenhuis_cols(pair, cols):
-    """-P0 (PK cols): N = P0 PK^+ on tangent coefficient columns, and N^*
-    on flow-derivative columns, B^T for B = K^+ P0 PK^+ K = -PK P0
-    (K^+ = -K, K^2 = -T T^T, P0 T T^T = P0; PK, P0 antisymmetric)."""
-    return -(pair.p0 @ (pair.pk @ cols))
+    """T N_r T^T cols: N = P0 PK^+ = -P0 PK on tangent coefficient columns,
+    and N^* on flow-derivative columns, B^T for B = K^+ P0 PK^+ K = -PK P0
+    (PK, P0 antisymmetric); -P0 PK = T N_r K_T^2 T^T = T N_r T^T."""
+    tan = pair.tangent
+    return tan @ (pair.nr @ (np.swapaxes(tan, -1, -2) @ cols))
 
 
 def nijenhuis_apply(pair, v, check=True):
-    """Pencil route: N v with t(Nv) = P0 PK^+ t(v) = -P0 PK t(v); v must be
-    tangent.
+    """Pencil route: N v with t(Nv) = T N_r T^T t(v); v must be tangent.
 
     v is one matrix per row of the pair, (..., N, N).
     """
@@ -253,17 +256,10 @@ def _restricted(case, t):
     return case.k_t @ (case.j_t - tjt)
 
 
-def nijenhuis_restricted(pair):
-    """Matrix of N = P0 PK^-1 on the tangent basis (..., 2 n_eig, 2 n_eig):
-    K_T (J_T - T^T J T), from the tangent T and the case's base data (see
-    the module docstring)."""
-    return _restricted(pair.case, pair.tangent)
-
-
 def pencil_eigenvalues(pair):
-    """All 2 n_eig eigenvalues of the tangent-restricted N, sorted real
-    parts (..., 2 n_eig), and the largest imaginary part per row (...)."""
-    ev = np.linalg.eigvals(nijenhuis_restricted(pair))
+    """All 2 n_eig eigenvalues of the tangent-restricted N (pair.nr), sorted
+    real parts (..., 2 n_eig), and the largest imaginary part per row (...)."""
+    ev = np.linalg.eigvals(pair.nr)
     scale = np.maximum(1.0, np.abs(ev).max(axis=-1))
     im = np.abs(ev.imag).max(axis=-1)
     if (im > IMAG_TOL * scale).any():
@@ -304,17 +300,22 @@ def flow_points(case, g, h=DEFAULT_FD_STEP):
 
 
 # Byte budget for the largest per-point intermediates of a stacked bracket
-# call, the tangent reader's two (chunk, 2 n_eig, N, N) side products,
-# counted as complex (the so-families' real ones take half): both fit in it
-# at stack_chunk points; an fd flow call has twice as many points (both
-# signs of stack_chunk directions), so there each product alone fits in it.
+# call, the adjoint kernel's two (chunk, rows, N, N) side products, counted
+# as complex (so-families: real, half): rows = 2 n_eig for the tangent
+# reader (stack_chunk), dim for bruhat_matrix's A.  An fd flow call has
+# twice the points (both signs), so there each product alone fits in it.
 _FLOW_CHUNK_BYTES = 1 << 18
 
 
+def _budget_points(case, rows):
+    """Points (at least 1) whose two (rows, N, N) side products fit the
+    byte budget."""
+    return max(1, _FLOW_CHUNK_BYTES // (32 * rows * case.alg.size ** 2))
+
+
 def stack_chunk(case):
-    """Points per stacked bracket call (at least 1), from 2 n_eig N^2 and
-    the byte budget."""
-    return max(1, _FLOW_CHUNK_BYTES // (32 * case.dim_m * case.alg.size ** 2))
+    """Points per stacked bracket call, for the tangent reader's rows."""
+    return _budget_points(case, case.dim_m)
 
 
 def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
@@ -345,14 +346,15 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     return out.reshape(lead + out.shape[1:])
 
 
-def gradient_bracket(pair, dvecs, p):
-    """Pairwise brackets of functions given their flow-derivative vectors,
-    under the Poisson matrix p: pair.pk, pair.p0 or pair.p0 + t pair.pk.
-    df = sum_a c_a dF_a has flow derivatives dvec = K^T c = -K c, so
-    c = -K^+ dvec = K dvec (a kernel part is annihilated by both brackets).
-    """
-    c = pair.pk @ np.swapaxes(dvecs, -1, -2)       # (..., dim, nfuncs)
-    return np.swapaxes(c, -1, -2) @ p @ c
+def gradient_bracket(pair, dvecs):
+    """The KKS and Bruhat brackets of functions given their flow-derivative
+    vectors dvecs (..., nfuncs, dim): w^T K_T w and w^T K_T N_r w with
+    w = T^T dvec.  df = sum_a c_a dF_a has dvec = K^T c = -K c, so
+    c = K dvec (a kernel part is annihilated by both brackets), and
+    c^T PK c, c^T P0 c reduce to these by K_T^2 = -1 and T^T T = 1."""
+    w = dvecs @ pair.tangent                      # rows w^T, (..., nfuncs, 2 n_eig)
+    wk, wt = w @ pair.case.k_t, np.swapaxes(w, -1, -2)
+    return wk @ wt, wk @ (pair.nr @ wt)
 
 
 def jacobi_residual(pair, triples):
@@ -386,15 +388,21 @@ def jacobi_residual(pair, triples):
 
     dk, d0 = np.moveaxis(
         directional_derivatives(case, pair.point.g, entries), -2, 0)
+    # {{F_x, F_y}, F_z} = c^T pi[:, z] with c = K dvec = T u for the flow
+    # derivatives dvec of {F_x, F_y}, u = K_T T^T dvec, pi = T X K_T T^T
+    # (X = 1, N_r or N_r + 1): u^T X (K_T T[z]^T), column by column
+    tan = pair.tangent
+    kz = case.k_t @ np.swapaxes(tan[..., zs, :], -1, -2)
+    nkz = pair.nr @ kz
 
-    def residual(dvec, pt):
-        ch = pair.pk @ dvec      # c = -K^+ dvec, as in gradient_bracket
-        terms = (ch * pt[..., zs]).sum(axis=-2)
+    def residual(dvec, xkz):
+        u = case.k_t @ (np.swapaxes(tan, -1, -2) @ dvec)
+        terms = (u * xkz).sum(axis=-2)
         cyc = terms.reshape(terms.shape[:-1] + (-1, 3)).sum(axis=-1)
         return float(np.abs(cyc).max(initial=0.0))
 
-    return {"kks": residual(dk, pair.pk), "t0": residual(d0, pair.p0),
-            "t1": residual(d0 + dk, pair.p0 + pair.pk)}
+    return {"kks": residual(dk, kz), "t0": residual(d0, nkz),
+            "t1": residual(d0 + dk, nkz + kz)}
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +414,10 @@ def traces_of_powers(case, g, k_max):
     (..., N, N) -> (..., k_max), in the tangent frame.
 
     Tr N^k is the trace of the pencil's own N_r = K_T (J_T - T^T J T)
-    (nijenhuis_restricted), 2 n_eig square, with T read from g by
-    _tangent.  No certificate is needed per point: the flow points are
-    unitary, and the build_pair of the pair that lenard_check takes
-    certifies T at the base point.
+    (BracketPair.nr), 2 n_eig square, with T read from g by _tangent.  No
+    certificate is needed per point: the flow points are unitary, and the
+    build_pair of the pair that lenard_check takes certifies T at the base
+    point.
 
     Only the powers M^j, M = N_r, up to i = ceil(k_max / 2) are formed,
     half the dense products; each higher trace Tr M^(i+j) = sum M^j o
@@ -432,10 +440,9 @@ def lenard_check(pair, k_max):
     """Residuals of dI_{k+1} = N^* dI_k, plus the trace identity gap.
 
     dI_k are the fd flow derivatives of traces_of_powers, in the tangent
-    frame at every flow point; N^* acts on them through the pair's K and
-    P0.  Returns dict with per-step residuals (relative to the gradient
-    scale) and |Tr N - 2 sum(lambda)|, each the largest over a stacked
-    pair's points.
+    frame at every flow point; N^* acts on them as T N_r T^T.  Returns
+    dict with per-step residuals (relative to the gradient scale) and
+    |Tr N - 2 sum(lambda)|, each the largest over a stacked pair's points.
     """
     case = pair.case
     dvec = directional_derivatives(
@@ -445,7 +452,7 @@ def lenard_check(pair, k_max):
            / np.maximum(1.0, np.linalg.norm(lhs, axis=-2)))
     steps = res.max(axis=tuple(range(res.ndim - 1)))
     lam = pencil_spectrum(pair)
-    trace = np.trace(nijenhuis_restricted(pair), axis1=-2, axis2=-1)
+    trace = np.trace(pair.nr, axis1=-2, axis2=-1)
     return {"steps": steps.tolist(), "max": float(steps.max(initial=0.0)),
             "trace_gap": float(np.abs(trace - 2 * lam.sum(axis=-1)).max())}
 

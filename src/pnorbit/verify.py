@@ -122,33 +122,28 @@ def _nijenhuis_routes(pair, x):
 
 def _calibration_residuals(case, points):
     """{(s_K, s_0): worst of (hamiltonian-convention fd gap, formula-vs-
-    pencil gap)} for the four sign pairs, from one pair per point.
+    pencil gap)} for the four sign pairs, over the stack of points.
 
-    The fd gap of s_K is |dmat + s_K K|; the pencil -P0 PK at (s_K, s_0)
-    is -s_0 s_K times the pencil at the convention, an exact sign flip.
+    The fd gap of s_K is |dmat + s_K K| per point, relative to the point's
+    max|K|, with K = kks_raw(m); the pencil P0 PK^+ at (s_K, s_0) is
+    -s_0 s_K times the pencil at the convention, an exact sign flip.
     """
-    signs = [(s_k, s_0) for s_k in (1, -1) for s_0 in (1, -1)]
-    worst = dict.fromkeys(signs, 0.0)
-    for g in points:
-        pair = poisson.build_pair(case, g)
-        k = pair.pk
-        scale = max(1.0, np.abs(k).max())
-        # fd flow derivatives of all coordinates along all flows
-        dmat = poisson.directional_derivatives(
-            case, g, lambda gs, ms: case.alg.real_coefficients(ms))
-        fd_gap = {s_k: np.abs(dmat + s_k * k).max() / scale for s_k in (1, -1)}
-        pencil_gap = dict.fromkeys((1, -1), 0.0)
-        rng = np.random.default_rng(17)
-        for _ in range(3):
-            x = case.alg.from_coefficients(rng.standard_normal(case.alg.dim))
-            _, n_pencil, n_formula = _nijenhuis_routes(pair, x)
-            for flip in pencil_gap:
-                pencil_gap[flip] = max(pencil_gap[flip],
-                                       np.abs(flip * n_pencil - n_formula).max())
-        for s_k, s_0 in signs:
-            worst[s_k, s_0] = max(worst[s_k, s_0], fd_gap[s_k],
-                                  pencil_gap[-s_0 * s_k])
-    return worst
+    pair = poisson.build_pair(case, points)
+    k = poisson.kks_raw(case, pair.point.m)
+    scale = np.maximum(1.0, np.abs(k).max(axis=(-2, -1)))
+    # fd flow derivatives of all coordinates along all flows
+    dmat = poisson.directional_derivatives(
+        case, points, lambda gs, ms: case.alg.real_coefficients(ms))
+    fd_gap = {s_k: (np.abs(dmat + s_k * k).max(axis=(-2, -1)) / scale).max()
+              for s_k in (1, -1)}
+    # the same three directions (axis 0) at every point
+    rng = np.random.default_rng(17)
+    x = case.alg.from_coefficients(rng.standard_normal((3, 1, case.alg.dim)))
+    _, n_pencil, n_formula = _nijenhuis_routes(pair, x)
+    pencil_gap = {flip: np.abs(flip * n_pencil - n_formula).max()
+                  for flip in (1, -1)}
+    return {(s_k, s_0): max(fd_gap[s_k], pencil_gap[-s_0 * s_k])
+            for s_k in (1, -1) for s_0 in (1, -1)}
 
 
 @lru_cache(maxsize=None)
@@ -207,12 +202,10 @@ def _involution_residuals(pair, dvec):
     """Largest off-diagonal bracket of the free chain eigenvalues under
     each bracket, over a stacked pair's points, from
     dvec = poisson.chain_gradient(pair)."""
-    res = {}
     diag = np.eye(dvec.shape[-1], dtype=bool)
-    for which, p in (("kks", pair.pk), ("bruhat", pair.p0)):
-        br = poisson.gradient_bracket(pair, np.swapaxes(dvec, -1, -2), p)
-        res[which] = np.abs(np.where(diag, 0.0, br)).max()
-    return res
+    brackets = poisson.gradient_bracket(pair, np.swapaxes(dvec, -1, -2))
+    return {which: np.abs(np.where(diag, 0.0, br)).max()
+            for which, br in zip(("kks", "bruhat"), brackets)}
 
 
 def _spin_checks(case, checks, tols, m_batch, chain, seed):
@@ -317,30 +310,29 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     spec_res = np.abs(np.linalg.eigvalsh(-1j * m_batch) - rho_spec).max()
     _check(checks, tols, "spectrum_preserved", spec_res)
 
-    # identity coset: P0 = 0, chain eigenvalues 0, pencil eigenvalues 0
+    # identity coset: N_r = 0 (so P0 = 0), chain and pencil eigenvalues 0
     pair0 = poisson.build_pair(case, np.eye(case.alg.size, dtype=complex))
-    res = np.abs(pair0.p0).max()
+    res = np.abs(pair0.nr).max()
     res = max(res, np.abs(spectrum.chain_free_vector(case, case.rho)).max())
     res = max(res, np.abs(poisson.pencil_eigenvalues(pair0)[0]).max())
     _check(checks, tols, "identity_coset_zero", res)
 
     # coset invariance of P0 and the moment map: the first n_co points, each
-    # with 4 stabilizer moves (index 4 i + j), in stacks of stack_chunk points
-    step = poisson.stack_chunk(case)
+    # with 4 stabilizer moves (index 4 i + j), on the dense per-point route
     n_co = min(5, n_samples)
     hs = hermsym.stabilizer_elements(case, seed ^ 0xC05E7, 0, 4 * n_co)
     gh = g_batch[:n_co, None] @ hs.reshape((n_co, 4) + hs.shape[1:])
     m_moved = hermsym.conjugate_rho(case, gh)
     res = np.abs(m_batch[:n_co, None] - m_moved).max()
-    gs = np.concatenate([g_batch[:n_co, None], gh], axis=1).reshape(
-        (-1,) + case.rho.shape)
-    p0 = np.concatenate([poisson.bruhat_matrix(case, gs[a:a + step])
-                         for a in range(0, len(gs), step)]).reshape(n_co, 5, -1)
+    gs = np.concatenate([g_batch[:n_co, None], gh], axis=1)
+    p0 = poisson.bruhat_matrix(case, gs).reshape(n_co, 5, -1)
     scale = np.maximum(1.0, np.abs(p0[:, :1]).max(axis=-1))
     res = max(res, (np.abs(p0[:, 1:] - p0[:, :1]).max(axis=-1) / scale).max())
     _check(checks, tols, "coset_invariance", res)
 
-    # per-sample pencil machinery, along five basis directions (axis 0)
+    # per-sample pencil machinery, in stacks of stack_chunk points, along
+    # five basis directions (axis 0)
+    step = poisson.stack_chunk(case)
     res_master, res_blocks = 0.0, 0.0
     res_pair, res_imag = 0.0, 0.0
     blocks_skipped = 0

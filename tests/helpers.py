@@ -19,6 +19,9 @@ The library's gammas and word list must equal it bit for bit.
 `bdi_chain_eigvalsh` is the bdi chain as it stood before a_k became a
 Frobenius norm: a_k from the top eigenvalue of B^T B per block B.
 
+`brackets_from_tangent` is the dense bracket pair PK = T K_T T^T and
+P0 = T N_r K_T T^T that a BracketPair's T and N_r stand for; the library
+forms neither, and the tests hold these to the independent routes.
 `nijenhuis_restricted_inverse` is the restricted Nijenhuis matrix by its
 definition, (T^T P0 T)(T^T PK T)^-1 on the tangent basis T, which the
 base-frame form in the library must match to round-off.
@@ -31,7 +34,8 @@ the Lenard trace route as it stood before the tangent frame:
 Tr (K D)^k = Tr (K0 (J - A^T J A))^k in the ambient dim x dim frame.
 `jacobi_residual_per_t` is the fd Jacobi residual as it stood before one
 flow served every t: one flow of the tangent-frame entries of P0 + t K (or
-of K alone at t = 'kks') per call.  The library routes must match them.
+of K alone at t = 'kks') per call, contracted in the tangent frame as the
+library does.  The library routes must match them.
 
 The checked algebra maps J, C_pm, the Iwasawa split of g_C = g (+) b_pm and
 the Manin pairing Im Tr are the spec-level forms of the conventions that
@@ -97,11 +101,18 @@ def batch_points_einsum(case, seed, start, count):
     return g, m
 
 
-def nijenhuis_restricted_inverse(pair):
-    """(T^T P0 T) inv(T^T PK T) on the pair's tangent basis T (stacks allowed)."""
-    t = pair.tangent
+def brackets_from_tangent(pair):
+    """(PK, P0) of a pair as dense (..., dim, dim) matrices: T K_T T^T and
+    T (N_r K_T) T^T."""
+    t, k_t = pair.tangent, pair.case.k_t
     tt = np.swapaxes(t, -1, -2)
-    return (tt @ pair.p0 @ t) @ np.linalg.inv(tt @ pair.pk @ t)
+    return t @ k_t @ tt, t @ (pair.nr @ k_t) @ tt
+
+
+def nijenhuis_restricted_inverse(t, pk, p0):
+    """(T^T P0 T) inv(T^T PK T) on a tangent basis t (stacks allowed)."""
+    tt = np.swapaxes(t, -1, -2)
+    return (tt @ p0 @ t) @ np.linalg.inv(tt @ pk @ t)
 
 
 def brackets_by_adjoint(case, g):
@@ -165,9 +176,12 @@ def jacobi_residual_per_t(pair, t, triples):
         return pt[:, rows, cols]
 
     dvec = directional_derivatives(case, pair.point.g, entries)
-    ch = pair.pk @ dvec
-    pt0 = pair.pk if t == "kks" else pair.p0 + t * pair.pk
-    terms = (ch * pt0[:, [z for _, _, z in cyclic]]).sum(axis=0)
+    # contracted in the tangent frame, as jacobi_residual does: u = K_T T^T
+    # dvec against (N_r + t) K_T T[z]^T, or K_T T[z]^T alone at 'kks'
+    tan = pair.tangent
+    kz = case.k_t @ tan[[z for _, _, z in cyclic]].T
+    xkz = kz if t == "kks" else pair.nr @ kz + t * kz
+    terms = (case.k_t @ (tan.T @ dvec) * xkz).sum(axis=0)
     return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
 
 

@@ -18,13 +18,14 @@ from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
 from pnorbit.poisson import (chain_gradient, connection_check,
                              directional_derivatives, flow_points,
                              gradient_bracket, jacobi_residual, kks_raw,
-                             nijenhuis_restricted, nstar_eigen_residual,
-                             pencil_eigenvalues, traces_of_powers)
+                             nstar_eigen_residual, pencil_eigenvalues,
+                             traces_of_powers)
 from pnorbit.spectrum import chain_free_vector
 
-from helpers import (brackets_by_adjoint, cartan_element,
-                     jacobi_entries_by_adjoint, jacobi_residual_per_t,
-                     nijenhuis_restricted_inverse, traces_of_powers_ambient)
+from helpers import (brackets_by_adjoint, brackets_from_tangent,
+                     cartan_element, jacobi_entries_by_adjoint,
+                     jacobi_residual_per_t, nijenhuis_restricted_inverse,
+                     traces_of_powers_ambient)
 
 
 def tangent_vector(case, m, rng, normalize=True):
@@ -86,7 +87,8 @@ def test_kernels_match_einsum_oracle(all_cases):
             p0_ref = einsum_bruhat_matrix(case, g)
             for new, ref in ((k, einsum_kks_raw(case, m)),
                              (bruhat_matrix(case, g), p0_ref),
-                             (build_pair(case, g).p0, p0_ref)):
+                             (brackets_from_tangent(build_pair(case, g))[1],
+                              p0_ref)):
                 scale = max(1.0, np.abs(ref).max())
                 assert np.abs(new - ref).max() <= 1e-13 * scale, case.name
 
@@ -142,7 +144,7 @@ def test_traces_of_powers_stack_matches_pair_route(all_cases):
         amb = traces_of_powers_ambient(case, gs, case.n_eig + 1)
         assert np.abs(got - amb).max() <= 1e-12 * max(1.0, np.abs(amb).max())
         for g, row in zip(gs, got):
-            nt = nijenhuis_restricted(build_pair(case, g))
+            nt = build_pair(case, g).nr
             ref = [np.trace(np.linalg.matrix_power(nt, j)) / j
                    for j in range(1, case.n_eig + 2)]
             assert np.abs(row - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -161,7 +163,7 @@ def test_tangent_side_reads_the_pair_tangent(all_cases):
 
 
 def test_pair_matches_adjoint_route(all_cases):
-    # the pair's brackets from T alone, PK = T K_T T^T and
+    # the brackets that the pair's T and N_r stand for, PK = T K_T T^T and
     # P0 = T (N_r K_T) T^T, against A K0 A^T, K D K and A T0 from the
     # dim x dim A, at the identity coset and at samples, alone and stacked
     for case in all_cases + [build_case("diii", n=6)]:
@@ -169,12 +171,57 @@ def test_pair_matches_adjoint_route(all_cases):
         gs = np.concatenate([np.eye(case.alg.size, dtype=gs.dtype)[None], gs])
         for g in (gs[0], gs[1], gs):
             pair = build_pair(case, g)
-            for name, want in zip(("pk", "p0", "tangent"),
-                                  brackets_by_adjoint(case, g)):
-                got = getattr(pair, name)
+            for name, got, want in zip(
+                    ("pk", "p0", "tangent"),
+                    brackets_from_tangent(pair) + (pair.tangent,),
+                    brackets_by_adjoint(case, g)):
                 scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
                 err = np.abs(got - want).max(axis=(-2, -1))
                 assert (err <= 1e-13 * scale).all(), (case.name, name)
+
+
+@pytest.mark.parametrize("descriptor", ["aiii:k=2,n=4", "ci:n=3", "diii:n=4",
+                                        "bdi:m=7"])
+def test_tangent_frame_readers_match_adjoint_route(descriptor, monkeypatch):
+    # every reader of a pair contracts in the tangent frame: the brackets
+    # w^T K_T w and w^T K_T N_r w, N on columns as T N_r T^T, and the
+    # Jacobi contraction against X K_T T[z]^T.  On a stacked pair of three
+    # points they match the dense PK and P0 of the dim x dim A; random
+    # vectors stand in for the fd derivatives, so every value is O(1)
+    case = parse_case(descriptor)
+    dim, rng = case.alg.dim, np.random.default_rng(29)
+    gs, _ = batch_points(case, 67, 0, 3)
+    pair = build_pair(case, gs)
+    pk, p0, _ = brackets_by_adjoint(case, gs)
+
+    def assert_close(got, want, scale):
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, scale), descriptor
+
+    dvecs = rng.standard_normal((3, 4, dim))
+    c = pk @ np.swapaxes(dvecs, -1, -2)
+    for got, p in zip(gradient_bracket(pair, dvecs), (pk, p0)):
+        want = np.swapaxes(c, -1, -2) @ p @ c
+        assert_close(got, want, np.abs(want).max())
+
+    cols = rng.standard_normal((2, 3, dim, 5))      # one more leading axis
+    want = -(p0 @ (pk @ cols))
+    assert_close(poisson._nijenhuis_cols(pair, cols), want, np.abs(want).max())
+
+    # one triple per call: its one cyclic sum per point is the residual
+    for _ in range(4):
+        triple = tuple(rng.choice(dim, 3, replace=False))
+        zs = [triple[2], triple[0], triple[1]]
+        fake = rng.standard_normal((3, dim, 2, 3))
+        with monkeypatch.context() as mp:
+            mp.setattr(poisson, "directional_derivatives",
+                       lambda *args, **kwargs: fake)
+            got = jacobi_residual(pair, [triple])
+        dk, d0 = np.moveaxis(fake, -2, 0)
+        for name, d, p in (("kks", dk, pk), ("t0", d0, p0),
+                           ("t1", d0 + dk, p0 + pk)):
+            terms = ((pk @ d) * p[..., zs]).sum(axis=-2)
+            want = np.abs(terms.sum(axis=-1)).max()
+            assert_close(got[name], want, np.abs(terms).max())
 
 
 def test_bracket_layer_reads_only_the_tangent_side(all_cases, monkeypatch):
@@ -286,8 +333,9 @@ def test_bracket_layer_takes_no_svd(gr24, monkeypatch):
             mp.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
             pair = build_pair(gr24, g)
         assert calls == {"svd": 0, "pinv": 0}
-        ref = np.linalg.pinv(pair.pk, rcond=1e-9)
-        assert np.abs(-pair.pk - ref).max() <= 1e-12
+        pk, _ = brackets_from_tangent(pair)
+        ref = np.linalg.pinv(pk, rcond=1e-9)
+        assert np.abs(-pk - ref).max() <= 1e-12
     pair = build_pair(gr24, p.g)
     calls.update(svd=0, pinv=0)
     with monkeypatch.context() as mp:
@@ -311,13 +359,14 @@ def test_bracket_layer_matches_per_point_route(all_cases):
         assert s0[r:].max(initial=0.0) <= 1e-14, case.name
         gs, ms = batch_points(case, 43, 0, 3)
         pair = build_pair(case, gs)
+        pk, _ = brackets_from_tangent(pair)
         traces = traces_of_powers(case, gs, case.n_eig + 1)
         basis, jmat = case.alg.basis, case.alg.jmat
         for i, (g, m) in enumerate(zip(gs, ms)):
             k = kks_raw(case, m)
-            assert np.abs(pair.pk[i] - k).max() <= 1e-13, case.name
+            assert np.abs(pk[i] - k).max() <= 1e-13, case.name
             ref = np.linalg.pinv(k, rcond=1e-9)
-            assert np.abs(-pair.pk[i] - ref).max() <= 1e-12, case.name
+            assert np.abs(-pk[i] - ref).max() <= 1e-12, case.name
             # an orthonormal basis of range(K(m)), which has dimension r
             t = pair.tangent[i]
             assert np.abs(t.T @ t - np.eye(r)).max() <= 1e-13
@@ -373,7 +422,9 @@ def test_stacked_pencil_matches_batch_of_one(all_cases):
         gs = np.concatenate([np.eye(case.alg.size, dtype=complex)[None], gs])
         ms = np.concatenate([case.rho[None], ms])
         pair = build_pair(case, gs)
-        assert pair.p0.shape == (5, case.alg.dim, case.alg.dim)
+        dense = brackets_from_tangent(pair)
+        assert dense[1].shape == (5, case.alg.dim, case.alg.dim)
+        assert pair.nr.shape == (5, case.dim_m, case.dim_m)
         ev, im = pencil_eigenvalues(pair)
         lam = pencil_spectrum(pair)
         vs = np.stack([tangent_vector(case, m, rng) for m in ms])
@@ -381,9 +432,9 @@ def test_stacked_pencil_matches_batch_of_one(all_cases):
         n_formula = nijenhuis_formula(case, ms, vs)
         for i, g in enumerate(gs):
             one = build_pair(case, g)
-            for name in ("p0", "pk"):
-                got, want = getattr(pair, name)[i], getattr(one, name)
-                assert np.abs(got - want).max() <= 1e-13, (case.name, name)
+            for name, got, want in zip(("pk", "p0"), dense,
+                                       brackets_from_tangent(one)):
+                assert np.abs(got[i] - want).max() <= 1e-13, (case.name, name)
             # tangent bases agree up to sign
             sign = np.sign((pair.tangent[i] * one.tangent).sum(axis=0))
             assert np.abs(pair.tangent[i] * sign - one.tangent).max() <= 1e-13
@@ -398,26 +449,29 @@ def test_stacked_pencil_matches_batch_of_one(all_cases):
 
 def test_restricted_nijenhuis_matches_inverse_route(all_cases):
     # N_r = K_T (J_T - T^T J T) in the base tangent frame against its
-    # definition (T^T P0 T)(T^T PK T)^-1, at the one convention
+    # definition (T^T P0 T)(T^T PK T)^-1, with PK and P0 from the dim x dim
+    # A, at the one convention
     for case in all_cases + [build_case("diii", n=6)]:
         gs, _ = batch_points(case, 43, 0, 4)
         gs = np.concatenate([np.eye(case.alg.size, dtype=gs.dtype)[None], gs])
         pair = build_pair(case, gs)
-        want = nijenhuis_restricted_inverse(pair)
+        pk, p0, _ = brackets_by_adjoint(case, gs)
+        want = nijenhuis_restricted_inverse(pair.tangent, pk, p0)
         scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
-        err = np.abs(nijenhuis_restricted(pair) - want).max(axis=(-2, -1))
+        err = np.abs(pair.nr - want).max(axis=(-2, -1))
         assert (err <= 1e-13 * scale).all(), case.name
 
 
 def test_pencil_reads_no_bracket_matrix(all_cases):
-    # the pencil reads the tangent alone: P0 and K stay unformed
+    # a pair is its point, T and N_r: the pencil caches N_r and nothing
+    # dim x dim, and the pair has no dense bracket to read
     for case in all_cases:
         gs, _ = batch_points(case, 47, 0, 3)
         for g in (gs[0], gs):
             pair = build_pair(case, g)
             pencil_spectrum(pair)
-            assert "tangent" in vars(pair)
-            assert not {"p0", "pk"} & set(vars(pair)), case.name
+            assert set(vars(pair)) == {"point", "tangent", "nr"}, case.name
+            assert not hasattr(pair, "pk") and not hasattr(pair, "p0")
 
 
 def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
@@ -440,25 +494,26 @@ def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
 
     # one row whose restricted N is similar to q: complex, then unpaired.
     # The row's P0 would be PK T q T^T, so N_r = K_r q K_r^-1 with
-    # K_r = T^T PK T; it is injected where the pencil reads N_r.
+    # K_r = T^T PK T = K_T; it is injected where the pair forms N_r, in
+    # fresh pairs (replace) whose N_r is not yet cached.
     t = pair.tangent[3]
-    k_r = t.T @ pair.pk[3] @ t
+    k_r = gr24.k_t
     rot = np.kron(np.eye(t.shape[1] // 2), [[0.0, 1.0], [-1.0, 0.0]])
-    restricted = poisson.nijenhuis_restricted
+    restricted = poisson._restricted
     for q, msg in ((rot, "not real"), (np.diag(np.arange(t.shape[1])), "pairing")):
         bad = k_r @ q @ np.linalg.inv(k_r)
 
-        def broken(p):
-            n_r = restricted(p)
+        def broken(case, tan):
+            n_r = restricted(case, tan)
             if n_r.ndim == 3:
                 n_r = n_r.copy()
                 n_r[3] = bad
                 return n_r
-            return bad if np.array_equal(p.tangent, pair.tangent[3]) else n_r
+            return bad if np.array_equal(tan, pair.tangent[3]) else n_r
 
         with monkeypatch.context() as mp:
-            mp.setattr(poisson, "nijenhuis_restricted", broken)
-            for p in (pair_row(pair, 3), pair):
+            mp.setattr(poisson, "_restricted", broken)
+            for p in (pair_row(pair, 3), replace(pair)):
                 with pytest.raises(NumericalError, match=msg):
                     pencil_spectrum(p)
             pencil_spectrum(pair_row(pair, 2))     # the other rows are fine
@@ -584,7 +639,7 @@ def test_bracket_of_coordinates_closed_form(sp2):
     coords = [0, 3, 2, 7, 1, 4]
     dvec = directional_derivatives(
         sp2, p.g, lambda gs, ms: sp2.alg.coefficients(ms).real[:, coords])
-    br = gradient_bracket(pair, dvec.T, pair.pk)
+    br, _ = gradient_bracket(pair, dvec.T)
     for i in range(0, len(coords), 2):
         a, b = coords[i], coords[i + 1]
         assert abs(br[i, i + 1] - k[a, b]) <= 1e-9
@@ -601,8 +656,7 @@ def test_bracket_leibniz(gr24):
 
     f1, f2, _, _ = funcs(p.g[None], p.m[None])[0]
     dvec = directional_derivatives(gr24, p.g, funcs)
-    for pmat in (pair.pk, pair.p0):
-        br = gradient_bracket(pair, dvec.T, pmat)
+    for br in gradient_bracket(pair, dvec.T):
         assert abs(br[3, 2] - (f1 * br[1, 2] + f2 * br[0, 2])) <= 1e-6
 
 

@@ -1,7 +1,6 @@
 """Calibration, suite reports, vertex probe, normalization measurement."""
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from pnorbit.verify import (CALIBRATION_POINTS, CALIBRATION_SEED,
                             DEFAULT_TOLERANCES, _calibration_residuals,
                             _spin_checks)
 
-from helpers import nijenhuis_restricted_inverse
+from helpers import brackets_by_adjoint, nijenhuis_restricted_inverse
 
 
 def test_calibration_unique_pair():
@@ -27,15 +26,18 @@ def test_calibration_unique_pair():
 
 
 def candidate_residual(case, signs, points):
-    """One candidate's calibration residual by its own arithmetic, with
-    PK = s_K K and P0 = -s_0 K D K from the pair at the convention."""
+    """One candidate's calibration residual by its own arithmetic, one
+    point at a time, with K = kks_raw(m), PK = s_K K and P0 = -s_0 K D K.
+    On the pair's tangent frame T, T^T PK T = s_K K_T and
+    T^T P0 T = -s_0 N_r K_T, so the candidate's N = P0 PK^+ is
+    T (-s_0 s_K N_r) T^T (K_T^-1 = -K_T)."""
     s_k, s_0 = signs
     alg = case.alg
     worst = 0.0
     for g in points:
         pair = build_pair(case, g)
-        pk, p0 = s_k * pair.pk, -s_0 * pair.p0
-        k = pair.pk
+        tan, n_r = pair.tangent, -s_0 * s_k * pair.nr
+        k = poisson.kks_raw(case, pair.point.m)
         scale = max(1.0, np.abs(k).max())
         dmat = poisson.directional_derivatives(
             case, g, lambda gs, ms: alg.real_coefficients(ms))
@@ -47,7 +49,7 @@ def candidate_residual(case, signs, points):
             v = x @ m - m @ x
             v /= max(1.0, np.linalg.norm(alg.real_coefficients(v)))
             t = alg.real_coefficients(v)[..., None]
-            n_pencil = alg.from_coefficients(-(p0 @ (pk @ t))[..., 0])
+            n_pencil = alg.from_coefficients((tan @ (n_r @ (tan.T @ t)))[..., 0])
             n_formula = poisson.nijenhuis_formula(case, m, v)
             worst = max(worst, np.abs(n_pencil - n_formula).max())
     return worst
@@ -82,12 +84,14 @@ def test_calibrated_pair_works_on_sp1():
 
 
 def test_flipping_s0_negates_pencil_spectrum(gr24):
-    # P0 -> -P0 negates N = P0 PK^-1: its spectrum by the inverse route
+    # P0 -> -P0 negates N = P0 PK^-1: its spectrum by the inverse route,
+    # with PK and P0 from the dim x dim A
     p = random_point(gr24, 2)
     pair = build_pair(gr24, p.g)
     lam = pencil_spectrum(pair)
-    flipped = SimpleNamespace(tangent=pair.tangent, p0=-pair.p0, pk=pair.pk)
-    ev = np.sort(np.linalg.eigvals(nijenhuis_restricted_inverse(flipped)).real)
+    pk, p0, _ = brackets_by_adjoint(gr24, p.g)
+    ev = np.sort(np.linalg.eigvals(
+        nijenhuis_restricted_inverse(pair.tangent, pk, -p0)).real)
     lam_flipped = (ev[0::2] + ev[1::2]) / 2
     assert np.abs(np.sort(-lam) - lam_flipped).max() <= 1e-12
 
@@ -134,6 +138,29 @@ def test_run_suite_takes_one_pair_per_stack(monkeypatch):
     assert run_suite("aiii:k=2,n=4", 100).passed
     assert counts["build_pair"] <= 8, counts
     assert counts["directional_derivatives"] <= 5, counts
+
+
+def test_run_suite_forms_each_pairs_nr_once(monkeypatch):
+    # a pair caches N_r: the pencil, N, the brackets and the Lenard trace
+    # of one pair share one _restricted call on its T
+    calibrate()
+    tangents, seen = [], []
+    build, restricted = poisson.build_pair, poisson._restricted
+
+    def built(*args, **kwargs):
+        pair = build(*args, **kwargs)
+        tangents.append(pair.tangent)
+        return pair
+
+    def recorded(case, t):
+        seen.append(t)
+        return restricted(case, t)
+
+    monkeypatch.setattr(poisson, "build_pair", built)
+    monkeypatch.setattr(poisson, "_restricted", recorded)
+    assert run_suite("ci:n=3", 100, seed=2024).passed
+    counts = [sum(t is tan for t in seen) for tan in tangents]
+    assert tangents and max(counts) == 1, counts
 
 
 def test_gap_regular_scan_draws_past_the_first_batch(gr24, monkeypatch):
