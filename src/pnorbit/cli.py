@@ -5,7 +5,9 @@ at one point), polytope (mass sampling to CSV), calibrate (the sign
 convention certificate and the eigenvalue-range measurement).
 
 Exit codes: 0 pass, 1 check failure, 2 usage error (an unwritable --output
-and a case too large for memory included), 3 numerical failure.
+and a case too large for memory included), 3 numerical failure.  Inside
+verify a non-real or unpaired pencil is a failed check (exit 1), which the
+report records; spectrum and calibrate raise on it (exit 3).
 """
 
 import argparse

@@ -3,7 +3,7 @@
 A Case bundles the ambient algebra, the orbit generator rho, the
 eigenbundle isometries W_+/W_-, the stabilizer h = ker ad_rho with the
 tangent basis T0 of its complement, the base data of the bracket layer
-(K0 = -ad_rho and its restrictions K_T, J_T to T0) and the subalgebra
+(the restrictions K_T, J_T of K0 = -ad_rho and J to T0) and the subalgebra
 chain data used for the eigenvalue extraction.  All of it comes from one
 ad_rho, and a case is certified when it is built: the J convention
 J|_{h_perp} = ad_rho and the complex structure K0^2 = -T0 T0^T (see
@@ -42,7 +42,6 @@ class Case:
     n_eig: int
     stabilizer: np.ndarray = field(repr=False)   # (dim_h, N, N)
     tangent: np.ndarray = field(repr=False)      # (dim, dim_m) T0, orthonormal
-    k0: np.ndarray = field(repr=False)           # (dim, dim) K0 = -ad_rho
     k_t: np.ndarray = field(repr=False)          # (dim_m, dim_m) T0^T K0 T0
     j_t: np.ndarray = field(repr=False)          # (dim_m, dim_m) T0^T J T0
     tangent_side: np.ndarray = field(repr=False)  # (N, dim_m N) [Y_0 | Y_1 | ...]
@@ -97,10 +96,10 @@ def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
     k_t = tangent.T @ k0 @ tangent
     j_t = tangent.T @ alg.jmat @ tangent
     tangent_side = alg.side_by_side(alg.from_coefficients(tangent.T))
-    for arr in (k0, k_t, j_t, tangent_side):
+    for arr in (k_t, j_t, tangent_side):
         arr.flags.writeable = False
     return Case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, dim_m,
-                dim_m // 2, stab, tangent, k0, k_t, j_t, tangent_side, plan)
+                dim_m // 2, stab, tangent, k_t, j_t, tangent_side, plan)
 
 
 def build_case(tag, **params):

@@ -25,7 +25,7 @@ FAMILIES = ("A", "B", "C", "D")
 
 
 def _su_basis(n):
-    out, cartan = [], []
+    out = []
     for r in range(n):
         for s in range(r + 1, n):
             e = np.zeros((n, n), complex)
@@ -36,16 +36,15 @@ def _su_basis(n):
         d = np.zeros(n)
         d[:k] = 1
         d[k] = -k
-        cartan.append(len(out))
         out.append(1j * np.diag(d) / np.linalg.norm(d))
-    return np.array(out), cartan
+    return np.array(out)
 
 
 def _sp_basis(n):
     # sp(n) in the 2n x 2n block form [[A, B], [-B^dag, -A^T]], A anti-Herm,
     # B symmetric.  Cartan = the diagonal A part, diag(ia, -ia).
     N = 2 * n
-    out, cartan = [], []
+    out = []
 
     def lift_a(a):
         z = np.zeros((N, N), complex)
@@ -60,7 +59,6 @@ def _sp_basis(n):
         return z / np.sqrt(2)
 
     for r in range(n):
-        cartan.append(len(out))
         out.append(lift_a(1j * np.outer(np.eye(n)[r], np.eye(n)[r])))
     for r in range(n):
         for s in range(r + 1, n):
@@ -79,19 +77,17 @@ def _sp_basis(n):
             e[r, s] = e[s, r] = 1
             out.append(lift_b(e / np.sqrt(2) + 0j))
             out.append(lift_b(1j * e / np.sqrt(2)))
-    return np.array(out), cartan
+    return np.array(out)
 
 
 def _so_basis(m):
     out = []
-    index = {}
     for r in range(m):
         for s in range(r + 1, m):
             e = np.zeros((m, m))
             e[r, s] = 1
-            index[(r, s)] = len(out)
             out.append(((e - e.T) / np.sqrt(2)).astype(complex))
-    return np.array(out), index
+    return np.array(out)
 
 
 def _so_cartan_pairs(m, style):
@@ -128,12 +124,9 @@ class LieAlgebra:
     """
 
     family: str
-    n: int                      # family parameter (su(n), sp(n), so(n))
     size: int                   # ambient matrix size N
     basis: np.ndarray           # (dim, N, N), orthonormal under -Tr(AB)
-    cartan_indices: list        # basis indices spanning t
     h0: np.ndarray              # regular Cartan element fixing Phi+
-    cartan_style: str = ""      # so-families only
     jmat: np.ndarray = field(default=None, repr=False)   # J on coefficients
     flat: np.ndarray = field(default=None, repr=False)
     flat_t: np.ndarray = field(default=None, repr=False)
@@ -231,28 +224,24 @@ def build_algebra(family, n, cartan_style=None):
     if family == "A":
         if n < 2:
             raise ConventionError("su(n) needs n >= 2")
-        basis, cartan = _su_basis(n)
         h0 = 1j * np.diag(np.arange(n - 1, -1, -1.0))
         h0 -= np.trace(h0) / n * np.eye(n)
-        return _finish(LieAlgebra("A", n, n, basis, cartan, h0))
+        return _finish(LieAlgebra("A", n, _su_basis(n), h0))
     if family == "C":
         if n < 1:
             raise ConventionError("sp(n) needs n >= 1")
-        basis, cartan = _sp_basis(n)
         h0 = np.zeros((2 * n, 2 * n), complex)
         a = np.diag(np.arange(n, 0, -1.0))
         h0[:n, :n] = 1j * a
         h0[n:, n:] = -1j * a
-        return _finish(LieAlgebra("C", n, 2 * n, basis, cartan, h0))
+        return _finish(LieAlgebra("C", 2 * n, _sp_basis(n), h0))
 
     # so-families
     size = 2 * n + 1 if family == "B" else 2 * n
     if size < 3:
         raise ConventionError("so(m) needs m >= 3")
     style = cartan_style or ("blocks" if family == "B" else "split")
-    basis, index = _so_basis(size)
     pairs = _so_cartan_pairs(size, style)
-    cartan = [index[p] for p in pairs]
     h0 = np.zeros((size, size), complex)
     if style == "blocks":
         angles = np.arange(1.0, len(pairs) + 1)      # increasing
@@ -261,5 +250,5 @@ def build_algebra(family, n, cartan_style=None):
     for (r, s), th in zip(pairs, angles):
         h0[r, s] = th
         h0[s, r] = -th
-    return _finish(LieAlgebra(family, n, size, basis, cartan, h0, style))
+    return _finish(LieAlgebra(family, size, _so_basis(size), h0))
 

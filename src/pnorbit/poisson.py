@@ -48,12 +48,12 @@ kernel at g^dag with the Y_j as its side (`_tangent`), a 2 n_eig x dim
 read in place of the dim x dim A.
 
 Everything per point therefore follows from T and the case's base data,
-all from the one ad_rho of hermsym._finish_case: Case.k0 = K0 = -ad_rho,
-the tangent basis Case.tangent = T0 and the restrictions
-Case.k_t = K_T = T0^T K0 T0 and Case.j_t = J_T = T0^T J T0.  No inverse
-is needed: ad_rho is the invariant complex structure on the tangent space
-(Helgason, ch. VIII), so K0^2 = -T0 T0^T, the tangent projector, and
-K_T^2 = -1.  A case is certified when it is built,
+all from the one ad_rho of hermsym._finish_case: the tangent basis
+Case.tangent = T0 and the restrictions Case.k_t = K_T = T0^T K0 T0 and
+Case.j_t = J_T = T0^T J T0 of K0 = -ad_rho (kks_raw at rho) and J.  No
+inverse is needed: ad_rho is the invariant complex structure on the
+tangent space (Helgason, ch. VIII), so K0^2 = -T0 T0^T, the tangent
+projector, and K_T^2 = -1.  A case is certified when it is built,
 max|K0^2 + T0 T0^T| <= hermsym.CSTRUCT_TOL (measured <= 9e-16 up to
 aiii:k=5,n=10, diii:n=8 and bdi:m=13), and `build_pair` certifies T: a
 point with max|T^T T - 1| > ORTHO_TOL raises.  With T^T T = 1,
@@ -117,7 +117,7 @@ from .numkernel import DEFAULT_FD_STEP, expm_antihermitian
 
 CALIBRATED_SIGNS = (1, -1)      # (s_K, s_0); see verify.calibrate
 TANGENT_TOL = 1e-9              # nijenhuis_apply: relative normal component
-IMAG_TOL = 1e-8                 # pencil eigenvalues: relative imaginary part
+IMAG_TOL = 1e-8                 # pencil_spectrum: relative imaginary part
 PAIRING_TOL = 1e-8              # pencil_spectrum: gap within a doubled pair
 ORTHO_TOL = 1e-9                # build_pair: max|T^T T - 1|, the rank certificate
 
@@ -257,19 +257,21 @@ def _restricted(case, t):
 
 
 def pencil_eigenvalues(pair):
-    """All 2 n_eig eigenvalues of the tangent-restricted N (pair.nr), sorted
-    real parts (..., 2 n_eig), and the largest imaginary part per row (...)."""
+    """All 2 n_eig eigenvalues of the tangent-restricted N (pair.nr), as
+    sorted real parts (..., 2 n_eig) and the largest imaginary part per row
+    (...).  A readout only: reality and doubling are for the caller to
+    judge (run_suite reports them as checks, pencil_spectrum raises)."""
     ev = np.linalg.eigvals(pair.nr)
-    scale = np.maximum(1.0, np.abs(ev).max(axis=-1))
-    im = np.abs(ev.imag).max(axis=-1)
-    if (im > IMAG_TOL * scale).any():
-        raise NumericalError(f"pencil eigenvalues not real: max imag {im.max():.3e}")
-    return np.sort(ev.real, axis=-1), im
+    return np.sort(ev.real, axis=-1), np.abs(ev.imag).max(axis=-1)
 
 
 def pencil_spectrum(pair):
-    """De-doubled pencil eigenvalues, ascending (..., n_eig)."""
-    ev, _ = pencil_eigenvalues(pair)
+    """De-doubled pencil eigenvalues, ascending (..., n_eig).  Raises
+    NumericalError on a row whose max imag exceeds IMAG_TOL max(1, max|Re
+    lambda|), or whose doubled pairs differ by more than PAIRING_TOL."""
+    ev, im = pencil_eigenvalues(pair)
+    if (im > IMAG_TOL * np.maximum(1.0, np.abs(ev).max(axis=-1))).any():
+        raise NumericalError(f"pencil eigenvalues not real: max imag {im.max():.3e}")
     lo, hi = ev[..., 0::2], ev[..., 1::2]
     gap = np.abs(lo - hi).max()
     if gap > PAIRING_TOL:
@@ -322,13 +324,15 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     """fd derivatives of point functions along every fundamental flow, at
     one g (N, N) or a stack (..., N, N).
 
-    Stack contract: funcs maps stacks (gs, ms) of flow points, shapes
-    (S, N, N), to values with a leading stack axis, (S, *value_shape); row
-    s must depend on gs[s], ms[s] alone.  The flow directions (a point and
-    a basis element each) go through funcs in calls of both signs of chunk
-    directions, by default stack_chunk(case), so that the intermediates of
-    one bracket call, about chunk * 2 n_eig * N^2 complex (so-families: real)
-    numbers, stay within a byte budget.  Returns (..., dim, *value_shape).
+    Stack contract: funcs maps a stack gs (S, N, N) of flow points to
+    values with a leading stack axis, (S, *value_shape); row s must depend
+    on gs[s] alone.  A function of the moment forms m = g rho g^dag itself
+    (hermsym.conjugate_rho); the bracket and Lenard flows read g alone.
+    The flow directions (a point and a basis element each) go through
+    funcs in calls of both signs of chunk directions, by default
+    stack_chunk(case), so that the intermediates of one bracket call, about
+    chunk * 2 n_eig * N^2 complex (so-families: real) numbers, stay within
+    a byte budget.  Returns (..., dim, *value_shape).
     """
     pts = flow_points(case, g, h)
     lead, size = pts.shape[:-3], case.alg.size
@@ -337,7 +341,7 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     out = None
     for a in range(0, len(pts), step):
         gs = pts[a:a + step].reshape(-1, size, size)
-        vals = np.asarray(funcs(gs, conjugate_rho(case, gs)))
+        vals = np.asarray(funcs(gs))
         if out is None:
             out = np.empty((len(pts),) + vals.shape[1:], vals.dtype)
         out[a:a + step] = (vals[0::2] - vals[1::2]) / (2 * h)
@@ -375,7 +379,7 @@ def jacobi_residual(pair, triples):
     cols = [pos[y] for _, y, _ in cyclic]
     zs = [z for _, _, z in cyclic]
 
-    def entries(gs, ms):
+    def entries(gs):
         # T per flow point gives N_r, and its needed rows T_n the blocks
         # T_n K_T T_n^T of K and T_n (N_r K_T) T_n^T of P0; only the
         # bracketed pairs {F_x, F_y} are differentiated
@@ -437,24 +441,22 @@ def traces_of_powers(case, g, k_max):
 
 
 def lenard_check(pair, k_max):
-    """Residuals of dI_{k+1} = N^* dI_k, plus the trace identity gap.
+    """Residuals of the Lenard recursion dI_{k+1} = N^* dI_k.
 
     dI_k are the fd flow derivatives of traces_of_powers, in the tangent
     frame at every flow point; N^* acts on them as T N_r T^T.  Returns
-    dict with per-step residuals (relative to the gradient scale) and
-    |Tr N - 2 sum(lambda)|, each the largest over a stacked pair's points.
+    {"steps": per-step residuals relative to the gradient scale, "max"},
+    each the largest over a stacked pair's points; no trace and no pencil
+    eigenvalue (run_suite checks Tr N = 2 sum(lambda) against the chain).
     """
     case = pair.case
     dvec = directional_derivatives(
-        case, pair.point.g, lambda gs, ms: traces_of_powers(case, gs, k_max))
+        case, pair.point.g, lambda gs: traces_of_powers(case, gs, k_max))
     lhs = dvec[..., 1:]
     res = (np.linalg.norm(lhs - _nijenhuis_cols(pair, dvec[..., :-1]), axis=-2)
            / np.maximum(1.0, np.linalg.norm(lhs, axis=-2)))
     steps = res.max(axis=tuple(range(res.ndim - 1)))
-    lam = pencil_spectrum(pair)
-    trace = np.trace(pair.nr, axis1=-2, axis2=-1)
-    return {"steps": steps.tolist(), "max": float(steps.max(initial=0.0)),
-            "trace_gap": float(np.abs(trace - 2 * lam.sum(axis=-1)).max())}
+    return {"steps": steps.tolist(), "max": float(steps.max(initial=0.0))}
 
 
 def chain_gradient(pair):
@@ -465,7 +467,8 @@ def chain_gradient(pair):
     every point go through one chain_free_vector call."""
     case, g = pair.case, pair.point.g
     return directional_derivatives(
-        case, g, lambda gs, ms: _spectrum.chain_free_vector(case, ms),
+        case, g,
+        lambda gs: _spectrum.chain_free_vector(case, conjugate_rho(case, gs)),
         chunk=case.alg.dim * g[..., 0, 0].size)
 
 

@@ -37,6 +37,10 @@ flow served every t: one flow of the tangent-frame entries of P0 + t K (or
 of K alone at t = 'kks') per call, contracted in the tangent frame as the
 library does.  The library routes must match them.
 
+`fault_in_nr` is a planted fault: a stand-in for poisson._restricted that
+edits every N_r the bracket layer forms, for tests that show a check can
+fail.
+
 The checked algebra maps J, C_pm, the Iwasawa split of g_C = g (+) b_pm and
 the Manin pairing Im Tr are the spec-level forms of the conventions that
 the library uses unchecked (LieAlgebra.j_apply, LieAlgebra.c_plus); the
@@ -51,7 +55,7 @@ import numpy as np
 from pnorbit.errors import ConventionError
 from pnorbit.numkernel import expm_antihermitian
 from pnorbit.poisson import (_adjoint, _restricted, _tangent,
-                             directional_derivatives)
+                             directional_derivatives, kks_raw)
 from pnorbit.spectrum import GT_TAGS, _layout
 
 
@@ -81,10 +85,17 @@ def free_masks(case):
     return _layout(case).masks
 
 
+def cartan_indices(alg):
+    """Indices, ascending, of the basis elements of alg that commute with
+    h0: as h0 is regular, exactly those that span its Cartan subalgebra."""
+    comm = alg.h0 @ alg.basis - alg.basis @ alg.h0
+    return np.flatnonzero(np.abs(comm).max(axis=(-2, -1)) <= 1e-12).tolist()
+
+
 def cartan_element(alg, values):
     """sum_j values[j] X_{c_j} over the Cartan basis elements of alg."""
     z = np.zeros((alg.size, alg.size), complex)
-    for idx, v in zip(alg.cartan_indices, values):
+    for idx, v in zip(cartan_indices(alg), values):
         z += v * alg.basis[idx]
     return z
 
@@ -120,7 +131,7 @@ def brackets_by_adjoint(case, g):
     K D K with D = A J A^T - J, and A T0."""
     a = _adjoint(case, np.asarray(g))
     at, jmat = np.swapaxes(a, -1, -2), case.alg.jmat
-    k = a @ case.k0 @ at
+    k = a @ kks_raw(case, case.rho) @ at
     return k, k @ (a @ jmat @ at - jmat) @ k, a @ case.tangent
 
 
@@ -141,7 +152,7 @@ def jacobi_entries_by_adjoint(case, gs, triples):
     _, needed, rows, cols = _cyclic(triples)
     a = _adjoint(case, gs)
     at, jmat = np.swapaxes(a, -1, -2), case.alg.jmat
-    k_rows = a[:, needed] @ case.k0 @ at
+    k_rows = a[:, needed] @ kks_raw(case, case.rho) @ at
     # K[:, needed] = -K[needed]^T, as K is antisymmetric
     p0 = k_rows @ (a @ jmat @ at - jmat) @ -np.swapaxes(k_rows, -1, -2)
     return np.stack([k_rows[:, :, needed][:, rows, cols],
@@ -152,7 +163,7 @@ def traces_of_powers_ambient(case, g, k_max):
     """(1/k) Tr (K0 (J - A^T J A))^k for k = 1..k_max (stacks allowed)."""
     a = _adjoint(case, np.asarray(g))
     jmat = case.alg.jmat
-    kd = case.k0 @ (jmat - np.swapaxes(a, -1, -2) @ jmat @ a)
+    kd = kks_raw(case, case.rho) @ (jmat - np.swapaxes(a, -1, -2) @ jmat @ a)
     pows = [kd]
     for _ in range(1, k_max):
         pows.append(pows[-1] @ kd)
@@ -166,7 +177,7 @@ def jacobi_residual_per_t(pair, t, triples):
     case = pair.case
     cyclic, needed, rows, cols = _cyclic(triples)
 
-    def entries(gs, ms):
+    def entries(gs):
         frame = _tangent(case, gs)
         t_n = frame[:, needed]
         t_nt = np.swapaxes(t_n, -1, -2)
@@ -183,6 +194,11 @@ def jacobi_residual_per_t(pair, t, triples):
     xkz = kz if t == "kks" else pair.nr @ kz + t * kz
     terms = (case.k_t @ (tan.T @ dvec) * xkz).sum(axis=0)
     return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
+
+
+def fault_in_nr(edit):
+    """poisson._restricted with edit(case, N_r) applied to its result."""
+    return lambda case, t: edit(case, _restricted(case, t))
 
 
 def ladder_gammas(n_letters, odd=False):

@@ -8,8 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from pnorbit import NumericalError, cli, hermsym, spectrum, verify
+from pnorbit import NumericalError, cli, hermsym, poisson, spectrum, verify
 from pnorbit.cli import main
+
+from helpers import fault_in_nr
 
 
 def test_verify_command_writes_report(tmp_path):
@@ -54,6 +56,19 @@ def test_verify_failure_removes_only_a_regular_report(tmp_path, monkeypatch):
     report = tmp_path / "r.json"
     assert main(argv + [str(report)]) == 3
     assert removed == [str(report)]
+
+
+def test_verify_reports_a_complex_pencil_and_exits_1(tmp_path, monkeypatch):
+    # a non-real pencil inside verify is a failed check with a report, not
+    # a numerical failure (exit 3)
+    verify.calibrate()
+    monkeypatch.setattr(poisson, "_restricted", fault_in_nr(
+        lambda case, nr: nr + 1e-6 * case.k_t if case.tag == "diii" else nr))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--case", "diii:n=4", "--samples", "100",
+                 "--seed", "2024", "--output", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert not checks["pencil_reality"]["pass"]
 
 
 def test_spectrum_command(capsys):

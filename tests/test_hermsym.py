@@ -110,7 +110,8 @@ def test_j_convention_holds_without_chamber_flip():
     for desc in sweep:
         case = parse_case(desc)
         t0 = case.tangent
-        assert np.abs(case.alg.jmat @ t0 + case.k0 @ t0).max() <= 1e-10, desc
+        k0 = kks_raw(case, case.rho)
+        assert np.abs(case.alg.jmat @ t0 + k0 @ t0).max() <= 1e-10, desc
 
 
 def test_opposite_chamber_raises(gr24):

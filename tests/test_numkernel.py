@@ -13,8 +13,8 @@ import scipy.linalg
 
 import pnorbit
 from pnorbit import NumericalError, numkernel
-from pnorbit.hermsym import (batch_points, parse_case, random_point,
-                             stabilizer_elements)
+from pnorbit.hermsym import (batch_points, conjugate_rho, parse_case,
+                             random_point, stabilizer_elements)
 from pnorbit.numkernel import expm_antihermitian
 from pnorbit.poisson import directional_derivatives, flow_points
 from pnorbit.spectrum import chain_batch, chain_free_vector
@@ -179,7 +179,8 @@ def test_fd_gradient_eigenvalue_family_richardson(sp2):
 
     def grad(h):
         return directional_derivatives(
-            sp2, p.g, lambda gs, ms: chain_free_vector(sp2, ms), h)
+            sp2, p.g,
+            lambda gs: chain_free_vector(sp2, conjugate_rho(sp2, gs)), h)
 
     richardson = (4 * grad(5e-4) - grad(1e-3)) / 3
     assert np.abs(grad(1e-5) - richardson).max() <= 1e-6

@@ -256,8 +256,9 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
     g = random_point(case, 19).g
     calls = []
 
-    def funcs(gs, ms):
+    def funcs(gs):
         calls.append(len(gs))
+        ms = conjugate_rho(case, gs)
         k = kks_raw(case, ms)
         p0 = bruhat_matrix(case, gs)
         return np.concatenate([k.reshape(len(k), -1), p0.reshape(len(k), -1),
@@ -268,8 +269,8 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
         h = DEFAULT_FD_STEP
         rows = []
         for gp, gm in flow_points(case, g, h):
-            fp = funcs(gp[None], (gp @ case.rho @ gp.conj().T)[None])[0]
-            fm = funcs(gm[None], (gm @ case.rho @ gm.conj().T)[None])[0]
+            fp = funcs(gp[None])[0]
+            fm = funcs(gm[None])[0]
             rows.append((fp - fm) / (2 * h))
         return np.stack(rows)
 
@@ -399,10 +400,10 @@ def test_base_certifies_complex_structure(all_cases):
             _finish_case(case.tag, case.params, case.name, case.alg,
                          case.rho * (1 + 1e-11), case.r_plus, case.w_plus,
                          case.w_minus, case.chain_plan)
-        k0, t0 = case.k0, case.tangent
+        k0, t0 = kks_raw(case, case.rho), case.tangent
         assert np.abs(k0 @ k0 + t0 @ t0.T).max() <= CSTRUCT_TOL, case.name
         # the base data are shared by every pair of the case: read-only
-        for arr in (case.k0, case.k_t, case.j_t, case.tangent_side):
+        for arr in (case.k_t, case.j_t, case.tangent_side):
             assert not arr.flags.writeable, case.name
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
@@ -638,7 +639,8 @@ def test_bracket_of_coordinates_closed_form(sp2):
     k = kks_raw(sp2, p.m)
     coords = [0, 3, 2, 7, 1, 4]
     dvec = directional_derivatives(
-        sp2, p.g, lambda gs, ms: sp2.alg.coefficients(ms).real[:, coords])
+        sp2, p.g,
+        lambda gs: sp2.alg.coefficients(conjugate_rho(sp2, gs)).real[:, coords])
     br, _ = gradient_bracket(pair, dvec.T)
     for i in range(0, len(coords), 2):
         a, b = coords[i], coords[i + 1]
@@ -650,11 +652,11 @@ def test_bracket_leibniz(gr24):
     p = random_point(gr24, 61)
     pair = build_pair(gr24, p.g)
 
-    def funcs(gs, ms):
-        f = gr24.alg.coefficients(ms).real[:, [0, 4, 9]]
+    def funcs(gs):
+        f = gr24.alg.coefficients(conjugate_rho(gr24, gs)).real[:, [0, 4, 9]]
         return np.concatenate([f, f[:, :1] * f[:, 1:2]], axis=1)
 
-    f1, f2, _, _ = funcs(p.g[None], p.m[None])[0]
+    f1, f2, _, _ = funcs(p.g[None])[0]
     dvec = directional_derivatives(gr24, p.g, funcs)
     for br in gradient_bracket(pair, dvec.T):
         assert abs(br[3, 2] - (f1 * br[1, 2] + f2 * br[0, 2])) <= 1e-6
@@ -714,21 +716,30 @@ def test_jacobi_flow_blocks_match_adjoint_route(all_cases, monkeypatch):
             mp.setattr(poisson, "directional_derivatives", captured)
             jacobi_residual(build_pair(case, g), triples)
         gs = flow_points(case, g).reshape((-1,) + g.shape)
-        got = seen[0](gs, conjugate_rho(case, gs))
+        got = seen[0](gs)
         want = jacobi_entries_by_adjoint(case, gs, triples)
         scale = max(1.0, np.abs(want).max())
         assert np.abs(got - want).max() <= 1e-13 * scale, case.name
 
 
+def chain_trace_gap(pair):
+    """max |Tr N_r - 2 sum(lambda)| over a pair's points, with lambda the
+    free chain eigenvalues: the trace identity on the chain side."""
+    trace = np.trace(pair.nr, axis1=-2, axis2=-1)
+    lam = chain_free_vector(pair.case, pair.point.m)
+    return float(np.abs(trace - 2 * lam.sum(axis=-1)).max())
+
+
 def test_lenard_gr12_and_sp2(sp2):
+    # lenard_check returns the recursion alone; the trace identity is read
+    # against the chain
     gr12 = build_case("aiii", k=1, n=2)
-    p = random_point(gr12, 71)
-    out = lenard_check(build_pair(gr12, p.g), gr12.n_eig)
-    assert out["trace_gap"] <= 1e-9
-    p = random_point(sp2, 71)
-    out = lenard_check(build_pair(sp2, p.g), sp2.n_eig)
-    assert out["max"] <= 1e-5
-    assert out["trace_gap"] <= 1e-9
+    for case in (gr12, sp2):
+        pair = build_pair(case, random_point(case, 71).g)
+        out = lenard_check(pair, case.n_eig)
+        assert set(out) == {"steps", "max"}
+        assert out["max"] <= 1e-5, case.name
+        assert chain_trace_gap(pair) <= 1e-12, case.name
 
 
 def test_nstar_eigenvalue_equation(gr24, bdi6):
@@ -755,11 +766,12 @@ def test_fd_checks_take_stacked_pairs(all_cases):
         def checks(p, d):
             lenard = lenard_check(p, case.n_eig)
             return {"steps": np.array(lenard["steps"]), "max": lenard["max"],
-                    "trace_gap": lenard["trace_gap"],
+                    "trace_gap": chain_trace_gap(p),
                     "nstar": nstar_eigen_residual(p, d),
                     **jacobi_residual(p, triples)}
 
         got = checks(pair, dvec)
+        assert got["trace_gap"] <= 1e-12, case.name
         per_point = [checks(one, d) for one, d in zip(ones, dvecs)]
         for name, value in got.items():
             want = np.max([r[name] for r in per_point], axis=0)

@@ -71,17 +71,22 @@ def _references(tree):
             yield node.name.rpartition(".")[2], node.lineno
 
 
+def _library_trees():
+    """{path: ast} of src/ (but its __init__.py), demos/ and perfbench/."""
+    return {path: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py"))
+            + sorted((ROOT / "demos").glob("*.py"))
+            + sorted((ROOT / "perfbench").glob("*.py"))
+            if path.name != "__init__.py" or path.parent != SRC}
+
+
 def test_every_library_name_has_a_library_caller():
     # library code that only the tests use belongs in tests/helpers.py.  A
     # definition counts as used when its name appears in src/ outside its
     # own def and __init__.py, in demos/ or in perfbench/.  This is a guard
     # on names, not a call graph: a name that is reused for something else
     # elsewhere hides an orphan.
-    trees = {path: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))
-             + sorted((ROOT / "demos").glob("*.py"))
-             + sorted((ROOT / "perfbench").glob("*.py"))
-             if path.name != "__init__.py" or path.parent != SRC}
+    trees = _library_trees()
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
     orphans = []
     for path, tree in trees.items():
@@ -92,3 +97,22 @@ def test_every_library_name_has_a_library_caller():
                        for other, found in refs.items() for ref, line in found):
                 orphans.append(f"{path.name}:{first} {name}")
     assert orphans == []
+
+
+def test_every_library_field_is_read_in_the_library():
+    # a class field that only the tests read is state kept for them: they
+    # derive it themselves instead (tests/helpers.py).  An annotated field
+    # of a src/ class counts as read when its name is loaded as an
+    # attribute somewhere in src/, demos/ or perfbench/; as above, a guard
+    # on names
+    trees = _library_trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{item.lineno} {cls.name}.{item.target.id}"
+              for path, tree in trees.items() if path.parent == SRC
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for item in cls.body
+              if isinstance(item, ast.AnnAssign)
+              and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert unread == []

@@ -9,12 +9,13 @@ from pnorbit import (build_case, build_pair, calibrate,
                      measure_diii_normalization, pencil_spectrum, poisson,
                      run_suite, spectrum, spinrep, verify, vertex_probe)
 from pnorbit.errors import CalibrationError, UsageError
-from pnorbit.hermsym import batch_points, random_point
+from pnorbit.hermsym import batch_points, conjugate_rho, random_point
 from pnorbit.verify import (CALIBRATION_POINTS, CALIBRATION_SEED,
                             DEFAULT_TOLERANCES, _calibration_residuals,
                             _spin_checks)
 
-from helpers import brackets_by_adjoint, nijenhuis_restricted_inverse
+from helpers import (brackets_by_adjoint, fault_in_nr,
+                     nijenhuis_restricted_inverse)
 
 
 def test_calibration_unique_pair():
@@ -40,7 +41,7 @@ def candidate_residual(case, signs, points):
         k = poisson.kks_raw(case, pair.point.m)
         scale = max(1.0, np.abs(k).max())
         dmat = poisson.directional_derivatives(
-            case, g, lambda gs, ms: alg.real_coefficients(ms))
+            case, g, lambda gs: alg.real_coefficients(conjugate_rho(case, gs)))
         worst = max(worst, np.abs(dmat - (-s_k * k)).max() / scale)
         rng = np.random.default_rng(17)
         for _ in range(3):
@@ -324,3 +325,53 @@ def test_run_suite_accepts_zero_tolerance(gr12):
     # values exit 2, see test_cli): the check runs and fails
     report = run_suite(gr12, n_samples=3, seed=0, tolerances={"doubling": 0.0})
     assert [c.name for c in report.checks if not c.passed] == ["doubling"]
+
+
+def failed_checks(report):
+    return {c.name: c.max_residual / c.tolerance
+            for c in report.checks if not c.passed}
+
+
+@pytest.mark.parametrize("descriptor", ["diii:n=4", "bdi:m=7"])
+def test_trace_identity_fails_on_a_scaled_nr(descriptor, monkeypatch):
+    # N_r (1 + 1e-8) still has Tr N_r = 2 sum of its own de-doubled
+    # eigenvalues, and moves them by less than pencil_chain_match sees;
+    # the chain's eigenvalues do not move, so the trace identity fails.
+    # Calibration runs first: a fault it caught would prove nothing here
+    calibrate()
+    monkeypatch.setattr(poisson, "_restricted",
+                        fault_in_nr(lambda case, nr: nr * (1 + 1e-8)))
+    failed = failed_checks(run_suite(descriptor, 100, seed=2024))
+    assert list(failed) == ["trace_identity"], failed
+    assert failed["trace_identity"] >= 100
+
+
+def test_a_complex_pencil_is_a_failed_check(monkeypatch):
+    # N_r + 1e-6 K_T splits the doubled eigenvalues of diii into complex
+    # pairs: the suite reports pencil_reality failed instead of raising
+    calibrate()
+    monkeypatch.setattr(poisson, "_restricted", fault_in_nr(
+        lambda case, nr: nr + 1e-6 * case.k_t if case.tag == "diii" else nr))
+    failed = failed_checks(run_suite("diii:n=4", 100, seed=2024))
+    assert failed.get("pencil_reality", 0) >= 100, failed
+
+
+def test_run_suite_reads_no_pencil_spectrum(monkeypatch):
+    # the suite judges the pencil by its reported checks alone: the raising
+    # readout pencil_spectrum is never called, the plain pencil_eigenvalues
+    # is
+    calls = {"pencil_spectrum": 0, "pencil_eigenvalues": 0}
+
+    def counted(name):
+        fn = getattr(poisson, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(poisson, name, counted(name))
+    for descriptor in ("aiii:k=2,n=4", "diii:n=4", "bdi:m=7"):
+        assert run_suite(descriptor, 20, seed=2024).passed
+    assert calls["pencil_spectrum"] == 0 and calls["pencil_eigenvalues"] > 0, calls
