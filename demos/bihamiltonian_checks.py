@@ -41,8 +41,8 @@ for t in (0, 1):
 print(f"fd Jacobi residual of the pure KKS bracket: {jacobi['kks']:.2e}")
 
 print("\ninvolution of the eigenvalue functions:")
-dvec = chain_gradient(pair)
-for which, br in zip(("kks", "bruhat"), gradient_bracket(pair, dvec.T)):
+w = chain_gradient(pair)      # fd gradients along the 2 n_eig tangent flows
+for which, br in zip(("kks", "bruhat"), gradient_bracket(pair, w.T)):
     off = np.abs(br - np.diag(np.diag(br))).max()
     print(f"  max |{{l_i, l_j}}| under {which:<6}: {off:.2e}")
 

@@ -61,13 +61,29 @@ K = T K_T T^T has K^2 = -T T^T, hence K^+ = -K.
 
 So a `BracketPair` is T and N_r, and no reader forms a dim x dim bracket
 (the r-matrix form of Lu-Weinstein and Kosmann-Schwarzbach-Magri).  A
-function with flow derivatives dvec has gradient coefficients c = K dvec,
-and with w = T^T dvec and K_T^2 = -1 every bracket of P0 + t PK is
+function with fundamental-flow derivatives dvec_a = d/dh f(exp(h X_a) g)
+has gradient coefficients c = K dvec, and with w = T^T dvec and
+K_T^2 = -1 every bracket of P0 + t PK is
 
     {f, g}_t = c_f^T (P0 + t PK) c_g = w_f^T K_T (N_r + t) w_g.
 
 N = P0 PK^+ = -P0 PK acts on coefficient columns as T N_r T^T (in closed
-form N v = [-J(v), m] + v), and so does N^* on flow derivatives.
+form N v = [-J(v), m] + v), and so does N^* on flow derivatives: on w it
+is N_r.
+
+Tangent-frame flows.  Every reader needs w, never dvec, so the fd layer
+differentiates along the 2 n_eig tangent directions alone and returns w.
+As sum_a T[a, j] X_a = g Y_j g^-1 and exp(h g Y_j g^-1) g = g exp(h Y_j),
+w_j = sum_a T[a, j] dvec_a is the derivative along g exp(h Y_j): exact,
+by linearity of the derivative in its direction.  Nothing is lost.  Every
+function the flows differentiate is a function on the orbit M = G/H
+(chain eigenvalues, coordinates of m, Tr N^k, entries of K and P0), so it
+is constant along g exp(h Z) for Z in h, and dvec vanishes on Ad_g h,
+the complement of range(T) = range(K).  The dim - 2 n_eig dropped
+directions held only the normal part dvec - T T^T dvec, zero in exact
+arithmetic; its fd value is noise, below 1e-10 of the function's values
+once extrapolated in h (tests/test_poisson.py).  Each point takes 2 dim_m
+flow points in place of 2 dim (diii:n=6: 60 in place of 132).
 
 Real forms.  For the so-families (diii, bdi) rho and the sampled g and m
 are real (hermsym), and so are the flow points of a real g.  A real g
@@ -283,22 +299,25 @@ def pencil_spectrum(pair):
 # finite differences along orbit flows
 # ---------------------------------------------------------------------------
 
-# The flow steps exp(+-h X_a) do not depend on the point: one read-only
-# (dim, 2, N, N) stack per case descriptor and step h serves every fd flow.
+# The flow steps exp(+-h Y_j) do not depend on the point: one read-only
+# (dim_m, 2, N, N) stack per case descriptor (which fixes T0) and step h
+# serves every fd flow.
 _FLOW_STEPS = {}                # (case descriptor, h) -> steps
 
 
 def flow_points(case, g, h=DEFAULT_FD_STEP):
     """Perturbed group elements of one g (N, N) or a stack (..., N, N),
-    (..., dim, 2, N, N): [..., a, 0] = exp(+h X_a) g and
-    [..., a, 1] = exp(-h X_a) g for every basis direction a."""
+    (..., dim_m, 2, N, N): [..., j, 0] = g exp(+h Y_j) and
+    [..., j, 1] = g exp(-h Y_j) for every tangent basis element
+    Y_j = sum_b T0[b, j] X_b (Case.tangent)."""
     key = (case.descriptor(), h)
     if key not in _FLOW_STEPS:
-        steps = expm_antihermitian(case.alg.native(h * case.alg.basis))
+        y = case.alg.from_coefficients(case.tangent.T)
+        steps = expm_antihermitian(case.alg.native(h * y))
         steps = np.stack([steps, _dagger(steps)], axis=1)
         steps.flags.writeable = False
         _FLOW_STEPS[key] = steps
-    return _FLOW_STEPS[key] @ np.asarray(g)[..., None, None, :, :]
+    return np.asarray(g)[..., None, None, :, :] @ _FLOW_STEPS[key]
 
 
 # Byte budget for the largest per-point intermediates of a stacked bracket
@@ -316,23 +335,27 @@ def _budget_points(case, rows):
 
 
 def stack_chunk(case):
-    """Points per stacked bracket call, for the tangent reader's rows."""
+    """Points per stacked bracket call, for the tangent reader's rows; in
+    an fd flow, flow directions (a point and a tangent direction, two flow
+    points each) per call."""
     return _budget_points(case, case.dim_m)
 
 
 def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
-    """fd derivatives of point functions along every fundamental flow, at
-    one g (N, N) or a stack (..., N, N).
+    """fd derivatives of functions on the orbit along the tangent flows
+    g exp(h Y_j) (flow_points), at one g (N, N) or a stack (..., N, N):
+    w = T^T dvec of the fundamental-flow derivatives dvec (see the module
+    docstring).
 
     Stack contract: funcs maps a stack gs (S, N, N) of flow points to
     values with a leading stack axis, (S, *value_shape); row s must depend
     on gs[s] alone.  A function of the moment forms m = g rho g^dag itself
     (hermsym.conjugate_rho); the bracket and Lenard flows read g alone.
-    The flow directions (a point and a basis element each) go through
-    funcs in calls of both signs of chunk directions, by default
+    The flow directions (a point and a tangent basis element each) go
+    through funcs in calls of both signs of chunk directions, by default
     stack_chunk(case), so that the intermediates of one bracket call, about
     chunk * 2 n_eig * N^2 complex (so-families: real) numbers, stay within
-    a byte budget.  Returns (..., dim, *value_shape).
+    a byte budget.  Returns (..., dim_m, *value_shape).
     """
     pts = flow_points(case, g, h)
     lead, size = pts.shape[:-3], case.alg.size
@@ -350,13 +373,13 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     return out.reshape(lead + out.shape[1:])
 
 
-def gradient_bracket(pair, dvecs):
-    """The KKS and Bruhat brackets of functions given their flow-derivative
-    vectors dvecs (..., nfuncs, dim): w^T K_T w and w^T K_T N_r w with
-    w = T^T dvec.  df = sum_a c_a dF_a has dvec = K^T c = -K c, so
-    c = K dvec (a kernel part is annihilated by both brackets), and
-    c^T PK c, c^T P0 c reduce to these by K_T^2 = -1 and T^T T = 1."""
-    w = dvecs @ pair.tangent                      # rows w^T, (..., nfuncs, 2 n_eig)
+def gradient_bracket(pair, w):
+    """The KKS and Bruhat brackets of functions given their tangent-frame
+    flow derivatives w = T^T dvec as rows (..., nfuncs, 2 n_eig), as
+    directional_derivatives returns them: w^T K_T w and w^T K_T N_r w.
+    df = sum_a c_a dF_a has dvec = K^T c = -K c, so c = K dvec (a kernel
+    part is annihilated by both brackets), and c^T PK c, c^T P0 c reduce
+    to these by K_T^2 = -1 and T^T T = 1."""
     wk, wt = w @ pair.case.k_t, np.swapaxes(w, -1, -2)
     return wk @ wt, wk @ (pair.nr @ wt)
 
@@ -393,15 +416,13 @@ def jacobi_residual(pair, triples):
     dk, d0 = np.moveaxis(
         directional_derivatives(case, pair.point.g, entries), -2, 0)
     # {{F_x, F_y}, F_z} = c^T pi[:, z] with c = K dvec = T u for the flow
-    # derivatives dvec of {F_x, F_y}, u = K_T T^T dvec, pi = T X K_T T^T
+    # derivatives w = T^T dvec of {F_x, F_y}, u = K_T w, pi = T X K_T T^T
     # (X = 1, N_r or N_r + 1): u^T X (K_T T[z]^T), column by column
-    tan = pair.tangent
-    kz = case.k_t @ np.swapaxes(tan[..., zs, :], -1, -2)
+    kz = case.k_t @ np.swapaxes(pair.tangent[..., zs, :], -1, -2)
     nkz = pair.nr @ kz
 
-    def residual(dvec, xkz):
-        u = case.k_t @ (np.swapaxes(tan, -1, -2) @ dvec)
-        terms = (u * xkz).sum(axis=-2)
+    def residual(w, xkz):
+        terms = ((case.k_t @ w) * xkz).sum(axis=-2)
         cyc = terms.reshape(terms.shape[:-1] + (-1, 3)).sum(axis=-1)
         return float(np.abs(cyc).max(initial=0.0))
 
@@ -443,42 +464,44 @@ def traces_of_powers(case, g, k_max):
 def lenard_check(pair, k_max):
     """Residuals of the Lenard recursion dI_{k+1} = N^* dI_k.
 
-    dI_k are the fd flow derivatives of traces_of_powers, in the tangent
-    frame at every flow point; N^* acts on them as T N_r T^T.  Returns
+    dI_k are the tangent-frame fd flow derivatives w_k = T^T dvec_k of
+    traces_of_powers, on which N^* = T N_r T^T acts as N_r.  Returns
     {"steps": per-step residuals relative to the gradient scale, "max"},
     each the largest over a stacked pair's points; no trace and no pencil
     eigenvalue (run_suite checks Tr N = 2 sum(lambda) against the chain).
     """
     case = pair.case
-    dvec = directional_derivatives(
+    w = directional_derivatives(
         case, pair.point.g, lambda gs: traces_of_powers(case, gs, k_max))
-    lhs = dvec[..., 1:]
-    res = (np.linalg.norm(lhs - _nijenhuis_cols(pair, dvec[..., :-1]), axis=-2)
+    lhs = w[..., 1:]
+    res = (np.linalg.norm(lhs - pair.nr @ w[..., :-1], axis=-2)
            / np.maximum(1.0, np.linalg.norm(lhs, axis=-2)))
     steps = res.max(axis=tuple(range(res.ndim - 1)))
     return {"steps": steps.tolist(), "max": float(steps.max(initial=0.0))}
 
 
 def chain_gradient(pair):
-    """fd flow derivatives of the free chain eigenvalues at the pair's
-    points, (..., dim, n_eig): column i is the flow-derivative vector of
-    lambda_i, as gradient_bracket and nstar_eigen_residual take it.  The
-    chain has no (S, dim, N, N) intermediates, so all 2 dim flow points of
-    every point go through one chain_free_vector call."""
+    """Tangent-frame fd flow derivatives w = T^T dvec of the free chain
+    eigenvalues at the pair's points, (..., 2 n_eig, n_eig): column i is
+    w of lambda_i, as gradient_bracket (transposed) and
+    nstar_eigen_residual take it.  The chain has no (S, dim_m, N, N)
+    intermediates, so all 2 dim_m flow points of every point go through
+    one chain_free_vector call."""
     case, g = pair.case, pair.point.g
     return directional_derivatives(
         case, g,
         lambda gs: _spectrum.chain_free_vector(case, conjugate_rho(case, gs)),
-        chunk=case.alg.dim * g[..., 0, 0].size)
+        chunk=case.dim_m * g[..., 0, 0].size)
 
 
-def nstar_eigen_residual(pair, dvec):
+def nstar_eigen_residual(pair, w):
     """max_i |N^* d(lambda_i) - lambda_i d(lambda_i)| over free eigenvalues
-    and a stacked pair's points, from dvec = chain_gradient(pair)."""
+    and a stacked pair's points, from w = chain_gradient(pair): in the
+    tangent frame, |N_r w_i - lambda_i w_i|."""
     lam = _spectrum.chain_free_vector(pair.case, pair.point.m)
-    resid = _nijenhuis_cols(pair, dvec) - lam[..., None, :] * dvec
+    resid = pair.nr @ w - lam[..., None, :] * w
     return float((np.linalg.norm(resid, axis=-2)
-                  / np.maximum(1.0, np.linalg.norm(dvec, axis=-2))).max())
+                  / np.maximum(1.0, np.linalg.norm(w, axis=-2))).max())
 
 
 # ---------------------------------------------------------------------------

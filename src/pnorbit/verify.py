@@ -124,18 +124,21 @@ def _calibration_residuals(case, points):
     """{(s_K, s_0): worst of (hamiltonian-convention fd gap, formula-vs-
     pencil gap)} for the four sign pairs, over the stack of points.
 
-    The fd gap of s_K is |dmat + s_K K| per point, relative to the point's
-    max|K|, with K = kks_raw(m); the pencil P0 PK^+ at (s_K, s_0) is
-    -s_0 s_K times the pencil at the convention, an exact sign flip.
+    The fd gap of s_K is |w + s_K T^T K| per point, relative to the point's
+    max|K|, with w the tangent-frame flow derivatives T^T dvec of all
+    coordinates and K = kks_raw(m) from the dense route (the fundamental
+    flow of X_a moves F_b by dvec_a[b] = -K[a, b]); the pencil P0 PK^+ at
+    (s_K, s_0) is -s_0 s_K times the pencil at the convention, an exact
+    sign flip.
     """
     pair = poisson.build_pair(case, points)
     k = poisson.kks_raw(case, pair.point.m)
     scale = np.maximum(1.0, np.abs(k).max(axis=(-2, -1)))
-    # fd flow derivatives of all coordinates along all flows
-    dmat = poisson.directional_derivatives(
+    tk = np.swapaxes(pair.tangent, -1, -2) @ k
+    w = poisson.directional_derivatives(
         case, points,
         lambda gs: case.alg.real_coefficients(hermsym.conjugate_rho(case, gs)))
-    fd_gap = {s_k: (np.abs(dmat + s_k * k).max(axis=(-2, -1)) / scale).max()
+    fd_gap = {s_k: (np.abs(w + s_k * tk).max(axis=(-2, -1)) / scale).max()
               for s_k in (1, -1)}
     # the same three directions (axis 0) at every point
     rng = np.random.default_rng(17)
@@ -199,12 +202,12 @@ def _gap_regular_points(case, seed, g_batch, m_batch, chain, n_needed,
         chain = spectrum.chain_batch(case, m_batch)
 
 
-def _involution_residuals(pair, dvec):
+def _involution_residuals(pair, w):
     """Largest off-diagonal bracket of the free chain eigenvalues under
     each bracket, over a stacked pair's points, from
-    dvec = poisson.chain_gradient(pair)."""
-    diag = np.eye(dvec.shape[-1], dtype=bool)
-    brackets = poisson.gradient_bracket(pair, np.swapaxes(dvec, -1, -2))
+    w = poisson.chain_gradient(pair)."""
+    diag = np.eye(w.shape[-1], dtype=bool)
+    brackets = poisson.gradient_bracket(pair, np.swapaxes(w, -1, -2))
     return {which: np.abs(np.where(diag, 0.0, br)).max()
             for which, br in zip(("kks", "bruhat"), brackets)}
 
@@ -379,11 +382,11 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     target = min(50, n_samples)
     reg_gs, reg_ms, skipped = _gap_regular_points(
         case, seed, g_batch, m_batch, chain, target, 4 * n_samples)
-    res_kks, res_bruhat, dvecs = 0.0, 0.0, []
+    res_kks, res_bruhat, grads = 0.0, 0.0, []
     for i in range(0, len(reg_gs), step):
         pair = poisson.build_pair(case, reg_gs[i:i + step], m=reg_ms[i:i + step])
-        dvecs.append(poisson.chain_gradient(pair))
-        r = _involution_residuals(pair, dvecs[-1])
+        grads.append(poisson.chain_gradient(pair))
+        r = _involution_residuals(pair, grads[-1])
         res_kks = max(res_kks, r["kks"])
         res_bruhat = max(res_bruhat, r["bruhat"])
     if len(reg_gs) < target:        # not enough gap-regular points found
@@ -391,7 +394,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     if len(reg_gs):
         pair = poisson.build_pair(case, reg_gs[:3], m=reg_ms[:3])
         res_len = poisson.lenard_check(pair, case.n_eig)["max"]
-        res_nstar = poisson.nstar_eigen_residual(pair, np.concatenate(dvecs)[:3])
+        res_nstar = poisson.nstar_eigen_residual(pair, np.concatenate(grads)[:3])
     else:                      # nothing regular found: cannot certify
         res_len = res_nstar = np.inf
     _check(checks, tols, "involution_kks", res_kks, skipped=skipped)

@@ -37,9 +37,19 @@ flow served every t: one flow of the tangent-frame entries of P0 + t K (or
 of K alone at t = 'kks') per call, contracted in the tangent frame as the
 library does.  The library routes must match them.
 
+`directional_derivatives_by_basis` is the fd flow layer as it stood before
+the tangent frame: central differences along the 2 dim fundamental flows
+exp(+-h X_a) g, returning dvec (..., dim, *value).  The library's
+tangent-frame w must equal T^T dvec to fd accuracy, and dvec must have no
+normal part.
+
 `fault_in_nr` is a planted fault: a stand-in for poisson._restricted that
 edits every N_r the bracket layer forms, for tests that show a check can
-fail.
+fail.  `fault_in_j` plants a fault in J itself: the case rebuilt through
+hermsym._finish_case with J halved or flipped on the plane of the highest
+compact root (`highest_compact_root_plane`), a plane of h = ker ad_rho,
+so the case's own certificates, which read J on the tangent space only,
+still pass.
 
 The checked algebra maps J, C_pm, the Iwasawa split of g_C = g (+) b_pm and
 the Manin pairing Im Tr are the spec-level forms of the conventions that
@@ -48,12 +58,14 @@ tests hold the conventions to them.  `kphi` is the symmetry exp(pi rho) of
 a case.
 """
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 
 from pnorbit.errors import ConventionError
-from pnorbit.numkernel import expm_antihermitian
+from pnorbit.hermsym import _finish_case
+from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
 from pnorbit.poisson import (_adjoint, _restricted, _tangent,
                              directional_derivatives, kks_raw)
 from pnorbit.spectrum import GT_TAGS, _layout
@@ -186,19 +198,78 @@ def jacobi_residual_per_t(pair, t, triples):
             pt = t_n @ (_restricted(case, frame) @ case.k_t) @ t_nt + t * pt
         return pt[:, rows, cols]
 
-    dvec = directional_derivatives(case, pair.point.g, entries)
-    # contracted in the tangent frame, as jacobi_residual does: u = K_T T^T
-    # dvec against (N_r + t) K_T T[z]^T, or K_T T[z]^T alone at 'kks'
-    tan = pair.tangent
-    kz = case.k_t @ tan[[z for _, _, z in cyclic]].T
+    w = directional_derivatives(case, pair.point.g, entries)
+    # contracted in the tangent frame, as jacobi_residual does: u = K_T w
+    # against (N_r + t) K_T T[z]^T, or K_T T[z]^T alone at 'kks'
+    kz = case.k_t @ pair.tangent[[z for _, _, z in cyclic]].T
     xkz = kz if t == "kks" else pair.nr @ kz + t * kz
-    terms = (case.k_t @ (tan.T @ dvec) * xkz).sum(axis=0)
+    terms = (case.k_t @ w * xkz).sum(axis=0)
     return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
+
+
+def directional_derivatives_by_basis(case, g, funcs, h=DEFAULT_FD_STEP):
+    """fd derivatives dvec (..., dim, *value) of funcs along the basis flows
+    exp(+-h X_a) g, at one g (N, N) or a stack (..., N, N); funcs takes
+    every flow point in one stack (S, N, N)."""
+    steps = expm_antihermitian(case.alg.native(h * case.alg.basis))
+    steps = np.stack([steps, np.conj(np.swapaxes(steps, -1, -2))], axis=1)
+    pts = steps @ np.asarray(g)[..., None, None, :, :]
+    vals = np.asarray(funcs(pts.reshape((-1,) + pts.shape[-2:])))
+    vals = vals.reshape(pts.shape[:-2] + vals.shape[1:])
+    sign = pts.ndim - 3                       # the axis of +-h
+    return (vals.take(0, axis=sign) - vals.take(1, axis=sign)) / (2 * h)
 
 
 def fault_in_nr(edit):
     """poisson._restricted with edit(case, N_r) applied to its result."""
     return lambda case, t: edit(case, _restricted(case, t))
+
+
+def _kernel(mat):
+    """Orthonormal coefficient columns of the kernel of an ad matrix."""
+    w, u = np.linalg.eigh(mat.T @ mat)
+    return u[:, w < 0.25]
+
+
+def highest_compact_root_plane(case):
+    """Orthonormal coefficient columns (dim, 2) [v, J v] of the root plane
+    in h = ker ad_rho with the largest alpha(h0); ties (aiii: one highest
+    root per block) go to the plane that meets the lowest basis index.
+    The root planes are the invariant planes of ad_H on the root part of
+    h for a generic Cartan element H."""
+    alg = case.alg
+    stab = _kernel(alg.ad_matrix(case.rho))
+    w, u = np.linalg.eigh(-(stab.T @ alg.jmat @ alg.jmat @ stab))
+    roots = stab @ u[:, w > 0.5]              # J^2 = -1 here, 0 on t
+    cartan = _kernel(alg.ad_matrix(alg.h0))
+    generic = alg.from_coefficients(
+        cartan @ np.random.default_rng(0).standard_normal(cartan.shape[1]))
+    ev, vec = np.linalg.eig(roots.T @ alg.ad_matrix(generic) @ roots)
+    ad_h0 = alg.ad_matrix(alg.h0)
+    planes = []
+    for k in np.flatnonzero(ev.imag > 0):
+        v = roots @ vec[:, k].real
+        v /= np.linalg.norm(v)
+        plane = np.stack([v, alg.jmat @ v], axis=1)
+        weight = (plane ** 2).sum(axis=1)
+        planes.append((-round(float(np.linalg.norm(ad_h0 @ v)), 6),
+                       int(np.flatnonzero(weight > 1e-9)[0]), plane))
+    return min(planes, key=lambda p: p[:2])[2]
+
+
+def fault_in_j(case, kind):
+    """case rebuilt through hermsym._finish_case with J' = J - f P J P on
+    the plane P of highest_compact_root_plane: kind 'halve' (f = 1/2, no
+    r-matrix) or 'flip' (f = 2; on a simple root, the J of the
+    neighbouring Weyl chamber)."""
+    f = {"halve": 0.5, "flip": 2.0}[kind]
+    plane = highest_compact_root_plane(case)
+    proj = plane @ plane.T
+    jmat = case.alg.jmat - f * proj @ case.alg.jmat @ proj
+    alg = replace(case.alg, jmat=jmat, jflat=jmat.T @ case.alg.flat)
+    return _finish_case(case.tag, case.params, case.name, alg, case.rho,
+                        case.r_plus, case.w_plus, case.w_minus,
+                        case.chain_plan)
 
 
 def ladder_gammas(n_letters, odd=False):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pnorbit import (ConventionError, NumericalError, build_case, build_pair,
                      bruhat_matrix, chain_spectrum, lenard_check,
                      nijenhuis_apply, nijenhuis_formula, pencil_spectrum,
-                     poisson)
+                     poisson, verify)
 from pnorbit.hermsym import (CSTRUCT_TOL, OrbitPoint, _finish_case,
                              batch_points, conjugate_rho, parse_case,
                              random_point, stabilizer_elements)
@@ -20,12 +20,12 @@ from pnorbit.poisson import (chain_gradient, connection_check,
                              gradient_bracket, jacobi_residual, kks_raw,
                              nstar_eigen_residual, pencil_eigenvalues,
                              traces_of_powers)
-from pnorbit.spectrum import chain_free_vector
+from pnorbit.spectrum import chain_batch, chain_free_vector, gap_regularity
 
 from helpers import (brackets_by_adjoint, brackets_from_tangent,
-                     cartan_element, jacobi_entries_by_adjoint,
-                     jacobi_residual_per_t, nijenhuis_restricted_inverse,
-                     traces_of_powers_ambient)
+                     cartan_element, directional_derivatives_by_basis,
+                     jacobi_entries_by_adjoint, jacobi_residual_per_t,
+                     nijenhuis_restricted_inverse, traces_of_powers_ambient)
 
 
 def tangent_vector(case, m, rng, normalize=True):
@@ -187,7 +187,8 @@ def test_tangent_frame_readers_match_adjoint_route(descriptor, monkeypatch):
     # w^T K_T w and w^T K_T N_r w, N on columns as T N_r T^T, and the
     # Jacobi contraction against X K_T T[z]^T.  On a stacked pair of three
     # points they match the dense PK and P0 of the dim x dim A; random
-    # vectors stand in for the fd derivatives, so every value is O(1)
+    # vectors dvec stand in for the fd derivatives, so every value is O(1),
+    # and reach the readers as the flows return them, w = T^T dvec
     case = parse_case(descriptor)
     dim, rng = case.alg.dim, np.random.default_rng(29)
     gs, _ = batch_points(case, 67, 0, 3)
@@ -199,7 +200,7 @@ def test_tangent_frame_readers_match_adjoint_route(descriptor, monkeypatch):
 
     dvecs = rng.standard_normal((3, 4, dim))
     c = pk @ np.swapaxes(dvecs, -1, -2)
-    for got, p in zip(gradient_bracket(pair, dvecs), (pk, p0)):
+    for got, p in zip(gradient_bracket(pair, dvecs @ pair.tangent), (pk, p0)):
         want = np.swapaxes(c, -1, -2) @ p @ c
         assert_close(got, want, np.abs(want).max())
 
@@ -212,9 +213,10 @@ def test_tangent_frame_readers_match_adjoint_route(descriptor, monkeypatch):
         triple = tuple(rng.choice(dim, 3, replace=False))
         zs = [triple[2], triple[0], triple[1]]
         fake = rng.standard_normal((3, dim, 2, 3))
+        fake_w = np.einsum("saj,sakc->sjkc", pair.tangent, fake)
         with monkeypatch.context() as mp:
             mp.setattr(poisson, "directional_derivatives",
-                       lambda *args, **kwargs: fake)
+                       lambda *args, **kwargs: fake_w)
             got = jacobi_residual(pair, [triple])
         dk, d0 = np.moveaxis(fake, -2, 0)
         for name, d, p in (("kks", dk, pk), ("t0", d0, p0),
@@ -275,23 +277,98 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
         return np.stack(rows)
 
     got = directional_derivatives(case, g, funcs)
-    assert sum(calls) == 2 * case.alg.dim
+    assert sum(calls) == 2 * case.dim_m
     assert (len(calls) > 1) == several
     assert np.abs(got - pointwise(g)).max() <= 1e-12
-    # a stack (2, 1) of points: one block of dim rows per point, with the
+    # a stack (2, 1) of points: one block of dim_m rows per point, with the
     # flow directions of both points sharing the calls
     gs = np.stack([g, random_point(case, 23).g])[:, None]
     calls.clear()
     stacked = directional_derivatives(case, gs, funcs)
-    assert sum(calls) == 2 * 2 * case.alg.dim
+    assert sum(calls) == 2 * 2 * case.dim_m
     assert stacked.shape == (2, 1) + got.shape
     for row, g_i in zip(stacked, gs):
         assert np.abs(row[0] - pointwise(g_i[0])).max() <= 1e-12
 
 
+def record_flows(mp):
+    """Wrap poisson.directional_derivatives on the monkeypatch context mp;
+    the returned list gets (funcs, rows) for every fd flow taken, rows
+    being the number of flow points of each call of funcs."""
+    flows = []
+
+    def recorded(case, g, funcs, *args, **kwargs):
+        rows = []
+
+        def counted(gs):
+            rows.append(len(gs))
+            return funcs(gs)
+        flows.append((funcs, rows))
+        return directional_derivatives(case, g, counted, *args, **kwargs)
+
+    mp.setattr(poisson, "directional_derivatives", recorded)
+    return flows
+
+
+def test_tangent_flows_are_basis_flows_in_the_tangent_frame(all_cases,
+                                                             monkeypatch):
+    # the flows g exp(+-h Y_j) give w = T^T dvec of the basis flows
+    # exp(+-h X_a) g, for every function the fd checks differentiate (the
+    # chain eigenvalues, the Lenard traces and the Jacobi entries), at
+    # gap-regular points.  The basis route's normal part dvec - T T^T dvec,
+    # which the tangent flows drop, is fd noise: it held no information.
+    # Both routes are Richardson-extrapolated (h, h/2): at a single h the
+    # two stencils' h^2 terms differ (1.3e-8 on ci:n=2 at a gap of 0.02),
+    # and each is held relative to its values (I_15 of diii:n=6 is ~7e3)
+    rng = np.random.default_rng(43)
+    h = DEFAULT_FD_STEP
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, ms = batch_points(case, 2024, 0, 20)
+        regular = gap_regularity(case, chain_batch(case, ms)) > verify.GAP_THRESHOLD
+        pair = build_pair(case, gs[regular][:3], m=ms[regular][:3])
+        g, tan = pair.point.g, pair.tangent
+        triples = [tuple(rng.choice(case.alg.dim, 3, replace=False))
+                   for _ in range(4)]
+        with monkeypatch.context() as mp:
+            flows = record_flows(mp)
+            chain_gradient(pair)
+            lenard_check(pair, case.n_eig)
+            jacobi_residual(pair, triples)
+        assert len(flows) == 3, case.name
+        for funcs, _ in flows:
+            scale = max(1.0, np.abs(funcs(g)).max())
+            w, dvec = [(4 * route(case, g, funcs, h / 2)
+                        - route(case, g, funcs, h)) / 3
+                       for route in (directional_derivatives,
+                                     directional_derivatives_by_basis)]
+            dvec = dvec.reshape(dvec.shape[:2] + (-1,))
+            want = np.swapaxes(tan, -1, -2) @ dvec
+            assert (np.abs(w.reshape(want.shape) - want).max()
+                    <= 1e-9 * scale), case.name
+            assert np.abs(dvec - tan @ want).max() <= 1e-9 * scale, case.name
+
+
+def test_fd_flows_form_two_points_per_tangent_direction(all_cases,
+                                                        monkeypatch):
+    # every fd flow forms 2 dim_m flow points per point, not 2 dim: the
+    # rows that reach funcs over each flow of chain_gradient, lenard_check,
+    # jacobi_residual and the calibration, on a stack of three points
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, _ = batch_points(case, 71, 0, 3)
+        pair = build_pair(case, gs)
+        with monkeypatch.context() as mp:
+            flows = record_flows(mp)
+            chain_gradient(pair)
+            lenard_check(pair, case.n_eig)
+            jacobi_residual(pair, [(0, 1, 2)])
+            verify._calibration_residuals(case, gs)
+        assert [sum(rows) for _, rows in flows] == [2 * case.dim_m * 3] * 4, (
+            case.name)
+
+
 def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
-    # exp(+-h X_a) does not depend on the point: one exponential per case and
-    # h, and the flow points stay bitwise the steps times g
+    # exp(+-h Y_j) does not depend on the point: one exponential per case and
+    # h, and the flow points stay bitwise g times the steps
     monkeypatch.setattr(poisson, "_FLOW_STEPS", {})
     calls = []
 
@@ -302,13 +379,14 @@ def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
     monkeypatch.setattr(poisson, "expm_antihermitian", counted)
     for case in all_cases:
         gs, _ = batch_points(case, 53, 0, 2)
+        y = case.alg.from_coefficients(case.tangent.T)
         for h in (DEFAULT_FD_STEP, 1e-3):
-            steps = expm_antihermitian(case.alg.native(h * case.alg.basis))
+            steps = expm_antihermitian(case.alg.native(h * y))
             for g in gs:
-                want = np.stack([steps @ g, np.swapaxes(steps.conj(), 1, 2) @ g],
+                want = np.stack([g @ steps, g @ np.swapaxes(steps.conj(), 1, 2)],
                                 axis=1)
                 assert np.array_equal(flow_points(case, g, h), want), case.name
-    assert calls == [case.alg.dim for case in all_cases for _ in range(2)]
+    assert calls == [case.dim_m for case in all_cases for _ in range(2)]
     assert not any(s.flags.writeable for s in poisson._FLOW_STEPS.values())
 
 

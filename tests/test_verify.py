@@ -9,12 +9,13 @@ from pnorbit import (build_case, build_pair, calibrate,
                      measure_diii_normalization, pencil_spectrum, poisson,
                      run_suite, spectrum, spinrep, verify, vertex_probe)
 from pnorbit.errors import CalibrationError, UsageError
-from pnorbit.hermsym import batch_points, conjugate_rho, random_point
+from pnorbit.hermsym import (batch_points, conjugate_rho, parse_case,
+                             random_point)
 from pnorbit.verify import (CALIBRATION_POINTS, CALIBRATION_SEED,
                             DEFAULT_TOLERANCES, _calibration_residuals,
                             _spin_checks)
 
-from helpers import (brackets_by_adjoint, fault_in_nr,
+from helpers import (brackets_by_adjoint, fault_in_j, fault_in_nr,
                      nijenhuis_restricted_inverse)
 
 
@@ -29,6 +30,8 @@ def test_calibration_unique_pair():
 def candidate_residual(case, signs, points):
     """One candidate's calibration residual by its own arithmetic, one
     point at a time, with K = kks_raw(m), PK = s_K K and P0 = -s_0 K D K.
+    The coordinates' tangent-frame flow derivatives w = T^T dvec are held
+    to T^T (-s_K K), as the fundamental flows move F_b by -s_K K[a, b].
     On the pair's tangent frame T, T^T PK T = s_K K_T and
     T^T P0 T = -s_0 N_r K_T, so the candidate's N = P0 PK^+ is
     T (-s_0 s_K N_r) T^T (K_T^-1 = -K_T)."""
@@ -40,9 +43,9 @@ def candidate_residual(case, signs, points):
         tan, n_r = pair.tangent, -s_0 * s_k * pair.nr
         k = poisson.kks_raw(case, pair.point.m)
         scale = max(1.0, np.abs(k).max())
-        dmat = poisson.directional_derivatives(
+        w = poisson.directional_derivatives(
             case, g, lambda gs: alg.real_coefficients(conjugate_rho(case, gs)))
-        worst = max(worst, np.abs(dmat - (-s_k * k)).max() / scale)
+        worst = max(worst, np.abs(w - tan.T @ (-s_k * k)).max() / scale)
         rng = np.random.default_rng(17)
         for _ in range(3):
             x = alg.from_coefficients(rng.standard_normal(alg.dim))
@@ -344,6 +347,35 @@ def test_trace_identity_fails_on_a_scaled_nr(descriptor, monkeypatch):
     failed = failed_checks(run_suite(descriptor, 100, seed=2024))
     assert list(failed) == ["trace_identity"], failed
     assert failed["trace_identity"] >= 100
+
+
+# J halved on the highest compact root plane is no r-matrix: the pencil
+# fails Jacobi and the Lenard recursion, and its spectrum leaves the
+# chain's.  The compact roots of aiii:k=2,n=4 are simple, so flipped there
+# J is the r-matrix of the neighbouring Weyl chamber, and only the checks
+# that hold the pencil to the chain fail.
+FD_FAULT = {"jacobi_t0", "jacobi_t1", "lenard", "nstar_dlambda",
+            "pencil_chain_match", "trace_identity"}
+CHAIN_FAULT = {"pencil_chain_match", "trace_identity", "nstar_dlambda"}
+
+
+@pytest.mark.parametrize("descriptor,kind,fails", [
+    ("aiii:k=2,n=4", "halve", FD_FAULT),
+    ("ci:n=3", "halve", FD_FAULT | {"involution_bruhat", "pencil_reality"}),
+    ("diii:n=4", "halve", FD_FAULT | {"involution_bruhat", "pencil_reality"}),
+    ("bdi:m=7", "halve", FD_FAULT | {"involution_bruhat", "pencil_reality",
+                                     "spin_triangular"}),
+    ("aiii:k=2,n=4", "flip", CHAIN_FAULT),
+])
+def test_fd_checks_fail_on_a_planted_fault_in_j(descriptor, kind, fails):
+    # the case is rebuilt with the fault (its certificates read J on the
+    # tangent space only, and pass); each check the fault reaches fails by
+    # at least 100x, and no other check fails
+    calibrate()
+    case = fault_in_j(parse_case(descriptor), kind)
+    failed = failed_checks(run_suite(case, 40, seed=2024))
+    assert set(failed) == fails, failed
+    assert min(failed.values()) >= 100, failed
 
 
 def test_a_complex_pencil_is_a_failed_check(monkeypatch):
