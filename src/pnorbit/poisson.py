@@ -104,7 +104,9 @@ Stack contract, one for the whole module: `build_pair` takes one g
 leading axes, and every function that takes a pair takes it stacked,
 with vectors and flow derivatives carrying the same axes (`nijenhuis_apply`
 and `connection_check` broadcast more leading axes of v).  A single point
-is a batch of one through the same code.  Checks run per row with the
+is a batch of one through the same code, and no point's pair is built
+twice: `pair[rows]` reads rows of a stack (cached N_r too) and
+`BracketPair.join` restacks them.  Checks run per row with the
 per-point scales and report the largest value over the stack; a stack
 raises whenever one of its rows would.  The fd checks read case, g and m
 from the pair and build none of their own; `nstar_eigen_residual` takes
@@ -115,7 +117,7 @@ from T alone; one Jacobi flow reads T per flow point, forms only the
 bracketed entries of K and P0 from its needed rows, and serves the KKS
 bracket and pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.
 `stack_chunk(case)` is the one rule for how many points go into a stacked
-bracket call: the sample loops in `verify` and the bracket fd flows (both
+bracket call: the pair stacks of `run_suite` and the bracket fd flows (both
 signs of `stack_chunk(case)` flow directions, over all the pair's points,
 per call) share it; the chain fd flow of `chain_gradient` builds no
 brackets and takes every flow point in one call.
@@ -195,7 +197,8 @@ class BracketPair:
     tangent frame: the point, its frame T = A T0 and, formed on first read
     and cached, nr = N_r = K_T (J_T - T^T J T), with the stack's leading
     axes.  Every bracket reads T and N_r: with w = T^T dvec,
-    {f, g}_t = w_f^T K_T (N_r + t) w_g (see the module docstring)."""
+    {f, g}_t = w_f^T K_T (N_r + t) w_g (see the module docstring).  Rows
+    of a built pair are read as pair[rows] and stacked by join."""
 
     point: object                         # hermsym.OrbitPoint
     tangent: np.ndarray = field(repr=False)   # (..., dim, 2 n_eig), orthonormal
@@ -208,6 +211,23 @@ class BracketPair:
     def nr(self):
         """(..., 2 n_eig, 2 n_eig) N_r, the matrix of N = P0 PK^+ on T."""
         return _restricted(self.case, self.tangent)
+
+    def __getitem__(self, rows):
+        """The pair at rows of the stack: g, m, T and, once formed, N_r."""
+        view = BracketPair(OrbitPoint(self.case, self.point.g[rows],
+                                      self.point.m[rows]), self.tangent[rows])
+        if "nr" in vars(self):
+            view.nr = self.nr[rows]
+        return view
+
+    @classmethod
+    def join(cls, pairs):
+        """The rows of pairs stacked in order, N_r formed for every part."""
+        g, m, t, nr = (np.concatenate(parts) for parts in zip(*(
+            (p.point.g, p.point.m, p.tangent, p.nr) for p in pairs)))
+        joined = cls(OrbitPoint(pairs[0].case, g, m), t)
+        joined.nr = nr
+        return joined
 
 
 def build_pair(case, g, *, m=None):

@@ -99,14 +99,15 @@ class VerificationReport:
             "seed": self.seed,
             "samples": self.samples,
             "calibration": self.calibration,
-            "checks": [{"name": c.name, "max_residual": c.max_residual,
+            "checks": [{"name": c.name, "max_residual": c.max_residual
+                        if np.isfinite(c.max_residual) else None,  # inf: null
                         "tolerance": c.tolerance, "pass": c.passed,
                         "skipped": c.skipped} for c in self.checks],
             "ranges": self.ranges,
             "passed": self.passed,
             "elapsed_s": self.elapsed_s,
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _nijenhuis_routes(pair, x):
@@ -175,31 +176,32 @@ def _check(checks, tols, name, residual, skipped=0):
                               bool(residual <= tol), int(skipped)))
 
 
-def _gap_regular_points(case, seed, g_batch, m_batch, chain, n_needed,
-                        max_index):
+def _gap_regular_points(case, seed, chain, n_needed, max_index):
     """Deterministic scan, in sample-index order, for the first n_needed
     gap-regular points among the first max_index samples.
 
-    The drawn batch (g_batch, m_batch and its chain data) is the first
-    chunk; later chunks draw only as many samples as are still missing.
-    Returns the stacks (gs, ms) of the points found, in index order, and
-    the count of samples skipped before the last of them.
+    The drawn batch (its chain data given) is the first chunk; later
+    chunks draw only as many samples as are still missing.  Returns the
+    batch indices of the points found in it, the pairs (in stacks of
+    stack_chunk) of those drawn past it and the count of samples skipped.
     """
-    gs, ms, skipped, idx, need = [], [], 0, 0, n_needed
-    while True:
-        regular = np.flatnonzero(
-            spectrum.gap_regularity(case, chain) > GAP_THRESHOLD)[:need]
-        need -= len(regular)
-        scanned = len(g_batch) if need else int(regular[-1]) + 1
-        skipped += scanned - len(regular)
-        gs.append(g_batch[regular])
-        ms.append(m_batch[regular])
-        idx += len(g_batch)
-        if not need or idx >= max_index:
-            return np.concatenate(gs), np.concatenate(ms), skipped
+    gaps = spectrum.gap_regularity(case, chain)
+    batch = np.flatnonzero(gaps > GAP_THRESHOLD)[:n_needed]
+    pairs, idx, need = [], len(gaps), n_needed - len(batch)
+    skipped = (idx if need else int(batch[-1]) + 1) - len(batch)
+    step = poisson.stack_chunk(case)
+    while need and idx < max_index:
         g_batch, m_batch = hermsym.batch_points(
             case, seed, idx, min(need, max_index - idx))
-        chain = spectrum.chain_batch(case, m_batch)
+        found = np.flatnonzero(spectrum.gap_regularity(
+            case, spectrum.chain_batch(case, m_batch)) > GAP_THRESHOLD)[:need]
+        need -= len(found)
+        skipped += (len(g_batch) if need else int(found[-1]) + 1) - len(found)
+        pairs += [poisson.build_pair(case, g_batch[found[i:i + step]],
+                                     m=m_batch[found[i:i + step]])
+                  for i in range(0, len(found), step)]
+        idx += len(g_batch)
+    return batch, pairs, skipped
 
 
 def _involution_residuals(pair, w):
@@ -334,9 +336,9 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     res = max(res, (np.abs(p0[:, 1:] - p0[:, :1]).max(axis=-1) / scale).max())
     _check(checks, tols, "coset_invariance", res)
 
-    # per-sample pencil machinery, in stacks of stack_chunk points, along
-    # five basis directions (axis 0).  The pencil is judged by checks, not
-    # a raise: reality, doubling and Tr N = 2 sum(lambda_chain) per sample
+    # per-sample pencil machinery, on each sample's only pair, in stacks of
+    # stack_chunk points, along five basis directions (axis 0).  Checks, not
+    # a raise, judge the pencil: reality, doubling, Tr N = 2 sum(lambda_chain)
     step = poisson.stack_chunk(case)
     res_master, res_blocks = 0.0, 0.0
     res_pair, res_imag, res_tr = 0.0, 0.0, 0.0
@@ -347,7 +349,13 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     ranges = {lbl: {"min": float(col.min()), "max": float(col.max())}
               for lbl, col in zip(labels, data.T)}
     margins = spectrum.batch_margins(case, chain)
-    pencil = np.empty_like(chain_sorted)
+    pencil, kept = np.empty_like(chain_sorted), []
+    target = min(50, n_samples)
+    reg_idx, drawn, skipped = _gap_regular_points(
+        case, seed, chain, target, 4 * n_samples)
+    rng = np.random.default_rng(seed ^ 0x1ACB)
+    triples = [tuple(rng.choice(case.alg.dim, size=3, replace=False))
+               for _ in range(20)]
 
     for i in range(0, n_samples, step):
         g = g_batch[i:i + step]
@@ -366,6 +374,9 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
         trace = np.trace(pair.nr, axis1=-2, axis2=-1)
         res_tr = max(res_tr, np.abs(
             trace - 2 * chain_sorted[i:i + step].sum(axis=-1)).max())
+        if i == 0:       # Jacobi identity of the pencil at t = 0 and t = 1
+            jacobi = poisson.jacobi_residual(pair[0], triples)
+        kept.append(pair[reg_idx[(reg_idx >= i) & (reg_idx < i + step)] - i])
 
     _check(checks, tols, "connection_master", res_master)
     _check(checks, tols, "connection_blocks", res_blocks, skipped=blocks_skipped)
@@ -377,35 +388,26 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     _check(checks, tols, "polytope",
            max(v.max(initial=0.0) for v in margins.values()))
 
-    # at the gap-regular points, in stacks: involution under both brackets,
-    # and at the first three the Lenard recursion and N^* d(lambda)
-    target = min(50, n_samples)
-    reg_gs, reg_ms, skipped = _gap_regular_points(
-        case, seed, g_batch, m_batch, chain, target, 4 * n_samples)
-    res_kks, res_bruhat, grads = 0.0, 0.0, []
-    for i in range(0, len(reg_gs), step):
-        pair = poisson.build_pair(case, reg_gs[i:i + step], m=reg_ms[i:i + step])
-        grads.append(poisson.chain_gradient(pair))
-        r = _involution_residuals(pair, grads[-1])
-        res_kks = max(res_kks, r["kks"])
-        res_bruhat = max(res_bruhat, r["bruhat"])
-    if len(reg_gs) < target:        # not enough gap-regular points found
-        res_kks = res_bruhat = np.inf
-    if len(reg_gs):
-        pair = poisson.build_pair(case, reg_gs[:3], m=reg_ms[:3])
-        res_len = poisson.lenard_check(pair, case.n_eig)["max"]
-        res_nstar = poisson.nstar_eigen_residual(pair, np.concatenate(grads)[:3])
-    else:                      # nothing regular found: cannot certify
-        res_len = res_nstar = np.inf
+    # at the gap-regular points (kept rows, then those drawn past the batch),
+    # in stacks: involution under both brackets, and at the first three the
+    # Lenard recursion and N^* d(lambda); inf when too few are found
+    res_kks = res_bruhat = res_len = res_nstar = np.inf
+    reg = poisson.BracketPair.join(kept + drawn)
+    del kept, drawn             # reg holds copies of their rows
+    if len(reg.tangent):
+        res, grads = {"kks": 0.0, "bruhat": 0.0}, []
+        for i in range(0, len(reg.tangent), step):
+            pair = reg[i:i + step]
+            grads.append(poisson.chain_gradient(pair))
+            r = _involution_residuals(pair, grads[-1])
+            res = {which: max(res[which], r[which]) for which in res}
+        if len(reg.tangent) == target:
+            res_kks, res_bruhat = res["kks"], res["bruhat"]
+        res_len = poisson.lenard_check(reg[:3], case.n_eig)["max"]
+        res_nstar = poisson.nstar_eigen_residual(
+            reg[:3], np.concatenate(grads)[:3])
     _check(checks, tols, "involution_kks", res_kks, skipped=skipped)
     _check(checks, tols, "involution_bruhat", res_bruhat, skipped=skipped)
-
-    # Jacobi identity of the pencil at t = 0 and t = 1, on one pair
-    rng = np.random.default_rng(seed ^ 0x1ACB)
-    triples = [tuple(rng.choice(case.alg.dim, size=3, replace=False))
-               for _ in range(20)]
-    pair = poisson.build_pair(case, g_batch[0], m=m_batch[0])
-    jacobi = poisson.jacobi_residual(pair, triples)
     for t in ("t0", "t1"):
         _check(checks, tols, f"jacobi_{t}", jacobi[t])
 

@@ -51,6 +51,10 @@ compact root (`highest_compact_root_plane`), a plane of h = ker ad_rho,
 so the case's own certificates, which read J on the tangent space only,
 still pass.
 
+`record_calls` wraps functions of a module in place (through pytest's
+monkeypatch) and records the positional arguments of every call, for
+tests that count calls or read what reached a function.
+
 The checked algebra maps J, C_pm, the Iwasawa split of g_C = g (+) b_pm and
 the Manin pairing Im Tr are the spec-level forms of the conventions that
 the library uses unchecked (LieAlgebra.j_apply, LieAlgebra.c_plus); the
@@ -223,6 +227,22 @@ def directional_derivatives_by_basis(case, g, funcs, h=DEFAULT_FD_STEP):
 def fault_in_nr(edit):
     """poisson._restricted with edit(case, N_r) applied to its result."""
     return lambda case, t: edit(case, _restricted(case, t))
+
+
+def record_calls(monkeypatch, module, *names):
+    """Wrap module.<name> for each name; returns {name: [args of each
+    call]}, filled as the calls come."""
+    calls = {name: [] for name in names}
+
+    def recorder(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, recorder(name, getattr(module, name)))
+    return calls
 
 
 def _kernel(mat):

@@ -40,6 +40,25 @@ def test_verify_tolerance_override_can_fail(tmp_path):
     assert json.loads(out.read_text())["passed"] is False
 
 
+def test_verify_writes_strict_json_for_uncertified_checks(tmp_path,
+                                                         monkeypatch, capsys):
+    # with no gap-regular point four checks cannot be certified: their
+    # residual is inf, which the report writes as null (strict JSON)
+    def no_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    monkeypatch.setattr(verify, "GAP_THRESHOLD", 10.0)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--case", "aiii:k=2,n=4", "--samples", "3",
+                 "--output", str(out)]) == 1
+    payload = json.loads(out.read_text(), parse_constant=no_constant)
+    nulls = {c["name"]: c["pass"] for c in payload["checks"]
+             if c["max_residual"] is None}
+    assert nulls == dict.fromkeys(("involution_kks", "involution_bruhat",
+                                   "lenard", "nstar_dlambda"), False)
+    assert capsys.readouterr().err.count("max=inf") == 4
+
+
 def test_verify_failure_removes_only_a_regular_report(tmp_path, monkeypatch):
     # a suite that raises takes back the report it opened, but never
     # unlinks a device given as --output; the recorder only records, so

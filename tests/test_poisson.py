@@ -11,11 +11,11 @@ from pnorbit import (ConventionError, NumericalError, build_case, build_pair,
                      bruhat_matrix, chain_spectrum, lenard_check,
                      nijenhuis_apply, nijenhuis_formula, pencil_spectrum,
                      poisson, verify)
-from pnorbit.hermsym import (CSTRUCT_TOL, OrbitPoint, _finish_case,
+from pnorbit.hermsym import (CSTRUCT_TOL, _finish_case,
                              batch_points, conjugate_rho, parse_case,
                              random_point, stabilizer_elements)
 from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
-from pnorbit.poisson import (chain_gradient, connection_check,
+from pnorbit.poisson import (BracketPair, chain_gradient, connection_check,
                              directional_derivatives, flow_points,
                              gradient_bracket, jacobi_residual, kks_raw,
                              nstar_eigen_residual, pencil_eigenvalues,
@@ -487,13 +487,6 @@ def test_base_certifies_complex_structure(all_cases):
                 arr[0, 0] = 0.0
 
 
-def pair_row(pair, i):
-    """Row i of a stacked BracketPair, as a pair of one point."""
-    pt = pair.point
-    return replace(pair, point=OrbitPoint(pt.case, pt.g[i], pt.m[i]),
-                   tangent=pair.tangent[i])
-
-
 def test_stacked_pencil_matches_batch_of_one(all_cases):
     rng = np.random.default_rng(7)
     for case in all_cases + [build_case("diii", n=6)]:
@@ -553,6 +546,25 @@ def test_pencil_reads_no_bracket_matrix(all_cases):
             assert not hasattr(pair, "pk") and not hasattr(pair, "p0")
 
 
+def test_pair_rows_and_join(all_cases):
+    # a row view reads g, m, T and (once formed) N_r at its rows; joining
+    # views gives back the stack bit for bit, N_r included
+    for case in all_cases:
+        gs, ms = batch_points(case, 53, 0, 5)
+        pair = build_pair(case, gs, m=ms)
+        assert "nr" not in vars(pair[1:3])
+        nr = pair.nr
+        for rows in (2, slice(1, 4), np.array([0, 3, 4])):
+            view = pair[rows]
+            for got, want in ((view.point.g, gs), (view.point.m, ms),
+                              (view.tangent, pair.tangent), (vars(view)["nr"], nr)):
+                assert np.array_equal(got, want[rows]), case.name
+        joined = BracketPair.join([pair[:1], pair[1:4], build_pair(case, gs[4:])])
+        for got, want in ((joined.point.g, gs), (joined.point.m, ms),
+                          (joined.tangent, pair.tangent), (joined.nr, nr)):
+            assert np.array_equal(got, want), case.name
+
+
 def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
     gs, ms = batch_points(gr24, 41, 0, 4)
     # a non-unitary row: g rho g^dag leaves the orbit and K gains rank
@@ -567,14 +579,15 @@ def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
     rng = np.random.default_rng(5)
     vs = np.stack([tangent_vector(gr24, m, rng) for m in ms])
     vs[1] = cartan_element(gr24.alg, [1.0, 0.5, 0.2])
-    for p, v in ((pair_row(pair, 1), vs[1]), (pair, vs)):
+    for p, v in ((pair[1], vs[1]), (pair, vs)):
         with pytest.raises(ConventionError, match="not tangent"):
             nijenhuis_apply(p, v)
 
     # one row whose restricted N is similar to q: complex, then unpaired.
     # The row's P0 would be PK T q T^T, so N_r = K_r q K_r^-1 with
     # K_r = T^T PK T = K_T; it is injected where the pair forms N_r, in
-    # fresh pairs (replace) whose N_r is not yet cached.
+    # row views and fresh pairs (replace) whose N_r is not yet cached:
+    # pair itself never forms its N_r, so its row views carry none.
     t = pair.tangent[3]
     k_r = gr24.k_t
     rot = np.kron(np.eye(t.shape[1] // 2), [[0.0, 1.0], [-1.0, 0.0]])
@@ -592,10 +605,10 @@ def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(poisson, "_restricted", broken)
-            for p in (pair_row(pair, 3), replace(pair)):
+            for p in (pair[3], replace(pair)):
                 with pytest.raises(NumericalError, match=msg):
                     pencil_spectrum(p)
-            pencil_spectrum(pair_row(pair, 2))     # the other rows are fine
+            pencil_spectrum(pair[2])     # the other rows are fine
 
 
 @settings(max_examples=20, deadline=None)

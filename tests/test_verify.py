@@ -16,7 +16,7 @@ from pnorbit.verify import (CALIBRATION_POINTS, CALIBRATION_SEED,
                             _spin_checks)
 
 from helpers import (brackets_by_adjoint, fault_in_j, fault_in_nr,
-                     nijenhuis_restricted_inverse)
+                     nijenhuis_restricted_inverse, record_calls)
 
 
 def test_calibration_unique_pair():
@@ -121,27 +121,36 @@ def test_run_suite_passes_and_schema(gr12):
 
 
 def test_run_suite_takes_one_pair_per_stack(monkeypatch):
-    # the fd checks take stacked pairs: at aiii:k=2,n=4 (64 points per
-    # stack) one pair at the identity, 2 sample stacks, 1 stack of the 50
-    # gap-regular points, one Lenard stack of 3 and one Jacobi pair; one
-    # chain flow per involution stack (N^* d(lambda) reuses it), one Lenard
-    # flow and one Jacobi flow
+    # the sample loop builds the only pair of each sample: at aiii:k=2,n=4
+    # (64 points per stack) one pair at the identity and 2 sample stacks.
+    # The 50 gap-regular points, the Lenard/N^* d(lambda) rows and the
+    # Jacobi row are rows of those; one chain flow per involution stack
+    # (N^* d(lambda) reuses it), one Lenard flow and one Jacobi flow
     calibrate()
-    counts = {"build_pair": 0, "directional_derivatives": 0}
-
-    def counted(name):
-        fn = getattr(poisson, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(poisson, name, counted(name))
+    calls = record_calls(monkeypatch, poisson, "build_pair",
+                         "directional_derivatives")
     assert run_suite("aiii:k=2,n=4", 100).passed
-    assert counts["build_pair"] <= 8, counts
-    assert counts["directional_derivatives"] <= 5, counts
+    counts = {name: len(args) for name, args in calls.items()}
+    assert counts["build_pair"] <= 3, counts
+    assert counts["directional_derivatives"] <= 3, counts
+
+
+@pytest.mark.parametrize("descriptor, n_samples, threshold", [
+    ("ci:n=3", 100, None), ("diii:n=6", 20, None),
+    ("aiii:k=2,n=4", 60, 0.6)])          # the scan draws past the batch
+def test_run_suite_builds_each_row_once(descriptor, n_samples, threshold,
+                                        monkeypatch):
+    # every g row that reaches build_pair in one suite is a distinct point:
+    # the identity coset, the samples and the regular points drawn past
+    # the batch, each once
+    calibrate()
+    if threshold is not None:
+        monkeypatch.setattr(verify, "GAP_THRESHOLD", threshold)
+    calls = record_calls(monkeypatch, poisson, "build_pair")
+    run_suite(descriptor, n_samples, seed=2024)
+    rows = [row.tobytes() for case, g in calls["build_pair"]
+            for row in g.reshape((-1,) + case.rho.shape)]
+    assert len(rows) == len(set(rows)) > n_samples, (len(rows), len(set(rows)))
 
 
 def test_run_suite_forms_each_pairs_nr_once(monkeypatch):
@@ -197,6 +206,45 @@ def test_gap_regular_scan_draws_past_the_first_batch(gr24, monkeypatch):
         if c.name.startswith("involution"):
             assert c.skipped == skipped, c.name
     assert np.array_equal(np.stack(seen), gs[regular])
+
+
+FD_SAMPLE_CHECKS = ("involution_kks", "involution_bruhat", "lenard",
+                    "nstar_dlambda")
+
+
+def regular_indices(case, seed, count, threshold):
+    """Indices of the gap-regular points among the first count samples."""
+    _, ms = batch_points(case, seed, 0, count)
+    gaps = spectrum.gap_regularity(case, spectrum.chain_batch(case, ms))
+    return np.flatnonzero(gaps > threshold)
+
+
+def test_no_gap_regular_point_fails_the_fd_sample_checks(gr24, monkeypatch):
+    # no sample clears a gap threshold of 10: the scan reads all 4 n
+    # samples, and the four checks that need a gap-regular point fail
+    monkeypatch.setattr(verify, "GAP_THRESHOLD", 10.0)
+    report = run_suite(gr24, 3, seed=2024)
+    assert not len(regular_indices(gr24, 2024, 12, 10.0))
+    failed = {c.name: c for c in report.checks if not c.passed}
+    assert set(failed) == set(FD_SAMPLE_CHECKS), failed
+    assert all(c.max_residual == np.inf for c in failed.values())
+    for name in ("involution_kks", "involution_bruhat"):
+        assert failed[name].skipped == 12
+
+
+def test_too_few_gap_regular_points_fail_only_the_involutions(gr24,
+                                                              monkeypatch):
+    # at a threshold of 0.85 the first 40 samples hold 4 regular points,
+    # one in the batch of 10 and three drawn past it: fewer than the 10
+    # the involution checks need, enough for Lenard and N^* d(lambda)
+    regular = regular_indices(gr24, 2024, 40, 0.85)
+    assert 3 <= len(regular) < 10 and regular[0] < 10 <= regular[-1]
+    monkeypatch.setattr(verify, "GAP_THRESHOLD", 0.85)
+    report = run_suite(gr24, 10, seed=2024)
+    failed = {c.name: c for c in report.checks if not c.passed}
+    assert set(failed) == {"involution_kks", "involution_bruhat"}, failed
+    for c in failed.values():
+        assert c.max_residual == np.inf and c.skipped == 40 - len(regular)
 
 
 def test_run_suite_includes_spin_checks_for_bdi(bdi5):
@@ -392,18 +440,10 @@ def test_run_suite_reads_no_pencil_spectrum(monkeypatch):
     # the suite judges the pencil by its reported checks alone: the raising
     # readout pencil_spectrum is never called, the plain pencil_eigenvalues
     # is
-    calls = {"pencil_spectrum": 0, "pencil_eigenvalues": 0}
-
-    def counted(name):
-        fn = getattr(poisson, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(poisson, name, counted(name))
+    calls = record_calls(monkeypatch, poisson, "pencil_spectrum",
+                         "pencil_eigenvalues")
     for descriptor in ("aiii:k=2,n=4", "diii:n=4", "bdi:m=7"):
         assert run_suite(descriptor, 20, seed=2024).passed
-    assert calls["pencil_spectrum"] == 0 and calls["pencil_eigenvalues"] > 0, calls
+    counts = {name: len(args) for name, args in calls.items()}
+    assert counts["pencil_spectrum"] == 0, counts
+    assert counts["pencil_eigenvalues"] > 0, counts
