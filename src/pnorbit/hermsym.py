@@ -9,8 +9,8 @@ ad_rho, and a case is certified when it is built: the J convention
 J|_{h_perp} = ad_rho and the complex structure K0^2 = -T0 T0^T (see
 _finish_case), so no case that fails either exists.  Orbit points are
 sampled as m = g rho g^{-1} with g = exp of a Gaussian algebra element.
-The so-families (diii, bdi) are real forms: their rho is real, and their
-samples g and m are float64 (LieAlgebra.native).
+The so-families (diii, bdi) are real forms: their rho and algebra basis
+are real, so their samples g and m are float64.
 
 Case strings: ``aiii:k=2,n=4``  ``ci:n=3``  ``diii:n=4``  ``bdi:m=7``.
 """
@@ -353,34 +353,34 @@ def sample_coefficients(seed, start, count, dim):
     return coefs
 
 
-def _exp_samples(alg, seed, start, count, generators):
+def _exp_samples(seed, start, count, generators):
     """exp(c . generators) per sample, (count, N, N), for generators (K, N, N)
-    in alg; sample i draws c from stream (seed, start + i).  The generators
-    enter in alg's own arithmetic (LieAlgebra.native), so the so-families'
-    samples are real.  One vector-matrix product per sample: a flat GEMM
-    would round a batch of one differently."""
+    of an algebra; sample i draws c from stream (seed, start + i).  The
+    so-families' generators are real, and so are their samples.  One
+    vector-matrix product per sample: a flat GEMM would round a batch of
+    one differently."""
     k, n = len(generators), generators.shape[-1]
     coefs = sample_coefficients(seed, start, count, k)
-    x = coefs[:, None, :] @ alg.native(generators).reshape(k, n * n)
+    x = coefs[:, None, :] @ generators.reshape(k, n * n)
     return expm_antihermitian(x.reshape(count, n, n))
 
 
 def batch_points(case, seed, start, count):
     """Orbit points g, m = g rho g^dag for sample indices start..start+count-1:
     g = exp of a Gaussian algebra element, drawn as in _exp_samples."""
-    g = _exp_samples(case.alg, seed, start, count, case.alg.basis)
+    g = _exp_samples(seed, start, count, case.alg.basis)
     return g, conjugate_rho(case, g)
 
 
 def identity_point(case):
-    g = case.alg.native(np.eye(case.alg.size, dtype=complex))
+    g = np.eye(case.alg.size, dtype=case.alg.basis.dtype)
     return OrbitPoint(case, g, case.rho.copy())
 
 
 def stabilizer_elements(case, seed, start, count):
     """Elements of the stabilizer H = exp(h), h = ker ad_rho, for sample
     indices start..start+count-1, (count, N, N), drawn like batch_points."""
-    return _exp_samples(case.alg, seed, start, count, case.stabilizer)
+    return _exp_samples(seed, start, count, case.stabilizer)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ they host:
   that letter-lowering operators of the spin module are positive.
 * ``split``   - rotations in the (j, n+j) planes, i.e. the [[0, a], [-a, 0]]
   form with a = diag(a_1..a_n); H0 carries decreasing angles.
+
+so(m) is a real algebra: its basis is float64, and so is every map built
+on it, so real input stays in real arithmetic and complex input takes the
+complex-linear extension.  H0 is complex for every family, as J is formed
+from i ad_{H0}.
 """
 
 from dataclasses import dataclass, field
@@ -86,7 +91,7 @@ def _so_basis(m):
         for s in range(r + 1, m):
             e = np.zeros((m, m))
             e[r, s] = 1
-            out.append(((e - e.T) / np.sqrt(2)).astype(complex))
+            out.append((e - e.T) / np.sqrt(2))
     return np.array(out)
 
 
@@ -117,10 +122,13 @@ class LieAlgebra:
     * `flat_re` (2 N^2, dim) - flat_t for the interleaved (re, im) float
       view of a complex matrix, so that real_coefficients is a real GEMM;
     * `side`   (N, dim N) - the basis side by side (`side_by_side`),
-      [X_0 | X_1 | ...], so that y @ side = [y X_a]_a is one GEMM; float64
-      for the so-families, whose basis is real (`native`).
+      [X_0 | X_1 | ...], so that y @ side = [y X_a]_a is one GEMM.
 
-    `ad_matrix` is one GEMM through `flat_re`; K = -ad_m (`poisson.kks_raw`).
+    Each carries the basis dtype: float64 for the so-families (B, D), whose
+    basis is real, complex for su and sp.  `coefficients`,
+    `from_coefficients`, `j_apply` and `ad_matrix` of real input then
+    return float64 for B and D.  `ad_matrix` is one GEMM through `flat_re`;
+    K = -ad_m (`poisson.kks_raw`).
     """
 
     family: str
@@ -143,12 +151,13 @@ class LieAlgebra:
         return rows.reshape(rows.shape[:-1] + (self.size, self.size))
 
     def coefficients(self, x):
-        """Expansion coefficients of x in the orthonormal basis (complex).
+        """Expansion coefficients of x in the orthonormal basis.
 
         x may be one matrix or a stack (..., N, N); the coefficients are
-        -Tr(x X_a), one GEMM against the transposed-flattened basis.
+        -Tr(x X_a), one GEMM against the transposed-flattened basis, in
+        the common dtype of x and the basis.
         """
-        x = np.asarray(x, complex)
+        x = np.asarray(x)
         return -(x.reshape(x.shape[:-2] + (-1,)) @ self.flat_t)
 
     def real_coefficients(self, x):
@@ -160,16 +169,9 @@ class LieAlgebra:
         x = np.ascontiguousarray(x, complex)
         return x.view(float).reshape(x.shape[:-2] + (-1,)) @ self.flat_re
 
-    def native(self, x):
-        """Matrices x of the algebra in its own arithmetic: a float64 copy
-        for the so-families (B, D), whose elements are real, else x."""
-        return np.ascontiguousarray(x.real) if self.family in ("B", "D") else x
-
     def side_by_side(self, x):
-        """Matrices (d, N, N) of the algebra as one (N, d N) block row
-        [x_0 | x_1 | ...], in its own arithmetic (`native`)."""
-        return self.native(np.ascontiguousarray(
-            np.swapaxes(x, 0, 1).reshape(self.size, -1)))
+        """Matrices (d, N, N) as one (N, d N) block row [x_0 | x_1 | ...]."""
+        return np.ascontiguousarray(np.swapaxes(x, 0, 1).reshape(self.size, -1))
 
     def from_coefficients(self, c):
         """sum_a c_a X_a for one coefficient vector or a stack (..., dim)."""

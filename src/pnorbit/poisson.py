@@ -85,14 +85,15 @@ arithmetic; its fd value is noise, below 1e-10 of the function's values
 once extrapolated in h (tests/test_poisson.py).  Each point takes 2 dim_m
 flow points in place of 2 dim (diii:n=6: 60 in place of 132).
 
-Real forms.  For the so-families (diii, bdi) rho and the sampled g and m
-are real (hermsym), and so are the flow points of a real g.  A real g
-meets the real `side` of the algebra and the real-part rows of its
-coefficient map (LieAlgebra.native, real_coefficients), so T, and with it
-N_r, `traces_of_powers` and the Jacobi flows, is formed by real GEMMs
-alone.  aiii and ci keep complex g, and a complex g of an so-family takes
-the complex route to the same T up to round-off.  J is formed once per
-algebra (liealg), the same for either route.
+Real forms.  For the so-families (diii, bdi) rho, the algebra basis and
+every map on it (liealg), and the sampled g and m are real (hermsym), and
+so are the flow points of a real g.  A real g meets the real `side` of the
+algebra and the real-part rows of its coefficient map (real_coefficients),
+so T, and with it N_r, `traces_of_powers` and the Jacobi flows, is formed
+by real GEMMs alone, as are K, P0 and both N v routes at a real m.  aiii
+and ci keep complex g, and a complex g of an so-family takes the complex
+route to the same T up to round-off.  J is formed once per algebra
+(liealg), the same for either route.
 
 `kks_raw` (K = -ad_m) and `bruhat_matrix` take leading stack axes and are
 the only dense dim x dim brackets: the independent per-point route (with
@@ -333,7 +334,7 @@ def flow_points(case, g, h=DEFAULT_FD_STEP):
     key = (case.descriptor(), h)
     if key not in _FLOW_STEPS:
         y = case.alg.from_coefficients(case.tangent.T)
-        steps = expm_antihermitian(case.alg.native(h * y))
+        steps = expm_antihermitian(h * y)
         steps = np.stack([steps, _dagger(steps)], axis=1)
         steps.flags.writeable = False
         _FLOW_STEPS[key] = steps

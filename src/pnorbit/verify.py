@@ -226,13 +226,13 @@ def _spin_checks(case, checks, tols, m_batch, chain, seed):
 
     rng = np.random.default_rng(seed ^ 0x51)
     d = case.alg.dim
-    xy = case.alg.from_coefficients(rng.standard_normal((20, 2, d))).real
+    xy = case.alg.from_coefficients(rng.standard_normal((20, 2, d)))
     x, y = xy[:, 0], xy[:, 1]
     sx, sy = rep(x), rep(y)
     res = np.abs(rep(x @ y - y @ x) - (sx @ sy - sy @ sx)).max()
     _check(checks, tols, "spin_homomorphism", res)
 
-    s_rho = rep(case.rho.real)
+    s_rho = rep(case.rho)
     target = 1j * (rep.gamma_bar_gamma(nl) - 0.5 * eye)
     _check(checks, tols, "spin_last_rot", np.abs(s_rho - target).max())
 
@@ -252,7 +252,7 @@ def _spin_checks(case, checks, tols, m_batch, chain, seed):
 
     # the leading 2^(nl-k) block of S(m) has spectrum i(+-a_k + sum_j<=k b_j)/2
     n = min(20, len(m_batch))
-    s_m = rep(m_batch[:n].real)
+    s_m = rep(m_batch[:n])
     a, b = chain["a"][:n], chain["b"][:n]
     ssum = np.cumsum(b, axis=1)
     res = 0.0
@@ -317,7 +317,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     _check(checks, tols, "spectrum_preserved", spec_res)
 
     # identity coset: N_r = 0 (so P0 = 0), chain and pencil eigenvalues 0
-    pair0 = poisson.build_pair(case, np.eye(case.alg.size, dtype=complex))
+    pair0 = poisson.build_pair(case, hermsym.identity_point(case).g)
     res = np.abs(pair0.nr).max()
     res = max(res, np.abs(spectrum.chain_free_vector(case, case.rho)).max())
     res = max(res, np.abs(poisson.pencil_eigenvalues(pair0)[0]).max())
@@ -390,19 +390,22 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
 
     # at the gap-regular points (kept rows, then those drawn past the batch),
     # in stacks: involution under both brackets, and at the first three the
-    # Lenard recursion and N^* d(lambda); inf when too few are found
+    # Lenard recursion and N^* d(lambda); inf when too few are found, and
+    # then only the first three chain gradients are formed
     res_kks = res_bruhat = res_len = res_nstar = np.inf
     reg = poisson.BracketPair.join(kept + drawn)
     del kept, drawn             # reg holds copies of their rows
-    if len(reg.tangent):
+    if len(reg.tangent) == target:
         res, grads = {"kks": 0.0, "bruhat": 0.0}, []
-        for i in range(0, len(reg.tangent), step):
+        for i in range(0, target, step):
             pair = reg[i:i + step]
             grads.append(poisson.chain_gradient(pair))
             r = _involution_residuals(pair, grads[-1])
             res = {which: max(res[which], r[which]) for which in res}
-        if len(reg.tangent) == target:
-            res_kks, res_bruhat = res["kks"], res["bruhat"]
+        res_kks, res_bruhat = res["kks"], res["bruhat"]
+    elif len(reg.tangent):
+        grads = [poisson.chain_gradient(reg[:3])]
+    if len(reg.tangent):
         res_len = poisson.lenard_check(reg[:3], case.n_eig)["max"]
         res_nstar = poisson.nstar_eigen_residual(
             reg[:3], np.concatenate(grads)[:3])

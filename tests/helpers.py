@@ -43,6 +43,12 @@ exp(+-h X_a) g, returning dvec (..., dim, *value).  The library's
 tangent-frame w must equal T^T dvec to fd accuracy, and dvec must have no
 normal part.
 
+`complex_basis_case` is a case on the so-families' algebra as it stood
+before its basis became float64: the same basis and h0, with the basis
+cast to complex, so that every map built on it (coefficients, J, ad,
+the adjoint kernel's side) runs in complex arithmetic.  The real maps
+must match it to round-off.
+
 `fault_in_nr` is a planted fault: a stand-in for poisson._restricted that
 edits every N_r the bracket layer forms, for tests that show a check can
 fail.  `fault_in_j` plants a fault in J itself: the case rebuilt through
@@ -67,6 +73,7 @@ from itertools import combinations
 
 import numpy as np
 
+from pnorbit import liealg
 from pnorbit.errors import ConventionError
 from pnorbit.hermsym import _finish_case
 from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
@@ -215,13 +222,20 @@ def directional_derivatives_by_basis(case, g, funcs, h=DEFAULT_FD_STEP):
     """fd derivatives dvec (..., dim, *value) of funcs along the basis flows
     exp(+-h X_a) g, at one g (N, N) or a stack (..., N, N); funcs takes
     every flow point in one stack (S, N, N)."""
-    steps = expm_antihermitian(case.alg.native(h * case.alg.basis))
+    steps = expm_antihermitian(h * case.alg.basis)
     steps = np.stack([steps, np.conj(np.swapaxes(steps, -1, -2))], axis=1)
     pts = steps @ np.asarray(g)[..., None, None, :, :]
     vals = np.asarray(funcs(pts.reshape((-1,) + pts.shape[-2:])))
     vals = vals.reshape(pts.shape[:-2] + vals.shape[1:])
     sign = pts.ndim - 3                       # the axis of +-h
     return (vals.take(0, axis=sign) - vals.take(1, axis=sign)) / (2 * h)
+
+
+def complex_basis_case(case):
+    """case with its algebra rebuilt on the complex-cast basis."""
+    alg = case.alg
+    return replace(case, alg=liealg._finish(liealg.LieAlgebra(
+        alg.family, alg.size, alg.basis.astype(complex), alg.h0)))
 
 
 def fault_in_nr(edit):

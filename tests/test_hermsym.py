@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pnorbit import (ConventionError, UsageError, build_case, hermsym, liealg,
-                     moment, parse_case)
+from pnorbit import (ConventionError, UsageError, build_case, build_pair,
+                     hermsym, liealg, moment, parse_case, verify)
 from pnorbit.hermsym import (_finish_case, batch_points,
                              check_group_element, group_residual,
                              identity_point, random_point,
@@ -146,15 +146,24 @@ def test_batch_points_chunk_independent(so6u3):
 
 
 def test_so_cases_sample_in_real_arithmetic(all_cases):
-    # diii and bdi are real forms: their samples, stabilizer moves and fd
-    # flow points are float64, so the real path cannot fall back to
-    # complex arithmetic unnoticed
+    # diii and bdi are real forms: their algebra's basis and every map on
+    # it, samples, stabilizer moves, fd flow points and both N v routes are
+    # float64, so the real path cannot fall back to complex arithmetic
+    # unnoticed
     so_cases = [case for case in all_cases if case.tag in ("diii", "bdi")]
     assert len(so_cases) == 3
     for case in so_cases:
+        alg = case.alg
         g, m = batch_points(case, 3, 0, 4)
         hs = stabilizer_elements(case, 3, 0, 4)
-        for arr in (case.rho, g, m, hs, flow_points(case, g[0])):
+        c = sample_coefficients(3, 0, 4, alg.dim)
+        pair = build_pair(case, g, m=m)
+        routes = verify._nijenhuis_routes(pair, alg.basis[:3, None])
+        for arr in (case.rho, g, m, hs, flow_points(case, g[0]),
+                    identity_point(case).g, alg.basis, alg.flat,
+                    alg.flat_t, alg.jflat, alg.side, alg.coefficients(m),
+                    alg.from_coefficients(c), alg.j_apply(m),
+                    alg.ad_matrix(m), *routes):
             assert arr.dtype == np.float64, case.name
 
 

@@ -23,7 +23,8 @@ from pnorbit.poisson import (BracketPair, chain_gradient, connection_check,
 from pnorbit.spectrum import chain_batch, chain_free_vector, gap_regularity
 
 from helpers import (brackets_by_adjoint, brackets_from_tangent,
-                     cartan_element, directional_derivatives_by_basis,
+                     cartan_element, complex_basis_case,
+                     directional_derivatives_by_basis,
                      jacobi_entries_by_adjoint, jacobi_residual_per_t,
                      nijenhuis_restricted_inverse, traces_of_powers_ambient)
 
@@ -34,6 +35,31 @@ def tangent_vector(case, m, rng, normalize=True):
     if normalize:
         v = v / max(1.0, np.linalg.norm(case.alg.coefficients(v).real))
     return v
+
+
+@pytest.mark.parametrize("descriptor", ["diii:n=2", "diii:n=3", "diii:n=4",
+                                        "bdi:m=5", "bdi:m=6", "bdi:m=7"])
+def test_so_real_maps_match_the_complex_basis(descriptor, rng):
+    # the real basis of so(m) and every map on it against the same maps on
+    # the complex-cast basis, at real coefficients, algebra elements and
+    # orbit points
+    case = parse_case(descriptor)
+    alg, oracle = case.alg, complex_basis_case(case)
+    g, m = batch_points(case, 11, 0, 4)
+    c = rng.standard_normal((4, alg.dim))
+    x = alg.from_coefficients(c)
+    maps = [
+        (alg.coefficients(m), oracle.alg.coefficients(m)),
+        (x, oracle.alg.from_coefficients(c)),
+        (alg.j_apply(x), oracle.alg.j_apply(x)),
+        (kks_raw(case, m), kks_raw(oracle, m)),
+        (bruhat_matrix(case, g), bruhat_matrix(oracle, g)),
+    ]
+    assert np.iscomplexobj(oracle.alg.flat) and np.iscomplexobj(oracle.alg.side)
+    assert np.array_equal(alg.jmat, oracle.alg.jmat)      # J from the same h0
+    for real, ref in maps:
+        assert real.dtype == np.float64
+        assert np.abs(real - ref).max() <= 1e-15, descriptor
 
 
 def test_kks_antisymmetry_rank_and_kernel(all_cases):
@@ -381,7 +407,7 @@ def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
         gs, _ = batch_points(case, 53, 0, 2)
         y = case.alg.from_coefficients(case.tangent.T)
         for h in (DEFAULT_FD_STEP, 1e-3):
-            steps = expm_antihermitian(case.alg.native(h * y))
+            steps = expm_antihermitian(h * y)
             for g in gs:
                 want = np.stack([g @ steps, g @ np.swapaxes(steps.conj(), 1, 2)],
                                 axis=1)

@@ -239,12 +239,26 @@ def test_too_few_gap_regular_points_fail_only_the_involutions(gr24,
     # the involution checks need, enough for Lenard and N^* d(lambda)
     regular = regular_indices(gr24, 2024, 40, 0.85)
     assert 3 <= len(regular) < 10 and regular[0] < 10 <= regular[-1]
+    # the Lenard and N^* d(lambda) residuals of the first three, by their own
+    g, m = batch_points(gr24, 2024, 0, 40)
+    first = build_pair(gr24, g[regular[:3]], m=m[regular[:3]])
+    want = {"lenard": poisson.lenard_check(first, gr24.n_eig)["max"],
+            "nstar_dlambda": poisson.nstar_eigen_residual(
+                first, poisson.chain_gradient(first))}
     monkeypatch.setattr(verify, "GAP_THRESHOLD", 0.85)
+    calls = record_calls(monkeypatch, poisson, "chain_gradient")
+    calls.update(record_calls(monkeypatch, verify, "_involution_residuals"))
     report = run_suite(gr24, 10, seed=2024)
     failed = {c.name: c for c in report.checks if not c.passed}
     assert set(failed) == {"involution_kks", "involution_bruhat"}, failed
     for c in failed.values():
         assert c.max_residual == np.inf and c.skipped == 40 - len(regular)
+    # the discarded involution stacks are not run: one chain flow, on the
+    # three points that N^* d(lambda) reads
+    assert not calls["_involution_residuals"]
+    assert [len(pair.tangent) for pair, in calls["chain_gradient"]] == [3]
+    got = {c.name: c.max_residual for c in report.checks if c.name in want}
+    assert got == want
 
 
 def test_run_suite_includes_spin_checks_for_bdi(bdi5):
