@@ -208,7 +208,7 @@ def group_residual(case, g):
     """Worst group-constraint residual of g or a stack of them: unitarity,
     plus det g = 1 (A), realness (B, D) or g J g^T = J (C)."""
     n = case.alg.size
-    g = np.asarray(g, complex)
+    g = np.asarray(g)
     g_t = np.swapaxes(g, -1, -2)
     res = np.abs(g_t.conj() @ g - np.eye(n)).max()
     fam = case.alg.family
@@ -388,15 +388,16 @@ def stabilizer_elements(case, seed, start, count):
 # ---------------------------------------------------------------------------
 
 def torus_fixed_points(case):
-    """Group elements g with g rho g^{-1} a Weyl image of rho."""
+    """Group elements g with g rho g^{-1} a Weyl image of rho, in the
+    algebra's dtype (float64 for the real forms diii and bdi)."""
     from itertools import combinations
-    out = []
+    out, dtype = [], case.alg.basis.dtype
     if case.tag == "aiii":
         k, nn = case.params["k"], case.params["n"]
         base = list(range(nn))
         for plus in combinations(base, k):
             perm = list(plus) + [j for j in base if j not in plus]
-            p = np.zeros((nn, nn), complex)
+            p = np.zeros((nn, nn), dtype)
             for col, row in enumerate(perm):
                 p[row, col] = 1.0
             if abs(np.linalg.det(p) - 1) > 0.5:
@@ -410,14 +411,14 @@ def torus_fixed_points(case):
             a[j, j] = 0
             b = np.zeros((nn, nn))
             b[j, j] = 1
-            g = np.zeros((2 * nn, 2 * nn), complex)
+            g = np.zeros((2 * nn, 2 * nn), dtype)
             g[:nn, :nn] = a
             g[:nn, nn:] = b
             g[nn:, :nn] = -b
             g[nn:, nn:] = a
             flips.append(g)
         for signs in np.ndindex(*([2] * nn)):
-            g = np.eye(2 * nn, dtype=complex)
+            g = np.eye(2 * nn, dtype=dtype)
             for j, s in enumerate(signs):
                 if s:
                     g = flips[j] @ g
@@ -434,7 +435,7 @@ def torus_fixed_points(case):
                 diag[j] = -1
             for j in flip[half:]:
                 diag[nn + j] = -1
-            out.append(np.diag(diag).astype(complex))
+            out.append(np.diag(diag).astype(dtype))
     else:  # bdi: move the rho block to each so(2) block, both orientations
         m = case.params["m"]
         start = m % 2
@@ -443,7 +444,7 @@ def torus_fixed_points(case):
         src = pairs[-1]
         for dst in pairs:
             for tgt in (dst, (dst[1], dst[0])):
-                p = np.zeros((m, m))
+                p = np.zeros((m, m), dtype)
                 p[tgt[0], src[0]] = 1.0
                 p[tgt[1], src[1]] = 1.0
                 rest_src = [j for j in range(m) if j not in src]
@@ -454,5 +455,5 @@ def torus_fixed_points(case):
                     # flip one coordinate outside the target block: harmless
                     # for the conjugated rho (supported on tgt only)
                     p[rest_tgt[0], :] *= -1
-                out.append(p.astype(complex))
+                out.append(p)
     return out

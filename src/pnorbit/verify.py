@@ -8,7 +8,14 @@ Of the four sign pairs exactly poisson.CALIBRATED_SIGNS may pass; anything
 else aborts.
 
 `run_suite` then certifies every checkable identity at a desk-scale
-sample size and emits a structured report.
+sample size and emits a structured report.  It samples once (g, m, the
+chain data and the gap-regular points) and hands the samples to one plain
+function per check group, each returning {check name: max residual}:
+`_orbit_checks`, `_identity_coset`, `_coset_invariance`, `_pencil_checks`
+(the per-stack loop over every sample), `_regular_point_checks` (the fd
+checks at the gap-regular points), `_spin_checks` (bdi only), plus the
+polytope margins and `vertex_probe`.  The report lists the merged checks
+in DEFAULT_TOLERANCES order.
 """
 
 import json
@@ -21,6 +28,7 @@ import numpy as np
 from . import hermsym, poisson, spectrum, spinrep
 from .errors import CalibrationError, UsageError
 
+# also the report's check order: run_suite lists its checks in this order
 DEFAULT_TOLERANCES = {
     "orbit_constraints": 1e-11,
     "spectrum_preserved": 1e-10,
@@ -170,10 +178,9 @@ def calibrate():
 # suite
 # ---------------------------------------------------------------------------
 
-def _check(checks, tols, name, residual, skipped=0):
-    tol = tols[name]
-    checks.append(CheckResult(name, float(residual), float(tol),
-                              bool(residual <= tol), int(skipped)))
+def _worst(rows):
+    """{name: largest value over rows}, rows a list of per-stack dicts."""
+    return {name: np.max([r[name] for r in rows]) for name in rows[0]}
 
 
 def _gap_regular_points(case, seed, chain, n_needed, max_index):
@@ -214,27 +221,130 @@ def _involution_residuals(pair, w):
             for which, br in zip(("kks", "bruhat"), brackets)}
 
 
-def _spin_checks(case, checks, tols, m_batch, chain, seed):
+def _orbit_checks(case, g, m):
+    """The samples lie in the group, and m = g rho g^dag keeps rho's
+    spectrum."""
+    rho_spec = np.linalg.eigvalsh(-1j * case.rho)
+    return {"orbit_constraints": hermsym.group_residual(case, g),
+            "spectrum_preserved":
+                np.abs(np.linalg.eigvalsh(-1j * m) - rho_spec).max()}
+
+
+def _identity_coset(case):
+    """At the identity coset N_r = 0 (so P0 = 0), and the chain and pencil
+    eigenvalues are 0."""
+    pair = poisson.build_pair(case, hermsym.identity_point(case).g)
+    return {"identity_coset_zero": max(
+        np.abs(pair.nr).max(),
+        np.abs(spectrum.chain_free_vector(case, case.rho)).max(),
+        np.abs(poisson.pencil_eigenvalues(pair)[0]).max())}
+
+
+def _coset_invariance(case, seed, g, m):
+    """P0 and the moment map are constant on cosets: the first n_co points,
+    each with 4 stabilizer moves (index 4 i + j), on the dense per-point
+    route."""
+    n_co = min(5, len(g))
+    hs = hermsym.stabilizer_elements(case, seed ^ 0xC05E7, 0, 4 * n_co)
+    gh = g[:n_co, None] @ hs.reshape((n_co, 4) + hs.shape[1:])
+    res = np.abs(m[:n_co, None] - hermsym.conjugate_rho(case, gh)).max()
+    gs = np.concatenate([g[:n_co, None], gh], axis=1)
+    p0 = poisson.bruhat_matrix(case, gs).reshape(n_co, 5, -1)
+    scale = np.maximum(1.0, np.abs(p0[:, :1]).max(axis=-1))
+    res = max(res, (np.abs(p0[:, 1:] - p0[:, :1]).max(axis=-1) / scale).max())
+    return {"coset_invariance": res}
+
+
+def _pencil_checks(case, seed, g, m, chain_sorted, reg_idx):
+    """The pencil at every sample, on each sample's only pair, in stacks of
+    stack_chunk points: both displays of the connection along five basis
+    directions (axis 0), then checks, not a raise, on the pencil (reality,
+    doubling, chain = pencil, Tr N = 2 sum(lambda_chain)), and the Jacobi
+    identity at t = 0 and t = 1 at the first sample.
+
+    Returns the residuals, the connection_blocks skip count (the directions
+    at points without blocks) and the rows of the gap-regular samples
+    reg_idx, one pair per stack.
+    """
+    step = poisson.stack_chunk(case)
+    dirs = case.alg.basis[[(j * case.alg.dim) // 5 for j in range(5)], None]
+    rng = np.random.default_rng(seed ^ 0x1ACB)
+    triples = [tuple(rng.choice(case.alg.dim, size=3, replace=False))
+               for _ in range(20)]
+    rows, skipped, kept = [], 0, []
+    for i in range(0, len(g), step):
+        pair = poisson.build_pair(case, g[i:i + step], m=m[i:i + step])
+        lam = chain_sorted[i:i + step]
+        v, n_pencil, n_formula = _nijenhuis_routes(pair, dirs)
+        blocks, has_blocks = poisson.connection_check(pair, v)
+        skipped += 0 if has_blocks else len(dirs) * len(lam)
+        ev, im = poisson.pencil_eigenvalues(pair)
+        trace = np.trace(pair.nr, axis1=-2, axis2=-1)
+        rows.append({
+            "connection_master": np.abs(n_pencil - n_formula).max(),
+            "connection_blocks": blocks if has_blocks else 0.0,
+            "pencil_chain_match":
+                np.abs((ev[:, 0::2] + ev[:, 1::2]) / 2 - lam).max(),
+            "doubling": np.abs(ev[:, 0::2] - ev[:, 1::2]).max(),
+            "pencil_reality": im.max(),
+            "trace_identity": np.abs(trace - 2 * lam.sum(axis=-1)).max()})
+        if i == 0:
+            jacobi = poisson.jacobi_residual(pair[0], triples)
+        kept.append(pair[reg_idx[(reg_idx >= i) & (reg_idx < i + step)] - i])
+    res = _worst(rows)
+    res.update(jacobi_t0=jacobi["t0"], jacobi_t1=jacobi["t1"])
+    return res, skipped, kept
+
+
+def _regular_point_checks(case, reg, target):
+    """At the gap-regular points reg, in stacks: involution under both
+    brackets, and at the first three the Lenard recursion and N^* d(lambda).
+    A check that finds too few points (target for the involutions, one for
+    the others) reads inf, and then only the first three chain gradients
+    are formed."""
+    res = dict.fromkeys(("involution_kks", "involution_bruhat", "lenard",
+                         "nstar_dlambda"), np.inf)
+    if not len(reg.tangent):
+        return res
+    grads, rows, step = [], [], poisson.stack_chunk(case)
+    if len(reg.tangent) == target:
+        for i in range(0, target, step):
+            pair = reg[i:i + step]
+            grads.append(poisson.chain_gradient(pair))
+            rows.append(_involution_residuals(pair, grads[-1]))
+        res.update((f"involution_{k}", r) for k, r in _worst(rows).items())
+    else:
+        grads.append(poisson.chain_gradient(reg[:3]))
+    res["lenard"] = poisson.lenard_check(reg[:3], case.n_eig)["max"]
+    res["nstar_dlambda"] = poisson.nstar_eigen_residual(
+        reg[:3], np.concatenate(grads)[:3])
+    return res
+
+
+def _spin_checks(case, m, chain, seed):
+    """The spin module of bdi: Clifford relations, S a homomorphism,
+    S(rho), the weights of a torus element, upper-triangular c_plus and
+    the spectra of S(m)'s leading blocks against the chain data."""
     rep = spinrep.SpinRepresentation(case.alg.size)
     amb = case.alg.size
     nl = rep.basis.n_letters
     eye = np.eye(rep.dim)
     prod = rep.gammas[:, None] @ rep.gammas[None]          # G_a G_b
     anti = prod + prod.swapaxes(0, 1)
-    res = np.abs(anti - 2.0 * np.eye(amb)[:, :, None, None] * eye).max()
-    _check(checks, tols, "spin_clifford", res)
+    res = {"spin_clifford":
+           np.abs(anti - 2.0 * np.eye(amb)[:, :, None, None] * eye).max()}
 
     rng = np.random.default_rng(seed ^ 0x51)
     d = case.alg.dim
     xy = case.alg.from_coefficients(rng.standard_normal((20, 2, d)))
     x, y = xy[:, 0], xy[:, 1]
     sx, sy = rep(x), rep(y)
-    res = np.abs(rep(x @ y - y @ x) - (sx @ sy - sy @ sx)).max()
-    _check(checks, tols, "spin_homomorphism", res)
+    res["spin_homomorphism"] = np.abs(
+        rep(x @ y - y @ x) - (sx @ sy - sy @ sx)).max()
 
     s_rho = rep(case.rho)
     target = 1j * (rep.gamma_bar_gamma(nl) - 0.5 * eye)
-    _check(checks, tols, "spin_last_rot", np.abs(s_rho - target).max())
+    res["spin_last_rot"] = np.abs(s_rho - target).max()
 
     thetas = rng.standard_normal(nl)
     h = np.zeros((amb, amb))
@@ -244,26 +354,26 @@ def _spin_checks(case, checks, tols, m_batch, chain, seed):
     got = np.linalg.eigvalsh(-1j * rep(h))
     bits = np.arange(2 ** nl)[:, None] >> np.arange(nl) & 1
     want = np.sort((2 * bits - 1) @ thetas / 2)
-    _check(checks, tols, "spin_weights", np.abs(got - want).max())
+    res["spin_weights"] = np.abs(got - want).max()
 
     cp = case.alg.c_plus(case.alg.from_coefficients(rng.standard_normal((20, d))))
     s = rep(cp.real) + 1j * rep(cp.imag)         # complex-linear extension
-    _check(checks, tols, "spin_triangular", np.abs(np.tril(s, -1)).max())
+    res["spin_triangular"] = np.abs(np.tril(s, -1)).max()
 
     # the leading 2^(nl-k) block of S(m) has spectrum i(+-a_k + sum_j<=k b_j)/2
-    n = min(20, len(m_batch))
-    s_m = rep(m_batch[:n])
+    n = min(20, len(m))
+    s_m = rep(m[:n])
     a, b = chain["a"][:n], chain["b"][:n]
     ssum = np.cumsum(b, axis=1)
-    res = 0.0
+    res["spin_minor"] = 0.0
     for k in range(1, b.shape[1] + 1):
         size = 2 ** (nl - k)
         a_k = np.abs(a[:, k - 1]) if k <= a.shape[1] else np.zeros(n)
         signs = np.repeat([-1.0, 1.0], size // 2) if size > 1 else np.zeros(1)
         want = (ssum[:, k - 1, None] + signs * a_k[:, None]) / 2
         got = np.linalg.eigvalsh(-1j * s_m[:, :size, :size])
-        res = max(res, np.abs(got - want).max())
-    _check(checks, tols, "spin_minor", res)
+        res["spin_minor"] = max(res["spin_minor"], np.abs(got - want).max())
+    return res
 
 
 def vertex_probe(case):
@@ -286,7 +396,8 @@ def vertex_probe(case):
 
 
 def run_suite(case, n_samples=100, seed=0, tolerances=None):
-    """Run every check for one case; returns a VerificationReport."""
+    """Run every check for one case; returns a VerificationReport with
+    the checks in DEFAULT_TOLERANCES order."""
     if isinstance(case, str):
         case = hermsym.parse_case(case)
     if n_samples < 1:
@@ -306,130 +417,38 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
             raise UsageError(f"tolerances must be finite and >= 0: {bad}")
         tols.update(tolerances)
     cal = calibrate()
-    checks = []
 
-    g_batch, m_batch = hermsym.batch_points(case, seed, 0, n_samples)
-
-    _check(checks, tols, "orbit_constraints", hermsym.group_residual(case, g_batch))
-
-    rho_spec = np.linalg.eigvalsh(-1j * case.rho)
-    spec_res = np.abs(np.linalg.eigvalsh(-1j * m_batch) - rho_spec).max()
-    _check(checks, tols, "spectrum_preserved", spec_res)
-
-    # identity coset: N_r = 0 (so P0 = 0), chain and pencil eigenvalues 0
-    pair0 = poisson.build_pair(case, hermsym.identity_point(case).g)
-    res = np.abs(pair0.nr).max()
-    res = max(res, np.abs(spectrum.chain_free_vector(case, case.rho)).max())
-    res = max(res, np.abs(poisson.pencil_eigenvalues(pair0)[0]).max())
-    _check(checks, tols, "identity_coset_zero", res)
-
-    # coset invariance of P0 and the moment map: the first n_co points, each
-    # with 4 stabilizer moves (index 4 i + j), on the dense per-point route
-    n_co = min(5, n_samples)
-    hs = hermsym.stabilizer_elements(case, seed ^ 0xC05E7, 0, 4 * n_co)
-    gh = g_batch[:n_co, None] @ hs.reshape((n_co, 4) + hs.shape[1:])
-    m_moved = hermsym.conjugate_rho(case, gh)
-    res = np.abs(m_batch[:n_co, None] - m_moved).max()
-    gs = np.concatenate([g_batch[:n_co, None], gh], axis=1)
-    p0 = poisson.bruhat_matrix(case, gs).reshape(n_co, 5, -1)
-    scale = np.maximum(1.0, np.abs(p0[:, :1]).max(axis=-1))
-    res = max(res, (np.abs(p0[:, 1:] - p0[:, :1]).max(axis=-1) / scale).max())
-    _check(checks, tols, "coset_invariance", res)
-
-    # per-sample pencil machinery, on each sample's only pair, in stacks of
-    # stack_chunk points, along five basis directions (axis 0).  Checks, not
-    # a raise, judge the pencil: reality, doubling, Tr N = 2 sum(lambda_chain)
-    step = poisson.stack_chunk(case)
-    res_master, res_blocks = 0.0, 0.0
-    res_pair, res_imag, res_tr = 0.0, 0.0, 0.0
-    blocks_skipped = 0
-    dirs = case.alg.basis[[(j * case.alg.dim) // 5 for j in range(5)], None]
-    chain = spectrum.chain_batch(case, m_batch)
+    g, m = hermsym.batch_points(case, seed, 0, n_samples)
+    chain = spectrum.chain_batch(case, m)
     labels, data, chain_sorted = spectrum.batch_free_values(case, chain)
-    ranges = {lbl: {"min": float(col.min()), "max": float(col.max())}
-              for lbl, col in zip(labels, data.T)}
     margins = spectrum.batch_margins(case, chain)
-    pencil, kept = np.empty_like(chain_sorted), []
     target = min(50, n_samples)
     reg_idx, drawn, skipped = _gap_regular_points(
         case, seed, chain, target, 4 * n_samples)
-    rng = np.random.default_rng(seed ^ 0x1ACB)
-    triples = [tuple(rng.choice(case.alg.dim, size=3, replace=False))
-               for _ in range(20)]
 
-    for i in range(0, n_samples, step):
-        g = g_batch[i:i + step]
-        pair = poisson.build_pair(case, g, m=m_batch[i:i + step])
-        v, n_pencil, n_formula = _nijenhuis_routes(pair, dirs)
-        res_master = max(res_master, np.abs(n_pencil - n_formula).max())
-        rb, has_blocks = poisson.connection_check(pair, v)
-        if has_blocks:
-            res_blocks = max(res_blocks, rb)
-        else:
-            blocks_skipped += len(dirs) * len(g)
-        ev, im = poisson.pencil_eigenvalues(pair)
-        res_imag = max(res_imag, im.max())
-        res_pair = max(res_pair, np.abs(ev[:, 0::2] - ev[:, 1::2]).max())
-        pencil[i:i + step] = (ev[:, 0::2] + ev[:, 1::2]) / 2
-        trace = np.trace(pair.nr, axis1=-2, axis2=-1)
-        res_tr = max(res_tr, np.abs(
-            trace - 2 * chain_sorted[i:i + step].sum(axis=-1)).max())
-        if i == 0:       # Jacobi identity of the pencil at t = 0 and t = 1
-            jacobi = poisson.jacobi_residual(pair[0], triples)
-        kept.append(pair[reg_idx[(reg_idx >= i) & (reg_idx < i + step)] - i])
-
-    _check(checks, tols, "connection_master", res_master)
-    _check(checks, tols, "connection_blocks", res_blocks, skipped=blocks_skipped)
-    _check(checks, tols, "pencil_chain_match",
-           np.abs(pencil - chain_sorted).max(initial=0.0))
-    _check(checks, tols, "doubling", res_pair)
-    _check(checks, tols, "pencil_reality", res_imag)
-    _check(checks, tols, "interlacing", margins["interlacing"].max(initial=0.0))
-    _check(checks, tols, "polytope",
-           max(v.max(initial=0.0) for v in margins.values()))
-
-    # at the gap-regular points (kept rows, then those drawn past the batch),
-    # in stacks: involution under both brackets, and at the first three the
-    # Lenard recursion and N^* d(lambda); inf when too few are found, and
-    # then only the first three chain gradients are formed
-    res_kks = res_bruhat = res_len = res_nstar = np.inf
-    reg = poisson.BracketPair.join(kept + drawn)
-    del kept, drawn             # reg holds copies of their rows
-    if len(reg.tangent) == target:
-        res, grads = {"kks": 0.0, "bruhat": 0.0}, []
-        for i in range(0, target, step):
-            pair = reg[i:i + step]
-            grads.append(poisson.chain_gradient(pair))
-            r = _involution_residuals(pair, grads[-1])
-            res = {which: max(res[which], r[which]) for which in res}
-        res_kks, res_bruhat = res["kks"], res["bruhat"]
-    elif len(reg.tangent):
-        grads = [poisson.chain_gradient(reg[:3])]
-    if len(reg.tangent):
-        res_len = poisson.lenard_check(reg[:3], case.n_eig)["max"]
-        res_nstar = poisson.nstar_eigen_residual(
-            reg[:3], np.concatenate(grads)[:3])
-    _check(checks, tols, "involution_kks", res_kks, skipped=skipped)
-    _check(checks, tols, "involution_bruhat", res_bruhat, skipped=skipped)
-    for t in ("t0", "t1"):
-        _check(checks, tols, f"jacobi_{t}", jacobi[t])
-
-    _check(checks, tols, "lenard", res_len)
-    _check(checks, tols, "trace_identity", res_tr)
-    _check(checks, tols, "nstar_dlambda", res_nstar)
-
-    _check(checks, tols, "vertex_polytope", vertex_probe(case))
-
+    pencil, blocks_skipped, kept = _pencil_checks(
+        case, seed, g, m, chain_sorted, reg_idx)
+    res = {**_orbit_checks(case, g, m), **_identity_coset(case),
+           **_coset_invariance(case, seed, g, m), **pencil,
+           "interlacing": margins["interlacing"].max(initial=0.0),
+           "polytope": max(v.max(initial=0.0) for v in margins.values()),
+           **_regular_point_checks(
+               case, poisson.BracketPair.join(kept + drawn), target),
+           "vertex_polytope": vertex_probe(case)}
     if case.tag == "bdi":
-        _spin_checks(case, checks, tols, m_batch, chain, seed)
-
-    report = VerificationReport(
+        res.update(_spin_checks(case, m, chain, seed))
+    skips = {"connection_blocks": blocks_skipped,
+             "involution_kks": skipped, "involution_bruhat": skipped}
+    checks = [CheckResult(name, float(res[name]), float(tol),
+                          bool(res[name] <= tol), int(skips.get(name, 0)))
+              for name, tol in tols.items() if name in res]
+    return VerificationReport(
         case=case.descriptor(), name=case.name, params=case.params,
         seed=int(seed), samples=int(n_samples),
-        calibration={"s_K": cal.s_k, "s_0": cal.s_0},
-        checks=checks, ranges=ranges,
+        calibration={"s_K": cal.s_k, "s_0": cal.s_0}, checks=checks,
+        ranges={lbl: {"min": float(col.min()), "max": float(col.max())}
+                for lbl, col in zip(labels, data.T)},
         elapsed_s=round(time.monotonic() - t0, 3))
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,9 @@ def test_batch_points_chunk_independent(so6u3):
 
 def test_so_cases_sample_in_real_arithmetic(all_cases):
     # diii and bdi are real forms: their algebra's basis and every map on
-    # it, samples, stabilizer moves, fd flow points and both N v routes are
-    # float64, so the real path cannot fall back to complex arithmetic
-    # unnoticed
+    # it, samples, stabilizer moves, fd flow points, both N v routes and
+    # the torus-fixed points are float64, so the real path cannot fall back
+    # to complex arithmetic unnoticed
     so_cases = [case for case in all_cases if case.tag in ("diii", "bdi")]
     assert len(so_cases) == 3
     for case in so_cases:
@@ -163,7 +163,7 @@ def test_so_cases_sample_in_real_arithmetic(all_cases):
                     identity_point(case).g, alg.basis, alg.flat,
                     alg.flat_t, alg.jflat, alg.side, alg.coefficients(m),
                     alg.from_coefficients(c), alg.j_apply(m),
-                    alg.ad_matrix(m), *routes):
+                    alg.ad_matrix(m), *routes, *torus_fixed_points(case)):
             assert arr.dtype == np.float64, case.name
 
 

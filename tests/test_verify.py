@@ -270,13 +270,23 @@ def test_run_suite_includes_spin_checks_for_bdi(bdi5):
     assert report.passed
 
 
+def test_report_lists_every_check_in_tolerance_order():
+    # DEFAULT_TOLERANCES alone orders the report; every check group returns
+    # all of its checks, and only bdi has the spin module
+    spin = [n for n in DEFAULT_TOLERANCES if n.startswith("spin_")]
+    assert len(spin) == 6
+    for descriptor in ("bdi:m=5", "aiii:k=1,n=2", "ci:n=1", "diii:n=2"):
+        names = [c.name for c in run_suite(descriptor, 5, seed=2024).checks]
+        want = [n for n in DEFAULT_TOLERANCES
+                if descriptor.startswith("bdi") or n not in spin]
+        assert names == want, descriptor
+
+
 def spin_check_passes(case, edit_chain=lambda chain: chain):
     """{name: passed} of the six spin checks at 20 points of case."""
     _, ms = batch_points(case, 3, 0, 20)
-    checks = []
-    _spin_checks(case, checks, DEFAULT_TOLERANCES, ms,
-                 edit_chain(spectrum.chain_batch(case, ms)), 3)
-    return {c.name: c.passed for c in checks}
+    res = _spin_checks(case, ms, edit_chain(spectrum.chain_batch(case, ms)), 3)
+    return {name: r <= DEFAULT_TOLERANCES[name] for name, r in res.items()}
 
 
 @pytest.mark.parametrize("m", [5, 6])
