@@ -128,7 +128,9 @@ class LieAlgebra:
     basis is real, complex for su and sp.  `coefficients`,
     `from_coefficients`, `j_apply` and `ad_matrix` of real input then
     return float64 for B and D.  `ad_matrix` is one GEMM through `flat_re`;
-    K = -ad_m (`poisson.kks_raw`).
+    K = -ad_m (`poisson.kks_raw`).  Every product against these maps goes
+    through `_gemm`, which keeps a one-point stack on the GEMM route of a
+    longer one.
     """
 
     family: str
@@ -147,6 +149,17 @@ class LieAlgebra:
         return len(self.basis)
 
     # -- coefficient space -------------------------------------------------
+    @staticmethod
+    def _gemm(rows, mat):
+        """rows (..., k) @ mat (k, n).  numpy takes a one-row block as a
+        matrix-vector product, which rounds unlike a GEMM row, so a block
+        of one row, such as a one-point stack under a broadcast axis
+        (..., 1, k), is folded into its leading axes and stays a GEMM."""
+        if rows.ndim > 2 and rows.shape[-2] == 1:
+            return (rows.reshape(-1, rows.shape[-1]) @ mat).reshape(
+                rows.shape[:-1] + mat.shape[-1:])
+        return rows @ mat
+
     def _unflatten(self, rows):
         return rows.reshape(rows.shape[:-1] + (self.size, self.size))
 
@@ -158,16 +171,18 @@ class LieAlgebra:
         the common dtype of x and the basis.
         """
         x = np.asarray(x)
-        return -(x.reshape(x.shape[:-2] + (-1,)) @ self.flat_t)
+        return -self._gemm(x.reshape(x.shape[:-2] + (-1,)), self.flat_t)
 
     def real_coefficients(self, x):
         """coefficients(x).real, as one real GEMM on the float view of x;
         a real x meets only the real-part rows of flat_re."""
         if not np.iscomplexobj(x):
             x = np.asarray(x, float)
-            return x.reshape(x.shape[:-2] + (-1,)) @ self.flat_re[0::2]
+            return self._gemm(x.reshape(x.shape[:-2] + (-1,)),
+                              self.flat_re[0::2])
         x = np.ascontiguousarray(x, complex)
-        return x.view(float).reshape(x.shape[:-2] + (-1,)) @ self.flat_re
+        return self._gemm(x.view(float).reshape(x.shape[:-2] + (-1,)),
+                          self.flat_re)
 
     def side_by_side(self, x):
         """Matrices (d, N, N) as one (N, d N) block row [x_0 | x_1 | ...]."""
@@ -175,12 +190,12 @@ class LieAlgebra:
 
     def from_coefficients(self, c):
         """sum_a c_a X_a for one coefficient vector or a stack (..., dim)."""
-        return self._unflatten(np.asarray(c) @ self.flat)
+        return self._unflatten(self._gemm(np.asarray(c), self.flat))
 
     # -- J and friends -----------------------------------------------------
     def j_apply(self, x):
         """J(x), extended complex-linearly to g_C; x may be a stack."""
-        return self._unflatten(self.coefficients(x) @ self.jflat)
+        return self._unflatten(self._gemm(self.coefficients(x), self.jflat))
 
     def ad_matrix(self, x):
         """ad_x on coefficients: column a holds [x, X_a]; x may be a stack."""

@@ -121,7 +121,10 @@ bracket and pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.
 bracket call: the pair stacks of `run_suite` and the bracket fd flows (both
 signs of `stack_chunk(case)` flow directions, over all the pair's points,
 per call) share it; the chain fd flow of `chain_gradient` builds no
-brackets and takes every flow point in one call.
+brackets and takes every flow point in one call.  The rule is a byte
+budget for the adjoint kernel's side products, counted at the element size
+of the case's own side: float64 for diii and bdi, whose stacks therefore
+hold twice the points that complex entries of the same shape would.
 """
 
 from dataclasses import dataclass, field
@@ -164,9 +167,11 @@ def _adjoint(case, g, side=None):
     side = alg.side if side is None else side
     n, lead = alg.size, g.shape[:-2]
     rows = side.shape[-1] // n
-    # g^dag Y_j side by side, read as rows (i, j); then every block times g
-    left = (_dagger(g) @ side).reshape(lead + (n * rows, n))
-    gxg = (left @ g).reshape(lead + (n, rows, n))
+    # g^dag Y_j side by side, read as rows (i, j); then every block times g.
+    # The first product is a temporary, so at most two (..., rows, N, N)
+    # arrays are held at once: gxg and the coefficient read's copy of it
+    gxg = ((_dagger(g) @ side).reshape(lead + (n * rows, n))
+           @ g).reshape(lead + (n, rows, n))
     return alg.real_coefficients(np.swapaxes(gxg, -3, -2))
 
 
@@ -342,17 +347,20 @@ def flow_points(case, g, h=DEFAULT_FD_STEP):
 
 
 # Byte budget for the largest per-point intermediates of a stacked bracket
-# call, the adjoint kernel's two (chunk, rows, N, N) side products, counted
-# as complex (so-families: real, half): rows = 2 n_eig for the tangent
-# reader (stack_chunk), dim for bruhat_matrix's A.  An fd flow call has
-# twice the points (both signs), so there each product alone fits in it.
+# call, the adjoint kernel's two (chunk, rows, N, N) side products, each
+# entry counted at the size of the case's own side (Case.tangent_side):
+# 8 bytes for the real so-families, 16 for aiii and ci.  rows = 2 n_eig
+# for the tangent reader (stack_chunk), dim for bruhat_matrix's A.  An fd
+# flow call has twice the points (both signs), so there each product
+# alone fits in it.
 _FLOW_CHUNK_BYTES = 1 << 18
 
 
 def _budget_points(case, rows):
-    """Points (at least 1) whose two (rows, N, N) side products fit the
-    byte budget."""
-    return max(1, _FLOW_CHUNK_BYTES // (32 * rows * case.alg.size ** 2))
+    """Points (at least 1) whose two (rows, N, N) side products, at the
+    element size of Case.tangent_side, fit the byte budget."""
+    return max(1, _FLOW_CHUNK_BYTES // (
+        2 * case.tangent_side.itemsize * rows * case.alg.size ** 2))
 
 
 def stack_chunk(case):
@@ -375,8 +383,8 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     The flow directions (a point and a tangent basis element each) go
     through funcs in calls of both signs of chunk directions, by default
     stack_chunk(case), so that the intermediates of one bracket call, about
-    chunk * 2 n_eig * N^2 complex (so-families: real) numbers, stay within
-    a byte budget.  Returns (..., dim_m, *value_shape).
+    chunk * 2 n_eig * N^2 entries of the side's own size, stay within a
+    byte budget.  Returns (..., dim_m, *value_shape).
     """
     pts = flow_points(case, g, h)
     lead, size = pts.shape[:-3], case.alg.size

@@ -26,7 +26,8 @@ from helpers import (brackets_by_adjoint, brackets_from_tangent,
                      cartan_element, complex_basis_case,
                      directional_derivatives_by_basis,
                      jacobi_entries_by_adjoint, jacobi_residual_per_t,
-                     nijenhuis_restricted_inverse, traces_of_powers_ambient)
+                     nijenhuis_restricted_inverse, record_calls,
+                     traces_of_powers_ambient)
 
 
 def tangent_vector(case, m, rng, normalize=True):
@@ -390,6 +391,23 @@ def test_fd_flows_form_two_points_per_tangent_direction(all_cases,
             verify._calibration_residuals(case, gs)
         assert [sum(rows) for _, rows in flows] == [2 * case.dim_m * 3] * 4, (
             case.name)
+
+
+def test_real_forms_take_real_sized_stacks(monkeypatch):
+    # the stack budget counts the side's own entries: 8 bytes for the real
+    # so-families, 16 for aiii and ci, so real forms stack twice the points
+    chunks = {d: poisson.stack_chunk(parse_case(d)) for d in (
+        "diii:n=6", "diii:n=4", "bdi:m=7", "aiii:k=2,n=4", "ci:n=3")}
+    assert chunks == {"diii:n=6": 3, "diii:n=4": 21, "bdi:m=7": 33,
+                      "aiii:k=2,n=4": 64, "ci:n=3": 18}
+    # at diii:n=6, 20 samples: the identity pair and 7 sample stacks, and
+    # the Lenard flow's 3 points x 30 directions in calls of 3 directions
+    verify.calibrate()
+    calls = record_calls(monkeypatch, poisson, "traces_of_powers",
+                         "build_pair")
+    assert verify.run_suite("diii:n=6", 20, seed=2024).passed
+    counts = {name: len(args) for name, args in calls.items()}
+    assert counts == {"traces_of_powers": 30, "build_pair": 8}
 
 
 def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):

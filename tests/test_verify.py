@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pnorbit import (build_case, build_pair, calibrate,
+from pnorbit import (build_case, build_pair, calibrate, hermsym,
                      measure_diii_normalization, pencil_spectrum, poisson,
                      run_suite, spectrum, spinrep, verify, vertex_probe)
 from pnorbit.errors import CalibrationError, UsageError
@@ -380,6 +380,27 @@ def test_diii_normalization_independent_of_stack_chunk(monkeypatch):
     assert (got["min"], got["max"]) == (want["min"], want["max"])
 
 
+@pytest.mark.parametrize("descriptor, n_samples", [
+    ("diii:n=4", 100), ("bdi:m=7", 100), ("diii:n=6", 20)])
+def test_run_suite_independent_of_stack_size(descriptor, n_samples,
+                                             monkeypatch):
+    # every stacked call computes each point's rows on their own, and a
+    # one-point stack stays on the GEMM route (LieAlgebra._gemm): one point
+    # per pair stack, fd flow call and bruhat_matrix chunk gives the same
+    # report, byte for byte (elapsed_s aside)
+    calibrate()
+
+    def report():
+        out = run_suite(descriptor, n_samples, seed=2024)
+        out.elapsed_s = 0.0
+        return out.to_json()
+
+    want = report()
+    monkeypatch.setattr(poisson, "_budget_points", lambda case, rows: 1)
+    assert poisson.stack_chunk(parse_case(descriptor)) == 1
+    assert report() == want
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_diii_normalization_rejects_empty_sample(samples):
     with pytest.raises(UsageError):
@@ -448,6 +469,42 @@ def test_fd_checks_fail_on_a_planted_fault_in_j(descriptor, kind, fails):
     failed = failed_checks(run_suite(case, 40, seed=2024))
     assert set(failed) == fails, failed
     assert min(failed.values()) >= 100, failed
+
+
+FAMILIES = ["aiii:k=2,n=4", "ci:n=3", "diii:n=4", "bdi:m=7"]
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES)
+def test_coset_invariance_fails_on_moves_off_the_stabilizer(descriptor,
+                                                            monkeypatch):
+    # generic group elements in place of the stabilizer moves leave the
+    # coset: the moment map and P0 both move by O(1)
+    case = parse_case(descriptor)
+    g, m = batch_points(case, 2024, 0, 5)
+    tol = DEFAULT_TOLERANCES["coset_invariance"]
+    assert verify._coset_invariance(case, 2024, g, m)["coset_invariance"] <= tol
+    monkeypatch.setattr(hermsym, "stabilizer_elements",
+                        lambda case, seed, start, count:
+                        batch_points(case, seed, start, count)[0])
+    res = verify._coset_invariance(case, 2024, g, m)["coset_invariance"]
+    assert res >= 100 * tol, res
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES)
+def test_orbit_checks_fail_on_points_off_the_orbit(descriptor):
+    # g (1 + 1e-8) leaves the group and m (1 + 1e-7) the orbit of rho:
+    # each fault fails its own check by at least 100x and not the other
+    case = parse_case(descriptor)
+    g, m = batch_points(case, 2024, 0, 100)
+    tols = {name: DEFAULT_TOLERANCES[name]
+            for name in ("orbit_constraints", "spectrum_preserved")}
+    clean = verify._orbit_checks(case, g, m)
+    assert all(clean[name] <= tol for name, tol in tols.items()), clean
+    for name, faulted in (("orbit_constraints", (g * (1 + 1e-8), m)),
+                          ("spectrum_preserved", (g, m * (1 + 1e-7)))):
+        res = verify._orbit_checks(case, *faulted)
+        failed = {n: res[n] / tol for n, tol in tols.items() if res[n] > tol}
+        assert list(failed) == [name] and failed[name] >= 100, failed
 
 
 def test_a_complex_pencil_is_a_failed_check(monkeypatch):
