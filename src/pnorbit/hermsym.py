@@ -193,7 +193,8 @@ def parse_case(text):
 
 def conjugate_rho(case, g):
     """g rho g^dag for one matrix g or a stack (..., N, N), unchecked."""
-    return g @ case.rho @ np.conj(np.swapaxes(g, -1, -2))
+    # ndarray.conj() of a real g is g itself: no copy for the so-families
+    return g @ case.rho @ np.swapaxes(g, -1, -2).conj()
 
 
 def moment(case, g):

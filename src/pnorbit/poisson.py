@@ -85,15 +85,28 @@ arithmetic; its fd value is noise, below 1e-10 of the function's values
 once extrapolated in h (tests/test_poisson.py).  Each point takes 2 dim_m
 flow points in place of 2 dim (diii:n=6: 60 in place of 132).
 
+No flow point is formed: each is read through its base point.  The steps
+s = exp(+-h Y_j) are case constants, and so are their moments s rho s^dag
+and frames Z = A(s) T0 (the flow data, formed once per case and h).  As
+Ad_{g s} = Ad_g Ad_s, A(g s) = A(g) A(s), so the flow point g s has
+moment g (s rho s^dag) g^dag, frame T = A(g) Z and, with M = A^T J A,
+
+    T^T J T = Z^T M Z,    N_r = K_T (J_T - Z^T M Z).
+
+A and M are formed once per base point, and each flow point then costs
+one M Z and one Z^T (M Z) (diii:n=6: about 0.19 M multiply-adds, against
+0.58 M for its own adjoint read and N_r).  A FlowChunk hands the m, T
+and N_r of a run of flow points to the functions being differentiated.
+
 Real forms.  For the so-families (diii, bdi) rho, the algebra basis and
 every map on it (liealg), and the sampled g and m are real (hermsym), and
-so are the flow points of a real g.  A real g meets the real `side` of the
-algebra and the real-part rows of its coefficient map (real_coefficients),
-so T, and with it N_r, `traces_of_powers` and the Jacobi flows, is formed
-by real GEMMs alone, as are K, P0 and both N v routes at a real m.  aiii
-and ci keep complex g, and a complex g of an so-family takes the complex
-route to the same T up to round-off.  J is formed once per algebra
-(liealg), the same for either route.
+so are the flow data and A at a real g.  A real g meets the real `side`
+of the algebra and the real-part rows of its coefficient map
+(real_coefficients), so T and A, and with them N_r, `traces_of_powers`
+and the Jacobi flows, are formed by real GEMMs alone, as are K, P0 and
+both N v routes at a real m.  aiii and ci keep complex g, and a complex g
+of an so-family takes the complex route to the same T up to round-off.
+J is formed once per algebra (liealg), the same for either route.
 
 `kks_raw` (K = -ad_m) and `bruhat_matrix` take leading stack axes and are
 the only dense dim x dim brackets: the independent per-point route (with
@@ -112,19 +125,21 @@ per-point scales and report the largest value over the stack; a stack
 raises whenever one of its rows would.  The fd checks read case, g and m
 from the pair and build none of their own; `nstar_eigen_residual` takes
 the pair's `chain_gradient`, which the involution checks share.  Each fd
-flow works in the smallest frame it needs: the Lenard flow
-(`traces_of_powers`) reads Tr N_r^k in the tangent frame, 2 n_eig square,
-from T alone; one Jacobi flow reads T per flow point, forms only the
-bracketed entries of K and P0 from its needed rows, and serves the KKS
-bracket and pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.
-`stack_chunk(case)` is the one rule for how many points go into a stacked
-bracket call: the pair stacks of `run_suite` and the bracket fd flows (both
-signs of `stack_chunk(case)` flow directions, over all the pair's points,
-per call) share it; the chain fd flow of `chain_gradient` builds no
-brackets and takes every flow point in one call.  The rule is a byte
-budget for the adjoint kernel's side products, counted at the element size
-of the case's own side: float64 for diii and bdi, whose stacks therefore
-hold twice the points that complex entries of the same shape would.
+flow reads from its FlowChunk only what it needs: the chain and the
+calibration flow read m; the Lenard flow (`traces_of_powers`) reads
+Tr N_r^k of each flow point's N_r, 2 n_eig square; one Jacobi flow reads T
+and N_r, forms only the bracketed entries of K and P0 from T's needed
+rows, and serves the KKS bracket and pi_t at t = 0 and 1, as
+d(P0 + t K) = dP0 + t dK.  Two rules, both from one byte budget, say how
+much goes into one call.  `stack_chunk(case)` gives the points of a pair
+stack in `run_suite` and `measure_diii_normalization`: it counts the
+adjoint kernel's side products at the element size of the case's own
+side, float64 for diii and bdi, whose stacks therefore hold twice the
+points that complex entries of the same shape would.  `_flow_directions`
+gives the tangent directions of an fd flow call, both signs and all the
+pair's points: it counts the float64 M Z products (diii:n=6 at 3 points:
+2 directions).  The chain flow of `chain_gradient` forms no M Z and takes
+every flow point in one call.
 """
 
 from dataclasses import dataclass, field
@@ -145,7 +160,8 @@ ORTHO_TOL = 1e-9                # build_pair: max|T^T T - 1|, the rank certifica
 
 
 def _dagger(x):
-    return np.conj(np.swapaxes(x, -1, -2))
+    # ndarray.conj() of a real array is the array itself; np.conj copies it
+    return np.swapaxes(x, -1, -2).conj()
 
 
 def kks_raw(case, m):
@@ -216,7 +232,9 @@ class BracketPair:
     @cached_property
     def nr(self):
         """(..., 2 n_eig, 2 n_eig) N_r, the matrix of N = P0 PK^+ on T."""
-        return _restricted(self.case, self.tangent)
+        t = self.tangent
+        return _restricted(self.case,
+                           np.swapaxes(t, -1, -2) @ (self.case.alg.jmat @ t))
 
     def __getitem__(self, rows):
         """The pair at rows of the stack: g, m, T and, once formed, N_r."""
@@ -292,9 +310,9 @@ def nijenhuis_formula(case, m, v):
     return -(jv @ m - m @ jv) + v
 
 
-def _restricted(case, t):
-    """N_r = K_T (J_T - T^T J T) on the tangent basis t (..., dim, 2 n_eig)."""
-    tjt = np.swapaxes(t, -1, -2) @ (case.alg.jmat @ t)
+def _restricted(case, tjt):
+    """N_r = K_T (J_T - T^T J T) from T^T J T (..., 2 n_eig, 2 n_eig) of a
+    tangent frame T: the one place that forms N_r, for pairs and fd flows."""
     return case.k_t @ (case.j_t - tjt)
 
 
@@ -325,34 +343,97 @@ def pencil_spectrum(pair):
 # finite differences along orbit flows
 # ---------------------------------------------------------------------------
 
-# The flow steps exp(+-h Y_j) do not depend on the point: one read-only
-# (dim_m, 2, N, N) stack per case descriptor (which fixes T0) and step h
-# serves every fd flow.
-_FLOW_STEPS = {}                # (case descriptor, h) -> steps
+# The flow data do not depend on the point.  With the steps
+# s = exp(+-h Y_j), a flow point g s has moment g (s rho s^dag) g^dag and,
+# as A(g s) = A(g) A(s), frame A(g) Z with Z = _tangent(case, s).  One
+# read-only pair of stacks per case descriptor (which fixes T0) and step h
+# serves every fd flow: s rho s^dag (dim_m, 2, N, N) and Z (dim_m, 2, dim,
+# dim_m), float64 for every family (0.95 MB at diii:n=6, 6.0 MB at
+# diii:n=8, 11.9 MB at aiii:k=6,n=12).
+_FLOW_DATA = {}                 # (case descriptor, h) -> (rho_s, z)
 
 
-def flow_points(case, g, h=DEFAULT_FD_STEP):
-    """Perturbed group elements of one g (N, N) or a stack (..., N, N),
-    (..., dim_m, 2, N, N): [..., j, 0] = g exp(+h Y_j) and
-    [..., j, 1] = g exp(-h Y_j) for every tangent basis element
-    Y_j = sum_b T0[b, j] X_b (Case.tangent)."""
+def _flow_data(case, h):
+    """(rho_s, z) of the steps [j, 0] = exp(+h Y_j), [j, 1] = exp(-h Y_j)
+    for every tangent basis element Y_j = sum_b T0[b, j] X_b
+    (Case.tangent), formed once per case descriptor and h."""
     key = (case.descriptor(), h)
-    if key not in _FLOW_STEPS:
-        y = case.alg.from_coefficients(case.tangent.T)
-        steps = expm_antihermitian(h * y)
+    if key not in _FLOW_DATA:
+        steps = expm_antihermitian(
+            h * case.alg.from_coefficients(case.tangent.T))
         steps = np.stack([steps, _dagger(steps)], axis=1)
-        steps.flags.writeable = False
-        _FLOW_STEPS[key] = steps
-    return np.asarray(g)[..., None, None, :, :] @ _FLOW_STEPS[key]
+        # Z in pair-stack chunks: the adjoint kernel's side products of all
+        # 2 dim_m steps at once would take 85 MB at ci:n=8
+        flat, step = steps.reshape((-1,) + steps.shape[2:]), stack_chunk(case)
+        z = np.concatenate([_tangent(case, flat[i:i + step])
+                            for i in range(0, len(flat), step)])
+        z = z.reshape(steps.shape[:2] + z.shape[1:])
+        data = (conjugate_rho(case, steps), z)
+        for arr in data:
+            arr.flags.writeable = False
+        _FLOW_DATA[key] = data
+    return _FLOW_DATA[key]
+
+
+class _BaseFrame:
+    """A = Ad_{g^-1} and M = A^T J A at the base points g (S, N, N) of one
+    fd flow, each formed on first read and shared by its chunks."""
+
+    def __init__(self, case, g):
+        self.case, self.g = case, g
+
+    @cached_property
+    def adjoint(self):
+        return _adjoint(self.case, self.g)
+
+    @cached_property
+    def metric(self):
+        a = self.adjoint
+        return np.swapaxes(a, -1, -2) @ (self.case.alg.jmat @ a)
+
+
+class FlowChunk:
+    """The flow points g exp(+-h Y_j) of a run of tangent directions j at
+    every base point g, read through the base point and formed on first
+    read, with one leading axis in (point, direction, sign) order:
+    m = g rho_s g^dag, the frame tangent = A Z and nr = N_r =
+    K_T (J_T - Z^T M Z), from the flow data (rho_s, z) of the run and the
+    base point's A and M.  No flow point g s is formed."""
+
+    def __init__(self, base, rho_s, z):
+        self.base, self.rho_s, self.z = base, rho_s, z
+
+    def __len__(self):
+        return len(self.base.g) * 2 * len(self.z)
+
+    @staticmethod
+    def _flat(x):
+        """(S, run, 2, a, b) -> (S * run * 2, a, b)"""
+        return x.reshape((-1,) + x.shape[-2:])
+
+    @cached_property
+    def m(self):
+        g = self.base.g[:, None, None]
+        return self._flat(g @ self.rho_s @ _dagger(g))
+
+    @cached_property
+    def tangent(self):
+        return self._flat(self.base.adjoint[:, None, None] @ self.z)
+
+    @cached_property
+    def nr(self):
+        mz = self.base.metric[:, None, None] @ self.z
+        return _restricted(self.base.case,
+                           self._flat(np.swapaxes(self.z, -1, -2) @ mz))
 
 
 # Byte budget for the largest per-point intermediates of a stacked bracket
-# call, the adjoint kernel's two (chunk, rows, N, N) side products, each
-# entry counted at the size of the case's own side (Case.tangent_side):
-# 8 bytes for the real so-families, 16 for aiii and ci.  rows = 2 n_eig
-# for the tangent reader (stack_chunk), dim for bruhat_matrix's A.  An fd
-# flow call has twice the points (both signs), so there each product
-# alone fits in it.
+# call.  In a pair stack (stack_chunk) those are the adjoint kernel's two
+# (chunk, rows, N, N) side products, each entry counted at the size of the
+# case's own side (Case.tangent_side): 8 bytes for the real so-families,
+# 16 for aiii and ci; rows = 2 n_eig for the tangent reader, dim for
+# bruhat_matrix's A.  In an fd flow (_flow_directions) it is M Z, one
+# float64 (dim, 2 n_eig) product per flow point.
 _FLOW_CHUNK_BYTES = 1 << 18
 
 
@@ -364,39 +445,46 @@ def _budget_points(case, rows):
 
 
 def stack_chunk(case):
-    """Points per stacked bracket call, for the tangent reader's rows; in
-    an fd flow, flow directions (a point and a tangent direction, two flow
-    points each) per call."""
+    """Points per stacked bracket call, for the tangent reader's rows."""
     return _budget_points(case, case.dim_m)
+
+
+def _flow_directions(case, points):
+    """Tangent directions (at least 1) per fd flow call at `points` base
+    points: both signs of each, whose float64 M Z products, (dim, 2 n_eig)
+    per flow point, fit the byte budget."""
+    return max(1, _FLOW_CHUNK_BYTES // (points * 2 * case.alg.dim
+                                        * case.dim_m * 8))
 
 
 def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     """fd derivatives of functions on the orbit along the tangent flows
-    g exp(h Y_j) (flow_points), at one g (N, N) or a stack (..., N, N):
-    w = T^T dvec of the fundamental-flow derivatives dvec (see the module
-    docstring).
+    g exp(h Y_j), at one g (N, N) or a stack (..., N, N): w = T^T dvec of
+    the fundamental-flow derivatives dvec (see the module docstring).
 
-    Stack contract: funcs maps a stack gs (S, N, N) of flow points to
-    values with a leading stack axis, (S, *value_shape); row s must depend
-    on gs[s] alone.  A function of the moment forms m = g rho g^dag itself
-    (hermsym.conjugate_rho); the bracket and Lenard flows read g alone.
-    The flow directions (a point and a tangent basis element each) go
-    through funcs in calls of both signs of chunk directions, by default
-    stack_chunk(case), so that the intermediates of one bracket call, about
-    chunk * 2 n_eig * N^2 entries of the side's own size, stay within a
-    byte budget.  Returns (..., dim_m, *value_shape).
+    Stack contract: funcs maps a FlowChunk, the m, T and N_r of P flow
+    points read through their base points, to values with a leading stack
+    axis, (P, *value_shape); row p must depend on row p of the chunk alone.
+    The tangent directions go through funcs in runs of chunk directions,
+    both signs and every base point per call, by default _flow_directions,
+    so that the M Z products of a call stay within a byte budget.  A and M
+    are formed once per base point, when a chunk first reads T or N_r.
+    Returns (..., dim_m, *value_shape).
     """
-    pts = flow_points(case, g, h)
-    lead, size = pts.shape[:-3], case.alg.size
-    pts = pts.reshape(-1, 2, size, size)
-    step = chunk or stack_chunk(case)
+    g = np.asarray(g)
+    lead, size = g.shape[:-2], case.alg.size
+    base = _BaseFrame(case, g.reshape((-1, size, size)))
+    rho_s, z = _flow_data(case, h)
+    points = len(base.g)
+    step = chunk or _flow_directions(case, points)
     out = None
-    for a in range(0, len(pts), step):
-        gs = pts[a:a + step].reshape(-1, size, size)
-        vals = np.asarray(funcs(gs))
+    for a in range(0, case.dim_m, step):
+        vals = np.asarray(funcs(FlowChunk(base, rho_s[a:a + step],
+                                          z[a:a + step])))
+        vals = vals.reshape((points, -1, 2) + vals.shape[1:])
         if out is None:
-            out = np.empty((len(pts),) + vals.shape[1:], vals.dtype)
-        out[a:a + step] = (vals[0::2] - vals[1::2]) / (2 * h)
+            out = np.empty((points, case.dim_m) + vals.shape[3:], vals.dtype)
+        out[:, a:a + step] = (vals[:, :, 0] - vals[:, :, 1]) / (2 * h)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite fd derivative")
     return out.reshape(lead + out.shape[1:])
@@ -431,15 +519,14 @@ def jacobi_residual(pair, triples):
     cols = [pos[y] for _, y, _ in cyclic]
     zs = [z for _, _, z in cyclic]
 
-    def entries(gs):
-        # T per flow point gives N_r, and its needed rows T_n the blocks
+    def entries(flow):
+        # the needed rows T_n of each flow point's T give the blocks
         # T_n K_T T_n^T of K and T_n (N_r K_T) T_n^T of P0; only the
         # bracketed pairs {F_x, F_y} are differentiated
-        t = _tangent(case, gs)
-        t_n = t[:, needed]
+        t_n = flow.tangent[:, needed]
         t_nt = np.swapaxes(t_n, -1, -2)
         k = t_n @ case.k_t @ t_nt
-        p0 = t_n @ (_restricted(case, t) @ case.k_t) @ t_nt
+        p0 = t_n @ (flow.nr @ case.k_t) @ t_nt
         return np.stack([k[:, rows, cols], p0[:, rows, cols]], axis=1)
 
     dk, d0 = np.moveaxis(
@@ -463,21 +550,18 @@ def jacobi_residual(pair, triples):
 # Lenard recursion and eigenvalue equation
 # ---------------------------------------------------------------------------
 
-def traces_of_powers(case, g, k_max):
-    """I_k = (1/k) Tr N^k for k = 1..k_max at g, one point or a stack
-    (..., N, N) -> (..., k_max), in the tangent frame.
-
-    Tr N^k is the trace of the pencil's own N_r = K_T (J_T - T^T J T)
-    (BracketPair.nr), 2 n_eig square, with T read from g by _tangent.  No
-    certificate is needed per point: the flow points are unitary, and the
-    build_pair of the pair that lenard_check takes certifies T at the base
-    point.
+def traces_of_powers(nr, k_max):
+    """I_k = (1/k) Tr N_r^k for k = 1..k_max of restricted Nijenhuis
+    matrices nr (..., 2 n_eig, 2 n_eig) -> (..., k_max): Tr N^k in the
+    tangent frame, as lenard_check reads it off each flow point's N_r
+    (FlowChunk.nr).  No certificate is needed per flow point: the flow
+    points are unitary, and the build_pair of the pair that lenard_check
+    takes certifies T at the base point.
 
     Only the powers M^j, M = N_r, up to i = ceil(k_max / 2) are formed,
     half the dense products; each higher trace Tr M^(i+j) = sum M^j o
     (M^i)^T is one dot product of M^j with the transposed top power.
     """
-    nr = _restricted(case, _tangent(case, g))
     pows = [nr]
     for _ in range(1, (k_max + 1) // 2):
         pows.append(pows[-1] @ nr)
@@ -499,9 +583,8 @@ def lenard_check(pair, k_max):
     each the largest over a stacked pair's points; no trace and no pencil
     eigenvalue (run_suite checks Tr N = 2 sum(lambda) against the chain).
     """
-    case = pair.case
     w = directional_derivatives(
-        case, pair.point.g, lambda gs: traces_of_powers(case, gs, k_max))
+        pair.case, pair.point.g, lambda flow: traces_of_powers(flow.nr, k_max))
     lhs = w[..., 1:]
     res = (np.linalg.norm(lhs - pair.nr @ w[..., :-1], axis=-2)
            / np.maximum(1.0, np.linalg.norm(lhs, axis=-2)))
@@ -513,14 +596,14 @@ def chain_gradient(pair):
     """Tangent-frame fd flow derivatives w = T^T dvec of the free chain
     eigenvalues at the pair's points, (..., 2 n_eig, n_eig): column i is
     w of lambda_i, as gradient_bracket (transposed) and
-    nstar_eigen_residual take it.  The chain has no (S, dim_m, N, N)
-    intermediates, so all 2 dim_m flow points of every point go through
-    one chain_free_vector call."""
-    case, g = pair.case, pair.point.g
+    nstar_eigen_residual take it.  The chain reads only m and forms no
+    M Z, so all 2 dim_m flow points of every point go through one
+    chain_free_vector call."""
+    case = pair.case
     return directional_derivatives(
-        case, g,
-        lambda gs: _spectrum.chain_free_vector(case, conjugate_rho(case, gs)),
-        chunk=case.dim_m * g[..., 0, 0].size)
+        case, pair.point.g,
+        lambda flow: _spectrum.chain_free_vector(case, flow.m),
+        chunk=case.dim_m)
 
 
 def nstar_eigen_residual(pair, w):
@@ -541,6 +624,11 @@ def connection_check(pair, v):
     """Residual between the full connection formula (-J(v) + [m, v]) g and
     the eigenbundle block form -/+ C_pm(v) sigma_pm at the pair's points;
     for a stacked pair and v, the largest residual over the rows.
+
+    J cancels from the block residual: with C_pm(v) = i v +/- J(v) it is
+    ([m, v] + i v) g W+ and ([m, v] - i v) g W- up to round-off, so the
+    check is blind to a fault in J (a J halved or flipped on a root plane
+    leaves it at round-off) and sees the eigenbundle columns W+- instead.
 
     bdi lacks the block form; the check degenerates there and is flagged.
     """

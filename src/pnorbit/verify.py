@@ -145,8 +145,7 @@ def _calibration_residuals(case, points):
     scale = np.maximum(1.0, np.abs(k).max(axis=(-2, -1)))
     tk = np.swapaxes(pair.tangent, -1, -2) @ k
     w = poisson.directional_derivatives(
-        case, points,
-        lambda gs: case.alg.real_coefficients(hermsym.conjugate_rho(case, gs)))
+        case, points, lambda flow: case.alg.real_coefficients(flow.m))
     fd_gap = {s_k: (np.abs(w + s_k * tk).max(axis=(-2, -1)) / scale).max()
               for s_k in (1, -1)}
     # the same three directions (axis 0) at every point

@@ -43,6 +43,13 @@ exp(+-h X_a) g, returning dvec (..., dim, *value).  The library's
 tangent-frame w must equal T^T dvec to fd accuracy, and dvec must have no
 normal part.
 
+`flow_points` forms the flow points g exp(+-h Y_j) themselves, and
+`PointFrames` reads m, T and N_r at given group elements, each from its
+own point (conjugate_rho, _tangent, _restricted): together the per-flow-
+point route as it stood before the fd flows read every flow point through
+its base point (poisson.FlowChunk), which must match it to round-off.
+`PointFrames` is also the view that the basis-flow oracle hands its funcs.
+
 `complex_basis_case` is a case on the so-families' algebra as it stood
 before its basis became float64: the same basis and h0, with the basis
 cast to complex, so that every map built on it (coefficients, J, ad,
@@ -75,9 +82,9 @@ import numpy as np
 
 from pnorbit import liealg
 from pnorbit.errors import ConventionError
-from pnorbit.hermsym import _finish_case
+from pnorbit.hermsym import _finish_case, conjugate_rho
 from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
-from pnorbit.poisson import (_adjoint, _restricted, _tangent,
+from pnorbit.poisson import (_adjoint, _dagger, _restricted, _tangent,
                              directional_derivatives, kks_raw)
 from pnorbit.spectrum import GT_TAGS, _layout
 
@@ -200,13 +207,12 @@ def jacobi_residual_per_t(pair, t, triples):
     case = pair.case
     cyclic, needed, rows, cols = _cyclic(triples)
 
-    def entries(gs):
-        frame = _tangent(case, gs)
-        t_n = frame[:, needed]
+    def entries(flow):
+        t_n = flow.tangent[:, needed]
         t_nt = np.swapaxes(t_n, -1, -2)
         pt = t_n @ case.k_t @ t_nt
         if t != "kks":
-            pt = t_n @ (_restricted(case, frame) @ case.k_t) @ t_nt + t * pt
+            pt = t_n @ (flow.nr @ case.k_t) @ t_nt + t * pt
         return pt[:, rows, cols]
 
     w = directional_derivatives(case, pair.point.g, entries)
@@ -218,14 +224,39 @@ def jacobi_residual_per_t(pair, t, triples):
     return float(np.abs(terms.reshape(-1, 3).sum(axis=1)).max(initial=0.0))
 
 
+def flow_points(case, g, h=DEFAULT_FD_STEP):
+    """Perturbed group elements of one g (N, N) or a stack (..., N, N),
+    (..., dim_m, 2, N, N): [..., j, 0] = g exp(+h Y_j) and
+    [..., j, 1] = g exp(-h Y_j) for every tangent basis element
+    Y_j = sum_b T0[b, j] X_b (Case.tangent)."""
+    steps = expm_antihermitian(h * case.alg.from_coefficients(case.tangent.T))
+    steps = np.stack([steps, _dagger(steps)], axis=1)
+    return np.asarray(g)[..., None, None, :, :] @ steps
+
+
+class PointFrames:
+    """m, T and N_r at group elements gs (P, N, N), each read from its own
+    point, with the attributes of a poisson.FlowChunk."""
+
+    def __init__(self, case, gs):
+        self.m = conjugate_rho(case, gs)
+        self.tangent = _tangent(case, gs)
+        self.nr = _restricted(case, np.swapaxes(self.tangent, -1, -2)
+                              @ (case.alg.jmat @ self.tangent))
+
+    def __len__(self):
+        return len(self.m)
+
+
 def directional_derivatives_by_basis(case, g, funcs, h=DEFAULT_FD_STEP):
     """fd derivatives dvec (..., dim, *value) of funcs along the basis flows
     exp(+-h X_a) g, at one g (N, N) or a stack (..., N, N); funcs takes
-    every flow point in one stack (S, N, N)."""
+    the PointFrames of every flow point in one stack (S, N, N)."""
     steps = expm_antihermitian(h * case.alg.basis)
-    steps = np.stack([steps, np.conj(np.swapaxes(steps, -1, -2))], axis=1)
+    steps = np.stack([steps, _dagger(steps)], axis=1)
     pts = steps @ np.asarray(g)[..., None, None, :, :]
-    vals = np.asarray(funcs(pts.reshape((-1,) + pts.shape[-2:])))
+    frames = PointFrames(case, pts.reshape((-1,) + pts.shape[-2:]))
+    vals = np.asarray(funcs(frames))
     vals = vals.reshape(pts.shape[:-2] + vals.shape[1:])
     sign = pts.ndim - 3                       # the axis of +-h
     return (vals.take(0, axis=sign) - vals.take(1, axis=sign)) / (2 * h)
@@ -240,7 +271,7 @@ def complex_basis_case(case):
 
 def fault_in_nr(edit):
     """poisson._restricted with edit(case, N_r) applied to its result."""
-    return lambda case, t: edit(case, _restricted(case, t))
+    return lambda case, tjt: edit(case, _restricted(case, tjt))
 
 
 def record_calls(monkeypatch, module, *names):

@@ -15,7 +15,7 @@ from pnorbit.hermsym import (_finish_case, batch_points,
                              sample_coefficients, stabilizer_elements,
                              torus_fixed_points)
 from pnorbit.numkernel import expm_antihermitian
-from pnorbit.poisson import flow_points, kks_raw
+from pnorbit.poisson import directional_derivatives, kks_raw
 from pnorbit.spectrum import batch_violations, chain_batch
 
 from helpers import batch_points_einsum, idempotents, kphi, sample_rng
@@ -147,9 +147,9 @@ def test_batch_points_chunk_independent(so6u3):
 
 def test_so_cases_sample_in_real_arithmetic(all_cases):
     # diii and bdi are real forms: their algebra's basis and every map on
-    # it, samples, stabilizer moves, fd flow points, both N v routes and
-    # the torus-fixed points are float64, so the real path cannot fall back
-    # to complex arithmetic unnoticed
+    # it, samples, stabilizer moves, the m, T and N_r of fd flow points,
+    # both N v routes and the torus-fixed points are float64, so the real
+    # path cannot fall back to complex arithmetic unnoticed
     so_cases = [case for case in all_cases if case.tag in ("diii", "bdi")]
     assert len(so_cases) == 3
     for case in so_cases:
@@ -159,7 +159,11 @@ def test_so_cases_sample_in_real_arithmetic(all_cases):
         c = sample_coefficients(3, 0, 4, alg.dim)
         pair = build_pair(case, g, m=m)
         routes = verify._nijenhuis_routes(pair, alg.basis[:3, None])
-        for arr in (case.rho, g, m, hs, flow_points(case, g[0]),
+        flows = []
+        directional_derivatives(case, g, lambda flow: flows.append(flow)
+                                or np.zeros(len(flow)))
+        frames = [getattr(flows[0], name) for name in ("m", "tangent", "nr")]
+        for arr in (case.rho, g, m, hs, *frames,
                     identity_point(case).g, alg.basis, alg.flat,
                     alg.flat_t, alg.jflat, alg.side, alg.coefficients(m),
                     alg.from_coefficients(c), alg.j_apply(m),

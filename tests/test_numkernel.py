@@ -12,11 +12,11 @@ import pytest
 import scipy.linalg
 
 import pnorbit
-from pnorbit import NumericalError, numkernel
-from pnorbit.hermsym import (batch_points, conjugate_rho, parse_case,
-                             random_point, stabilizer_elements)
+from pnorbit import NumericalError, numkernel, poisson
+from pnorbit.hermsym import (batch_points, parse_case, random_point,
+                             stabilizer_elements)
 from pnorbit.numkernel import expm_antihermitian
-from pnorbit.poisson import directional_derivatives, flow_points
+from pnorbit.poisson import directional_derivatives
 from pnorbit.spectrum import chain_batch, chain_free_vector
 
 
@@ -135,8 +135,8 @@ def test_real_branch_rows_are_batches_of_one(rng):
 
 
 def test_real_branch_takes_no_eigensolver(monkeypatch, rng):
-    # the so-families sample (batch_points, stabilizer_elements,
-    # flow_points) and read the bdi chain without np.linalg.eigh/eigvalsh
+    # the so-families sample (batch_points, stabilizer_elements, the fd
+    # flow data) and read the bdi chain without np.linalg.eigh/eigvalsh
     def forbidden(*args, **kwargs):
         raise AssertionError("eigensolver called")
 
@@ -144,12 +144,13 @@ def test_real_branch_takes_no_eigensolver(monkeypatch, rng):
                                      "bdi:m=7")]
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(poisson, "_FLOW_DATA", {})
     x = antisymmetric_stack(rng, 4, 6, [0.0, 0.1, 5.0, 1e3])
     assert expm_antihermitian(x).dtype == np.float64
     for case in cases:
         g, m = batch_points(case, 3, 0, 6)
         stabilizer_elements(case, 3, 0, 6)
-        flow_points(case, g[0])
+        directional_derivatives(case, g[0], lambda flow: flow.nr)
         if case.tag == "bdi":
             chain_batch(case, m)
 
@@ -180,7 +181,7 @@ def test_fd_gradient_eigenvalue_family_richardson(sp2):
     def grad(h):
         return directional_derivatives(
             sp2, p.g,
-            lambda gs: chain_free_vector(sp2, conjugate_rho(sp2, gs)), h)
+            lambda flow: chain_free_vector(sp2, flow.m), h)
 
     richardson = (4 * grad(5e-4) - grad(1e-3)) / 3
     assert np.abs(grad(1e-5) - richardson).max() <= 1e-6

@@ -16,15 +16,14 @@ from pnorbit.hermsym import (CSTRUCT_TOL, _finish_case,
                              random_point, stabilizer_elements)
 from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
 from pnorbit.poisson import (BracketPair, chain_gradient, connection_check,
-                             directional_derivatives, flow_points,
-                             gradient_bracket, jacobi_residual, kks_raw,
-                             nstar_eigen_residual, pencil_eigenvalues,
-                             traces_of_powers)
+                             directional_derivatives, gradient_bracket,
+                             jacobi_residual, kks_raw, nstar_eigen_residual,
+                             pencil_eigenvalues, traces_of_powers)
 from pnorbit.spectrum import chain_batch, chain_free_vector, gap_regularity
 
-from helpers import (brackets_by_adjoint, brackets_from_tangent,
+from helpers import (PointFrames, brackets_by_adjoint, brackets_from_tangent,
                      cartan_element, complex_basis_case,
-                     directional_derivatives_by_basis,
+                     directional_derivatives_by_basis, flow_points,
                      jacobi_entries_by_adjoint, jacobi_residual_per_t,
                      nijenhuis_restricted_inverse, record_calls,
                      traces_of_powers_ambient)
@@ -165,7 +164,7 @@ def test_traces_of_powers_stack_matches_pair_route(all_cases):
     for case in all_cases + [build_case("diii", n=6)]:
         gs, _ = batch_points(case, 29, 0, 3)
         gs = np.concatenate([np.eye(case.alg.size, dtype=complex)[None], gs])
-        got = traces_of_powers(case, gs, case.n_eig + 1)
+        got = traces_of_powers(build_pair(case, gs).nr, case.n_eig + 1)
         assert got.shape == (4, case.n_eig + 1)
         assert np.abs(got[0]).max() <= 1e-12, case.name
         amb = traces_of_powers_ambient(case, gs, case.n_eig + 1)
@@ -254,28 +253,40 @@ def test_tangent_frame_readers_match_adjoint_route(descriptor, monkeypatch):
 
 
 def test_bracket_layer_reads_only_the_tangent_side(all_cases, monkeypatch):
-    # the pair, the pencil and the fd flows read the tangent frame alone:
-    # every adjoint kernel they call has Case.tangent_side as its side.
-    # Only bruhat_matrix, the independent per-point route, forms A
-    sides = []
+    # the pair and the pencil read the tangent frame alone: every adjoint
+    # kernel they call has Case.tangent_side as its side.  An fd flow reads
+    # its flow points through the base points: A is formed once per base
+    # point per flow, and the tangent side meets only the steps
+    # exp(+-h Y_j), once per case, when the flow data are formed.  Only
+    # bruhat_matrix, the independent per-point route, forms A per point
+    calls = []
     adjoint = poisson._adjoint
 
     def recorded(case, g, side=None):
-        sides.append(side is case.tangent_side)
+        calls.append((side is case.tangent_side, g))
         return adjoint(case, g, side)
 
+    monkeypatch.setattr(poisson, "_FLOW_DATA", {})
     monkeypatch.setattr(poisson, "_adjoint", recorded)
     for case in all_cases:
         gs, _ = batch_points(case, 61, 0, 2)
         pair = build_pair(case, gs)
         pencil_spectrum(pair)
+        assert [side for side, _ in calls] == [True], case.name
+        calls.clear()
         lenard_check(pair, case.n_eig)
         jacobi_residual(pair, [(0, 1, 2), (case.alg.dim - 1, 0, 1)])
-        assert sides and all(sides), case.name
-        sides.clear()
+        steps = poisson._dagger(flow_points(case, np.eye(case.alg.size)))
+        at_steps = [g for side, g in calls if side]
+        assert [side for side, _ in calls] == (
+            [True] * len(at_steps) + [False, False]), case.name
+        assert np.array_equal(np.concatenate(at_steps),
+                              steps.reshape((-1,) + gs.shape[1:])), case.name
+        assert all(np.array_equal(g, gs) for side, g in calls if not side)
+        calls.clear()
         bruhat_matrix(case, gs)
-        assert sides == [False], case.name
-        sides.clear()
+        assert [side for side, _ in calls] == [False], case.name
+        calls.clear()
 
 
 @pytest.mark.parametrize("descriptor,several", [("aiii:k=2,n=4", False),
@@ -285,23 +296,23 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
     g = random_point(case, 19).g
     calls = []
 
-    def funcs(gs):
-        calls.append(len(gs))
-        ms = conjugate_rho(case, gs)
-        k = kks_raw(case, ms)
-        p0 = bruhat_matrix(case, gs)
+    def funcs(flow):
+        # K, P0 = T N_r K_T T^T and the chain, from each flow point's m, T
+        # and N_r
+        calls.append(len(flow))
+        k = kks_raw(case, flow.m)
+        t = flow.tangent
+        p0 = t @ (flow.nr @ case.k_t) @ np.swapaxes(t, -1, -2)
         return np.concatenate([k.reshape(len(k), -1), p0.reshape(len(k), -1),
-                               chain_free_vector(case, ms)], axis=1)
+                               chain_free_vector(case, flow.m)], axis=1)
 
     def pointwise(g):
-        # the per-point oracle: one flow point per call, forward minus backward
-        h = DEFAULT_FD_STEP
-        rows = []
-        for gp, gm in flow_points(case, g, h):
-            fp = funcs(gp[None])[0]
-            fm = funcs(gm[None])[0]
-            rows.append((fp - fm) / (2 * h))
-        return np.stack(rows)
+        # the per-point oracle: one tangent direction of one point, both
+        # signs, per call (the flow points against the per-flow-point
+        # route: test_flow_chunks_match_the_per_flow_point_route)
+        w = directional_derivatives(case, g, funcs, chunk=1)
+        assert calls[-case.dim_m:] == [2] * case.dim_m
+        return w
 
     got = directional_derivatives(case, g, funcs)
     assert sum(calls) == 2 * case.dim_m
@@ -327,9 +338,9 @@ def record_flows(mp):
     def recorded(case, g, funcs, *args, **kwargs):
         rows = []
 
-        def counted(gs):
-            rows.append(len(gs))
-            return funcs(gs)
+        def counted(flow):
+            rows.append(len(flow))
+            return funcs(flow)
         flows.append((funcs, rows))
         return directional_derivatives(case, g, counted, *args, **kwargs)
 
@@ -363,7 +374,7 @@ def test_tangent_flows_are_basis_flows_in_the_tangent_frame(all_cases,
             jacobi_residual(pair, triples)
         assert len(flows) == 3, case.name
         for funcs, _ in flows:
-            scale = max(1.0, np.abs(funcs(g)).max())
+            scale = max(1.0, np.abs(funcs(PointFrames(case, g))).max())
             w, dvec = [(4 * route(case, g, funcs, h / 2)
                         - route(case, g, funcs, h)) / 3
                        for route in (directional_derivatives,
@@ -401,19 +412,22 @@ def test_real_forms_take_real_sized_stacks(monkeypatch):
     assert chunks == {"diii:n=6": 3, "diii:n=4": 21, "bdi:m=7": 33,
                       "aiii:k=2,n=4": 64, "ci:n=3": 18}
     # at diii:n=6, 20 samples: the identity pair and 7 sample stacks, and
-    # the Lenard flow's 3 points x 30 directions in calls of 3 directions
+    # the Lenard flow's 30 directions, each at all 3 points, in calls of 2
+    # directions (M Z: 3 x 2 x 2 flow points of 66 x 30 float64 in 2^18
+    # bytes)
+    assert poisson._flow_directions(parse_case("diii:n=6"), 3) == 2
     verify.calibrate()
     calls = record_calls(monkeypatch, poisson, "traces_of_powers",
                          "build_pair")
     assert verify.run_suite("diii:n=6", 20, seed=2024).passed
     counts = {name: len(args) for name, args in calls.items()}
-    assert counts == {"traces_of_powers": 30, "build_pair": 8}
+    assert counts == {"traces_of_powers": 15, "build_pair": 8}
 
 
 def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
     # exp(+-h Y_j) does not depend on the point: one exponential per case and
-    # h, and the flow points stay bitwise g times the steps
-    monkeypatch.setattr(poisson, "_FLOW_STEPS", {})
+    # h, read-only flow data, bitwise s rho s^dag and _tangent at the steps
+    monkeypatch.setattr(poisson, "_FLOW_DATA", {})
     calls = []
 
     def counted(x):
@@ -423,15 +437,71 @@ def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
     monkeypatch.setattr(poisson, "expm_antihermitian", counted)
     for case in all_cases:
         gs, _ = batch_points(case, 53, 0, 2)
-        y = case.alg.from_coefficients(case.tangent.T)
         for h in (DEFAULT_FD_STEP, 1e-3):
-            steps = expm_antihermitian(h * y)
+            steps = flow_points(case, np.eye(case.alg.size), h)
             for g in gs:
-                want = np.stack([g @ steps, g @ np.swapaxes(steps.conj(), 1, 2)],
-                                axis=1)
-                assert np.array_equal(flow_points(case, g, h), want), case.name
+                directional_derivatives(case, g, lambda flow: flow.nr, h)
+            rho_s, z = poisson._flow_data(case, h)
+            assert np.array_equal(rho_s, conjugate_rho(case, steps)), case.name
+            assert np.array_equal(z, poisson._tangent(case, steps)), case.name
     assert calls == [case.dim_m for case in all_cases for _ in range(2)]
-    assert not any(s.flags.writeable for s in poisson._FLOW_STEPS.values())
+    assert not any(arr.flags.writeable for data in poisson._FLOW_DATA.values()
+                   for arr in data)
+
+
+def test_flow_chunks_match_the_per_flow_point_route(all_cases):
+    # every flow point's m, T and N_r, read through its base point
+    # (g rho_s g^dag, A Z and K_T (J_T - Z^T M Z)), against conjugate_rho,
+    # _tangent and _restricted at the flow point g exp(+-h Y_j) itself, on
+    # a stack of three points and at a single point
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, _ = batch_points(case, 83, 0, 3)
+        for g in (gs, gs[1]):
+            chunks = []
+
+            def kept(flow):
+                chunks.append(flow)
+                return np.zeros(len(flow))
+
+            directional_derivatives(case, g, kept)
+            want = PointFrames(case, flow_points(case, g).reshape(
+                (-1,) + g.shape[-2:]))
+            points = len(want) // (2 * case.dim_m)
+            for name in ("m", "tangent", "nr"):
+                # chunks in (point, direction, sign) order, a run of
+                # directions each: restacked per point
+                parts = [getattr(c, name) for c in chunks]
+                got = np.concatenate(
+                    [p.reshape((points, -1) + p.shape[1:]) for p in parts],
+                    axis=1).reshape(getattr(want, name).shape)
+                ref = getattr(want, name)
+                scale = max(1.0, np.abs(ref).max())
+                assert np.abs(got - ref).max() <= 1e-13 * scale, (
+                    case.name, name, g.ndim)
+
+
+def test_fd_flows_read_each_base_point_once(all_cases, monkeypatch):
+    # lenard_check, jacobi_residual and chain_gradient read their flow
+    # points through the base points: the adjoint kernel sees each base
+    # point once per flow that reads T or N_r (never for the chain, which
+    # reads m alone), and never a flow point
+    rng = np.random.default_rng(31)
+    for case in all_cases + [build_case("diii", n=6)]:
+        gs, _ = batch_points(case, 79, 0, 3)
+        pair = build_pair(case, gs)
+        lenard_check(pair, case.n_eig)          # the case's flow data, once
+        triples = [tuple(rng.choice(case.alg.dim, 3, replace=False))
+                   for _ in range(4)]
+        base = sorted(g.tobytes() for g in gs)
+        for check, reads in ((lambda: lenard_check(pair, case.n_eig), 1),
+                             (lambda: jacobi_residual(pair, triples), 1),
+                             (lambda: chain_gradient(pair), 0)):
+            with monkeypatch.context() as mp:
+                calls = record_calls(mp, poisson, "_adjoint")
+                check()
+            seen = sorted(row.tobytes() for args in calls["_adjoint"]
+                          for row in args[1].reshape((-1,) + gs.shape[1:]))
+            assert seen == sorted(base * reads), case.name
 
 
 def test_bracket_layer_takes_no_svd(gr24, monkeypatch):
@@ -483,7 +553,7 @@ def test_bracket_layer_matches_per_point_route(all_cases):
         gs, ms = batch_points(case, 43, 0, 3)
         pair = build_pair(case, gs)
         pk, _ = brackets_from_tangent(pair)
-        traces = traces_of_powers(case, gs, case.n_eig + 1)
+        traces = traces_of_powers(pair.nr, case.n_eig + 1)
         basis, jmat = case.alg.basis, case.alg.jmat
         for i, (g, m) in enumerate(zip(gs, ms)):
             k = kks_raw(case, m)
@@ -639,13 +709,14 @@ def test_stack_raises_when_one_row_breaks_a_check(gr24, monkeypatch):
     for q, msg in ((rot, "not real"), (np.diag(np.arange(t.shape[1])), "pairing")):
         bad = k_r @ q @ np.linalg.inv(k_r)
 
-        def broken(case, tan):
-            n_r = restricted(case, tan)
+        def broken(case, tjt):
+            n_r = restricted(case, tjt)
             if n_r.ndim == 3:
                 n_r = n_r.copy()
                 n_r[3] = bad
                 return n_r
-            return bad if np.array_equal(tan, pair.tangent[3]) else n_r
+            own = np.array_equal(tjt, t.T @ (case.alg.jmat @ t))
+            return bad if own else n_r
 
         with monkeypatch.context() as mp:
             mp.setattr(poisson, "_restricted", broken)
@@ -775,7 +846,7 @@ def test_bracket_of_coordinates_closed_form(sp2):
     coords = [0, 3, 2, 7, 1, 4]
     dvec = directional_derivatives(
         sp2, p.g,
-        lambda gs: sp2.alg.coefficients(conjugate_rho(sp2, gs)).real[:, coords])
+        lambda flow: sp2.alg.coefficients(flow.m).real[:, coords])
     br, _ = gradient_bracket(pair, dvec.T)
     for i in range(0, len(coords), 2):
         a, b = coords[i], coords[i + 1]
@@ -787,11 +858,11 @@ def test_bracket_leibniz(gr24):
     p = random_point(gr24, 61)
     pair = build_pair(gr24, p.g)
 
-    def funcs(gs):
-        f = gr24.alg.coefficients(conjugate_rho(gr24, gs)).real[:, [0, 4, 9]]
+    def funcs(flow):
+        f = gr24.alg.coefficients(flow.m).real[:, [0, 4, 9]]
         return np.concatenate([f, f[:, :1] * f[:, 1:2]], axis=1)
 
-    f1, f2, _, _ = funcs(p.g[None])[0]
+    f1, f2, _, _ = funcs(PointFrames(gr24, p.g[None]))[0]
     dvec = directional_derivatives(gr24, p.g, funcs)
     for br in gradient_bracket(pair, dvec.T):
         assert abs(br[3, 2] - (f1 * br[1, 2] + f2 * br[0, 2])) <= 1e-6
@@ -835,7 +906,8 @@ def test_jacobi_residual_takes_one_flow(all_cases, monkeypatch):
 
 def test_jacobi_flow_blocks_match_adjoint_route(all_cases, monkeypatch):
     # at every flow point, the differentiated K and P0 entries from the
-    # tangent frame equal the entries of A K0 A^T and K D K
+    # flow's tangent frame equal the entries of A K0 A^T and K D K, with A
+    # at the flow point itself
     rng = np.random.default_rng(17)
     for case in all_cases + [build_case("diii", n=6)]:
         g = random_point(case, 97).g
@@ -844,14 +916,17 @@ def test_jacobi_flow_blocks_match_adjoint_route(all_cases, monkeypatch):
         seen = []
 
         def captured(case_, g_, funcs, *args, **kwargs):
-            seen.append(funcs)
-            return directional_derivatives(case_, g_, funcs, *args, **kwargs)
+            def kept(flow):
+                seen.append(funcs(flow))
+                return seen[-1]
+            return directional_derivatives(case_, g_, kept, *args, **kwargs)
 
         with monkeypatch.context() as mp:
             mp.setattr(poisson, "directional_derivatives", captured)
             jacobi_residual(build_pair(case, g), triples)
+        # one base point: the chunks run through the directions in order
+        got = np.concatenate(seen)
         gs = flow_points(case, g).reshape((-1,) + g.shape)
-        got = seen[0](gs)
         want = jacobi_entries_by_adjoint(case, gs, triples)
         scale = max(1.0, np.abs(want).max())
         assert np.abs(got - want).max() <= 1e-13 * scale, case.name

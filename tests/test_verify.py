@@ -1,6 +1,7 @@
 """Calibration, suite reports, vertex probe, normalization measurement."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from pnorbit import (build_case, build_pair, calibrate, hermsym,
                      measure_diii_normalization, pencil_spectrum, poisson,
                      run_suite, spectrum, spinrep, verify, vertex_probe)
 from pnorbit.errors import CalibrationError, UsageError
-from pnorbit.hermsym import (batch_points, conjugate_rho, parse_case,
-                             random_point)
+from pnorbit.hermsym import batch_points, parse_case, random_point
 from pnorbit.verify import (CALIBRATION_POINTS, CALIBRATION_SEED,
                             DEFAULT_TOLERANCES, _calibration_residuals,
                             _spin_checks)
@@ -44,7 +44,7 @@ def candidate_residual(case, signs, points):
         k = poisson.kks_raw(case, pair.point.m)
         scale = max(1.0, np.abs(k).max())
         w = poisson.directional_derivatives(
-            case, g, lambda gs: alg.real_coefficients(conjugate_rho(case, gs)))
+            case, g, lambda flow: alg.real_coefficients(flow.m))
         worst = max(worst, np.abs(w - tan.T @ (-s_k * k)).max() / scale)
         rng = np.random.default_rng(17)
         for _ in range(3):
@@ -154,8 +154,8 @@ def test_run_suite_builds_each_row_once(descriptor, n_samples, threshold,
 
 
 def test_run_suite_forms_each_pairs_nr_once(monkeypatch):
-    # a pair caches N_r: the pencil, N, the brackets and the Lenard trace
-    # of one pair share one _restricted call on its T
+    # a pair caches N_r: the pencil, N, the brackets and the Lenard
+    # contraction of one pair share one _restricted call on its T^T J T
     calibrate()
     tangents, seen = [], []
     build, restricted = poisson.build_pair, poisson._restricted
@@ -165,14 +165,17 @@ def test_run_suite_forms_each_pairs_nr_once(monkeypatch):
         tangents.append(pair.tangent)
         return pair
 
-    def recorded(case, t):
-        seen.append(t)
-        return restricted(case, t)
+    def recorded(case, tjt):
+        seen.append(tjt.tobytes())
+        return restricted(case, tjt)
 
     monkeypatch.setattr(poisson, "build_pair", built)
     monkeypatch.setattr(poisson, "_restricted", recorded)
-    assert run_suite("ci:n=3", 100, seed=2024).passed
-    counts = [sum(t is tan for t in seen) for tan in tangents]
+    case = parse_case("ci:n=3")
+    assert run_suite(case, 100, seed=2024).passed
+    jmat = case.alg.jmat
+    counts = [seen.count((np.swapaxes(t, -1, -2) @ (jmat @ t)).tobytes())
+              for t in tangents]
     assert tangents and max(counts) == 1, counts
 
 
@@ -386,8 +389,8 @@ def test_run_suite_independent_of_stack_size(descriptor, n_samples,
                                              monkeypatch):
     # every stacked call computes each point's rows on their own, and a
     # one-point stack stays on the GEMM route (LieAlgebra._gemm): one point
-    # per pair stack, fd flow call and bruhat_matrix chunk gives the same
-    # report, byte for byte (elapsed_s aside)
+    # per pair stack and bruhat_matrix chunk, and one tangent direction per
+    # fd flow call, gives the same report, byte for byte (elapsed_s aside)
     calibrate()
 
     def report():
@@ -397,6 +400,7 @@ def test_run_suite_independent_of_stack_size(descriptor, n_samples,
 
     want = report()
     monkeypatch.setattr(poisson, "_budget_points", lambda case, rows: 1)
+    monkeypatch.setattr(poisson, "_flow_directions", lambda case, points: 1)
     assert poisson.stack_chunk(parse_case(descriptor)) == 1
     assert report() == want
 
@@ -472,6 +476,20 @@ def test_fd_checks_fail_on_a_planted_fault_in_j(descriptor, kind, fails):
 
 
 FAMILIES = ["aiii:k=2,n=4", "ci:n=3", "diii:n=4", "bdi:m=7"]
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES[:3])
+def test_connection_blocks_fail_on_swapped_eigenbundles(descriptor):
+    # W+ and W- swapped: the block form reads sigma_- where sigma_+ belongs
+    # (and back), so connection_blocks fails by O(1); nothing else reads
+    # the eigenbundle columns, and no other check fails.  (bdi has no block
+    # form, so its case is left out)
+    calibrate()
+    case = parse_case(descriptor)
+    swapped = replace(case, w_plus=case.w_minus, w_minus=case.w_plus)
+    failed = failed_checks(run_suite(swapped, 40, seed=2024))
+    assert list(failed) == ["connection_blocks"], failed
+    assert failed["connection_blocks"] >= 100, failed
 
 
 @pytest.mark.parametrize("descriptor", FAMILIES)
