@@ -46,6 +46,9 @@ class Case:
     j_t: np.ndarray = field(repr=False)          # (dim_m, dim_m) T0^T J T0
     tangent_side: np.ndarray = field(repr=False)  # (N, dim_m N) [Y_0 | Y_1 | ...]
     chain_plan: str = ""
+    # fd step h -> poisson's flow data, formed on first use
+    flow_data: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def map_offset(self):

@@ -87,16 +87,18 @@ flow points in place of 2 dim (diii:n=6: 60 in place of 132).
 
 No flow point is formed: each is read through its base point.  The steps
 s = exp(+-h Y_j) are case constants, and so are their moments s rho s^dag
-and frames Z = A(s) T0 (the flow data, formed once per case and h).  As
-Ad_{g s} = Ad_g Ad_s, A(g s) = A(g) A(s), so the flow point g s has
-moment g (s rho s^dag) g^dag, frame T = A(g) Z and, with M = A^T J A,
+and frames Z = A(s) T0 (the flow data, formed once per h and held by
+the case).  As Ad_{g s} = Ad_g Ad_s, A(g s) = A(g) A(s), so the flow
+point g s has moment g (s rho s^dag) g^dag, frame T = A(g) Z and, with
+M = A^T J A,
 
     T^T J T = Z^T M Z,    N_r = K_T (J_T - Z^T M Z).
 
 A and M are formed once per base point, and each flow point then costs
 one M Z and one Z^T (M Z) (diii:n=6: about 0.19 M multiply-adds, against
-0.58 M for its own adjoint read and N_r).  A FlowChunk hands the m, T
-and N_r of a run of flow points to the functions being differentiated.
+0.58 M for its own adjoint read and N_r).  A FlowChunk hands the m, the
+rows of T and N_r of a run of flow points to the functions being
+differentiated.
 
 Real forms.  For the so-families (diii, bdi) rho, the algebra basis and
 every map on it (liealg), and the sampled g and m are real (hermsym), and
@@ -127,18 +129,18 @@ from the pair and build none of their own; `nstar_eigen_residual` takes
 the pair's `chain_gradient`, which the involution checks share.  Each fd
 flow reads from its FlowChunk only what it needs: the chain and the
 calibration flow read m; the Lenard flow (`traces_of_powers`) reads
-Tr N_r^k of each flow point's N_r, 2 n_eig square; one Jacobi flow reads T
-and N_r, forms only the bracketed entries of K and P0 from T's needed
-rows, and serves the KKS bracket and pi_t at t = 0 and 1, as
-d(P0 + t K) = dP0 + t dK.  Two rules, both from one byte budget, say how
+Tr N_r^k of each flow point's N_r, 2 n_eig square; one Jacobi flow reads
+N_r and only the needed rows of T, A[needed] Z, forms only the
+bracketed entries of K and P0 from them, and serves the KKS bracket and
+pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.  Two rules, both from one byte budget, say how
 much goes into one call.  `stack_chunk(case)` gives the points of a pair
 stack in `run_suite` and `measure_diii_normalization`: it counts the
 adjoint kernel's side products at the element size of the case's own
 side, float64 for diii and bdi, whose stacks therefore hold twice the
 points that complex entries of the same shape would.  `_flow_directions`
 gives the tangent directions of an fd flow call, both signs and all the
-pair's points: it counts the float64 M Z products (diii:n=6 at 3 points:
-2 directions).  The chain flow of `chain_gradient` forms no M Z and takes
+pair's points: it counts the float64 M Z products, the largest any flow
+forms (diii:n=6 at 3 points: 2 directions).  The chain flow of `chain_gradient` forms no M Z and takes
 every flow point in one call.
 """
 
@@ -346,33 +348,35 @@ def pencil_spectrum(pair):
 # The flow data do not depend on the point.  With the steps
 # s = exp(+-h Y_j), a flow point g s has moment g (s rho s^dag) g^dag and,
 # as A(g s) = A(g) A(s), frame A(g) Z with Z = _tangent(case, s).  One
-# read-only pair of stacks per case descriptor (which fixes T0) and step h
-# serves every fd flow: s rho s^dag (dim_m, 2, N, N) and Z (dim_m, 2, dim,
-# dim_m), float64 for every family (0.95 MB at diii:n=6, 6.0 MB at
-# diii:n=8, 11.9 MB at aiii:k=6,n=12).
-_FLOW_DATA = {}                 # (case descriptor, h) -> (rho_s, z)
+# read-only pair of stacks per step h serves every fd flow of a case:
+# s rho s^dag (dim_m, 2, N, N) and Z (dim_m, 2, dim, dim_m), float64 for
+# every family (0.95 MB at diii:n=6, 6.0 MB at diii:n=8, 11.9 MB at
+# aiii:k=6,n=12, 70 MB at ci:n=11).  Case.flow_data holds them, so they
+# last as long as the case and no longer.
 
 
 def _flow_data(case, h):
     """(rho_s, z) of the steps [j, 0] = exp(+h Y_j), [j, 1] = exp(-h Y_j)
     for every tangent basis element Y_j = sum_b T0[b, j] X_b
-    (Case.tangent), formed once per case descriptor and h."""
-    key = (case.descriptor(), h)
-    if key not in _FLOW_DATA:
+    (Case.tangent), formed once per case and h."""
+    if h not in case.flow_data:
         steps = expm_antihermitian(
             h * case.alg.from_coefficients(case.tangent.T))
         steps = np.stack([steps, _dagger(steps)], axis=1)
-        # Z in pair-stack chunks: the adjoint kernel's side products of all
-        # 2 dim_m steps at once would take 85 MB at ci:n=8
+        # Z in pair-stack chunks, each written in place: the adjoint
+        # kernel's side products of all 2 dim_m steps at once would take
+        # 85 MB at ci:n=8, and joining the chunks another copy of Z.  Z^T
+        # is contiguous, as _tangent returns it
         flat, step = steps.reshape((-1,) + steps.shape[2:]), stack_chunk(case)
-        z = np.concatenate([_tangent(case, flat[i:i + step])
-                            for i in range(0, len(flat), step)])
+        z = np.empty((len(flat), case.dim_m, case.alg.dim)).swapaxes(-1, -2)
+        for i in range(0, len(flat), step):
+            z[i:i + step] = _tangent(case, flat[i:i + step])
         z = z.reshape(steps.shape[:2] + z.shape[1:])
         data = (conjugate_rho(case, steps), z)
         for arr in data:
             arr.flags.writeable = False
-        _FLOW_DATA[key] = data
-    return _FLOW_DATA[key]
+        case.flow_data[h] = data
+    return case.flow_data[h]
 
 
 class _BaseFrame:
@@ -394,11 +398,11 @@ class _BaseFrame:
 
 class FlowChunk:
     """The flow points g exp(+-h Y_j) of a run of tangent directions j at
-    every base point g, read through the base point and formed on first
-    read, with one leading axis in (point, direction, sign) order:
-    m = g rho_s g^dag, the frame tangent = A Z and nr = N_r =
-    K_T (J_T - Z^T M Z), from the flow data (rho_s, z) of the run and the
-    base point's A and M.  No flow point g s is formed."""
+    every base point g, read through the base point, with one leading axis
+    in (point, direction, sign) order: m = g rho_s g^dag, rows of the
+    frame T = A Z (tangent_rows) and nr = N_r = K_T (J_T - Z^T M Z), from
+    the flow data (rho_s, z) of the run and the base point's A and M; m and
+    nr are formed on first read.  No flow point g s is formed."""
 
     def __init__(self, base, rho_s, z):
         self.base, self.rho_s, self.z = base, rho_s, z
@@ -416,9 +420,10 @@ class FlowChunk:
         g = self.base.g[:, None, None]
         return self._flat(g @ self.rho_s @ _dagger(g))
 
-    @cached_property
-    def tangent(self):
-        return self._flat(self.base.adjoint[:, None, None] @ self.z)
+    def tangent_rows(self, rows):
+        """T[rows] = A[rows] Z, (P, len(rows), 2 n_eig): the rows alone,
+        without the rest of T; slice(None) reads all of T."""
+        return self._flat(self.base.adjoint[:, None, None, rows] @ self.z)
 
     @cached_property
     def nr(self):
@@ -433,7 +438,8 @@ class FlowChunk:
 # case's own side (Case.tangent_side): 8 bytes for the real so-families,
 # 16 for aiii and ci; rows = 2 n_eig for the tangent reader, dim for
 # bruhat_matrix's A.  In an fd flow (_flow_directions) it is M Z, one
-# float64 (dim, 2 n_eig) product per flow point.
+# float64 (dim, 2 n_eig) product per flow point: no flow forms a larger
+# one, and the Jacobi flow reads only the needed rows of T = A Z.
 _FLOW_CHUNK_BYTES = 1 << 18
 
 
@@ -462,9 +468,10 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     g exp(h Y_j), at one g (N, N) or a stack (..., N, N): w = T^T dvec of
     the fundamental-flow derivatives dvec (see the module docstring).
 
-    Stack contract: funcs maps a FlowChunk, the m, T and N_r of P flow
-    points read through their base points, to values with a leading stack
-    axis, (P, *value_shape); row p must depend on row p of the chunk alone.
+    Stack contract: funcs maps a FlowChunk, the m, rows of T and N_r of P
+    flow points read through their base points, to values with a leading
+    stack axis, (P, *value_shape); row p must depend on row p of the chunk
+    alone.
     The tangent directions go through funcs in runs of chunk directions,
     both signs and every base point per call, by default _flow_directions,
     so that the M Z products of a call stay within a byte budget.  A and M
@@ -523,7 +530,7 @@ def jacobi_residual(pair, triples):
         # the needed rows T_n of each flow point's T give the blocks
         # T_n K_T T_n^T of K and T_n (N_r K_T) T_n^T of P0; only the
         # bracketed pairs {F_x, F_y} are differentiated
-        t_n = flow.tangent[:, needed]
+        t_n = flow.tangent_rows(needed)
         t_nt = np.swapaxes(t_n, -1, -2)
         k = t_n @ case.k_t @ t_nt
         p0 = t_n @ (flow.nr @ case.k_t) @ t_nt

@@ -208,7 +208,7 @@ def jacobi_residual_per_t(pair, t, triples):
     cyclic, needed, rows, cols = _cyclic(triples)
 
     def entries(flow):
-        t_n = flow.tangent[:, needed]
+        t_n = flow.tangent_rows(needed)
         t_nt = np.swapaxes(t_n, -1, -2)
         pt = t_n @ case.k_t @ t_nt
         if t != "kks":
@@ -243,6 +243,9 @@ class PointFrames:
         self.tangent = _tangent(case, gs)
         self.nr = _restricted(case, np.swapaxes(self.tangent, -1, -2)
                               @ (case.alg.jmat @ self.tangent))
+
+    def tangent_rows(self, rows):
+        return self.tangent[:, rows]
 
     def __len__(self):
         return len(self.m)

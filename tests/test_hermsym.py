@@ -162,7 +162,7 @@ def test_so_cases_sample_in_real_arithmetic(all_cases):
         flows = []
         directional_derivatives(case, g, lambda flow: flows.append(flow)
                                 or np.zeros(len(flow)))
-        frames = [getattr(flows[0], name) for name in ("m", "tangent", "nr")]
+        frames = [flows[0].m, flows[0].tangent_rows(slice(None)), flows[0].nr]
         for arr in (case.rho, g, m, hs, *frames,
                     identity_point(case).g, alg.basis, alg.flat,
                     alg.flat_t, alg.jflat, alg.side, alg.coefficients(m),

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import pnorbit
-from pnorbit import NumericalError, numkernel, poisson
+from pnorbit import NumericalError, numkernel
 from pnorbit.hermsym import (batch_points, parse_case, random_point,
                              stabilizer_elements)
 from pnorbit.numkernel import expm_antihermitian
@@ -136,7 +136,8 @@ def test_real_branch_rows_are_batches_of_one(rng):
 
 def test_real_branch_takes_no_eigensolver(monkeypatch, rng):
     # the so-families sample (batch_points, stabilizer_elements, the fd
-    # flow data) and read the bdi chain without np.linalg.eigh/eigvalsh
+    # flow data, formed here for the freshly parsed cases) and read the bdi
+    # chain without np.linalg.eigh/eigvalsh
     def forbidden(*args, **kwargs):
         raise AssertionError("eigensolver called")
 
@@ -144,7 +145,6 @@ def test_real_branch_takes_no_eigensolver(monkeypatch, rng):
                                      "bdi:m=7")]
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    monkeypatch.setattr(poisson, "_FLOW_DATA", {})
     x = antisymmetric_stack(rng, 4, 6, [0.0, 0.1, 5.0, 1e3])
     assert expm_antihermitian(x).dtype == np.float64
     for case in cases:

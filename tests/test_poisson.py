@@ -1,5 +1,7 @@
 """Bruhat/KKS matrices, the Nijenhuis pencil and the fd-based identities."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -266,9 +268,9 @@ def test_bracket_layer_reads_only_the_tangent_side(all_cases, monkeypatch):
         calls.append((side is case.tangent_side, g))
         return adjoint(case, g, side)
 
-    monkeypatch.setattr(poisson, "_FLOW_DATA", {})
     monkeypatch.setattr(poisson, "_adjoint", recorded)
     for case in all_cases:
+        monkeypatch.setattr(case, "flow_data", {})
         gs, _ = batch_points(case, 61, 0, 2)
         pair = build_pair(case, gs)
         pencil_spectrum(pair)
@@ -301,18 +303,23 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
         # and N_r
         calls.append(len(flow))
         k = kks_raw(case, flow.m)
-        t = flow.tangent
+        t = flow.tangent_rows(slice(None))
         p0 = t @ (flow.nr @ case.k_t) @ np.swapaxes(t, -1, -2)
         return np.concatenate([k.reshape(len(k), -1), p0.reshape(len(k), -1),
                                chain_free_vector(case, flow.m)], axis=1)
 
     def pointwise(g):
-        # the per-point oracle: one tangent direction of one point, both
-        # signs, per call (the flow points against the per-flow-point
-        # route: test_flow_chunks_match_the_per_flow_point_route)
-        w = directional_derivatives(case, g, funcs, chunk=1)
-        assert calls[-case.dim_m:] == [2] * case.dim_m
-        return w
+        # the per-point oracle: one flow point per call, forward minus
+        # backward (the flow points against the per-flow-point route:
+        # test_flow_chunks_match_the_per_flow_point_route)
+        h = DEFAULT_FD_STEP
+        base = poisson._BaseFrame(case, g[None])
+        rho_s, z = poisson._flow_data(case, h)
+        rows = []
+        for j in range(case.dim_m):
+            v = funcs(poisson.FlowChunk(base, rho_s[j:j + 1], z[j:j + 1]))
+            rows.append((v[0] - v[1]) / (2 * h))
+        return np.stack(rows)
 
     got = directional_derivatives(case, g, funcs)
     assert sum(calls) == 2 * case.dim_m
@@ -426,8 +433,8 @@ def test_real_forms_take_real_sized_stacks(monkeypatch):
 
 def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
     # exp(+-h Y_j) does not depend on the point: one exponential per case and
-    # h, read-only flow data, bitwise s rho s^dag and _tangent at the steps
-    monkeypatch.setattr(poisson, "_FLOW_DATA", {})
+    # h, read-only flow data, bitwise s rho s^dag and _tangent at the steps.
+    # The case holds its flow data, so they go when the case goes
     calls = []
 
     def counted(x):
@@ -436,6 +443,7 @@ def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
 
     monkeypatch.setattr(poisson, "expm_antihermitian", counted)
     for case in all_cases:
+        monkeypatch.setattr(case, "flow_data", {})
         gs, _ = batch_points(case, 53, 0, 2)
         for h in (DEFAULT_FD_STEP, 1e-3):
             steps = flow_points(case, np.eye(case.alg.size), h)
@@ -445,8 +453,13 @@ def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
             assert np.array_equal(rho_s, conjugate_rho(case, steps)), case.name
             assert np.array_equal(z, poisson._tangent(case, steps)), case.name
     assert calls == [case.dim_m for case in all_cases for _ in range(2)]
-    assert not any(arr.flags.writeable for data in poisson._FLOW_DATA.values()
-                   for arr in data)
+    assert not any(arr.flags.writeable for case in all_cases
+                   for data in case.flow_data.values() for arr in data)
+    case = parse_case("diii:n=4")
+    z = weakref.ref(poisson._flow_data(case, DEFAULT_FD_STEP)[1])
+    del case
+    gc.collect()
+    assert z() is None
 
 
 def test_flow_chunks_match_the_per_flow_point_route(all_cases):
@@ -470,7 +483,8 @@ def test_flow_chunks_match_the_per_flow_point_route(all_cases):
             for name in ("m", "tangent", "nr"):
                 # chunks in (point, direction, sign) order, a run of
                 # directions each: restacked per point
-                parts = [getattr(c, name) for c in chunks]
+                parts = [c.tangent_rows(slice(None)) if name == "tangent"
+                         else getattr(c, name) for c in chunks]
                 got = np.concatenate(
                     [p.reshape((points, -1) + p.shape[1:]) for p in parts],
                     axis=1).reshape(getattr(want, name).shape)
