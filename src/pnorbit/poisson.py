@@ -132,16 +132,17 @@ calibration flow read m; the Lenard flow (`traces_of_powers`) reads
 Tr N_r^k of each flow point's N_r, 2 n_eig square; one Jacobi flow reads
 N_r and only the needed rows of T, A[needed] Z, forms only the
 bracketed entries of K and P0 from them, and serves the KKS bracket and
-pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.  Two rules, both from one byte budget, say how
-much goes into one call.  `stack_chunk(case)` gives the points of a pair
-stack in `run_suite` and `measure_diii_normalization`: it counts the
-adjoint kernel's side products at the element size of the case's own
-side, float64 for diii and bdi, whose stacks therefore hold twice the
-points that complex entries of the same shape would.  `_flow_directions`
+pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.  Two rules, both
+from one byte budget, say how much goes into one call.
+`stack_chunk(case)` gives the points of a pair stack in `run_suite` and
+`measure_diii_normalization`: it counts the adjoint kernel's side
+products at the element size of the case's own side, float64 for diii
+and bdi, whose stacks therefore hold twice the points that complex
+entries of the same shape would.  `_flow_directions`
 gives the tangent directions of an fd flow call, both signs and all the
 pair's points: it counts the float64 M Z products, the largest any flow
-forms (diii:n=6 at 3 points: 2 directions).  The chain flow of `chain_gradient` forms no M Z and takes
-every flow point in one call.
+forms (diii:n=6 at 3 points: 2 directions).  The chain flow of
+`chain_gradient` forms no M Z and takes every flow point in one call.
 """
 
 from dataclasses import dataclass, field
