@@ -75,15 +75,19 @@ Tangent-frame flows.  Every reader needs w, never dvec, so the fd layer
 differentiates along the 2 n_eig tangent directions alone and returns w.
 As sum_a T[a, j] X_a = g Y_j g^-1 and exp(h g Y_j g^-1) g = g exp(h Y_j),
 w_j = sum_a T[a, j] dvec_a is the derivative along g exp(h Y_j): exact,
-by linearity of the derivative in its direction.  Nothing is lost.  Every
-function the flows differentiate is a function on the orbit M = G/H
-(chain eigenvalues, coordinates of m, Tr N^k, entries of K and P0), so it
-is constant along g exp(h Z) for Z in h, and dvec vanishes on Ad_g h,
-the complement of range(T) = range(K).  The dim - 2 n_eig dropped
-directions held only the normal part dvec - T T^T dvec, zero in exact
-arithmetic; its fd value is noise, below 1e-10 of the function's values
-once extrapolated in h (tests/test_poisson.py).  Each point takes 2 dim_m
-flow points in place of 2 dim (diii:n=6: 60 in place of 132).
+by linearity of the derivative in its direction.  Nothing is lost.  A
+function on the orbit M = G/H (chain eigenvalues, coordinates of m,
+entries of K and P0) is constant along g exp(h Z) for Z in h, so dvec
+vanishes on Ad_g h, the complement of range(T) = range(K): the
+dim - 2 n_eig dropped directions held only the normal part
+dvec - T T^T dvec, whose fd value is noise, below 1e-10 of the function's
+values once extrapolated in h (tests/test_poisson.py).  N_r, which the
+Lenard flow differences, is no such function: T(g k) = T(g) R_k for k in
+H, with R_k commuting with K_T and J_T, so along g exp(h Z) N_r moves by
+a commutator [N_r, omega] and its normal part is O(1).  lenard_check
+reads dN_r only through Tr(N_r^(k-1) dN_r), which vanishes on such a
+commutator.  Each point takes 2 dim_m flow points in place of 2 dim
+(diii:n=6: 60 in place of 132).
 
 No flow point is formed: each is read through its base point.  The steps
 s = exp(+-h Y_j) are case constants, and so are their moments s rho s^dag
@@ -104,8 +108,8 @@ Real forms.  For the so-families (diii, bdi) rho, the algebra basis and
 every map on it (liealg), and the sampled g and m are real (hermsym), and
 so are the flow data and A at a real g.  A real g meets the real `side`
 of the algebra and the real-part rows of its coefficient map
-(real_coefficients), so T and A, and with them N_r, `traces_of_powers`
-and the Jacobi flows, are formed by real GEMMs alone, as are K, P0 and
+(real_coefficients), so T and A, and with them N_r and the Lenard and
+Jacobi flows, are formed by real GEMMs alone, as are K, P0 and
 both N v routes at a real m.  aiii and ci keep complex g, and a complex g
 of an so-family takes the complex route to the same T up to round-off.
 J is formed once per algebra (liealg), the same for either route.
@@ -128,9 +132,9 @@ raises whenever one of its rows would.  The fd checks read case, g and m
 from the pair and build none of their own; `nstar_eigen_residual` takes
 the pair's `chain_gradient`, which the involution checks share.  Each fd
 flow reads from its FlowChunk only what it needs: the chain and the
-calibration flow read m; the Lenard flow (`traces_of_powers`) reads
-Tr N_r^k of each flow point's N_r, 2 n_eig square; one Jacobi flow reads
-N_r and only the needed rows of T, A[needed] Z, forms only the
+calibration flow read m; the Lenard flow reads N_r, 2 n_eig square, and
+lenard_check contracts its derivative once per base point; one Jacobi
+flow reads N_r and only the needed rows of T, A[needed] Z, forms only the
 bracketed entries of K and P0 from them, and serves the KKS bracket and
 pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.  Two rules, both
 from one byte budget, say how much goes into one call.
@@ -558,41 +562,26 @@ def jacobi_residual(pair, triples):
 # Lenard recursion and eigenvalue equation
 # ---------------------------------------------------------------------------
 
-def traces_of_powers(nr, k_max):
-    """I_k = (1/k) Tr N_r^k for k = 1..k_max of restricted Nijenhuis
-    matrices nr (..., 2 n_eig, 2 n_eig) -> (..., k_max): Tr N^k in the
-    tangent frame, as lenard_check reads it off each flow point's N_r
-    (FlowChunk.nr).  No certificate is needed per flow point: the flow
-    points are unitary, and the build_pair of the pair that lenard_check
-    takes certifies T at the base point.
-
-    Only the powers M^j, M = N_r, up to i = ceil(k_max / 2) are formed,
-    half the dense products; each higher trace Tr M^(i+j) = sum M^j o
-    (M^i)^T is one dot product of M^j with the transposed top power.
-    """
-    pows = [nr]
-    for _ in range(1, (k_max + 1) // 2):
-        pows.append(pows[-1] @ nr)
-    lead, size = nr.shape[:-2], nr.shape[-1] ** 2
-    top_t = np.swapaxes(pows[-1], -1, -2).reshape(lead + (size, 1))
-    tr = [np.trace(p, axis1=-2, axis2=-1) for p in pows]
-    tr += [(p.reshape(lead + (1, size)) @ top_t)[..., 0, 0]
-           for p in pows[:k_max - len(pows)]]
-    k = np.arange(1, k_max + 1)
-    return np.stack(tr, axis=-1) / k
-
-
 def lenard_check(pair, k_max):
-    """Residuals of the Lenard recursion dI_{k+1} = N^* dI_k.
-
-    dI_k are the tangent-frame fd flow derivatives w_k = T^T dvec_k of
-    traces_of_powers, on which N^* = T N_r T^T acts as N_r.  Returns
-    {"steps": per-step residuals relative to the gradient scale, "max"},
-    each the largest over a stacked pair's points; no trace and no pencil
-    eigenvalue (run_suite checks Tr N = 2 sum(lambda) against the chain).
+    """Residuals of the Lenard recursion dI_{k+1} = N^* dI_k for
+    I_k = (1/k) Tr N^k, k <= k_max, by the trace rule
+    dI_k = Tr(N_r^(k-1) dN_r): the fd flow differences N_r, and the powers
+    of the pair's own N_r contract it, once per base point, into the
+    tangent-frame derivatives w_k = T^T dvec_k, on which N^* acts as N_r.
+    Returns {"steps": per-step residuals relative to the gradient scale,
+    "max"}, each the largest over a stacked pair's points; no trace and no
+    pencil eigenvalue (run_suite checks Tr N = 2 sum(lambda) against the
+    chain).
     """
-    w = directional_derivatives(
-        pair.case, pair.point.g, lambda flow: traces_of_powers(flow.nr, k_max))
+    nr_t = np.swapaxes(pair.nr, -1, -2)
+    pows = [np.broadcast_to(np.eye(nr_t.shape[-1]), nr_t.shape)]
+    for _ in range(1, k_max):
+        pows.append(pows[-1] @ nr_t)             # (N_r^k)^T = (N_r^T)^k
+    flat = nr_t.shape[:-2] + (-1, nr_t.shape[-1] ** 2)
+    pows = np.stack(pows, axis=-3).reshape(flat)
+    dn = directional_derivatives(pair.case, pair.point.g, lambda flow: flow.nr)
+    # w[..., j, k] = <(N_r^k)^T, dN_r along Y_j> = Tr(N_r^k dN_r) = dI_(k+1)
+    w = dn.reshape(flat) @ np.swapaxes(pows, -1, -2)
     lhs = w[..., 1:]
     res = (np.linalg.norm(lhs - pair.nr @ w[..., :-1], axis=-2)
            / np.maximum(1.0, np.linalg.norm(lhs, axis=-2)))

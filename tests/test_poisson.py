@@ -20,7 +20,7 @@ from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
 from pnorbit.poisson import (BracketPair, chain_gradient, connection_check,
                              directional_derivatives, gradient_bracket,
                              jacobi_residual, kks_raw, nstar_eigen_residual,
-                             pencil_eigenvalues, traces_of_powers)
+                             pencil_eigenvalues)
 from pnorbit.spectrum import chain_batch, chain_free_vector, gap_regularity
 
 from helpers import (PointFrames, brackets_by_adjoint, brackets_from_tangent,
@@ -29,6 +29,14 @@ from helpers import (PointFrames, brackets_by_adjoint, brackets_from_tangent,
                      jacobi_entries_by_adjoint, jacobi_residual_per_t,
                      nijenhuis_restricted_inverse, record_calls,
                      traces_of_powers_ambient)
+
+
+def traces_by_matrix_power(nr, k_max):
+    """(1/k) Tr N_r^k for k = 1..k_max of N_r (..., n, n), by
+    np.linalg.matrix_power: the plain oracle of the Lenard traces."""
+    return np.stack([np.trace(np.linalg.matrix_power(nr, k), axis1=-2,
+                              axis2=-1) / k for k in range(1, k_max + 1)],
+                    axis=-1)
 
 
 def tangent_vector(case, m, rng, normalize=True):
@@ -160,21 +168,19 @@ def test_real_adjoint_matches_complex_route(all_cases):
 
 
 def test_traces_of_powers_stack_matches_pair_route(all_cases):
-    # the tangent-frame route against the ambient Tr (K D)^k route and Tr
-    # of N restricted to the tangent basis of build_pair; at the identity
-    # coset every trace is 0
+    # Tr N_r^k of a stacked pair's N_r against the ambient Tr (K D)^k route
+    # and against the N_r of each point's own pair; at the identity coset
+    # every trace is 0
     for case in all_cases + [build_case("diii", n=6)]:
         gs, _ = batch_points(case, 29, 0, 3)
         gs = np.concatenate([np.eye(case.alg.size, dtype=complex)[None], gs])
-        got = traces_of_powers(build_pair(case, gs).nr, case.n_eig + 1)
+        got = traces_by_matrix_power(build_pair(case, gs).nr, case.n_eig + 1)
         assert got.shape == (4, case.n_eig + 1)
         assert np.abs(got[0]).max() <= 1e-12, case.name
         amb = traces_of_powers_ambient(case, gs, case.n_eig + 1)
         assert np.abs(got - amb).max() <= 1e-12 * max(1.0, np.abs(amb).max())
         for g, row in zip(gs, got):
-            nt = build_pair(case, g).nr
-            ref = [np.trace(np.linalg.matrix_power(nt, j)) / j
-                   for j in range(1, case.n_eig + 2)]
+            ref = traces_by_matrix_power(build_pair(case, g).nr, case.n_eig + 1)
             assert np.abs(row - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
@@ -359,9 +365,13 @@ def test_tangent_flows_are_basis_flows_in_the_tangent_frame(all_cases,
                                                              monkeypatch):
     # the flows g exp(+-h Y_j) give w = T^T dvec of the basis flows
     # exp(+-h X_a) g, for every function the fd checks differentiate (the
-    # chain eigenvalues, the Lenard traces and the Jacobi entries), at
-    # gap-regular points.  The basis route's normal part dvec - T T^T dvec,
-    # which the tangent flows drop, is fd noise: it held no information.
+    # chain eigenvalues, N_r for the Lenard traces and the Jacobi entries),
+    # at gap-regular points.  The basis route's normal part
+    # dvec - T T^T dvec, which the tangent flows drop, is fd noise: it held
+    # no information.  N_r is not a function on the orbit, and its own
+    # normal part is O(1) (0.19-0.57 of max|N_r| here, 0 on Gr(1,2), whose
+    # N_r is a multiple of 1); lenard_check reads it only contracted with
+    # the base point's powers, Tr(N_r^k dN_r), where it is noise again.
     # Both routes are Richardson-extrapolated (h, h/2): at a single h the
     # two stencils' h^2 terms differ (1.3e-8 on ci:n=2 at a gap of 0.02),
     # and each is held relative to its values (I_15 of diii:n=6 is ~7e3)
@@ -380,17 +390,26 @@ def test_tangent_flows_are_basis_flows_in_the_tangent_frame(all_cases,
             lenard_check(pair, case.n_eig)
             jacobi_residual(pair, triples)
         assert len(flows) == 3, case.name
-        for funcs, _ in flows:
+        for name, (funcs, _) in zip(("chain", "lenard", "jacobi"), flows):
             scale = max(1.0, np.abs(funcs(PointFrames(case, g))).max())
             w, dvec = [(4 * route(case, g, funcs, h / 2)
                         - route(case, g, funcs, h)) / 3
                        for route in (directional_derivatives,
                                      directional_derivatives_by_basis)]
-            dvec = dvec.reshape(dvec.shape[:2] + (-1,))
-            want = np.swapaxes(tan, -1, -2) @ dvec
+            flat = dvec.reshape(dvec.shape[:2] + (-1,))
+            want = np.swapaxes(tan, -1, -2) @ flat
             assert (np.abs(w.reshape(want.shape) - want).max()
                     <= 1e-9 * scale), case.name
-            assert np.abs(dvec - tan @ want).max() <= 1e-9 * scale, case.name
+            if name == "lenard":
+                normal = np.abs(flat - tan @ want).max()
+                assert normal >= 0.1 * scale or case.n_eig == 1, case.name
+                powers = np.stack([np.linalg.matrix_power(pair.nr, k)
+                                   for k in range(case.n_eig)], axis=1)
+                flat = np.einsum("pdab,pkba->pdk", dvec, powers)
+                scale = max(1.0, np.abs(traces_by_matrix_power(
+                    pair.nr, case.n_eig)).max())
+            assert (np.abs(flat - tan @ (np.swapaxes(tan, -1, -2) @ flat)).max()
+                    <= 1e-9 * scale), case.name
 
 
 def test_fd_flows_form_two_points_per_tangent_direction(all_cases,
@@ -419,16 +438,18 @@ def test_real_forms_take_real_sized_stacks(monkeypatch):
     assert chunks == {"diii:n=6": 3, "diii:n=4": 21, "bdi:m=7": 33,
                       "aiii:k=2,n=4": 64, "ci:n=3": 18}
     # at diii:n=6, 20 samples: the identity pair and 7 sample stacks, and
-    # the Lenard flow's 30 directions, each at all 3 points, in calls of 2
-    # directions (M Z: 3 x 2 x 2 flow points of 66 x 30 float64 in 2^18
+    # the Lenard flow's 30 directions, each at all 3 points, in 15 calls of
+    # 2 directions (M Z: 3 x 2 x 2 flow points of 66 x 30 float64 in 2^18
     # bytes)
     assert poisson._flow_directions(parse_case("diii:n=6"), 3) == 2
     verify.calibrate()
-    calls = record_calls(monkeypatch, poisson, "traces_of_powers",
-                         "build_pair")
+    flows = record_flows(monkeypatch)
+    calls = record_calls(monkeypatch, poisson, "build_pair")
     assert verify.run_suite("diii:n=6", 20, seed=2024).passed
-    counts = {name: len(args) for name, args in calls.items()}
-    assert counts == {"traces_of_powers": 15, "build_pair": 8}
+    lenard = [rows for funcs, rows in flows
+              if funcs.__qualname__.startswith("lenard_check.")]
+    assert lenard == [[3 * 2 * 2] * 15]
+    assert len(calls["build_pair"]) == 8
 
 
 def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):
@@ -521,7 +542,7 @@ def test_fd_flows_read_each_base_point_once(all_cases, monkeypatch):
 def test_bracket_layer_takes_no_svd(gr24, monkeypatch):
     # the bracket layer takes no SVD: K^+ = -K, certified when the case is
     # built by K0^2 = -T0 T0^T; no build, nor lenard_check on the pair it
-    # is given and its fd flows (traces_of_powers), takes one
+    # is given and its fd flow of N_r, takes one
     calls = {"svd": 0, "pinv": 0}
 
     def counted(name, fn):
@@ -553,9 +574,9 @@ def test_bracket_layer_takes_no_svd(gr24, monkeypatch):
 
 
 def test_bracket_layer_matches_per_point_route(all_cases):
-    # build_pair and traces_of_powers carry K0 and T0 over from rho by
-    # the tangent frame T; the per-point route takes kks_raw(m) and its
-    # own SVD.
+    # build_pair carries K0 and T0 over from rho by the tangent frame T,
+    # and Tr N^k reads the pair's N_r; the per-point route takes
+    # kks_raw(m) and its own SVD.
     # K0's singular values, all 1 on the tangent space, are the oracle for
     # K^+ = -K
     for case in all_cases + [build_case("diii", n=6)]:
@@ -567,7 +588,7 @@ def test_bracket_layer_matches_per_point_route(all_cases):
         gs, ms = batch_points(case, 43, 0, 3)
         pair = build_pair(case, gs)
         pk, _ = brackets_from_tangent(pair)
-        traces = traces_of_powers(pair.nr, case.n_eig + 1)
+        traces = traces_by_matrix_power(pair.nr, case.n_eig + 1)
         basis, jmat = case.alg.basis, case.alg.jmat
         for i, (g, m) in enumerate(zip(gs, ms)):
             k = kks_raw(case, m)
@@ -964,6 +985,42 @@ def test_lenard_gr12_and_sp2(sp2):
         assert set(out) == {"steps", "max"}
         assert out["max"] <= 1e-5, case.name
         assert chain_trace_gap(pair) <= 1e-12, case.name
+
+
+@pytest.mark.parametrize("descriptor", ["aiii:k=2,n=4", "ci:n=3", "diii:n=4",
+                                        "bdi:m=7", "diii:n=6"])
+def test_lenard_trace_rule_matches_per_flow_point_traces(descriptor,
+                                                         monkeypatch):
+    # lenard_check differences N_r and reads dI_k = Tr(N_r^(k-1) dN_r)
+    # with the powers of the base point's N_r; the route it replaced
+    # differenced I_k = (1/k) Tr N_r^k at every flow point.  Its w agree
+    # with that route's to fd accuracy at gap-regular points, and its
+    # steps are the Lenard residuals of this w
+    case = parse_case(descriptor)
+    gs, ms = batch_points(case, 2024, 0, 20)
+    regular = gap_regularity(case, chain_batch(case, ms)) > verify.GAP_THRESHOLD
+    pair = build_pair(case, gs[regular][:3], m=ms[regular][:3])
+    k_max = case.n_eig
+    dns = []
+
+    def kept(*args, **kwargs):
+        dns.append(directional_derivatives(*args, **kwargs))
+        return dns[-1]
+
+    monkeypatch.setattr(poisson, "directional_derivatives", kept)
+    steps = lenard_check(pair, k_max)["steps"]
+    (dn,) = dns
+    powers = np.stack([np.linalg.matrix_power(pair.nr, k)
+                       for k in range(k_max)], axis=1)
+    w = np.einsum("pdab,pkba->pdk", dn, powers)
+    old = directional_derivatives(
+        case, pair.point.g,
+        lambda flow: traces_by_matrix_power(flow.nr, k_max))
+    assert np.abs(w - old).max() <= 1e-9 * max(1.0, np.abs(old).max())
+    lhs = w[..., 1:]
+    want = (np.linalg.norm(lhs - pair.nr @ w[..., :-1], axis=-2)
+            / np.maximum(1.0, np.linalg.norm(lhs, axis=-2))).max(axis=0)
+    assert np.abs(np.array(steps) - want).max() <= 1e-12
 
 
 def test_nstar_eigenvalue_equation(gr24, bdi6):

@@ -203,6 +203,27 @@ def test_chain_reads_independent_of_chunking(desc, seed, count, data):
                 == sum(batch_violations(case, b, slack) for b in parts))
 
 
+@pytest.mark.parametrize("descriptor", ["aiii:k=2,n=4", "ci:n=3", "diii:n=4",
+                                        "bdi:m=7"])
+def test_batch_violations_count_a_planted_violation(descriptor):
+    # one sample of a chain batch moved past one interlacing bound by 1e-7,
+    # 100 x SLACK: batch_violations at its default slack counts that
+    # sample and no other
+    case = parse_case(descriptor)
+    _, ms = batch_points(case, 2024, 0, 20)
+    batch = chain_batch(case, ms)
+    assert batch_violations(case, batch) == 0
+    if batch["kind"] == "gt":
+        rows = batch["rows"]
+        rows[1][7, 0] = rows[0][7, 0] - 1e-7      # below its lower bound
+    else:
+        # |b_1| past the cone's first drop 1 - |a_1|
+        batch["b"][7, 0] = 1 - abs(batch["a"][7, 0]) + 1e-7
+    margin = batch_margins(case, batch)["interlacing"][7]
+    assert abs(margin - 1e-7) <= 1e-13, margin
+    assert batch_violations(case, batch) == 1
+
+
 def test_gap_regularity_flags_identity(sp2):
     # the identity coset is maximally degenerate
     cs = chain_spectrum(sp2, sp2.rho)

@@ -509,6 +509,42 @@ def test_coset_invariance_fails_on_moves_off_the_stabilizer(descriptor,
 
 
 @pytest.mark.parametrize("descriptor", FAMILIES)
+def test_connection_master_fails_on_a_transposed_nr(descriptor, monkeypatch):
+    # the pencil's N v read with N_r^T in place of N_r: N_r^T has N_r's
+    # spectrum, so no pencil check sees it, and the closed form
+    # N v = [-J(v), m] + v does not read N_r, so connection_master fails
+    # alone.  Calibration runs first: a fault it caught would prove
+    # nothing here
+    calibrate()
+
+    def transposed(pair, cols):
+        tan = pair.tangent
+        return tan @ (np.swapaxes(pair.nr, -1, -2)
+                      @ (np.swapaxes(tan, -1, -2) @ cols))
+
+    monkeypatch.setattr(poisson, "_nijenhuis_cols", transposed)
+    failed = failed_checks(run_suite(descriptor, 40, seed=2024))
+    assert list(failed) == ["connection_master"], failed
+    assert failed["connection_master"] >= 100, failed
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES)
+def test_vertex_probe_fails_without_the_identity_vertex(descriptor,
+                                                        monkeypatch):
+    # the torus-fixed points with g rho g^-1 = rho are the ones on the
+    # all-zeros vertex; with them dropped, no fixed point sits there, and
+    # the probe reads 1
+    case = parse_case(descriptor)
+    fixed = hermsym.torus_fixed_points(case)
+    moved = [p for p in fixed
+             if np.abs(hermsym.conjugate_rho(case, p) - case.rho).max() > 1e-12]
+    assert 0 < len(moved) < len(fixed), case.name
+    monkeypatch.setattr(hermsym, "torus_fixed_points", lambda case: moved)
+    tol = DEFAULT_TOLERANCES["vertex_polytope"]
+    assert vertex_probe(case) >= 100 * tol, case.name
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES)
 def test_orbit_checks_fail_on_points_off_the_orbit(descriptor):
     # g (1 + 1e-8) leaves the group and m (1 + 1e-7) the orbit of rho:
     # each fault fails its own check by at least 100x and not the other
