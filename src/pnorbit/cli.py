@@ -2,7 +2,9 @@
 
 Subcommands: verify (run the full suite), spectrum (both eigenvalue routes
 at one point), polytope (mass sampling to CSV), calibrate (the sign
-convention certificate and the eigenvalue-range measurement).
+convention certificate and the eigenvalue-range measurement).  polytope
+reads its samples from hermsym.point_chunks, so its working set is bounded
+by that stream's byte budget per chunk, whatever the sample count and N.
 
 Exit codes: 0 pass, 1 check failure, 2 usage error (an unwritable --output
 and a case too large for memory included), 3 numerical failure.  Inside
@@ -23,7 +25,6 @@ from . import hermsym, poisson, spectrum, verify
 from .errors import CalibrationError, ConventionError, NumericalError, UsageError
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_NUMERICAL = 0, 1, 2, 3
-POLYTOPE_CHUNK = 4096   # samples per sampler call: bounds its stacked temporaries
 
 
 def _parse_tols(items):
@@ -148,19 +149,21 @@ def cmd_polytope(args):
     with _output_file(out_path) as fh, _output_file(
             out_path + ".summary.json" if _regular(fh) else None) as summary_fh:
         fh.write("sample," + ",".join(labels) + "\n")
-        for done in range(0, args.samples, POLYTOPE_CHUNK):
-            cnt = min(POLYTOPE_CHUNK, args.samples - done)
-            _, ms = hermsym.batch_points(case, args.seed, done, cnt)
+        for start, _, ms in hermsym.point_chunks(case, args.seed, args.samples):
             batch = spectrum.chain_batch(case, ms)
             if case.tag == "bdi":
                 data = np.concatenate([batch["a"], batch["b"]], axis=1)
             else:
-                _, data, _ = spectrum.batch_free_values(case, batch)
+                data = spectrum.free_value_map(case, batch)
             mins = np.minimum(mins, data.min(axis=0))
             maxs = np.maximum(maxs, data.max(axis=0))
             violations += spectrum.batch_violations(case, batch, slack)
-            fh.writelines(row % (i, *vals)
-                          for i, vals in enumerate(data.tolist(), done))
+            # one format call per chunk, on the rows (index, values...)
+            cnt = len(data)
+            cells = np.empty((cnt, 1 + len(labels)), object)
+            cells[:, 0] = range(start, start + cnt)
+            cells[:, 1:] = data
+            fh.write(row * cnt % tuple(cells.ravel().tolist()))
         if summary_fh is not None:
             summary = {
                 "case": case.descriptor(), "samples": int(args.samples),

@@ -10,7 +10,10 @@ J|_{h_perp} = ad_rho and the complex structure K0^2 = -T0 T0^T (see
 _finish_case), so no case that fails either exists.  Orbit points are
 sampled as m = g rho g^{-1} with g = exp of a Gaussian algebra element.
 The so-families (diii, bdi) are real forms: their rho and algebra basis
-are real, so their samples g and m are float64.
+are real, so their samples g and m are float64.  Bulk draws (point_chunks)
+come in chunks whose g stack holds at most SAMPLE_CHUNK_BYTES (512 KiB;
+one sample where a single g is larger), so their memory does not grow
+with N^2.
 
 Case strings: ``aiii:k=2,n=4``  ``ci:n=3``  ``diii:n=4``  ``bdi:m=7``.
 """
@@ -26,6 +29,7 @@ from .errors import ConventionError, NumericalError, UsageError
 from .numkernel import expm_antihermitian
 
 CSTRUCT_TOL = 1e-12             # max|K0^2 + T0 T0^T|, for K^+ = -K
+SAMPLE_CHUNK_BYTES = 1 << 19    # point_chunks: bytes of one chunk's (count, N, N) g
 
 
 @dataclass
@@ -374,6 +378,21 @@ def batch_points(case, seed, start, count):
     g = exp of a Gaussian algebra element, drawn as in _exp_samples."""
     g = _exp_samples(seed, start, count, case.alg.basis)
     return g, conjugate_rho(case, g)
+
+
+def point_chunks(case, seed, count):
+    """batch_points over sample indices 0..count-1, in chunks: yields
+    (start, g, m) per chunk.  A chunk takes as many samples as fit one
+    (N, N) stack of the algebra's element type in SAMPLE_CHUNK_BYTES,
+    max(1, SAMPLE_CHUNK_BYTES // (itemsize N^2)), so a bulk draw's working
+    set is bounded in bytes, not in samples: 2048 samples on Gr(2,4), 128
+    on Sp(8)/U(8).  Every sample has its own Philox counter, so the chunking
+    moves no value."""
+    step = max(1, SAMPLE_CHUNK_BYTES
+               // (case.alg.basis.itemsize * case.alg.size ** 2))
+    for start in range(0, count, step):
+        # no local keeps a chunk alive while the caller draws the next
+        yield (start, *batch_points(case, seed, start, min(step, count - start)))
 
 
 def identity_point(case):

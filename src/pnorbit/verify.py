@@ -314,7 +314,9 @@ def _regular_point_checks(case, reg, target):
         res.update((f"involution_{k}", r) for k, r in _worst(rows).items())
     else:
         grads.append(poisson.chain_gradient(reg[:3]))
-    res["lenard"] = poisson.lenard_check(reg[:3], case.n_eig)["max"]
+    # k_max = n_eig is the recursion's length; at n_eig = 1 it has no
+    # step, so those cases check dI_2 = N^* dI_1
+    res["lenard"] = poisson.lenard_check(reg[:3], max(2, case.n_eig))["max"]
     res["nstar_dlambda"] = poisson.nstar_eigen_residual(
         reg[:3], np.concatenate(grads)[:3])
     return res

@@ -12,8 +12,7 @@ import pytest
 
 from pnorbit import (build_algebra, calibrate, measure_diii_normalization,
                      parse_case, run_suite, vertex_probe)
-from pnorbit.cli import POLYTOPE_CHUNK
-from pnorbit.hermsym import batch_points
+from pnorbit.hermsym import point_chunks
 from pnorbit.spectrum import batch_violations, chain_batch
 
 from helpers import c_plus
@@ -116,18 +115,14 @@ def test_criterion_5_involution(reports):
 
 def test_criterion_6_interlacing_polytopes():
     total = 100000
-    chunk = POLYTOPE_CHUNK      # the CLI's chunk: same samples, smaller stacks
     violations = 0
     vertex_worst = 0.0
     for desc in CASES:
         case = parse_case(desc)
-        done = 0
-        while done < total:
-            cnt = min(chunk, total - done)
-            _, ms = batch_points(case, SEED, done, cnt)
+        # the stream pnorbit polytope reads: same samples, byte-sized chunks
+        for _, _, ms in point_chunks(case, SEED, total):
             violations += batch_violations(case, chain_batch(case, ms),
                                            slack=1e-9)
-            done += cnt
         vertex_worst = max(vertex_worst, vertex_probe(case))
     ok = violations == 0 and vertex_worst <= 1e-10
     _criterion(6, "interlacing/polytopes over 1e5 samples/case + vertices",

@@ -11,7 +11,7 @@ import pytest
 from pnorbit import NumericalError, cli, hermsym, poisson, spectrum, verify
 from pnorbit.cli import main
 
-from helpers import fault_in_nr
+from helpers import fault_in_nr, record_calls
 
 
 def test_verify_command_writes_report(tmp_path):
@@ -141,6 +141,24 @@ def test_polytope_rows_cross_chunks_unchanged(tmp_path, capsys):
     assert out.read_text().splitlines() == want
 
 
+@pytest.mark.parametrize("descriptor", ["aiii:k=2,n=4", "ci:n=3", "diii:n=4",
+                                        "bdi:m=7"])
+def test_polytope_output_independent_of_chunk_budget(descriptor, tmp_path,
+                                                     monkeypatch, capsys):
+    # a 4 KiB budget cuts 101 samples into 7 to 15 chunks, the last one
+    # partial: the CSV and its summary are byte-identical to one chunk's
+    argv = ["polytope", "--case", descriptor, "--samples", "101", "--seed", "5"]
+    assert main(argv + ["--output", str(tmp_path / "whole.csv")]) == 0
+    monkeypatch.setattr(hermsym, "SAMPLE_CHUNK_BYTES", 1 << 12)
+    calls = record_calls(monkeypatch, hermsym, "batch_points")["batch_points"]
+    assert main(argv + ["--output", str(tmp_path / "cut.csv")]) == 0
+    counts = [count for _, _, _, count in calls]
+    assert len(counts) >= 3 and counts[-1] < counts[0], counts
+    for suffix in ("", ".summary.json"):
+        assert ((tmp_path / f"cut.csv{suffix}").read_bytes()
+                == (tmp_path / f"whole.csv{suffix}").read_bytes())
+
+
 def test_polytope_bdi_labels(tmp_path):
     out = tmp_path / "bdi.csv"
     assert main(["polytope", "--case", "bdi:m=5", "--samples", "200",
@@ -150,8 +168,9 @@ def test_polytope_bdi_labels(tmp_path):
 
 
 def test_polytope_failure_leaves_no_csv(tmp_path, monkeypatch, capsys):
-    # the first 4096-sample chunk is written before the second one fails:
-    # the command takes its partial CSV back and writes no summary
+    # the first chunk (2048 samples: 512 KiB of complex 4 x 4 g) is written
+    # before the second one fails: the command takes its partial CSV back
+    # and writes no summary
     chain_batch = spectrum.chain_batch
     calls = []
 
@@ -165,7 +184,7 @@ def test_polytope_failure_leaves_no_csv(tmp_path, monkeypatch, capsys):
     out = tmp_path / "poly.csv"
     assert main(["polytope", "--case", "ci:n=2", "--samples", "5000",
                  "--output", str(out)]) == 3
-    assert calls == [4096, 904]
+    assert calls == [2048, 2048]
     assert "injected" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 

@@ -9,9 +9,9 @@ import scipy.linalg
 
 from pnorbit import (ConventionError, UsageError, build_case, build_pair,
                      hermsym, liealg, moment, parse_case, verify)
-from pnorbit.hermsym import (_finish_case, batch_points,
+from pnorbit.hermsym import (SAMPLE_CHUNK_BYTES, _finish_case, batch_points,
                              check_group_element, group_residual,
-                             identity_point, random_point,
+                             identity_point, point_chunks, random_point,
                              sample_coefficients, stabilizer_elements,
                              torus_fixed_points)
 from pnorbit.numkernel import expm_antihermitian
@@ -131,6 +131,35 @@ def test_random_point_determinism_and_orbit(sp2):
     s1 = np.linalg.eigvalsh(-1j * p1.m)
     s0 = np.linalg.eigvalsh(-1j * sp2.rho)
     assert np.abs(s1 - s0).max() <= 1e-10
+
+
+# samples per point_chunks chunk: 512 KiB over itemsize N^2, complex for
+# aiii and ci, float64 for the real forms diii and bdi (desk, then scale)
+CHUNK_SIZES = {
+    "aiii:k=1,n=2": 8192, "aiii:k=1,n=3": 3640, "aiii:k=2,n=4": 2048,
+    "ci:n=1": 8192, "ci:n=2": 2048, "ci:n=3": 910,
+    "diii:n=2": 4096, "diii:n=3": 1820, "diii:n=4": 1024,
+    "bdi:m=5": 2621, "bdi:m=6": 1820, "bdi:m=7": 1337,
+    "ci:n=8": 128, "aiii:k=5,n=10": 327, "diii:n=8": 256, "bdi:m=13": 387}
+
+
+@pytest.mark.parametrize("descriptor, full", CHUNK_SIZES.items())
+def test_point_chunks_fit_the_byte_budget(descriptor, full):
+    # every chunk's g stack fits SAMPLE_CHUNK_BYTES and a full chunk takes
+    # as many samples as fit; chunks are never empty, and they tile
+    # 0..count-1 with the samples batch_points draws (checked at the cut)
+    case = parse_case(descriptor)
+    chunks = list(point_chunks(case, 3, full + 1))
+    assert [(start, len(g)) for start, g, _ in chunks] == [(0, full), (full, 1)]
+    for _, g, m in chunks:
+        assert g.dtype == case.alg.basis.dtype and g.shape[1:] == case.rho.shape
+        assert 0 < g.nbytes <= SAMPLE_CHUNK_BYTES
+        assert m.shape == g.shape
+    assert chunks[0][1].nbytes + chunks[1][1].nbytes > SAMPLE_CHUNK_BYTES
+    want_g, want_m = batch_points(case, 3, full - 1, 2)
+    assert np.array_equal(chunks[0][1][-1], want_g[0])
+    assert np.array_equal(chunks[1][1][0], want_g[1])
+    assert np.array_equal(chunks[1][2][0], want_m[1])
 
 
 def test_batch_points_chunk_independent(so6u3):

@@ -545,6 +545,78 @@ def test_vertex_probe_fails_without_the_identity_vertex(descriptor,
 
 
 @pytest.mark.parametrize("descriptor", FAMILIES)
+def test_interlacing_and_polytope_fail_on_a_planted_violation(descriptor,
+                                                             monkeypatch):
+    # one sample of the suite's base chain batch moved past one interlacing
+    # bound by 1e-7, 100x the 1e-9 tolerance of both checks: each reports
+    # it (polytope takes every margin, interlacing included).  The planted
+    # entry's own rounding is below 1e-15
+    calibrate()
+    case = parse_case(descriptor)
+    _, base = batch_points(case, 2024, 0, 40)
+    chain_batch = spectrum.chain_batch
+
+    def planted(case, ms):
+        batch = chain_batch(case, ms)
+        if np.array_equal(ms, base):
+            if batch["kind"] == "gt":
+                rows = batch["rows"]
+                rows[1][7, 0] = rows[0][7, 0] - 1e-7      # below its lower bound
+            else:
+                # |b_1| past the cone's first drop 1 - |a_1|
+                batch["b"][7, 0] = 1 - abs(batch["a"][7, 0]) + 1e-7
+        return batch
+
+    monkeypatch.setattr(spectrum, "chain_batch", planted)
+    failed = failed_checks(run_suite(case, 40, seed=2024))
+    for name in ("interlacing", "polytope"):
+        assert failed.get(name, 0) >= 100 * (1 - 1e-8), failed
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES)
+def test_identity_coset_zero_fails_on_a_chain_value_at_rho(descriptor,
+                                                           monkeypatch):
+    # the chain free values at the identity coset moved by 1e-6: N_r and
+    # the pencil there stay 0, so only the chain half of
+    # identity_coset_zero sees it, at 1e4x its tolerance
+    calibrate()
+    case = parse_case(descriptor)
+    chain_free_vector = spectrum.chain_free_vector
+
+    def planted(case, m):
+        vals = chain_free_vector(case, m)
+        if np.shape(m) == case.rho.shape and np.array_equal(m, case.rho):
+            vals = vals + 1e-6
+        return vals
+
+    monkeypatch.setattr(spectrum, "chain_free_vector", planted)
+    failed = failed_checks(run_suite(case, 40, seed=2024))
+    assert list(failed) == ["identity_coset_zero"], failed
+    assert failed["identity_coset_zero"] >= 100, failed
+
+
+@pytest.mark.parametrize("descriptor", ["aiii:k=1,n=2", "ci:n=1", "diii:n=2"])
+def test_lenard_takes_a_step_at_one_eigenvalue(descriptor, monkeypatch):
+    # at n_eig = 1 the recursion I_1 .. I_n_eig has no step; the suite
+    # checks dI_2 = N^* dI_1 there, so lenard is read from one real step
+    calibrate()
+    lenard_check = poisson.lenard_check
+    steps = []
+
+    def recorded(pair, k_max):
+        out = lenard_check(pair, k_max)
+        steps.append(out["steps"])
+        return out
+
+    monkeypatch.setattr(poisson, "lenard_check", recorded)
+    report = run_suite(descriptor, 40, seed=2024)
+    assert report.passed
+    assert len(steps) == 1 and len(steps[0]) >= 1, steps
+    lenard = next(c for c in report.checks if c.name == "lenard")
+    assert lenard.max_residual == max(steps[0])
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES)
 def test_orbit_checks_fail_on_points_off_the_orbit(descriptor):
     # g (1 + 1e-8) leaves the group and m (1 + 1e-7) the orbit of rho:
     # each fault fails its own check by at least 100x and not the other
