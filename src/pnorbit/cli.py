@@ -4,7 +4,10 @@ Subcommands: verify (run the full suite), spectrum (both eigenvalue routes
 at one point), polytope (mass sampling to CSV), calibrate (the sign
 convention certificate and the eigenvalue-range measurement).  polytope
 reads its samples from hermsym.point_chunks, so its working set is bounded
-by that stream's byte budget per chunk, whatever the sample count and N.
+by that stream's byte budget per chunk, whatever the sample count and N,
+and writes each chunk's CSV rows with _csv_rows: the bytes of the %
+operator's "%.16e", from numpy arithmetic instead of a Python float per
+value.
 
 Exit codes: 0 pass, 1 check failure, 2 usage error (an unwritable --output
 and a case too large for memory included), 3 numerical failure.  Inside
@@ -51,15 +54,15 @@ def _regular(fh):
 
 
 @contextmanager
-def _output_file(path):
+def _output_file(path, binary=False):
     """The --output file (None without a path), opened before any work: an
     unwritable path fails before the command computes or prints, and a
     command that raises leaves no file behind (a device such as /dev/null
-    is never unlinked)."""
+    is never unlinked).  Text, or bytes if binary."""
     if not path:
         yield None
         return
-    fh = open(path, "w", newline="")
+    fh = open(path, "wb") if binary else open(path, "w", newline="")
     regular = _regular(fh)
     try:
         with fh:
@@ -132,6 +135,116 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
+# The CSV value format "%.16e" in numpy arithmetic.  A finite x != 0 with
+# 1e-6 <= |x| < 1e16 prints as D 10^(d-16), its decade d in [-6, 15] and D
+# the integer nearest |x| 10^q, q = 16 - d, ties to even.  10^q is an exact
+# double (q <= 22) and Dekker's TwoProduct gives |x| 10^q = p + e exactly;
+# in the decade p is an even integer >= 2^53, so D = p + rint(e).  Every
+# other value (non-finite, subnormal, or outside that range) sends its row
+# to the % operator.
+_POW10 = np.concatenate([[1.0], np.cumprod(np.full(22, 10.0))])  # exact
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"),
+                    axis=-1).reshape(10000, 4)      # "0000" .. "9999"
+_QUADS = _DIGITS4.view(np.uint32).ravel()           # the same, 4 bytes a word
+# "e-07" .. "e+16" at d + 7, one word each: every decade _mantissas returns
+_DECADES = np.arange(-7, 17)
+_EXPONENTS = np.stack([np.full(24, ord("e")),
+                       np.where(_DECADES < 0, ord("-"), ord("+")),
+                       *_DIGITS4[np.abs(_DECADES), 2:].T],
+                      axis=1).astype(np.uint8).view(np.uint32).ravel()
+# one value's bytes: sign (or pad), digit, '.', 16 digits, 'e', the
+# exponent's sign and two digits, then ',' or the row's '\n'
+_SLOT = 24
+
+
+def _split(a):
+    """Veltkamp's split a = hi + lo into halves of at most 26 bits."""
+    c = 134217729.0 * a                             # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _two_product(a, q):
+    """(p, e), p = fl(a 10^q) and a 10^q = p + e exactly (Dekker, no FMA)."""
+    p = a * _POW10[q]
+    ah, al = _split(a)
+    bh, bl = _POW10_HI[q], _POW10_LO[q]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _mantissas(a):
+    """(D, d, ok) for magnitudes a: the 17-digit mantissa D and the decade
+    d of each value, and whether the kernel formats it (0 as D = d = 0)."""
+    ok = (a >= 1e-6) & (a < 1e16)
+    w = np.where(ok, a, 1.0)
+    d0 = np.clip(np.floor(np.log10(w)), -6, 15).astype(np.int64)
+    p, e = _two_product(w, 16 - d0)
+    # log10 is off by at most one: compare p + e with 10^16 and 10^17
+    # exactly, not the rounded D (a product just below 10^16 rounds to
+    # D = 10^16, yet belongs to the decade below, which shows one more digit)
+    d = (d0 + ((p > 1e17) | ((p == 1e17) & (e >= 0)))
+         - ((p < 1e16) | ((p == 1e16) & (e < 0))))
+    ok &= (d >= -6) & (d <= 15)
+    moved = ok & (d != d0)
+    if moved.any():
+        p[moved], e[moved] = _two_product(w[moved], 16 - d[moved])
+    # no double lies within 1/2 below 10^17 here (17 digits resolve every
+    # double), so no D rounds up to the next decade
+    mant = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    zero = a == 0                                   # w = 1: d = 0 already
+    mant[zero] = 0
+    return mant, d, ok | zero
+
+
+def _csv_rows(start, data):
+    """The CSV rows of samples start.. with values data (S, k), as the bytes
+    of ("%d," + ",".join(["%.16e"] * k) + "\\n") % (index, *values) per row:
+    laid out in one byte buffer, the pad bytes (0) dropped."""
+    cnt, k = data.shape
+    mant, d, ok = _mantissas(np.abs(data))
+    idx = np.arange(start, start + cnt, dtype=np.int64)
+    width = len(str(max(start + cnt - 1, 0)))
+    buf = np.zeros((cnt, width + 1 + _SLOT * k), np.uint8)
+    for j in range(width - 1):                      # leading zeros stay pad
+        power = 10 ** (width - 1 - j)
+        buf[:, j] = np.where(idx >= power, idx // power % 10 + ord("0"), 0)
+    buf[:, width - 1] = idx % 10 + ord("0")
+    buf[:, width] = ord(",")
+    vals = buf[:, width + 1:].reshape(cnt, k, _SLOT)
+    vals[..., 0] = np.where(np.signbit(data), ord("-"), 0)
+    lead = mant // 10 ** 16
+    vals[..., 1] = lead + ord("0")
+    vals[..., 2] = ord(".")
+    # the 16 digits after the point as four 4-digit groups (a scalar divisor
+    # per division: numpy divides by a scalar much faster than by an array)
+    hi, lo = np.divmod(mant - lead * 10 ** 16, 10 ** 8)
+    quads = np.stack([*np.divmod(hi, 10 ** 4), *np.divmod(lo, 10 ** 4)], axis=-1)
+    vals[..., 3:19] = _QUADS[quads].view(np.uint8)
+    vals[..., 19:23] = _EXPONENTS[d + 7, None].view(np.uint8)
+    vals[..., 23] = ord(",")
+    vals[:, -1, 23] = ord("\n")
+    bad = ~ok.all(axis=1)
+    buf[bad] = 0
+    text = buf[buf != 0].tobytes()
+    if not bad.any():
+        return text
+    # rows with a value outside the kernel's range: the % operator, spliced
+    # in where their (empty) kernel rows end
+    row = "%d," + ",".join(["%.16e"] * k) + "\n"
+    ends = np.cumsum(np.count_nonzero(buf, axis=1))
+    parts, pos = [], 0
+    for i in np.flatnonzero(bad):
+        parts += [text[pos:ends[i]],
+                  (row % (start + int(i), *data[i].tolist())).encode()]
+        pos = ends[i]
+    parts.append(text[pos:])
+    return b"".join(parts)
+
+
 def cmd_polytope(args):
     _check_samples(args, 1)
     case = hermsym.parse_case(args.case)
@@ -142,13 +255,11 @@ def cmd_polytope(args):
     mins = np.full(len(labels), np.inf)
     maxs = -mins
     violations = 0
-    # locale-independent scientific notation, 17 significant digits
-    row = "%d," + ",".join(["%.16e"] * len(labels)) + "\n"
     # the CSV and its summary are both opened before any sampling, and a
     # device --output such as /dev/null gets no summary beside it
-    with _output_file(out_path) as fh, _output_file(
+    with _output_file(out_path, binary=True) as fh, _output_file(
             out_path + ".summary.json" if _regular(fh) else None) as summary_fh:
-        fh.write("sample," + ",".join(labels) + "\n")
+        fh.write(("sample," + ",".join(labels) + "\n").encode())
         for start, _, ms in hermsym.point_chunks(case, args.seed, args.samples):
             batch = spectrum.chain_batch(case, ms)
             if case.tag == "bdi":
@@ -158,12 +269,8 @@ def cmd_polytope(args):
             mins = np.minimum(mins, data.min(axis=0))
             maxs = np.maximum(maxs, data.max(axis=0))
             violations += spectrum.batch_violations(case, batch, slack)
-            # one format call per chunk, on the rows (index, values...)
-            cnt = len(data)
-            cells = np.empty((cnt, 1 + len(labels)), object)
-            cells[:, 0] = range(start, start + cnt)
-            cells[:, 1:] = data
-            fh.write(row * cnt % tuple(cells.ravel().tolist()))
+            # locale-independent scientific notation, 17 significant digits
+            fh.write(_csv_rows(start, data))
         if summary_fh is not None:
             summary = {
                 "case": case.descriptor(), "samples": int(args.samples),

@@ -64,6 +64,11 @@ compact root (`highest_compact_root_plane`), a plane of h = ker ad_rho,
 so the case's own certificates, which read J on the tangent space only,
 still pass.
 
+`csv_rows_by_percent` is the polytope CSV rows as the command wrote them
+before its vectorised formatter: one % operator call per chunk on the rows
+(index, values...) in "%d," + "%.16e" per value.  cli._csv_rows must equal
+it byte for byte.
+
 `record_calls` wraps functions of a module in place (through pytest's
 monkeypatch) and records the positional arguments of every call, for
 tests that count calls or read what reached a function.
@@ -275,6 +280,16 @@ def complex_basis_case(case):
 def fault_in_nr(edit):
     """poisson._restricted with edit(case, N_r) applied to its result."""
     return lambda case, tjt: edit(case, _restricted(case, tjt))
+
+
+def csv_rows_by_percent(start, data):
+    """The CSV rows of samples start.. with values data (S, k), as bytes."""
+    cnt, k = data.shape
+    row = "%d," + ",".join(["%.16e"] * k) + "\n"
+    cells = np.empty((cnt, 1 + k), object)
+    cells[:, 0] = range(start, start + cnt)
+    cells[:, 1:] = data
+    return (row * cnt % tuple(cells.ravel().tolist())).encode()
 
 
 def record_calls(monkeypatch, module, *names):

@@ -4,14 +4,18 @@ import csv
 import io
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pnorbit import NumericalError, cli, hermsym, poisson, spectrum, verify
-from pnorbit.cli import main
+from pnorbit.cli import _csv_rows, main
 
-from helpers import fault_in_nr, record_calls
+from helpers import csv_rows_by_percent, fault_in_nr, record_calls
 
 
 def test_verify_command_writes_report(tmp_path):
@@ -157,6 +161,91 @@ def test_polytope_output_independent_of_chunk_budget(descriptor, tmp_path,
     for suffix in ("", ".summary.json"):
         assert ((tmp_path / f"cut.csv{suffix}").read_bytes()
                 == (tmp_path / f"whole.csv{suffix}").read_bytes())
+
+
+def _ulps(x, n):
+    """x and its n neighbours on each side."""
+    out, up, down = [x], x, x
+    for _ in range(n):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out
+
+
+def _ties(q_max=3, count=200):
+    """Doubles x with x 10^q = N + 1/2 exactly, N of 17 digits: the
+    half-way cases of the 17th digit."""
+    out = []
+    for q in range(1, q_max + 1):
+        for top in (10 ** 16, 9 * 10 ** 16):
+            for j in range(count):
+                tie = Fraction(2 * (top + j) + 1, 2 * 10 ** q)
+                if Fraction(float(tie)) == tie:
+                    out.append(float(tie))
+    return out
+
+
+# ±0, every 10^k from 1e-6 to 1e16 with 4 ulps on each side, 17th-digit
+# ties and a literal that rounds to the next decade; the powers outside the
+# kernel's range fall back with the other fallback values, among them the
+# double nearest 1e-6 (below 1e-6: 9.9999999999999995e-07 by the % operator)
+TIES = _ties()
+POWERS = [v for k in range(-6, 17) for v in _ulps(float(f"1e{k}"), 4)]
+IN_RANGE_EDGES = ([0.0, -0.0, 9.99999999999999999e5]
+                  + [v for v in POWERS if 1e-6 < v < 1e16] + TIES)
+FALLBACK_EDGES = ([v for v in POWERS if not 1e-6 < v < 1e16]
+                  + [1e-7, 5e-324, 2.2250738585072014e-308 / 3, 1e300,
+                     np.nan, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("start", [0, 9, 10, 10 ** 18 - 1, 10 ** 18])
+def test_csv_rows_match_the_percent_format_on_edges(start):
+    # every edge value and its negative, in rows of two; the starts cross
+    # the index widths 1 -> 2 and 18 -> 19 digits
+    assert len(TIES) >= 40
+    for values in (IN_RANGE_EDGES, IN_RANGE_EDGES + FALLBACK_EDGES):
+        col = np.array(values)
+        data = np.stack([col, -col], axis=1)
+        assert _csv_rows(start, data) == csv_rows_by_percent(start, data)
+    assert _csv_rows(0, np.array([[1e-6]])) == b"0,9.9999999999999995e-07\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.integers(0, 10 ** 18),
+       data=arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)),
+                   elements=st.one_of(st.floats(1e-6, 1e16), st.floats(-1e16, -1e-6),
+                                      st.floats(-2.0, 2.0), st.floats())))
+def test_csv_rows_match_the_percent_format(start, data):
+    assert _csv_rows(start, data) == csv_rows_by_percent(start, data)
+
+
+def test_polytope_formats_out_of_range_rows_by_percent(tmp_path, monkeypatch,
+                                                       capsys):
+    # values outside the kernel's range planted in the first, a middle and
+    # the last row of every chunk (2048 samples on aiii:k=2,n=4): those rows
+    # go to the % operator, and the CSV equals the oracle's bytes
+    free_value_map = spectrum.free_value_map
+    chunks = []
+
+    def planted(case, batch):
+        data = free_value_map(case, batch)
+        last = len(data) - 1
+        data[0, 0], data[0, -1] = np.nan, 1e-7
+        data[last // 2, 1] = 5e-324
+        data[last, 0], data[last, -1] = -np.inf, 1e16
+        chunks.append(data.copy())
+        return data
+
+    monkeypatch.setattr(spectrum, "free_value_map", planted)
+    out = tmp_path / "poly.csv"
+    assert main(["polytope", "--case", "aiii:k=2,n=4", "--samples", "3000",
+                 "--seed", "7", "--output", str(out)]) == 0
+    assert [len(c) for c in chunks] == [2048, 952]
+    labels = spectrum.free_labels(hermsym.parse_case("aiii:k=2,n=4"))
+    want = [("sample," + ",".join(labels) + "\n").encode()]
+    starts = np.cumsum([0] + [len(c) for c in chunks])
+    want += [csv_rows_by_percent(int(s), c) for s, c in zip(starts, chunks)]
+    assert out.read_bytes() == b"".join(want)
 
 
 def test_polytope_bdi_labels(tmp_path):

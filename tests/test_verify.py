@@ -509,6 +509,23 @@ def test_coset_invariance_fails_on_moves_off_the_stabilizer(descriptor,
 
 
 @pytest.mark.parametrize("descriptor", FAMILIES)
+def test_coset_invariance_fails_on_a_transposed_adjoint(descriptor,
+                                                        monkeypatch):
+    # A^T = Ad_g in place of A = Ad_{g^-1} inside bruhat_matrix: P0 is no
+    # longer constant on cosets, while the moment map does not move, so
+    # only the P0 half of coset_invariance can see it (O(1) at seed 2024)
+    case = parse_case(descriptor)
+    g, m = batch_points(case, 2024, 0, 10)
+    tol = DEFAULT_TOLERANCES["coset_invariance"]
+    assert verify._coset_invariance(case, 2024, g, m)["coset_invariance"] <= tol
+    adjoint = poisson._adjoint
+    monkeypatch.setattr(poisson, "_adjoint", lambda case, g, side=None:
+                        np.swapaxes(adjoint(case, g, side), -1, -2))
+    res = verify._coset_invariance(case, 2024, g, m)["coset_invariance"]
+    assert res >= 100 * tol, res
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES)
 def test_connection_master_fails_on_a_transposed_nr(descriptor, monkeypatch):
     # the pencil's N v read with N_r^T in place of N_r: N_r^T has N_r's
     # spectrum, so no pencil check sees it, and the closed form
