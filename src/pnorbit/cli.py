@@ -268,18 +268,20 @@ def cmd_polytope(args):
                 data = spectrum.free_value_map(case, batch)
             mins = np.minimum(mins, data.min(axis=0))
             maxs = np.maximum(maxs, data.max(axis=0))
-            violations += spectrum.batch_violations(case, batch, slack)
+            violations += spectrum.batch_violations(case, batch, slack, data)
             # locale-independent scientific notation, 17 significant digits
             fh.write(_csv_rows(start, data))
         if summary_fh is not None:
+            # a non-finite range end is null: the summary is strict JSON
             summary = {
                 "case": case.descriptor(), "samples": int(args.samples),
                 "seed": int(args.seed), "slack": slack,
                 "violations": int(violations),
-                "ranges": {lbl: {"min": float(lo), "max": float(hi)}
+                "ranges": {lbl: {key: float(v) if np.isfinite(v) else None
+                                 for key, v in (("min", lo), ("max", hi))}
                            for lbl, lo, hi in zip(labels, mins, maxs)},
             }
-            json.dump(summary, summary_fh, indent=2)
+            json.dump(summary, summary_fh, indent=2, allow_nan=False)
             summary_fh.write("\n")
     print(f"wrote {args.samples} samples to {out_path} "
           f"(violations: {violations})")

@@ -12,6 +12,16 @@ lam = -2*lt + offset.  For diii, W+ = (1; i 1)/sqrt 2 and the compression
 is read from the real N x N blocks of m as (m11 + m22 + i (m12 - m21)) / 2,
 so the real m stack is never copied to complex.
 
+Each row comes from the smallest exact problem that yields it, on the
+precondition that the inputs are orbit points: a 1 x 1 minor is its
+diagonal entry, a 2 x 2 one has the closed form mean -+ hypot((a - d)/2,
+|b|), and a larger one goes to eigvalsh.  On aiii, -i m + (k/n) 1 is a
+rank-k orthogonal projector, and complementary principal blocks of a
+projector share their non-trivial spectrum (mu <-> 1 - mu, the CS
+decomposition), so a minor whose complement is smaller is read from the
+complement.  Every row of Gr(1, 4) and Gr(2, 4) then takes no eigensolver;
+ci and diii rows of size >= 3 keep eigvalsh.
+
 For the real-Grassmannian (bdi) cases the data is the (a_k, b_k) family:
 +-i a_k is the rank-2 spectrum of the upper-left so-block, b_k the single
 off-diagonal entry of the split-off so(2), and
@@ -128,11 +138,14 @@ def chain_batch(case, ms):
         else:
             b0 = ms[:, :n, :n]      # aiii: all of m; ci: W+ = (1; 0)
         nb = b0.shape[1]
-        top = case.tag == "aiii"
-        rows = [np.linalg.eigvalsh(-1j * b0[:, : nb - r, : nb - r])
-                for r in range(top, nb)]
-        if top:
-            rows.insert(0, np.broadcast_to(top_row_constants(case), (len(ms), nb)))
+        if case.tag == "aiii":
+            top = top_row_constants(case)
+            rows = [np.broadcast_to(top, (len(ms), nb))] + [
+                _grassmannian_row(case, b0, top, size)
+                for size in range(nb - 1, 0, -1)]
+        else:
+            rows = [_minor_spectrum(b0[:, :size, :size])
+                    for size in range(nb, 0, -1)]
         return {"kind": "gt", "rows": rows}
     if np.abs(ms.imag).max(initial=0.0) > 1e-9:
         raise ConventionError("bdi moment matrix must be real")
@@ -151,6 +164,52 @@ def chain_batch(case, ms):
             a.append(mr[:, 0, 1])
         b.append(mr[:, amb - 2 * k, amb - 2 * k + 1])
     return {"kind": "ab", "a": np.stack(a, axis=1), "b": np.stack(b, axis=1)}
+
+
+def _minor_spectrum(blk):
+    """Ascending spectrum (S, s) of -i blk for a stack of s x s blocks of
+    an orbit point: the diagonal at s = 1, the closed form at s = 2,
+    LAPACK above.  The closed forms read what eigvalsh reads: the real part
+    of the diagonal and the lower off-diagonal entry (Re(-i z) = Im z).
+    The radius is a square root of squares, not np.abs of a complex entry,
+    whose last bit depends on the stride of the stack."""
+    size = blk.shape[-1]
+    if size == 1:
+        return blk[:, :, 0].imag.copy()         # a row, not a view of ms
+    if size == 2:
+        a, d, b = blk[:, 0, 0].imag, blk[:, 1, 1].imag, blk[:, 1, 0]
+        mean, half = (a + d) / 2, (a - d) / 2
+        rad = np.sqrt(half * half + (b.real * b.real + b.imag * b.imag))
+        return np.stack([mean - rad, mean + rad], axis=1)
+    return np.linalg.eigvalsh(-1j * blk)
+
+
+def _grassmannian_row(case, m, top, size):
+    """Ascending spectrum (S, size) of -i m[:size, :size] on aiii.
+
+    P = -i m + (k/n) 1 is a rank-k orthogonal projector, so the minor is
+    P11 - k/n with P11 = P[:size, :size].  When its complement
+    Q = P[size:, size:] is the smaller block, P11 is read from Q by the CS
+    decomposition: generically P11 has max(0, size - k) eigenvalues 0,
+    max(0, k - q) eigenvalues 1 (q = n - size), and the rest are 1 - nu
+    over Q's eigenvalues nu in (0, 1), once Q's own max(0, q - k) zeros
+    and max(0, k - size) ones are dropped.  Both sides are continuous in m
+    and agree on the dense generic set, so everywhere on the orbit.  The
+    structural values are written as the top row's constants -k/n and
+    (n - k)/n, equal to the bounds they meet in the interlacing.
+    """
+    k, n = case.params["k"], case.params["n"]
+    q = n - size
+    if q >= size:
+        return _minor_spectrum(m[:, :size, :size])
+    nu = _minor_spectrum(m[:, size:, size:]) + k / n        # spectrum of Q
+    inner = nu[:, max(0, q - k):q - max(0, k - size)]       # nu in (0, 1)
+    zeros, ones = max(0, size - k), max(0, k - q)
+    row = np.empty((len(m), size))
+    row[:, :zeros] = top[0]
+    row[:, size - ones:] = top[-1]
+    row[:, zeros:size - ones] = (1.0 - inner[:, ::-1]) - k / n
+    return row
 
 
 @dataclass
@@ -192,7 +251,7 @@ def chain_spectrum(case, m):
     raises ConventionError if its interlacing is violated."""
     batch = chain_batch(case, np.asarray(m)[None])
     viol = batch_margins(case, batch)["interlacing"][0]
-    if viol > SLACK:
+    if not viol <= SLACK:
         raise ConventionError(
             f"interlacing violated by {viol:.3e} at a point of {case.name}")
     return ChainSpectrum(case, batch)
@@ -284,10 +343,17 @@ def batch_margins(case, batch):
     return {"interlacing": cone.max(axis=1)}
 
 
-def batch_violations(case, batch, slack=SLACK):
-    """Count samples violating any polytope/interlacing margin (should be 0)."""
+def batch_violations(case, batch, slack=SLACK, values=None):
+    """Count samples violating any polytope/interlacing margin (should be 0).
+
+    A margin that is not <= slack is violated, nan included; given values
+    (S, k), a sample whose values are not all finite is counted as well.
+    """
     worst = np.max(np.stack(list(batch_margins(case, batch).values())), axis=0)
-    return int((worst > slack).sum())
+    bad = ~(worst <= slack)
+    if values is not None:
+        bad |= ~np.isfinite(values).all(axis=1)
+    return int(bad.sum())
 
 
 def polytope_membership(case, cs):

@@ -18,6 +18,9 @@ The library's gammas and word list must equal it bit for bit.
 
 `bdi_chain_eigvalsh` is the bdi chain as it stood before a_k became a
 Frobenius norm: a_k from the top eigenvalue of B^T B per block B.
+`gt_chain_eigvalsh` is the Gelfand-Tsetlin chain as it stood before each
+row was read from its smallest exact problem: one eigvalsh per leading
+minor of -i b0, aiii's top row the exact constants.
 
 `brackets_from_tangent` is the dense bracket pair PK = T K_T T^T and
 P0 = T N_r K_T T^T that a BracketPair's T and N_r stand for; the library
@@ -91,7 +94,7 @@ from pnorbit.hermsym import _finish_case, conjugate_rho
 from pnorbit.numkernel import DEFAULT_FD_STEP, expm_antihermitian
 from pnorbit.poisson import (_adjoint, _dagger, _restricted, _tangent,
                              directional_derivatives, kks_raw)
-from pnorbit.spectrum import GT_TAGS, _layout
+from pnorbit.spectrum import GT_TAGS, _layout, top_row_constants
 
 
 def sample_rng(seed, index):
@@ -394,6 +397,22 @@ def bdi_chain_eigvalsh(case, ms):
             w = np.linalg.eigvalsh(np.swapaxes(blk, 1, 2) @ blk)
             a[:, k - 1] = np.sqrt(np.maximum(w[:, -1], 0.0))
     return {**batch, "a": a}
+
+
+def gt_chain_eigvalsh(case, ms):
+    """chain_batch(case, ms) of a GT case, every row by eigvalsh of its
+    leading minor of -i b0."""
+    n = case.params["n"]
+    if case.tag == "diii":
+        b0 = ((ms[:, :n, :n] + ms[:, n:, n:])
+              + 1j * (ms[:, :n, n:] - ms[:, n:, :n])) / 2
+    else:
+        b0 = ms[:, :n, :n]
+    rows = [np.linalg.eigvalsh(-1j * b0[:, :size, :size])
+            for size in range(n, 0, -1)]
+    if case.tag == "aiii":
+        rows[0] = np.broadcast_to(top_row_constants(case), rows[0].shape)
+    return {"kind": "gt", "rows": rows}
 
 
 def kphi(case):

@@ -223,7 +223,8 @@ def test_polytope_formats_out_of_range_rows_by_percent(tmp_path, monkeypatch,
                                                        capsys):
     # values outside the kernel's range planted in the first, a middle and
     # the last row of every chunk (2048 samples on aiii:k=2,n=4): those rows
-    # go to the % operator, and the CSV equals the oracle's bytes
+    # go to the % operator, and the CSV equals the oracle's bytes; the nan
+    # and -inf rows (the first and last of each chunk) are violations
     free_value_map = spectrum.free_value_map
     chunks = []
 
@@ -239,13 +240,39 @@ def test_polytope_formats_out_of_range_rows_by_percent(tmp_path, monkeypatch,
     monkeypatch.setattr(spectrum, "free_value_map", planted)
     out = tmp_path / "poly.csv"
     assert main(["polytope", "--case", "aiii:k=2,n=4", "--samples", "3000",
-                 "--seed", "7", "--output", str(out)]) == 0
+                 "--seed", "7", "--output", str(out)]) == 1
+    assert "(violations: 4)" in capsys.readouterr().out
     assert [len(c) for c in chunks] == [2048, 952]
     labels = spectrum.free_labels(hermsym.parse_case("aiii:k=2,n=4"))
     want = [("sample," + ",".join(labels) + "\n").encode()]
     starts = np.cumsum([0] + [len(c) for c in chunks])
     want += [csv_rows_by_percent(int(s), c) for s, c in zip(starts, chunks)]
     assert out.read_bytes() == b"".join(want)
+
+
+def test_polytope_non_finite_values_fail_with_a_strict_summary(tmp_path,
+                                                              monkeypatch):
+    # a nan and an inf written to the CSV are violations (exit 1), and the
+    # summary stays strict JSON: a non-finite range end is null
+    free_value_map = spectrum.free_value_map
+
+    def planted(case, batch):
+        data = free_value_map(case, batch)
+        data[3, 0], data[7, 0] = np.nan, np.inf
+        return data
+
+    monkeypatch.setattr(spectrum, "free_value_map", planted)
+    out = tmp_path / "poly.csv"
+    assert main(["polytope", "--case", "ci:n=1", "--samples", "10",
+                 "--output", str(out)]) == 1
+
+    def reject(token):
+        raise AssertionError(f"non-strict JSON constant {token}")
+
+    summary = json.loads((tmp_path / "poly.csv.summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["violations"] == 2
+    assert summary["ranges"] == {"l1_1": {"min": None, "max": None}}
 
 
 def test_polytope_bdi_labels(tmp_path):

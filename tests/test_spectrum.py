@@ -1,14 +1,17 @@
 """Chain eigenvalues, free coordinates, interlacing, polytopes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnorbit import (ConventionError, build_case, chain_spectrum,
-                     gt_interlace_check, parse_case, polytope_membership)
-from pnorbit.hermsym import (batch_points, random_point, sample_coefficients,
-                             torus_fixed_points)
+                     gt_interlace_check, parse_case, polytope_membership,
+                     spectrum)
+from pnorbit.hermsym import (batch_points, conjugate_rho, random_point,
+                             sample_coefficients, torus_fixed_points)
 from pnorbit.numkernel import expm_antihermitian
 from pnorbit.spectrum import (batch_free_values, batch_margins,
                               batch_violations, chain_batch, chain_free_vector,
@@ -16,7 +19,12 @@ from pnorbit.spectrum import (batch_free_values, batch_margins,
                               eigenvalue_map_constants, top_row_constants)
 from pnorbit.verify import GAP_THRESHOLD
 
-from helpers import bdi_chain_eigvalsh, free_masks
+from helpers import (bdi_chain_eigvalsh, free_masks, gt_chain_eigvalsh,
+                     record_calls)
+
+GT_DESK = ["aiii:k=1,n=2", "aiii:k=1,n=3", "aiii:k=2,n=4", "ci:n=1", "ci:n=2",
+           "ci:n=3", "diii:n=2", "diii:n=3", "diii:n=4"]
+GT_SCALE = ["aiii:k=4,n=8", "ci:n=5", "diii:n=6", "diii:n=8"]
 
 
 def test_map_constants(gr24, sp2, so6u3, bdi5):
@@ -274,3 +282,96 @@ def test_bdi_block_norm_matches_eigvalsh_oracle():
         skips = [int((gap_regularity(case, b) <= GAP_THRESHOLD).sum())
                  for b in (batch, oracle)]
         assert skips[0] == skips[1] > 0, amb
+
+
+def _weyl_elements(case, count=64):
+    """Group elements onto Weyl images of rho: every torus-fixed point, or
+    for a Grassmannian with more than `count` of them, the permutation
+    matrices of `count` seeded random k-subsets."""
+    k, n = case.params.get("k"), case.params["n"]
+    if case.tag != "aiii" or math.comb(n, k) <= count:
+        return np.stack(torus_fixed_points(case))
+    rng = np.random.default_rng(11)
+    return np.stack([np.eye(n, dtype=complex)[:, rng.permutation(n)]
+                     for _ in range(count)])
+
+
+@pytest.mark.parametrize("descriptor", GT_DESK + GT_SCALE + [
+    "aiii:k=1,n=8", "aiii:k=7,n=8", "aiii:k=5,n=10", "aiii:k=8,n=16"])
+def test_gt_rows_match_eigvalsh_oracle(descriptor):
+    # every row read from its smallest exact problem against one eigvalsh
+    # per leading minor: on sampled points, rho, the Weyl images of rho and
+    # those moved by exp(t X) for small t, where the structural 0s and 1s
+    # of the Grassmannian complement sit next to the free values
+    case = parse_case(descriptor)
+    _, ms = batch_points(case, 2024, 0, 300)
+    gs = _weyl_elements(case)
+    xs = case.alg.from_coefficients(
+        sample_coefficients(5, 0, len(gs), case.alg.dim))
+    near = [conjugate_rho(case, gs @ expm_antihermitian(t * xs))
+            for t in (1e-9, 1e-6, 1e-3)]
+    ms = np.concatenate([ms, case.rho[None], conjugate_rho(case, gs)] + near)
+    batch, oracle = chain_batch(case, ms), gt_chain_eigvalsh(case, ms)
+    for row, want in zip(batch["rows"], oracle["rows"]):
+        assert row.shape == want.shape and row.dtype == np.float64
+        assert np.abs(row - want).max() <= 1e-13, descriptor
+    assert batch_violations(case, batch) == batch_violations(case, oracle) == 0
+    assert np.array_equal(gap_regularity(case, batch) <= GAP_THRESHOLD,
+                          gap_regularity(case, oracle) <= GAP_THRESHOLD)
+    # a batch of one is bitwise its row in any stack
+    flipped = chain_batch(case, ms[::-1])
+    for i in (0, 1, 300, len(ms) - 1):
+        one = chain_batch(case, ms[i:i + 1])
+        for got, row, back in zip(one["rows"], batch["rows"], flipped["rows"]):
+            assert np.array_equal(got[0], row[i])
+            assert np.array_equal(got[0], back[len(ms) - 1 - i])
+
+
+@pytest.mark.parametrize("descriptor", GT_DESK + GT_SCALE + [
+    "aiii:k=1,n=4", "aiii:k=5,n=10"])
+def test_small_gt_rows_take_no_eigensolver(descriptor, monkeypatch):
+    # rows of size <= 2, of -i b0 or of the Grassmannian complement, come in
+    # closed form; aiii:k=1,n=4 and aiii:k=2,n=4 read no eigvalsh at all
+    case = parse_case(descriptor)
+    _, ms = batch_points(case, 3, 0, 6)
+    calls = record_calls(monkeypatch, np.linalg, "eigvalsh")["eigvalsh"]
+    chain_batch(case, ms)
+    assert all(args[0].shape[-1] > 2 for args in calls), descriptor
+    if descriptor in ("aiii:k=1,n=4", "aiii:k=2,n=4"):
+        assert not calls
+
+
+def _plant_nan(batch, i):
+    """A nan in sample i of a chain batch: the last GT row, or b_1."""
+    if batch["kind"] == "gt":
+        batch["rows"][-1][i, 0] = np.nan
+    else:
+        batch["b"][i, 0] = np.nan
+    return batch
+
+
+@pytest.mark.parametrize("descriptor", ["ci:n=3", "aiii:k=2,n=4", "bdi:m=7"])
+def test_non_finite_margins_are_violations(descriptor, monkeypatch):
+    # a nan margin is not <= slack: batch_violations counts the sample, and
+    # chain_spectrum raises on a point whose chain holds a nan
+    case = parse_case(descriptor)
+    _, ms = batch_points(case, 2024, 0, 10)
+    batch = _plant_nan(chain_batch(case, ms), 4)
+    assert batch_violations(case, batch) == 1
+    assert batch_violations(case, batch, slack=np.inf) == 1
+    clean = chain_batch(case, ms)
+    values = batch_free_values(case, clean)[1]
+    values[[2, 6], 0] = [np.inf, np.nan]
+    assert batch_violations(case, clean) == 0
+    assert batch_violations(case, clean, values=values) == 2
+    if case.tag == "aiii":
+        # no eigensolver on aiii:k=2,n=4: a nan entry of m reaches the rows
+        bad = ms[4].copy()
+        bad[0, 0] = complex(np.nan, np.nan)
+        with pytest.raises(ConventionError):
+            chain_spectrum(case, bad)
+    extract = spectrum.chain_batch
+    monkeypatch.setattr(spectrum, "chain_batch",
+                        lambda case, ms: _plant_nan(extract(case, ms), 0))
+    with pytest.raises(ConventionError):
+        chain_spectrum(case, ms[4])
