@@ -111,7 +111,10 @@ class VerificationReport:
                         if np.isfinite(c.max_residual) else None,  # inf: null
                         "tolerance": c.tolerance, "pass": c.passed,
                         "skipped": c.skipped} for c in self.checks],
-            "ranges": self.ranges,
+            # a non-finite range end is null, as in the polytope summary
+            "ranges": {lbl: {key: v if np.isfinite(v) else None
+                             for key, v in ends.items()}
+                       for lbl, ends in self.ranges.items()},
             "passed": self.passed,
             "elapsed_s": self.elapsed_s,
         }

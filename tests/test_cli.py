@@ -275,6 +275,30 @@ def test_polytope_non_finite_values_fail_with_a_strict_summary(tmp_path,
     assert summary["ranges"] == {"l1_1": {"min": None, "max": None}}
 
 
+def test_verify_non_finite_range_fails_with_a_strict_report(tmp_path,
+                                                           monkeypatch):
+    # a nan free value fails the checks that read it (exit 1, not a
+    # traceback), and the report stays strict JSON: the range end is null
+    batch_free_values = spectrum.batch_free_values
+
+    def planted(case, batch):
+        labels, data, _ = batch_free_values(case, batch)
+        data[1, 0] = np.nan
+        return labels, data, np.sort(data, axis=1)
+
+    monkeypatch.setattr(spectrum, "batch_free_values", planted)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--case", "ci:n=1", "--samples", "5",
+                 "--output", str(out)]) == 1
+
+    def reject(token):
+        raise AssertionError(f"non-strict JSON constant {token}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["ranges"] == {"l1_1": {"min": None, "max": None}}
+    assert not report["passed"]
+
+
 def test_polytope_bdi_labels(tmp_path):
     out = tmp_path / "bdi.csv"
     assert main(["polytope", "--case", "bdi:m=5", "--samples", "200",

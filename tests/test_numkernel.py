@@ -36,6 +36,13 @@ def antisymmetric_stack(rng, count, n, norms):
     return a * (np.asarray(norms) / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
 
 
+def antihermitian_stack(rng, count, n, norms):
+    """count complex anti-Hermitian n x n matrices with the given 1-norms."""
+    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    a = a - np.conj(np.swapaxes(a, 1, 2))
+    return a * (np.asarray(norms) / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+
+
 def test_matrix_exp_identity_and_rotation():
     # the zero matrix maps to exactly the identity, alone and in a stack
     assert np.array_equal(expm_antihermitian(np.zeros((4, 4))), np.eye(4))
@@ -134,19 +141,58 @@ def test_real_branch_rows_are_batches_of_one(rng):
                               expm_antihermitian(x.reshape(1, 11, n, n)))
 
 
-def test_real_branch_takes_no_eigensolver(monkeypatch, rng):
-    # the so-families sample (batch_points, stabilizer_elements, the fd
-    # flow data, formed here for the freshly parsed cases) and read the bdi
-    # chain without np.linalg.eigh/eigvalsh
+def test_complex_branch_matches_scipy_up_to_large_norms(rng):
+    # complex anti-Hermitian X = A + iB goes through the real operator
+    # [[A, -B], [B, A]]; over ||X||_1 from 1e-6 to 1e3 the result stays
+    # within 1e-14 max(1, ||X||_1) of scipy's expm and unitary to 1e-12,
+    # up to N = 22
+    for n in (1, 2, 3, 4, 6, 11, 16, 22):
+        norms = np.logspace(-6, 3, 28)
+        x = antihermitian_stack(rng, len(norms), n, norms)
+        g = expm_antihermitian(x)
+        assert g.dtype == np.complex128
+        for gi, xi, nrm in zip(g, x, norms):
+            gap = np.abs(gi - scipy.linalg.expm(xi)).max()
+            assert gap <= 1e-14 * max(1.0, nrm), (n, nrm)
+        eye = np.eye(n)
+        assert np.abs(np.conj(np.swapaxes(g, -1, -2)) @ g - eye).max() <= 1e-12
+    for theta in (0.3, 10.0, 1e3):
+        phase = expm_antihermitian(np.array([[1j * theta]]))
+        assert abs(phase[0, 0] - np.exp(1j * theta)) <= 1e-13
+
+
+def test_complex_branch_rows_are_batches_of_one(rng):
+    # as on the real branch: each row takes its own scaling from its own
+    # operator, so a row of a mixed-norm complex stack is bitwise the same
+    # matrix alone, in a batch of one or in any sub-stack
+    norms = [7.0, 0.0, 1e3, 1e-6, 0.4, 0.5, 1.0, 30.0, 2.0, 1e-6, 7.0]
+    for n in (2, 4, 6):
+        x = antihermitian_stack(rng, len(norms), n, norms)
+        g = expm_antihermitian(x)
+        for i in range(len(x)):
+            assert np.array_equal(g[i], expm_antihermitian(x[i]))
+            assert np.array_equal(g[i], expm_antihermitian(x[i:i + 1])[0])
+        assert np.array_equal(g[::-1], expm_antihermitian(x[::-1]))
+        assert np.array_equal(g[3:8], expm_antihermitian(x[3:8]))
+        assert np.array_equal(g.reshape(1, 11, n, n),
+                              expm_antihermitian(x.reshape(1, 11, n, n)))
+
+
+def test_no_family_samples_with_an_eigensolver(monkeypatch, rng):
+    # every family samples (batch_points, stabilizer_elements, the fd flow
+    # data, formed here for the freshly parsed cases) without
+    # np.linalg.eigh/eigvalsh, and the bdi chain is read without them
     def forbidden(*args, **kwargs):
         raise AssertionError("eigensolver called")
 
-    cases = [parse_case(d) for d in ("diii:n=3", "diii:n=4", "bdi:m=5",
-                                     "bdi:m=7")]
+    cases = [parse_case(d) for d in ("aiii:k=2,n=4", "ci:n=3", "diii:n=3",
+                                     "diii:n=4", "bdi:m=5", "bdi:m=7")]
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     x = antisymmetric_stack(rng, 4, 6, [0.0, 0.1, 5.0, 1e3])
     assert expm_antihermitian(x).dtype == np.float64
+    xc = antihermitian_stack(rng, 4, 6, [0.0, 0.1, 5.0, 1e3])
+    assert expm_antihermitian(xc).dtype == np.complex128
     for case in cases:
         g, m = batch_points(case, 3, 0, 6)
         stabilizer_elements(case, 3, 0, 6)
@@ -157,12 +203,12 @@ def test_real_branch_takes_no_eigensolver(monkeypatch, rng):
 
 def test_non_finite_input_raises_before_any_work(monkeypatch):
     # NaN or inf anywhere in a real or complex stack raises NumericalError,
-    # not numpy's LinAlgError, before either branch starts
+    # not numpy's LinAlgError, before the kernel starts
     def forbidden(*args, **kwargs):
         raise AssertionError("work done on non-finite input")
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    monkeypatch.setattr(numkernel, "_expm_real", forbidden)
+    monkeypatch.setattr(numkernel, "_expm_columns", forbidden)
     for bad in (np.nan, np.inf, -np.inf):
         x = np.zeros((3, 4, 4))
         x[1, 0, 2], x[1, 2, 0] = bad, -bad
