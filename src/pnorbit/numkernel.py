@@ -14,8 +14,9 @@ squared s times.  The dropped tail is at most (1/2)^16 / 16! / (1 - 1/34)
 matrix).  Real (antisymmetric) X, the so-families' algebra, is its own
 operator.  Complex X = A + iB acts on R^2N as R = [[A, -B], [B, A]], and
 exp(R) = [[Re g, -Im g], [Im g, Re g]] with g = exp(X): the first N
-columns [Re g; Im g] determine it, so only they go through Horner and the
-squarings, and each squaring refills R from them.  Each matrix of a
+columns [Re g; Im g] determine it, so only they go through Horner; R is
+then filled once from them and squared whole (at these sizes a 2N x 2N
+product costs about what a 2N x N one does).  Each matrix of a
 stack takes s from its own operator's 1-norm and is scaled by the exact
 power 2^-s, so a batch of one is bitwise equal to its row in any stack.
 """
@@ -60,8 +61,8 @@ def _fill_right(op, n):
 def _expm_columns(op, n):
     """The first n columns of exp(op) for real operators op (S, M, M), by
     scaling, Taylor and squaring; op is overwritten.  n = M is exp(op).
-    n = M / 2 takes op = [[A, -B], [B, A]], whose exponential has the same
-    structure: each squaring refills op from the first n columns."""
+    n = M / 2 takes op = [[A, -B], [B, A]]: Taylor runs on its first n
+    columns, the operator is filled once from them and squared whole."""
     m = op.shape[-1]
     # s per matrix from ||op||_1 / theta = f 2^e, f in [1/2, 1): s = max(e, 0)
     # is the smallest s >= 0 with ||op / 2^s||_1 < theta.  The first n
@@ -70,18 +71,19 @@ def _expm_columns(op, n):
     s = np.maximum(np.frexp(norm / TAYLOR_THETA)[1], 0)
     np.ldexp(op, -s[:, None, None], out=op)
     p = _taylor(op, n)
+    if n < m:
+        op[..., :n] = p
+        _fill_right(op, n)
+        p = op
     q = np.empty_like(p)
     for j in range(s.max(initial=0)):
         # the whole stack is squared; rows already squared s times keep p
-        if n < m:
-            op[..., :n] = p
-            _fill_right(op, n)
-        np.matmul(op if n < m else p, p, out=q)
+        np.matmul(p, p, out=q)
         done = s <= j
         if done.any():
             np.copyto(q, p, where=done[:, None, None])
         p, q = q, p
-    return p
+    return p[..., :n]
 
 
 def expm_antihermitian(x):
@@ -92,8 +94,9 @@ def expm_antihermitian(x):
     polynomial, s per matrix the smallest s >= 0 with ||R / 2^s||_1 <
     TAYLOR_THETA: R = X for real (antisymmetric) X, with a real result;
     R = [[A, -B], [B, A]] for complex X = A + iB, of which only the first
-    N columns [Re g; Im g] are carried (module docstring).  No eigensolver
-    is called.  Non-finite input raises NumericalError before any work.
+    N columns go through the Taylor polynomial before R is squared whole
+    (module docstring).  No eigensolver is called.  Non-finite input
+    raises NumericalError before any work.
     """
     x = np.asarray(x)
     if not np.isfinite(x).all():

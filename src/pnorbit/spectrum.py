@@ -19,8 +19,12 @@ diagonal entry, a 2 x 2 one has the closed form mean -+ hypot((a - d)/2,
 rank-k orthogonal projector, and complementary principal blocks of a
 projector share their non-trivial spectrum (mu <-> 1 - mu, the CS
 decomposition), so a minor whose complement is smaller is read from the
-complement.  Every row of Gr(1, 4) and Gr(2, 4) then takes no eigensolver;
-ci and diii rows of size >= 3 keep eigvalsh.
+complement.  On diii the pairing doubles every eigenvalue of the top row
+(plus 1/2 at odd n), so at n = 3 and n = 4 that row is read from tr H
+and ||H - c||_F, and row 3 of n = 4, whose outer entries the doubled
+parent pins, from one more trace.  Every row of Gr(1, 4), Gr(2, 4),
+diii:n=3 and diii:n=4 then takes no eigensolver; ci rows of size >= 3
+and diii rows of size >= 3 at n >= 5 keep eigvalsh.
 
 For the real-Grassmannian (bdi) cases the data is the (a_k, b_k) family:
 +-i a_k is the rank-2 spectrum of the upper-left so-block, b_k the single
@@ -144,8 +148,9 @@ def chain_batch(case, ms):
                 _grassmannian_row(case, b0, top, size)
                 for size in range(nb - 1, 0, -1)]
         else:
-            rows = [_minor_spectrum(b0[:, :size, :size])
-                    for size in range(nb, 0, -1)]
+            paired = _paired_rows(b0) if case.tag == "diii" else []
+            rows = paired + [_minor_spectrum(b0[:, :size, :size])
+                             for size in range(nb - len(paired), 0, -1)]
         return {"kind": "gt", "rows": rows}
     if np.abs(ms.imag).max(initial=0.0) > 1e-9:
         raise ConventionError("bdi moment matrix must be real")
@@ -182,6 +187,33 @@ def _minor_spectrum(blk):
         rad = np.sqrt(half * half + (b.real * b.real + b.imag * b.imag))
         return np.stack([mean - rad, mean + rad], axis=1)
     return np.linalg.eigvalsh(-1j * blk)
+
+
+def _paired_rows(b0):
+    """The diii rows that the pairing fixes, for n = 3 and n = 4 (none
+    otherwise): H = -i b0 has every eigenvalue twice, plus 1/2 when n is
+    odd.  At n = 3 the top row is (a, a, 1/2), a read from tr H.  At n = 4
+    it is (c - d, c - d, c + d, c + d): c = tr H / 4, and H - c has
+    spectrum +-d, so d = ||H - c||_F / 2, a sum of squares (no np.abs of a
+    complex entry, as in the 2 x 2 radius).  Row 3 interlaces a doubled
+    parent, which pins its outer entries: (c - d, x, c + d), x from the
+    trace of the 3 x 3 minor.  Entries are summed one by one, so a batch
+    of one is bitwise its row in any stack."""
+    n = b0.shape[-1]
+    if n not in (3, 4):
+        return []
+    h = [b0[:, i, i].imag for i in range(n)]      # the diagonal of H
+    tr3 = h[0] + h[1] + h[2]
+    if n == 3:
+        a = (tr3 - 0.5) / 2
+        return [np.stack([a, a, np.full_like(a, 0.5)], axis=1)]
+    c = (tr3 + h[3]) / 4
+    off = sum(z.real * z.real + z.imag * z.imag
+              for z in (b0[:, i, j] for i in range(1, n) for j in range(i)))
+    d = np.sqrt(sum((x - c) ** 2 for x in h) + 2 * off) / 2
+    lo, hi = c - d, c + d
+    return [np.stack([lo, lo, hi, hi], axis=1),
+            np.stack([lo, tr3 - 2 * c, hi], axis=1)]
 
 
 def _grassmannian_row(case, m, top, size):

@@ -341,6 +341,38 @@ def test_small_gt_rows_take_no_eigensolver(descriptor, monkeypatch):
         assert not calls
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("an eigensolver was called")
+
+
+@pytest.mark.parametrize("descriptor", ["diii:n=3", "diii:n=4"])
+def test_paired_diii_rows_take_no_eigensolver(descriptor, monkeypatch):
+    # the top row, doubled by the pairing, comes from tr H and ||H - c||_F,
+    # row 3 of diii:n=4 from a trace, the rest in closed form: against one
+    # eigvalsh per leading minor on sampled points and exactly on the
+    # torus-fixed points, with no eigensolver in chain_batch or
+    # chain_spectrum
+    case = parse_case(descriptor)
+    _, ms = batch_points(case, 2024, 0, 300)
+    fixed = conjugate_rho(case, np.stack(torus_fixed_points(case)))
+    oracles = [gt_chain_eigvalsh(case, stack) for stack in (ms, fixed)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    batch, vertex = chain_batch(case, ms), chain_batch(case, fixed)
+    for got, oracle in zip((batch, vertex), oracles):
+        for row, want in zip(got["rows"], oracle["rows"]):
+            assert np.abs(row - want).max() <= 1e-13, descriptor
+        assert batch_violations(case, got) == batch_violations(case, oracle)
+    for row, want in zip(vertex["rows"], oracles[1]["rows"]):
+        assert np.array_equal(row, want), descriptor
+    for i in (0, 17, 299):
+        one = chain_batch(case, ms[i:i + 1])
+        rows = chain_spectrum(case, ms[i]).rows
+        for got, point, row in zip(one["rows"], rows, batch["rows"]):
+            assert np.array_equal(got[0], row[i])
+            assert np.array_equal(point, row[i])
+
+
 def _plant_nan(batch, i):
     """A nan in sample i of a chain batch: the last GT row, or b_1."""
     if batch["kind"] == "gt":

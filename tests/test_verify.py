@@ -593,6 +593,30 @@ def test_interlacing_and_polytope_fail_on_a_planted_violation(descriptor,
         assert failed.get(name, 0) >= 100 * (1 - 1e-8), failed
 
 
+@pytest.mark.parametrize("descriptor", ["diii:n=3", "diii:n=4"])
+def test_chain_checks_fail_on_a_point_off_the_orbit(descriptor, monkeypatch):
+    # the suite's base chain read at m + 1e-5 E, E real antisymmetric: still
+    # in so(2n), but off the orbit.  The diii rows that the pairing fixes
+    # are read from traces and a norm, so on diii:n=4 the pairing and the
+    # pinned interlacing entries hold by construction and polytope reads 0;
+    # the chain then disagrees with the pencil, which the unmoved m feeds
+    calibrate()
+    case = parse_case(descriptor)
+    _, base = batch_points(case, 2024, 0, 40)
+    a = np.random.default_rng(7).standard_normal(case.rho.shape)
+    e = a - a.T
+    chain_batch = spectrum.chain_batch
+
+    def planted(case, ms):
+        return chain_batch(case, ms + 1e-5 * e if np.array_equal(ms, base)
+                           else ms)
+
+    monkeypatch.setattr(spectrum, "chain_batch", planted)
+    failed = failed_checks(run_suite(case, 40, seed=2024))
+    for name in ("pencil_chain_match", "trace_identity"):
+        assert failed.get(name, 0) >= 100, failed
+
+
 @pytest.mark.parametrize("descriptor", FAMILIES)
 def test_identity_coset_zero_fails_on_a_chain_value_at_rho(descriptor,
                                                            monkeypatch):
