@@ -1,7 +1,7 @@
 """The four families of compact hermitian symmetric spaces as adjoint orbits.
 
-A Case bundles the ambient algebra, the orbit generator rho, the
-eigenbundle isometries W_+/W_-, the stabilizer h = ker ad_rho with the
+A Case bundles the ambient algebra, the orbit generator rho and its
+eigenvalue r_+, the stabilizer h = ker ad_rho with the
 tangent basis T0 of its complement, the base data of the bracket layer
 (the restrictions K_T, J_T of K0 = -ad_rho and J to T0) and the subalgebra
 chain data used for the eigenvalue extraction.  All of it comes from one
@@ -40,8 +40,6 @@ class Case:
     alg: liealg.LieAlgebra
     rho: np.ndarray
     r_plus: complex
-    w_plus: np.ndarray
-    w_minus: np.ndarray
     dim_m: int
     n_eig: int
     stabilizer: np.ndarray = field(repr=False)   # (dim_h, N, N)
@@ -71,7 +69,7 @@ class OrbitPoint:
     m: np.ndarray
 
 
-def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
+def _finish_case(tag, params, name, alg, rho, r_plus, plan):
     """The Case of rho, with every base datum from one ad_rho.
 
     One eigh of ad_rho^T ad_rho gives h = ker ad_rho (stabilizer) and its
@@ -105,8 +103,8 @@ def _finish_case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, plan):
     tangent_side = alg.side_by_side(alg.from_coefficients(tangent.T))
     for arr in (k_t, j_t, tangent_side):
         arr.flags.writeable = False
-    return Case(tag, params, name, alg, rho, r_plus, w_plus, w_minus, dim_m,
-                dim_m // 2, stab, tangent, k_t, j_t, tangent_side, plan)
+    return Case(tag, params, name, alg, rho, r_plus, dim_m, dim_m // 2, stab,
+                tangent, k_t, j_t, tangent_side, plan)
 
 
 def build_case(tag, **params):
@@ -118,10 +116,8 @@ def build_case(tag, **params):
             raise ConventionError(f"aiii needs 1 <= k < n, got k={k}, n={n}")
         alg = liealg.build_algebra("A", n)
         rho = 1j / n * np.diag([n - k] * k + [-k] * (n - k)).astype(complex)
-        w_plus = np.eye(n, k, dtype=complex)
-        w_minus = np.eye(n, dtype=complex)[:, k:]
         return _finish_case(tag, dict(k=k, n=n), f"Gr({k},{n})", alg, rho,
-                            1j * (n - k) / n, w_plus, w_minus,
+                            1j * (n - k) / n,
                             f"u({n}) > u({n-1}) > ... > u(1), upper-left minors of m")
     if tag == "ci":
         n = int(params["n"])
@@ -131,10 +127,7 @@ def build_case(tag, **params):
         rho = np.zeros((2 * n, 2 * n), complex)
         rho[:n, :n] = 0.5j * np.eye(n)
         rho[n:, n:] = -0.5j * np.eye(n)
-        w_plus = np.eye(2 * n, n, dtype=complex)
-        w_minus = np.eye(2 * n, dtype=complex)[:, n:]
         return _finish_case(tag, dict(n=n), f"Sp({n})/U({n})", alg, rho, 0.5j,
-                            w_plus, w_minus,
                             f"sp({n}) > u({n}) > ... > u(1), minors of the V+ compression")
     if tag == "diii":
         n = int(params["n"])
@@ -144,10 +137,7 @@ def build_case(tag, **params):
         rho = np.zeros((2 * n, 2 * n))
         rho[:n, n:] = 0.5 * np.eye(n)
         rho[n:, :n] = -0.5 * np.eye(n)
-        w_plus = np.vstack([np.eye(n), 1j * np.eye(n)]) / np.sqrt(2)
-        w_minus = np.vstack([np.eye(n), -1j * np.eye(n)]) / np.sqrt(2)
         return _finish_case(tag, dict(n=n), f"SO({2*n})/U({n})", alg, rho, 0.5j,
-                            w_plus, w_minus,
                             f"so({2*n}) > u({n}) > ... > u(1), minors of the V+ compression")
     if tag == "bdi":
         m = int(params["m"])
@@ -159,10 +149,8 @@ def build_case(tag, **params):
         rho = np.zeros((m, m))
         rho[m - 2, m - 1] = 1.0
         rho[m - 1, m - 2] = -1.0
-        w_plus = np.eye(m, m - 2, dtype=complex)
-        w_minus = np.eye(m, dtype=complex)[:, m - 2:]
         return _finish_case(tag, dict(m=m), f"SO({m})/SO({m-2})xSO(2)", alg, rho,
-                            0.5j, w_plus, w_minus,
+                            0.5j,
                             f"so({m}) > so({m-2})+so(2) > ..., spin-module minors")
     raise ConventionError(f"unknown case tag {tag!r}")
 
@@ -249,13 +237,13 @@ def random_point(case, seed):
 
 
 def philox_key(seed):
-    """The 64-bit Philox key of seed: a negative seed is masked to 64 bits
-    (-1 keys the stream of 2**64 - 1); a seed of 2**64 or more, which
-    would alias seed % 2**64, raises UsageError."""
+    """The 64-bit Philox key of seed, which must lie in [0, 2**64): the key
+    is 64 bits wide, so any other seed would alias seed % 2**64
+    (UsageError)."""
     seed = int(seed)
-    if seed >= 2**64:
-        raise UsageError(f"seed must be below 2**64, got {seed}")
-    return seed & (2**64 - 1)
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 class _PhiloxState(ctypes.Structure):

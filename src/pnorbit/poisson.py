@@ -123,7 +123,8 @@ Stack contract, one for the whole module: `build_pair` takes one g
 (N, N) or a stack (..., N, N), the pair's T and N_r then carry the same
 leading axes, and every function that takes a pair takes it stacked,
 with vectors and flow derivatives carrying the same axes (`nijenhuis_apply`
-and `connection_check` broadcast more leading axes of v).  A single point
+and `connection_check`, which holds it to the closed form N v, broadcast
+more leading axes of v).  A single point
 is a batch of one through the same code, and no point's pair is built
 twice: `pair[rows]` reads rows of a stack (cached N_r too) and
 `BracketPair.join` restacks them.  Checks run per row with the
@@ -614,30 +615,14 @@ def nstar_eigen_residual(pair, w):
 
 
 # ---------------------------------------------------------------------------
-# contravariant connection (both displays)
+# contravariant connection
 # ---------------------------------------------------------------------------
 
 def connection_check(pair, v):
-    """Residual between the full connection formula (-J(v) + [m, v]) g and
-    the eigenbundle block form -/+ C_pm(v) sigma_pm at the pair's points;
-    for a stacked pair and v, the largest residual over the rows.
-
-    J cancels from the block residual: with C_pm(v) = i v +/- J(v) it is
-    ([m, v] + i v) g W+ and ([m, v] - i v) g W- up to round-off, so the
-    check is blind to a fault in J (a J halved or flipped on a root plane
-    leaves it at round-off) and sees the eigenbundle columns W+- instead.
-
-    bdi lacks the block form; the check degenerates there and is flagged.
-    """
-    case, g, m = pair.case, pair.point.g, pair.point.m
-    if case.tag == "bdi":
-        return 0.0, False
-    jv = case.alg.j_apply(v)
-    full = (-jv + (m @ v - v @ m)) @ g
-    cp = 1j * v + jv
-    cm = 1j * v - jv
-    sp = g @ case.w_plus
-    sm = g @ case.w_minus
-    res = max(np.abs(full @ case.w_plus + cp @ sp).max(),
-              np.abs(full @ case.w_minus - cm @ sm).max())
-    return float(res), True
+    """max|N v by the pencil - N v by the closed formula| over the pair's
+    points, for tangent v (..., N, N) broadcast against the stack: the
+    explicit connection formula N v = [-J(v), m] + v (nijenhuis_formula,
+    which reads J and m) against T N_r T^T v (nijenhuis_apply, which reads
+    the pair's T and N_r), on every family alike."""
+    return float(np.abs(nijenhuis_apply(pair, v, check=False)
+                        - nijenhuis_formula(pair.case, pair.point.m, v)).max())

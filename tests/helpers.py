@@ -3,9 +3,15 @@
 `sample_rng` is a fresh Philox generator per sample, keyed by the seed
 at counter index << 64: the definition of the coefficient stream, which
 hermsym.sample_coefficients draws from one generator that it re-points at
-each sample's counter.  It is the oracle of that stream.  `idempotents`
-and `free_masks` read the eigenbundle projectors and the chain's
-free-coordinate masks that the tests check the library against.
+each sample's counter.  It is the oracle of that stream.
+
+`eigenbundles` gives the isometries W_+, W_- onto the eigenspaces of rho
+with eigenvalues r_+ and r_- = r_+ - i (on bdi, ker rho and the plane rho
+rotates).  The library keeps no W_pm: the tests read the eigenbundle
+columns sigma_pm = g W_pm, the block form of the connection and the diii
+V_+ compression W_+^dag m W_+ from them.  `idempotents` and `free_masks` read the eigenbundle
+projectors and the chain's free-coordinate masks that the tests check
+the library against.
 
 `batch_points_einsum` is the orbit sampler as it stood before its products
 became BLAS calls: a fresh sample_rng per sample and einsums for x, exp(x)
@@ -99,14 +105,30 @@ from pnorbit.spectrum import GT_TAGS, _layout, top_row_constants
 
 def sample_rng(seed, index):
     """Counter-based per-sample generator: reproducible and parallel-safe."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1),
+    return np.random.Generator(np.random.Philox(key=int(seed),
                                                 counter=int(index) << 64))
+
+
+def eigenbundles(case):
+    """(W_+, W_-), complex orthonormal columns (N, dim W_pm): on aiii, ci
+    and diii they span the eigenspaces of case.rho with eigenvalues r_+
+    and r_- = r_+ - i; on bdi, where rho has the three eigenvalues 0 and
+    +-i, W_+ spans ker rho and W_- the plane that rho rotates."""
+    n = case.alg.size
+    if case.tag == "diii":
+        half = np.eye(n // 2)
+        return (np.vstack([half, 1j * half]) / np.sqrt(2),
+                np.vstack([half, -1j * half]) / np.sqrt(2))
+    split = {"aiii": case.params.get("k"), "ci": n // 2, "bdi": n - 2}[case.tag]
+    eye = np.eye(n, dtype=complex)
+    return eye[:, :split], eye[:, split:]
 
 
 def idempotents(case, g):
     """e_pm = sigma_pm sigma_pm^dagger from the column blocks of g."""
-    sp = g @ case.w_plus
-    sm = g @ case.w_minus
+    w_plus, w_minus = eigenbundles(case)
+    sp = g @ w_plus
+    sm = g @ w_minus
     return sp @ sp.conj().T, sm @ sm.conj().T
 
 
@@ -354,8 +376,7 @@ def fault_in_j(case, kind):
     jmat = case.alg.jmat - f * proj @ case.alg.jmat @ proj
     alg = replace(case.alg, jmat=jmat, jflat=jmat.T @ case.alg.flat)
     return _finish_case(case.tag, case.params, case.name, alg, case.rho,
-                        case.r_plus, case.w_plus, case.w_minus,
-                        case.chain_plan)
+                        case.r_plus, case.chain_plan)
 
 
 def ladder_gammas(n_letters, odd=False):

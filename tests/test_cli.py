@@ -391,6 +391,8 @@ def test_calibrate_rejects_non_diii_case(capsys):
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol", "lenard=nan"],
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol", "lenard=-1"],
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol", "lenard=inf"],
+    ["verify", "--case", "aiii:k=1,n=2", "--samples", "3", "--tol",
+     "connection_blocks=1e-10"],
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "2", "--seed", "-1"],
     ["verify", "--case", "aiii:k=1,n=2", "--samples", "2", "--seed", str(2**64)],
     ["polytope", "--case", "ci:n=1", "--samples", "5", "--seed", str(2**64)],
@@ -398,14 +400,18 @@ def test_calibrate_rejects_non_diii_case(capsys):
     ["calibrate", "--samples", "5", "--seed", str(2**64)],
 ], ids=["verify-samples-0", "verify-samples-neg", "polytope-samples-0",
         "calibrate-samples-neg", "case-unknown-param", "case-repeated-param",
-        "tol-nan", "tol-neg", "tol-inf", "seed-neg", "seed-2**64",
+        "tol-nan", "tol-neg", "tol-inf", "tol-unknown-name", "seed-neg", "seed-2**64",
         "polytope-seed-2**64", "spectrum-seed-2**64", "calibrate-seed-2**64"])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     # calibrate writes no file and takes no --output
     output = [] if argv[0] == "calibrate" else ["--output", str(out)]
     assert main(argv + output) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--tol" in argv:
+        # the message names the rejected tolerance
+        assert argv[argv.index("--tol") + 1].partition("=")[0] in err
     # neither the output nor a polytope summary beside it
     assert list(tmp_path.iterdir()) == []
 
@@ -470,26 +476,20 @@ def test_verify_unwritable_output_fails_before_the_suite(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_negative_seed_is_masked_to_64_bits(tmp_path, capsys):
-    # spectrum, polytope and calibrate key their generator with
-    # seed & (2**64 - 1), so -1 draws the same stream as 2**64 - 1
-    seeds = ["-1", str(2**64 - 1)]
-    outs = []
-    for seed in seeds:
-        assert main(["spectrum", "--case", "ci:n=2", "--seed", seed]) == 0
-        outs.append(capsys.readouterr().out.splitlines())
-    assert outs[0][0] == outs[1][0].replace(f"seed={seeds[1]}", "seed=-1")
-    assert outs[0][1:] == outs[1][1:]
-    csvs = []
-    for i, seed in enumerate(seeds):
-        out = tmp_path / f"poly{i}.csv"
-        assert main(["polytope", "--case", "diii:n=3", "--samples", "300",
-                     "--seed", seed, "--output", str(out)]) == 0
-        csvs.append(out.read_bytes())
-    assert csvs[0] == csvs[1]
-    capsys.readouterr()
-    cals = []
-    for seed in seeds:
-        assert main(["calibrate", "--samples", "30", "--seed", seed]) == 0
-        cals.append(capsys.readouterr().out)
-    assert cals[0] == cals[1]
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    # every subcommand keys its generator with hermsym.philox_key, which
+    # takes seeds in [0, 2**64) only: a negative seed would alias a seed
+    # of that range, so it is malformed input, exit 2 with a message, no
+    # traceback and no output file
+    out = str(tmp_path / "out")
+    for argv in (["verify", "--case", "aiii:k=1,n=2", "--samples", "2",
+                  "--output", out],
+                 ["spectrum", "--case", "ci:n=2", "--output", out],
+                 ["polytope", "--case", "diii:n=3", "--samples", "30",
+                  "--output", out],
+                 ["calibrate", "--samples", "30"]):
+        assert main(argv + ["--seed", "-1"]) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be in [0, 2**64), got -1\n"
+        assert captured.out == "", argv[0]
+    assert list(tmp_path.iterdir()) == []

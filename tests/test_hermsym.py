@@ -15,10 +15,12 @@ from pnorbit.hermsym import (SAMPLE_CHUNK_BYTES, _finish_case, batch_points,
                              sample_coefficients, stabilizer_elements,
                              torus_fixed_points)
 from pnorbit.numkernel import expm_antihermitian
-from pnorbit.poisson import directional_derivatives, kks_raw
+from pnorbit.poisson import (directional_derivatives, kks_raw, nijenhuis_apply,
+                             nijenhuis_formula)
 from pnorbit.spectrum import batch_violations, chain_batch
 
-from helpers import batch_points_einsum, idempotents, kphi, sample_rng
+from helpers import (batch_points_einsum, eigenbundles, idempotents, kphi,
+                     sample_rng)
 
 
 def test_rho_matches_case_matrices(gr24, sp2, bdi5):
@@ -82,9 +84,10 @@ def test_r_constants(all_cases):
 
 def test_rho_acts_as_r_on_eigenbundles(gr24, sp2, so6u3):
     for case in (gr24, sp2, so6u3):
-        assert np.abs(case.rho @ case.w_plus - case.r_plus * case.w_plus).max() <= 1e-12
+        w_plus, w_minus = eigenbundles(case)
+        assert np.abs(case.rho @ w_plus - case.r_plus * w_plus).max() <= 1e-12
         r_minus = case.r_plus - 1j
-        assert np.abs(case.rho @ case.w_minus - r_minus * case.w_minus).max() <= 1e-12
+        assert np.abs(case.rho @ w_minus - r_minus * w_minus).max() <= 1e-12
 
 
 def test_j_restricted_to_h_perp_is_ad_rho(all_cases, rng):
@@ -120,7 +123,7 @@ def test_opposite_chamber_raises(gr24):
     alg = liealg._finish(replace(case.alg, h0=-case.alg.h0))
     with pytest.raises(ConventionError, match="J convention"):
         _finish_case(case.tag, case.params, case.name, alg, case.rho,
-                     case.r_plus, case.w_plus, case.w_minus, case.chain_plan)
+                     case.r_plus, case.chain_plan)
 
 
 def test_random_point_determinism_and_orbit(sp2):
@@ -187,7 +190,9 @@ def test_so_cases_sample_in_real_arithmetic(all_cases):
         hs = stabilizer_elements(case, 3, 0, 4)
         c = sample_coefficients(3, 0, 4, alg.dim)
         pair = build_pair(case, g, m=m)
-        routes = verify._nijenhuis_routes(pair, alg.basis[:3, None])
+        v = verify._tangent_vectors(pair, alg.basis[:3, None])
+        routes = (v, nijenhuis_apply(pair, v, check=False),
+                  nijenhuis_formula(case, m, v))
         flows = []
         directional_derivatives(case, g, lambda flow: flows.append(flow)
                                 or np.zeros(len(flow)))
@@ -215,8 +220,8 @@ PINNED_COEFFICIENTS = {
                 "0x1.d1caace21c01ep-1"],
     (7, 2**40 + 3): ["0x1.c4a40573a33b6p-1", "-0x1.0cf524a25c8dbp-3",
                      "0x1.247b0d1e59851p+0"],
-    (-1, 5): ["0x1.3f159f746e17ep+0", "0x1.3ef281c631df9p-1",
-              "-0x1.731c408ea3b7bp+0"],
+    (2**64 - 1, 5): ["0x1.3f159f746e17ep+0", "0x1.3ef281c631df9p-1",
+                     "-0x1.731c408ea3b7bp+0"],
 }
 
 
@@ -243,11 +248,19 @@ def test_sampler_writes_the_philox_state_in_place():
     assert hermsym._layout_holds(hermsym._PhiloxState)
     for dim in (15, 21, 28):
         for start in (2**40, 2**63):
-            want = _oracle_rows(-1, start, 3000, dim)
-            for seed in (-1, 2**64 - 1):
-                assert np.array_equal(
-                    sample_coefficients(seed, start, 3000, dim), want)
+            want = _oracle_rows(2**64 - 1, start, 3000, dim)
+            assert np.array_equal(
+                sample_coefficients(2**64 - 1, start, 3000, dim), want)
         assert sample_coefficients(2024, 7, 0, dim).shape == (0, dim)
+
+
+def test_seeds_stay_in_64_bits():
+    # the Philox key is 64 bits wide: a seed outside [0, 2**64) would
+    # alias a seed inside it, and raises instead
+    assert hermsym.philox_key(2**64 - 1) == 2**64 - 1
+    for seed in (-1, -2**64, 2**64):
+        with pytest.raises(UsageError, match="2\\*\\*64"):
+            sample_coefficients(seed, 0, 1, 5)
 
 
 def test_sample_indices_stay_in_64_bits():
@@ -344,13 +357,14 @@ def test_idempotents(all_cases, rng):
         assert np.abs(ep @ ep - ep).max() <= 1e-11
         assert np.abs(em @ em - em).max() <= 1e-11
         assert np.abs(ep + em - np.eye(n)).max() <= 1e-11
-        assert abs(np.trace(ep).real - case.w_plus.shape[1]) <= 1e-11
-        assert abs(np.trace(em).real - case.w_minus.shape[1]) <= 1e-11
+        w_plus, w_minus = eigenbundles(case)
+        assert abs(np.trace(ep).real - w_plus.shape[1]) <= 1e-11
+        assert abs(np.trace(em).real - w_minus.shape[1]) <= 1e-11
         # reconstruction mu = sigma_+ R_+(rho) sigma_+^dag + sigma_- R_-(rho) sigma_-^dag
-        sp = p.g @ case.w_plus
-        sm = p.g @ case.w_minus
-        rp = case.w_plus.conj().T @ case.rho @ case.w_plus
-        rm = case.w_minus.conj().T @ case.rho @ case.w_minus
+        sp = p.g @ w_plus
+        sm = p.g @ w_minus
+        rp = w_plus.conj().T @ case.rho @ w_plus
+        rm = w_minus.conj().T @ case.rho @ w_minus
         rebuilt = sp @ rp @ sp.conj().T + sm @ rm @ sm.conj().T
         assert np.abs(rebuilt - p.m).max() <= 1e-11
 
@@ -456,7 +470,8 @@ def test_diii_compression_is_half_block_combination(so6u3):
     n = so6u3.params["n"]
     x11, x12 = p.m[:n, :n], p.m[:n, n:]
     x21, x22 = p.m[n:, :n], p.m[n:, n:]
-    b0 = so6u3.w_plus.conj().T @ p.m @ so6u3.w_plus
+    w_plus, _ = eigenbundles(so6u3)
+    b0 = w_plus.conj().T @ p.m @ w_plus
     assert np.abs(b0 - (x11 + x22 + 1j * (x12 - x21)) / 2).max() <= 1e-12
 
 

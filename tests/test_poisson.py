@@ -25,10 +25,10 @@ from pnorbit.spectrum import chain_batch, chain_free_vector, gap_regularity
 
 from helpers import (PointFrames, brackets_by_adjoint, brackets_from_tangent,
                      cartan_element, complex_basis_case,
-                     directional_derivatives_by_basis, flow_points,
-                     jacobi_entries_by_adjoint, jacobi_residual_per_t,
-                     nijenhuis_restricted_inverse, record_calls,
-                     traces_of_powers_ambient)
+                     directional_derivatives_by_basis, eigenbundles,
+                     flow_points, jacobi_entries_by_adjoint,
+                     jacobi_residual_per_t, nijenhuis_restricted_inverse,
+                     record_calls, traces_of_powers_ambient)
 
 
 def traces_by_matrix_power(nr, k_max):
@@ -625,8 +625,7 @@ def test_base_certifies_complex_structure(all_cases):
     for case in all_cases:
         with pytest.raises(NumericalError, match="complex structure"):
             _finish_case(case.tag, case.params, case.name, case.alg,
-                         case.rho * (1 + 1e-11), case.r_plus, case.w_plus,
-                         case.w_minus, case.chain_plan)
+                         case.rho * (1 + 1e-11), case.r_plus, case.chain_plan)
         k0, t0 = kks_raw(case, case.rho), case.tangent
         assert np.abs(k0 @ k0 + t0 @ t0.T).max() <= CSTRUCT_TOL, case.name
         # the base data are shared by every pair of the case: read-only
@@ -1060,18 +1059,22 @@ def test_fd_checks_take_stacked_pairs(all_cases):
                 case.name, name)
 
 
-def test_connection_block_vs_full(all_cases, rng):
+def test_connection_check_on_every_family(all_cases, rng):
+    # the connection formula N v = [-J(v), m] + v against the pencil, bdi
+    # included: round-off at single points, exactly 0 at v = 0, and on a
+    # stack with more leading axes of v the largest of its points' values
     for case in all_cases:
         p = random_point(case, 79)
         v = tangent_vector(case, p.m, rng)
         pair = build_pair(case, p.g)
-        res, has_blocks = connection_check(pair, v)
-        if case.tag == "bdi":
-            assert not has_blocks and res == 0.0
-        else:
-            assert has_blocks and res <= 1e-10
-        res0, _ = connection_check(pair, np.zeros_like(v))
-        assert res0 == 0.0
+        assert connection_check(pair, v) <= 1e-12, case.name
+        assert connection_check(pair, np.zeros_like(v)) == 0.0, case.name
+        g, m = batch_points(case, 79, 0, 4)
+        x = case.alg.from_coefficients(rng.standard_normal((3, 1, case.alg.dim)))
+        vs = x @ m - m @ x
+        stacked = build_pair(case, g, m=m)
+        want = max(connection_check(stacked[i], vs[:, i]) for i in range(4))
+        assert connection_check(stacked, vs) == want, case.name
 
 
 def test_connection_ci_plus_block_directly(sp2, rng):
@@ -1081,5 +1084,6 @@ def test_connection_ci_plus_block_directly(sp2, rng):
     jv = sp2.alg.j_apply(v)
     full = (-jv + (p.m @ v - v @ p.m)) @ p.g
     cp = 1j * v + jv
-    sigma_p = p.g @ sp2.w_plus
-    assert np.abs(full @ sp2.w_plus + cp @ sigma_p).max() <= 1e-10
+    w_plus, _ = eigenbundles(sp2)
+    sigma_p = p.g @ w_plus
+    assert np.abs(full @ w_plus + cp @ sigma_p).max() <= 1e-10

@@ -19,8 +19,8 @@ from pnorbit.spectrum import (batch_free_values, batch_margins,
                               eigenvalue_map_constants, top_row_constants)
 from pnorbit.verify import GAP_THRESHOLD
 
-from helpers import (bdi_chain_eigvalsh, free_masks, gt_chain_eigvalsh,
-                     record_calls)
+from helpers import (bdi_chain_eigvalsh, eigenbundles, free_masks,
+                     gt_chain_eigvalsh, record_calls)
 
 GT_DESK = ["aiii:k=1,n=2", "aiii:k=1,n=3", "aiii:k=2,n=4", "ci:n=1", "ci:n=2",
            "ci:n=3", "diii:n=2", "diii:n=3", "diii:n=4"]
@@ -97,7 +97,8 @@ def test_diii_block_read_matches_v_plus_compression(so6u3):
     # product through W+ is the reference, for real and complex stacks
     for case in (so6u3, build_case("diii", n=6)):
         _, ms = batch_points(case, 53, 0, 512)
-        b0 = case.w_plus.conj().T @ ms @ case.w_plus
+        w_plus, _ = eigenbundles(case)
+        b0 = w_plus.conj().T @ ms @ w_plus
         nb = b0.shape[1]
         ref = {"kind": "gt",
                "rows": [np.linalg.eigvalsh(-1j * b0[:, :nb - r, :nb - r])
