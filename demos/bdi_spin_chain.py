@@ -18,9 +18,9 @@ from pnorbit.spinrep import SpinRepresentation
 
 case = pn.build_case("bdi", m=7)
 rep = SpinRepresentation(7)
-print(f"case: {case.name}; spinor space dimension 2^{rep.basis.n_letters} "
+print(f"case: {case.name}; spinor space dimension 2^{rep.n_letters} "
       f"= {rep.dim}")
-print("word basis:", rep.basis.words)
+print("word basis:", rep.words)
 
 g = rep.gammas                                   # (7, d, d)
 prod = g[:, None] @ g[None]                      # G_a G_b
@@ -28,7 +28,7 @@ anti = prod + prod.swapaxes(0, 1)
 worst = np.abs(anti - 2.0 * np.eye(7)[:, :, None, None] * np.eye(rep.dim)).max()
 print(f"\nClifford relations {{G_a, G_b}} = 2 delta_ab: residual {worst:.1e}")
 
-nl = rep.basis.n_letters
+nl = rep.n_letters
 target = 1j * (rep.gamma_bar_gamma(nl) - 0.5 * np.eye(rep.dim))
 print(f"S(rho) = i(G_bar G - 1/2) residual: "
       f"{np.abs(rep(case.rho.real) - target).max():.1e}")

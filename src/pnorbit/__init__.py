@@ -17,7 +17,7 @@ from .poisson import (BracketPair, bruhat_matrix, build_pair, lenard_check,
 from .spectrum import (ChainSpectrum, chain_spectrum,
                        eigenvalue_map_constants, gt_interlace_check,
                        polytope_membership)
-from .spinrep import SpinRepresentation, gamma_matrices, spin_basis
+from .spinrep import SpinRepresentation, gamma_matrices
 from .verify import (VerificationReport, calibrate,
                      measure_diii_normalization, run_suite, vertex_probe)
 
@@ -32,6 +32,5 @@ __all__ = [
     "gamma_matrices", "gt_interlace_check", "lenard_check",
     "measure_diii_normalization", "moment", "nijenhuis_apply",
     "nijenhuis_formula", "parse_case", "pencil_spectrum",
-    "polytope_membership", "random_point", "run_suite", "spin_basis",
-    "vertex_probe",
+    "polytope_membership", "random_point", "run_suite", "vertex_probe",
 ]

@@ -295,7 +295,8 @@ def cmd_calibrate(args):
     for pair_, res in sorted(cal.residuals.items()):
         mark = " <== unique pass" if pair_ == cal.signs else ""
         print(f"  s_K={pair_[0]:+d} s_0={pair_[1]:+d}  residual {res:.3e}{mark}")
-    print(f"calibrated: s_K={cal.s_k:+d}, s_0={cal.s_0:+d}")
+    s_k, s_0 = cal.signs
+    print(f"calibrated: s_K={s_k:+d}, s_0={s_0:+d}")
     n = 3
     if args.case:
         case = hermsym.parse_case(args.case)

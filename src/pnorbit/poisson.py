@@ -413,9 +413,6 @@ class FlowChunk:
     def __init__(self, base, rho_s, z):
         self.base, self.rho_s, self.z = base, rho_s, z
 
-    def __len__(self):
-        return len(self.base.g) * 2 * len(self.z)
-
     @staticmethod
     def _flat(x):
         """(S, run, 2, a, b) -> (S * run * 2, a, b)"""

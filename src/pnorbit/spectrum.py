@@ -328,12 +328,11 @@ def chain_free_vector(case, m):
 # inequalities
 # ---------------------------------------------------------------------------
 
-def gt_interlace_check(parent, child, slack=0.0):
-    """child interlaces parent: parent_i <= child_i <= parent_{i+1} (+slack).
+def gt_interlace_check(parent, child):
+    """Margin of parent_i <= child_i <= parent_{i+1}: the worst violation
+    per sample, <= 0 when child interlaces parent.
 
-    Rows run along the last axis; leading axes are samples.  Returns
-    (ok, margin) where margin is the worst violation per sample (<= 0 if
-    ok with room to spare).
+    Rows run along the last axis; leading axes are samples.
     """
     parent = np.asarray(parent, float)
     child = np.asarray(child, float)
@@ -341,8 +340,7 @@ def gt_interlace_check(parent, child, slack=0.0):
         raise ConventionError("child row must be one shorter than parent")
     lo = np.max(parent[..., :-1] - child, axis=-1, initial=-np.inf)
     hi = np.max(child - parent[..., 1:], axis=-1, initial=-np.inf)
-    margin = np.maximum(lo, hi)
-    return margin <= slack, margin
+    return np.maximum(lo, hi)
 
 
 def batch_margins(case, batch):
@@ -355,7 +353,7 @@ def batch_margins(case, batch):
         rows = batch["rows"]
         worst = np.full(rows[0].shape[0], -np.inf)
         for parent, child in zip(rows[:-1], rows[1:]):
-            worst = np.maximum(worst, gt_interlace_check(parent, child)[1])
+            worst = np.maximum(worst, gt_interlace_check(parent, child))
         margins = {"interlacing": worst}
         lt0 = rows[0]
         if case.tag == "ci":

@@ -10,7 +10,6 @@ product c_i = I_{2^(N-i)} (x) sigma^+ (x) Z^{(x)(i-1)}, Z = diag(1, -1),
 and the parity operator (-1)^deg is Z^{(x)N}.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -23,27 +22,6 @@ _SIGMA_PLUS = np.array([[0, 0], [1, 0]])    # adds the letter of its slot
 _Z = np.diag([1, -1])                       # (-1)^(letter present)
 
 
-@dataclass
-class SpinBasis:
-    """Ordered word basis of the 2^N dimensional spinor space."""
-
-    n_letters: int
-    odd: bool
-    words: list
-
-    @property
-    def dim(self):
-        return 2 ** self.n_letters
-
-
-def spin_basis(n_letters, odd=False):
-    if n_letters < 1:
-        raise ConventionError("need at least one letter")
-    words = [tuple(i + 1 for i in range(n_letters) if j >> i & 1)
-             for j in range(2 ** n_letters)]
-    return SpinBasis(n_letters, odd, words)
-
-
 def _kron(*factors):
     return reduce(np.kron, factors, np.ones((1, 1), int))
 
@@ -51,18 +29,18 @@ def _kron(*factors):
 def gamma_matrices(n_letters, odd=False):
     """Real-coordinate gamma matrices with {G_a, G_b} = 2 delta_ab.
 
-    Returns (basis, gammas) with gammas one (m, d, d) array indexed by the
-    ambient matrix coordinate: for odd sizes the parity operator comes
-    first, then for each letter i the pair c_i + a_i, i(c_i - a_i), where
-    the annihilator a_i is c_i^T.
+    One (m, d, d) array indexed by the ambient matrix coordinate: for odd
+    sizes the parity operator comes first, then for each letter i the pair
+    c_i + a_i, i(c_i - a_i), where the annihilator a_i is c_i^T.
     """
-    basis = spin_basis(n_letters, odd)
+    if n_letters < 1:
+        raise ConventionError("need at least one letter")
     gammas = [_kron(*[_Z] * n_letters)] if odd else []
     for i in range(1, n_letters + 1):
         c = _kron(np.eye(2 ** (n_letters - i), dtype=int), _SIGMA_PLUS,
                   *[_Z] * (i - 1))
         gammas += [c + c.T, 1j * (c - c.T)]
-    return basis, np.array(gammas, complex)
+    return np.array(gammas, complex)
 
 
 class SpinRepresentation:
@@ -70,7 +48,8 @@ class SpinRepresentation:
 
     X is one matrix (m, m) or a stack (..., m, m); S(X) is (..., d, d),
     one product of the flattened X with the (m*m, d*d) tensor
-    (1/8)[G_a, G_b].
+    (1/8)[G_a, G_b].  words is the ordered word basis of the d = 2^N
+    dimensional spinor space, N = n_letters.
     """
 
     def __init__(self, ambient_size):
@@ -78,14 +57,17 @@ class SpinRepresentation:
             raise ConventionError("so(m) spin module needs m >= 3")
         self.ambient_size = ambient_size
         self.odd = bool(ambient_size % 2)
-        self.basis, self.gammas = gamma_matrices(ambient_size // 2, self.odd)
+        self.n_letters = ambient_size // 2
+        self.words = [tuple(i + 1 for i in range(self.n_letters) if j >> i & 1)
+                      for j in range(self.dim)]
+        self.gammas = gamma_matrices(self.n_letters, self.odd)
         prod = self.gammas[:, None] @ self.gammas[None]     # G_a G_b
         self._eighth_comm = ((prod - prod.swapaxes(0, 1)) / 8).reshape(
             ambient_size ** 2, self.dim ** 2)
 
     @property
     def dim(self):
-        return self.basis.dim
+        return 2 ** self.n_letters
 
     def __call__(self, x):
         x = np.asarray(x)

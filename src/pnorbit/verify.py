@@ -64,13 +64,12 @@ RANGE_TOL = 1e-6          # measure_diii_normalization: slack at the ends
 
 @dataclass
 class Calibration:
-    s_k: int
-    s_0: int
     residuals: dict       # {(s_k, s_0): residual}
 
     @property
     def signs(self):
-        return (self.s_k, self.s_0)
+        """(s_k, s_0): calibrate returns only when this is the unique pass."""
+        return poisson.CALIBRATED_SIGNS
 
 
 @dataclass
@@ -122,11 +121,11 @@ class VerificationReport:
 
 def _tangent_vectors(pair, x):
     """The tangent vectors v = [x, m] at the pair's points, each scaled to
-    at most unit coefficient norm."""
+    at most unit coefficient norm: the Frobenius norm, as the basis is
+    orthonormal under -Tr(AB)."""
     m = pair.point.m
     v = x @ m - m @ x
-    norm = np.linalg.norm(pair.case.alg.real_coefficients(v), axis=-1)
-    v /= np.maximum(1.0, norm)[..., None, None]
+    v /= np.maximum(1.0, np.linalg.norm(v, axis=(-2, -1)))[..., None, None]
     return v
 
 
@@ -173,7 +172,7 @@ def calibrate():
         raise CalibrationError(
             f"calibration must single out {poisson.CALIBRATED_SIGNS}, got "
             f"{passing} from residuals {residuals}")
-    return Calibration(*passing[0], residuals)
+    return Calibration(residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ def _spin_checks(case, m, chain, seed):
     the spectra of S(m)'s leading blocks against the chain data."""
     rep = spinrep.SpinRepresentation(case.alg.size)
     amb = case.alg.size
-    nl = rep.basis.n_letters
+    nl = rep.n_letters
     eye = np.eye(rep.dim)
     prod = rep.gammas[:, None] @ rep.gammas[None]          # G_a G_b
     anti = prod + prod.swapaxes(0, 1)
@@ -442,7 +441,7 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     return VerificationReport(
         case=case.descriptor(), name=case.name, params=case.params,
         seed=int(seed), samples=int(n_samples),
-        calibration={"s_K": cal.s_k, "s_0": cal.s_0}, checks=checks,
+        calibration=dict(zip(("s_K", "s_0"), cal.signs)), checks=checks,
         ranges={lbl: {"min": float(col.min()), "max": float(col.max())}
                 for lbl, col in zip(labels, data.T)},
         elapsed_s=round(time.monotonic() - t0, 3))

@@ -195,7 +195,7 @@ def test_so_cases_sample_in_real_arithmetic(all_cases):
                   nijenhuis_formula(case, m, v))
         flows = []
         directional_derivatives(case, g, lambda flow: flows.append(flow)
-                                or np.zeros(len(flow)))
+                                or np.zeros(len(flow.m)))
         frames = [flows[0].m, flows[0].tangent_rows(slice(None)), flows[0].nr]
         for arr in (case.rho, g, m, hs, *frames,
                     identity_point(case).g, alg.basis, alg.flat,

@@ -307,7 +307,7 @@ def test_directional_derivatives_match_pointwise_loop(descriptor, several):
     def funcs(flow):
         # K, P0 = T N_r K_T T^T and the chain, from each flow point's m, T
         # and N_r
-        calls.append(len(flow))
+        calls.append(len(flow.m))
         k = kks_raw(case, flow.m)
         t = flow.tangent_rows(slice(None))
         p0 = t @ (flow.nr @ case.k_t) @ np.swapaxes(t, -1, -2)
@@ -352,7 +352,7 @@ def record_flows(mp):
         rows = []
 
         def counted(flow):
-            rows.append(len(flow))
+            rows.append(len(flow.m))
             return funcs(flow)
         flows.append((funcs, rows))
         return directional_derivatives(case, g, counted, *args, **kwargs)
@@ -495,7 +495,7 @@ def test_flow_chunks_match_the_per_flow_point_route(all_cases):
 
             def kept(flow):
                 chunks.append(flow)
-                return np.zeros(len(flow))
+                return np.zeros(len(flow.m))
 
             directional_derivatives(case, g, kept)
             want = PointFrames(case, flow_points(case, g).reshape(

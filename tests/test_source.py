@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+import pnorbit
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pnorbit"
 
@@ -99,20 +101,45 @@ def test_every_library_name_has_a_library_caller():
     assert orphans == []
 
 
+def _attribute_loads(node, cls=None):
+    """(owner, attribute) of every attribute load under node: the owner is
+    the enclosing class's name for a load of self.<attribute>, and None
+    for a load on any other expression."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            on_self = isinstance(child.value, ast.Name) and child.value.id == "self"
+            yield (cls if on_self else None), child.attr
+        yield from _attribute_loads(
+            child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+
 def test_every_library_field_is_read_in_the_library():
     # a class field that only the tests read is state kept for them: they
     # derive it themselves instead (tests/helpers.py).  An annotated field
     # of a src/ class counts as read when its name is loaded as an
-    # attribute somewhere in src/, demos/ or perfbench/; as above, a guard
-    # on names
+    # attribute somewhere in src/, demos/ or perfbench/.  A load of
+    # self.<field> counts only for its own class, so a field is not kept
+    # alive by another class's field of the same name; any other load
+    # counts for every class, so beyond self this is still a guard on names
     trees = _library_trees()
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = {load for tree in trees.values() for load in _attribute_loads(tree)}
     unread = [f"{path.name}:{item.lineno} {cls.name}.{item.target.id}"
               for path, tree in trees.items() if path.parent == SRC
               for cls in tree.body if isinstance(cls, ast.ClassDef)
               for item in cls.body
               if isinstance(item, ast.AnnAssign)
               and isinstance(item.target, ast.Name)
-              and item.target.id not in read]
+              and (None, item.target.id) not in read
+              and (cls.name, item.target.id) not in read]
     assert unread == []
+
+
+def test_all_lists_exactly_the_package_imports():
+    # pnorbit.__all__ is the names src/pnorbit/__init__.py imports, each
+    # resolving on the package: a name folded away cannot linger as an
+    # export, and an import cannot go unexported
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(pnorbit.__all__) == sorted(imported)
+    assert [name for name in pnorbit.__all__ if not hasattr(pnorbit, name)] == []

@@ -3,29 +3,29 @@
 import numpy as np
 import pytest
 
-from pnorbit import ConventionError, build_case, gamma_matrices, spin_basis
+from pnorbit import ConventionError, build_case, gamma_matrices
 from pnorbit.spinrep import SpinRepresentation
 
 from helpers import ladder_gammas
 
 
 def test_word_order():
-    basis = spin_basis(3)
-    assert basis.words[0] == ()
-    assert len(basis.words) == 8
-    assert len(set(basis.words)) == 8
+    words = SpinRepresentation(7).words
+    assert words[0] == ()
+    assert len(words) == 8
+    assert len(set(words)) == 8
     # compare largest letters first
-    assert basis.words.index((2,)) < basis.words.index((3,))
-    assert basis.words.index((3,)) < basis.words.index((1, 3))
-    assert basis.words.index((1, 2)) < basis.words.index((3,))
+    assert words.index((2,)) < words.index((3,))
+    assert words.index((3,)) < words.index((1, 3))
+    assert words.index((1, 2)) < words.index((3,))
     # the first 2^(N-1) words avoid the last letter entirely
-    assert all(3 not in w for w in basis.words[:4])
-    assert all(3 in w for w in basis.words[4:])
+    assert all(3 not in w for w in words[:4])
+    assert all(3 in w for w in words[4:])
 
 
 def test_word_order_is_binary_counting():
-    basis = spin_basis(4)
-    for j, w in enumerate(basis.words):
+    words = SpinRepresentation(8).words
+    for j, w in enumerate(words):
         assert sum(2 ** (i - 1) for i in w) == j
 
 
@@ -33,14 +33,15 @@ def test_word_order_is_binary_counting():
 @pytest.mark.parametrize("n_letters", range(1, 7))
 def test_kronecker_gammas_equal_the_ladder_construction(n_letters, odd):
     words, ladder = ladder_gammas(n_letters, odd)
-    basis, gammas = gamma_matrices(n_letters, odd)
-    assert basis.words == words
-    assert gammas.shape == (2 * n_letters + odd, basis.dim, basis.dim)
+    gammas = gamma_matrices(n_letters, odd)
+    # the word basis depends on the letter count alone
+    assert SpinRepresentation(2 * n_letters + 1).words == words
+    assert gammas.shape == (2 * n_letters + odd, 2 ** n_letters, 2 ** n_letters)
     assert gammas.tobytes() == np.array(ladder).tobytes()
 
 
 def test_n1_gamma_product():
-    _, gammas = gamma_matrices(1)
+    gammas = gamma_matrices(1)
     prod = gammas[0] @ gammas[1]
     # i(1 - 2 n_hat): +i on the empty word, -i on the one-letter word
     assert np.abs(prod - np.diag([1j, -1j])).max() == 0.0
@@ -49,8 +50,8 @@ def test_n1_gamma_product():
 @pytest.mark.parametrize("n_letters,odd", [(1, False), (2, False), (2, True),
                                            (3, False), (3, True)])
 def test_clifford_relations(n_letters, odd):
-    basis, gammas = gamma_matrices(n_letters, odd)
-    eye = np.eye(basis.dim)
+    gammas = gamma_matrices(n_letters, odd)
+    eye = np.eye(2 ** n_letters)
     for a in range(len(gammas)):
         for b in range(len(gammas)):
             anti = gammas[a] @ gammas[b] + gammas[b] @ gammas[a]
@@ -58,8 +59,8 @@ def test_clifford_relations(n_letters, odd):
 
 
 def test_parity_gamma():
-    basis, gammas = gamma_matrices(2, odd=True)
-    expect = np.diag([(-1.0) ** len(w) for w in basis.words])
+    gammas = gamma_matrices(2, odd=True)
+    expect = np.diag([(-1.0) ** len(w) for w in SpinRepresentation(5).words])
     assert np.abs(gammas[0] - expect).max() == 0.0
 
 
@@ -81,7 +82,7 @@ def test_spin_rep_homomorphism_and_antihermiticity(m, rng):
 def test_spin_rho_last_rotation(m):
     case = build_case("bdi", m=m)
     rep = SpinRepresentation(m)
-    nl = rep.basis.n_letters
+    nl = rep.n_letters
     target = 1j * (rep.gamma_bar_gamma(nl) - 0.5 * np.eye(rep.dim))
     assert np.abs(rep(case.rho.real) - target).max() <= 1e-12
 
@@ -90,7 +91,7 @@ def test_spin_weights(rng):
     # S of a Cartan element has eigenvalues (i/2) sum of +-theta_j
     m = 7
     rep = SpinRepresentation(m)
-    nl = rep.basis.n_letters
+    nl = rep.n_letters
     thetas = rng.standard_normal(nl)
     h = np.zeros((m, m))
     for j in range(nl):

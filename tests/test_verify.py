@@ -50,7 +50,7 @@ def candidate_residual(case, signs, points):
             x = alg.from_coefficients(rng.standard_normal(alg.dim))
             m = pair.point.m
             v = x @ m - m @ x
-            v /= max(1.0, np.linalg.norm(alg.real_coefficients(v)))
+            v /= max(1.0, np.linalg.norm(v))
             t = alg.real_coefficients(v)[..., None]
             n_pencil = alg.from_coefficients((tan @ (n_r @ (tan.T @ t)))[..., 0])
             n_formula = poisson.nijenhuis_formula(case, m, v)
@@ -308,9 +308,9 @@ def test_spin_clifford_fails_on_a_scaled_gamma(m, monkeypatch):
     exact = spinrep.gamma_matrices
 
     def scaled(n_letters, odd=False):
-        basis, gammas = exact(n_letters, odd)
+        gammas = exact(n_letters, odd)
         gammas[m // 2] *= 1 + 1e-6
-        return basis, gammas
+        return gammas
     monkeypatch.setattr(spinrep, "gamma_matrices", scaled)
     assert not spin_check_passes(case)["spin_clifford"]
 
@@ -632,6 +632,45 @@ def test_identity_coset_zero_fails_on_a_chain_value_at_rho(descriptor,
     failed = failed_checks(run_suite(case, 40, seed=2024))
     assert list(failed) == ["identity_coset_zero"], failed
     assert failed["identity_coset_zero"] >= 100, failed
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES)
+def test_involution_checks_fail_on_a_chain_value_off_the_chain(descriptor,
+                                                               monkeypatch):
+    # the first free chain value moved by the coordinate Re m[0,-1] +
+    # Im m[0,-1], which Poisson-commutes with the chain under neither
+    # bracket and is no eigen-direction of N^*: both involutions and
+    # nstar_dlambda fail, involution_kks by >= 1e4x its tolerance.  The
+    # coordinate is 0 at rho, so identity_coset_zero still passes
+    calibrate()
+    case = parse_case(descriptor)
+    chain_free_vector = spectrum.chain_free_vector
+
+    def planted(case, m):
+        vals = chain_free_vector(case, m)
+        corner = np.asarray(m)[..., 0, -1]
+        vals[..., 0] += corner.real + corner.imag
+        return vals
+
+    monkeypatch.setattr(spectrum, "chain_free_vector", planted)
+    failed = failed_checks(run_suite(case, 40, seed=2024))
+    assert set(failed) == {"involution_kks", "involution_bruhat",
+                           "nstar_dlambda"}, failed
+    assert failed["involution_kks"] >= 1e4, failed
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES)
+def test_tangent_vector_scale_is_the_coefficient_norm(descriptor):
+    # _tangent_vectors scales v = [x, m] by its Frobenius norm, which is
+    # the norm of its real coefficients in the basis orthonormal under
+    # -Tr(AB): the suite's five directions at 50 points
+    case = parse_case(descriptor)
+    _, m = batch_points(case, 2024, 0, 50)
+    x = case.alg.basis[[(j * case.alg.dim) // 5 for j in range(5)], None]
+    v = x @ m - m @ x
+    coef = np.linalg.norm(case.alg.real_coefficients(v), axis=-1)
+    frob = np.linalg.norm(v, axis=(-2, -1))
+    assert (np.abs(frob - coef) <= 1e-15 * coef).all(), case.name
 
 
 @pytest.mark.parametrize("descriptor", ["aiii:k=1,n=2", "ci:n=1", "diii:n=2"])
