@@ -21,7 +21,7 @@ n_samples = 20000
 _, ms = batch_points(case, seed=0, start=0, count=n_samples)
 batch = chain_batch(case, ms)
 labels, data, _ = batch_free_values(case, batch)
-violations = batch_violations(case, batch, slack=1e-9)
+violations = batch_violations(case, batch)
 
 print(f"\nsampled {n_samples} points; inequality violations: {violations}")
 for lbl, col in zip(labels, data.T):

@@ -249,7 +249,6 @@ def cmd_polytope(args):
     _check_samples(args, 1)
     case = hermsym.parse_case(args.case)
     out_path = args.output or f"polytope_{case.tag}.csv"
-    slack = spectrum.SLACK
     labels = (spectrum.raw_labels(case) if case.tag == "bdi"
               else spectrum.free_labels(case))
     mins = np.full(len(labels), np.inf)
@@ -268,14 +267,14 @@ def cmd_polytope(args):
                 data = spectrum.free_value_map(case, batch)
             mins = np.minimum(mins, data.min(axis=0))
             maxs = np.maximum(maxs, data.max(axis=0))
-            violations += spectrum.batch_violations(case, batch, slack, data)
+            violations += spectrum.batch_violations(case, batch, values=data)
             # locale-independent scientific notation, 17 significant digits
             fh.write(_csv_rows(start, data))
         if summary_fh is not None:
             # a non-finite range end is null: the summary is strict JSON
             summary = {
                 "case": case.descriptor(), "samples": int(args.samples),
-                "seed": int(args.seed), "slack": slack,
+                "seed": int(args.seed), "slack": spectrum.SLACK,
                 "violations": int(violations),
                 "ranges": {lbl: {key: float(v) if np.isfinite(v) else None
                                  for key, v in (("min", lo), ("max", hi))}

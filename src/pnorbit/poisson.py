@@ -137,17 +137,22 @@ calibration flow read m; the Lenard flow reads N_r, 2 n_eig square, and
 lenard_check contracts its derivative once per base point; one Jacobi
 flow reads N_r and only the needed rows of T, A[needed] Z, forms only the
 bracketed entries of K and P0 from them, and serves the KKS bracket and
-pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.  Two rules, both
-from one byte budget, say how much goes into one call.
-`stack_chunk(case)` gives the points of a pair stack in `run_suite` and
-`measure_diii_normalization`: it counts the adjoint kernel's side
+pi_t at t = 0 and 1, as d(P0 + t K) = dP0 + t dK.
+
+Stack sizing belongs to the bracket layer alone: a caller hands over
+whole stacks, and one byte budget, _FLOW_CHUNK_BYTES, bounds the
+intermediates of each call inside it.  `_adjoint` runs any stack in
+chunks of `_budget_points(case, rows)` points, counting its two side
 products at the element size of the case's own side, float64 for diii
-and bdi, whose stacks therefore hold twice the points that complex
-entries of the same shape would.  `_flow_directions`
-gives the tangent directions of an fd flow call, both signs and all the
-pair's points: it counts the float64 M Z products, the largest any flow
-forms (diii:n=6 at 3 points: 2 directions).  The chain flow of
-`chain_gradient` forms no M Z and takes every flow point in one call.
+and bdi, whose chunks therefore hold twice the points that complex
+entries of the same shape would; rows = 2 n_eig for the tangent reader,
+dim for A.  `_flow_directions` gives the tangent directions of an fd
+flow call, both signs and all the pair's points: it counts the float64
+M Z products, the largest any flow forms (diii:n=6 at 3 points: 2
+directions).  The chain flow of `chain_gradient` forms no M Z; its runs
+count the flow points' m at the side's element size.  What the budget
+does not bound is the stack the caller holds: a pair keeps T for every
+point, points x dim x dim_m x 8 bytes.
 """
 
 from dataclasses import dataclass, field
@@ -186,17 +191,28 @@ def _adjoint(case, g, side=None):
     (LieAlgebra.side_by_side) in place of the basis, row j is the
     coefficient row of g^-1 Y_j g; at g^dag and Case.tangent_side that is
     T^T = (A T0)^T.  A real g of an so-family meets the real side and the
-    real coefficient map: two real GEMMs and a real coefficient read."""
+    real coefficient map: two real GEMMs and a real coefficient read.
+
+    Any stack goes through in chunks of _budget_points(case, rows) points,
+    each written into the one (..., rows, dim) output, so the side products
+    of a call stay within the byte budget whatever its stack."""
     alg = case.alg
     side = alg.side if side is None else side
-    n, lead = alg.size, g.shape[:-2]
+    n = alg.size
     rows = side.shape[-1] // n
-    # g^dag Y_j side by side, read as rows (i, j); then every block times g.
-    # The first product is a temporary, so at most two (..., rows, N, N)
-    # arrays are held at once: gxg and the coefficient read's copy of it
-    gxg = ((_dagger(g) @ side).reshape(lead + (n * rows, n))
-           @ g).reshape(lead + (n, rows, n))
-    return alg.real_coefficients(np.swapaxes(gxg, -3, -2))
+    flat = np.reshape(g, (-1, n, n))
+    out = np.empty((len(flat), rows, alg.dim))
+    step = _budget_points(case, rows)
+    for i in range(0, len(flat), step):
+        part = flat[i:i + step]
+        # g^dag Y_j side by side, read as rows (i, j); then every block
+        # times g.  The first product is a temporary, so at most two
+        # (chunk, rows, N, N) arrays are held at once: gxg and the
+        # coefficient read's copy of it
+        gxg = ((_dagger(part) @ side).reshape((-1, n * rows, n))
+               @ part).reshape((-1, n, rows, n))
+        out[i:i + step] = alg.real_coefficients(np.swapaxes(gxg, -3, -2))
+    return out.reshape(np.shape(g)[:-2] + out.shape[1:])
 
 
 def _tangent(case, g):
@@ -210,7 +226,8 @@ def bruhat_matrix(case, g):
     """The Bruhat-Poisson matrix K (A J A^T - J) K at the coset of g, with
     K = kks_raw(case, g rho g^dag) and the full A = Ad_{g^-1}: the
     per-point route, independent of the pair's tangent frame.  g may be a
-    stack (..., N, N), taken in chunks of _budget_points(case, dim)."""
+    stack (..., N, N), taken in chunks of _budget_points(case, dim): they
+    bound kks_raw's (chunk, dim, N, N) product as well as A's."""
     lead, step = np.shape(g)[:-2], _budget_points(case, case.alg.dim)
     flat, jmat = np.reshape(g, (-1,) + np.shape(g)[-2:]), case.alg.jmat
     parts = []
@@ -369,16 +386,8 @@ def _flow_data(case, h):
         steps = expm_antihermitian(
             h * case.alg.from_coefficients(case.tangent.T))
         steps = np.stack([steps, _dagger(steps)], axis=1)
-        # Z in pair-stack chunks, each written in place: the adjoint
-        # kernel's side products of all 2 dim_m steps at once would take
-        # 85 MB at ci:n=8, and joining the chunks another copy of Z.  Z^T
-        # is contiguous, as _tangent returns it
-        flat, step = steps.reshape((-1,) + steps.shape[2:]), stack_chunk(case)
-        z = np.empty((len(flat), case.dim_m, case.alg.dim)).swapaxes(-1, -2)
-        for i in range(0, len(flat), step):
-            z[i:i + step] = _tangent(case, flat[i:i + step])
-        z = z.reshape(steps.shape[:2] + z.shape[1:])
-        data = (conjugate_rho(case, steps), z)
+        # Z^T is contiguous, as _tangent returns it
+        data = (conjugate_rho(case, steps), _tangent(case, steps))
         for arr in data:
             arr.flags.writeable = False
         case.flow_data[h] = data
@@ -435,27 +444,25 @@ class FlowChunk:
                            self._flat(np.swapaxes(self.z, -1, -2) @ mz))
 
 
-# Byte budget for the largest per-point intermediates of a stacked bracket
-# call.  In a pair stack (stack_chunk) those are the adjoint kernel's two
-# (chunk, rows, N, N) side products, each entry counted at the size of the
-# case's own side (Case.tangent_side): 8 bytes for the real so-families,
-# 16 for aiii and ci; rows = 2 n_eig for the tangent reader, dim for
-# bruhat_matrix's A.  In an fd flow (_flow_directions) it is M Z, one
-# float64 (dim, 2 n_eig) product per flow point: no flow forms a larger
-# one, and the Jacobi flow reads only the needed rows of T = A Z.
+# Byte budget for the largest per-point intermediates of one bracket call,
+# whatever stack its caller passes.  In the adjoint kernel (_budget_points)
+# those are its two (chunk, rows, N, N) side products, each entry counted
+# at the size of the case's own side (Case.tangent_side): 8 bytes for the
+# real so-families, 16 for aiii and ci; rows = 2 n_eig for the tangent
+# reader, dim for bruhat_matrix's A.  In an fd flow (_flow_directions) it
+# is M Z, one float64 (dim, 2 n_eig) product per flow point: no flow forms
+# a larger one, and the Jacobi flow reads only the needed rows of T = A Z;
+# the chain flow, which forms no M Z, counts one (N, N) m per flow point.
 _FLOW_CHUNK_BYTES = 1 << 18
 
 
 def _budget_points(case, rows):
-    """Points (at least 1) whose two (rows, N, N) side products, at the
-    element size of Case.tangent_side, fit the byte budget."""
+    """How many items (at least 1) fit the byte budget, each holding two
+    (rows, N, N) stacks at the element size of Case.tangent_side: points
+    of the adjoint kernel, whose side products are two such stacks, or
+    directions of the chain flow, whose m at P points are two (P, N, N)."""
     return max(1, _FLOW_CHUNK_BYTES // (
         2 * case.tangent_side.itemsize * rows * case.alg.size ** 2))
-
-
-def stack_chunk(case):
-    """Points per stacked bracket call, for the tangent reader's rows."""
-    return _budget_points(case, case.dim_m)
 
 
 def _flow_directions(case, points):
@@ -477,8 +484,9 @@ def directional_derivatives(case, g, funcs, h=DEFAULT_FD_STEP, chunk=None):
     alone.
     The tangent directions go through funcs in runs of chunk directions,
     both signs and every base point per call, by default _flow_directions,
-    so that the M Z products of a call stay within a byte budget.  A and M
-    are formed once per base point, when a chunk first reads T or N_r.
+    so that the M Z products of a call stay within the byte budget at any
+    number of base points.  A and M are formed once per base point, when a
+    chunk first reads T or N_r.
     Returns (..., dim_m, *value_shape).
     """
     g = np.asarray(g)
@@ -592,13 +600,15 @@ def chain_gradient(pair):
     eigenvalues at the pair's points, (..., 2 n_eig, n_eig): column i is
     w of lambda_i, as gradient_bracket (transposed) and
     nstar_eigen_residual take it.  The chain reads only m and forms no
-    M Z, so all 2 dim_m flow points of every point go through one
-    chain_free_vector call."""
+    M Z: its runs hold as many directions as the byte budget allows for
+    one (N, N) m per flow point at the side's element size, so a call
+    takes any number of points."""
     case = pair.case
+    points = np.size(pair.point.g) // case.alg.size ** 2
     return directional_derivatives(
         case, pair.point.g,
         lambda flow: _spectrum.chain_free_vector(case, flow.m),
-        chunk=case.dim_m)
+        chunk=_budget_points(case, points))
 
 
 def nstar_eigen_residual(pair, w):

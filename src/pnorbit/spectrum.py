@@ -373,14 +373,14 @@ def batch_margins(case, batch):
     return {"interlacing": cone.max(axis=1)}
 
 
-def batch_violations(case, batch, slack=SLACK, values=None):
+def batch_violations(case, batch, values=None):
     """Count samples violating any polytope/interlacing margin (should be 0).
 
-    A margin that is not <= slack is violated, nan included; given values
+    A margin that is not <= SLACK is violated, nan included; given values
     (S, k), a sample whose values are not all finite is counted as well.
     """
     worst = np.max(np.stack(list(batch_margins(case, batch).values())), axis=0)
-    bad = ~(worst <= slack)
+    bad = ~(worst <= SLACK)
     if values is not None:
         bad |= ~np.isfinite(values).all(axis=1)
     return int(bad.sum())

@@ -9,13 +9,15 @@ else aborts.
 
 `run_suite` then certifies every checkable identity at a desk-scale
 sample size and emits a structured report.  It samples once (g, m, the
-chain data and the gap-regular points) and hands the samples to one plain
-function per check group, each returning {check name: max residual}:
-`_orbit_checks`, `_identity_coset`, `_coset_invariance`, `_pencil_checks`
-(the per-stack loop over every sample), `_regular_point_checks` (the fd
-checks at the gap-regular points), `_spin_checks` (bdi only), plus the
-polytope margins and `vertex_probe`.  The report lists the merged checks
-in DEFAULT_TOLERANCES order.
+chain data and the gap-regular points), builds one bracket pair over the
+samples and hands them to one plain function per check group, each
+returning {check name: max residual}: `_orbit_checks`, `_identity_coset`,
+`_coset_invariance`, `_pencil_checks` (the pencil at every sample),
+`_regular_point_checks` (the fd checks at the gap-regular points, rows of
+that pair), `_spin_checks` (bdi only), plus the polytope margins and
+`vertex_probe`.  The report lists the merged checks in DEFAULT_TOLERANCES
+order.  How many points go into one bracket call is the bracket layer's
+own affair (poisson's byte budget): this module passes whole stacks.
 """
 
 import json
@@ -60,6 +62,7 @@ CALIBRATION_SEED = 2025   # calibrate: sample stream on Gr(1,2)
 CALIBRATION_POINTS = 10
 CALIBRATION_TOL = 1e-8    # the one passing sign pair's residual bound
 RANGE_TOL = 1e-6          # measure_diii_normalization: slack at the ends
+RANGE_DRAW = 512          # measure_diii_normalization: samples per draw
 
 
 @dataclass
@@ -179,25 +182,19 @@ def calibrate():
 # suite
 # ---------------------------------------------------------------------------
 
-def _worst(rows):
-    """{name: largest value over rows}, rows a list of per-stack dicts."""
-    return {name: np.max([r[name] for r in rows]) for name in rows[0]}
-
-
 def _gap_regular_points(case, seed, chain, n_needed, max_index):
     """Deterministic scan, in sample-index order, for the first n_needed
     gap-regular points among the first max_index samples.
 
     The drawn batch (its chain data given) is the first chunk; later
     chunks draw only as many samples as are still missing.  Returns the
-    batch indices of the points found in it, the pairs (in stacks of
-    stack_chunk) of those drawn past it and the count of samples skipped.
+    batch indices of the points found in it, (g, m) of those drawn past it
+    (empty if the scan drew nothing) and the count of samples skipped.
     """
     gaps = spectrum.gap_regularity(case, chain)
     batch = np.flatnonzero(gaps > GAP_THRESHOLD)[:n_needed]
-    pairs, idx, need = [], len(gaps), n_needed - len(batch)
+    past, idx, need = [], len(gaps), n_needed - len(batch)
     skipped = (idx if need else int(batch[-1]) + 1) - len(batch)
-    step = poisson.stack_chunk(case)
     while need and idx < max_index:
         g_batch, m_batch = hermsym.batch_points(
             case, seed, idx, min(need, max_index - idx))
@@ -205,11 +202,9 @@ def _gap_regular_points(case, seed, chain, n_needed, max_index):
             case, spectrum.chain_batch(case, m_batch)) > GAP_THRESHOLD)[:need]
         need -= len(found)
         skipped += (len(g_batch) if need else int(found[-1]) + 1) - len(found)
-        pairs += [poisson.build_pair(case, g_batch[found[i:i + step]],
-                                     m=m_batch[found[i:i + step]])
-                  for i in range(0, len(found), step)]
+        past.append((g_batch[found], m_batch[found]))
         idx += len(g_batch)
-    return batch, pairs, skipped
+    return batch, tuple(np.concatenate(x) for x in zip(*past)), skipped
 
 
 def _involution_residuals(pair, w):
@@ -256,46 +251,34 @@ def _coset_invariance(case, seed, g, m):
     return {"coset_invariance": res}
 
 
-def _pencil_checks(case, seed, g, m, chain_sorted, reg_idx):
-    """The pencil at every sample, on each sample's only pair, in stacks of
-    stack_chunk points: the connection formula against the pencil
-    (poisson.connection_check) along v = [x, m] for five basis directions
-    x (axis 0), then checks, not a raise, on the pencil (reality,
-    doubling, chain = pencil, Tr N = 2 sum(lambda_chain)), and the Jacobi
-    identity at t = 0 and t = 1 at the first sample.
-
-    Returns the residuals and the rows of the gap-regular samples reg_idx,
-    one pair per stack.
-    """
-    step = poisson.stack_chunk(case)
-    dirs = case.alg.basis[[(j * case.alg.dim) // 5 for j in range(5)], None]
+def _pencil_checks(case, seed, pair, chain_sorted):
+    """The pencil at every sample, on the one pair of all samples: the
+    connection formula against the pencil (poisson.connection_check) along
+    v = [x, m] for five basis directions x, one at a time, then checks,
+    not a raise, on the pencil (reality, doubling, chain = pencil,
+    Tr N = 2 sum(lambda_chain)), and the Jacobi identity at t = 0 and
+    t = 1 at the first sample."""
+    dirs = case.alg.basis[[(j * case.alg.dim) // 5 for j in range(5)]]
     rng = np.random.default_rng(seed ^ 0x1ACB)
     triples = [tuple(rng.choice(case.alg.dim, size=3, replace=False))
                for _ in range(20)]
-    rows, kept = [], []
-    for i in range(0, len(g), step):
-        pair = poisson.build_pair(case, g[i:i + step], m=m[i:i + step])
-        lam = chain_sorted[i:i + step]
-        ev, im = poisson.pencil_eigenvalues(pair)
-        trace = np.trace(pair.nr, axis1=-2, axis2=-1)
-        rows.append({
-            "connection_master": poisson.connection_check(
-                pair, _tangent_vectors(pair, dirs)),
-            "pencil_chain_match":
-                np.abs((ev[:, 0::2] + ev[:, 1::2]) / 2 - lam).max(),
-            "doubling": np.abs(ev[:, 0::2] - ev[:, 1::2]).max(),
-            "pencil_reality": im.max(),
-            "trace_identity": np.abs(trace - 2 * lam.sum(axis=-1)).max()})
-        if i == 0:
-            jacobi = poisson.jacobi_residual(pair[0], triples)
-        kept.append(pair[reg_idx[(reg_idx >= i) & (reg_idx < i + step)] - i])
-    res = _worst(rows)
-    res.update(jacobi_t0=jacobi["t0"], jacobi_t1=jacobi["t1"])
-    return res, kept
+    ev, im = poisson.pencil_eigenvalues(pair)
+    trace = np.trace(pair.nr, axis1=-2, axis2=-1)
+    jacobi = poisson.jacobi_residual(pair[0], triples)
+    return {
+        "connection_master": max(
+            poisson.connection_check(pair, _tangent_vectors(pair, x))
+            for x in dirs),
+        "pencil_chain_match":
+            np.abs((ev[:, 0::2] + ev[:, 1::2]) / 2 - chain_sorted).max(),
+        "doubling": np.abs(ev[:, 0::2] - ev[:, 1::2]).max(),
+        "pencil_reality": im.max(),
+        "trace_identity": np.abs(trace - 2 * chain_sorted.sum(axis=-1)).max(),
+        "jacobi_t0": jacobi["t0"], "jacobi_t1": jacobi["t1"]}
 
 
 def _regular_point_checks(case, reg, target):
-    """At the gap-regular points reg, in stacks: involution under both
+    """At the gap-regular points reg, one pair: involution under both
     brackets, and at the first three the Lenard recursion and N^* d(lambda).
     A check that finds too few points (target for the involutions, one for
     the others) reads inf, and then only the first three chain gradients
@@ -304,20 +287,16 @@ def _regular_point_checks(case, reg, target):
                          "nstar_dlambda"), np.inf)
     if not len(reg.tangent):
         return res
-    grads, rows, step = [], [], poisson.stack_chunk(case)
     if len(reg.tangent) == target:
-        for i in range(0, target, step):
-            pair = reg[i:i + step]
-            grads.append(poisson.chain_gradient(pair))
-            rows.append(_involution_residuals(pair, grads[-1]))
-        res.update((f"involution_{k}", r) for k, r in _worst(rows).items())
+        grads = poisson.chain_gradient(reg)
+        res.update((f"involution_{k}", r) for k, r
+                   in _involution_residuals(reg, grads).items())
     else:
-        grads.append(poisson.chain_gradient(reg[:3]))
+        grads = poisson.chain_gradient(reg[:3])
     # k_max = n_eig is the recursion's length; at n_eig = 1 it has no
     # step, so those cases check dI_2 = N^* dI_1
     res["lenard"] = poisson.lenard_check(reg[:3], max(2, case.n_eig))["max"]
-    res["nstar_dlambda"] = poisson.nstar_eigen_residual(
-        reg[:3], np.concatenate(grads)[:3])
+    res["nstar_dlambda"] = poisson.nstar_eigen_residual(reg[:3], grads[:3])
     return res
 
 
@@ -397,7 +376,14 @@ def vertex_probe(case):
 
 def run_suite(case, n_samples=100, seed=0, tolerances=None):
     """Run every check for one case; returns a VerificationReport with
-    the checks in DEFAULT_TOLERANCES order."""
+    the checks in DEFAULT_TOLERANCES order.
+
+    One bracket pair holds every sample, and the gap-regular points are
+    its rows (joined with a pair of the points the scan draws past the
+    batch).  Its memory cost is T for every sample:
+    n_samples x dim x dim_m x 8 bytes (1.6 MB at diii:n=6 and 7.8 MB at
+    ci:n=8, at 100 samples), held through the pencil checks alone, beside
+    the budgeted intermediates of each bracket call."""
     if isinstance(case, str):
         case = hermsym.parse_case(case)
     if n_samples < 1:
@@ -421,17 +407,24 @@ def run_suite(case, n_samples=100, seed=0, tolerances=None):
     labels, data, chain_sorted = spectrum.batch_free_values(case, chain)
     margins = spectrum.batch_margins(case, chain)
     target = min(50, n_samples)
-    reg_idx, drawn, skipped = _gap_regular_points(
+    reg_idx, past, skipped = _gap_regular_points(
         case, seed, chain, target, 4 * n_samples)
 
-    pencil, kept = _pencil_checks(case, seed, g, m, chain_sorted, reg_idx)
     res = {**_orbit_checks(case, g, m), **_identity_coset(case),
-           **_coset_invariance(case, seed, g, m), **pencil,
+           **_coset_invariance(case, seed, g, m),
            "interlacing": margins["interlacing"].max(initial=0.0),
            "polytope": max(v.max(initial=0.0) for v in margins.values()),
-           **_regular_point_checks(
-               case, poisson.BracketPair.join(kept + drawn), target),
            "vertex_polytope": vertex_probe(case)}
+    pair = poisson.build_pair(case, g, m=m)
+    res.update(_pencil_checks(case, seed, pair, chain_sorted))
+    # the regular rows are copies: the pair of every sample goes before
+    # the fd checks, whose intermediates would otherwise stack on it
+    reg = pair[reg_idx]
+    del pair
+    if past:
+        reg = poisson.BracketPair.join(
+            [reg, poisson.build_pair(case, past[0], m=past[1])])
+    res.update(_regular_point_checks(case, reg, target))
     if case.tag == "bdi":
         res.update(_spin_checks(case, m, chain, seed))
     skips = {"involution_kks": skipped, "involution_bruhat": skipped}
@@ -456,28 +449,18 @@ def measure_diii_normalization(n=3, samples=10000, seed=424242):
 
     Decides between the two candidate eigenvalue ranges [0,2] and [-1,3]
     without assuming either: the candidates only differ outside [0,2].
-    Each draw, the multiple of poisson.stack_chunk(case) nearest 200 from
-    below (at least one stack), goes through the pencil in stacks of
-    stack_chunk points.
+    Each draw of RANGE_DRAW samples goes through the pencil as one pair.
     """
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     case = hermsym.build_case("diii", n=n)
     calibrate()
     lo, hi = np.inf, -np.inf
-    step = poisson.stack_chunk(case)
-    chunk = step * max(1, 200 // step)
-    done = 0
-    while done < samples:
-        cnt = min(chunk, samples - done)
-        g_batch, m_batch = hermsym.batch_points(case, seed, done, cnt)
-        for i in range(0, cnt, step):
-            pair = poisson.build_pair(case, g_batch[i:i + step],
-                                      m=m_batch[i:i + step])
-            lam = poisson.pencil_spectrum(pair)
-            lo = min(lo, lam.min())
-            hi = max(hi, lam.max())
-        done += cnt
+    for start in range(0, samples, RANGE_DRAW):
+        g, m = hermsym.batch_points(case, seed, start,
+                                    min(RANGE_DRAW, samples - start))
+        lam = poisson.pencil_spectrum(poisson.build_pair(case, g, m=m))
+        lo, hi = min(lo, lam.min()), max(hi, lam.max())
     if lo >= -RANGE_TOL and hi <= 2 + RANGE_TOL:
         matches = "[0,2]"
     elif lo >= -1 - RANGE_TOL and hi <= 3 + RANGE_TOL:

@@ -13,7 +13,7 @@ import pytest
 from pnorbit import (build_algebra, calibrate, measure_diii_normalization,
                      parse_case, run_suite, vertex_probe)
 from pnorbit.hermsym import point_chunks
-from pnorbit.spectrum import batch_violations, chain_batch
+from pnorbit.spectrum import SLACK, batch_violations, chain_batch
 
 from helpers import c_plus
 
@@ -115,14 +115,14 @@ def test_criterion_5_involution(reports):
 
 def test_criterion_6_interlacing_polytopes():
     total = 100000
+    assert SLACK == 1e-9          # the criterion's slack, batch_violations'
     violations = 0
     vertex_worst = 0.0
     for desc in CASES:
         case = parse_case(desc)
         # the stream pnorbit polytope reads: same samples, byte-sized chunks
         for _, _, ms in point_chunks(case, SEED, total):
-            violations += batch_violations(case, chain_batch(case, ms),
-                                           slack=1e-9)
+            violations += batch_violations(case, chain_batch(case, ms))
         vertex_worst = max(vertex_worst, vertex_probe(case))
     ok = violations == 0 and vertex_worst <= 1e-10
     _criterion(6, "interlacing/polytopes over 1e5 samples/case + vertices",

@@ -288,8 +288,9 @@ def test_bracket_layer_reads_only_the_tangent_side(all_cases, monkeypatch):
         at_steps = [g for side, g in calls if side]
         assert [side for side, _ in calls] == (
             [True] * len(at_steps) + [False, False]), case.name
-        assert np.array_equal(np.concatenate(at_steps),
-                              steps.reshape((-1,) + gs.shape[1:])), case.name
+        assert np.array_equal(
+            np.concatenate([g.reshape((-1,) + gs.shape[1:]) for g in at_steps]),
+            steps.reshape((-1,) + gs.shape[1:])), case.name
         assert all(np.array_equal(g, gs) for side, g in calls if not side)
         calls.clear()
         bruhat_matrix(case, gs)
@@ -431,13 +432,16 @@ def test_fd_flows_form_two_points_per_tangent_direction(all_cases,
 
 
 def test_real_forms_take_real_sized_stacks(monkeypatch):
-    # the stack budget counts the side's own entries: 8 bytes for the real
-    # so-families, 16 for aiii and ci, so real forms stack twice the points
-    chunks = {d: poisson.stack_chunk(parse_case(d)) for d in (
-        "diii:n=6", "diii:n=4", "bdi:m=7", "aiii:k=2,n=4", "ci:n=3")}
+    # the adjoint kernel's budget counts the side's own entries: 8 bytes
+    # for the real so-families, 16 for aiii and ci, so real forms take
+    # twice the points per tangent-reader chunk
+    cases = [parse_case(d) for d in (
+        "diii:n=6", "diii:n=4", "bdi:m=7", "aiii:k=2,n=4", "ci:n=3")]
+    chunks = {case.descriptor(): poisson._budget_points(case, case.dim_m)
+              for case in cases}
     assert chunks == {"diii:n=6": 3, "diii:n=4": 21, "bdi:m=7": 33,
                       "aiii:k=2,n=4": 64, "ci:n=3": 18}
-    # at diii:n=6, 20 samples: the identity pair and 7 sample stacks, and
+    # at diii:n=6, 20 samples: the identity pair and one of the samples, and
     # the Lenard flow's 30 directions, each at all 3 points, in 15 calls of
     # 2 directions (M Z: 3 x 2 x 2 flow points of 66 x 30 float64 in 2^18
     # bytes)
@@ -449,7 +453,7 @@ def test_real_forms_take_real_sized_stacks(monkeypatch):
     lenard = [rows for funcs, rows in flows
               if funcs.__qualname__.startswith("lenard_check.")]
     assert lenard == [[3 * 2 * 2] * 15]
-    assert len(calls["build_pair"]) == 8
+    assert len(calls["build_pair"]) == 2
 
 
 def test_flow_steps_formed_once_per_case_and_step(all_cases, monkeypatch):

@@ -30,6 +30,24 @@ def test_no_matrix_inverse_in_library():
     assert hits == []
 
 
+# each byte budget and the one module that names it
+BUDGET_OWNERS = {"stack_chunk": "poisson.py", "_budget_points": "poisson.py",
+                 "_flow_directions": "poisson.py",
+                 "_FLOW_CHUNK_BYTES": "poisson.py",
+                 "SAMPLE_CHUNK_BYTES": "hermsym.py"}
+
+
+def test_byte_budgets_stay_in_their_modules():
+    # how many points go into one call is decided where the arrays it
+    # bounds are formed: the bracket layer sizes its own stacks and the
+    # sampler its own draws, and every other module passes whole stacks
+    name = re.compile(r"\b(" + "|".join(BUDGET_OWNERS) + r")\b")
+    hits = [f"{path.name}:{n} {hit}" for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            for hit in name.findall(line) if BUDGET_OWNERS[hit] != path.name]
+    assert hits == []
+
+
 def test_only_hermsym_imports_ctypes():
     # the sampler writes numpy's C philox_state through ctypes; that
     # dependence on numpy's struct layout stays in one module

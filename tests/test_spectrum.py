@@ -1,6 +1,7 @@
 """Chain eigenvalues, free coordinates, interlacing, polytopes."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,15 +205,16 @@ def test_chain_reads_independent_of_chunking(desc, seed, count, data):
     for key, want in batch_margins(case, whole).items():
         assert np.array_equal(np.concatenate([m[key] for m in margins]), want)
     for slack in (1e-9, -1e-3):
-        assert (batch_violations(case, whole, slack)
-                == sum(batch_violations(case, b, slack) for b in parts))
+        with mock.patch.object(spectrum, "SLACK", slack):
+            assert (batch_violations(case, whole)
+                    == sum(batch_violations(case, b) for b in parts))
 
 
 @pytest.mark.parametrize("descriptor", ["aiii:k=2,n=4", "ci:n=3", "diii:n=4",
                                         "bdi:m=7"])
 def test_batch_violations_count_a_planted_violation(descriptor):
     # one sample of a chain batch moved past one interlacing bound by 1e-7,
-    # 100 x SLACK: batch_violations at its default slack counts that
+    # 100 x SLACK: batch_violations at SLACK counts that
     # sample and no other
     case = parse_case(descriptor)
     _, ms = batch_points(case, 2024, 0, 20)
@@ -381,13 +383,12 @@ def _plant_nan(batch, i):
 
 @pytest.mark.parametrize("descriptor", ["ci:n=3", "aiii:k=2,n=4", "bdi:m=7"])
 def test_non_finite_margins_are_violations(descriptor, monkeypatch):
-    # a nan margin is not <= slack: batch_violations counts the sample, and
+    # a nan margin is not <= SLACK: batch_violations counts the sample, and
     # chain_spectrum raises on a point whose chain holds a nan
     case = parse_case(descriptor)
     _, ms = batch_points(case, 2024, 0, 10)
     batch = _plant_nan(chain_batch(case, ms), 4)
     assert batch_violations(case, batch) == 1
-    assert batch_violations(case, batch, slack=np.inf) == 1
     clean = chain_batch(case, ms)
     values = batch_free_values(case, clean)[1]
     values[[2, 6], 0] = [np.inf, np.nan]

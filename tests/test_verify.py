@@ -141,7 +141,7 @@ def test_run_suite_builds_each_row_once(descriptor, n_samples, threshold,
                                         monkeypatch):
     # every g row that reaches build_pair in one suite is a distinct point:
     # the identity coset, the samples and the regular points drawn past
-    # the batch, each once
+    # the batch, each once, in one pair each
     calibrate()
     if threshold is not None:
         monkeypatch.setattr(verify, "GAP_THRESHOLD", threshold)
@@ -150,6 +150,7 @@ def test_run_suite_builds_each_row_once(descriptor, n_samples, threshold,
     rows = [row.tobytes() for case, g in calls["build_pair"]
             for row in g.reshape((-1,) + case.rho.shape)]
     assert len(rows) == len(set(rows)) > n_samples, (len(rows), len(set(rows)))
+    assert len(calls["build_pair"]) == (2 if threshold is None else 3)
 
 
 def test_run_suite_forms_each_pairs_nr_once(monkeypatch):
@@ -373,8 +374,9 @@ def test_diii_normalization_measurement():
     assert out["min"] >= lo - 1e-6 and out["max"] <= hi + 1e-6
 
 
-def test_diii_normalization_matches_pointwise_loop():
-    # 450 samples cross the 200-sample draws and the stacked sub-chunks
+def test_diii_normalization_matches_pointwise_loop(monkeypatch):
+    # 450 samples cross 200-sample draws
+    monkeypatch.setattr(verify, "RANGE_DRAW", 200)
     case = build_case("diii", n=3)
     g_batch, _ = batch_points(case, 31, 0, 450)
     lams = [pencil_spectrum(build_pair(case, g)) for g in g_batch]
@@ -383,11 +385,12 @@ def test_diii_normalization_matches_pointwise_loop():
     assert abs(out["max"] - max(lam.max() for lam in lams)) <= 1e-13
 
 
-def test_diii_normalization_independent_of_stack_chunk(monkeypatch):
-    # every sample's pencil is its own: one point per stack gives the
-    # same min and max, bit for bit
+def test_diii_normalization_independent_of_draw_size(monkeypatch):
+    # every sample's pencil is its own: one sample per draw and one point
+    # per adjoint kernel chunk give the same min and max, bit for bit
     want = measure_diii_normalization(n=3, samples=400, seed=3)
-    monkeypatch.setattr(poisson, "stack_chunk", lambda case: 1)
+    monkeypatch.setattr(verify, "RANGE_DRAW", 1)
+    monkeypatch.setattr(poisson, "_budget_points", lambda case, rows: 1)
     got = measure_diii_normalization(n=3, samples=400, seed=3)
     assert (got["min"], got["max"]) == (want["min"], want["max"])
 
@@ -398,8 +401,9 @@ def test_run_suite_independent_of_stack_size(descriptor, n_samples,
                                              monkeypatch):
     # every stacked call computes each point's rows on their own, and a
     # one-point stack stays on the GEMM route (LieAlgebra._gemm): one point
-    # per pair stack and bruhat_matrix chunk, and one tangent direction per
-    # fd flow call, gives the same report, byte for byte (elapsed_s aside)
+    # per adjoint kernel and bruhat_matrix chunk, and one tangent direction
+    # per fd flow call, gives the same report, byte for byte (elapsed_s
+    # aside)
     calibrate()
 
     def report():
@@ -410,7 +414,6 @@ def test_run_suite_independent_of_stack_size(descriptor, n_samples,
     want = report()
     monkeypatch.setattr(poisson, "_budget_points", lambda case, rows: 1)
     monkeypatch.setattr(poisson, "_flow_directions", lambda case, points: 1)
-    assert poisson.stack_chunk(parse_case(descriptor)) == 1
     assert report() == want
 
 
