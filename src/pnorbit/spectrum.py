@@ -22,9 +22,11 @@ decomposition), so a minor whose complement is smaller is read from the
 complement.  On diii the pairing doubles every eigenvalue of the top row
 (plus 1/2 at odd n), so at n = 3 and n = 4 that row is read from tr H
 and ||H - c||_F, and row 3 of n = 4, whose outer entries the doubled
-parent pins, from one more trace.  Every row of Gr(1, 4), Gr(2, 4),
+parent pins, from one more trace.  At n >= 5 the doubled values pin
+entries 0, 2, 4, ... of row 2, so the top row is copied from row 2 and
+the n x n block is never solved.  Every row of Gr(1, 4), Gr(2, 4),
 diii:n=3 and diii:n=4 then takes no eigensolver; ci rows of size >= 3
-and diii rows of size >= 3 at n >= 5 keep eigvalsh.
+and diii rows of size 3 to n - 1 at n >= 5 keep eigvalsh.
 
 For the real-Grassmannian (bdi) cases the data is the (a_k, b_k) family:
 +-i a_k is the rank-2 spectrum of the upper-left so-block, b_k the single
@@ -129,7 +131,9 @@ def chain_batch(case, ms):
     block); diii first compresses each point to V+ from the blocks of m.
     GT cases give {"kind": "gt", "rows": [(S, nb - r) ascending
     spectra]}, aiii's row 0 (eig m, which no reader takes) the exact top
-    row; bdi gives {"kind": "ab", "a": (S, n_a), "b": (S, n_b)}.
+    row, and diii's leading rows the ones `_paired_rows` fixes (at
+    n >= 5 the top row, copied from row 2); bdi gives {"kind": "ab",
+    "a": (S, n_a), "b": (S, n_b)}.
     """
     ms = np.asarray(ms)
     if case.tag in GT_TAGS:
@@ -190,16 +194,26 @@ def _minor_spectrum(blk):
 
 
 def _paired_rows(b0):
-    """The diii rows that the pairing fixes, for n = 3 and n = 4 (none
-    otherwise): H = -i b0 has every eigenvalue twice, plus 1/2 when n is
-    odd.  At n = 3 the top row is (a, a, 1/2), a read from tr H.  At n = 4
+    """The diii rows that the pairing fixes, for n >= 3 (none at n <= 2):
+    H = -i b0 has every eigenvalue twice, plus 1/2 when n is odd, and
+    1/2 is then its largest (H compresses -i m, whose spectrum is +-1/2).
+    At n = 3 the top row is (a, a, 1/2), a read from tr H.  At n = 4
     it is (c - d, c - d, c + d, c + d): c = tr H / 4, and H - c has
     spectrum +-d, so d = ||H - c||_F / 2, a sum of squares (no np.abs of a
     complex entry, as in the 2 x 2 radius).  Row 3 interlaces a doubled
     parent, which pins its outer entries: (c - d, x, c + d), x from the
-    trace of the 3 x 3 minor.  Entries are summed one by one, so a batch
-    of one is bitwise its row in any stack."""
+    trace of the 3 x 3 minor.  At n >= 5 the doubled parent pins entries
+    0, 2, 4, ... of row 2 in the same way, so the top row is those
+    entries taken twice (then 1/2 at odd n), and only row 2 is solved.
+    Entries are summed one by one, so a batch of one is bitwise its row in
+    any stack."""
     n = b0.shape[-1]
+    if n >= 5:
+        row2 = _minor_spectrum(b0[:, :n - 1, :n - 1])
+        top = np.repeat(row2[:, 0::2], 2, axis=1)
+        if n % 2:
+            top = np.concatenate([top, np.full((len(top), 1), 0.5)], axis=1)
+        return [top, row2]
     if n not in (3, 4):
         return []
     h = [b0[:, i, i].imag for i in range(n)]      # the diagonal of H

@@ -25,7 +25,7 @@ from helpers import (bdi_chain_eigvalsh, eigenbundles, free_masks,
 
 GT_DESK = ["aiii:k=1,n=2", "aiii:k=1,n=3", "aiii:k=2,n=4", "ci:n=1", "ci:n=2",
            "ci:n=3", "diii:n=2", "diii:n=3", "diii:n=4"]
-GT_SCALE = ["aiii:k=4,n=8", "ci:n=5", "diii:n=6", "diii:n=8"]
+GT_SCALE = ["aiii:k=4,n=8", "ci:n=5", "diii:n=5", "diii:n=6", "diii:n=8"]
 
 
 def test_map_constants(gr24, sp2, so6u3, bdi5):
@@ -93,9 +93,21 @@ def test_bdi_block_values_match_hermitian_spectrum(bdi6):
     assert np.abs(a[:, 0] - ref).max() <= 1e-14
 
 
+def _assert_top_row_from_row_two(rows, n):
+    """The diii top row is row 2's entries 0, 2, 4, ... each taken twice,
+    then exactly 1/2 at odd n."""
+    top, row2 = rows[:2]
+    assert np.array_equal(top[:, :2 * (n // 2)],
+                          np.repeat(row2[:, 0::2], 2, axis=1))
+    assert np.all(top[:, 2 * (n // 2):] == 0.5)
+
+
 def test_diii_block_read_matches_v_plus_compression(so6u3):
     # diii reads W+^dag m W+ from the real N x N blocks of m; the complex
-    # product through W+ is the reference, for real and complex stacks
+    # product through W+ is the reference, for real and complex stacks.
+    # At n >= 5 the top row is no minor of b0 but row 2's pinned entries
+    # doubled (its agreement with eigvalsh of the full block is
+    # test_gt_rows_match_eigvalsh_oracle's); every row below is a minor
     for case in (so6u3, build_case("diii", n=6)):
         _, ms = batch_points(case, 53, 0, 512)
         w_plus, _ = eigenbundles(case)
@@ -104,9 +116,12 @@ def test_diii_block_read_matches_v_plus_compression(so6u3):
         ref = {"kind": "gt",
                "rows": [np.linalg.eigvalsh(-1j * b0[:, :nb - r, :nb - r])
                         for r in range(nb)]}
+        copied = int(nb >= 5)           # leading rows read from no minor
         for stack in (ms, ms.astype(complex)):
             got = chain_batch(case, stack)
-            for row, want in zip(got["rows"], ref["rows"]):
+            if copied:
+                _assert_top_row_from_row_two(got["rows"], nb)
+            for row, want in zip(got["rows"][copied:], ref["rows"][copied:]):
                 assert np.abs(row - want).max() <= 1e-15, case.name
             assert batch_violations(case, got) == batch_violations(case, ref)
 
@@ -139,11 +154,14 @@ def test_chain_rows_interlace(all_cases):
 
 
 def test_diii_pairing_and_pinned_value(so6u3):
-    p = random_point(so6u3, 9)
-    cs = chain_spectrum(so6u3, p.m)
-    lt0 = cs.rows[0]
-    assert abs(lt0[0] - lt0[1]) <= 1e-8          # the even-multiplicity pair
-    assert abs(lt0[2] - 0.5) <= 1e-10            # odd size pins the top value
+    # the top row holds the pairing and the pinned 1/2 by construction
+    for case in (so6u3, build_case("diii", n=5), build_case("diii", n=6)):
+        n = case.params["n"]
+        lt0 = chain_spectrum(case, random_point(case, 9).m).rows[0]
+        # the even-multiplicity pairs
+        assert np.array_equal(lt0[0:2 * (n // 2):2], lt0[1:2 * (n // 2):2])
+        if n % 2:
+            assert lt0[-1] == 0.5                # odd size pins the top value
 
 
 def test_sp1_range():
@@ -365,6 +383,37 @@ def test_paired_diii_rows_take_no_eigensolver(descriptor, monkeypatch):
     for row, want in zip(vertex["rows"], oracles[1]["rows"]):
         assert np.array_equal(row, want), descriptor
     for i in (0, 17, 299):
+        one = chain_batch(case, ms[i:i + 1])
+        rows = chain_spectrum(case, ms[i]).rows
+        for got, point, row in zip(one["rows"], rows, batch["rows"]):
+            assert np.array_equal(got[0], row[i])
+            assert np.array_equal(point, row[i])
+
+
+@pytest.mark.parametrize("descriptor", ["diii:n=5", "diii:n=6", "diii:n=7"])
+def test_diii_top_row_is_read_from_row_two(descriptor, monkeypatch):
+    # the pairing pins entries 0, 2, 4, ... of row 2 to the doubled top
+    # values, so the top row is those entries taken twice, then 1/2 at odd
+    # n, and no eigvalsh sees the n x n block: against one eigvalsh per
+    # leading minor on sampled points and exactly on the torus-fixed points
+    case = parse_case(descriptor)
+    n = case.params["n"]
+    _, ms = batch_points(case, 2024, 0, 300)
+    fixed = conjugate_rho(case, np.stack(torus_fixed_points(case)))
+    oracles = [gt_chain_eigvalsh(case, stack) for stack in (ms, fixed)]
+    calls = record_calls(monkeypatch, np.linalg, "eigvalsh")["eigvalsh"]
+    batch, vertex = chain_batch(case, ms), chain_batch(case, fixed)
+    # rows 2 down to size 3, once for each of the two stacks
+    assert [args[0].shape[-1] for args in calls] == 2 * list(range(n - 1, 2, -1))
+    for got in (batch, vertex):
+        _assert_top_row_from_row_two(got["rows"], n)
+    for got, oracle in zip((batch, vertex), oracles):
+        for row, want in zip(got["rows"], oracle["rows"]):
+            assert np.abs(row - want).max() <= 1e-13, descriptor
+        assert batch_violations(case, got) == batch_violations(case, oracle)
+    for row, want in zip(vertex["rows"], oracles[1]["rows"]):
+        assert np.array_equal(row, want), descriptor
+    for i in (0, 17, len(ms) - 1):
         one = chain_batch(case, ms[i:i + 1])
         rows = chain_spectrum(case, ms[i]).rows
         for got, point, row in zip(one["rows"], rows, batch["rows"]):

@@ -591,11 +591,13 @@ def test_interlacing_and_polytope_fail_on_a_planted_violation(descriptor,
         assert failed.get(name, 0) >= 100 * (1 - 1e-8), failed
 
 
-@pytest.mark.parametrize("descriptor", ["diii:n=3", "diii:n=4"])
+@pytest.mark.parametrize("descriptor", ["diii:n=3", "diii:n=4", "diii:n=5",
+                                        "diii:n=6"])
 def test_chain_checks_fail_on_a_point_off_the_orbit(descriptor, monkeypatch):
     # the suite's base chain read at m + 1e-5 E, E real antisymmetric: still
     # in so(2n), but off the orbit.  The diii rows that the pairing fixes
-    # are read from traces and a norm, so on diii:n=4 the pairing and the
+    # are read from traces and a norm, or at n >= 5 the top row from row
+    # 2's pinned entries, so on diii:n=4, 5 and 6 the pairing and the
     # pinned interlacing entries hold by construction and polytope reads 0;
     # the chain then disagrees with the pencil, which the unmoved m feeds
     calibrate()
